@@ -34,23 +34,9 @@ from .geometry import (
     _same_center,
     _xi_series,
 )
-from .series import TruncSeries, truncate
+from .series import TruncSeries, _monomial, _series_exp, truncate
 
 _COND_LIMIT = 1e10
-
-
-def _series_exp(f: TruncSeries) -> TruncSeries:
-    """exp of a series with vanishing constant term."""
-    n = f.trunc_order
-    df = f.differentiate()
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
-    for m in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            acc += e[j] * df.coeff(m - 1 - j)
-        e[m] = acc / m
-    return TruncSeries(e, 0, f.ram_index, f.var_tag)
 
 
 class ClassicalSystem:
@@ -344,7 +330,6 @@ class ClassicalSystem:
     def cd_reconstruction_residual(self, z1, z2, order=None):
         """|psi(z1,z2) - sum psi_I A_IJ phi_J / (X1 - X2)| / |psi|."""
         cv = self.curve
-        x = None
         A_inv = self.cd_matrix(_generic_x(cv), order)
         A = np.linalg.inv(A_inv)
         from math import factorial
@@ -387,33 +372,6 @@ class ClassicalSystem:
 def _generic_x(curve):
     return 2.31 + 1.17j if curve.genus == 0 else \
         curve.x_value(0.29 + 0.33j * curve.tau.imag)
-
-
-def _match_point(xp):
-    if xp.location == "inf":
-        return 1.0 / _match_offset(xp)
-    return complex(xp.location) + _match_offset(xp)
-
-
-def _match_offset(xp):
-    return 0.11 + 0.067j
-
-
-def _monomial(k, c, like):
-    head = np.zeros(like.trunc_order - k + 1, dtype=complex)
-    head[0] = c
-    return TruncSeries(head, k, like.ram_index, like.var_tag)
-
-
-def _one_over_z_minus(z_of_s, z, at_infinity=False):
-    """Series of 1/(z - z2(s)) (sign +: kernel leg 1/(z1 - z2))."""
-    if at_infinity:
-        # z2 = 1/w(s): 1/(z - 1/w) = w/(z w - 1)
-        w = z_of_s
-        den = w * z - 1.0
-        return w * den.invert()
-    den = (z_of_s * (-1.0)) + z
-    return den.invert()
 
 
 def _theta1_series_at(ell, u0, order):

@@ -20,15 +20,11 @@ from .errors import (
     RootFindingFailed,
     SingularCurve,
 )
-from .series import (
-    DEFAULT_TRUNC,
-    LocalFrame,
-    TruncSeries,
-    from_poly,
-    truncate,
-)
+from .series import DEFAULT_TRUNC, TruncSeries, _monomial, _series_exp
 
-_ROOT_TOL = 1e-8
+# kernel arguments this close to 0 (or to a lattice point) are taken to
+# sit on the pole, and their series carry the Laurent head
+_ON_POLE = 1e-9
 
 
 # -- rational functions -------------------------------------------------------
@@ -172,9 +168,6 @@ class RamificationPoint:
     def y_bar_series(self) -> TruncSeries:
         return flip_parity(self.y_series)
 
-    def frame(self):
-        return LocalFrame(self.location, "sqrt_branch")
-
 
 def flip_parity(f: TruncSeries) -> TruncSeries:
     """f(-zeta) for a series in zeta."""
@@ -192,9 +185,6 @@ class XPole:
         self.s_of_xi = s_of_xi            # chart offset as series in xi
         self.xi_of_s = xi_of_s
         self.label = label
-
-    def frame(self):
-        return LocalFrame(self.label, "inverse_root")
 
 
 class SheetStructure:
@@ -226,7 +216,14 @@ class SpectralCurve:
 
     # subclasses provide: x_value, y_value, dx_value, dy_value,
     # x_series(center, order), y_series(center, order), sheets_above,
-    # deformed(...), d (degree of X as a map)
+    # deformed(...), d (degree of X as a map), and the reduced Bergman
+    # kernel B(z1, z2) = F(z1 - z2) dz1 dz2 in the global chart:
+    #   bergman(v)                    F(v)
+    #   bergman_primitive(v)          P(v) with P' = -F
+    #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
+    #   bergman_primitive_series(c, order)   P(c + t)
+    # where inner is a series vanishing at 0 (often t itself); the series
+    # carry the Laurent head when c sits on the pole of F
 
     def branch_values(self):
         return [r.branch_value for r in self.ramification_points]
@@ -320,6 +317,48 @@ class Genus0Curve(SpectralCurve):
         if center == "inf":
             return self.Y.series_at_infinity(order)
         return self.Y.series(center, order, tag or f"s@{center:.6g}")
+
+    # Bergman kernel: F(v) = 1/v^2, P(v) = 1/v
+    def bergman(self, v):
+        return 1.0 / v ** 2
+
+    def bergman_primitive(self, v):
+        return 1.0 / v
+
+    def bergman_taylor(self, c, inner, count):
+        """F^(q)(c + inner)/q! = (-1)^q (q+1) (c + inner)^-(q+2).
+
+        The powers come from inverting c + inner itself: expanding
+        1/(c + t)^2 first and composing with inner loses digits."""
+        base = inner + c if abs(c) >= _ON_POLE else inner
+        binv = base.invert()
+        acc = binv * binv
+        out = [acc]
+        for q in range(1, count):
+            acc = acc * binv
+            out.append(acc * ((-1.0) ** q * (q + 1)))
+        return out
+
+    def bergman_primitive_series(self, c, order):
+        """1/(c + t), known through t^order."""
+        if abs(c) < _ON_POLE:
+            return TruncSeries(np.concatenate([[1.0], np.zeros(order + 1)]),
+                               -1)
+        return TruncSeries(np.concatenate([[c, 1.0], np.zeros(order - 1)]),
+                           0).invert()
+
+    def bergman_taylor_at_infinity(self, p, count, order):
+        """[F^(q)(p - z)/q! dz/dw for q < count] in the chart w = 1/z:
+        -(q+1) w^q (1 - p w)^-(q+2), known through w^order."""
+        base = TruncSeries(np.concatenate([[1.0, -p], np.zeros(order)]), 0,
+                           var_tag="w@inf")
+        binv = base.invert()
+        acc = binv * binv
+        out = [-acc]
+        for q in range(1, count):
+            acc = acc * binv
+            out.append(acc.shift(q) * (-(q + 1.0)))
+        return out
 
     def _find_ramification(self):
         pol = np.polynomial.polynomial
@@ -426,26 +465,6 @@ def _root_coordinate(x_series: TruncSeries, m: int, tag: str) -> TruncSeries:
     return (frac * root).shift(1).retag(tag)
 
 
-def _series_exp(f: TruncSeries) -> TruncSeries:
-    """exp of a series with f(0) = 0."""
-    if f.k_min < 1:
-        if abs(f.coeff(0)) > 0:
-            raise ValueError("series exp needs vanishing constant term")
-    n = f.trunc_order
-    out = TruncSeries(np.concatenate([[1.0], np.zeros(n)]), 0,
-                      f.ram_index, f.var_tag)
-    # Newton-free: e' = e f' with e(0)=1, solved coefficientwise
-    df = f.differentiate()
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
-    for m in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        for j in range(m):
-            acc += e[j] * df.coeff(m - 1 - j)
-        e[m] = acc / m
-    return TruncSeries(e, 0, f.ram_index, f.var_tag)
-
-
 def _newton(f, df, z0, steps=40, tol=1e-14):
     z = complex(z0)
     for _ in range(steps):
@@ -508,6 +527,55 @@ class Genus1Curve(SpectralCurve):
         out = r1 + r2 * wpp
         return out.retag(tag or f"s@{center:.6g}")
 
+    # Bergman kernel: F(v) = -(ln theta1)''(v), P(v) = (ln theta1)'(v)
+    def bergman(self, v):
+        return -self.ell.theta.log_theta1_d(v, 2)
+
+    def bergman_primitive(self, v):
+        return self.ell.theta.log_theta1_d(v, 1)
+
+    def _bergman_series(self, c, order):
+        """F(c + t), known through t^order; wp - c0 at lattice points."""
+        ell = self.ell
+        if ell.is_lattice(c, _ON_POLE):
+            return ell.wp_laurent_at_zero(order) - ell.c0
+        return -ell.log_theta1_series(c, order).differentiate().differentiate()
+
+    def bergman_taylor(self, c, inner, count):
+        """[F^(q)(c + inner)/q! for q < count].
+
+        All q are read off one series F(c + t) = sum f_k t^k: the
+        coefficient of t^k in F^(q)(c + t)/q! is C(k+q, q) f_(k+q).  They
+        are composed with ``inner`` at once, through one table of the
+        powers of inner that carry a nonzero coefficient."""
+        K = inner.trunc_order
+        F = self._bergman_series(c, K + count)
+        k0 = F.k_min - count + 1
+        e = np.arange(k0, F.trunc_order + 1)
+        D = np.zeros((count, len(e)), dtype=complex)
+        D[0, F.k_min - k0:] = F.coeffs
+        for q in range(1, count):
+            D[q, :-1] = D[q - 1, 1:] * (e[1:] / q)
+        # inner^-p is known through t^(K-1-p)
+        top = K if k0 >= 0 else K - 1 + k0
+        D, e = D[:, :top - k0 + 1], e[:top - k0 + 1]
+        used = np.any(D, axis=0)
+        T = D[:, used] @ _power_table(inner, e[used], k0, top)
+        return [TruncSeries(row, k0, inner.ram_index, inner.var_tag)
+                for row in T]
+
+    def bergman_primitive_series(self, c, order):
+        """(ln theta1)'(c + t), known through t^order."""
+        ell = self.ell
+        if not ell.is_lattice(c, _ON_POLE):
+            return ell.log_theta1_series(c, order - 1).differentiate()
+        # (ln theta1)'' = c0 - wp: integrate the part past the 1/t^2 head;
+        # a shift by m + n tau adds the quasi-period -2 i pi n
+        wp = ell.wp_laurent_at_zero(order - 1)
+        reg = (ell.c0 - (wp - _monomial(-2, 1.0, wp))).antiderivative()
+        n = round(complex(c).imag / self.tau.imag)
+        return reg + _monomial(-1, 1.0, reg) - 2j * np.pi * n
+
     def _find_ramification(self):
         halves = [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
         for idx, a in enumerate(halves):
@@ -532,9 +600,11 @@ class Genus1Curve(SpectralCurve):
         self.x_poles.append(XPole(0.0, 2, xi.functional_inverse(), xi, "0"))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
+        """The preimages u and -u of x: wp is even, so one Newton solve
+        gives both.  Seeds on an 8 x 8 grid are tried in turn until one
+        converges off the lattice."""
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
         target = x / self.x_scale
-        sols = []
         grid = 9
         for i in range(1, grid):
             for j in range(1, grid):
@@ -546,14 +616,12 @@ class Genus1Curve(SpectralCurve):
                 u = self.ell.to_cell(u)
                 if self.ell.is_lattice(u, tol=1e-6):
                     continue
-                if not any(abs(u - s) < 1e-6 or
-                           self.ell.is_lattice(u - s, tol=1e-6)
-                           for s in sols):
-                    sols.append(u)
-        if len(sols) != 2:
-            raise RootFindingFailed(
-                f"wp inversion found {len(sols)} preimages at x = {x}")
-        return SheetStructure(x, _sort_points(sols), near)
+                if self.ell.is_lattice(2 * u, tol=1e-6):
+                    raise RootFindingFailed(
+                        f"x = {x} is a branch value: its preimages coincide")
+                pair = [u, self.ell.to_cell(-u)]
+                return SheetStructure(x, _sort_points(pair), near)
+        raise RootFindingFailed(f"wp inversion did not converge at x = {x}")
 
     def deformed(self, dR1: RationalFunction, dR2: RationalFunction):
         return Genus1Curve(self.tau, self.R1.add(dR1), self.R2.add(dR2),
@@ -563,6 +631,26 @@ class Genus1Curve(SpectralCurve):
         return Genus1Curve(self.tau, self.R1.scale(1.0 / lam),
                            self.R2.scale(1.0 / lam), self.x_scale * lam,
                            self.order)
+
+
+def _power_table(inner: TruncSeries, exps, lo, hi) -> np.ndarray:
+    """Rows: coefficients of inner^e on t^lo..t^hi, for e in ``exps``
+    (ascending); inner starts at t^1."""
+    pows = {0: TruncSeries(np.ones(1), 0)}
+    if exps[-1] > 0:
+        pows[1] = inner
+        for e in range(2, exps[-1] + 1):
+            pows[e] = pows[e - 1] * inner
+    if exps[0] < 0:
+        pows[-1] = inner.invert()
+        for e in range(-2, exps[0] - 1, -1):
+            pows[e] = pows[e + 1] * pows[-1]
+    out = np.zeros((len(exps), hi - lo + 1), dtype=complex)
+    for i, e in enumerate(exps):
+        p = pows[e]
+        n = min(p.trunc_order, hi) - p.k_min + 1
+        out[i, p.k_min - lo:p.k_min - lo + n] = p.coeffs[:n]
+    return out
 
 
 def _compose_rational(R: RationalFunction, inner: TruncSeries,

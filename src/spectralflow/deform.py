@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import Genus0Curve, Genus1Curve, RationalFunction
+from .curve import RationalFunction
 from .errors import NotRepresentable
 from .forms import SecondKindBasis, _same_center
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TruncSeries, constant, identity, truncate
+from .series import TruncSeries, truncate
 from .theta import ThetaEvaluator
 
 
@@ -31,13 +31,6 @@ class EllipticTools:
 
     def wp_prime(self, u: complex) -> complex:
         return -self.theta.log_theta1_d(u, 3)
-
-    def bergman_fn(self, v: complex) -> complex:
-        """-(ln theta1)''(v): B(u1, u2) = bergman_fn(u1 - u2) du1 du2."""
-        return -self.theta.log_theta1_d(v, 2)
-
-    def log_theta1_prime(self, v: complex) -> complex:
-        return self.theta.log_theta1_d(v, 1)
 
     # -- local series ----------------------------------------------------------
 

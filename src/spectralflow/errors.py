@@ -71,10 +71,6 @@ class CoincidentPoints(SpectralFlowError):
     """Two-point kernel evaluated on the diagonal."""
 
 
-class PathCrossesCycle(SpectralFlowError):
-    """An integration path cannot be kept inside the fundamental domain."""
-
-
 class DivergentRegularization(SpectralFlowError):
     """A regularized pole integral failed to converge."""
 
@@ -91,7 +87,7 @@ class UnsupportedCycle(SpectralFlowError):
     """Cycle descriptor not available on this curve (e.g. B-cycle at genus 0)."""
 
 
-# -- classical / dispersive --------------------------------------------------
+# -- classical ----------------------------------------------------------------
 
 class StepTooLarge(SpectralFlowError):
     """Finite-difference h-sweep disagrees beyond the guard threshold."""
@@ -103,11 +99,3 @@ class SingularCDMatrix(SpectralFlowError):
 
 class SingularSheetMatrix(SpectralFlowError):
     """Sheet matrix inversion with condition number beyond 1e10."""
-
-
-class RegularityViolation(SpectralFlowError):
-    """Recursion run on a curve that fails the regularity assumptions."""
-
-
-class MissingDerivativeTable(SpectralFlowError):
-    """A requested 1/N order needs tables that were not computed."""

@@ -21,7 +21,7 @@ from .errors import (
     TruncationTooShort,
     UnsupportedCycle,
 )
-from .series import TruncSeries, constant
+from .series import TruncSeries, _combine, constant, identity
 
 
 class Form1:
@@ -136,7 +136,7 @@ class YdX(Form1):
 
     def local_series(self, center, order):
         cv = self.curve
-        if cv.genus == 0 and center == "inf":
+        if center == "inf":
             y = cv.Y.series_at_infinity(order + 6)
             dx = cv.X.series_at_infinity(order + 6).differentiate()
             return y * dx
@@ -191,47 +191,21 @@ class ThirdKind(Form1):
         self.z1, self.z2 = complex(z1), complex(z2)
 
     def value(self, z):
-        if self.curve.genus == 0:
-            return 1.0 / (z - self.z1) - 1.0 / (z - self.z2)
-        th = self.curve.ell
-        return th.log_theta1_prime(z - self.z1) \
-            - th.log_theta1_prime(z - self.z2)
+        P = self.curve.bergman_primitive
+        return P(z - self.z1) - P(z - self.z2)
 
     def local_series(self, center, order):
-        if self.curve.genus == 0:
-            if center == "inf":
-                # 1/(1/w - zi) * (-1/w^2) dw = -1/(w (1 - zi w)) dw
-                out = None
-                for sgn, zi in ((1.0, self.z1), (-1.0, self.z2)):
-                    den = TruncSeries(
-                        np.concatenate([[1.0, -zi], np.zeros(order + 4)]), 0)
-                    t = den.invert().shift(-1) * (-sgn)
-                    out = t if out is None else out + t
-                return out
+        if center == "inf":
+            # 1/(1/w - zi) * (-1/w^2) dw = -1/(w (1 - zi w)) dw
             out = None
             for sgn, zi in ((1.0, self.z1), (-1.0, self.z2)):
-                if abs(center - zi) < 1e-12:
-                    head = np.zeros(order + 5, dtype=complex)
-                    head[0] = sgn
-                    t = TruncSeries(head, -1)
-                else:
-                    den = TruncSeries(np.concatenate(
-                        [[center - zi, 1.0], np.zeros(order + 4)]), 0)
-                    t = den.invert() * sgn
+                den = TruncSeries(
+                    np.concatenate([[1.0, -zi], np.zeros(order + 4)]), 0)
+                t = den.invert().shift(-1) * (-sgn)
                 out = t if out is None else out + t
             return out
-        th = self.curve.ell
-        out = None
-        for sgn, zi in ((1.0, self.z1), (-1.0, self.z2)):
-            if th.is_lattice(center - zi):
-                # quasi-periodicity only adds a constant to (ln theta1)'
-                t = _log_theta1_prime_series_at_pole(th, order) * sgn
-                t = t + sgn * _log_theta1_prime_shift(th, center - zi)
-            else:
-                ls = th.log_theta1_series(center - zi, order + 2)
-                t = ls.differentiate() * sgn
-            out = t if out is None else out + t
-        return out
+        P = self.curve.bergman_primitive_series
+        return P(center - self.z1, order + 3) - P(center - self.z2, order + 3)
 
     def poles(self):
         return [(self.z1, 1), (self.z2, 1)]
@@ -245,31 +219,6 @@ class ThirdKind(Form1):
         return 2j * np.pi * (th.to_cell(self.z1) - th.to_cell(self.z2))
 
 
-def _log_theta1_prime_series_at_pole(th, order):
-    """Series of (ln theta1)'(s) around s = 0: 1/s + odd regular part.
-
-    (ln theta1)''(s) = -wp(s) + c0, so integrate the regular part."""
-    wp0 = th.wp_laurent_at_zero(order + 2)
-    reg = (-(wp0 - _inv_sq(order + 6)) + th.c0).antiderivative()
-    head = np.zeros(order + 7, dtype=complex)
-    head[0] = 1.0
-    return TruncSeries(head, -1) + reg
-
-
-def _inv_sq(n):
-    head = np.zeros(n, dtype=complex)
-    head[0] = 1.0
-    return TruncSeries(head, -2)
-
-
-def _log_theta1_prime_shift(th, period):
-    """(ln theta1)'(v + period) - (ln theta1)'(v) for a lattice period."""
-    # theta1(v + m + n tau) = (-1)^(m+n) e^{-i pi n^2 tau - 2 i pi n v} theta1(v)
-    t = period.imag / th.tau.imag
-    n = int(round(t))
-    return -2j * np.pi * n
-
-
 class BergmanLeg(Form1):
     """scale * B(z0, .) with one leg frozen at z0."""
 
@@ -279,31 +228,15 @@ class BergmanLeg(Form1):
         self.scale = complex(scale)
 
     def value(self, z):
-        if self.curve.genus == 0:
-            return self.scale / (z - self.z0) ** 2
-        return self.scale * self.curve.ell.bergman_fn(z - self.z0)
+        return self.scale * self.curve.bergman(z - self.z0)
 
     def local_series(self, center, order):
-        if self.curve.genus == 0:
-            if center == "inf":
-                # scale/(1/w - z0)^2 * (-1/w^2) dw = -scale/(1 - z0 w)^2 dw
-                den = TruncSeries(np.concatenate(
-                    [[1.0, -self.z0], np.zeros(order + 4)]), 0)
-                return -(den.invert() ** 2) * self.scale
-            if abs(center - self.z0) < 1e-12:
-                head = np.zeros(order + 5, dtype=complex)
-                head[0] = 1.0
-                return TruncSeries(head, -2) * self.scale
-            den = TruncSeries(np.concatenate(
-                [[center - self.z0, 1.0], np.zeros(order + 4)]), 0)
-            t = den.invert()
-            return t * t * self.scale
-        th = self.curve.ell
-        if th.is_lattice(center - self.z0):
-            wp0 = th.wp_laurent_at_zero(order + 2)
-            return (wp0 - th.c0) * self.scale
-        ls = th.log_theta1_series(center - self.z0, order + 3)
-        return -ls.differentiate().differentiate() * self.scale
+        if center == "inf":
+            F = self.curve.bergman_taylor_at_infinity(self.z0, 1, order + 4)
+        else:
+            F = self.curve.bergman_taylor(center - self.z0,
+                                          identity(order=order + 5), 1)
+        return F[0] * self.scale
 
     def poles(self):
         return [(self.z0, 2)]
@@ -316,7 +249,11 @@ class BergmanLeg(Form1):
 
 class SecondKindBasis(Form1):
     """omega_{p,j} normalized so that d(omega)/d t_{p,j} pairing holds:
-    principal part xi^-(j+1) d(xi) at p, no residue, no other pole."""
+    principal part xi^-(j+1) d(xi) at p, no residue, no other pole.
+
+    With z' = p + s near the pole, B(z', z) = sum_m F^(m)(p - z)/m! s^m
+    dz, so omega_{p,j}(z) = (1/j) sum_m c_m F^(m)(p - z)/m!, where c_m is
+    the coefficient of s^(-1-m) in xi(s)^-j."""
 
     def __init__(self, curve, pole, j):
         if j < 1:
@@ -333,75 +270,36 @@ class SecondKindBasis(Form1):
 
     def value(self, z):
         j, cm = self.j, self.cm
-        if self.curve.genus == 0:
-            if self.center == "inf":
-                # B(z', z) = -sum_m (m+1) z^m w'^m dw' dz near w' = 0
-                return -sum(cm[m] * (m + 1) * z ** m
-                            for m in range(j)) / j
-            v = z - self.center
-            return sum(cm[m] * (m + 1) / v ** (m + 2) for m in range(j)) / j
-        th = self.curve.ell
-        from math import factorial
-        if self.center == 0.0 or th.is_lattice(self.center):
-            base = 0.0
-        else:
-            base = self.center
-        # B(z', z) = F(u' - u) du' du; Taylor in s' = u' - center
-        fd = _bergman_derivs(th, base - z, j)
-        return sum(cm[m] * fd[m] / factorial(m) for m in range(j)) / j
+        if self.center == "inf":
+            # B(z', z) = -sum_m (m+1) z^m w'^m dw' dz near w' = 0
+            return -sum(cm[m] * (m + 1) * z ** m for m in range(j)) / j
+        F = self.curve.bergman_taylor(self.center - z, identity(order=j), 1)
+        return sum(cm[m] * F[0].coeff(m) for m in range(j)) / j
 
     def local_series(self, center, order):
         j, cm = self.j, self.cm
-        if self.curve.genus == 0:
-            if self.center == "inf":
-                poly = np.zeros(j + 1, dtype=complex)
-                for m in range(j):
-                    poly[m] = -cm[m] * (m + 1) / j
-                if center == "inf":
-                    # q(z) dz = -q(1/w) w^-2 dw
-                    n = len(poly)
-                    rev = np.zeros(order + n + 4, dtype=complex)
-                    rev[:n] = -poly[::-1]
-                    return TruncSeries(rev, -(n + 1))
-                from .curve import _poly_shift
-                shifted = _poly_shift(poly, center)
-                pad = np.zeros(max(order + 1, len(shifted)), dtype=complex)
-                pad[:len(shifted)] = shifted
-                return TruncSeries(pad[:order + 1], 0)
-            out = None
+        if self.center == "inf":
+            poly = np.zeros(j + 1, dtype=complex)
             for m in range(j):
-                if abs(cm[m]) == 0.0:
-                    continue
-                if _same_center(center, self.center):
-                    head = np.zeros(order + 5, dtype=complex)
-                    head[0] = cm[m] * (m + 1) / j
-                    t = TruncSeries(head, -(m + 2))
-                else:
-                    den = TruncSeries(np.concatenate(
-                        [[center - self.center, 1.0], np.zeros(order + 6)]), 0)
-                    t = (den.invert() ** (m + 2)) * (cm[m] * (m + 1) / j)
-                out = t if out is None else out + t
-            return out
-        th = self.curve.ell
-        from math import factorial
-        # F(p - center - s) as a series in s (F is even); derivatives in
-        # the first argument then pick up (-1)^m from the flipped sign
-        if th.is_lattice(complex(center) - complex(self.center)):
-            F = th.wp_laurent_at_zero(order + j + 2) - th.c0
+                poly[m] = -cm[m] * (m + 1) / j
+            if center == "inf":
+                # q(z) dz = -q(1/w) w^-2 dw
+                n = len(poly)
+                rev = np.zeros(order + n + 4, dtype=complex)
+                rev[:n] = -poly[::-1]
+                return TruncSeries(rev, -(n + 1))
+            from .curve import _poly_shift
+            shifted = _poly_shift(poly, center)
+            pad = np.zeros(max(order + 1, len(shifted)), dtype=complex)
+            pad[:len(shifted)] = shifted
+            return TruncSeries(pad[:order + 1], 0)
+        if center == "inf":
+            F = self.curve.bergman_taylor_at_infinity(self.center, j,
+                                                      order + 4)
         else:
-            ls = th.log_theta1_series(
-                complex(center) - complex(self.center), order + j + 3)
-            F = -ls.differentiate().differentiate()
-        out = None
-        sign = 1.0
-        for m in range(j):
-            if abs(cm[m]) != 0.0:
-                t = F * (sign * cm[m] / factorial(m) / j)
-                out = t if out is None else out + t
-            if m < j - 1:
-                F = F.differentiate()
-                sign = -sign
-        return out
+            t = identity(order=order + j + 5)
+            F = self.curve.bergman_taylor(self.center - center, -t, j)
+        return _combine(cm / j, F)
 
     def poles(self):
         return [(self.center, self.j + 1)]
@@ -410,14 +308,6 @@ class SecondKindBasis(Form1):
         if self.curve.genus != 1:
             return 0.0
         return 0.0 if which == "a" else 2j * np.pi * self.cm[0] / self.j
-
-
-def _bergman_derivs(th, v, count):
-    """[d^m/dv^m of -(ln theta1)''(v)] for m = 0..count-1."""
-    from math import factorial
-    ls = th.log_theta1_series(v, count + 4)
-    d2 = -ls.differentiate().differentiate()
-    return [d2.coeff(m) * factorial(m) for m in range(count)]
 
 
 # -- times and filling fractions -----------------------------------------------
@@ -441,8 +331,6 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
     Poles of the form sitting at ramification points are rejected; the
     residue-theorem sum over t_{p,0} is enforced as a check.
     """
-    from .geometry import a_period
-
     j_cap = j_max if j_max is not None else curve.order - 4
     records = []
     centers = [p[0] for p in form.poles()]

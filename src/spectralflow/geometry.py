@@ -24,11 +24,11 @@ from .forms import (
     SecondKindBasis,
     SumForm,
     ThirdKind,
-    YdX,
     _same_center,
     times_and_fillings,
 )
 from .quadrature import integrate_path, split_to_avoid
+from .series import TruncSeries, _monomial, truncate
 
 _QTOL = 1e-12
 
@@ -145,9 +145,7 @@ class Geometry:
         """B(z1, z2)/(dchart dchart)."""
         if abs(z1 - z2) < 1e-14:
             raise CoincidentPoints("Bergman kernel pole on the diagonal")
-        if self.curve.genus == 0:
-            return 1.0 / (z1 - z2) ** 2
-        return self.ell.bergman_fn(z1 - z2)
+        return self.curve.bergman(z1 - z2)
 
     def third_kind(self, z1, z2, z):
         """dS_{z1,z2}(z)/dchart."""
@@ -155,9 +153,7 @@ class Geometry:
 
     def bergman_primitive(self, zp, z):
         """G(zp, z) with d_z G = B(zp, z): the dS building block."""
-        if self.curve.genus == 0:
-            return 1.0 / (zp - z)
-        return self.ell.log_theta1_prime(zp - z)
+        return self.curve.bergman_primitive(zp - z)
 
     def abel(self, z):
         """Abel map: trivial at genus 0, the torus coordinate itself at 1."""
@@ -310,8 +306,6 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
 
 def _mu_of(curve, form, rec, xi, h, o, obstacles):
     """Regularized int_o^p (omega - dV_p - t_p0 dlog xi)."""
-    from .series import truncate
-
     # omega in the xi chart: h_xi(xi) = h(s(xi)) s'(xi)
     s_of_xi = xi.functional_inverse()
     h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
@@ -357,13 +351,6 @@ def _mu_of(curve, form, rec, xi, h, o, obstacles):
     return val
 
 
-def _monomial(k, c, like):
-    from .series import TruncSeries
-    head = np.zeros(like.trunc_order - k + 1, dtype=complex)
-    head[0] = c
-    return TruncSeries(head, k, like.ram_index, like.var_tag)
-
-
 def shifted_prepotential_value(prep: Prepotential):
     """F0 - sum eps dF0/deps + i pi eps.tau.eps (genus-1 shift)."""
     if prep.curve.genus == 0:
@@ -405,18 +392,12 @@ class _InfThirdKind(ThirdKind):
         return -1.0 / (z - self.z2)
 
     def local_series(self, center, order):
-        from .series import TruncSeries
         if center == "inf":
             den = TruncSeries(np.concatenate(
                 [[1.0, -self.z2], np.zeros(order + 4)]), 0)
             return den.invert().shift(-1)
-        if abs(center - self.z2) < 1e-12:
-            head = np.zeros(order + 5, dtype=complex)
-            head[0] = -1.0
-            return TruncSeries(head, -1)
-        den = TruncSeries(np.concatenate(
-            [[center - self.z2, 1.0], np.zeros(order + 4)]), 0)
-        return -den.invert()
+        return -self.curve.bergman_primitive_series(center - self.z2,
+                                                    order + 3)
 
     def poles(self):
         return [("inf", 1), (self.z2, 1)]

@@ -12,10 +12,15 @@ read-off, and quadrature exists only as a test oracle.  Even-k slots
 are structurally absent (the forms have no residues), which the
 quadrature cross-checks confirm.
 
-Tensors are immutable once computed; the memo table fills level by
-level in increasing 2g + n.  Residue extraction is pure per
-ramification point, so the per-point loop can run on a thread pool
-with ordered reduction.
+Every series of the basis forms is one contraction with the curve's
+reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
+
+    B_{b,m}(z) = sum_q gamma^{b,m}_{-1-q} F^(q)(r_b - z)/q!,
+
+with gamma^{b,m} the polar coefficients of zeta_b(s)^-m and r_b the
+location of ramification point b, so no algorithm here depends on the
+genus.  Tensors are immutable once computed; the memo table fills level
+by level in increasing 2g + n.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import itertools
 
 import numpy as np
 
+from .curve import flip_parity
 from .errors import PoleAtRamificationPoint, TruncationTooShort
-from .series import TruncSeries
+from .series import TruncSeries, _combine, identity, truncate
 
 
 class CorrForm:
@@ -64,9 +70,9 @@ class RecursionEngine:
     def _prepare_local_data(self):
         cv = self.curve
         mmax = self.max_tracked_k() + 2
-        # the gamma tables and row builds burn one window slot per
-        # series product, so the local charts are rebuilt much deeper
-        # than the curve's validation series
+        # the residue windows and the pole-chart series read far into
+        # the local charts, so they are rebuilt much deeper than the
+        # curve's validation series
         deep = cv.order + 2 * mmax + 16
         self.deep = deep
         self.s_of, self.zeta_of, self.y_of = [], [], []
@@ -78,9 +84,8 @@ class RecursionEngine:
         self.zprime = []            # s'(zeta)
         self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
         self.phi = []               # primitive of Y dX in the zeta chart
-        self.gamma = []             # {m: zeta(s)^-m as TruncSeries}
-        from .curve import flip_parity
-        for a, r in enumerate(self.rams):
+        self.gamma = []             # [m-1, q]: gamma^{a,m}_{-1-q}
+        for a in range(self.A):
             s_of, y_of = self.s_of[a], self.y_of[a]
             self.zprime.append(s_of.differentiate())
             dy = y_of - flip_parity(y_of)
@@ -89,133 +94,49 @@ class RecursionEngine:
                 np.concatenate([[2.0], np.zeros(deep + 4)]), 1,
                 var_tag=y_of.var_tag)
             self.phi.append((y_of * two_zeta).antiderivative())
-        for a in range(self.A):
-            zin = self.zeta_of[a].invert()
-            tab = {}
-            acc = None
+            # the polar part of zeta^-m needs zeta(s) through s^(m+1) only
+            zin = truncate(self.zeta_of[a], mmax + 2).invert()
+            gam = np.zeros((mmax, mmax), dtype=complex)
+            acc = zin
             for m in range(1, mmax + 1):
-                acc = zin if acc is None else acc * zin
-                tab[m] = acc
-            self.gamma.append(tab)
-        width = mmax + 6
-        self.H = [self._regular_rows(a, mmax, width) for a in range(self.A)]
+                if m > 1:
+                    acc = acc * zin
+                gam[m - 1, :m] = [acc.coeff(-1 - q) for q in range(m)]
+            self.gamma.append(gam)
+        for a in range(self.A):
+            self._rows(a, a)
 
     def max_tracked_k(self):
         return max(k_slots(3, 1))
 
-    def _regular_rows(self, a, mmax, width):
-        """Analytic part of B_{a,m}(z_a(zeta)) as a row matrix."""
-        cv = self.curve
-        s = self.s_of[a]
-        H = np.zeros((mmax, width), dtype=complex)
-        gam = self.gamma[a]
-        if cv.genus == 0:
-            spow = {}
-            sinv = s.invert()
-            acc = sinv * sinv
-            for q in range(0, mmax):
-                spow[q] = acc       # s(zeta)^-(q+2)
-                acc = acc * sinv
-            sp = self.zprime[a]
-            for m in range(1, mmax + 1):
-                row = None
-                for q in range(0, m):
-                    gq = gam[m].coeff(-1 - q)
-                    if gq == 0:
-                        continue
-                    t = spow[q] * (gq * (q + 1))
-                    row = t if row is None else row + t
-                if row is None:
-                    continue
-                row = row * sp          # chart leg dz = s'(zeta) dzeta
-                for t in range(0, width):
-                    val = row.coeff(t) if t <= row.trunc_order else 0.0
-                    H[m - 1, t] = val
-        else:
-            F = cv.ell.wp_laurent_at_zero(self.deep + 6) - cv.ell.c0
-            from math import factorial
-            derivs = {0: F}
-            for q in range(1, mmax):
-                derivs[q] = derivs[q - 1].differentiate()
-            sp = self.zprime[a]
-            for m in range(1, mmax + 1):
-                row = None
-                for q in range(0, m):
-                    gq = gam[m].coeff(-1 - q)
-                    if gq == 0:
-                        continue
-                    # F^(q)(a - u) = (-1)^q F^(q)(u - a); u - a = s(zeta)
-                    comp = derivs[q].compose(s)
-                    t = comp * (gq * (-1.0) ** q / factorial(q))
-                    row = t if row is None else row + t
-                if row is None:
-                    continue
-                row = row * sp          # chart leg du = s'(zeta) dzeta
-                for t in range(0, width):
-                    val = row.coeff(t) if t <= row.trunc_order else 0.0
-                    H[m - 1, t] = val
-        return H
+    def _rows(self, b, a):
+        """rows[m-1][t]: coefficient of zeta^t, t >= 0, of
+        B_{b,m}(z_a(zeta))/dzeta (the polar part at b == a is exact and
+        left to the caller).
 
-    def _cross_rows(self, b, a):
-        """rows[m-1][t] of B_{b,m}(z_a(zeta)) for b != a (analytic)."""
-        key = ("cross", b, a)
+        With z = r_a + s_a(zeta) the rows are one contraction,
+        (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!."""
+        key = ("rows", b, a)
         if key in self._plg:
             return self._plg[key]
-        cv = self.curve
         mmax = self.max_tracked_k() + 2
         width = mmax + 6
-        rb, ra = self.rams[b], self.rams[a]
-        sa = self.s_of[a]
-        gam = self.gamma[b]
-        C = np.zeros((mmax, width), dtype=complex)
-        if cv.genus == 0:
-            base = sa + (ra.location - rb.location)
-            binv = base.invert()
-            acc = binv * binv
-            pows = {}
-            for q in range(0, mmax):
-                pows[q] = acc
-                acc = acc * binv
-            for m in range(1, mmax + 1):
-                row = None
-                for q in range(0, m):
-                    gq = gam[m].coeff(-1 - q)
-                    if gq == 0:
-                        continue
-                    t = pows[q] * (gq * (q + 1))
-                    row = t if row is None else row + t
-                if row is not None:
-                    row = row * self.zprime[a]
-                    for t in range(0, width):
-                        C[m - 1, t] = row.coeff(t) \
-                            if t <= row.trunc_order else 0.0
-        else:
-            from math import factorial
-            F0 = -cv.ell.log_theta1_series(
-                rb.location - ra.location, self.deep + 6)\
-                .differentiate().differentiate()
-            derivs = {0: F0}
-            for q in range(1, mmax):
-                derivs[q] = derivs[q - 1].differentiate()
-            for m in range(1, mmax + 1):
-                row = None
-                for q in range(0, m):
-                    gq = gam[m].coeff(-1 - q)
-                    if gq == 0:
-                        continue
-                    # F^(q)(b - u) at u = a + s: series F^(q)(b-a-s)
-                    # = (-1)^q (d/ds)^q-composed: build from derivs at
-                    # argument (b - a) with s -> -s parity flip
-                    comp = derivs[q].compose(sa * (-1.0))
-                    t = comp * (gq / factorial(q))
-                    row = t if row is None else row + t
-                if row is not None:
-                    row = row * self.zprime[a]
-                    for t in range(0, width):
-                        C[m - 1, t] = row.coeff(t) \
-                            if t <= row.trunc_order else 0.0
-        self._plg[key] = C
-        return C
+        # T[q] loses one slot per power of 1/s: keep width + mmax + 4
+        s = truncate(self.s_of[a], width + mmax + 4)
+        c = self.rams[b].location - self.rams[a].location
+        T = self.curve.bergman_taylor(c, -s, mmax)
+        lo = min(f.k_min for f in T)
+        hi = min(f.trunc_order for f in T)
+        stack = np.zeros((mmax, hi - lo + 1), dtype=complex)
+        for q, f in enumerate(T):
+            stack[q, f.k_min - lo:] = f.coeffs[:hi - f.k_min + 1]
+        rows = []
+        for r in self.gamma[b] @ stack:
+            row = TruncSeries(r, lo) * self.zprime[a]
+            rows.append([row.coeff(t) for t in range(width)])
+        rows = np.array(rows)
+        self._plg[key] = rows
+        return rows
 
     # -- basis series -------------------------------------------------------------
 
@@ -227,22 +148,14 @@ class RecursionEngine:
         """
         n = hi - lo + 1
         data = np.zeros(n, dtype=complex)
-        if a == b:
-            if lo <= -(m + 1) <= hi:
-                data[-(m + 1) - lo] = m
-            H = self.H[a]
-            if m - 1 < H.shape[0]:
-                row = H[m - 1]
-                jmax = min(len(row) - 1, hi)
-                for j in range(max(lo, 0), jmax + 1):
-                    data[j - lo] += row[j]
-        else:
-            C = self._cross_rows(b, a)
-            if m - 1 < C.shape[0]:
-                row = C[m - 1]
-                jmax = min(len(row) - 1, hi)
-                for j in range(max(lo, 0), jmax + 1):
-                    data[j - lo] += row[j]
+        if a == b and lo <= -(m + 1) <= hi:
+            data[-(m + 1) - lo] = m
+        rows = self._rows(b, a)
+        if m - 1 < len(rows):
+            row = rows[m - 1]
+            jmax = min(len(row) - 1, hi)
+            for j in range(max(lo, 0), jmax + 1):
+                data[j - lo] += row[j]
         if sign < 0:
             ks = np.arange(lo, hi + 1)
             data = data * (-1.0 + 0j) ** ((ks + 1) % 2)
@@ -304,7 +217,7 @@ class RecursionEngine:
                 dat = np.zeros(hi - lo + 1, dtype=complex)
                 if lo <= -2 <= hi:
                     dat[-2 - lo] = -0.25
-                H = self.H[a]
+                H = self._rows(a, a)
                 Lh = H.shape[0]
                 for i in range(Lh):
                     for j in range(Lh - i):
@@ -397,36 +310,33 @@ class RecursionEngine:
 
     # -- evaluation ---------------------------------------------------------------------
 
-    def leg_series(self, a, z, var="eta"):
+    def leg_series(self, a, z):
         """TruncSeries in eta of B(z_a(eta), z)/(d eta d chart)."""
-        cv = self.curve
-        r = self.rams[a]
-        s = self.s_of[a]
-        sp = self.zprime[a]
-        if cv.genus == 0:
-            delta = s + (r.location - z)
-            return sp * (delta * delta).invert()
-        F = -cv.ell.log_theta1_series(r.location - z, cv.order + 8)\
-            .differentiate().differentiate()
-        return F.compose(s) * sp
-
-    def basis_values(self, z):
-        """{(a, k): B_{a,k}(z)/dchart} for all tracked k."""
         kmax = self.max_tracked_k()
-        vals = {}
-        for a in range(self.A):
-            ser = self.leg_series(a, z)
-            for k in range(1, kmax + 1, 2):
-                vals[(a, k)] = ser.coeff(k - 1)
-        return vals
+        s = truncate(self.s_of[a], kmax + 2)
+        F = self.curve.bergman_taylor(self.rams[a].location - z, s, 1)[0]
+        return F * self.zprime[a]
+
+    def _check_tracked(self, basis):
+        kmax = self.max_tracked_k()
+        top = max(k for _, k in basis)
+        if top > kmax:
+            raise TruncationTooShort(
+                f"B_(a,{top}) lies beyond the evaluation cap k <= {kmax} "
+                "(RecursionEngine.max_tracked_k)")
+
+    def basis_vector(self, basis, z):
+        """[B_{a,k}(z)/dchart for (a, k) in basis]."""
+        self._check_tracked(basis)
+        legs = {a: self.leg_series(a, z) for a in {a for a, _ in basis}}
+        return np.array([legs[a].coeff(k - 1) for a, k in basis])
 
     def evaluate(self, form: CorrForm, points):
         """omega_n^(g)(points) divided by the chart legs."""
         t = form.tensor
         for z in points:
-            bv = self.basis_values(z)
-            vec = np.array([bv[key] for key in form.basis])
-            t = np.tensordot(t, vec, axes=([0], [0]))
+            t = np.tensordot(t, self.basis_vector(form.basis, z),
+                             axes=([0], [0]))
         return complex(t)
 
     def residue_at_point_oracle(self, form, a, other_points,
@@ -458,6 +368,7 @@ class RecursionEngine:
     def pole_pairing_vector(self, basis, center, j):
         """(1/j) Res_p xi^-j B_{a,k} per basis element: the dual-cycle
         pairing for the time t_{p,j}."""
+        self._check_tracked(basis)
         out = np.zeros(len(basis), dtype=complex)
         xp = self._pole_frame(center)
         xi_inv_j = xp.xi_of_s.invert() ** j
@@ -465,34 +376,6 @@ class RecursionEngine:
             leg = self._basis_series_at_pole(a, k, xp)
             prod = leg * xi_inv_j.retag(leg.var_tag)
             out[i] = prod.residue() / j
-        return out
-
-    def segment_vector(self, basis, z_to, z_from):
-        """int from z_from to z_to of B_{a,k}, by primitive endpoints."""
-        out = np.zeros(len(basis), dtype=complex)
-        prim_to = self._primitives_at(z_to)
-        prim_from = self._primitives_at(z_from)
-        for i, key in enumerate(basis):
-            out[i] = prim_to[key] - prim_from[key]
-        return out
-
-    def _primitives_at(self, z):
-        """{(a,k): P_{a,k}(z)} with dP = B_{a,k} (G-coefficient read)."""
-        cv = self.curve
-        kmax = self.max_tracked_k()
-        out = {}
-        for a, r in enumerate(self.rams):
-            s = self.s_of[a]
-            sp = self.zprime[a]
-            if cv.genus == 0:
-                delta = s + (r.location - z)
-                ser = sp * delta.invert()
-            else:
-                lp = cv.ell.log_theta1_series(
-                    r.location - z, cv.order + 8).differentiate()
-                ser = lp.compose(s) * sp
-            for k in range(1, kmax + 1, 2):
-                out[(a, k)] = ser.coeff(k - 1)
         return out
 
     def _pole_frame(self, center):
@@ -507,9 +390,10 @@ class RecursionEngine:
     def _basis_series_at_pole(self, a, k, xp):
         """Series in the pole chart of B_{a,k}(z_p(s))/ds.
 
-        Built from the residue closed form
-        B_{a,k}(z) = sum_q gamma^k_{-1-q} (q+1)/(z - a)^(q+2)  (sphere)
-        and its theta analogue on the torus, so the conditioning is set
+        The same contraction as the rows, read at z = p + s (or through
+        z = 1/w in the sphere's chart at infinity):
+        B_{a,k}(z) = sum_q gamma^{a,k}_{-1-q} F^(q)(r_a - z)/q!.
+        Built from the kernel's own series, so the conditioning is set
         by true function radii rather than bivariate kernel inverses.
         """
         key = (a, k, str(xp.location))
@@ -517,144 +401,18 @@ class RecursionEngine:
             return self._plg[key]
         cv = self.curve
         r = self.rams[a]
-        gam = self.gamma[a][k]
-        L = self.deep
-        if cv.genus == 0 and xp.location == "inf":
-            # z = 1/w: 1/(z - a)^(q+2) = w^(q+2)/(1 - a w)^(q+2); the
-            # chart weight dz = -dw/w^2 contributes -w^-2
-            base = TruncSeries(np.concatenate(
-                [[1.0, -r.location], np.zeros(L)]), 0, var_tag="w@inf")
-            binv = base.invert()
-            ser = None
-            acc = binv * binv
-            for q in range(0, k):
-                gq = gam.coeff(-1 - q)
-                if gq != 0:
-                    t = acc.shift(q + 2) * (gq * (q + 1))
-                    ser = t if ser is None else ser + t
-                acc = acc * binv
-            ser = (ser * (-1.0)).shift(-2)
-        elif cv.genus == 0:
-            p = complex(xp.location)
-            base = TruncSeries(np.concatenate(
-                [[p - r.location, 1.0], np.zeros(L)]), 0,
-                var_tag=f"s@{p:.6g}")
-            binv = base.invert()
-            ser = None
-            acc = binv * binv
-            for q in range(0, k):
-                gq = gam.coeff(-1 - q)
-                if gq != 0:
-                    t = acc * (gq * (q + 1))
-                    ser = t if ser is None else ser + t
-                acc = acc * binv
+        if xp.location == "inf":
+            F = cv.bergman_taylor_at_infinity(r.location, k, self.deep)
         else:
-            from math import factorial
             p = complex(xp.location)
-            v0 = r.location - p
-            if cv.ell.is_lattice(v0):
+            t = identity(var_tag=f"s@{p:.6g}", order=self.deep + 1)
+            F = cv.bergman_taylor(r.location - p, -t, k)
+            if F[0].k_min < 0:
                 raise PoleAtRamificationPoint(
                     "pole frame collides with a ramification point")
-            # B_{a,k}(z) = sum_q gamma_{-1-q}/q! F^(q)(a - u);
-            # u = p + s: argument v0 - s
-            F = -cv.ell.log_theta1_series(v0, L + 6)\
-                .differentiate().differentiate()
-            ser = None
-            neg = TruncSeries(np.concatenate(
-                [[-1.0], np.zeros(L + 6)]), 1,
-                var_tag=f"s@{p:.6g}")
-            for q in range(0, k):
-                gq = gam.coeff(-1 - q)
-                if gq != 0:
-                    t = F.compose(neg) * (gq / factorial(q))
-                    ser = t if ser is None else ser + t
-                F = F.differentiate()
-            ser = ser.retag(f"s@{p:.6g}")
+        ser = _combine(self.gamma[a][k - 1, :k], F)
         self._plg[key] = ser
         return ser
-
-
-# -- dense 2D series helpers ----------------------------------------------------------
-
-def _tsc(f: TruncSeries, L):
-    out = np.zeros(L, dtype=complex)
-    for k in range(max(0, f.k_min), min(f.trunc_order, L - 1) + 1):
-        out[k] = f.coeff(k)
-    return out
-
-
-def _unit(L):
-    out = np.zeros(L, dtype=complex)
-    out[0] = 1.0
-    return out
-
-
-def _shift_unit(L):
-    out = np.zeros(L, dtype=complex)
-    out[1] = 1.0
-    return out
-
-
-def _outer2(a, b):
-    return np.outer(a, b)
-
-
-def _mul2(A, B, L):
-    n = 1 << int(np.ceil(np.log2(max(2, 2 * L))))
-    fa = np.fft.fft2(A, s=(n, n))
-    fb = np.fft.fft2(B, s=(n, n))
-    return np.fft.ifft2(fa * fb)[:L, :L]
-
-
-def _inv2(A, L):
-    if A[0, 0] == 0:
-        raise ZeroDivisionError("2D series inverse needs a constant term")
-    out = np.zeros((L, L), dtype=complex)
-    out[0, 0] = 1.0 / A[0, 0]
-    size = 1
-    while size < L:
-        size = min(2 * size, L)
-        Xa = _mul2(A[:size, :size], out[:size, :size], size)
-        corr = -Xa
-        corr[0, 0] += 2.0
-        out[:size, :size] = _mul2(out[:size, :size], corr, size)
-    return out
-
-
-def _sub_xy(G, L):
-    """(x - y) G(x, y)."""
-    out = np.zeros((L, L), dtype=complex)
-    out[1:, :] += G[:L - 1, :]
-    out[:, 1:] -= G[:, :L - 1]
-    return out
-
-
-def _sub_ab(sb, sa, L):
-    """s_b(eta) - s_a(zeta) as a 2D array (eta rows, zeta columns)."""
-    out = np.zeros((L, L), dtype=complex)
-    out[:len(sb), 0] += sb[:L]
-    out[0, :len(sa)] -= sa[:L]
-    return out
-
-
-def _horner2(coeffs, V, L):
-    out = np.zeros((L, L), dtype=complex)
-    for c in coeffs[::-1]:
-        out = _mul2(out, V, L)
-        out[0, 0] += c
-    return out
-
-
-def _div_xy(F, L):
-    """F / (x - y) for F vanishing on the diagonal."""
-    Q = np.zeros((L, L), dtype=complex)
-    for i in range(L - 2, -1, -1):
-        for j in range(0, L - 1):
-            val = F[i + 1, j]
-            if j >= 1:
-                val += Q[i + 1, j - 1]
-            Q[i, j] = val
-    return Q
 
 
 # -- windowed convolutions --------------------------------------------------------------
@@ -739,19 +497,5 @@ def domega_dt(engine: RecursionEngine, g, n, center, j, points):
     pv = engine.pole_pairing_vector(w.basis, center, j)
     t = np.tensordot(w.tensor, pv, axes=([0], [0]))
     for z in points:
-        bv = engine.basis_values(z)
-        vec = np.array([bv[key] for key in w.basis])
-        t = np.tensordot(t, vec, axes=([0], [0]))
-    return -complex(t)
-
-
-def domega_deps(engine: RecursionEngine, g, n, points):
-    """d omega_n^(g)(points)/deps at fixed X (genus 1)."""
-    w = engine.omega(g, n + 1)
-    t = np.tensordot(w.tensor, engine.b_cycle_vector(w.basis),
-                     axes=([0], [0]))
-    for z in points:
-        bv = engine.basis_values(z)
-        vec = np.array([bv[key] for key in w.basis])
-        t = np.tensordot(t, vec, axes=([0], [0]))
+        t = np.tensordot(t, engine.basis_vector(w.basis, z), axes=([0], [0]))
     return -complex(t)

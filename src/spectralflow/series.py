@@ -16,8 +16,6 @@ zero-filling.  Values are immutable; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -34,24 +32,6 @@ from .errors import (
 UNDERFLOW = 1e-13
 
 DEFAULT_TRUNC = 24
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Identifies the local coordinate a series lives in.
-
-    coordinate_kind is one of 'sqrt_branch' (sqrt(X - X(a)) at a simple
-    ramification point), 'x_shift' (X - X(p) at a finite pole),
-    'inverse_root' (X**(-1/d) at a pole of X) or 'generic'.
-    """
-
-    center: complex | str
-    coordinate_kind: str = "generic"
-    expansion_radius_hint: float = 1.0
-
-    @property
-    def tag(self) -> str:
-        return f"{self.coordinate_kind}@{self.center}"
 
 
 class TruncSeries:
@@ -374,6 +354,36 @@ def from_poly(coeffs, ram_index=1, var_tag="", order=DEFAULT_TRUNC):
     c = np.zeros(max(order + 1, len(coeffs)), dtype=complex)
     c[:len(coeffs)] = coeffs
     return TruncSeries(c[:order + 1], 0, ram_index, var_tag)
+
+
+def _monomial(k, c, like: TruncSeries) -> TruncSeries:
+    """c z**(k/r) in the frame of ``like``, known up to its truncation."""
+    head = np.zeros(like.trunc_order - k + 1, dtype=complex)
+    head[0] = c
+    return TruncSeries(head, k, like.ram_index, like.var_tag)
+
+
+def _combine(coefs, series) -> TruncSeries:
+    """sum_q coefs[q] * series[q] over the nonzero coefficients."""
+    out = None
+    for c, f in zip(coefs, series):
+        if c != 0:
+            out = f * c if out is None else out + f * c
+    return out
+
+
+def _series_exp(f: TruncSeries) -> TruncSeries:
+    """exp of a series with vanishing constant term, from e' = e f'."""
+    if f.k_min < 1 and abs(f.coeff(0)) > 0:
+        raise ValueError("series exp needs vanishing constant term")
+    n = f.trunc_order
+    df = f.differentiate()
+    d = np.array([df.coeff(k) for k in range(n)], dtype=complex)
+    e = np.zeros(n + 1, dtype=complex)
+    e[0] = 1.0
+    for m in range(1, n + 1):
+        e[m] = np.dot(e[:m], d[m - 1::-1]) / m
+    return TruncSeries(e, 0, f.ram_index, f.var_tag)
 
 
 def truncate(f: TruncSeries, n_or_K: int, absolute=False) -> TruncSeries:

@@ -1,9 +1,8 @@
 """Genus-1 theta functions: lattice sums, derivatives, characteristics.
 
-Evaluators are immutable and cache values per (argument, order); the
-cache is read-mostly and safe for concurrent readers.  Lattice windows
-are chosen adaptively so the dropped Gaussian tail is below 1e-15 of
-the retained sum.
+Evaluators cache values per (argument, order) in an unbounded dict.
+Each lattice sum starts on the window |n| <= 8 and doubles it until the
+edge terms fall below 1e-16 of the sum or the window holds 800 terms.
 """
 
 from __future__ import annotations
@@ -22,13 +21,6 @@ def _check_tau(tau: complex):
         raise BadModulus(f"Im tau = {np.imag(tau)} must be positive")
 
 
-def _adaptive_ns(tau, center=0.0):
-    """Integer window wide enough for every sum used here."""
-    half = _MIN_HALF
-    c = int(round(center))
-    return np.arange(c - half, c + half + 1)
-
-
 class ThetaEvaluator:
     """Riemann theta and the odd Jacobi theta for one modulus tau.
 
@@ -37,10 +29,9 @@ class ThetaEvaluator:
     for local series expansions of elliptic functions).
     """
 
-    def __init__(self, tau: complex, max_cached_order: int = 6):
+    def __init__(self, tau: complex):
         _check_tau(tau)
         self.tau = complex(tau)
-        self.max_cached_order = max_cached_order
         self._cache: dict = {}
 
     # -- plain Riemann theta -------------------------------------------------
@@ -70,7 +61,7 @@ class ThetaEvaluator:
         return -self.theta_char(0.5, 0.5, u, deriv)
 
     def _sum(self, u, deriv, a, b):
-        ns = _adaptive_ns(self.tau)
+        ns = np.arange(-_MIN_HALF, _MIN_HALF + 1)
         while True:
             q = ns + a
             expo = 1j * np.pi * q * q * self.tau + 2j * np.pi * q * (u + b)
@@ -109,63 +100,6 @@ class ThetaEvaluator:
                          for m in range(n + 1)])
 
 
-class BigTheta:
-    """Lattice sum with scale-N displacement used by the dispersive layer.
-
-    Theta(w | tau) = sum_p exp(i pi q^2 tau + q w + 2 i pi p nu),
-    q = p + mu - N eps.  Derivatives are taken with respect to w, so
-    each order brings down one factor q.  At genus 0 the evaluator
-    degenerates to the constant 1 with vanishing derivatives.
-    """
-
-    def __init__(self, tau, mu=0.5, nu=0.5, n_value=1.0, eps=0.0):
-        _check_tau(tau)
-        self.tau = complex(tau)
-        self.mu = float(mu)
-        self.nu = float(nu)
-        self.n_value = complex(n_value)
-        self.eps = complex(eps)
-        self._cache: dict = {}
-
-    def value(self, w: complex, deriv: int = 0) -> complex:
-        key = (complex(w), deriv)
-        val = self._cache.get(key)
-        if val is None:
-            val = self._sum(complex(w), deriv)
-            self._cache[key] = val
-        return val
-
-    def _sum(self, w, deriv):
-        shift0 = self.mu - self.n_value * self.eps
-        # center the window where the Gaussian peaks
-        denom = 2 * np.pi * self.tau.imag
-        center = -shift0.real + (w.imag + 2 * np.pi * self.tau.real *
-                                 shift0.imag) / denom
-        ns = _adaptive_ns(self.tau, center)
-        while True:
-            q = ns + shift0
-            expo = 1j * np.pi * q * q * self.tau + q * w \
-                + 2j * np.pi * ns * self.nu
-            sh = np.max(expo.real)
-            terms = np.exp(expo - sh)
-            if deriv:
-                terms = terms * q ** deriv
-            total = np.sum(terms)
-            edge = max(abs(terms[0]), abs(terms[-1]))
-            scale = max(abs(total), np.max(np.abs(terms)))
-            if edge <= _TAIL * scale or len(ns) >= 2 * _MAX_HALF:
-                return total * np.exp(sh)
-            half = len(ns)
-            ns = np.arange(ns[0] - half, ns[-1] + half + 1)
-
-
-class GenusZeroTheta:
-    """Trivial theta provider so genus-0 and genus-1 share code paths."""
-
-    def value(self, w, deriv: int = 0):
-        return 1.0 if deriv == 0 else 0.0
-
-
 def heat_equation_residual(tau, u, h=1e-4):
     """|d_tau theta - (1/4 i pi) d_u^2 theta| by central differences."""
     up = ThetaEvaluator(tau + h)
@@ -174,10 +108,3 @@ def heat_equation_residual(tau, u, h=1e-4):
     dtau = (up.theta(u) - dn.theta(u)) / (2 * h)
     return abs(dtau - mid.theta(u, 2) / (4j * np.pi))
 
-
-def big_theta_heat_residual(bt: BigTheta, w, h=1e-4):
-    """|d_tau Theta - i pi Theta''| by central differences."""
-    up = BigTheta(bt.tau + h, bt.mu, bt.nu, bt.n_value, bt.eps)
-    dn = BigTheta(bt.tau - h, bt.mu, bt.nu, bt.n_value, bt.eps)
-    dtau = (up.value(w) - dn.value(w)) / (2 * h)
-    return abs(dtau - 1j * np.pi * bt.value(w, 2))

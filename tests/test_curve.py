@@ -5,6 +5,8 @@ from spectralflow.curve import (
     Genus0Curve,
     Genus1Curve,
     RationalFunction,
+    _newton,
+    _sort_points,
     build_curve,
     continue_sheets,
     flip_parity,
@@ -14,7 +16,6 @@ from spectralflow.errors import (
     NearBranchPoint,
     NonSimpleRamification,
     PoleAtRamificationPoint,
-    ResidueSumNonzero,
 )
 from spectralflow.forms import RationalDz, YdX, times_and_fillings
 
@@ -80,6 +81,42 @@ def test_sheets_above(airy, joukowski, torus):
     assert len(sh.preimages) == 2
     got = sorted(round(u.real, 6) for u in sh.preimages)
     assert np.allclose(got, [0.3, 0.7], atol=1e-7)
+
+
+def _grid_preimages(curve, x):
+    """Reference wp inversion: Newton from all 8 x 8 grid seeds, every
+    distinct converged off-lattice solution kept."""
+    ell, target, sols = curve.ell, x / curve.x_scale, []
+    for i in range(1, 9):
+        for j in range(1, 9):
+            u = _newton(lambda u: ell.wp(u) - target, ell.wp_prime,
+                        i / 9 + j / 9 * curve.tau, steps=60)
+            if abs(ell.wp(u) - target) > 1e-9 * max(1.0, abs(target)):
+                continue
+            u = ell.to_cell(u)
+            if ell.is_lattice(u, tol=1e-6):
+                continue
+            if not any(abs(u - s) < 1e-6 or ell.is_lattice(u - s, tol=1e-6)
+                       for s in sols):
+                sols.append(u)
+    return _sort_points(sols)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.25 + 1.07j])
+def test_torus_sheets_match_grid_search(tau):
+    cv = Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 8:
+        u = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
+        x = cv.x_value(u)
+        if cv.check_near_branch(x):
+            continue
+        got = cv.sheets_above(x).preimages
+        ref = _grid_preimages(cv, x)
+        assert len(ref) == 2
+        assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
+        checked += 1
 
 
 def test_near_branch_warning(airy):

@@ -1,0 +1,123 @@
+"""The reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 of each curve
+backend: its Taylor series against closed forms on the sphere and against
+central differences of F on the torus."""
+
+import pytest
+
+from spectralflow.curve import Genus1Curve, RationalFunction
+from spectralflow.forms import BergmanLeg, SecondKindBasis, ThirdKind
+from spectralflow.series import identity, truncate
+
+TAUS = [1j, 0.25 + 1.07j]
+
+
+def _torus(tau):
+    return Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
+
+
+def _chart(curve):
+    """A chart series vanishing at 0 that is not just t."""
+    return truncate(curve.ramification_points[0].s_of_zeta, 24)
+
+
+def _sphere_taylor(q, v):
+    return (-1.0) ** q * (q + 1) / v ** (q + 2)
+
+
+@pytest.mark.parametrize("which", ["airy", "joukowski"])
+@pytest.mark.parametrize("c", [0.0, 0.83 - 0.41j])
+def test_sphere_taylor_closed_form(request, which, c):
+    cv = request.getfixturevalue(which)
+    inner = _chart(cv)
+    T = cv.bergman_taylor(c, inner, 6)
+    for x in (0.05 + 0.02j, -0.03 + 0.06j):
+        v = c + inner.evaluate(x)
+        for q, f in enumerate(T):
+            ref = _sphere_taylor(q, v)
+            assert abs(f.evaluate(x) - ref) < 1e-12 * abs(ref)
+    if c == 0.0:
+        assert [f.k_min for f in T] == [-(q + 2) for q in range(6)]
+
+
+def _fd_taylor(curve, v, q, h):
+    """F^(q)(v)/q! for q <= 2 by central differences of F; h should be
+    about 1e-3 of the distance from v to the lattice."""
+    F = curve.bergman
+    if q == 0:
+        return F(v)
+    if q == 1:
+        return (F(v + h) - F(v - h)) / (2 * h)
+    return (F(v + h) - 2 * F(v) + F(v - h)) / (2 * h * h)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_torus_taylor_generic_point(tau):
+    cv = _torus(tau)
+    c = 0.31 + 0.27 * tau
+    T = cv.bergman_taylor(c, identity(order=12), 3)
+    for q in range(3):
+        ref = _fd_taylor(cv, c, q, 2e-4)
+        assert abs(T[q].coeff(0) - ref) < 1e-5 * abs(ref)
+        # the Taylor coefficients of F(c + t) are the same numbers
+        assert abs(T[0].coeff(q) - T[q].coeff(0)) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("lattice", [0.0, "1+tau"])
+def test_torus_taylor_through_chart(tau, lattice):
+    cv = _torus(tau)
+    c = 0.0 if lattice == 0.0 else 1.0 + tau
+    inner = -_chart(cv)
+    T = cv.bergman_taylor(c, inner, 3)
+    assert T[0].k_min == -2
+    for x in (0.4 + 0.3j, -0.2 + 0.5j):
+        v = c + inner.evaluate(x)
+        for q in range(3):
+            ref = _fd_taylor(cv, v, q, 1e-3 * abs(v - c))
+            assert abs(T[q].evaluate(x) - ref) < 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_torus_taylor_generic_chart(tau):
+    cv = _torus(tau)
+    c = 0.58 + 0.19 * tau
+    inner = _chart(cv)
+    T = cv.bergman_taylor(c, inner, 3)
+    x = 0.7 - 0.4j
+    for q in range(3):
+        ref = _fd_taylor(cv, c + inner.evaluate(x), q, 2e-4)
+        assert abs(T[q].evaluate(x) - ref) < 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
+@pytest.mark.parametrize("on_pole", [False, True])
+def test_primitive_series(request, curve, on_pole):
+    cv = request.getfixturevalue(curve) if isinstance(curve, str) \
+        else _torus(curve)
+    if on_pole:
+        c = 0.0 if cv.genus == 0 else 1.0 + cv.tau
+    else:
+        c = 0.44 + 0.17j
+    P = cv.bergman_primitive_series(c, 14)
+    F = cv.bergman_taylor(c, identity(order=16), 1)[0]
+    # P' = -F, term by term
+    dP = P.differentiate()
+    for k in range(dP.k_min, 12):
+        assert abs(dP.coeff(k) + F.coeff(k)) < 1e-10 * max(1.0, abs(F.coeff(k)))
+    # and the constant: values agree with P itself
+    t = 0.05 + 0.03j
+    ref = cv.bergman_primitive(c + t)
+    assert abs(P.evaluate(t) - ref) < 1e-12 * abs(ref)
+
+
+def test_forms_in_the_chart_at_infinity(joukowski):
+    # omega = g(z) dz = h(w) dw with z = 1/w, so h(w) = -g(1/w) / w^2
+    xp = next(p for p in joukowski.x_poles if p.location != "inf")
+    forms = [BergmanLeg(joukowski, 0.3 + 0.2j, 2.0),
+             ThirdKind(joukowski, 0.3 + 0.2j, -0.4 + 0.1j)]
+    forms += [SecondKindBasis(joukowski, xp, j) for j in (1, 2, 3)]
+    w = 0.05 + 0.02j
+    for f in forms:
+        ref = -f.value(1 / w) / w ** 2
+        assert abs(f.local_series("inf", 10).evaluate(w) - ref) \
+            < 1e-12 * abs(ref)

@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -190,6 +192,37 @@ def test_joukowski_f2_value(joukowski):
             acc += phi * val * zeta
         total += acc / samples
     assert abs(total / (2 - 4) - f2) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def joukowski40():
+    """Joukowski at curve order 40, the default order 24 refuses F_4."""
+    cv = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                     RationalFunction([0, 1]), order=40)
+    return RecursionEngine(cv)
+
+
+def _bernoulli(n):
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[n]
+
+
+@pytest.mark.parametrize("g, tol", [(2, 1e-12), (3, 1e-10), (4, 1e-7)])
+def test_joukowski_fg_harer_zagier(joukowski40, g, tol):
+    # F_g = -B_2g / (2g (2g - 2)) (Harer-Zagier)
+    exact = float(-_bernoulli(2 * g) / (2 * g * (2 * g - 2)))
+    assert abs(joukowski40.invariant(g) - exact) < tol * abs(exact)
+
+
+def test_evaluate_beyond_tracked_k_refused(joukowski40):
+    w = joukowski40.omega(4, 1)
+    assert max(k for _, k in w.basis) > joukowski40.max_tracked_k()
+    with pytest.raises(TruncationTooShort, match="max_tracked_k"):
+        joukowski40.evaluate(w, [1.3 + 0.4j])
+    with pytest.raises(TruncationTooShort, match="max_tracked_k"):
+        dF_dt(joukowski40, 4, "inf", 1)
 
 
 def test_symplectic_invariance_shift(joukowski, torus):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from spectralflow.errors import BadModulus
-from spectralflow.theta import (
-    BigTheta,
-    ThetaEvaluator,
-    big_theta_heat_residual,
-    heat_equation_residual,
-)
+from spectralflow.theta import ThetaEvaluator, heat_equation_residual
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +45,6 @@ def test_theta1_oddness(th):
 
 def test_heat_equation():
     assert heat_equation_residual(1j, 0.31 + 0.12j) < 1e-6
-
-
-def test_heat_equation_big_theta():
-    bt = BigTheta(1j, mu=0.5, nu=0.5, n_value=1.0, eps=0.2 - 0.1j)
-    assert big_theta_heat_residual(bt, 0.4 + 0.23j) < 1e-5
-
-
-def test_big_theta_derivative_consistency():
-    # derivative vs finite differences in w
-    bt = BigTheta(1j, mu=0.5, nu=0.5, n_value=1.0, eps=0.1j)
-    w, h = 0.37 - 0.21j, 1e-5
-    fd = (bt.value(w + h) - bt.value(w - h)) / (2 * h)
-    assert abs(fd - bt.value(w, 1)) < 1e-8 * max(1.0, abs(fd))
 
 
 def test_bad_modulus_rejected():
