@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DivergentRegularization,
     SingularCDMatrix,
     SingularSheetMatrix,
     StepTooLarge,
@@ -31,10 +30,10 @@ from .geometry import (
     line_integral,
     prepotential,
     shifted_prepotential_value,
+    _regular_primitive,
     _same_center,
-    _xi_series,
 )
-from .series import TruncSeries, _monomial, _series_exp, truncate
+from .series import TruncSeries, _series_exp
 
 _COND_LIMIT = 1e10
 
@@ -226,37 +225,9 @@ class ClassicalSystem:
         cached = self._chi_primitive_cache.get(key)
         if cached is None:
             h = self.chi.local_series(xp.location, cv.order + 6)
-            xi = _xi_series(cv, rec).retag(h.var_tag)
-            s_of_xi = xi.functional_inverse()
-            h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
-            reg = h_xi
-            for j in range(len(times)):
-                if times[j] != 0:
-                    reg = reg - _monomial(-j - 1, complex(times[j]), h_xi)
-            W = reg.antiderivative()
-            W_half = truncate(W, max(4, len(W.coeffs) // 2))
-            # matching constant K with adaptive in-chart point
-            scale = 0.18
-            for _ in range(10):
-                if xp.location == "inf":
-                    s_q = scale * (0.61 + 0.37j)
-                    z_q = 1.0 / s_q
-                else:
-                    s_q = scale * (0.61 + 0.37j)
-                    z_q = complex(xp.location) + s_q
-                xi_q = xi.evaluate(s_q)
-                wq = W.evaluate(xi_q)
-                if abs(wq - W_half.evaluate(xi_q)) < 1e-10 * (1 + abs(wq)):
-                    break
-                scale *= 0.5
-            else:
-                raise DivergentRegularization(
-                    f"chi tail at {xp.location} never converged")
-            base_q = line_integral(cv, self.chi, self.o, z_q)
-            V_q = -sum(times[j] / j * xi_q ** (-j)
-                       for j in range(1, len(times)))
-            K = base_q - V_q - times[0] * np.log(xi_q) - wq
-            cached = (W, s_of_xi, K)
+            W, K = _regular_primitive(cv, self.chi, xp, h, times, self.o,
+                                      0.61 + 0.37j, 0.18)
+            cached = (W, xp.s_of_xi.retag(h.var_tag), K)
             self._chi_primitive_cache[key] = cached
         W, s_of_xi, K = cached
 

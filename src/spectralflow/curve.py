@@ -9,6 +9,8 @@ and all queries are pure.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .elliptic import EllipticTools
@@ -176,15 +178,20 @@ def flip_parity(f: TruncSeries) -> TruncSeries:
                        f.ram_index, f.var_tag)
 
 
-class XPole:
-    """Pole of X with its canonical coordinate xi = X^(-1/d)."""
+class PoleFrame:
+    """Local coordinate xi(s) at a point p = location + s: X^(-1/d) at a
+    pole of X of order d >= 1, X - X(p) (order -1) at a pole of a form
+    where X is regular."""
 
-    def __init__(self, location, order, s_of_xi, xi_of_s, label):
+    def __init__(self, location, order, xi_of_s):
         self.location = location          # chart value or "inf"
-        self.order = int(order)           # d_p >= 1
-        self.s_of_xi = s_of_xi            # chart offset as series in xi
+        self.order = int(order)
         self.xi_of_s = xi_of_s
-        self.label = label
+
+    @cached_property
+    def s_of_xi(self):
+        """The chart offset s as a series in xi."""
+        return self.xi_of_s.functional_inverse()
 
 
 class SheetStructure:
@@ -212,7 +219,7 @@ class SpectralCurve:
         self.genus = genus
         self.order = order
         self.ramification_points: list[RamificationPoint] = []
-        self.x_poles: list[XPole] = []
+        self.x_poles: list[PoleFrame] = []
 
     # subclasses provide: x_value, y_value, dx_value, dy_value,
     # x_series(center, order), y_series(center, order), sheets_above,
@@ -399,14 +406,12 @@ class Genus0Curve(SpectralCurve):
         for p, m in self.X.finite_poles():
             xs = self.X.series(p, self.order + 4)
             xi = _root_coordinate(xs, m, f"xi@{p:.6g}")
-            self.x_poles.append(XPole(p, m, xi.functional_inverse(), xi,
-                                      f"{p:.6g}"))
+            self.x_poles.append(PoleFrame(p, m, xi))
         dp = len(self.X.num) - len(self.X.den)
         if dp >= 1:
             xs = self.X.series_at_infinity(self.order + 4 + dp)
             xi = _root_coordinate(xs, dp, "xi@inf")
-            self.x_poles.append(XPole("inf", dp, xi.functional_inverse(), xi,
-                                      "inf"))
+            self.x_poles.append(PoleFrame("inf", dp, xi))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
@@ -597,7 +602,7 @@ class Genus1Curve(SpectralCurve):
     def _find_x_poles(self):
         xs = self.x_series(0.0, self.order + 6)
         xi = _root_coordinate(xs, 2, "xi@0")
-        self.x_poles.append(XPole(0.0, 2, xi.functional_inverse(), xi, "0"))
+        self.x_poles.append(PoleFrame(0.0, 2, xi))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         """The preimages u and -u of x: wp is even, so one Newton solve

@@ -65,6 +65,12 @@ class NotRepresentable(SpectralFlowError):
     """A curve deformation leaves the parametric backend family."""
 
 
+# -- quadrature -------------------------------------------------------------
+
+class QuadratureNotConverged(SpectralFlowError):
+    """An adaptive panel missed its tolerance at the depth limit."""
+
+
 # -- geometry ---------------------------------------------------------------
 
 class CoincidentPoints(SpectralFlowError):

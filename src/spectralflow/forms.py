@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .curve import PoleFrame, _drop_low_noise, _poly_shift
 from .errors import (
     PoleAtRamificationPoint,
     ResidueSumNonzero,
@@ -259,7 +260,7 @@ class SecondKindBasis(Form1):
         if j < 1:
             raise ValueError("second-kind index j must be >= 1")
         self.curve = curve
-        self.pole = pole            # XPole or (center, xi_of_s series)
+        self.pole = pole            # PoleFrame
         self.j = int(j)
         xi = pole.xi_of_s
         invj = xi.invert() ** j
@@ -288,7 +289,6 @@ class SecondKindBasis(Form1):
                 rev = np.zeros(order + n + 4, dtype=complex)
                 rev[:n] = -poly[::-1]
                 return TruncSeries(rev, -(n + 1))
-            from .curve import _poly_shift
             shifted = _poly_shift(poly, center)
             pad = np.zeros(max(order + 1, len(shifted)), dtype=complex)
             pad[:len(shifted)] = shifted
@@ -325,6 +325,21 @@ class PoleTimes:
         return f"PoleTimes({self.center}, kind={self.kind}, t={self.times})"
 
 
+def pole_frame(curve, center):
+    """The local coordinate at ``center``: the curve's frame at a pole
+    of X, else xi = X - X(center) (order -1)."""
+    xp = next((p for p in curve.x_poles
+               if _same_center(p.location, center)), None)
+    if xp is not None:
+        return xp
+    xi = _drop_low_noise(curve.x_series(center, curve.order + 6)
+                         - curve.x_value(center), upto=1)
+    if abs(xi.coeff(1)) < 1e-12:
+        raise PoleAtRamificationPoint(
+            f"coordinate X - X(p) degenerate at {center}")
+    return PoleFrame(center, -1, xi)
+
+
 def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
     """All times t_{p,j} of the form plus its filling fractions.
 
@@ -344,22 +359,10 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
             if _same_center(center, r.location):
                 raise PoleAtRamificationPoint(
                     f"form has a pole at ramification point {r.location}")
-        xp = next((p for p in curve.x_poles
-                   if _same_center(p.location, center)), None)
-        order = curve.order
-        h = form.local_series(center, order + 6)
-        if xp is not None:
-            xi = xp.xi_of_s
-            d_p, kind = xp.order, "x_pole"
-        else:
-            from .curve import _drop_low_noise
-            xi = _drop_low_noise(curve.x_series(center, order + 6)
-                                 - curve.x_value(center), upto=1)
-            if abs(xi.coeff(1)) < 1e-12:
-                raise PoleAtRamificationPoint(
-                    f"coordinate X - X(p) degenerate at {center}")
-            d_p, kind = -1, "omega_pole"
-        xi = xi.retag(h.var_tag)
+        h = form.local_series(center, curve.order + 6)
+        frame = pole_frame(curve, center)
+        xi = frame.xi_of_s.retag(h.var_tag)
+        kind = "x_pole" if frame.order > 0 else "omega_pole"
         times = []
         for j in range(j_cap):
             prod = h if j == 0 else h * (xi ** j)
@@ -373,7 +376,8 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
             times.pop()
         if kind == "omega_pole" and all(abs(t) < tol for t in times):
             continue                    # pole cancelled inside a SumForm
-        records.append(PoleTimes(center, d_p, kind, np.array(times)))
+        records.append(PoleTimes(center, frame.order, kind,
+                                 np.array(times)))
 
     total = sum(r.times[0] for r in records)
     if abs(total) > 1e-8:

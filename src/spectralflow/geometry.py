@@ -25,6 +25,7 @@ from .forms import (
     SumForm,
     ThirdKind,
     _same_center,
+    pole_frame,
     times_and_fillings,
 )
 from .quadrature import integrate_path, split_to_avoid
@@ -217,7 +218,7 @@ class Prepotential:
         """
         rec = self._rec(center)
         h = self.form.local_series(rec.center, self.curve.order + 6)
-        xi = _xi_series(self.curve, rec).retag(h.var_tag)
+        xi = pole_frame(self.curve, rec.center).xi_of_s.retag(h.var_tag)
         return (h * xi.invert() ** j).residue() / j
 
     def dF_dt0_difference(self, center_a, center_b):
@@ -250,18 +251,6 @@ def _key(center):
         (round(complex(center).real, 9), round(complex(center).imag, 9))
 
 
-def _xi_series(curve, rec):
-    """Local coordinate series xi(s) at a pole record."""
-    from .curve import _drop_low_noise
-    if rec.kind == "x_pole":
-        xp = next(p for p in curve.x_poles
-                  if _same_center(p.location, rec.center))
-        return xp.xi_of_s
-    xi = curve.x_series(rec.center, curve.order + 6) \
-        - curve.x_value(rec.center)
-    return _drop_low_noise(xi, upto=1)
-
-
 def prepotential(curve, form, basepoint=None, records=None, eps=None):
     """F0 from the regularized pairing of the form with itself.
 
@@ -279,9 +268,9 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
     t0mu = 0.0 + 0.0j
     obstacles = _pole_translates(curve, form)
     for rec in records:
-        order = curve.order
-        h = form.local_series(rec.center, order + 6)
-        xi = _xi_series(curve, rec).retag(h.var_tag)
+        h = form.local_series(rec.center, curve.order + 6)
+        frame = pole_frame(curve, rec.center)
+        xi = frame.xi_of_s.retag(h.var_tag)
         # Res_p V_p omega with V_p = -sum_{j>=1} (t_j / j) xi^-j
         if len(rec.times) > 1:
             xinv = xi.invert()
@@ -293,7 +282,8 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
                 V = term if V is None else V + term
             if V is not None:
                 res_v += (V * h).residue()
-        mu[_key(rec.center)] = _mu_of(curve, form, rec, xi, h, o, obstacles)
+        mu[_key(rec.center)] = _mu_of(curve, form, rec, frame, h, o,
+                                      obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
     bper = []
@@ -304,20 +294,9 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
     return Prepotential(curve, form, value, mu, records, eps, bper)
 
 
-def _mu_of(curve, form, rec, xi, h, o, obstacles):
-    """Regularized int_o^p (omega - dV_p - t_p0 dlog xi)."""
-    # omega in the xi chart: h_xi(xi) = h(s(xi)) s'(xi)
-    s_of_xi = xi.functional_inverse()
-    h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
-    times = rec.times
-    # regular part and its primitive
-    reg = h_xi
-    for j in range(len(times)):
-        if times[j] != 0:
-            reg = reg - _monomial(-j - 1, times[j], h_xi)
-    prim = reg.antiderivative()
-    prim_half = truncate(prim, max(4, len(prim.coeffs) // 2))
-
+def _mu_of(curve, form, rec, frame, h, o, obstacles):
+    """Regularized int_o^p (omega - dV_p - t_p0 dlog xi), matched on the
+    way from p towards the basepoint."""
     others = [complex(c) for c in obstacles
               if not isinstance(c, str)
               and not _same_center(c, rec.center if not
@@ -330,25 +309,48 @@ def _mu_of(curve, form, rec, xi, h, o, obstacles):
                    default=1.0)
         s_dir = (complex(o) - p)
         s_dir /= abs(s_dir)
-    # shrink the matching point until the series tail has converged
-    scale = 0.2 * min(1.0, dmin)
+    _, mu = _regular_primitive(curve, form, frame, h, rec.times, o, s_dir,
+                              0.2 * min(1.0, dmin))
+    return mu
+
+
+def _regular_primitive(curve, form, frame, h, times, o, s_dir, scale):
+    """(W, K) for a form with series h at the pole ``frame.location``
+    and times t_j there.
+
+    Near the pole, form = dV + t_0 dlog(xi) + w(xi) dxi with
+    V = -sum_{j>=1} t_j/j xi^-j; W is the zero-based primitive of w and
+    K = int_o^p (form - dV - t_0 dlog xi).  K is matched at
+    s = scale * s_dir, halving the scale (up to 10 times) until the
+    series of W has converged there.
+    """
+    s_of_xi = frame.s_of_xi.retag(h.var_tag)
+    h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
+    reg = h_xi
+    for j in range(len(times)):
+        if times[j] != 0:
+            reg = reg - _monomial(-j - 1, complex(times[j]), h_xi)
+    W = reg.antiderivative()
+    W_half = truncate(W, max(4, len(W.coeffs) // 2))
     for _ in range(10):
         s_q = scale * s_dir
-        xi_q = xi.evaluate(s_q)
-        tail = prim.evaluate(xi_q)
-        if abs(tail - prim_half.evaluate(xi_q)) < 1e-10 * (1 + abs(tail)):
+        xi_q = frame.xi_of_s.evaluate(s_q)
+        w_q = W.evaluate(xi_q)
+        if abs(w_q - W_half.evaluate(xi_q)) < 1e-10 * (1 + abs(w_q)):
             break
         scale *= 0.5
     else:
         raise DivergentRegularization(
-            f"series tail at {rec.center} never converged")
-    z_q = 1.0 / s_q if rec.center == "inf" else complex(rec.center) + s_q
-    base = line_integral(curve, form, o, z_q)
+            f"series tail at {frame.location} never converged")
+    z_q = 1.0 / s_q if frame.location == "inf" \
+        else complex(frame.location) + s_q
     V_q = -sum(times[j] / j * xi_q ** (-j) for j in range(1, len(times)))
-    val = base - V_q - times[0] * np.log(xi_q) - prim.evaluate(xi_q)
-    if not np.isfinite(val):
-        raise DivergentRegularization(f"mu at {rec.center} not finite")
-    return val
+    K = line_integral(curve, form, o, z_q) - V_q \
+        - times[0] * np.log(xi_q) - w_q
+    if not np.isfinite(K):
+        raise DivergentRegularization(
+            f"regularized primitive at {frame.location} not finite")
+    return W, K
 
 
 def shifted_prepotential_value(prep: Prepotential):
@@ -374,11 +376,7 @@ def basis_form(curve, rec_or_center, j, basepoint=None):
         if center == "inf":
             return _InfThirdKind(curve, o)
         return ThirdKind(curve, center, o)
-    xp = next((p for p in curve.x_poles
-               if _same_center(p.location, center)), None)
-    if xp is None:
-        xp = _omega_pole_frame(curve, center)
-    return SecondKindBasis(curve, xp, j)
+    return SecondKindBasis(curve, pole_frame(curve, center), j)
 
 
 class _InfThirdKind(ThirdKind):
@@ -401,20 +399,6 @@ class _InfThirdKind(ThirdKind):
 
     def poles(self):
         return [("inf", 1), (self.z2, 1)]
-
-
-class _PoleFrame:
-    def __init__(self, location, xi_of_s):
-        self.location = location
-        self.xi_of_s = xi_of_s
-        self.s_of_xi = xi_of_s.functional_inverse()
-
-
-def _omega_pole_frame(curve, center):
-    from .curve import _drop_low_noise
-    xi = _drop_low_noise(curve.x_series(center, curve.order + 6)
-                         - curve.x_value(center), upto=1)
-    return _PoleFrame(center, xi)
 
 
 def decompose(curve, form, basepoint=None):

@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import QuadratureNotConverged
+
+# panels are halved at most this many times
+MAX_DEPTH = 14
+
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1]
 _XK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -37,8 +42,11 @@ def _panel(f, a, b):
     return k, abs(k - g)
 
 
-def integrate_segment(f, a, b, tol=1e-12, max_depth=14):
-    """Integral of f along the straight segment [a, b] (complex path)."""
+def integrate_segment(f, a, b, tol=1e-12):
+    """Integral of f along the straight segment [a, b] (complex path).
+
+    Raises QuadratureNotConverged when a panel halved MAX_DEPTH times
+    still misses the tolerance."""
     a, b = complex(a), complex(b)
 
     def lift(t):
@@ -49,8 +57,12 @@ def integrate_segment(f, a, b, tol=1e-12, max_depth=14):
     while stack:
         lo, hi, depth = stack.pop()
         val, err = _panel(lift, lo, hi)
-        if err <= tol * max(1.0, abs(val)) or depth >= max_depth:
+        if err <= tol * max(1.0, abs(val)):
             total += val
+        elif depth >= MAX_DEPTH:
+            raise QuadratureNotConverged(
+                f"panel [{lo:.6g}, {hi:.6g}] of the segment {a} -> {b} "
+                f"has error estimate {err:.3g} after {MAX_DEPTH} halvings")
         else:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))

@@ -7,10 +7,14 @@ the basis
 
 one index per variable.  The generating property
 B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^{k-1} dzeta closes the
-recursion on these tensors: every residue is a series coefficient
-read-off, and quadrature exists only as a test oracle.  Even-k slots
-are structurally absent (the forms have no residues), which the
-quadrature cross-checks confirm.
+recursion on these tensors, and quadrature exists only as a test
+oracle.  Every residue is read off with one contraction: with c the
+coefficients of 1/(y(zeta) - y(-zeta)) (or of the primitive of Y dX
+for F_g), the Hankel slice R[k, e] = c_{-k-e} gives the zeta^-k
+coefficients of a window d over zeta^e as R @ d, and
+R2[k, e1, e2] = R[k, e1 + e2] those of a product of two windows.
+Even-k slots are structurally absent (the forms have no residues),
+which the quadrature cross-checks confirm.
 
 Every series of the basis forms is one contraction with the curve's
 reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
@@ -31,6 +35,7 @@ import numpy as np
 
 from .curve import flip_parity
 from .errors import PoleAtRamificationPoint, TruncationTooShort
+from .forms import pole_frame
 from .series import TruncSeries, _combine, identity, truncate
 
 
@@ -144,22 +149,30 @@ class RecursionEngine:
         """Coefficients of B_{b,m}(z_a(+-zeta))/dzeta on [lo, hi].
 
         For sign < 0 the form is pulled back through zeta -> -zeta
-        including d(-zeta) = -dzeta.
+        including d(-zeta) = -dzeta.  A window that reaches the regular
+        part (t >= 0) of a B_{b,m} the row tables do not hold is refused.
         """
-        n = hi - lo + 1
-        data = np.zeros(n, dtype=complex)
+        ts = np.arange(lo, hi + 1)
+        data = np.zeros(len(ts), dtype=complex)
         if a == b and lo <= -(m + 1) <= hi:
             data[-(m + 1) - lo] = m
-        rows = self._rows(b, a)
-        if m - 1 < len(rows):
-            row = rows[m - 1]
-            jmax = min(len(row) - 1, hi)
-            for j in range(max(lo, 0), jmax + 1):
-                data[j - lo] += row[j]
+        if hi >= 0:
+            rows = self._rows(b, a)
+            if m > len(rows) or hi >= rows.shape[1]:
+                raise TruncationTooShort(
+                    f"B_({b},{m}) on zeta^[{lo}, {hi}] lies beyond the row "
+                    f"tables (m <= {len(rows)}, t < {rows.shape[1]})")
+            t0 = max(lo, 0)
+            data[t0 - lo:] += rows[m - 1, t0:hi + 1]
         if sign < 0:
-            ks = np.arange(lo, hi + 1)
-            data = data * (-1.0 + 0j) ** ((ks + 1) % 2)
+            data = data * (-1.0 + 0j) ** ((ts + 1) % 2)
         return data
+
+    def _window(self, basis, a, sign, lo, hi):
+        """[ram_basis_series(b, m, a, lo, hi, sign) for (b, m) in basis]
+        as the columns of one (window, len(basis)) matrix."""
+        return np.stack([self.ram_basis_series(b, m, a, lo, hi, sign)
+                         for b, m in basis], axis=1)
 
     # -- the recursion ---------------------------------------------------------------
 
@@ -175,9 +188,10 @@ class RecursionEngine:
                 f"curve order {self.curve.order} too small for (g, n) = "
                 f"({g}, {n}); rebuild with order >= {max(ks) + 4}")
         basis = [(a, k) for a in range(self.A) for k in ks]
+        where = {el: i for i, el in enumerate(basis)}
         tensor = np.zeros((len(basis),) * n, dtype=complex)
         for a in range(self.A):
-            self._add_residues(g, n, a, basis, ks, tensor)
+            self._add_residues(g, n, a, basis, where, tensor)
         form = CorrForm(g, n, basis, tensor)
         self._memo[key] = form
         return form
@@ -186,45 +200,39 @@ class RecursionEngine:
         """Contract slot 0 of ``form`` with the zeta_a chart: returns an
         array of shape (window, D, ..., D) over the *form's own* basis
         for the remaining slots."""
-        n = hi - lo + 1
-        rest = form.tensor.shape[1:]
-        out = np.zeros((n,) + rest, dtype=complex)
-        for i, (b, m) in enumerate(form.basis):
-            dat = self.ram_basis_series(b, m, a, lo, hi, sign)
-            out += dat.reshape((n,) + (1,) * len(rest)) * form.tensor[i]
-        return out
+        return np.tensordot(self._window(form.basis, a, sign, lo, hi),
+                            form.tensor, axes=1)
 
-    def _add_residues(self, g, n, a, basis, ks, tensor):
+    def _add_residues(self, g, n, a, basis, where, tensor):
+        """The residues at ramification point a: for every k in ks,
+        tensor[(a, k), ...] += -1/(2k) times the zeta^-k coefficient of
+        (sum of the recursion's terms) / (y(zeta) - y(-zeta)), each term
+        a window over [lo, hi] read through the slices R and R2."""
         J = n - 1
+        ks = k_slots(g, n)
         lo = -(2 * (6 * g + 2 * n - 4) + 10)
         hi = max(ks) + 1
-        inv_dy = self.ydiff_inv[a]
-        terms = []  # (data over [lo, hi], [slot bases], axes in J order)
+        R = _residue_slice(self.ydiff_inv[a], ks, lo, hi)
+        R2 = _pair_slice(R, lo)
+        heads = np.array([where[(a, k)] for k in ks])
+        # B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^(k-1) dzeta over this
+        # form's own basis; k - 1 is even, so at -zeta only d(-zeta)
+        # flips the sign
+        bergman = np.zeros((hi - lo + 1, len(basis)), dtype=complex)
+        bergman[np.array(ks) - 1 - lo, heads] = 1.0
+        terms = []  # (residues for every k, [slot bases], axes in J order)
 
         # omega^{(g-1)}_{J+2}(z, zbar, J)
         if g >= 1:
             if 2 * (g - 1) + (J + 2) > 2:
                 sub = self.omega(g - 1, J + 2)
                 first = self._sub_series(sub, a, +1, lo, hi)
-                acc = None
-                for i, (b, m) in enumerate(sub.basis):
-                    dat2 = self.ram_basis_series(b, m, a, lo, hi, -1)
-                    piece = _axis_conv(first[:, i], lo, dat2, lo, lo, hi)
-                    acc = piece if acc is None else acc + piece
-                terms.append((acc, [sub.basis] * J, list(range(J))))
+                second = self._window(sub.basis, a, -1, lo, hi)
+                res = np.tensordot(np.tensordot(R2, second, axes=([2], [0])),
+                                   first, axes=([1, 2], [0, 1]))
+                terms.append((res, [sub.basis] * J, list(range(J))))
             else:
-                # omega_2^(0)(z, zbar): the Bergman diagonal
-                dat = np.zeros(hi - lo + 1, dtype=complex)
-                if lo <= -2 <= hi:
-                    dat[-2 - lo] = -0.25
-                H = self._rows(a, a)
-                Lh = H.shape[0]
-                for i in range(Lh):
-                    for j in range(Lh - i):
-                        t = i + j
-                        if lo <= t <= hi:
-                            dat[t - lo] += -H[i, j] * (-1.0) ** j
-                terms.append((dat, [], []))
+                terms.append((R @ self._bergman_diagonal(a, lo, hi), [], []))
 
         # stable products
         j_ids = list(range(J))
@@ -235,52 +243,43 @@ class RecursionEngine:
                     g2, n2 = g - h, 1 + J - len(I)
                     if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
                         continue
-                    s1, bas1 = self._factor(g1, n1, a, +1, lo, hi, ks, basis)
-                    s2, bas2 = self._factor(g2, n2, a, -1, lo, hi, ks, basis)
-                    data = _tensor_conv(s1, s2, lo, hi)
+                    s1, bas1 = self._factor(g1, n1, a, +1, lo, hi, bergman,
+                                            basis)
+                    s2, bas2 = self._factor(g2, n2, a, -1, lo, hi, bergman,
+                                            basis)
+                    res = np.tensordot(np.tensordot(R2, s1, axes=([1], [0])),
+                                       s2, axes=([1], [0]))
                     axes = list(I) + [j for j in j_ids if j not in I]
-                    terms.append((data, bas1 + bas2, axes))
+                    terms.append((res, bas1 + bas2, axes))
 
-        for data, slot_bases, axes in terms:
+        scale = (-0.5 / np.array(ks)).reshape((-1,) + (1,) * J)
+        for res, slot_bases, axes in terms:
             if axes:
                 inv = np.argsort(axes)
-                data = np.transpose(data, axes=[0] + [1 + int(p)
-                                                      for p in inv])
+                res = np.transpose(res, axes=[0] + [1 + int(p) for p in inv])
                 slot_bases = [slot_bases[int(p)] for p in inv]
-            s = _axis_conv_ts(data, lo, inv_dy, lo, hi)
-            for k in ks:
-                row = _take(s, lo, -k)
-                if row is None:
-                    continue
-                coeff = (-0.5 / k) * row
-                self._embed(tensor, basis, (a, k), slot_bases, coeff)
+            idx = [np.array([where[el] for el in sb]) for sb in slot_bases]
+            tensor[np.ix_(heads, *idx)] += scale * res
 
-    def _factor(self, g, n, a, sign, lo, hi, parent_ks, parent_basis):
+    def _bergman_diagonal(self, a, lo, hi):
+        """omega_2^(0)(z_a(zeta), z_a(-zeta))/dzeta on [lo, hi]: the
+        polar -1/(4 zeta^2) plus -sum_{i+j=t} rows[i, j] (-1)^j."""
+        dat = np.zeros(hi - lo + 1, dtype=complex)
+        if lo <= -2 <= hi:
+            dat[-2 - lo] = -0.25
+        H = self._rows(a, a)
+        i, j = np.indices((len(H), len(H)))
+        keep = i + j <= min(len(H) - 1, hi)
+        np.add.at(dat, (i + j)[keep] - lo, -H[i[keep], j[keep]]
+                  * (-1.0) ** j[keep])
+        return dat
+
+    def _factor(self, g, n, a, sign, lo, hi, bergman, basis):
         if (g, n) == (0, 2):
-            # B(z(+-zeta), w): generating series over the parent basis
-            win = hi - lo + 1
-            out = np.zeros((win, len(parent_basis)), dtype=complex)
-            for k in parent_ks:
-                t = k - 1
-                if lo <= t <= hi:
-                    val = 1.0
-                    if sign < 0:
-                        val = (-1.0) ** ((t + 1) % 2)
-                    out[t - lo, parent_basis.index((a, k))] = val
-            return out, [parent_basis]
+            return sign * bergman, [basis]
         sub = self.omega(g, n)
         return self._sub_series(sub, a, sign, lo, hi), \
             [sub.basis] * (n - 1)
-
-    def _embed(self, tensor, basis, head, slot_bases, coeff):
-        """tensor[head, emb(slots)] += coeff."""
-        i0 = basis.index(head)
-        if not slot_bases:
-            tensor[i0] += coeff
-            return
-        idx = [np.array([basis.index(el) for el in sb], dtype=int)
-               for sb in slot_bases]
-        tensor[(i0,) + np.ix_(*idx)] += coeff
 
     # -- invariants --------------------------------------------------------------------
 
@@ -299,13 +298,14 @@ class RecursionEngine:
 
     def _invariant_with_phi(self, g, shift):
         w1 = self.omega(g, 1)
-        lo, hi = -(6 * g + 2) - 2, 4
         total = 0.0 + 0.0j
         for a in range(self.A):
-            ser = self._sub_series(w1, a, +1, lo, hi)
             phi = self.phi[a] + shift if shift else self.phi[a]
-            prod = _axis_conv_ts(ser, lo, phi, lo, hi)
-            total += _take(prod, lo, -1)
+            # phi starts at zeta^k_min: no term above zeta^(-1 - k_min)
+            # pairs with it
+            lo, hi = -(6 * g + 2) - 2, -1 - phi.k_min
+            ser = self._sub_series(w1, a, +1, lo, hi)
+            total += _residue_slice(phi, [1], lo, hi)[0] @ ser
         return total / (2 - 2 * g)
 
     # -- evaluation ---------------------------------------------------------------------
@@ -370,22 +370,13 @@ class RecursionEngine:
         pairing for the time t_{p,j}."""
         self._check_tracked(basis)
         out = np.zeros(len(basis), dtype=complex)
-        xp = self._pole_frame(center)
+        xp = pole_frame(self.curve, center)
         xi_inv_j = xp.xi_of_s.invert() ** j
         for i, (a, k) in enumerate(basis):
             leg = self._basis_series_at_pole(a, k, xp)
             prod = leg * xi_inv_j.retag(leg.var_tag)
             out[i] = prod.residue() / j
         return out
-
-    def _pole_frame(self, center):
-        from .geometry import _omega_pole_frame
-        from .forms import _same_center
-        xp = next((p for p in self.curve.x_poles
-                   if _same_center(p.location, center)), None)
-        if xp is None:
-            xp = _omega_pole_frame(self.curve, center)
-        return xp
 
     def _basis_series_at_pole(self, a, k, xp):
         """Series in the pole chart of B_{a,k}(z_p(s))/ds.
@@ -415,60 +406,31 @@ class RecursionEngine:
         return ser
 
 
-# -- windowed convolutions --------------------------------------------------------------
+# -- residue slices --------------------------------------------------------------------
 
-def _axis_conv(block, off_block, dat2, off2, lo, hi):
-    """Convolve the power axis (axis 0) of ``block`` with a 1D array."""
-    rest = block.shape[1:]
-    Lb, L2 = block.shape[0], len(dat2)
-    m = Lb + L2 - 1
-    nfft = 1 << int(np.ceil(np.log2(max(2, m))))
-    fb = np.fft.fft(block, n=nfft, axis=0)
-    f2 = np.fft.fft(dat2, n=nfft)
-    conv = np.fft.ifft(
-        fb * f2.reshape((nfft,) + (1,) * len(rest)), axis=0)[:m]
-    off = off_block + off2
-    n = hi - lo + 1
-    out = np.zeros((n,) + rest, dtype=complex)
-    t0 = max(0, lo - off)
-    t1 = min(m - 1, hi - off)
-    if t1 >= t0:
-        out[t0 + off - lo:t1 + off - lo + 1] = conv[t0:t1 + 1]
+def _residue_slice(f: TruncSeries, ks, lo, hi):
+    """R[i, e - lo] = coefficient of zeta^(-ks[i] - e) in ``f`` for e in
+    [lo, hi], so that R @ d is the zeta^(-k) coefficient of
+    (sum_e d[e] zeta^e) f(zeta) for every k in ``ks`` at once."""
+    idx = -np.array(ks)[:, None] - np.arange(lo, hi + 1)[None, :]
+    if idx.max() > f.trunc_order:
+        raise TruncationTooShort(
+            f"residue slice needs zeta^{idx.max()} beyond truncation order "
+            f"{f.trunc_order} (tag {f.var_tag!r})")
+    pos = idx - f.k_min
+    out = np.zeros(idx.shape, dtype=complex)
+    out[pos >= 0] = f.coeffs[pos[pos >= 0]]
     return out
 
 
-def _axis_conv_ts(block, off_block, f: TruncSeries, lo, hi):
-    return _axis_conv(block, off_block, f.coeffs, f.k_min, lo, hi)
-
-
-def _tensor_conv(d1, d2, lo, hi):
-    """Outer product over tensor axes, convolution over the power axis;
-    both operands share offset ``lo``."""
-    r1, r2 = d1.shape[1:], d2.shape[1:]
-    L1, L2 = d1.shape[0], d2.shape[0]
-    m = L1 + L2 - 1
-    a = d1.reshape((L1, -1))
-    b = d2.reshape((L2, -1))
-    nfft = 1 << int(np.ceil(np.log2(max(2, m))))
-    fa = np.fft.fft(a, n=nfft, axis=0)
-    fb = np.fft.fft(b, n=nfft, axis=0)
-    conv = np.fft.ifft(fa[:, :, None] * fb[:, None, :], axis=0)[:m]
-    off = 2 * lo
-    n = hi - lo + 1
-    out = np.zeros((n,) + r1 + r2, dtype=complex)
-    t0 = max(0, lo - off)
-    t1 = min(m - 1, hi - off)
-    if t1 >= t0:
-        out[t0 + off - lo:t1 + off - lo + 1] = \
-            conv[t0:t1 + 1].reshape((t1 - t0 + 1,) + r1 + r2)
-    return out
-
-
-def _take(data, lo, k):
-    i = k - lo
-    if 0 <= i < data.shape[0]:
-        return data[i]
-    return None
+def _pair_slice(R, lo):
+    """R2[i, e1 - lo, e2 - lo] = R[i, e1 + e2 - lo] where e1 + e2 lies in
+    the window [lo, hi] of R, else zero: contracting R2 against two
+    windows reads off the residues of their product clipped to [lo, hi]."""
+    W = R.shape[1]
+    t = np.add.outer(np.arange(W), np.arange(W)) + lo
+    inside = (t >= 0) & (t < W)
+    return np.where(inside, R[:, np.clip(t, 0, W - 1)], 0.0)
 
 
 # -- special geometry ------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from spectralflow.errors import (
     CoincidentPoints,
+    QuadratureNotConverged,
     ResidueFreePreconditionViolated,
     ThetaZeroDivision,
     UnsupportedCycle,
@@ -26,9 +27,8 @@ from spectralflow.geometry import (
     line_integral,
     prepotential,
     riemann_bilinear_residual,
-    _xi_series,
 )
-from spectralflow.quadrature import integrate_path
+from spectralflow.quadrature import integrate_path, integrate_segment
 
 
 # -- kernels ------------------------------------------------------------------
@@ -309,3 +309,10 @@ def test_quadrature_engine():
     val = integrate_path(lambda z: 1.0 / z,
                          [1.0, 1j, -1.0, -1j, 1.0])
     assert abs(val - 2j * np.pi) < 1e-12
+
+
+def test_quadrature_depth_limit_refused():
+    # exact 2 (sqrt(1/3) + sqrt(2/3)); the panels at the singularity miss
+    # the tolerance at the depth limit, where the sum was 1e-3 off
+    with pytest.raises(QuadratureNotConverged):
+        integrate_segment(lambda z: abs(z - 1 / 3) ** -0.5, 0.0, 1.0)

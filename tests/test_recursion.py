@@ -14,11 +14,14 @@ from spectralflow.deform import (
 from spectralflow.errors import TruncationTooShort
 from spectralflow.recursion import (
     RecursionEngine,
+    _pair_slice,
+    _residue_slice,
     dF_deps,
     dF_dt,
     domega_dt,
     k_slots,
 )
+from spectralflow.series import TruncSeries
 
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
 
@@ -223,6 +226,37 @@ def test_evaluate_beyond_tracked_k_refused(joukowski40):
         joukowski40.evaluate(w, [1.3 + 0.4j])
     with pytest.raises(TruncationTooShort, match="max_tracked_k"):
         dF_dt(joukowski40, 4, "inf", 1)
+
+
+def test_invariant_beyond_row_tables_refused(joukowski40):
+    # F_5 needs B_(a,m) with m past the row tables; they are refused
+    # rather than read with their regular part dropped
+    with pytest.raises(TruncationTooShort, match="row tables"):
+        joukowski40.invariant(5)
+
+
+def test_residue_slice_reads_products():
+    rng = np.random.default_rng(20261018)
+    lo, hi, ks = -12, 6, [1, 3, 5, 7]
+
+    def window():
+        return rng.normal(size=hi - lo + 1) + 1j * rng.normal(size=hi - lo + 1)
+
+    d, d1, d2 = window(), window(), window()
+    f = TruncSeries(rng.normal(size=40) + 1j * rng.normal(size=40), -1)
+    R = _residue_slice(f, ks, lo, hi)
+
+    def read_off(data):
+        return np.array([(TruncSeries(data, lo) * f).coeff(-k) for k in ks])
+
+    want = read_off(d)
+    assert np.max(np.abs(R @ d - want)) < 1e-13 * np.max(np.abs(want))
+    # the product window d1 * d2 starts at zeta^(2 lo); clip it to [lo, hi]
+    clipped = np.convolve(d1, d2)[-lo:hi - 2 * lo + 1]
+    want = read_off(clipped)
+    got = np.tensordot(np.tensordot(_pair_slice(R, lo), d1, axes=([1], [0])),
+                       d2, axes=([1], [0]))
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_symplectic_invariance_shift(joukowski, torus):
