@@ -1,9 +1,12 @@
 """Dispersionless integrable system attached to (curve, 1-form).
 
-The spinor kernel is assembled from the odd theta, the prime form and
-the A-normalized part of the form; sheet matrices, Baker-Akhiezer
-vectors, the Christoffel-Darboux pairing, the Lax matrix and the
-classical tau function all hang off one ClassicalSystem instance.
+The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
+/ (theta(zeta) E(z1, z2)) is written once: the curve backend supplies
+the Szego factor (prime_form, theta_ratio, szego_series; theta = 1 and
+E = z1 - z2 on the sphere), and chi, zeta come from the A-normalized
+part of the form.  Sheet matrices, Baker-Akhiezer vectors, the
+Christoffel-Darboux pairing, the Lax matrix and the classical tau
+function all hang off one ClassicalSystem instance.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -14,14 +17,11 @@ every product the checks use.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
-from .errors import (
-    SingularCDMatrix,
-    SingularSheetMatrix,
-    StepTooLarge,
-    ThetaZeroDivision,
-)
+from .errors import SingularCDMatrix, SingularSheetMatrix, StepTooLarge
 from .forms import BergmanLeg, DuForm, SumForm, ThirdKind, times_and_fillings
 from .geometry import (
     Geometry,
@@ -33,7 +33,7 @@ from .geometry import (
     _regular_primitive,
     _same_center,
 )
-from .series import TruncSeries, _series_exp
+from .series import _series_exp
 
 _COND_LIMIT = 1e10
 
@@ -48,42 +48,23 @@ class ClassicalSystem:
         self.o = basepoint if basepoint is not None \
             else clear_basepoint(curve, form)
         self.records, self.eps = times_and_fillings(curve, form)
-        if curve.genus == 1:
-            self.chi = SumForm([(1.0, form),
-                                (-2j * np.pi * self.eps[0], DuForm(curve))])
-            self.zeta_t = canonical_period(curve, self.chi, "b") \
-                / (2j * np.pi)
-        else:
-            self.chi = form
-            self.zeta_t = 0.0
+        self.chi, self.zeta_t = _a_normalized(curve, form, self.eps)
         self._chi_primitive_cache = {}
 
     # -- kernel -------------------------------------------------------------------
-
-    def chi_integral(self, z_from, z_to):
-        return line_integral(self.curve, self.chi, z_from, z_to)
 
     def _chi_from_base(self, z):
         key = complex(z)
         val = self._chi_primitive_cache.get(key)
         if val is None:
-            val = self.chi_integral(self.o, z)
+            val = line_integral(self.curve, self.chi, self.o, z)
             self._chi_primitive_cache[key] = val
         return val
-
-    def theta_ratio(self, u12):
-        th = self.curve.ell.theta
-        den = th.theta1(self.zeta_t)
-        if abs(den) < 1e-12:
-            raise ThetaZeroDivision("theta(zeta) on the divisor")
-        return th.theta1(u12 + self.zeta_t) / den
 
     def psi(self, z1, z2):
         """psi_cl reduced by the global chart legs."""
         expo = np.exp(self._chi_from_base(z1) - self._chi_from_base(z2))
-        if self.curve.genus == 0:
-            return expo / (z1 - z2)
-        return expo * self.theta_ratio(z1 - z2) \
+        return expo * self.curve.theta_ratio(z1 - z2, self.zeta_t) \
             / self.geo.prime_form(z1, z2)
 
     # -- sheet matrices ---------------------------------------------------------------
@@ -118,11 +99,8 @@ class ClassicalSystem:
         G = np.zeros((d, d), dtype=complex)
         for i, zi in enumerate(s1.preimages):
             for j, zj in enumerate(s2.preimages):
-                if self.curve.genus == 0:
-                    core = 1.0 / (zi - zj)
-                else:
-                    core = self.theta_ratio(zi - zj) \
-                        / self.geo.prime_form(zi, zj)
+                core = self.curve.theta_ratio(zi - zj, self.zeta_t) \
+                    / self.geo.prime_form(zi, zj)
                 G[i, j] = core / (r1[i] * r2[j])
         return c1, G, c2
 
@@ -145,29 +123,25 @@ class ClassicalSystem:
         return np.abs(lhs - target).max() / np.abs(target).max()
 
     def refined_duality_residual(self, z1, z2, z):
-        """Pointwise product relation with the holomorphic correction."""
-        if self.curve.genus != 1:
-            # no du-correction at genus 0: dS alone
-            lhs = self.psi(z1, z) * self.psi(z, z2)
-            rhs = -self.psi(z1, z2) * self.geo.third_kind(z1, z2, z)
-            return abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        th = self.curve.ell.theta
-        u12 = z1 - z2
-        tz = self.zeta_t
-        # the holomorphic correction in reduced chart values; its sign
-        # and normalization are pinned by the pole-matching limit and
-        # the numerics (the displayed -2 i pi alpha du absorbs into +alpha
-        # once du is reduced to 1 in the u-chart)
-        alpha = th.theta1(u12 + tz, 1) / th.theta1(u12 + tz) \
-            - th.theta1(tz, 1) / th.theta1(tz)
+        """Pointwise product relation with the holomorphic correction
+        alpha du (none at genus 0: dS alone)."""
+        alpha = 0.0
+        if self.curve.genus == 1:
+            # alpha in reduced chart values; its sign and normalization
+            # are pinned by the pole-matching limit and the numerics (the
+            # displayed -2 i pi alpha du absorbs into +alpha once du is
+            # reduced to 1 in the u-chart)
+            th = self.curve.ell.theta
+            v, tz = z1 - z2 + self.zeta_t, self.zeta_t
+            alpha = th.theta1(v, 1) / th.theta1(v) \
+                - th.theta1(tz, 1) / th.theta1(tz)
         lhs = self.psi(z1, z) * self.psi(z, z2)
         rhs = -self.psi(z1, z2) * (self.geo.third_kind(z1, z2, z)
                                    + alpha)
         return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
     def alpha_at_coincidence(self):
-        return 0.0 if self.curve.genus == 0 else \
-            abs(self.theta_ratio(0.0) - 1.0)
+        return abs(self.curve.theta_ratio(0.0, self.zeta_t) - 1.0)
 
     def b_loop_transport_residual(self, z1, z2, steps=48):
         """Move z1 around a B-homotopic loop with continuous tracking."""
@@ -176,10 +150,8 @@ class ClassicalSystem:
         tau = self.curve.tau
         base = self.psi(z1, z2)
         # accumulate d(ln psi) = chi(z) dz + dlog theta factors continuously
-        total = 0.0 + 0.0j
         th = self.curve.ell.theta
         prev = z1
-        val_prev = np.log(base)
         acc = 0.0
         for i in range(1, steps + 1):
             znext = z1 + tau * i / steps
@@ -215,7 +187,7 @@ class ClassicalSystem:
             e^{sign (C(z) - K)} e^{-sign W(xi)} G(xi) sqrt(dz/dxi),
 
         where C(z) = int_o^z chi, K the matching constant of the chi
-        primitive at the pole, and G the prime-form/theta factor.
+        primitive at the pole, and G the curve's Szego factor.
         """
         cv = self.curve
         order = order or max(2 * xp.order + 8, 12)
@@ -233,62 +205,51 @@ class ClassicalSystem:
 
         amp = np.exp(sign * (self._chi_from_base(z) - K))
         expo = _series_exp(W * (-sign))
-        # prime-form / theta factor G and the sqrt(dz/dxi) leg
-        if cv.genus == 0:
-            if xp.location == "inf":
-                wq = s_of_xi          # w-offset as a function of xi
-                den = wq * z - 1.0
-                G = wq * den.invert()
-                dleg = (wq.differentiate() * (wq * wq).invert()) * (-1.0)
-            else:
-                G = ((s_of_xi * (-1.0)) +
-                     (z - complex(xp.location))).invert()
-                dleg = s_of_xi.differentiate()
+        # the Szego factor G and the sqrt(dz/dxi) leg
+        if xp.location == "inf":
+            wq = s_of_xi          # w-offset as a function of xi
+            den = wq * z - 1.0
+            G = wq * den.invert()
+            dleg = (wq.differentiate() * (wq * wq).invert()) * (-1.0)
             if sign < 0:
                 G = G * (-1.0)
         else:
-            th = cv.ell
+            # chart difference: sign > 0: z - z2(xi) = (z - p) - s(xi);
+            # sign < 0: z1(xi) - z = (p - z) + s(xi)
             p = complex(xp.location)
-            tz = self.zeta_t
-            # u-difference: sign>0: u(z) - u2(xi) = (z - p) - s(xi)
-            # sign<0: u1(xi) - u(z) = (p - z) + s(xi)
-            base_u = (z - p) if sign > 0 else (p - z)
-            inner = s_of_xi * (-1.0 if sign > 0 else 1.0)
-            depth = min(len(inner.coeffs), 40)
-            num = _theta1_series_at(th, base_u + tz, depth).compose(inner)
-            den = _theta1_series_at(th, base_u, depth).compose(inner)
-            G = num * den.invert() \
-                * (th.theta.theta1(0.0, 1) / th.theta.theta1(tz))
+            G = cv.szego_series(sign * (z - p), s_of_xi * (-sign),
+                                self.zeta_t)
             dleg = s_of_xi.differentiate()
         leg = dleg.sqrt()
         return (G * expo * leg) * amp
 
+    def _ba_vector(self, z, sign, order=None):
+        """Baker-Akhiezer rows at z over (pole, derivative) pairs: j! times
+        the xi^j coefficient of each pole's series.  Dual rows (sign -1)
+        expand in the reflected local parameter, which pins the
+        antidiagonal of the pairing matrix to (-1)^{k'} (k'-1)! (k-1)!."""
+        out = []
+        for xp in self.curve.x_poles:
+            ser = self._ba_series(xp, z, sign, order)
+            for j in range(xp.order):
+                val = ser.coeff(j) * factorial(j)
+                out.append(val if sign > 0 else val * (-1.0) ** (j + 1))
+        return np.array(out)
+
     def ba_matrices(self, x, order=None):
         """(Psi(x), Phi(x)) with rows over (pole, derivative) pairs and
         columns over sheets, x-chart normalized."""
-        cv = self.curve
         sh, roots = self.sheet_data(x)
-        rows = []
-        for xp in cv.x_poles:
-            for j in range(xp.order):
-                rows.append((xp, j))
         d = len(sh.preimages)
-        if len(rows) != d:
+        n_rows = sum(xp.order for xp in self.curve.x_poles)
+        if n_rows != d:
             raise SingularSheetMatrix(
-                f"pole multiplicities {len(rows)} != degree {d}")
-        from math import factorial
+                f"pole multiplicities {n_rows} != degree {d}")
         Psi = np.zeros((d, d), dtype=complex)
         Phi = np.zeros((d, d), dtype=complex)
         for kcol, (zk, rk) in enumerate(zip(sh.preimages, roots)):
-            for irow, (xp, j) in enumerate(rows):
-                sp = self._ba_series(xp, zk, +1, order)
-                sm = self._ba_series(xp, zk, -1, order)
-                Psi[irow, kcol] = sp.coeff(j) * factorial(j) / rk
-                # dual rows expand in the reflected local parameter,
-                # which pins the antidiagonal of the pairing matrix to
-                # (-1)^{k'} (k'-1)! (k-1)!
-                Phi[irow, kcol] = sm.coeff(j) * factorial(j) / rk \
-                    * (-1.0) ** (j + 1)
+            Psi[:, kcol] = self._ba_vector(zk, +1, order) / rk
+            Phi[:, kcol] = self._ba_vector(zk, -1, order) / rk
         return Psi, Phi
 
     def cd_matrix(self, x, order=None):
@@ -303,16 +264,8 @@ class ClassicalSystem:
         cv = self.curve
         A_inv = self.cd_matrix(_generic_x(cv), order)
         A = np.linalg.inv(A_inv)
-        from math import factorial
-        rows = []
-        for xp in cv.x_poles:
-            for j in range(xp.order):
-                rows.append((xp, j))
-        vec1 = np.array([self._ba_series(xp, z1, +1, order).coeff(j)
-                         * factorial(j) for xp, j in rows])
-        vec2 = np.array([self._ba_series(xp, z2, -1, order).coeff(j)
-                         * factorial(j) * (-1.0) ** (j + 1)
-                         for xp, j in rows])
+        vec1 = self._ba_vector(z1, +1, order)
+        vec2 = self._ba_vector(z2, -1, order)
         x1, x2 = cv.x_value(z1), cv.x_value(z2)
         recon = vec1 @ A @ vec2 / (x1 - x2)
         target = self.psi(z1, z2)
@@ -345,9 +298,13 @@ def _generic_x(curve):
         curve.x_value(0.29 + 0.33j * curve.tau.imag)
 
 
-def _theta1_series_at(ell, u0, order):
-    """TruncSeries of theta1(u0 + s)."""
-    return TruncSeries(ell.theta.theta1_taylor(u0, order), 0)
+def _a_normalized(curve, form, eps):
+    """(chi, zeta): chi = form - 2 i pi eps du has vanishing A-period and
+    zeta is its B-period over 2 i pi; (form, 0) at genus 0."""
+    if curve.genus == 0:
+        return form, 0.0
+    chi = SumForm([(1.0, form), (-2j * np.pi * eps[0], DuForm(curve))])
+    return chi, canonical_period(curve, chi, "b") / (2j * np.pi)
 
 
 # -- classical tau and Sato ------------------------------------------------------------
@@ -360,19 +317,9 @@ class ClassicalTau:
         self.form = form
         self.prep = prepotential(curve, form, basepoint)
         self.f0_tilde = shifted_prepotential_value(self.prep)
-        if curve.genus == 1:
-            _, eps = self.prep.records, self.prep.eps
-            chi = SumForm([(1.0, form),
-                           (-2j * np.pi, DuForm(curve, self.prep.eps[0]))])
-            self.zeta_t = canonical_period(curve, chi, "b") / (2j * np.pi)
-            self.theta_factor = curve.ell.theta.theta1(self.zeta_t)
-        else:
-            self.zeta_t = 0.0
-            self.theta_factor = 1.0
-
-    def log_value(self):
-        return self.f0_tilde + (np.log(self.theta_factor)
-                                if self.curve.genus == 1 else 0.0)
+        _, self.zeta_t = _a_normalized(curve, form, self.prep.eps)
+        self.theta_factor = 1.0 if curve.genus == 0 else \
+            curve.ell.theta.theta1(self.zeta_t)
 
 
 def sato_residual(curve, form, z1, z2, basepoint=None):
@@ -394,8 +341,7 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
     t0 = ClassicalTau(curve, form, basepoint)
     t1 = ClassicalTau(curve, shifted, basepoint)
     lhs = np.exp(t1.f0_tilde - t0.f0_tilde)
-    if curve.genus == 1:
-        lhs *= t1.theta_factor / t0.theta_factor
+    lhs *= t1.theta_factor / t0.theta_factor
     lhs *= np.sqrt(curve.dx_value(z1)) * np.sqrt(curve.dx_value(z2))
     sysm = ClassicalSystem(curve, form, basepoint)
     rhs = sysm.psi(z1, z2)

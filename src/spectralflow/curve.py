@@ -21,6 +21,7 @@ from .errors import (
     NotRepresentable,
     RootFindingFailed,
     SingularCurve,
+    ThetaZeroDivision,
 )
 from .series import DEFAULT_TRUNC, TruncSeries, _monomial, _series_exp
 
@@ -103,9 +104,6 @@ class RationalFunction:
     def degree_as_map(self) -> int:
         return max(len(self.num), len(self.den)) - 1
 
-    def is_zero(self) -> bool:
-        return not np.any(self.num)
-
     # small arithmetic closure, enough for curve deformations
     def add(self, other):
         pol = np.polynomial.polynomial
@@ -115,19 +113,6 @@ class RationalFunction:
 
     def scale(self, c):
         return RationalFunction(self.num * c, self.den)
-
-    def compose_affine(self, a, b=0.0):
-        """self(a*z + b) as a rational function."""
-        pol = np.polynomial.polynomial
-        lin = np.array([b, a], dtype=complex)
-
-        def comp(c):
-            out = np.array([0.0], dtype=complex)
-            for ck in c[::-1]:
-                out = pol.polyadd(pol.polymul(out, lin), [ck])
-            return out
-
-        return RationalFunction(comp(self.num), comp(self.den))
 
 
 def _cluster(roots, tol=1e-7):
@@ -153,22 +138,16 @@ class RamificationPoint:
     involution is s(-zeta).
     """
 
-    def __init__(self, location, branch_value, s_of_zeta, zeta_of_s,
-                 y_series, index):
+    def __init__(self, location, branch_value, s_of_zeta, y_series, index):
         self.location = complex(location)
         self.branch_value = complex(branch_value)
         self.s_of_zeta = s_of_zeta
-        self.zeta_of_s = zeta_of_s
         self.y_series = y_series          # Y(z(zeta)) as series in zeta
         self.index = index
 
     @property
     def involution(self) -> TruncSeries:
         return flip_parity(self.s_of_zeta)
-
-    @property
-    def y_bar_series(self) -> TruncSeries:
-        return flip_parity(self.y_series)
 
 
 def flip_parity(f: TruncSeries) -> TruncSeries:
@@ -202,9 +181,6 @@ class SheetStructure:
         self.preimages = list(preimages)
         self.near_branch = bool(near_branch)
 
-    def __len__(self):
-        return len(self.preimages)
-
 
 def _sort_points(pts):
     return sorted(pts, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -221,16 +197,21 @@ class SpectralCurve:
         self.ramification_points: list[RamificationPoint] = []
         self.x_poles: list[PoleFrame] = []
 
-    # subclasses provide: x_value, y_value, dx_value, dy_value,
+    # subclasses provide: x_value, y_value, dx_value,
     # x_series(center, order), y_series(center, order), sheets_above,
-    # deformed(...), d (degree of X as a map), and the reduced Bergman
+    # deformed(...), d (degree of X as a map), the reduced Bergman
     # kernel B(z1, z2) = F(z1 - z2) dz1 dz2 in the global chart:
     #   bergman(v)                    F(v)
     #   bergman_primitive(v)          P(v) with P' = -F
     #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
     #   bergman_primitive_series(c, order)   P(c + t)
     # where inner is a series vanishing at 0 (often t itself); the series
-    # carry the Laurent head when c sits on the pole of F
+    # carry the Laurent head when c sits on the pole of F; and the
+    # reduced Szego factor theta(v + zeta)/(theta(zeta) E(v)), with
+    # theta = 1 on the sphere and theta1 on the torus:
+    #   prime_form(v)                 E(v)
+    #   theta_ratio(v, zeta)          theta(v + zeta)/theta(zeta)
+    #   szego_series(c, inner, zeta)  theta_ratio/prime_form at c + inner
 
     def branch_values(self):
         return [r.branch_value for r in self.ramification_points]
@@ -276,15 +257,24 @@ class SpectralCurve:
 
         The recursion needs deeper windows than the validation series
         stored on the ramification points."""
-        a = ram.location
-        xs = self.x_series(a, order + 4) - ram.branch_value
+        return self._chart(ram.location, ram.branch_value, order,
+                           ram.s_of_zeta.var_tag)
+
+    def _chart(self, a, xa, order, tag):
+        """(s_of_zeta, zeta_of_s, y_in_zeta) at a simple zero a of dX
+        with X(a) = xa, in zeta = sqrt(X - xa) tagged ``tag``."""
+        xs = self.x_series(a, order + 4) - xa
         if self.genus == 1:
+            # wp(a + s) is even in s at a half period: odd slots are noise
             coeffs = xs.coeffs.copy()
             ks = np.arange(xs.k_min, xs.trunc_order + 1)
             coeffs[(ks % 2).astype(bool)] = 0.0
             xs = TruncSeries(coeffs, xs.k_min, xs.ram_index, xs.var_tag)
+        if abs(xs.coeff(1)) > 1e-9 * max(1.0, abs(xs.coeff(2))):
+            raise NonSimpleRamification(
+                f"inconsistent vanishing of dX at {a}")
         xs = _drop_low_noise(xs)
-        zeta_of_s = xs.sqrt().retag(ram.s_of_zeta.var_tag)
+        zeta_of_s = xs.sqrt().retag(tag)          # odd-start series in s
         s_of_zeta = zeta_of_s.functional_inverse()
         ys = self.y_series(a, order + 4).compose(s_of_zeta)
         return s_of_zeta, zeta_of_s, ys
@@ -296,7 +286,6 @@ class Genus0Curve(SpectralCurve):
         super().__init__(0, order)
         self.X, self.Y = X, Y
         self.dX = X.deriv()
-        self.dY = Y.deriv()
         self.d = X.degree_as_map()
         self._find_ramification()
         self._find_x_poles()
@@ -311,9 +300,6 @@ class Genus0Curve(SpectralCurve):
 
     def dx_value(self, z):
         return self.dX(z)
-
-    def dy_value(self, z):
-        return self.dY(z)
 
     def x_series(self, center, order, tag=None):
         if center == "inf":
@@ -367,6 +353,17 @@ class Genus0Curve(SpectralCurve):
             out.append(acc.shift(q) * (-(q + 1.0)))
         return out
 
+    # Szego factor: E(v) = v and theta = 1
+    def prime_form(self, v):
+        return v
+
+    def theta_ratio(self, v, zeta):
+        return 1.0
+
+    def szego_series(self, c, inner, zeta):
+        """1/(c + inner)."""
+        return (inner + c).invert()
+
     def _find_ramification(self):
         pol = np.polynomial.polynomial
         num = pol.polysub(pol.polymul(pol.polyder(self.X.num), self.X.den),
@@ -384,17 +381,9 @@ class Genus0Curve(SpectralCurve):
                 raise NonSimpleRamification(
                     f"dX has a zero of order {mult} at {a}")
             xa = self.X(a)
-            xs = self.X.series(a, self.order + 4) - xa
-            if abs(xs.coeff(1)) > 1e-9 * max(1.0, abs(xs.coeff(2))):
-                raise NonSimpleRamification(
-                    f"inconsistent vanishing of dX at {a}")
-            xs = _drop_low_noise(xs)
-            tag = f"zeta@{idx}"
-            zeta_of_s = xs.sqrt().retag(tag)       # odd-start series in s
-            s_of_zeta = zeta_of_s.functional_inverse()
-            ys = self.Y.series(a, self.order + 4).compose(s_of_zeta)
+            s_of_zeta, _, ys = self._chart(a, xa, self.order, f"zeta@{idx}")
             self.ramification_points.append(RamificationPoint(
-                a, xa, s_of_zeta, zeta_of_s, ys, idx))
+                a, xa, s_of_zeta, ys, idx))
             idx += 1
         self.ramification_points.sort(
             key=lambda r: (round(r.location.real, 9),
@@ -511,15 +500,6 @@ class Genus1Curve(SpectralCurve):
     def dx_value(self, u):
         return self.x_scale * self.ell.wp_prime(u)
 
-    def dy_value(self, u):
-        w = self.ell.wp(u)
-        wp = self.ell.wp_prime(u)
-        wpp = 6.0 * w * w - 0.5 * self.ell.invariants_g2_g3()[0]
-        dR1 = self.R1.deriv()
-        dR2 = self.R2.deriv()
-        return dR1(w) * wp + dR2(w) * wp * self.ell.wp_prime(u) \
-            + self.R2(w) * wpp
-
     def x_series(self, center, order, tag=None):
         return self.ell.wp_series(center, order).retag(
             tag or f"s@{center:.6g}") * self.x_scale
@@ -581,23 +561,34 @@ class Genus1Curve(SpectralCurve):
         n = round(complex(c).imag / self.tau.imag)
         return reg + _monomial(-1, 1.0, reg) - 2j * np.pi * n
 
+    # Szego factor: E(v) = theta1(v)/theta1'(0) and theta = theta1
+    def prime_form(self, v):
+        th = self.ell.theta
+        return th.theta1(v) / th.theta1(0.0, 1)
+
+    def theta_ratio(self, v, zeta):
+        th = self.ell.theta
+        den = th.theta1(zeta)
+        if abs(den) < 1e-12:
+            raise ThetaZeroDivision("theta(zeta) on the divisor")
+        return th.theta1(v + zeta) / den
+
+    def szego_series(self, c, inner, zeta):
+        """theta1(c + zeta + inner) theta1'(0) / (theta1(c + inner)
+        theta1(zeta)), from Taylor series of theta1 cut at 40 terms."""
+        th = self.ell.theta
+        depth = min(len(inner.coeffs), 40)
+        num = TruncSeries(th.theta1_taylor(c + zeta, depth), 0).compose(inner)
+        den = TruncSeries(th.theta1_taylor(c, depth), 0).compose(inner)
+        return num * den.invert() * (th.theta1(0.0, 1) / th.theta1(zeta))
+
     def _find_ramification(self):
         halves = [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
         for idx, a in enumerate(halves):
             xa = self.x_value(a)
-            xs = self.x_series(a, self.order + 4) - xa
-            # wp(a + s) is even in s at a half period: odd slots are noise
-            coeffs = xs.coeffs.copy()
-            ks = np.arange(xs.k_min, xs.trunc_order + 1)
-            coeffs[(ks % 2).astype(bool)] = 0.0
-            xs = _drop_low_noise(TruncSeries(coeffs, xs.k_min,
-                                             xs.ram_index, xs.var_tag))
-            tag = f"zeta@{idx}"
-            zeta_of_s = xs.sqrt().retag(tag)
-            s_of_zeta = zeta_of_s.functional_inverse()
-            ys = self.y_series(a, self.order + 4).compose(s_of_zeta)
+            s_of_zeta, _, ys = self._chart(a, xa, self.order, f"zeta@{idx}")
             self.ramification_points.append(RamificationPoint(
-                a, xa, s_of_zeta, zeta_of_s, ys, idx))
+                a, xa, s_of_zeta, ys, idx))
 
     def _find_x_poles(self):
         xs = self.x_series(0.0, self.order + 6)

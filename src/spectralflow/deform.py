@@ -107,8 +107,8 @@ def _genus1_add_over_dx(curve, A, B, lam):
     g2, g3 = ell.invariants_g2_g3()
     sext = np.array([-g3, -g2, 0.0, 4.0], dtype=complex)
     alpha = curve.x_scale
-    # the R's take wp as their argument through X = x_scale * wp: the
-    # curve evaluates R(X/x_scale)? No: R1, R2 are functions of wp itself
+    # R1 and R2 are functions of wp itself, not of X = x_scale * wp, so
+    # only the 1/dX = 1/(x_scale wp' du) weight carries x_scale
     dR1 = RationalFunction(np.atleast_1d(B) * (lam / alpha))
     dR2 = RationalFunction(np.atleast_1d(A) * (lam / alpha), sext)
     return curve.deformed(dR1, dR2)

@@ -54,9 +54,6 @@ class EllipticTools:
         ls = self.log_theta1_series(u0, order + 2)
         return -ls.differentiate().differentiate() + self.c0
 
-    def wp_prime_series(self, u0: complex, order=None) -> TruncSeries:
-        return self.wp_series(u0, order).differentiate()
-
     def wp_laurent_at_zero(self, order=None) -> TruncSeries:
         order = order or self.order
         if self._laurent0 is not None and \

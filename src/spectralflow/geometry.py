@@ -131,16 +131,12 @@ class Geometry:
 
     def __init__(self, curve):
         self.curve = curve
-        self.ell = getattr(curve, "ell", None)
 
     # prime form, reduced by sqrt(chart legs)
     def prime_form(self, z1, z2):
         if abs(z1 - z2) < 1e-14:
             raise CoincidentPoints("prime form vanishes on the diagonal")
-        if self.curve.genus == 0:
-            return z1 - z2
-        th = self.ell.theta
-        return th.theta1(z1 - z2) / th.theta1(0.0, 1)
+        return self.curve.prime_form(z1 - z2)
 
     def bergman(self, z1, z2):
         """B(z1, z2)/(dchart dchart)."""
@@ -155,13 +151,6 @@ class Geometry:
     def bergman_primitive(self, zp, z):
         """G(zp, z) with d_z G = B(zp, z): the dS building block."""
         return self.curve.bergman_primitive(zp - z)
-
-    def abel(self, z):
-        """Abel map: trivial at genus 0, the torus coordinate itself at 1."""
-        return z if self.curve.genus == 1 else 0.0
-
-    def du_value(self, z):
-        return 1.0 if self.curve.genus == 1 else 0.0
 
 
 # -- prepotential ------------------------------------------------------------------
@@ -220,9 +209,6 @@ class Prepotential:
         h = self.form.local_series(rec.center, self.curve.order + 6)
         xi = pole_frame(self.curve, rec.center).xi_of_s.retag(h.var_tag)
         return (h * xi.invert() ** j).residue() / j
-
-    def dF_dt0_difference(self, center_a, center_b):
-        return self.mu[_key(center_a)] - self.mu[_key(center_b)]
 
     def dF_deps(self, i=0):
         return self.b_periods_omega[i]

@@ -48,9 +48,6 @@ class CorrForm:
         self.basis = basis          # list of (ram_index, k), k odd
         self.tensor = tensor        # ndarray, shape (len(basis),) * n
 
-    def pole_bound(self):
-        return 6 * self.g + 2 * self.n - 4
-
 
 def k_slots(g, n):
     """Odd orders tracked for (g, n): two slots beyond the sharp bound,
@@ -74,7 +71,7 @@ class RecursionEngine:
 
     def _prepare_local_data(self):
         cv = self.curve
-        mmax = self.max_tracked_k() + 2
+        mmax, _ = self._row_shape()
         # the residue windows and the pole-chart series read far into
         # the local charts, so they are rebuilt much deeper than the
         # curve's validation series
@@ -114,6 +111,11 @@ class RecursionEngine:
     def max_tracked_k(self):
         return max(k_slots(3, 1))
 
+    def _row_shape(self):
+        """(largest m, width in t) of the row tables of ``_rows``."""
+        mmax = self.max_tracked_k() + 2
+        return mmax, mmax + 6
+
     def _rows(self, b, a):
         """rows[m-1][t]: coefficient of zeta^t, t >= 0, of
         B_{b,m}(z_a(zeta))/dzeta (the polar part at b == a is exact and
@@ -124,8 +126,7 @@ class RecursionEngine:
         key = ("rows", b, a)
         if key in self._plg:
             return self._plg[key]
-        mmax = self.max_tracked_k() + 2
-        width = mmax + 6
+        mmax, width = self._row_shape()
         # T[q] loses one slot per power of 1/s: keep width + mmax + 4
         s = truncate(self.s_of[a], width + mmax + 4)
         c = self.rams[b].location - self.rams[a].location
@@ -182,11 +183,8 @@ class RecursionEngine:
         key = (g, n)
         if key in self._memo:
             return self._memo[key]
+        self._check_reach(g, n)
         ks = k_slots(g, n)
-        if max(ks) + 4 > self.curve.order:
-            raise TruncationTooShort(
-                f"curve order {self.curve.order} too small for (g, n) = "
-                f"({g}, {n}); rebuild with order >= {max(ks) + 4}")
         basis = [(a, k) for a in range(self.A) for k in ks]
         where = {el: i for i, el in enumerate(basis)}
         tensor = np.zeros((len(basis),) * n, dtype=complex)
@@ -195,6 +193,28 @@ class RecursionEngine:
         form = CorrForm(g, n, basis, tensor)
         self._memo[key] = form
         return form
+
+    def _check_reach(self, g, n):
+        """Refuse (g, n) before any work when the curve order or the row
+        tables are too short for it.  The requirements shrink with
+        6g + 2n down the recursion, so the windows of (g, n) itself bound
+        every level below it."""
+        top = max(k_slots(g, n))
+        _, hi = _window_bounds(g, n)
+        # the stable forms whose basis windows (g, n) reads; an
+        # omega(0, 2) factor is the Bergman kernel, read without the tables
+        forms = [f for _, f1, f2 in _products(g, n - 1) for f in (f1, f2)]
+        if g >= 1:
+            forms.append((g - 1, n + 1))
+        m = max((max(k_slots(h, j)) for h, j in forms if 2 * h + j > 2),
+                default=0)
+        m_rows, width = self._row_shape()
+        if top + 4 > self.curve.order or m > m_rows or hi >= width:
+            raise TruncationTooShort(
+                f"(g, n) = ({g}, {n}) needs curve order >= {top + 4} and "
+                f"B_(b,m) for m <= {m} on zeta^t for t <= {hi}; this engine "
+                f"has curve order {self.curve.order} and row tables "
+                f"m <= {m_rows}, t < {width}")
 
     def _sub_series(self, form: CorrForm, a, sign, lo, hi):
         """Contract slot 0 of ``form`` with the zeta_a chart: returns an
@@ -210,8 +230,7 @@ class RecursionEngine:
         a window over [lo, hi] read through the slices R and R2."""
         J = n - 1
         ks = k_slots(g, n)
-        lo = -(2 * (6 * g + 2 * n - 4) + 10)
-        hi = max(ks) + 1
+        lo, hi = _window_bounds(g, n)
         R = _residue_slice(self.ydiff_inv[a], ks, lo, hi)
         R2 = _pair_slice(R, lo)
         heads = np.array([where[(a, k)] for k in ks])
@@ -235,22 +254,13 @@ class RecursionEngine:
                 terms.append((R @ self._bergman_diagonal(a, lo, hi), [], []))
 
         # stable products
-        j_ids = list(range(J))
-        for h in range(0, g + 1):
-            for r in range(0, J + 1):
-                for I in itertools.combinations(j_ids, r):
-                    g1, n1 = h, 1 + len(I)
-                    g2, n2 = g - h, 1 + J - len(I)
-                    if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-                        continue
-                    s1, bas1 = self._factor(g1, n1, a, +1, lo, hi, bergman,
-                                            basis)
-                    s2, bas2 = self._factor(g2, n2, a, -1, lo, hi, bergman,
-                                            basis)
-                    res = np.tensordot(np.tensordot(R2, s1, axes=([1], [0])),
-                                       s2, axes=([1], [0]))
-                    axes = list(I) + [j for j in j_ids if j not in I]
-                    terms.append((res, bas1 + bas2, axes))
+        for I, (g1, n1), (g2, n2) in _products(g, J):
+            s1, bas1 = self._factor(g1, n1, a, +1, lo, hi, bergman, basis)
+            s2, bas2 = self._factor(g2, n2, a, -1, lo, hi, bergman, basis)
+            res = np.tensordot(np.tensordot(R2, s1, axes=([1], [0])),
+                               s2, axes=([1], [0]))
+            axes = list(I) + [j for j in range(J) if j not in I]
+            terms.append((res, bas1 + bas2, axes))
 
         scale = (-0.5 / np.array(ks)).reshape((-1,) + (1,) * J)
         for res, slot_bases, axes in terms:
@@ -404,6 +414,25 @@ class RecursionEngine:
         ser = _combine(self.gamma[a][k - 1, :k], F)
         self._plg[key] = ser
         return ser
+
+
+# -- the recursion's terms -------------------------------------------------------------
+
+def _window_bounds(g, n):
+    """[lo, hi]: the zeta exponents of the windows read at (g, n)."""
+    return -(2 * (6 * g + 2 * n - 4) + 10), max(k_slots(g, n)) + 1
+
+
+def _products(g, J):
+    """(I, (g1, n1), (g2, n2)) for each product term of the recursion at
+    (g, J + 1): the first factor takes the slots I of the J spectators;
+    splits with an omega(0, 1) factor carry no term."""
+    for h in range(g + 1):
+        for r in range(J + 1):
+            for I in itertools.combinations(range(J), r):
+                f1, f2 = (h, 1 + r), (g - h, 1 + J - r)
+                if (0, 1) not in (f1, f2):
+                    yield I, f1, f2
 
 
 # -- residue slices --------------------------------------------------------------------

@@ -12,6 +12,7 @@ from spectralflow.classical import (
     time_shift_of_third_kind,
 )
 from spectralflow.curve import Genus0Curve, RationalFunction
+from spectralflow.errors import CoincidentPoints
 from spectralflow.forms import SumForm, ThirdKind, YdX
 
 
@@ -66,6 +67,12 @@ def test_normalization_limit(sys_airy, sys_torus, rng):
             vals.append(abs(E * sysm.psi(z2 + h, z2) - 1.0))
         assert vals[1] < 1e-8 + 10 * scale * 1e-6
         assert vals[1] < 0.05 * vals[0]
+
+
+def test_psi_on_diagonal_refused(sys_airy, sys_torus):
+    for sysm, z in ((sys_airy, 1.1 + 0.8j), (sys_torus, 0.31 + 0.27j)):
+        with pytest.raises(CoincidentPoints):
+            sysm.psi(z, z)
 
 
 def test_b_cycle_single_valuedness(sys_torus):
@@ -141,8 +148,8 @@ def test_refined_duality_pole_matching(sys_torus):
 
 # -- Baker-Akhiezer / Christoffel-Darboux --------------------------------------------
 
-def test_cd_x_independence(sys_airy, cubic_system, rng):
-    for sysm in (sys_airy, cubic_system):
+def test_cd_x_independence(sys_airy, cubic_system, sys_torus, rng):
+    for sysm in (sys_airy, cubic_system, sys_torus):
         xs = [random_x(sysm.curve, rng) for _ in range(5)]
         mats = [sysm.cd_matrix(x) for x in xs]
         scale = np.abs(mats[0]).max()
@@ -177,10 +184,17 @@ def test_cd_antidiagonal_values(sys_airy, cubic_system):
 
 
 def test_cd_reconstruction(sys_airy, cubic_system, sys_torus, rng):
-    for sysm in (sys_airy, cubic_system):
+    for sysm in (sys_airy, cubic_system, sys_torus):
         for _ in range(20):
-            z1 = rng.uniform(0.8, 2.2) + 1j * rng.uniform(0.4, 1.8)
-            z2 = -rng.uniform(0.8, 2.2) + 1j * rng.uniform(0.4, 1.8)
+            if sysm.curve.genus == 0:
+                z1 = rng.uniform(0.8, 2.2) + 1j * rng.uniform(0.4, 1.8)
+                z2 = -rng.uniform(0.8, 2.2) + 1j * rng.uniform(0.4, 1.8)
+            else:
+                # as in random_x, away from the pole of omega at u = 0,
+                # where psi's e^{int chi} leaves float range; Im u keeps
+                # z2 off -z1, the other sheet above X(z1)
+                z1 = rng.uniform(0.3, 0.47) + 1j * rng.uniform(0.3, 0.47)
+                z2 = rng.uniform(0.53, 0.7) + 1j * rng.uniform(0.3, 0.47)
             assert sysm.cd_reconstruction_residual(z1, z2) < 1e-8
 
 

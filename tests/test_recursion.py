@@ -235,6 +235,19 @@ def test_invariant_beyond_row_tables_refused(joukowski40):
         joukowski40.invariant(5)
 
 
+def test_unreachable_levels_refused_up_front():
+    # omega(4, 2) and F_5 read B_(a,m) past the row tables; the guard in
+    # omega() refuses them before any lower level is built
+    cv = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                     RationalFunction([0, 1]), order=40)
+    eng = RecursionEngine(cv)
+    with pytest.raises(TruncationTooShort, match="row tables"):
+        eng.omega(4, 2)
+    with pytest.raises(TruncationTooShort, match="row tables"):
+        eng.invariant(5)
+    assert eng._memo == {}
+
+
 def test_residue_slice_reads_products():
     rng = np.random.default_rng(20261018)
     lo, hi, ks = -12, 6, [1, 3, 5, 7]
