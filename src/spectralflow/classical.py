@@ -174,7 +174,7 @@ class ClassicalSystem:
         return PoleTimes(xp.location, xp.order, "x_pole",
                          np.zeros(1, dtype=complex))
 
-    def _ba_series(self, xp, z, sign, order=None):
+    def _ba_series(self, xp, z, sign):
         """Series in xi of the regularized kernel at a pole of X.
 
         sign +1: psi(z, z2 -> pole) e^{+V} xi^{+t0} / sqrt(d xi);
@@ -190,7 +190,6 @@ class ClassicalSystem:
         primitive at the pole, and G the curve's Szego factor.
         """
         cv = self.curve
-        order = order or max(2 * xp.order + 8, 12)
         rec = self._pole_record(xp)
         times = rec.times
         key = ("W", str(xp.location))
@@ -223,20 +222,20 @@ class ClassicalSystem:
         leg = dleg.sqrt()
         return (G * expo * leg) * amp
 
-    def _ba_vector(self, z, sign, order=None):
+    def _ba_vector(self, z, sign):
         """Baker-Akhiezer rows at z over (pole, derivative) pairs: j! times
         the xi^j coefficient of each pole's series.  Dual rows (sign -1)
         expand in the reflected local parameter, which pins the
         antidiagonal of the pairing matrix to (-1)^{k'} (k'-1)! (k-1)!."""
         out = []
         for xp in self.curve.x_poles:
-            ser = self._ba_series(xp, z, sign, order)
+            ser = self._ba_series(xp, z, sign)
             for j in range(xp.order):
                 val = ser.coeff(j) * factorial(j)
                 out.append(val if sign > 0 else val * (-1.0) ** (j + 1))
         return np.array(out)
 
-    def ba_matrices(self, x, order=None):
+    def ba_matrices(self, x):
         """(Psi(x), Phi(x)) with rows over (pole, derivative) pairs and
         columns over sheets, x-chart normalized."""
         sh, roots = self.sheet_data(x)
@@ -248,24 +247,24 @@ class ClassicalSystem:
         Psi = np.zeros((d, d), dtype=complex)
         Phi = np.zeros((d, d), dtype=complex)
         for kcol, (zk, rk) in enumerate(zip(sh.preimages, roots)):
-            Psi[:, kcol] = self._ba_vector(zk, +1, order) / rk
-            Phi[:, kcol] = self._ba_vector(zk, -1, order) / rk
+            Psi[:, kcol] = self._ba_vector(zk, +1) / rk
+            Phi[:, kcol] = self._ba_vector(zk, -1) / rk
         return Psi, Phi
 
-    def cd_matrix(self, x, order=None):
-        Psi, Phi = self.ba_matrices(x, order)
+    def cd_matrix(self, x):
+        Psi, Phi = self.ba_matrices(x)
         A_inv = Phi @ Psi.T
         if np.linalg.cond(A_inv) > _COND_LIMIT:
             raise SingularCDMatrix("CD matrix numerically singular")
         return A_inv
 
-    def cd_reconstruction_residual(self, z1, z2, order=None):
+    def cd_reconstruction_residual(self, z1, z2):
         """|psi(z1,z2) - sum psi_I A_IJ phi_J / (X1 - X2)| / |psi|."""
         cv = self.curve
-        A_inv = self.cd_matrix(_generic_x(cv), order)
+        A_inv = self.cd_matrix(_generic_x(cv))
         A = np.linalg.inv(A_inv)
-        vec1 = self._ba_vector(z1, +1, order)
-        vec2 = self._ba_vector(z2, -1, order)
+        vec1 = self._ba_vector(z1, +1)
+        vec2 = self._ba_vector(z2, -1)
         x1, x2 = cv.x_value(z1), cv.x_value(z2)
         recon = vec1 @ A @ vec2 / (x1 - x2)
         target = self.psi(z1, z2)

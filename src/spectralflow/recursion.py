@@ -71,7 +71,7 @@ class RecursionEngine:
 
     def _prepare_local_data(self):
         cv = self.curve
-        mmax, _ = self._row_shape()
+        mmax = self._row_count()
         # the residue windows and the pole-chart series read far into
         # the local charts, so they are rebuilt much deeper than the
         # curve's validation series
@@ -111,10 +111,9 @@ class RecursionEngine:
     def max_tracked_k(self):
         return max(k_slots(3, 1))
 
-    def _row_shape(self):
-        """(largest m, width in t) of the row tables of ``_rows``."""
-        mmax = self.max_tracked_k() + 2
-        return mmax, mmax + 6
+    def _row_count(self):
+        """Largest m of the row tables of ``_rows``."""
+        return self.max_tracked_k() + 2
 
     def _rows(self, b, a):
         """rows[m-1][t]: coefficient of zeta^t, t >= 0, of
@@ -126,7 +125,8 @@ class RecursionEngine:
         key = ("rows", b, a)
         if key in self._plg:
             return self._plg[key]
-        mmax, width = self._row_shape()
+        mmax = self._row_count()
+        width = mmax + 6
         # T[q] loses one slot per power of 1/s: keep width + mmax + 4
         s = truncate(self.s_of[a], width + mmax + 4)
         c = self.rams[b].location - self.rams[a].location
@@ -200,7 +200,6 @@ class RecursionEngine:
         6g + 2n down the recursion, so the windows of (g, n) itself bound
         every level below it."""
         top = max(k_slots(g, n))
-        _, hi = _window_bounds(g, n)
         # the stable forms whose basis windows (g, n) reads; an
         # omega(0, 2) factor is the Bergman kernel, read without the tables
         forms = [f for _, f1, f2 in _products(g, n - 1) for f in (f1, f2)]
@@ -208,13 +207,12 @@ class RecursionEngine:
             forms.append((g - 1, n + 1))
         m = max((max(k_slots(h, j)) for h, j in forms if 2 * h + j > 2),
                 default=0)
-        m_rows, width = self._row_shape()
-        if top + 4 > self.curve.order or m > m_rows or hi >= width:
+        m_rows = self._row_count()
+        if top + 4 > self.curve.order or m > m_rows:
             raise TruncationTooShort(
                 f"(g, n) = ({g}, {n}) needs curve order >= {top + 4} and "
-                f"B_(b,m) for m <= {m} on zeta^t for t <= {hi}; this engine "
-                f"has curve order {self.curve.order} and row tables "
-                f"m <= {m_rows}, t < {width}")
+                f"B_(b,m) for m <= {m}; this engine has curve order "
+                f"{self.curve.order} and row tables m <= {m_rows}")
 
     def _sub_series(self, form: CorrForm, a, sign, lo, hi):
         """Contract slot 0 of ``form`` with the zeta_a chart: returns an
@@ -230,7 +228,8 @@ class RecursionEngine:
         a window over [lo, hi] read through the slices R and R2."""
         J = n - 1
         ks = k_slots(g, n)
-        lo, hi = _window_bounds(g, n)
+        lo = -(2 * (6 * g + 2 * n - 4) + 10)
+        hi = max(ks) + 1
         R = _residue_slice(self.ydiff_inv[a], ks, lo, hi)
         R2 = _pair_slice(R, lo)
         heads = np.array([where[(a, k)] for k in ks])
@@ -417,11 +416,6 @@ class RecursionEngine:
 
 
 # -- the recursion's terms -------------------------------------------------------------
-
-def _window_bounds(g, n):
-    """[lo, hi]: the zeta exponents of the windows read at (g, n)."""
-    return -(2 * (6 * g + 2 * n - 4) + 10), max(k_slots(g, n)) + 1
-
 
 def _products(g, J):
     """(I, (g1, n1), (g2, n2)) for each product term of the recursion at
