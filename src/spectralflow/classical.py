@@ -21,7 +21,13 @@ from math import factorial
 
 import numpy as np
 
-from .errors import SingularCDMatrix, SingularSheetMatrix, StepTooLarge
+from .cache import BoundedCache
+from .errors import (
+    PsiOutOfRange,
+    SingularCDMatrix,
+    SingularSheetMatrix,
+    StepTooLarge,
+)
 from .forms import BergmanLeg, DuForm, SumForm, ThirdKind, times_and_fillings
 from .geometry import (
     Geometry,
@@ -36,6 +42,8 @@ from .geometry import (
 from .series import _series_exp
 
 _COND_LIMIT = 1e10
+# |Re| of an exponent past which e^{.} leaves the normal double range
+_EXP_LIMIT = 708.0
 
 
 class ClassicalSystem:
@@ -49,7 +57,7 @@ class ClassicalSystem:
             else clear_basepoint(curve, form)
         self.records, self.eps = times_and_fillings(curve, form)
         self.chi, self.zeta_t = _a_normalized(curve, form, self.eps)
-        self._chi_primitive_cache = {}
+        self._chi_primitive_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
 
@@ -62,8 +70,12 @@ class ClassicalSystem:
         return val
 
     def psi(self, z1, z2):
-        """psi_cl reduced by the global chart legs."""
-        expo = np.exp(self._chi_from_base(z1) - self._chi_from_base(z2))
+        """psi_cl reduced by the global chart legs.
+
+        Raises PsiOutOfRange where e^{int chi} leaves the double range,
+        as do the Baker-Akhiezer rows; psi_matrix_factored probes there."""
+        expo = _kernel_exp(self._chi_from_base(z1) - self._chi_from_base(z2),
+                           f"psi({z1}, {z2})")
         return expo * self.curve.theta_ratio(z1 - z2, self.zeta_t) \
             / self.geo.prime_form(z1, z2)
 
@@ -202,7 +214,8 @@ class ClassicalSystem:
             self._chi_primitive_cache[key] = cached
         W, s_of_xi, K = cached
 
-        amp = np.exp(sign * (self._chi_from_base(z) - K))
+        amp = _kernel_exp(sign * (self._chi_from_base(z) - K),
+                          f"the Baker-Akhiezer series at {z}")
         expo = _series_exp(W * (-sign))
         # the Szego factor G and the sqrt(dz/dxi) leg
         if xp.location == "inf":
@@ -290,6 +303,15 @@ class ClassicalSystem:
                            for z in sh.preimages])
             out = max(out, abs(lhs - rhs) / max(1.0, abs(rhs)))
         return out
+
+
+def _kernel_exp(expo, where):
+    """e^expo for the kernel's essential factor, refused where it leaves
+    the normal double range."""
+    if abs(expo.real) > _EXP_LIMIT:
+        raise PsiOutOfRange(
+            f"{where} needs e^({expo.real:.1f}), outside the double range")
+    return np.exp(expo)
 
 
 def _generic_x(curve):

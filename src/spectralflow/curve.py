@@ -204,9 +204,12 @@ class SpectralCurve:
     #   bergman(v)                    F(v)
     #   bergman_primitive(v)          P(v) with P' = -F
     #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
+    #   bergman_derivs(v, n)          [F^(q)(v)/q! for q < n]
     #   bergman_primitive_series(c, order)   P(c + t)
     # where inner is a series vanishing at 0 (often t itself); the series
-    # carry the Laurent head when c sits on the pole of F; and the
+    # carry the Laurent head when c sits on the pole of F; point values
+    # (bergman, bergman_primitive, bergman_derivs with q on a new first
+    # axis, x/y/dx_value) broadcast over an ndarray of points; and the
     # reduced Szego factor theta(v + zeta)/(theta(zeta) E(v)), with
     # theta = 1 on the sphere and theta1 on the torus:
     #   prime_form(v)                 E(v)
@@ -331,6 +334,11 @@ class Genus0Curve(SpectralCurve):
             acc = acc * binv
             out.append(acc * ((-1.0) ** q * (q + 1)))
         return out
+
+    def bergman_derivs(self, v, count):
+        """[F^(q)(v)/q! = (-1)^q (q+1) v^-(q+2) for q < count]."""
+        q = np.arange(count).reshape((-1,) + (1,) * np.ndim(v))
+        return (-1.0) ** q * (q + 1) / np.asarray(v) ** (q + 2)
 
     def bergman_primitive_series(self, c, order):
         """1/(c + t), known through t^order."""
@@ -548,6 +556,21 @@ class Genus1Curve(SpectralCurve):
         T = D[:, used] @ _power_table(inner, e[used], k0, top)
         return [TruncSeries(row, k0, inner.ram_index, inner.var_tag)
                 for row in T]
+
+    def bergman_derivs(self, v, count):
+        """[F^(q)(v)/q! for q < count]: -(q+2)(q+1) b_(q+2), where
+        ln theta1(v + t) = sum_k b_k t^k comes from one theta1 jet by the
+        log-series recurrence k b_k = k r_k - sum_(0<i<k) i b_i r_(k-i),
+        r_k = theta1^(k)(v)/(k! theta1(v))."""
+        n = count + 1
+        q = np.arange(n + 1.0).reshape((-1,) + (1,) * np.ndim(v))
+        jet = self.ell.theta.theta1_jet(v, n)
+        r = (jet / np.cumprod(np.maximum(q, 1.0), axis=0))[1:] / jet[0]
+        b = np.zeros_like(r)                # b[k - 1] = b_k
+        for k in range(1, n + 1):
+            b[k - 1] = r[k - 1] - sum(i * b[i - 1] * r[k - i - 1]
+                                      for i in range(1, k)) / k
+        return -(q[:count] + 2) * (q[:count] + 1) * b[1:]
 
     def bergman_primitive_series(self, c, order):
         """(ln theta1)'(c + t), known through t^order."""

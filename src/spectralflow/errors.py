@@ -85,6 +85,10 @@ class ThetaZeroDivision(SpectralFlowError):
     """Theta factor in a denominator is numerically on the theta divisor."""
 
 
+class ThetaNotConverged(SpectralFlowError):
+    """A theta lattice sum reached its window cap before its tail test."""
+
+
 class ResidueFreePreconditionViolated(SpectralFlowError):
     """Bilinear-identity input form carries a nonzero residue."""
 
@@ -105,3 +109,8 @@ class SingularCDMatrix(SpectralFlowError):
 
 class SingularSheetMatrix(SpectralFlowError):
     """Sheet matrix inversion with condition number beyond 1e10."""
+
+
+class PsiOutOfRange(SpectralFlowError):
+    """The factor e^{int chi} of the classical kernel leaves the double
+    range."""

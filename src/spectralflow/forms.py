@@ -1,7 +1,9 @@
 """Meromorphic 1-forms on a spectral curve.
 
 Forms are represented against the global chart (z on the sphere, u on
-the torus): ``value(z)`` returns g with omega = g dz, and
+the torus): ``value(z)`` returns g with omega = g dz, elementwise over
+an ndarray of points (a constant form may return its scalar, which
+broadcasts), and
 ``local_series(center, order)`` the series of g in the chart offset;
 ``center`` may be the string "inf" on the sphere, where the series is
 taken in w = 1/z and omega = h(w) dw.
@@ -29,6 +31,8 @@ class Form1:
     """Base class; subclasses provide value / local_series / poles."""
 
     def value(self, z):  # pragma: no cover
+        """g(z) with omega = g dz, for a point or elementwise over an
+        ndarray of points; a constant may come back as a scalar."""
         raise NotImplementedError
 
     def local_series(self, center, order):  # pragma: no cover
@@ -274,8 +278,8 @@ class SecondKindBasis(Form1):
         if self.center == "inf":
             # B(z', z) = -sum_m (m+1) z^m w'^m dw' dz near w' = 0
             return -sum(cm[m] * (m + 1) * z ** m for m in range(j)) / j
-        F = self.curve.bergman_taylor(self.center - z, identity(order=j), 1)
-        return sum(cm[m] * F[0].coeff(m) for m in range(j)) / j
+        F = self.curve.bergman_derivs(self.center - z, j)
+        return sum(cm[m] * F[m] for m in range(j)) / j
 
     def local_series(self, center, order):
         j, cm = self.j, self.cm

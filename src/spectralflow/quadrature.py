@@ -1,7 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
-Work items are embarrassingly parallel but the driver is deterministic:
-panels are processed in a fixed order so results are bit-reproducible.
+The integrand is called once per panel, on the array of its 15 Kronrod
+nodes, and must return an array of values (or a constant, which is
+broadcast).  Panels are processed in a fixed order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ def _panel(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     xs = mid + half * _XK
-    ys = np.array([f(x) for x in xs], dtype=complex)
+    ys = np.broadcast_to(np.asarray(f(xs), dtype=complex), xs.shape)
     k = half * np.sum(_WK * ys)
     g = half * np.sum(_WG * ys[1::2])
     return k, abs(k - g)
 
 
 def integrate_segment(f, a, b, tol=1e-12):
-    """Integral of f along the straight segment [a, b] (complex path).
+    """Integral of f along the straight segment [a, b] (complex path);
+    f is called on arrays of points.
 
     Raises QuadratureNotConverged when a panel halved MAX_DEPTH times
     still misses the tolerance."""

@@ -12,7 +12,8 @@ from spectralflow.classical import (
     time_shift_of_third_kind,
 )
 from spectralflow.curve import Genus0Curve, RationalFunction
-from spectralflow.errors import CoincidentPoints
+from spectralflow import cache
+from spectralflow.errors import CoincidentPoints, PsiOutOfRange
 from spectralflow.forms import SumForm, ThirdKind, YdX
 
 
@@ -73,6 +74,31 @@ def test_psi_on_diagonal_refused(sys_airy, sys_torus):
     for sysm, z in ((sys_airy, 1.1 + 0.8j), (sys_torus, 0.31 + 0.27j)):
         with pytest.raises(CoincidentPoints):
             sysm.psi(z, z)
+
+
+def test_psi_outside_float_range_refused(sys_torus):
+    # int chi is 670.2 at z1 and -67.9 at z2: psi needs e^738
+    z1, z2 = 0.1877 + 0.1336j, 0.7500 + 0.4314j
+    with pytest.raises(PsiOutOfRange):
+        sys_torus.psi(z1, z2)
+    with pytest.raises(PsiOutOfRange):
+        sys_torus.cd_reconstruction_residual(z1, z2)
+    x1, x2 = (sys_torus.curve.x_value(z) for z in (z1, z2))
+    c1, G, c2 = sys_torus.psi_matrix_factored(x1, x2)
+    assert np.all(np.isfinite(G))
+
+
+def test_chi_primitive_cache_bounded(airy, monkeypatch):
+    monkeypatch.setattr(cache, "CACHE_MAX", 16)
+    sysm = ClassicalSystem(airy, YdX(airy))
+    zs = 1.1 + 0.8j + 0.01 * np.arange(40)
+    first = sysm._chi_from_base(zs[0])
+    for z in zs:
+        sysm._chi_from_base(z)
+    assert len(sysm._chi_primitive_cache) == 16
+    # the oldest point was evicted, and comes back the same
+    assert complex(zs[0]) not in sysm._chi_primitive_cache
+    assert sysm._chi_from_base(zs[0]) == first
 
 
 def test_b_cycle_single_valuedness(sys_torus):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spectralflow.errors import BadModulus
+from spectralflow.cache import CACHE_MAX
+from spectralflow.errors import BadModulus, ThetaNotConverged
 from spectralflow.theta import ThetaEvaluator, heat_equation_residual
 
 
@@ -58,3 +59,53 @@ def test_taylor_matches_derivatives(th):
     fd2 = (th.theta1(0.21 + 0.13j + h) - 2 * th.theta1(0.21 + 0.13j)
            + th.theta1(0.21 + 0.13j - h)) / h ** 2
     assert abs(2 * tay[2] - fd2) < 1e-5 * max(1.0, abs(fd2))
+
+
+def _direct_theta1_jet(tau, u, n):
+    """Rows k = 0..n of theta1^(k)(u) on the fixed window |m| <= 40."""
+    q = np.arange(-40, 41) + 0.5
+    u = np.asarray(u, dtype=complex)[..., None]
+    terms = np.exp(1j * np.pi * q * q * tau + 2j * np.pi * q * (u + 0.5))
+    return np.array([-np.sum((2j * np.pi * q) ** k * terms, axis=-1)
+                     for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("tau", [1j, 0.25 + 1.07j])
+def test_theta1_jet_matches_direct_sum(tau):
+    th = ThetaEvaluator(tau)
+    rng = np.random.default_rng(3)
+    us = rng.uniform(-0.6, 0.6, (2, 5)) + 1j * rng.uniform(-0.6, 0.6, (2, 5))
+    ref = _direct_theta1_jet(tau, us, 8)
+    jet = th.theta1_jet(us, 8)
+    assert jet.shape == (9, 2, 5)
+    scale = np.max(np.abs(ref), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(jet - ref) < 1e-13 * scale)
+    u = complex(us[0, 0])
+    assert np.all(np.abs(th.theta1_jet(u, 8) - ref[:, 0, 0])
+                  < 1e-13 * scale[:, 0, 0])
+    for k in range(9):
+        assert th.theta1(u, k) == th.theta1_jet(u, 8)[k]
+
+
+def test_theta_sum_refuses_non_convergence():
+    # the window cap is reached long before the tail test passes; the
+    # capped sum is 801.08 against the modular value 1000
+    with pytest.raises(ThetaNotConverged):
+        ThetaEvaluator(1e-6j).theta(0.0)
+
+
+def test_theta_small_tau_modular():
+    t = 1e-3
+    lhs = ThetaEvaluator(1j * t).theta(0.0)
+    rhs = t ** -0.5 * ThetaEvaluator(1j / t).theta(0.0)
+    assert abs(lhs - rhs) < 1e-14 * abs(rhs)
+
+
+def test_theta_cache_bounded():
+    th = ThetaEvaluator(1j)
+    us = np.linspace(0.1, 0.9, 5000) + 0.3j
+    for u in us:
+        th.theta1(u)
+    assert len(th._cache) == CACHE_MAX
+    th.theta1(us, 1)            # array arguments bypass the cache
+    assert len(th._cache) == CACHE_MAX
