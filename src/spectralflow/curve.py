@@ -23,7 +23,14 @@ from .errors import (
     SingularCurve,
     ThetaZeroDivision,
 )
-from .series import DEFAULT_TRUNC, TruncSeries, _monomial, _series_exp
+from .series import (
+    DEFAULT_TRUNC,
+    TruncSeries,
+    _monomial,
+    _series_exp,
+    pad,
+    truncate,
+)
 
 # kernel arguments this close to 0 (or to a lattice point) are taken to
 # sit on the pole, and their series carry the Laurent head
@@ -131,16 +138,20 @@ def _cluster(roots, tol=1e-7):
 # -- data records ---------------------------------------------------------------
 
 class RamificationPoint:
-    """Simple zero of dX with its local double-sheet structure.
+    """Simple zero a of dX with its local double-sheet structure.
 
-    All series are in the local coordinate zeta = sqrt(X - X(a)):
-    ``s_of_zeta`` maps zeta to the chart offset s = z - a, and the
-    involution is s(-zeta).
+    The local coordinate is zeta = sqrt(X - X(a)) on the branch
+    ``zeta_prime`` = zeta'(0), the principal root of the s^2 coefficient
+    of X(a + s) - X(a).  ``s_of_zeta`` (the chart offset s = z - a) and
+    ``y_series`` (Y(a + s(zeta))) are series in zeta known through
+    zeta^(curve order + 5); the involution is s(-zeta).
     """
 
-    def __init__(self, location, branch_value, s_of_zeta, y_series, index):
+    def __init__(self, location, branch_value, zeta_prime, s_of_zeta,
+                 y_series, index):
         self.location = complex(location)
         self.branch_value = complex(branch_value)
+        self.zeta_prime = complex(zeta_prime)
         self.s_of_zeta = s_of_zeta
         self.y_series = y_series          # Y(z(zeta)) as series in zeta
         self.index = index
@@ -158,19 +169,21 @@ def flip_parity(f: TruncSeries) -> TruncSeries:
 
 
 class PoleFrame:
-    """Local coordinate xi(s) at a point p = location + s: X^(-1/d) at a
-    pole of X of order d >= 1, X - X(p) (order -1) at a pole of a form
-    where X is regular."""
+    """Local coordinate xi(s) at a point p = location + s of ``curve``:
+    X^(-1/d) at a pole of X of order d >= 1, X - X(p) (order -1) at a
+    pole of a form where X is regular."""
 
-    def __init__(self, location, order, xi_of_s):
+    def __init__(self, curve, location, order, xi_of_s):
+        self.curve = curve
         self.location = location          # chart value or "inf"
         self.order = int(order)
         self.xi_of_s = xi_of_s
 
     @cached_property
     def s_of_xi(self):
-        """The chart offset s as a series in xi."""
-        return self.xi_of_s.functional_inverse()
+        """The chart offset s as a series in xi, known as far as xi(s)
+        and solved from the curve's equation."""
+        return self.curve.pole_chart(self)
 
 
 class SheetStructure:
@@ -197,10 +210,16 @@ class SpectralCurve:
         self.ramification_points: list[RamificationPoint] = []
         self.x_poles: list[PoleFrame] = []
 
-    # subclasses provide: x_value, y_value, dx_value,
-    # x_series(center, order), y_series(center, order), sheets_above,
-    # deformed(...), d (degree of X as a map), the reduced Bergman
-    # kernel B(z1, z2) = F(z1 - z2) dz1 dz2 in the global chart:
+    # subclasses provide: x_value, y_value, dx_value, ydx_value (Y dX/dz
+    # from one evaluation), to_cell (the representative of a point in
+    # the chart's cell), x_series(center, order), y_series(center, order),
+    # sheets_above, deformed(...), d (degree of X as a map); the local
+    # charts, solved from the curve's equation:
+    #   _chart(a, X(a), zeta'(0), n, tag)   (s(zeta), Y(a + s(zeta)))
+    #                                       through zeta^n
+    #   pole_chart(frame)             s(xi), as far as frame.xi_of_s
+    # the reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 in the
+    # global chart:
     #   bergman(v)                    F(v)
     #   bergman_primitive(v)          P(v) with P' = -F
     #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
@@ -209,7 +228,7 @@ class SpectralCurve:
     # where inner is a series vanishing at 0 (often t itself); the series
     # carry the Laurent head when c sits on the pole of F; point values
     # (bergman, bergman_primitive, bergman_derivs with q on a new first
-    # axis, x/y/dx_value) broadcast over an ndarray of points; and the
+    # axis, x/y/dx/ydx_value) broadcast over an ndarray of points; and the
     # reduced Szego factor theta(v + zeta)/(theta(zeta) E(v)), with
     # theta = 1 on the sphere and theta1 on the torus:
     #   prime_form(v)                 E(v)
@@ -256,31 +275,25 @@ class SpectralCurve:
         return xs.compose(ram.s_of_zeta)
 
     def local_chart(self, ram: RamificationPoint, order: int):
-        """(s_of_zeta, zeta_of_s, y_in_zeta) rebuilt at the given order.
+        """(s_of_zeta, y_in_zeta) at ``ram``, known through
+        zeta^(order + 5) on the branch ``ram.zeta_prime``.
 
         The recursion needs deeper windows than the validation series
         stored on the ramification points."""
-        return self._chart(ram.location, ram.branch_value, order,
-                           ram.s_of_zeta.var_tag)
+        return self._chart(ram.location, ram.branch_value, ram.zeta_prime,
+                           order + 5, ram.s_of_zeta.var_tag)
 
-    def _chart(self, a, xa, order, tag):
-        """(s_of_zeta, zeta_of_s, y_in_zeta) at a simple zero a of dX
-        with X(a) = xa, in zeta = sqrt(X - xa) tagged ``tag``."""
-        xs = self.x_series(a, order + 4) - xa
-        if self.genus == 1:
-            # wp(a + s) is even in s at a half period: odd slots are noise
-            coeffs = xs.coeffs.copy()
-            ks = np.arange(xs.k_min, xs.trunc_order + 1)
-            coeffs[(ks % 2).astype(bool)] = 0.0
-            xs = TruncSeries(coeffs, xs.k_min, xs.ram_index, xs.var_tag)
+    def _ramification_point(self, a, index):
+        """The RamificationPoint at a simple zero a of dX."""
+        xa = self.x_value(a)
+        xs = self.x_series(a, self.order + 4) - xa
         if abs(xs.coeff(1)) > 1e-9 * max(1.0, abs(xs.coeff(2))):
             raise NonSimpleRamification(
                 f"inconsistent vanishing of dX at {a}")
-        xs = _drop_low_noise(xs)
-        zeta_of_s = xs.sqrt().retag(tag)          # odd-start series in s
-        s_of_zeta = zeta_of_s.functional_inverse()
-        ys = self.y_series(a, order + 4).compose(s_of_zeta)
-        return s_of_zeta, zeta_of_s, ys
+        zp = np.sqrt(xs.coeff(2))
+        s_of_zeta, ys = self._chart(a, xa, zp, self.order + 5,
+                                    f"zeta@{index}")
+        return RamificationPoint(a, xa, zp, s_of_zeta, ys, index)
 
 
 class Genus0Curve(SpectralCurve):
@@ -303,6 +316,12 @@ class Genus0Curve(SpectralCurve):
 
     def dx_value(self, z):
         return self.dX(z)
+
+    def ydx_value(self, z):
+        return self.Y(z) * self.dX(z)
+
+    def to_cell(self, z):
+        return z
 
     def x_series(self, center, order, tag=None):
         if center == "inf":
@@ -388,10 +407,7 @@ class Genus0Curve(SpectralCurve):
             if mult > 1:
                 raise NonSimpleRamification(
                     f"dX has a zero of order {mult} at {a}")
-            xa = self.X(a)
-            s_of_zeta, _, ys = self._chart(a, xa, self.order, f"zeta@{idx}")
-            self.ramification_points.append(RamificationPoint(
-                a, xa, s_of_zeta, ys, idx))
+            self.ramification_points.append(self._ramification_point(a, idx))
             idx += 1
         self.ramification_points.sort(
             key=lambda r: (round(r.location.real, 9),
@@ -399,16 +415,44 @@ class Genus0Curve(SpectralCurve):
         for i, r in enumerate(self.ramification_points):
             r.index = i
 
+    def _chart(self, a, xa, zp, n, tag):
+        """zeta^2 = X(a + s) - xa = U(s)/den(s) from X's shifted numerator
+        and denominator; Y(a + s(zeta)) from Y's, both on series in zeta
+        by Horner."""
+        num, den = _poly_shift(self.X.num, a), _poly_shift(self.X.den, a)
+        s = _solve_chart(np.polynomial.polynomial.polysub(num, xa * den),
+                         den, 2, zp, n, tag)
+        return s, _rational_at(self.Y, a, s)
+
+    def pole_chart(self, frame):
+        """s(xi) from xi^m = 1/X at a pole of X of order m (in w = 1/z at
+        "inf"), or from xi = X - X(p) at a regular point p."""
+        xi = frame.xi_of_s
+        if frame.location == "inf":
+            lift = len(self.X.num) - len(self.X.den)
+            num = np.concatenate([np.zeros(max(-lift, 0)), self.X.num[::-1]])
+            den = np.concatenate([np.zeros(max(lift, 0)), self.X.den[::-1]])
+        else:
+            num = _poly_shift(self.X.num, frame.location)
+            den = _poly_shift(self.X.den, frame.location)
+        if frame.order > 0:
+            U, V, m = den, num, frame.order
+        else:
+            U, V, m = np.polynomial.polynomial.polysub(
+                num, self.X(frame.location) * den), den, 1
+        return _solve_chart(U, V, m, xi.coeffs[0], xi.trunc_order,
+                            xi.var_tag)
+
     def _find_x_poles(self):
         for p, m in self.X.finite_poles():
             xs = self.X.series(p, self.order + 4)
             xi = _root_coordinate(xs, m, f"xi@{p:.6g}")
-            self.x_poles.append(PoleFrame(p, m, xi))
+            self.x_poles.append(PoleFrame(self, p, m, xi))
         dp = len(self.X.num) - len(self.X.den)
         if dp >= 1:
             xs = self.X.series_at_infinity(self.order + 4 + dp)
             xi = _root_coordinate(xs, dp, "xi@inf")
-            self.x_poles.append(PoleFrame("inf", dp, xi))
+            self.x_poles.append(PoleFrame(self, "inf", dp, xi))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
@@ -422,8 +466,7 @@ class Genus0Curve(SpectralCurve):
         roots = pol.polyroots(coeffs)
         if len(roots) != self.d:
             raise RootFindingFailed(f"expected {self.d} preimages at x = {x}")
-        # Newton polish
-        roots = [_newton(lambda z: self.X(z) - x, self.dX, r) for r in roots]
+        roots = [_solve_x(self.X, self.dX, x, r) for r in roots]
         return SheetStructure(x, _sort_points(roots), near)
 
     def deformed(self, dY: RationalFunction) -> "Genus0Curve":
@@ -467,6 +510,35 @@ def _root_coordinate(x_series: TruncSeries, m: int, tag: str) -> TruncSeries:
     return (frac * root).shift(1).retag(tag)
 
 
+def _solve_chart(U, V, m, slope, n, tag):
+    """s(t) = t sigma(t), known through t^n, with t^m = U(s)/V(s) and
+    t'(0) = ``slope``, for polynomials U (vanishing to order m at s = 0,
+    its lower coefficients being roundoff) and V with V(0) != 0.
+
+    sigma solves sigma^m A(t sigma) = V(t sigma), A = U/s^m, by Newton
+    iteration on series with order doubling (Brent and Kung, J. ACM
+    1978): each step doubles the number of known coefficients.  The
+    polynomials have finite degree, so evaluating them on a series by
+    Horner passes no radius of convergence."""
+    der = np.polynomial.polynomial.polyder
+    A, V = np.asarray(U[m:], dtype=complex), np.asarray(V, dtype=complex)
+    # a trailing zero keeps the derivative of a constant non-empty
+    A, dA = TruncSeries(A), TruncSeries(der(np.append(A, 0.0)))
+    V, dV = TruncSeries(V), TruncSeries(der(np.append(V, 0.0)))
+    sigma = TruncSeries([1.0 / slope], var_tag=tag)
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        sigma = pad(sigma, k)
+        s = sigma.shift(1)
+        head = sigma ** (m - 1)
+        a = A.compose(s)
+        F = head * sigma * a - V.compose(s)
+        dF = head * (a * m + s * dA.compose(s)) - dV.compose(s).shift(1)
+        sigma = sigma - F / dF
+    return sigma.shift(1)
+
+
 def _newton(f, df, z0, steps=40, tol=1e-14):
     z = complex(z0)
     for _ in range(steps):
@@ -478,6 +550,17 @@ def _newton(f, df, z0, steps=40, tol=1e-14):
         z -= step
         if abs(step) < tol * max(1.0, abs(z)):
             break
+    return z
+
+
+def _solve_x(f, df, target, z0, steps=40):
+    """Newton on f(z) = target from z0; RootFindingFailed unless the
+    residual is within 1e-9 max(1, |target|)."""
+    z = _newton(lambda z: f(z) - target, df, z0, steps)
+    res = abs(f(z) - target)
+    if not res <= 1e-9 * max(1.0, abs(target)):
+        raise RootFindingFailed(
+            f"Newton from {z0} toward {target} stalled at residual {res:.3g}")
     return z
 
 
@@ -502,11 +585,18 @@ class Genus1Curve(SpectralCurve):
         return self.x_scale * self.ell.wp(u)
 
     def y_value(self, u):
-        w = self.ell.wp(u)
-        return self.R1(w) + self.R2(w) * self.ell.wp_prime(u)
+        w, wp = self.ell.wp_pair(u)
+        return self.R1(w) + self.R2(w) * wp
 
     def dx_value(self, u):
         return self.x_scale * self.ell.wp_prime(u)
+
+    def ydx_value(self, u):
+        w, wp = self.ell.wp_pair(u)
+        return (self.R1(w) + self.R2(w) * wp) * (self.x_scale * wp)
+
+    def to_cell(self, u):
+        return self.ell.to_cell(u)
 
     def x_series(self, center, order, tag=None):
         return self.ell.wp_series(center, order).retag(
@@ -605,18 +695,55 @@ class Genus1Curve(SpectralCurve):
         den = TruncSeries(th.theta1_taylor(c, depth), 0).compose(inner)
         return num * den.invert() * (th.theta1(0.0, 1) / th.theta1(zeta))
 
+    def _halves(self):
+        return [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
+
     def _find_ramification(self):
-        halves = [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
-        for idx, a in enumerate(halves):
-            xa = self.x_value(a)
-            s_of_zeta, _, ys = self._chart(a, xa, self.order, f"zeta@{idx}")
-            self.ramification_points.append(RamificationPoint(
-                a, xa, s_of_zeta, ys, idx))
+        for idx, a in enumerate(self._halves()):
+            self.ramification_points.append(self._ramification_point(a, idx))
+
+    def _chart(self, a, xa, zp, n, tag):
+        """With zeta^2 = X - X_a and wp'^2 = 4 prod_i (wp - e_i),
+        s'(zeta) = 1/(zeta'(0) sqrt((1 + zeta^2/(X_a - X_b))
+        (1 + zeta^2/(X_a - X_c)))) over the other half periods b, c; then
+        wp = e_a + zeta^2/x_scale, wp' = 2 zeta/(x_scale s'(zeta)) and
+        Y = R1(wp) + R2(wp) wp' in closed form."""
+        alpha, beta = [1.0 / (xa - self.x_value(h)) for h in self._halves()
+                       if abs(h - a) > 1e-9]
+        quartic = np.zeros(n, dtype=complex)
+        quartic[[0, 2, 4]] = [1.0, alpha + beta, alpha * beta]
+        root = TruncSeries(quartic, 0, var_tag=tag).sqrt()
+        s = (root.invert() * (1.0 / zp)).antiderivative()
+        wp_prime = (root * (2.0 * zp / self.x_scale)).shift(1)
+        t = _monomial(2, 1.0 / self.x_scale, s)
+        e_a = self.ell.wp(a)
+        y = _rational_at(self.R1, e_a, t) + _rational_at(self.R2, e_a, t) \
+            * wp_prime
+        return s, y
+
+    def pole_chart(self, frame):
+        """ds/dxi = (dwp/dxi)/wp' with wp' = sqrt(4 wp^3 - g2 wp - g3) on
+        the branch s'(0) = 1/xi'(0), where wp = xi^-2/x_scale at the pole
+        u = 0 and wp = wp(p) + xi/x_scale at a regular point p."""
+        xi = frame.xi_of_s
+        n = xi.trunc_order
+        g2, g3 = self.ell.invariants_g2_g3()
+        if frame.order > 0:
+            wp = _monomial(-2, 1.0 / self.x_scale, xi)
+        else:
+            head = np.zeros(n + 1, dtype=complex)
+            head[:2] = [self.ell.wp(frame.location), 1.0 / self.x_scale]
+            wp = TruncSeries(head, 0, var_tag=xi.var_tag)
+        ds = wp.differentiate() \
+            * (wp * wp * wp * 4.0 - wp * g2 - g3).sqrt().invert()
+        if (ds.coeff(0) * xi.coeffs[0]).real < 0:
+            ds = -ds
+        return truncate(ds.antiderivative(), n, absolute=True)
 
     def _find_x_poles(self):
         xs = self.x_series(0.0, self.order + 6)
         xi = _root_coordinate(xs, 2, "xi@0")
-        self.x_poles.append(PoleFrame(0.0, 2, xi))
+        self.x_poles.append(PoleFrame(self, 0.0, 2, xi))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         """The preimages u and -u of x: wp is even, so one Newton solve
@@ -628,9 +755,10 @@ class Genus1Curve(SpectralCurve):
         for i in range(1, grid):
             for j in range(1, grid):
                 u0 = (i / grid) + (j / grid) * self.tau
-                u = _newton(lambda u: self.ell.wp(u) - target,
-                            self.ell.wp_prime, u0, steps=60)
-                if abs(self.ell.wp(u) - target) > 1e-9 * max(1.0, abs(target)):
+                try:
+                    u = _solve_x(self.ell.wp, self.ell.wp_prime, target, u0,
+                                 steps=60)
+                except RootFindingFailed:
                     continue
                 u = self.ell.to_cell(u)
                 if self.ell.is_lattice(u, tol=1e-6):
@@ -672,6 +800,16 @@ def _power_table(inner: TruncSeries, exps, lo, hi) -> np.ndarray:
     return out
 
 
+def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:
+    """R(c + inner) from the numerator and denominator of R shifted to c,
+    each evaluated on ``inner`` by Horner.  Their roundoff-level leading
+    coefficients are trimmed first, which cancels a removable factor that
+    both carry at c (deformation sums do)."""
+    num, den = (_trim_leading_noise(TruncSeries(_poly_shift(p, c)))
+                .compose(inner) for p in (R.num, R.den))
+    return num / den
+
+
 def _compose_rational(R: RationalFunction, inner: TruncSeries,
                       order: int) -> TruncSeries:
     """R(inner) where inner may be a Laurent series (wp at its pole).
@@ -707,18 +845,12 @@ def _trim_leading_noise(f: TruncSeries, rel=3e-12) -> TruncSeries:
 # -- sheet continuation ----------------------------------------------------------
 
 def continue_sheets(curve, x_path, preimages):
-    """Track preimages along a discrete x-path by nearest Newton basin."""
+    """Track preimages along a discrete x-path by nearest Newton basin;
+    RootFindingFailed where a step's Newton misses its x."""
     current = list(preimages)
     for x in x_path:
-        if curve.genus == 0:
-            current = [
-                _newton(lambda z: curve.x_value(z) - x, curve.dx_value, z)
-                for z in current]
-        else:
-            current = [
-                curve.ell.to_cell(_newton(
-                    lambda z: curve.x_value(z) - x, curve.dx_value, z))
-                for z in current]
+        current = [curve.to_cell(_solve_x(curve.x_value, curve.dx_value, x, z))
+                   for z in current]
     return current
 
 

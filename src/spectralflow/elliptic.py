@@ -32,6 +32,11 @@ class EllipticTools:
     def wp_prime(self, u: complex) -> complex:
         return -self.theta.log_theta1_d(u, 3)
 
+    def wp_pair(self, u):
+        """(wp(u), wp'(u)) from one theta1 jet."""
+        _, d2, d3 = self.theta.log_theta1_derivs(u, 3)
+        return -d2 + self.c0, -d3
+
     # -- local series ----------------------------------------------------------
 
     def log_theta1_series(self, u0: complex, order=None) -> TruncSeries:

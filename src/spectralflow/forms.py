@@ -137,7 +137,7 @@ class YdX(Form1):
         self.curve = curve
 
     def value(self, z):
-        return self.curve.y_value(z) * self.curve.dx_value(z)
+        return self.curve.ydx_value(z)
 
     def local_series(self, center, order):
         cv = self.curve
@@ -341,7 +341,7 @@ def pole_frame(curve, center):
     if abs(xi.coeff(1)) < 1e-12:
         raise PoleAtRamificationPoint(
             f"coordinate X - X(p) degenerate at {center}")
-    return PoleFrame(center, -1, xi)
+    return PoleFrame(curve, center, -1, xi)
 
 
 def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):

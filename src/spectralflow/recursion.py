@@ -21,10 +21,12 @@ reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
 
     B_{b,m}(z) = sum_q gamma^{b,m}_{-1-q} F^(q)(r_b - z)/q!,
 
-with gamma^{b,m} the polar coefficients of zeta_b(s)^-m and r_b the
-location of ramification point b, so no algorithm here depends on the
-genus.  Tensors are immutable once computed; the memo table fills level
-by level in increasing 2g + n.
+with gamma^{b,m}_{-1-q} the coefficient of s^(-1-q) in zeta_b(s)^-m
+and r_b the location of ramification point b, so no algorithm here
+depends on the genus.  The engine holds only the chart s_b(zeta): by
+Lagrange inversion gamma^{b,m}_{-1-q} = m/(q+1) [zeta^m] s_b(zeta)^(q+1),
+so zeta_b(s) is never built.  Tensors are immutable once computed; the
+memo table fills level by level in increasing 2g + n.
 """
 
 from __future__ import annotations
@@ -77,11 +79,10 @@ class RecursionEngine:
         # curve's validation series
         deep = cv.order + 2 * mmax + 16
         self.deep = deep
-        self.s_of, self.zeta_of, self.y_of = [], [], []
+        self.s_of, self.y_of = [], []
         for r in self.rams:
-            s_of, zeta_of, y_of = cv.local_chart(r, deep)
+            s_of, y_of = cv.local_chart(r, deep)
             self.s_of.append(s_of)
-            self.zeta_of.append(zeta_of)
             self.y_of.append(y_of)
         self.zprime = []            # s'(zeta)
         self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
@@ -96,14 +97,15 @@ class RecursionEngine:
                 np.concatenate([[2.0], np.zeros(deep + 4)]), 1,
                 var_tag=y_of.var_tag)
             self.phi.append((y_of * two_zeta).antiderivative())
-            # the polar part of zeta^-m needs zeta(s) through s^(m+1) only
-            zin = truncate(self.zeta_of[a], mmax + 2).invert()
+            # Lagrange inversion reads s(zeta) through zeta^mmax only
+            s = truncate(s_of, mmax)
             gam = np.zeros((mmax, mmax), dtype=complex)
-            acc = zin
-            for m in range(1, mmax + 1):
-                if m > 1:
-                    acc = acc * zin
-                gam[m - 1, :m] = [acc.coeff(-1 - q) for q in range(m)]
+            ms = np.arange(1, mmax + 1)
+            acc = s
+            for q in range(mmax):
+                if q:
+                    acc = acc * s
+                gam[q:, q] = ms[q:] / (q + 1) * acc.coeffs[:mmax - q]
             self.gamma.append(gam)
         for a in range(self.A):
             self._rows(a, a)

@@ -260,7 +260,7 @@ class TruncSeries:
             raise TruncationTooShort("window ends below the residue slot")
         return self.coeff(-r)
 
-    # -- composition and inversion -------------------------------------------
+    # -- composition -------------------------------------------------------
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner(w)); inner must vanish at the origin."""
@@ -287,28 +287,6 @@ class TruncSeries:
                 if k > self.k_min:
                     pos = pos * inv
         return out
-
-    def functional_inverse(self) -> "TruncSeries":
-        """Series g with self(g(w)) = w up to truncation (Newton)."""
-        if self.k_min != 1:
-            raise NotInvertibleAtOrigin(
-                "need f(0) == 0 and f'(0) != 0 for functional inversion")
-        a1 = self.coeffs[0]
-        scale = np.max(np.abs(self.coeffs[:4]))
-        if abs(a1) <= UNDERFLOW * scale:
-            raise NotInvertibleAtOrigin("f'(0) numerically zero")
-        n = len(self.coeffs)
-        ident = identity(self.ram_index, self.var_tag, self.trunc_order)
-        g = TruncSeries(np.array([1.0 / a1]), 1, self.ram_index, self.var_tag)
-        # order-doubling Newton; each step is exact to its stated window
-        order = 1
-        df = self.differentiate()
-        while order < n:
-            order = min(2 * order, n)
-            g = pad(g, order)
-            corr = (self.compose(g) - ident) / df.compose(g)
-            g = g - corr
-        return truncate(g, n)
 
     # -- misc ----------------------------------------------------------------
 

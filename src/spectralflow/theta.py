@@ -98,14 +98,20 @@ class ThetaEvaluator:
         """(d/du)^order of ln theta1 at u, order in {1, 2, 3}."""
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2 or 3")
+        return self.log_theta1_derivs(u, order)[-1]
+
+    def log_theta1_derivs(self, u, order: int):
+        """[(d/du)^k ln theta1 at u for k = 1..order], order <= 3, from
+        one theta1 jet."""
         t = self.theta1_jet(u, order)
         r1 = t[1] / t[0]
-        if order == 1:
-            return r1
-        r2 = t[2] / t[0]
-        if order == 2:
-            return r2 - r1 ** 2
-        return t[3] / t[0] - 3 * r2 * r1 + 2 * r1 ** 3
+        out = [r1]
+        if order >= 2:
+            r2 = t[2] / t[0]
+            out.append(r2 - r1 ** 2)
+        if order >= 3:
+            out.append(t[3] / t[0] - 3 * r2 * r1 + 2 * r1 ** 3)
+        return out
 
     def theta1_taylor(self, u0: complex, n: int) -> np.ndarray:
         """Taylor coefficients of theta1 around u0, length n+1."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectralflow import quadrature
+from spectralflow.classical import ClassicalSystem
 from spectralflow.curve import Genus1Curve, RationalFunction
 from spectralflow.forms import (
     BergmanLeg,
@@ -15,9 +16,10 @@ from spectralflow.forms import (
     WpPolyDu,
     YdX,
 )
-from spectralflow.geometry import basis_form
+from spectralflow.geometry import basis_form, line_integral
 from spectralflow.quadrature import integrate_segment
 from spectralflow.series import identity
+from spectralflow.theta import ThetaEvaluator
 
 
 def _torus(tau):
@@ -107,3 +109,27 @@ def test_quadrature_calls_once_per_panel(monkeypatch):
     # a constant integrand is broadcast over the nodes
     assert abs(integrate_segment(lambda z: 2.0, 0.0, 1 + 1j)
                - 2 * (1 + 1j)) < 1e-14
+
+
+def test_chi_panel_is_one_lattice_sum(monkeypatch):
+    # Y dX reads wp and wp' from one theta1 jet: on the torus every
+    # quadrature panel of a chi line integral costs one lattice sum
+    cv = _torus(1j)
+    chi = ClassicalSystem(cv, YdX(cv)).chi
+    counts = {"panels": 0, "sums": 0}
+    panel, lattice_sum = quadrature._panel, ThetaEvaluator._sum
+
+    def counted_panel(f, a, b):
+        counts["panels"] += 1
+        return panel(f, a, b)
+
+    def counted_sum(self, u, n, a):
+        counts["sums"] += 1
+        return lattice_sum(self, u, n, a)
+    monkeypatch.setattr(quadrature, "_panel", counted_panel)
+    monkeypatch.setattr(ThetaEvaluator, "_sum", counted_sum)
+    for z1, z2 in [(0.2 + 0.3j, 0.4 + 0.35j), (0.3 + 0.6j, 0.6 + 0.7j),
+                   (0.7 + 0.2j, 0.65 + 0.45j)]:
+        line_integral(cv, chi, z1, z2)
+    assert counts["panels"] > 3
+    assert counts["sums"] == counts["panels"]

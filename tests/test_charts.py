@@ -1,0 +1,111 @@
+"""Local charts solved from the curve's equation: the ramification charts
+s(zeta), y(zeta) against closed forms and against the curve's own point
+values, the Lagrange-inversion gamma tables against zeta(s)^-m, and the
+pole charts s(xi) against the frame's defining relation."""
+
+from math import comb
+
+import numpy as np
+import pytest
+
+from spectralflow.curve import (
+    Genus0Curve,
+    Genus1Curve,
+    RationalFunction,
+    _drop_low_noise,
+    flip_parity,
+)
+from spectralflow.forms import pole_frame
+from spectralflow.recursion import RecursionEngine
+
+TAUS = [1j, 0.25 + 1.07j]
+
+
+def _joukowski40():
+    return Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                       RationalFunction([0, 1]), order=40)
+
+
+def _torus(tau):
+    """Non-constant R1, R2 and x_scale != 1."""
+    return Genus1Curve(tau, RationalFunction([0.3, -0.2, 0.05]),
+                       RationalFunction([0.5, 0.1j], [1.0, 0.2]),
+                       x_scale=1.7 - 0.4j)
+
+
+def _curve(which):
+    return _joukowski40() if which == "joukowski" else _torus(which)
+
+
+def test_joukowski_engine_chart_closed_form():
+    # at z = 1, zeta^2 = s^2/(1 + s): s = zeta^2/2 + zeta sqrt(1 + zeta^2/4),
+    # whose coefficients fall like 2^-k; every deep coefficient is checked
+    eng = RecursionEngine(_joukowski40())
+    a = next(i for i, r in enumerate(eng.rams) if abs(r.location - 1) < 1e-9)
+    s = eng.s_of[a]
+    ks = np.arange(1, s.trunc_order + 1)
+    ref = np.zeros(len(ks) + 1)
+    ref[2] = 0.5
+    for j in range((len(ks) - 1) // 2 + 1):
+        # binomial(1/2, j) / 4^j
+        ref[2 * j + 1] = (-1) ** (j + 1) * comb(2 * j, j) \
+            / ((2 * j - 1) * 16.0 ** j)
+    err = np.abs(np.array([s.coeff(k) for k in ks]) - ref[ks])
+    assert np.max(err * 2.0 ** ks) < 1e-13
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_torus_chart_solves_the_curve(tau):
+    # X(a + s(zeta)) - X(a) = zeta^2 and Y(a + s(zeta)) = y(zeta), pointwise
+    cv = _torus(tau)
+    for r in cv.ramification_points:
+        s, y = cv.local_chart(r, 60)
+        for th in np.linspace(0.0, 2 * np.pi, 7)[:-1]:
+            zeta = 0.1 * np.exp(1j * th)
+            u = r.location + s.evaluate(zeta)
+            assert abs(cv.x_value(u) - r.branch_value - zeta ** 2) < 1e-12
+            yu = cv.y_value(u)
+            assert abs(yu - y.evaluate(zeta)) < 1e-11 * abs(yu)
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
+def test_lagrange_gamma_matches_zeta_powers(curve):
+    # gamma^{a,m}_{-1-q}, the s^(-1-q) coefficient of zeta(s)^-m, with
+    # zeta(s) = sqrt(X(a + s) - X(a)) on the chart's branch
+    cv = _curve(curve)
+    eng = RecursionEngine(cv)
+    for a, r in enumerate(eng.rams):
+        xs = _drop_low_noise(cv.x_series(r.location, eng.deep + 4)
+                             - r.branch_value)
+        if cv.genus == 1:
+            # wp(a + s) is even at a half period: its odd slots are noise
+            # that zeta(s)^-m would carry into gamma's zero entries
+            xs = (xs + flip_parity(xs)) * 0.5
+        zeta_inv = xs.sqrt(r.zeta_prime).invert()
+        acc = zeta_inv
+        for m in range(1, len(eng.gamma[a]) + 1):
+            if m > 1:
+                acc = acc * zeta_inv
+            ref = np.array([acc.coeff(-1 - q) for q in range(m)])
+            err = np.max(np.abs(eng.gamma[a][m - 1, :m] - ref))
+            assert err < 1e-13 * np.max(np.abs(ref)), (a, m)
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
+def test_pole_charts_solve_the_frame(curve):
+    # X(p + s(xi)) = xi^-d at a pole of X of order d, X(p) + xi at a
+    # regular point; at "inf" the chart offset is w = 1/z
+    cv = _curve(curve)
+    centers = [p.location for p in cv.x_poles] + [0.31 + 0.22j]
+    for c in centers:
+        fr = pole_frame(cv, c)
+        for th in np.linspace(0.0, 2 * np.pi, 5)[:-1]:
+            xi = 0.02 * np.exp(1j * th)
+            s = fr.s_of_xi.evaluate(xi)
+            if c == "inf":
+                x = cv.x_value(1.0 / s)
+            else:
+                x = cv.x_value(c + s)
+            want = xi ** -fr.order if fr.order > 0 \
+                else cv.x_value(c) + xi
+            assert abs(x - want) < 1e-12 * abs(want), (c, xi)

@@ -16,6 +16,7 @@ from spectralflow.errors import (
     NearBranchPoint,
     NonSimpleRamification,
     PoleAtRamificationPoint,
+    RootFindingFailed,
 )
 from spectralflow.forms import RationalDz, YdX, times_and_fillings
 
@@ -133,6 +134,12 @@ def test_sheet_monodromy_is_transposition(airy):
     final = continue_sheets(airy, path, start)
     assert abs(final[0] - start[1]) < 1e-8
     assert abs(final[1] - start[0]) < 1e-8
+
+
+def test_continue_sheets_refuses_a_missed_root(joukowski):
+    # X = z + 1/z = 0 at z = +-i: real Newton from z = 2 never gets there
+    with pytest.raises(RootFindingFailed):
+        continue_sheets(joukowski, [0.0], [2.0 + 0j])
 
 
 def test_residue_theorem_for_ydx(airy, joukowski, torus):

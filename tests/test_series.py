@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from spectralflow.errors import (
     IncompatibleFrames,
-    NotInvertibleAtOrigin,
     OddLeadingExponentForSqrt,
     TruncationTooShort,
     ZeroLeadingCoefficient,
@@ -112,50 +111,6 @@ def test_residue_vanishes_on_derivatives():
     rng = np.random.default_rng(7)
     f = rand_series(rng, n=16, k_min=-5)
     assert abs(f.differentiate().residue()) == 0.0
-
-
-# -- functional inversion ------------------------------------------------------
-
-def test_functional_inverse_identity():
-    z = identity(order=10)
-    g = z.functional_inverse()
-    assert max_common_diff(g, z) < 1e-14
-
-
-def test_functional_inverse_linear():
-    f = identity(order=10) * 2.0
-    g = f.functional_inverse()
-    assert abs(g.coeff(1) - 0.5) < 1e-14
-
-
-def test_functional_inverse_lagrange_oracle():
-    # f = z + z^2; Lagrange inversion: g_n = (1/n) [w^{n-1}] (w/f(w))^n
-    order = 12
-    f = from_poly([0.0, 1.0, 1.0], order=order)
-    g = f.functional_inverse()
-    base = from_poly([1.0, 1.0], order=order + 2).invert()  # w/f = 1/(1+w)
-    for n in range(1, order + 1):
-        gn = (base ** n).coeff(n - 1) / n
-        assert abs(g.coeff(n) - gn) < 1e-11, n
-
-
-def test_functional_inverse_roundtrip_residual():
-    rng = np.random.default_rng(3)
-    c = rng.standard_normal(18) + 1j * rng.standard_normal(18)
-    c[0] = 1.0 + 0.3j
-    f = TruncSeries(c, 1)
-    g = f.functional_inverse()
-    comp = f.compose(g)
-    z = identity(order=comp.trunc_order)
-    # relative to the coefficient growth of the inverse itself
-    scale = max(1.0, np.max(np.abs(g.coeffs)))
-    assert max_common_diff(comp, z) / scale < 1e-12
-
-
-def test_functional_inverse_requires_origin_fixed():
-    f = from_poly([1.0, 1.0], order=6)
-    with pytest.raises(NotInvertibleAtOrigin):
-        f.functional_inverse()
 
 
 # -- ring axioms (property based) ---------------------------------------------
