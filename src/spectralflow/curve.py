@@ -407,6 +407,8 @@ class Genus0Curve(SpectralCurve):
             if mult > 1:
                 raise NonSimpleRamification(
                     f"dX has a zero of order {mult} at {a}")
+            # one Newton step polishes the root to working precision
+            a -= pol.polyval(a, num) / pol.polyval(a, pol.polyder(num))
             self.ramification_points.append(self._ramification_point(a, idx))
             idx += 1
         self.ramification_points.sort(

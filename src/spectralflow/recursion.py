@@ -5,16 +5,23 @@ the basis
 
     B_{a,k}(z) = Res_{z'->a} zeta_a(z')^{-k} B(z', z),   k odd,
 
-one index per variable.  The generating property
+one index per variable, ordered k-major.  The generating property
 B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^{k-1} dzeta closes the
 recursion on these tensors, and quadrature exists only as a test
-oracle.  Every residue is read off with one contraction: with c the
-coefficients of 1/(y(zeta) - y(-zeta)) (or of the primitive of Y dX
-for F_g), the Hankel slice R[k, e] = c_{-k-e} gives the zeta^-k
-coefficients of a window d over zeta^e as R @ d, and
-R2[k, e1, e2] = R[k, e1 + e2] those of a product of two windows.
-Even-k slots are structurally absent (the forms have no residues),
-which the quadrature cross-checks confirm.
+oracle.  The residue kernel at a ramification point a is the same for
+every level, so it is built once per engine as the quadratic tensor
+
+    P^a[k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) / (y(zeta) - y(-zeta)),
+
+the "ABCD" or Airy-structure form of the recursion (Kontsevich-
+Soibelman, arXiv:1701.09137; Andersen-Borot-Chekhov-Orantin,
+arXiv:1703.03307).  W_i runs over the windows of the basis forms
+B_{b,m}(z_a(zeta)), then over Bergman slots h_{k'} = zeta^(k'-1), which
+carry an omega(0, 2)(zeta, z_j) factor.  Each term of a level is then
+one contraction of P^a with its two factors, and F_g one pairing of
+omega(g, 1) with the primitive of Y dX, likewise built once.  Even-k
+slots are structurally absent (the forms have no residues), which the
+quadrature cross-checks confirm.
 
 Every series of the basis forms is one contraction with the curve's
 reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
@@ -47,7 +54,7 @@ class CorrForm:
     def __init__(self, g, n, basis, tensor):
         self.g = int(g)
         self.n = int(n)
-        self.basis = basis          # list of (ram_index, k), k odd
+        self.basis = basis          # [(ram_index, k) for k for ram_index]
         self.tensor = tensor        # ndarray, shape (len(basis),) * n
 
 
@@ -67,6 +74,7 @@ class RecursionEngine:
         self._memo: dict = {}
         self._fg: dict = {}
         self._plg: dict = {}
+        self._P = self._diag = self._phi_pair = None
         self._prepare_local_data()
 
     # -- local expansions -------------------------------------------------------
@@ -148,15 +156,13 @@ class RecursionEngine:
 
     # -- basis series -------------------------------------------------------------
 
-    def ram_basis_series(self, b, m, a, lo, hi, sign=+1):
-        """Coefficients of B_{b,m}(z_a(+-zeta))/dzeta on [lo, hi].
+    def ram_basis_series(self, b, m, a, lo, hi):
+        """Coefficients of B_{b,m}(z_a(zeta))/dzeta on [lo, hi].
 
-        For sign < 0 the form is pulled back through zeta -> -zeta
-        including d(-zeta) = -dzeta.  A window that reaches the regular
-        part (t >= 0) of a B_{b,m} the row tables do not hold is refused.
+        A window that reaches the regular part (t >= 0) of a B_{b,m} the
+        row tables do not hold is refused.
         """
-        ts = np.arange(lo, hi + 1)
-        data = np.zeros(len(ts), dtype=complex)
+        data = np.zeros(hi - lo + 1, dtype=complex)
         if a == b and lo <= -(m + 1) <= hi:
             data[-(m + 1) - lo] = m
         if hi >= 0:
@@ -167,15 +173,67 @@ class RecursionEngine:
                     f"tables (m <= {len(rows)}, t < {rows.shape[1]})")
             t0 = max(lo, 0)
             data[t0 - lo:] += rows[m - 1, t0:hi + 1]
-        if sign < 0:
-            data = data * (-1.0 + 0j) ** ((ts + 1) % 2)
         return data
 
-    def _window(self, basis, a, sign, lo, hi):
-        """[ram_basis_series(b, m, a, lo, hi, sign) for (b, m) in basis]
-        as the columns of one (window, len(basis)) matrix."""
-        return np.stack([self.ram_basis_series(b, m, a, lo, hi, sign)
+    def _window(self, basis, a, lo, hi):
+        """[ram_basis_series(b, m, a, lo, hi) for (b, m) in basis] as the
+        columns of one (window, len(basis)) matrix."""
+        return np.stack([self.ram_basis_series(b, m, a, lo, hi)
                          for b, m in basis], axis=1)
+
+    # -- the residue tensors -------------------------------------------------------
+
+    def _residue_tensors(self):
+        """P^a[k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) c_a(zeta)
+        for every odd head k <= m_rows + 4, built once per engine.
+
+        The columns i, j are the windows of B_{b,m}(z_a(zeta)), m odd
+        <= m_rows, in the k-major order of the level bases, then the
+        Bergman slots h_{k'}, the unit windows zeta^(k'-1), one per head.
+        At -zeta a window includes d(-zeta).  c_a starts at zeta^-1, so
+        only pole x regular and pole x pole products leave a residue,
+        and windows on zeta^[-(m_rows + 1), m_rows + 3] make the sums
+        exact.  Also returns the (1, 1) diagonal term per a."""
+        if self._P is not None:
+            return self._P, self._diag
+        m_rows = self._row_count()
+        heads = np.arange(1, m_rows + 5, 2)
+        basis = [(b, m) for m in range(1, m_rows + 1, 2)
+                 for b in range(self.A)]
+        lo, hi = -(m_rows + 1), m_rows + 3
+        e = np.arange(lo, hi + 1)
+        unit = (e[:, None] == heads[None, :] - 1).astype(complex)
+        # the window at -zeta, d(-zeta) = -dzeta included
+        flip = ((-1.0 + 0j) ** ((e + 1) % 2))[:, None]
+        scale = (-0.5 / heads)[:, None, None]
+        pair = np.add.outer(e, e) - 2 * lo
+        self._nb = len(basis)
+        self._columns = basis + [(None, int(k)) for k in heads]
+        self._P, self._diag = [], []
+        for a in range(self.A):
+            W = np.hstack([self._window(basis, a, lo, hi), unit])
+            c = self.ydiff_inv[a]
+            R2 = _residue_slice(c, heads, 2 * lo, 2 * hi)[:, pair]
+            P = np.tensordot(np.tensordot(R2, W, axes=([1], [0])),
+                             flip * W, axes=([1], [0]))
+            self._P.append(scale * P)
+            R = _residue_slice(c, heads, lo, hi)
+            self._diag.append(scale[:, 0, 0]
+                              * (R @ self._bergman_diagonal(a, lo, hi)))
+        return self._P, self._diag
+
+    def _bergman_diagonal(self, a, lo, hi):
+        """omega_2^(0)(z_a(zeta), z_a(-zeta))/dzeta on [lo, hi]: the
+        polar -1/(4 zeta^2) plus -sum_{i+j=t} rows[i, j] (-1)^j."""
+        dat = np.zeros(hi - lo + 1, dtype=complex)
+        if lo <= -2 <= hi:
+            dat[-2 - lo] = -0.25
+        H = self._rows(a, a)
+        i, j = np.indices((len(H), len(H)))
+        keep = i + j <= min(len(H) - 1, hi)
+        np.add.at(dat, (i + j)[keep] - lo, -H[i[keep], j[keep]]
+                  * (-1.0) ** j[keep])
+        return dat
 
     # -- the recursion ---------------------------------------------------------------
 
@@ -186,12 +244,14 @@ class RecursionEngine:
         if key in self._memo:
             return self._memo[key]
         self._check_reach(g, n)
+        P, diag = self._residue_tensors()
         ks = k_slots(g, n)
-        basis = [(a, k) for a in range(self.A) for k in ks]
-        where = {el: i for i, el in enumerate(basis)}
+        # k-major: every level's basis is a prefix of the heads of P
+        basis = [(a, k) for k in ks for a in range(self.A)]
         tensor = np.zeros((len(basis),) * n, dtype=complex)
         for a in range(self.A):
-            self._add_residues(g, n, a, basis, where, tensor)
+            self._add_residues(g, n, P[a][:len(ks)], diag[a][:len(ks)],
+                               slice(a, None, self.A), tensor)
         form = CorrForm(g, n, basis, tensor)
         self._memo[key] = form
         return form
@@ -216,81 +276,45 @@ class RecursionEngine:
                 f"B_(b,m) for m <= {m}; this engine has curve order "
                 f"{self.curve.order} and row tables m <= {m_rows}")
 
-    def _sub_series(self, form: CorrForm, a, sign, lo, hi):
-        """Contract slot 0 of ``form`` with the zeta_a chart: returns an
-        array of shape (window, D, ..., D) over the *form's own* basis
-        for the remaining slots."""
-        return np.tensordot(self._window(form.basis, a, sign, lo, hi),
-                            form.tensor, axes=1)
-
-    def _add_residues(self, g, n, a, basis, where, tensor):
-        """The residues at ramification point a: for every k in ks,
-        tensor[(a, k), ...] += -1/(2k) times the zeta^-k coefficient of
-        (sum of the recursion's terms) / (y(zeta) - y(-zeta)), each term
-        a window over [lo, hi] read through the slices R and R2."""
+    def _add_residues(self, g, n, P, diag, heads, tensor):
+        """The residues at one ramification point: tensor[heads, ...] +=
+        P contracted with the two factors of each of the recursion's
+        terms.  A stable factor's spectators fill a prefix of the level's
+        basis; an omega(0, 2) factor is its Bergman slots, which map onto
+        the level's own ``heads``."""
         J = n - 1
-        ks = k_slots(g, n)
-        lo = -(2 * (6 * g + 2 * n - 4) + 10)
-        hi = max(ks) + 1
-        R = _residue_slice(self.ydiff_inv[a], ks, lo, hi)
-        R2 = _pair_slice(R, lo)
-        heads = np.array([where[(a, k)] for k in ks])
-        # B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^(k-1) dzeta over this
-        # form's own basis; k - 1 is even, so at -zeta only d(-zeta)
-        # flips the sign
-        bergman = np.zeros((hi - lo + 1, len(basis)), dtype=complex)
-        bergman[np.array(ks) - 1 - lo, heads] = 1.0
-        terms = []  # (residues for every k, [slot bases], axes in J order)
+        nb, K = self._nb, len(diag)
+
+        def slots(f):
+            """P's columns for a factor, and its spectators' slots in the
+            level: the Bergman slots for omega(0, 2), else a prefix."""
+            if f == (0, 2):
+                return slice(nb, nb + K)
+            return slice(len(self.omega(*f).basis))
 
         # omega^{(g-1)}_{J+2}(z, zbar, J)
-        if g >= 1:
-            if 2 * (g - 1) + (J + 2) > 2:
-                sub = self.omega(g - 1, J + 2)
-                first = self._sub_series(sub, a, +1, lo, hi)
-                second = self._window(sub.basis, a, -1, lo, hi)
-                res = np.tensordot(np.tensordot(R2, second, axes=([2], [0])),
-                                   first, axes=([1, 2], [0, 1]))
-                terms.append((res, [sub.basis] * J, list(range(J))))
-            else:
-                terms.append((R @ self._bergman_diagonal(a, lo, hi), [], []))
+        if (g, n) == (1, 1):
+            tensor[heads] += diag
+        elif g >= 1:
+            sub = self.omega(g - 1, J + 2)
+            d = slots((g - 1, J + 2))
+            res = np.tensordot(P[:, d, d], sub.tensor, axes=([1, 2], [0, 1]))
+            tensor[(heads,) + (d,) * J] += res
 
         # stable products
-        for I, (g1, n1), (g2, n2) in _products(g, J):
-            s1, bas1 = self._factor(g1, n1, a, +1, lo, hi, bergman, basis)
-            s2, bas2 = self._factor(g2, n2, a, -1, lo, hi, bergman, basis)
-            res = np.tensordot(np.tensordot(R2, s1, axes=([1], [0])),
-                               s2, axes=([1], [0]))
-            axes = list(I) + [j for j in range(J) if j not in I]
-            terms.append((res, bas1 + bas2, axes))
-
-        scale = (-0.5 / np.array(ks)).reshape((-1,) + (1,) * J)
-        for res, slot_bases, axes in terms:
-            if axes:
-                inv = np.argsort(axes)
-                res = np.transpose(res, axes=[0] + [1 + int(p) for p in inv])
-                slot_bases = [slot_bases[int(p)] for p in inv]
-            idx = [np.array([where[el] for el in sb]) for sb in slot_bases]
-            tensor[np.ix_(heads, *idx)] += scale * res
-
-    def _bergman_diagonal(self, a, lo, hi):
-        """omega_2^(0)(z_a(zeta), z_a(-zeta))/dzeta on [lo, hi]: the
-        polar -1/(4 zeta^2) plus -sum_{i+j=t} rows[i, j] (-1)^j."""
-        dat = np.zeros(hi - lo + 1, dtype=complex)
-        if lo <= -2 <= hi:
-            dat[-2 - lo] = -0.25
-        H = self._rows(a, a)
-        i, j = np.indices((len(H), len(H)))
-        keep = i + j <= min(len(H) - 1, hi)
-        np.add.at(dat, (i + j)[keep] - lo, -H[i[keep], j[keep]]
-                  * (-1.0) ** j[keep])
-        return dat
-
-    def _factor(self, g, n, a, sign, lo, hi, bergman, basis):
-        if (g, n) == (0, 2):
-            return sign * bergman, [basis]
-        sub = self.omega(g, n)
-        return self._sub_series(sub, a, sign, lo, hi), \
-            [sub.basis] * (n - 1)
+        for I, f1, f2 in _products(g, J):
+            res, spect = P[:, slots(f1), slots(f2)], []
+            for f in (f1, f2):
+                if f == (0, 2):
+                    res = np.moveaxis(res, 1, -1)
+                    spect.append(heads)
+                else:
+                    res = np.tensordot(res, self.omega(*f).tensor,
+                                       axes=([1], [0]))
+                    spect += [slots(f)] * (f[1] - 1)
+            inv = np.argsort(list(I) + [j for j in range(J) if j not in I])
+            res = np.transpose(res, [0] + [1 + int(p) for p in inv])
+            tensor[(heads,) + tuple(spect[p] for p in inv)] += res
 
     # -- invariants --------------------------------------------------------------------
 
@@ -309,15 +333,31 @@ class RecursionEngine:
 
     def _invariant_with_phi(self, g, shift):
         w1 = self.omega(g, 1)
-        total = 0.0 + 0.0j
+        d = len(w1.basis)
+        total = sum(phi[:d] @ w1.tensor
+                    for phi in self._primitive_pairing(shift))
+        return total / (2 - 2 * g)
+
+    def _primitive_pairing(self, shift):
+        """Phi^a[(b, m)] = Res_{zeta=0} (phi_a(zeta) + shift)
+        B_{b,m}(z_a(zeta)) for every head (b, m) of the residue tensors,
+        in their k-major order; the unshifted pairing is built once."""
+        if not shift and self._phi_pair is not None:
+            return self._phi_pair
+        m_top = self._row_count() + 4
+        heads = [(b, m) for m in range(1, m_top + 1, 2)
+                 for b in range(self.A)]
+        out = []
         for a in range(self.A):
             phi = self.phi[a] + shift if shift else self.phi[a]
             # phi starts at zeta^k_min: no term above zeta^(-1 - k_min)
             # pairs with it
-            lo, hi = -(6 * g + 2) - 2, -1 - phi.k_min
-            ser = self._sub_series(w1, a, +1, lo, hi)
-            total += _residue_slice(phi, [1], lo, hi)[0] @ ser
-        return total / (2 - 2 * g)
+            lo, hi = -(m_top + 1), -1 - phi.k_min
+            out.append(_residue_slice(phi, [1], lo, hi)[0]
+                       @ self._window(heads, a, lo, hi))
+        if not shift:
+            self._phi_pair = out
+        return out
 
     # -- evaluation ---------------------------------------------------------------------
 
@@ -446,16 +486,6 @@ def _residue_slice(f: TruncSeries, ks, lo, hi):
     out = np.zeros(idx.shape, dtype=complex)
     out[pos >= 0] = f.coeffs[pos[pos >= 0]]
     return out
-
-
-def _pair_slice(R, lo):
-    """R2[i, e1 - lo, e2 - lo] = R[i, e1 + e2 - lo] where e1 + e2 lies in
-    the window [lo, hi] of R, else zero: contracting R2 against two
-    windows reads off the residues of their product clipped to [lo, hi]."""
-    W = R.shape[1]
-    t = np.add.outer(np.arange(W), np.arange(W)) + lo
-    inside = (t >= 0) & (t < W)
-    return np.where(inside, R[:, np.clip(t, 0, W - 1)], 0.0)
 
 
 # -- special geometry ------------------------------------------------------------
