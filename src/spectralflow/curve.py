@@ -28,6 +28,7 @@ from .series import (
     TruncSeries,
     _monomial,
     _series_exp,
+    inverse_at,
     pad,
     truncate,
 )
@@ -225,10 +226,14 @@ class SpectralCurve:
     #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
     #   bergman_derivs(v, n)          [F^(q)(v)/q! for q < n]
     #   bergman_primitive_series(c, order)   P(c + t)
-    # where inner is a series vanishing at 0 (often t itself); the series
-    # carry the Laurent head when c sits on the pole of F; point values
-    # (bergman, bergman_primitive, bergman_derivs with q on a new first
-    # axis, x/y/dx/ydx_value) broadcast over an ndarray of points; and the
+    #   bergman_leg(c, s, gamma)      [zeta^t] F(c + s(zeta)) s'(zeta) for
+    #                                 t < len(gamma), t on axis 0
+    # where inner is a series vanishing at 0 (often t itself), s(zeta) a
+    # local chart and gamma[t, q] = [zeta^t] s^q s' its Lagrange table
+    # (the recursion engine's); the series carry the Laurent head when c
+    # sits on the pole of F; point values (bergman, bergman_primitive,
+    # bergman_derivs with q on a new first axis, bergman_leg,
+    # x/y/dx/ydx_value) broadcast over an ndarray of points; and the
     # reduced Szego factor theta(v + zeta)/(theta(zeta) E(v)), with
     # theta = 1 on the sphere and theta1 on the torus:
     #   prime_form(v)                 E(v)
@@ -353,6 +358,16 @@ class Genus0Curve(SpectralCurve):
             acc = acc * binv
             out.append(acc * ((-1.0) ** q * (q + 1)))
         return out
+
+    def bergman_leg(self, c, s, gamma):
+        """[zeta^t] F(c + s) s' = -[zeta^t] d/dzeta (c + s(zeta))^-1 for
+        t < len(gamma), from one batched inversion of c + s(zeta).
+
+        Summing gamma against bergman_derivs(c) instead is equal, but
+        its c^-(q+2) terms cancel and lose digits."""
+        n = len(gamma)
+        t = np.arange(1.0, n + 1).reshape((-1,) + (1,) * np.ndim(c))
+        return -t * inverse_at(c, s, n)[1:]
 
     def bergman_derivs(self, v, count):
         """[F^(q)(v)/q! = (-1)^q (q+1) v^-(q+2) for q < count]."""
@@ -663,6 +678,12 @@ class Genus1Curve(SpectralCurve):
             b[k - 1] = r[k - 1] - sum(i * b[i - 1] * r[k - i - 1]
                                       for i in range(1, k)) / k
         return -(q[:count] + 2) * (q[:count] + 1) * b[1:]
+
+    def bergman_leg(self, c, s, gamma):
+        """[zeta^t] F(c + s) s' = sum_q gamma[t, q] F^(q)(c)/q! for
+        t < len(gamma): the Taylor coefficients of F at every c are one
+        batched log-series of one theta1 jet (bergman_derivs)."""
+        return np.tensordot(gamma, self.bergman_derivs(c, len(gamma)), 1)
 
     def bergman_primitive_series(self, c, order):
         """(ln theta1)'(c + t), known through t^order."""

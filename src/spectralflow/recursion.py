@@ -34,6 +34,15 @@ depends on the genus.  The engine holds only the chart s_b(zeta): by
 Lagrange inversion gamma^{b,m}_{-1-q} = m/(q+1) [zeta^m] s_b(zeta)^(q+1),
 so zeta_b(s) is never built.  Tensors are immutable once computed; the
 memo table fills level by level in increasing 2g + n.
+
+Evaluation reads the basis forms off the generating property: with
+c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
+leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of an
+array of c in one call per ramification point (on the sphere one
+batched inversion of c + s_a(zeta), on the torus the Taylor
+coefficients of F at every c contracted with gamma), and a tensor is
+contracted with the columns of that matrix, one per point.  Any k up to
+the charts' depth is read this way; the row tables are not used.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import itertools
 
 import numpy as np
 
-from .curve import flip_parity
+from .curve import _ON_POLE, flip_parity
 from .errors import PoleAtRamificationPoint, TruncationTooShort
 from .forms import pole_frame
 from .series import TruncSeries, _combine, identity, truncate
@@ -105,20 +114,21 @@ class RecursionEngine:
                 np.concatenate([[2.0], np.zeros(deep + 4)]), 1,
                 var_tag=y_of.var_tag)
             self.phi.append((y_of * two_zeta).antiderivative())
-            # Lagrange inversion reads s(zeta) through zeta^mmax only
-            s = truncate(s_of, mmax)
-            gam = np.zeros((mmax, mmax), dtype=complex)
-            ms = np.arange(1, mmax + 1)
-            acc = s
-            for q in range(mmax):
-                if q:
-                    acc = acc * s
-                gam[q:, q] = ms[q:] / (q + 1) * acc.coeffs[:mmax - q]
-            self.gamma.append(gam)
+            self.gamma.append(_lagrange_table(s_of, mmax))
         for a in range(self.A):
             self._rows(a, a)
 
+    def _gamma(self, a, n):
+        """The table [m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
+        q < n, deepened on demand: evaluation reads past the row tables."""
+        if len(self.gamma[a]) < n:
+            self.gamma[a] = _lagrange_table(self.s_of[a], n)
+        return self.gamma[a][:n, :n]
+
     def max_tracked_k(self):
+        """Largest k the row tables (``_row_count``) and the pole
+        pairing are built for; evaluation is not bound by it and reads
+        any k up to the charts' depth ``deep``."""
         return max(k_slots(3, 1))
 
     def _row_count(self):
@@ -147,7 +157,7 @@ class RecursionEngine:
         for q, f in enumerate(T):
             stack[q, f.k_min - lo:] = f.coeffs[:hi - f.k_min + 1]
         rows = []
-        for r in self.gamma[b] @ stack:
+        for r in self._gamma(b, mmax) @ stack:
             row = TruncSeries(r, lo) * self.zprime[a]
             rows.append([row.coeff(t) for t in range(width)])
         rows = np.array(rows)
@@ -361,49 +371,54 @@ class RecursionEngine:
 
     # -- evaluation ---------------------------------------------------------------------
 
-    def leg_series(self, a, z):
-        """TruncSeries in eta of B(z_a(eta), z)/(d eta d chart)."""
-        kmax = self.max_tracked_k()
-        s = truncate(self.s_of[a], kmax + 2)
-        F = self.curve.bergman_taylor(self.rams[a].location - z, s, 1)[0]
-        return F * self.zprime[a]
+    def basis_matrix(self, basis, points):
+        """B_{a,k}(z)/dchart for (a, k) in ``basis`` (rows) and z in
+        ``points`` (columns).
 
-    def _check_tracked(self, basis):
-        kmax = self.max_tracked_k()
-        top = max(k for _, k in basis)
-        if top > kmax:
+        Row k - 1 of the leg [zeta^t] F(r_a - z + s_a(zeta)) s_a'(zeta)
+        is B_{a,k}(z); the curve returns the legs of every point in one
+        call per ramification point.  Any k up to the charts' depth
+        ``deep`` is read; deeper ones are refused."""
+        z = np.asarray(points, dtype=complex)
+        owner, ks = np.array(basis).T
+        top = int(ks.max())
+        if top > self.deep:
             raise TruncationTooShort(
-                f"B_(a,{top}) lies beyond the evaluation cap k <= {kmax} "
-                "(RecursionEngine.max_tracked_k)")
-
-    def basis_vector(self, basis, z):
-        """[B_{a,k}(z)/dchart for (a, k) in basis]."""
-        self._check_tracked(basis)
-        legs = {a: self.leg_series(a, z) for a in {a for a, _ in basis}}
-        return np.array([legs[a].coeff(k - 1) for a, k in basis])
+                f"B_(a,{top}) lies beyond the chart depth k <= {self.deep}")
+        out = np.empty((len(basis), len(z)), dtype=complex)
+        for a in set(owner.tolist()):
+            r = self.rams[a].location
+            if any(abs(self.curve.to_cell(p) - r) < _ON_POLE for p in z):
+                raise PoleAtRamificationPoint(
+                    f"evaluation point on the ramification point {r}")
+            legs = self.curve.bergman_leg(r - z, self.s_of[a],
+                                          self._gamma(a, top))
+            rows = owner == a
+            out[rows] = legs[ks[rows] - 1]
+        return out
 
     def evaluate(self, form: CorrForm, points):
         """omega_n^(g)(points) divided by the chart legs."""
-        t = form.tensor
-        for z in points:
-            t = np.tensordot(t, self.basis_vector(form.basis, z),
-                             axes=([0], [0]))
-        return complex(t)
+        return complex(_contract(form.tensor,
+                                 self.basis_matrix(form.basis, points)))
 
     def residue_at_point_oracle(self, form, a, other_points,
                                 radius=5e-2, samples=600):
         """Contour-quadrature oracle for the residue at ramification
-        point a in the first slot, remaining slots frozen."""
+        point a in the first slot, remaining slots frozen.  The contour
+        samples and the spectators are one ``basis_matrix`` read, and
+        the spectators are contracted once."""
         r = self.rams[a]
-        sp = r.s_of_zeta.differentiate()
-        total = 0.0 + 0.0j
-        for i in range(samples):
-            th = 2 * np.pi * (i + 0.5) / samples
-            zeta = radius * np.exp(1j * th)
-            z = r.location + r.s_of_zeta.evaluate(zeta)
-            val = self.evaluate(form, [z] + list(other_points))
-            total += val * sp.evaluate(zeta) * zeta
-        return total / samples
+        s, sp = r.s_of_zeta, r.s_of_zeta.differentiate()
+        zeta = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5)
+                               / samples)
+        horner = np.polynomial.polynomial.polyval
+        z = r.location + horner(zeta, s.coeffs) * zeta ** s.k_min
+        dz = horner(zeta, sp.coeffs) * zeta ** sp.k_min
+        M = self.basis_matrix(form.basis,
+                              np.concatenate([z, np.ravel(other_points)]))
+        head = _contract(np.moveaxis(form.tensor, 0, -1), M[:, samples:])
+        return complex(np.mean((head @ M[:, :samples]) * dz * zeta))
 
     # -- cycle contractions -----------------------------------------------------------
 
@@ -415,6 +430,14 @@ class RecursionEngine:
         for i, (a, k) in enumerate(basis):
             out[i] = 2j * np.pi * self.zprime[a].coeff(k - 1)
         return out
+
+    def _check_tracked(self, basis):
+        kmax = self.max_tracked_k()
+        top = max(k for _, k in basis)
+        if top > kmax:
+            raise TruncationTooShort(
+                f"B_(a,{top}) lies beyond the pole-pairing cap k <= {kmax} "
+                "(RecursionEngine.max_tracked_k)")
 
     def pole_pairing_vector(self, basis, center, j):
         """(1/j) Res_p xi^-j B_{a,k} per basis element: the dual-cycle
@@ -471,6 +494,29 @@ def _products(g, J):
                     yield I, f1, f2
 
 
+def _contract(t, M):
+    """t with its leading axes contracted, in order, against the columns
+    of M."""
+    for col in M.T:
+        t = np.tensordot(t, col, axes=([0], [0]))
+    return t
+
+
+def _lagrange_table(s: TruncSeries, n):
+    """T[t, q] = (t+1)/(q+1) [zeta^(t+1)] s^(q+1) = [zeta^t] s^q s' for
+    t, q < n: by Lagrange inversion, gamma^m_{-1-q} (the coefficient of
+    s^(-1-q) in zeta(s)^-m) at m = t + 1.  Reads s through zeta^n only."""
+    s = truncate(s, n)
+    gam = np.zeros((n, n), dtype=complex)
+    ms = np.arange(1, n + 1)
+    acc = s
+    for q in range(n):
+        if q:
+            acc = acc * s
+        gam[q:, q] = ms[q:] / (q + 1) * acc.coeffs[:n - q]
+    return gam
+
+
 # -- residue slices --------------------------------------------------------------------
 
 def _residue_slice(f: TruncSeries, ks, lo, hi):
@@ -512,7 +558,5 @@ def domega_dt(engine: RecursionEngine, g, n, center, j, points):
     flips the pairing)."""
     w = engine.omega(g, n + 1)
     pv = engine.pole_pairing_vector(w.basis, center, j)
-    t = np.tensordot(w.tensor, pv, axes=([0], [0]))
-    for z in points:
-        t = np.tensordot(t, engine.basis_vector(w.basis, z), axes=([0], [0]))
-    return -complex(t)
+    M = engine.basis_matrix(w.basis, points)
+    return -complex(_contract(w.tensor, np.column_stack([pv, M])))

@@ -350,6 +350,22 @@ def _combine(coefs, series) -> TruncSeries:
     return out
 
 
+def inverse_at(c, s: TruncSeries, n) -> np.ndarray:
+    """Coefficients of 1/(c + s(t)) through t^n on axis 0, for every c of
+    an ndarray at once (c != 0; s vanishes at 0): the recurrence of
+    ``TruncSeries.invert``, with the coefficients of s shared by all c."""
+    c = np.asarray(c, dtype=complex)
+    rs = np.zeros(n + 1, dtype=complex)         # rs[n - j] = [t^j] s
+    rs[n - s.k_min::-1] = s.coeffs[:n + 1 - s.k_min]
+    inv = np.empty((n + 1, c.size), dtype=complex)
+    inv[0] = 1.0 / c.ravel()
+    neg = -inv[0]
+    for m in range(1, n + 1):
+        np.dot(rs[n - m:n], inv[:m], out=inv[m])
+        inv[m] *= neg
+    return inv.reshape((n + 1,) + c.shape)
+
+
 def _series_exp(f: TruncSeries) -> TruncSeries:
     """exp of a series with vanishing constant term, from e' = e f'."""
     if f.k_min < 1 and abs(f.coeff(0)) > 0:

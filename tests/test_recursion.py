@@ -16,8 +16,9 @@ from spectralflow.deform import (
     regularized_direction,
     shift_y_by_rational_of_x,
 )
-from spectralflow.errors import TruncationTooShort
+from spectralflow.errors import PoleAtRamificationPoint, TruncationTooShort
 from spectralflow.recursion import (
+    CorrForm,
     RecursionEngine,
     _residue_slice,
     dF_deps,
@@ -25,7 +26,7 @@ from spectralflow.recursion import (
     domega_dt,
     k_slots,
 )
-from spectralflow.series import TruncSeries
+from spectralflow.series import TruncSeries, truncate
 
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
 
@@ -98,13 +99,62 @@ def test_airy_omega11_closed_form(engines):
     assert abs(eng.evaluate(w, [z]) - 1.0 / (16 * z ** 4)) < 1e-14
 
 
-def test_omega2_is_bergman_convention(engines, rng):
-    # the recursion's (0,2) input is the Bergman kernel itself
-    for name, eng in engines.items():
-        z1, z2 = sample_points(eng.curve, rng, 2)
-        ser = eng.leg_series(0, z2)
-        # generating property at k=1 reproduces B up to the basis head
-        assert np.isfinite(ser.coeff(0))
+def _on_circle(f, zeta):
+    """A TruncSeries in an integer power of its variable, at an array."""
+    return np.polynomial.polynomial.polyval(zeta, f.coeffs) * zeta ** f.k_min
+
+
+def test_omega2_is_bergman_convention(engines, asym_engines, rng):
+    # the basis forms are the chart's Taylor coefficients of the Bergman
+    # kernel: sum_k B_{a,k}(z) zeta^(k-1) = F(r_a + s_a(zeta) - z) s_a'(zeta),
+    # read for every point at once, and equal to the per-point series
+    K = 40
+    zeta = 0.05 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
+    for eng in [*engines.values(), *(e for _, e in asym_engines.values())]:
+        cv = eng.curve
+        pts = np.array(sample_points(cv, rng, 5))
+        for a, r in enumerate(eng.rams):
+            M = eng.basis_matrix([(a, k) for k in range(1, K + 1)], pts)
+            lhs = np.polynomial.polynomial.polyval(zeta, M)
+            rhs = cv.bergman(r.location + _on_circle(eng.s_of[a], zeta)
+                             - pts[:, None]) * _on_circle(eng.zprime[a], zeta)
+            assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-13
+            s = truncate(eng.s_of[a], K + 2)
+            for i, z in enumerate(pts):
+                F = cv.bergman_taylor(r.location - z, s, 1)[0] * eng.zprime[a]
+                want = np.array([F.coeff(k - 1) for k in range(1, K + 1)])
+                assert np.max(np.abs(M[:, i] - want)) \
+                    <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["airy", "torus"])
+def test_evaluate_one_kernel_call_per_ramification_point(engines, rng,
+                                                         monkeypatch, which):
+    # evaluation reads B_{a,k} at all its points in one batched kernel
+    # call per ramification point; the per-point series path made
+    # A * len(points) bergman_taylor calls
+    eng = engines[which]
+    w = eng.omega(0, 4)
+    pts = sample_points(eng.curve, rng, 4)
+    calls = {"bergman_leg": 0, "bergman_taylor": 0}
+    cls = type(eng.curve)
+    for name in calls:
+        def counted(self, *args, _name=name, _f=getattr(cls, name)):
+            calls[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    eng.evaluate(w, pts)
+    assert calls == {"bergman_leg": eng.A, "bergman_taylor": 0}
+    eng.residue_at_point_oracle(w, 0, pts[1:], samples=200)
+    assert calls == {"bergman_leg": 2 * eng.A, "bergman_taylor": 0}
+
+
+def test_evaluate_at_ramification_point_refused(engines):
+    for eng in engines.values():
+        w = eng.omega(0, 3)
+        r = eng.rams[-1].location
+        with pytest.raises(PoleAtRamificationPoint):
+            eng.evaluate(w, [r, r + 0.3, r + 0.3j])
 
 
 # -- structural suite ------------------------------------------------------------------
@@ -185,19 +235,14 @@ def test_joukowski_f2_value(joukowski):
     f2 = eng.invariant(2)
     assert abs(f2 - 1.0 / 240.0) < 1e-12
     w12 = eng.omega(2, 1)
+    samples, rad = 3000, 0.25
+    zeta = rad * np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
     total = 0.0
     for a, r in enumerate(eng.rams):
-        samples, rad = 3000, 0.25
-        acc = 0.0
-        for i in range(samples):
-            th = 2 * np.pi * (i + 0.5) / samples
-            zeta = rad * np.exp(1j * th)
-            sval = eng.s_of[a].evaluate(zeta)
-            z = r.location + sval
-            phi = eng.phi[a].evaluate(zeta)
-            val = eng.evaluate(w12, [z]) * eng.zprime[a].evaluate(zeta)
-            acc += phi * val * zeta
-        total += acc / samples
+        z = r.location + _on_circle(eng.s_of[a], zeta)
+        val = w12.tensor @ eng.basis_matrix(w12.basis, z) \
+            * _on_circle(eng.zprime[a], zeta)
+        total += np.mean(_on_circle(eng.phi[a], zeta) * val * zeta)
     assert abs(total / (2 - 4) - f2) < 1e-9
 
 
@@ -223,11 +268,28 @@ def test_joukowski_fg_harer_zagier(joukowski40, g, tol):
     assert abs(joukowski40.invariant(g) - exact) < tol * abs(exact)
 
 
-def test_evaluate_beyond_tracked_k_refused(joukowski40):
+def test_evaluate_omega41(joukowski40):
+    # omega(4, 1) reads B_(a,k) past the row tables, which evaluation
+    # does not use: gate it by the involution z -> 1/z and by quadrature
     w = joukowski40.omega(4, 1)
     assert max(k for _, k in w.basis) > joukowski40.max_tracked_k()
-    with pytest.raises(TruncationTooShort, match="max_tracked_k"):
-        joukowski40.evaluate(w, [1.3 + 0.4j])
+    for z in (1.3 + 0.4j, 0.7 + 1.1j, 1.9 + 0.2j):
+        val = joukowski40.evaluate(w, [z])
+        inv = joukowski40.evaluate(w, [1 / z]) * (-1 / z ** 2)
+        assert abs(val + inv) / abs(val) < 1e-12
+    for a, r in enumerate(joukowski40.rams):
+        res = joukowski40.residue_at_point_oracle(w, a, [], radius=0.1,
+                                                  samples=400)
+        scale = abs(joukowski40.evaluate(w, [r.location + 0.1]))
+        assert abs(res) / scale < 1e-12
+
+
+def test_evaluate_beyond_tracked_k_refused(joukowski40):
+    # evaluation reads B_(a,k) up to the charts' depth; the pole pairing
+    # reads the row tables' gamma and stops at max_tracked_k
+    deep = CorrForm(0, 1, [(0, joukowski40.deep + 2)], np.ones(1))
+    with pytest.raises(TruncationTooShort, match="chart depth"):
+        joukowski40.evaluate(deep, [1.3 + 0.4j])
     with pytest.raises(TruncationTooShort, match="max_tracked_k"):
         dF_dt(joukowski40, 4, "inf", 1)
 
