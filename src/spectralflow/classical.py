@@ -44,6 +44,12 @@ from .series import _series_exp
 _COND_LIMIT = 1e10
 # |Re| of an exponent past which e^{.} leaves the normal double range
 _EXP_LIMIT = 708.0
+# steps of the B-loop in b_loop_transport_residual
+_B_LOOP_STEPS = 48
+# largest j of the times compared by time_shift_of_third_kind
+_SHIFT_J_MAX = 8
+# the insertion step of self_replication_residual's differences
+_INSERTION_STEP = 1e-4
 
 
 class ClassicalSystem:
@@ -155,7 +161,7 @@ class ClassicalSystem:
     def alpha_at_coincidence(self):
         return abs(self.curve.theta_ratio(0.0, self.zeta_t) - 1.0)
 
-    def b_loop_transport_residual(self, z1, z2, steps=48):
+    def b_loop_transport_residual(self, z1, z2):
         """Move z1 around a B-homotopic loop with continuous tracking."""
         if self.curve.genus != 1:
             return 0.0
@@ -165,8 +171,8 @@ class ClassicalSystem:
         th = self.curve.ell.theta
         prev = z1
         acc = 0.0
-        for i in range(1, steps + 1):
-            znext = z1 + tau * i / steps
+        for i in range(1, _B_LOOP_STEPS + 1):
+            znext = z1 + tau * i / _B_LOOP_STEPS
             seg = line_integral(self.curve, self.chi, prev, znext)
             dlog = np.log(th.theta1(znext - z2 + self.zeta_t)
                           / th.theta1(prev - z2 + self.zeta_t)) \
@@ -371,12 +377,12 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
     return residual, ratio
 
 
-def time_shift_of_third_kind(curve, form, z1, z2, j_max=8):
+def time_shift_of_third_kind(curve, form, z1, z2):
     """Times of omega + dS minus times of omega at a shared pole set."""
-    base, _ = times_and_fillings(curve, form, j_max)
+    base, _ = times_and_fillings(curve, form, _SHIFT_J_MAX)
     shifted, _ = times_and_fillings(
         curve, SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))]),
-        j_max)
+        _SHIFT_J_MAX)
     out = {}
     for rec in shifted:
         mate = next((r for r in base
@@ -400,9 +406,9 @@ def insertion_deformed_system(curve, form, z, lam, basepoint=None):
                            basepoint)
 
 
-def self_replication_residual(curve, form, z, z1, z2, h=1e-4,
-                              basepoint=None, richardson=True):
-    """|delta_z psi + psi(z1,z) psi(z,z2)| via guarded differences.
+def self_replication_residual(curve, form, z, z1, z2, basepoint=None):
+    """|delta_z psi + psi(z1,z) psi(z,z2)| via guarded differences,
+    Richardson-extrapolated from the steps _INSERTION_STEP and half it.
 
     delta_z includes the dX(z) weight of the insertion operator, so the
     balance holds in reduced chart values.
@@ -416,9 +422,9 @@ def self_replication_residual(curve, form, z, z1, z2, h=1e-4,
         return (up.psi(z1, z2) - dn.psi(z1, z2)) / (2 * step) \
             * curve.dx_value(z)
 
-    d1 = dpsi(h)
-    d2 = dpsi(h / 2)
-    fd = (4 * d2 - d1) / 3 if richardson else d2
+    d1 = dpsi(_INSERTION_STEP)
+    d2 = dpsi(_INSERTION_STEP / 2)
+    fd = (4 * d2 - d1) / 3
     target = -base.psi(z1, z) * base.psi(z, z2)
     if abs(d1 - d2) > 0.3 * max(abs(fd), 1e-30):
         raise StepTooLarge("h-sweep disagreement in the insertion FD")

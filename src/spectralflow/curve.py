@@ -166,7 +166,7 @@ def flip_parity(f: TruncSeries) -> TruncSeries:
     """f(-zeta) for a series in zeta."""
     ks = np.arange(f.k_min, f.trunc_order + 1)
     return TruncSeries(f.coeffs * (-1.0 + 0j) ** (ks % 2), f.k_min,
-                       f.ram_index, f.var_tag)
+                       f.var_tag)
 
 
 class PoleFrame:
@@ -507,7 +507,7 @@ def _drop_low_noise(f: TruncSeries, upto: int = 2) -> TruncSeries:
     scale = np.max(np.abs(coeffs))
     mask = (ks < upto) & (np.abs(coeffs) < 1e-9 * scale)
     coeffs[mask] = 0.0
-    return TruncSeries(coeffs, f.k_min, f.ram_index, f.var_tag)
+    return TruncSeries(coeffs, f.k_min, f.var_tag)
 
 
 def _root_coordinate(x_series: TruncSeries, m: int, tag: str) -> TruncSeries:
@@ -661,8 +661,7 @@ class Genus1Curve(SpectralCurve):
         D, e = D[:, :top - k0 + 1], e[:top - k0 + 1]
         used = np.any(D, axis=0)
         T = D[:, used] @ _power_table(inner, e[used], k0, top)
-        return [TruncSeries(row, k0, inner.ram_index, inner.var_tag)
-                for row in T]
+        return [TruncSeries(row, k0, inner.var_tag) for row in T]
 
     def bergman_derivs(self, v, count):
         """[F^(q)(v)/q! for q < count]: -(q+2)(q+1) b_(q+2), where
@@ -862,7 +861,7 @@ def _trim_leading_noise(f: TruncSeries, rel=3e-12) -> TruncSeries:
     while i < len(coeffs) - 1 and abs(coeffs[i]) < rel * scale:
         coeffs[i] = 0.0
         i += 1
-    return TruncSeries(coeffs, f.k_min, f.ram_index, f.var_tag)
+    return TruncSeries(coeffs, f.k_min, f.var_tag)
 
 
 # -- sheet continuation ----------------------------------------------------------

@@ -31,7 +31,8 @@ from .forms import (
 from .quadrature import integrate_path, split_to_avoid
 from .series import TruncSeries, _monomial, truncate
 
-_QTOL = 1e-12
+# a clear basepoint keeps this distance from poles and branch points
+_BASEPOINT_CLEARANCE = 0.2
 
 
 # -- cycle quadrature -----------------------------------------------------------
@@ -76,24 +77,24 @@ def _seg_dist(a, b, p):
     return abs(a + t * v - p)
 
 
-def a_period(curve, form, tol=_QTOL):
+def a_period(curve, form):
     if curve.genus == 0:
         raise UnsupportedCycle("no A-cycle at genus 0")
     pts = _pole_translates(curve, form)
     c, _ = _best_offset(pts, "a", curve.tau)
     a0 = c * curve.tau
-    return integrate_path(form.value, [a0, a0 + 1.0], tol)
+    return integrate_path(form.value, [a0, a0 + 1.0])
 
 
-def b_period(curve, form, tol=_QTOL):
+def b_period(curve, form):
     if curve.genus == 0:
         raise UnsupportedCycle("no B-cycle at genus 0")
     pts = _pole_translates(curve, form)
     c, _ = _best_offset(pts, "b", curve.tau)
-    return integrate_path(form.value, [c, c + curve.tau], tol)
+    return integrate_path(form.value, [c, c + curve.tau])
 
 
-def canonical_period(curve, form, which, tol=_QTOL):
+def canonical_period(curve, form, which):
     """A/B-period coherent with in-cell path conventions.
 
     Closed forms are used whenever the form is built from canonical
@@ -103,7 +104,7 @@ def canonical_period(curve, form, which, tol=_QTOL):
     if curve.genus == 0:
         raise UnsupportedCycle("no cycles at genus 0")
     if isinstance(form, SumForm):
-        return sum(c * canonical_period(curve, f, which, tol)
+        return sum(c * canonical_period(curve, f, which)
                    for c, f in form.terms)
     closed = form.cycle_period(which)
     if closed is not None:
@@ -114,14 +115,14 @@ def canonical_period(curve, form, which, tol=_QTOL):
             raise UnsupportedCycle(
                 f"residue-carrying opaque form at {center}: no canonical "
                 "cycle representative")
-    return (a_period if which == "a" else b_period)(curve, form, tol)
+    return (a_period if which == "a" else b_period)(curve, form)
 
 
-def line_integral(curve, form, z_from, z_to, tol=_QTOL):
+def line_integral(curve, form, z_from, z_to):
     """Integral along an in-domain polyline avoiding the form's poles."""
     pts = _pole_translates(curve, form)
     path = split_to_avoid(z_from, z_to, pts)
-    return integrate_path(form.value, path, tol)
+    return integrate_path(form.value, path)
 
 
 # -- two-point kernels ------------------------------------------------------------
@@ -161,7 +162,7 @@ def default_basepoint(curve):
     return 0.73 + 0.58j
 
 
-def clear_basepoint(curve, form, min_dist=0.2):
+def clear_basepoint(curve, form):
     """A basepoint staying away from the form's poles and branch points.
 
     Only differences of chemical potentials are canonical, so any clear
@@ -181,7 +182,7 @@ def clear_basepoint(curve, form, min_dist=0.2):
         cands = [0.73 + 0.58j, -0.64 + 0.81j, 1.27 - 0.93j, -1.41 - 0.52j,
                  0.31 + 1.62j]
     for o in cands:
-        if all(abs(o - p) > min_dist for p in special):
+        if all(abs(o - p) > _BASEPOINT_CLEARANCE for p in special):
             return o
     return cands[0]
 

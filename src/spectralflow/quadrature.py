@@ -14,6 +14,10 @@ from .errors import QuadratureNotConverged
 
 # panels are halved at most this many times
 MAX_DEPTH = 14
+# a panel is accepted when its Kronrod-Gauss gap is below TOL * max(1, |value|)
+TOL = 1e-12
+# obstacles closer than this to a segment get a detour
+CLEARANCE = 1e-3
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1]
 _XK = np.array([
@@ -44,12 +48,12 @@ def _panel(f, a, b):
     return k, abs(k - g)
 
 
-def integrate_segment(f, a, b, tol=1e-12):
+def integrate_segment(f, a, b):
     """Integral of f along the straight segment [a, b] (complex path);
     f is called on arrays of points.
 
     Raises QuadratureNotConverged when a panel halved MAX_DEPTH times
-    still misses the tolerance."""
+    still misses TOL."""
     a, b = complex(a), complex(b)
 
     def lift(t):
@@ -60,7 +64,7 @@ def integrate_segment(f, a, b, tol=1e-12):
     while stack:
         lo, hi, depth = stack.pop()
         val, err = _panel(lift, lo, hi)
-        if err <= tol * max(1.0, abs(val)):
+        if err <= TOL * max(1.0, abs(val)):
             total += val
         elif depth >= MAX_DEPTH:
             raise QuadratureNotConverged(
@@ -73,16 +77,16 @@ def integrate_segment(f, a, b, tol=1e-12):
     return total
 
 
-def integrate_path(f, points, tol=1e-12):
+def integrate_path(f, points):
     """Integral along a polyline given by ``points``."""
-    return sum(integrate_segment(f, points[i], points[i + 1], tol)
+    return sum(integrate_segment(f, points[i], points[i + 1])
                for i in range(len(points) - 1))
 
 
-def split_to_avoid(a, b, obstacles, clearance=1e-3):
+def split_to_avoid(a, b, obstacles):
     """Polyline from a to b detouring around listed points.
 
-    Obstacles within ``clearance`` of the open segment get a sideways
+    Obstacles within CLEARANCE of the open segment get a sideways
     detour; obstacles at the endpoints are the caller's business and
     are skipped (a path *to* a pole is legitimate for regularized
     integrands).
@@ -96,17 +100,17 @@ def split_to_avoid(a, b, obstacles, clearance=1e-3):
     hits = []
     for p in obstacles:
         p = complex(p)
-        if min(abs(p - a), abs(p - b)) < 2 * clearance:
+        if min(abs(p - a), abs(p - b)) < 2 * CLEARANCE:
             continue
         t = ((p - a) / unit).real / length
         if 0.0 < t < 1.0:
             dist = abs(a + t * length * unit - p)
-            if dist < clearance:
+            if dist < CLEARANCE:
                 hits.append((t, dist, p))
     if not hits:
         return [a, b]
     hits.sort(key=lambda h: h[0])
-    margin = max(8 * clearance, 2 * max(h[1] for h in hits))
+    margin = max(8 * CLEARANCE, 2 * max(h[1] for h in hits))
     margin = min(margin, 0.2 * length)
     pts = [a]
     for t, dist, p in hits:

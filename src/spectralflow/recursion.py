@@ -43,6 +43,18 @@ batched inversion of c + s_a(zeta), on the torus the Taylor
 coefficients of F at every c contracted with gamma), and a tensor is
 contracted with the columns of that matrix, one per point.  Any k up to
 the charts' depth is read this way; the row tables are not used.
+
+The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
+with the cycles dual to the times t_{p,j} and to the filling fraction,
+are chart coefficients too.  B is symmetric, so exchanging the two
+residues gives
+
+    (1/j) Res_p xi^-j B_{a,k} = [zeta^(k-1)] omega_{p,j}(z_a(zeta))/dzeta
+
+for the second-kind form omega_{p,j} (``forms.SecondKindBasis``), and
+the B-period of B_{a,k} is the coefficient of 2 pi i du
+(``forms.DuForm``).  ``chart_vector`` reads either as gamma contracted
+with the form's Taylor coefficients at r_a, to the charts' depth.
 """
 
 from __future__ import annotations
@@ -53,8 +65,8 @@ import numpy as np
 
 from .curve import _ON_POLE, flip_parity
 from .errors import PoleAtRamificationPoint, TruncationTooShort
-from .forms import pole_frame
-from .series import TruncSeries, _combine, identity, truncate
+from .forms import DuForm, SecondKindBasis, pole_frame
+from .series import TruncSeries, truncate
 
 
 class CorrForm:
@@ -63,7 +75,7 @@ class CorrForm:
     def __init__(self, g, n, basis, tensor):
         self.g = int(g)
         self.n = int(n)
-        self.basis = basis          # [(ram_index, k) for k for ram_index]
+        self.basis = basis          # [(a, k) for k for a]
         self.tensor = tensor        # ndarray, shape (len(basis),) * n
 
 
@@ -91,9 +103,9 @@ class RecursionEngine:
     def _prepare_local_data(self):
         cv = self.curve
         mmax = self._row_count()
-        # the residue windows and the pole-chart series read far into
-        # the local charts, so they are rebuilt much deeper than the
-        # curve's validation series
+        # the residue windows and evaluation read far into the local
+        # charts, so they are rebuilt much deeper than the curve's
+        # validation series
         deep = cv.order + 2 * mmax + 16
         self.deep = deep
         self.s_of, self.y_of = [], []
@@ -120,20 +132,26 @@ class RecursionEngine:
 
     def _gamma(self, a, n):
         """The table [m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
-        q < n, deepened on demand: evaluation reads past the row tables."""
+        q < n, deepened on demand: evaluation and the pairings read past
+        the row tables."""
         if len(self.gamma[a]) < n:
             self.gamma[a] = _lagrange_table(self.s_of[a], n)
         return self.gamma[a][:n, :n]
 
-    def max_tracked_k(self):
-        """Largest k the row tables (``_row_count``) and the pole
-        pairing are built for; evaluation is not bound by it and reads
-        any k up to the charts' depth ``deep``."""
-        return max(k_slots(3, 1))
-
     def _row_count(self):
-        """Largest m of the row tables of ``_rows``."""
-        return self.max_tracked_k() + 2
+        """Largest m of the row tables of ``_rows``: two past the top k
+        of omega(3, 1), the deepest level they serve.  Evaluation and
+        the pairings read any k up to the charts' depth ``deep``."""
+        return max(k_slots(3, 1)) + 2
+
+    def _top_k(self, ks):
+        """The largest k of a basis, refused past the charts' depth
+        ``deep``."""
+        top = int(max(ks))
+        if top > self.deep:
+            raise TruncationTooShort(
+                f"B_(a,{top}) lies beyond the chart depth k <= {self.deep}")
+        return top
 
     def _rows(self, b, a):
         """rows[m-1][t]: coefficient of zeta^t, t >= 0, of
@@ -142,7 +160,7 @@ class RecursionEngine:
 
         With z = r_a + s_a(zeta) the rows are one contraction,
         (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!."""
-        key = ("rows", b, a)
+        key = (b, a)
         if key in self._plg:
             return self._plg[key]
         mmax = self._row_count()
@@ -381,10 +399,7 @@ class RecursionEngine:
         ``deep`` is read; deeper ones are refused."""
         z = np.asarray(points, dtype=complex)
         owner, ks = np.array(basis).T
-        top = int(ks.max())
-        if top > self.deep:
-            raise TruncationTooShort(
-                f"B_(a,{top}) lies beyond the chart depth k <= {self.deep}")
+        top = self._top_k(ks)
         out = np.empty((len(basis), len(z)), dtype=complex)
         for a in set(owner.tolist()):
             r = self.rams[a].location
@@ -420,64 +435,40 @@ class RecursionEngine:
         head = _contract(np.moveaxis(form.tensor, 0, -1), M[:, samples:])
         return complex(np.mean((head @ M[:, :samples]) * dz * zeta))
 
-    # -- cycle contractions -----------------------------------------------------------
+    # -- pairings ----------------------------------------------------------------------
 
-    def b_cycle_vector(self, basis):
-        """oint_B B_{a,k} per basis element (genus 1; zero at genus 0)."""
-        out = np.zeros(len(basis), dtype=complex)
-        if self.curve.genus != 1:
-            return out
-        for i, (a, k) in enumerate(basis):
-            out[i] = 2j * np.pi * self.zprime[a].coeff(k - 1)
+    def chart_vector(self, form, basis):
+        """[zeta_a^(k-1)] form(z_a(zeta))/dzeta per basis element (a, k).
+
+        With h_q the Taylor coefficients of the form at r_a, the
+        coefficient is sum_q h_q [zeta^(k-1)] s_a^q s_a' = (gamma . h)[k-1]:
+        one local series per ramification point.  A form with a pole
+        there is refused."""
+        owner, ks = np.array(basis).T
+        top = self._top_k(ks)
+        out = np.empty(len(basis), dtype=complex)
+        for a in set(owner.tolist()):
+            r = self.rams[a].location
+            h = form.local_series(r, top)
+            if h.k_min < 0:
+                raise PoleAtRamificationPoint(
+                    f"form has a pole at the ramification point {r}")
+            taylor = np.array([h.coeff(q) for q in range(top)])
+            rows = owner == a
+            out[rows] = (self._gamma(a, top) @ taylor)[ks[rows] - 1]
         return out
 
-    def _check_tracked(self, basis):
-        kmax = self.max_tracked_k()
-        top = max(k for _, k in basis)
-        if top > kmax:
-            raise TruncationTooShort(
-                f"B_(a,{top}) lies beyond the pole-pairing cap k <= {kmax} "
-                "(RecursionEngine.max_tracked_k)")
+    def b_cycle_vector(self, basis):
+        """oint_B B_{a,k} per basis element: the chart coefficients of
+        2 pi i du (genus 1; genus 0 has no B-cycle and is refused)."""
+        return self.chart_vector(DuForm(self.curve, 2j * np.pi), basis)
 
     def pole_pairing_vector(self, basis, center, j):
         """(1/j) Res_p xi^-j B_{a,k} per basis element: the dual-cycle
-        pairing for the time t_{p,j}."""
-        self._check_tracked(basis)
-        out = np.zeros(len(basis), dtype=complex)
-        xp = pole_frame(self.curve, center)
-        xi_inv_j = xp.xi_of_s.invert() ** j
-        for i, (a, k) in enumerate(basis):
-            leg = self._basis_series_at_pole(a, k, xp)
-            prod = leg * xi_inv_j.retag(leg.var_tag)
-            out[i] = prod.residue() / j
-        return out
-
-    def _basis_series_at_pole(self, a, k, xp):
-        """Series in the pole chart of B_{a,k}(z_p(s))/ds.
-
-        The same contraction as the rows, read at z = p + s (or through
-        z = 1/w in the sphere's chart at infinity):
-        B_{a,k}(z) = sum_q gamma^{a,k}_{-1-q} F^(q)(r_a - z)/q!.
-        Built from the kernel's own series, so the conditioning is set
-        by true function radii rather than bivariate kernel inverses.
-        """
-        key = (a, k, str(xp.location))
-        if key in self._plg:
-            return self._plg[key]
-        cv = self.curve
-        r = self.rams[a]
-        if xp.location == "inf":
-            F = cv.bergman_taylor_at_infinity(r.location, k, self.deep)
-        else:
-            p = complex(xp.location)
-            t = identity(var_tag=f"s@{p:.6g}", order=self.deep + 1)
-            F = cv.bergman_taylor(r.location - p, -t, k)
-            if F[0].k_min < 0:
-                raise PoleAtRamificationPoint(
-                    "pole frame collides with a ramification point")
-        ser = _combine(self.gamma[a][k - 1, :k], F)
-        self._plg[key] = ser
-        return ser
+        pairing for the time t_{p,j}, read off the chart coefficients of
+        the second-kind form omega_{p,j}."""
+        frame = pole_frame(self.curve, center)
+        return self.chart_vector(SecondKindBasis(self.curve, frame, j), basis)
 
 
 # -- the recursion's terms -------------------------------------------------------------

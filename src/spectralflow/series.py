@@ -1,12 +1,12 @@
-"""Truncated Laurent/Puiseux series over complex coefficients.
+"""Truncated Laurent series over complex coefficients.
 
 This is the computational substrate for every local expansion in the
 library: involutions at ramification points, residues of recursion
 kernels, pole data of 1-forms, regularized limits.
 
-A series tracks exponents k/r for integer k in a window [k_min, K]:
+A series tracks integer exponents k in a window [k_min, K]:
 
-    f(z) = sum_{k=k_min..K}  c[k - k_min] * z**(k / r)
+    f(z) = sum_{k=k_min..K}  c[k - k_min] * z**k
 
 Coefficients below k_min are exactly zero; coefficients above the
 truncation order K are *unknown*.  All arithmetic propagates the window
@@ -35,11 +35,11 @@ DEFAULT_TRUNC = 24
 
 
 class TruncSeries:
-    """Immutable truncated Puiseux series in one local coordinate."""
+    """Immutable truncated Laurent series in one local coordinate."""
 
-    __slots__ = ("ram_index", "k_min", "coeffs", "var_tag")
+    __slots__ = ("k_min", "coeffs", "var_tag")
 
-    def __init__(self, coeffs, k_min=0, ram_index=1, var_tag=""):
+    def __init__(self, coeffs, k_min=0, var_tag=""):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 1:
             raise ValueError("coefficient array must be one-dimensional")
@@ -53,7 +53,6 @@ class TruncSeries:
             coeffs = coeffs[nz[0]:]
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "k_min", int(k_min))
-        object.__setattr__(self, "ram_index", int(ram_index))
         object.__setattr__(self, "var_tag", var_tag)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -66,10 +65,10 @@ class TruncSeries:
         return self.k_min + len(self.coeffs) - 1
 
     def coeff(self, k: int) -> complex:
-        """Coefficient of z**(k/r); exact zero below the window."""
+        """Coefficient of z**k; exact zero below the window."""
         if k > self.trunc_order:
             raise TruncationTooShort(
-                f"coefficient {k}/{self.ram_index} beyond truncation order "
+                f"coefficient {k} beyond truncation order "
                 f"{self.trunc_order} (tag {self.var_tag!r})")
         if k < self.k_min:
             return 0.0 + 0.0j
@@ -77,20 +76,15 @@ class TruncSeries:
 
     def __repr__(self):
         head = ", ".join(
-            f"{c:.6g}*z^({k}/{self.ram_index})" if self.ram_index != 1
-            else f"{c:.6g}*z^{k}"
+            f"{c:.6g}*z^{k}"
             for k, c in list(zip(range(self.k_min, self.trunc_order + 1),
                                  self.coeffs))[:4])
         return (f"TruncSeries[{head}, ...; K={self.trunc_order}, "
                 f"tag={self.var_tag!r}]")
 
     def _check_compatible(self, other: "TruncSeries"):
-        if self.ram_index != other.ram_index or (
-                self.var_tag and other.var_tag
-                and self.var_tag != other.var_tag):
-            raise IncompatibleFrames(
-                f"{self.var_tag!r}/r={self.ram_index} vs "
-                f"{other.var_tag!r}/r={other.ram_index}")
+        if self.var_tag and other.var_tag and self.var_tag != other.var_tag:
+            raise IncompatibleFrames(f"{self.var_tag!r} vs {other.var_tag!r}")
 
     def _tag_with(self, other):
         return self.var_tag or other.var_tag
@@ -111,25 +105,24 @@ class TruncSeries:
             lo = s.k_min - k_min
             hi = min(s.trunc_order, K) - k_min + 1
             out[lo:hi] += s.coeffs[:hi - lo]
-        return TruncSeries(out, k_min, self.ram_index, self._tag_with(other))
+        return TruncSeries(out, k_min, self._tag_with(other))
 
     def _add_scalar(self, c):
         if self.k_min > 0:
             pad = np.zeros(self.k_min, dtype=complex)
             coeffs = np.concatenate([pad, self.coeffs])
             coeffs[0] += c
-            return TruncSeries(coeffs, 0, self.ram_index, self.var_tag)
+            return TruncSeries(coeffs, 0, self.var_tag)
         if self.trunc_order < 0:
             raise TruncationTooShort("scalar addition beyond truncation")
         coeffs = self.coeffs.copy()
         coeffs[-self.k_min] += c
-        return TruncSeries(coeffs, self.k_min, self.ram_index, self.var_tag)
+        return TruncSeries(coeffs, self.k_min, self.var_tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(-self.coeffs, self.k_min, self.ram_index,
-                           self.var_tag)
+        return TruncSeries(-self.coeffs, self.k_min, self.var_tag)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncSeries)
@@ -141,7 +134,7 @@ class TruncSeries:
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, complex):
             return TruncSeries(self.coeffs * complex(other), self.k_min,
-                               self.ram_index, self.var_tag)
+                               self.var_tag)
         self._check_compatible(other)
         k_min = self.k_min + other.k_min
         K = min(self.trunc_order + other.k_min,
@@ -150,8 +143,7 @@ class TruncSeries:
         if n <= 0:
             raise TruncationTooShort("empty window in multiplication")
         full = np.convolve(self.coeffs, other.coeffs)
-        return TruncSeries(full[:n], k_min, self.ram_index,
-                           self._tag_with(other))
+        return TruncSeries(full[:n], k_min, self._tag_with(other))
 
     __rmul__ = __mul__
 
@@ -169,8 +161,7 @@ class TruncSeries:
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
-            return constant(1.0, self.ram_index, self.var_tag,
-                            len(self.coeffs))
+            return constant(1.0, self.var_tag, len(self.coeffs))
         out, base = None, self
         while n:
             if n & 1:
@@ -200,8 +191,7 @@ class TruncSeries:
         inv[0] = 1.0
         for m in range(1, n):
             inv[m] = -np.dot(u[1:m + 1][::-1], inv[:m])
-        return TruncSeries(inv / lead, -self.k_min, self.ram_index,
-                           self.var_tag)
+        return TruncSeries(inv / lead, -self.k_min, self.var_tag)
 
     def sqrt(self, branch: complex | None = None) -> "TruncSeries":
         """Square root; leading exponent must be even.
@@ -213,7 +203,7 @@ class TruncSeries:
         lead = self._leading()
         if self.k_min % 2:
             raise OddLeadingExponentForSqrt(
-                f"leading exponent {self.k_min}/{self.ram_index}")
+                f"leading exponent {self.k_min}")
         root = np.sqrt(lead) if branch is None else complex(branch)
         if abs(root * root - lead) > 1e-9 * abs(lead):
             raise ValueError("branch does not square to leading coefficient")
@@ -224,30 +214,25 @@ class TruncSeries:
         for m in range(1, n):
             acc = u[m] - np.dot(s[1:m], s[1:m][::-1]) if m > 1 else u[m]
             s[m] = acc / 2.0
-        return TruncSeries(s * root, self.k_min // 2, self.ram_index,
-                           self.var_tag)
+        return TruncSeries(s * root, self.k_min // 2, self.var_tag)
 
     # -- calculus -----------------------------------------------------------
 
     def differentiate(self) -> "TruncSeries":
-        """d/dz, where z is the local coordinate (exponents k/r)."""
+        """d/dz, where z is the local coordinate."""
         ks = np.arange(self.k_min, self.trunc_order + 1)
-        coeffs = self.coeffs * (ks / self.ram_index)
-        return TruncSeries(coeffs, self.k_min - self.ram_index,
-                           self.ram_index, self.var_tag)
+        return TruncSeries(self.coeffs * ks, self.k_min - 1, self.var_tag)
 
     def antiderivative(self) -> "TruncSeries":
         """Primitive with zero constant; the z**-1 slot must vanish."""
-        r = self.ram_index
-        if self.k_min <= -r <= self.trunc_order and \
-                abs(self.coeff(-r)) > 1e-13 * (np.max(np.abs(self.coeffs)) + 1e-300):
+        if self.k_min <= -1 <= self.trunc_order and \
+                abs(self.coeff(-1)) > 1e-13 * (np.max(np.abs(self.coeffs)) + 1e-300):
             raise SpectralFlowError(
                 "nonzero residue term: primitive needs a log")
         ks = np.arange(self.k_min, self.trunc_order + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            coeffs = np.where(ks == -r, 0.0, self.coeffs / ((ks + r) / r))
-        return TruncSeries(coeffs, self.k_min + r, self.ram_index,
-                           self.var_tag)
+            coeffs = np.where(ks == -1, 0.0, self.coeffs / (ks + 1))
+        return TruncSeries(coeffs, self.k_min + 1, self.var_tag)
 
     def residue(self) -> complex:
         """Coefficient of z**-1 of ``self`` viewed as g(z) in g(z) dz.
@@ -255,10 +240,9 @@ class TruncSeries:
         Raises TruncationTooShort when the window ends before the
         z**-1 slot, i.e. when the residue is genuinely unknown.
         """
-        r = self.ram_index
-        if self.trunc_order < -r:
+        if self.trunc_order < -1:
             raise TruncationTooShort("window ends below the residue slot")
-        return self.coeff(-r)
+        return self.coeff(-1)
 
     # -- composition -------------------------------------------------------
 
@@ -273,8 +257,7 @@ class TruncSeries:
         # positive-exponent part by Horner from the top
         top = self.trunc_order
         if top >= 0:
-            acc = constant(self.coeff(top), inner.ram_index, inner.var_tag,
-                           guard)
+            acc = constant(self.coeff(top), inner.var_tag, guard)
             for k in range(top - 1, -1, -1):
                 acc = acc * inner + self.coeff(k)
             out = acc
@@ -291,54 +274,48 @@ class TruncSeries:
     # -- misc ----------------------------------------------------------------
 
     def shift(self, k: int) -> "TruncSeries":
-        """Multiply by z**(k/r)."""
-        return TruncSeries(self.coeffs, self.k_min + k, self.ram_index,
-                           self.var_tag)
+        """Multiply by z**k."""
+        return TruncSeries(self.coeffs, self.k_min + k, self.var_tag)
 
     def evaluate(self, z: complex) -> complex:
-        """Numeric evaluation (principal branch for fractional exponents)."""
+        """Numeric evaluation by Horner's rule."""
         z = complex(z)
-        if self.ram_index == 1:
-            val = 0.0 + 0.0j
-            for c in self.coeffs[::-1]:
-                val = val * z + c
-            return val * z ** self.k_min
-        return complex(sum(
-            c * z ** (k / self.ram_index)
-            for k, c in zip(range(self.k_min, self.trunc_order + 1),
-                            self.coeffs)))
+        val = 0.0 + 0.0j
+        for c in self.coeffs[::-1]:
+            val = val * z + c
+        return val * z ** self.k_min
 
     def retag(self, var_tag: str) -> "TruncSeries":
-        return TruncSeries(self.coeffs, self.k_min, self.ram_index, var_tag)
+        return TruncSeries(self.coeffs, self.k_min, var_tag)
 
 
 # -- constructors and helpers -------------------------------------------------
 
-def constant(c, ram_index=1, var_tag="", order=DEFAULT_TRUNC):
+def constant(c, var_tag="", order=DEFAULT_TRUNC):
     out = np.zeros(order + 1, dtype=complex)
     out[0] = c
-    return TruncSeries(out, 0, ram_index, var_tag)
+    return TruncSeries(out, 0, var_tag)
 
 
-def identity(ram_index=1, var_tag="", order=DEFAULT_TRUNC):
+def identity(var_tag="", order=DEFAULT_TRUNC):
     """The series z itself, tracked up to the given order."""
     out = np.zeros(order, dtype=complex)
     out[0] = 1.0
-    return TruncSeries(out, 1, ram_index, var_tag)
+    return TruncSeries(out, 1, var_tag)
 
 
-def from_poly(coeffs, ram_index=1, var_tag="", order=DEFAULT_TRUNC):
+def from_poly(coeffs, var_tag="", order=DEFAULT_TRUNC):
     """Series of a polynomial sum(coeffs[k] z^k), exact, padded to order."""
     c = np.zeros(max(order + 1, len(coeffs)), dtype=complex)
     c[:len(coeffs)] = coeffs
-    return TruncSeries(c[:order + 1], 0, ram_index, var_tag)
+    return TruncSeries(c[:order + 1], 0, var_tag)
 
 
 def _monomial(k, c, like: TruncSeries) -> TruncSeries:
-    """c z**(k/r) in the frame of ``like``, known up to its truncation."""
+    """c z**k in the frame of ``like``, known up to its truncation."""
     head = np.zeros(like.trunc_order - k + 1, dtype=complex)
     head[0] = c
-    return TruncSeries(head, k, like.ram_index, like.var_tag)
+    return TruncSeries(head, k, like.var_tag)
 
 
 def _combine(coefs, series) -> TruncSeries:
@@ -377,7 +354,7 @@ def _series_exp(f: TruncSeries) -> TruncSeries:
     e[0] = 1.0
     for m in range(1, n + 1):
         e[m] = np.dot(e[:m], d[m - 1::-1]) / m
-    return TruncSeries(e, 0, f.ram_index, f.var_tag)
+    return TruncSeries(e, 0, f.var_tag)
 
 
 def truncate(f: TruncSeries, n_or_K: int, absolute=False) -> TruncSeries:
@@ -386,7 +363,7 @@ def truncate(f: TruncSeries, n_or_K: int, absolute=False) -> TruncSeries:
     n = min(K - f.k_min + 1, len(f.coeffs))
     if n <= 0:
         raise TruncationTooShort("truncation removes every coefficient")
-    return TruncSeries(f.coeffs[:n], f.k_min, f.ram_index, f.var_tag)
+    return TruncSeries(f.coeffs[:n], f.k_min, f.var_tag)
 
 
 def pad(f: TruncSeries, n: int) -> TruncSeries:
@@ -396,4 +373,4 @@ def pad(f: TruncSeries, n: int) -> TruncSeries:
         return f
     c = np.zeros(n, dtype=complex)
     c[:len(f.coeffs)] = f.coeffs
-    return TruncSeries(c, f.k_min, f.ram_index, f.var_tag)
+    return TruncSeries(c, f.k_min, f.var_tag)

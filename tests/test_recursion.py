@@ -16,7 +16,12 @@ from spectralflow.deform import (
     regularized_direction,
     shift_y_by_rational_of_x,
 )
-from spectralflow.errors import PoleAtRamificationPoint, TruncationTooShort
+from spectralflow.errors import (
+    PoleAtRamificationPoint,
+    TruncationTooShort,
+    UnsupportedCycle,
+)
+from spectralflow.forms import BergmanLeg, SecondKindBasis, pole_frame
 from spectralflow.recursion import (
     CorrForm,
     RecursionEngine,
@@ -269,10 +274,11 @@ def test_joukowski_fg_harer_zagier(joukowski40, g, tol):
 
 
 def test_evaluate_omega41(joukowski40):
-    # omega(4, 1) reads B_(a,k) past the row tables, which evaluation
-    # does not use: gate it by the involution z -> 1/z and by quadrature
+    # omega(4, 1) reads B_(a,k) with k past the row tables (m <=
+    # _row_count()), which evaluation does not use: gate it by the
+    # involution z -> 1/z and by quadrature
     w = joukowski40.omega(4, 1)
-    assert max(k for _, k in w.basis) > joukowski40.max_tracked_k()
+    assert max(k for _, k in w.basis) > joukowski40._row_count()
     for z in (1.3 + 0.4j, 0.7 + 1.1j, 1.9 + 0.2j):
         val = joukowski40.evaluate(w, [z])
         inv = joukowski40.evaluate(w, [1 / z]) * (-1 / z ** 2)
@@ -285,13 +291,27 @@ def test_evaluate_omega41(joukowski40):
 
 
 def test_evaluate_beyond_tracked_k_refused(joukowski40):
-    # evaluation reads B_(a,k) up to the charts' depth; the pole pairing
-    # reads the row tables' gamma and stops at max_tracked_k
+    # evaluation and the pole pairing read B_(a,k) up to the charts'
+    # depth and refuse past it
     deep = CorrForm(0, 1, [(0, joukowski40.deep + 2)], np.ones(1))
     with pytest.raises(TruncationTooShort, match="chart depth"):
         joukowski40.evaluate(deep, [1.3 + 0.4j])
-    with pytest.raises(TruncationTooShort, match="max_tracked_k"):
-        dF_dt(joukowski40, 4, "inf", 1)
+    with pytest.raises(TruncationTooShort, match="chart depth"):
+        joukowski40.pole_pairing_vector(deep.basis, "inf", 1)
+    # below it the pairing is read at g = 4, past the row tables:
+    # special geometry against finite differences of F_4
+    curve = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                        RationalFunction([0, 1, 0.2]), order=40)
+    eng = RecursionEngine(curve)
+    fac, times, _ = regularized_direction(curve, ("t", 2))
+    assert max(k for _, k in eng.omega(4, 1).basis) > eng._row_count()
+    pred = 0.0
+    for (center, j), t in times.items():
+        c = "inf" if center == "inf" else complex(center)
+        pred += t * dF_dt(eng, 4, c, j)
+    fds = [_fd_invariant(fac, 4, h) for h in (1e-3, 1e-4)]
+    assert abs(fds[1] - pred) / abs(pred) < 1e-4
+    assert abs(fds[0] - fds[1]) / abs(pred) < 1e-2    # h-sweep sanity
 
 
 def test_invariant_beyond_row_tables_refused(joukowski40):
@@ -447,7 +467,7 @@ def test_special_geometry_eps_genus1(asym_engines):
     curve, eng = asym_engines["g1"]
     fac, times, epsc = regularized_direction(curve, "eps")
     w = eng.omega(2, 1)
-    pred = epsc * (w.tensor @ eng.b_cycle_vector(w.basis))
+    pred = epsc * dF_deps(eng, 2)
     for (center, j), t in times.items():
         pred += t * (w.tensor @ eng.pole_pairing_vector(
             w.basis, complex(center), j))
@@ -459,12 +479,87 @@ def test_special_geometry_t_genus1(asym_engines):
     curve, eng = asym_engines["g1"]
     fac, times, epsc = regularized_direction(curve, ("t", 3))
     w = eng.omega(2, 1)
-    pred = epsc * (w.tensor @ eng.b_cycle_vector(w.basis))
+    pred = epsc * dF_deps(eng, 2)
     for (center, j), t in times.items():
         pred += t * (w.tensor @ eng.pole_pairing_vector(
             w.basis, complex(center), j))
     fds = [_fd_invariant(fac, 2, h) for h in (1e-3, 1e-4)]
     assert abs(fds[1] - pred) / abs(pred) < 1e-5
+
+
+# (curve, center p, orders j) of the contour oracle for the pairing
+PAIRING_CASES = [
+    ("joukowski", 0.0, (1, 3)), ("joukowski", 0.7 + 0.3j, (1, 2)),
+    ("g0", 0.0, (4,)),
+    ("torus", 0.0, (1, 3)), ("torus", 0.3 + 0.4j, (1, 2)),
+    ("g1", 0.0, (1, 5)), ("g1", 0.3 + 0.2j, (2,)),
+]
+
+
+@pytest.fixture(scope="module")
+def pairing_engines(joukowski, torus, asym_engines):
+    return {"joukowski": RecursionEngine(joukowski),
+            "torus": RecursionEngine(torus),
+            "g0": asym_engines["g0"][1], "g1": asym_engines["g1"][1]}
+
+
+@pytest.mark.parametrize("which, center, js", PAIRING_CASES)
+def test_pole_pairing_contour_oracle(pairing_engines, which, center, js):
+    # (1/j) Res_p xi^-j B_(a,k) by the trapezoid rule on |z - p| = 0.08,
+    # the samples of every B_(a,k) from one basis_matrix read
+    eng = pairing_engines[which]
+    w = eng.omega(2, 1)
+    s = 0.08 * np.exp(2j * np.pi * (np.arange(256) + 0.5) / 256)
+    M = eng.basis_matrix(w.basis, center + s)
+    xi = np.array([pole_frame(eng.curve, center).xi_of_s.evaluate(v)
+                   for v in s])
+    for j in js:
+        want = M @ (xi ** -j * s) / (256 * j)
+        got = eng.pole_pairing_vector(w.basis, center, j)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pole_pairing_builds_no_cache(pairing_engines):
+    # the pairing is read off the charts: distinct centers leave the
+    # engine's tables as they were
+    eng = pairing_engines["joukowski"]
+    w = eng.omega(2, 1)
+    before = len(eng._plg)
+    for i in range(50):
+        eng.pole_pairing_vector(w.basis, 0.5 + 0.3j + 0.02 * i * (1 + 1j), 2)
+    assert len(eng._plg) == before
+
+
+def test_pole_pairing_one_local_series_per_ramification_point(
+        pairing_engines, monkeypatch):
+    eng = pairing_engines["torus"]
+    w = eng.omega(2, 1)
+    calls = []
+    original = SecondKindBasis.local_series
+
+    def counted(self, center, order):
+        calls.append(center)
+        return original(self, center, order)
+
+    monkeypatch.setattr(SecondKindBasis, "local_series", counted)
+    eng.pole_pairing_vector(w.basis, 0.3 + 0.4j, 3)
+    assert len(calls) == eng.A
+    assert set(calls) == {r.location for r in eng.rams}
+
+
+def test_chart_vector_pole_at_ramification_point_refused(engines):
+    # a form with a pole at r_a has no chart coefficients there
+    for eng in engines.values():
+        basis = eng.omega(2, 1).basis
+        for r in eng.rams:
+            with pytest.raises(PoleAtRamificationPoint):
+                eng.chart_vector(BergmanLeg(eng.curve, r.location), basis)
+
+
+def test_b_cycle_vector_genus0_refused(pairing_engines):
+    eng = pairing_engines["joukowski"]
+    with pytest.raises(UnsupportedCycle):
+        eng.b_cycle_vector(eng.omega(2, 1).basis)
 
 
 def test_special_geometry_omega_derivative(asym_engines, rng):

@@ -21,7 +21,7 @@ from spectralflow.series import (
 
 def rand_series(rng, n=20, k_min=0, tag="z"):
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return TruncSeries(c, k_min, 1, tag)
+    return TruncSeries(c, k_min, tag)
 
 
 def max_common_diff(a, b):
