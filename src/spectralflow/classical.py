@@ -64,43 +64,63 @@ class ClassicalSystem:
         self.records, self.eps = times_and_fillings(curve, form)
         self.chi, self.zeta_t = _a_normalized(curve, form, self.eps)
         self._chi_primitive_cache = BoundedCache()
+        self._sheet_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
 
-    def _chi_from_base(self, z):
-        key = complex(z)
-        val = self._chi_primitive_cache.get(key)
-        if val is None:
-            val = line_integral(self.curve, self.chi, self.o, z)
-            self._chi_primitive_cache[key] = val
-        return val
+    def _chi_from_base(self, zs):
+        """int_o^z chi at one point z, or [int_o^z chi for z in zs]: the
+        uncached points are integrated in one quadrature batch, and their
+        values are taken from the batch, not read back from the bounded
+        cache."""
+        if np.ndim(zs) == 0:
+            return self._chi_from_base([zs])[0]
+        keys = [complex(z) for z in zs]
+        vals = {k: self._chi_primitive_cache.get(k) for k in keys}
+        todo = [k for k, v in vals.items() if v is None]
+        if todo:
+            for k, v in zip(todo, line_integral(self.curve, self.chi,
+                                                self.o, todo)):
+                vals[k] = self._chi_primitive_cache[k] = v
+        return [vals[k] for k in keys]
 
-    def psi(self, z1, z2):
-        """psi_cl reduced by the global chart legs.
+    def psi(self, z1, z2, dchi=None):
+        """psi_cl reduced by the global chart legs; ``dchi``, where the
+        caller has it at hand, is int_{z2}^{z1} chi.
 
         Raises PsiOutOfRange where e^{int chi} leaves the double range,
         as do the Baker-Akhiezer rows; psi_matrix_factored probes there."""
-        expo = _kernel_exp(self._chi_from_base(z1) - self._chi_from_base(z2),
-                           f"psi({z1}, {z2})")
+        if dchi is None:
+            c1, c2 = self._chi_from_base([z1, z2])
+            dchi = c1 - c2
+        expo = _kernel_exp(dchi, f"psi({z1}, {z2})")
         return expo * self.curve.theta_ratio(z1 - z2, self.zeta_t) \
             / self.geo.prime_form(z1, z2)
 
     # -- sheet matrices ---------------------------------------------------------------
 
     def sheet_data(self, x):
-        sh = self.curve.sheets_above(x)
-        roots = [np.sqrt(self.curve.dx_value(z)) for z in sh.preimages]
-        return sh, roots
+        """(sheets above x, principal sqrt(dX) per sheet), solved once
+        per x."""
+        key = complex(x)
+        data = self._sheet_cache.get(key)
+        if data is None:
+            sh = self.curve.sheets_above(x)
+            roots = [np.sqrt(self.curve.dx_value(z)) for z in sh.preimages]
+            data = self._sheet_cache[key] = (sh, roots)
+        return data
 
     def psi_matrix(self, x1, x2):
         """[psi(z^i(x1), z^j(x2))] reduced to the x-chart."""
         s1, r1 = self.sheet_data(x1)
         s2, r2 = self.sheet_data(x2)
         d = len(s1.preimages)
+        chi = self._chi_from_base(s1.preimages + s2.preimages)
         M = np.zeros((d, d), dtype=complex)
         for i, zi in enumerate(s1.preimages):
             for j, zj in enumerate(s2.preimages):
-                M[i, j] = self.psi(zi, zj) / (r1[i] * r2[j])
+                M[i, j] = self.psi(zi, zj, chi[i] - chi[d + j]) \
+                    / (r1[i] * r2[j])
         return M
 
     def psi_matrix_factored(self, x1, x2):
@@ -112,8 +132,8 @@ class ClassicalSystem:
         s1, r1 = self.sheet_data(x1)
         s2, r2 = self.sheet_data(x2)
         d = len(s1.preimages)
-        c1 = np.array([self._chi_from_base(z) for z in s1.preimages])
-        c2 = np.array([self._chi_from_base(z) for z in s2.preimages])
+        chi = np.array(self._chi_from_base(s1.preimages + s2.preimages))
+        c1, c2 = chi[:d], chi[d:]
         G = np.zeros((d, d), dtype=complex)
         for i, zi in enumerate(s1.preimages):
             for j, zj in enumerate(s2.preimages):
@@ -169,16 +189,15 @@ class ClassicalSystem:
         base = self.psi(z1, z2)
         # accumulate d(ln psi) = chi(z) dz + dlog theta factors continuously
         th = self.curve.ell.theta
-        prev = z1
+        zs = [z1] + [z1 + tau * i / _B_LOOP_STEPS
+                     for i in range(1, _B_LOOP_STEPS + 1)]
+        segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
         acc = 0.0
-        for i in range(1, _B_LOOP_STEPS + 1):
-            znext = z1 + tau * i / _B_LOOP_STEPS
-            seg = line_integral(self.curve, self.chi, prev, znext)
+        for prev, znext, seg in zip(zs, zs[1:], segs):
             dlog = np.log(th.theta1(znext - z2 + self.zeta_t)
                           / th.theta1(prev - z2 + self.zeta_t)) \
                 - np.log(th.theta1(znext - z2) / th.theta1(prev - z2))
             acc += seg + dlog
-            prev = znext
         final = base * np.exp(acc)
         return abs(final - base) / abs(base)
 

@@ -180,8 +180,9 @@ def regularized_direction(curve, base):
     pole on the sphere, the origin on the torus).
 
     Returns (factory, times, eps): factory(lam) deforms the curve;
-    ``times`` maps (pole key, j) to the direction's time components and
-    ``eps`` is its filling-fraction component.
+    ``times`` maps (location, j), the pole's complex location or "inf",
+    to the direction's time components; ``eps`` is its filling-fraction
+    component.
     """
     from .forms import DuForm, SecondKindBasis, SumForm, WpPolyDu
     from .forms import times_and_fillings
@@ -213,7 +214,7 @@ def regularized_direction(curve, base):
                 out = deform_second_kind(out, center, jj, lam * c)
             return out
 
-        times = {(str(center), jj): c for center, jj, c in pieces}
+        times = {(center, jj): c for center, jj, c in pieces}
         return factory, times, 0.0
 
     ell = curve.ell
@@ -239,7 +240,7 @@ def regularized_direction(curve, base):
         if rec.kind == "x_pole":
             for jj, t in enumerate(rec.times):
                 if abs(t) > 1e-11:
-                    times[("0", jj)] = t
+                    times[(complex(rec.center), jj)] = t
 
     def factory(lam):
         out = curve

@@ -28,7 +28,7 @@ from .forms import (
     pole_frame,
     times_and_fillings,
 )
-from .quadrature import integrate_path, split_to_avoid
+from .quadrature import integrate_path, integrate_segments, split_to_avoid
 from .series import TruncSeries, _monomial, truncate
 
 # a clear basepoint keeps this distance from poles and branch points
@@ -119,10 +119,19 @@ def canonical_period(curve, form, which):
 
 
 def line_integral(curve, form, z_from, z_to):
-    """Integral along an in-domain polyline avoiding the form's poles."""
+    """Integral of the form from z_from to z_to along an in-domain
+    polyline avoiding its poles.
+
+    Either endpoint may be a sequence (the other one is broadcast
+    against it): then every path is integrated in one quadrature batch
+    and an array of values, one per path, is returned."""
     pts = _pole_translates(curve, form)
-    path = split_to_avoid(z_from, z_to, pts)
-    return integrate_path(form.value, path)
+    paths = [split_to_avoid(a, b, pts)
+             for a, b in np.broadcast(z_from, z_to)]
+    vals = iter(integrate_segments(form.value, [
+        seg for path in paths for seg in zip(path[:-1], path[1:])]))
+    out = np.array([sum(next(vals) for _ in path[1:]) for path in paths])
+    return out if np.ndim(z_from) or np.ndim(z_to) else out[0]
 
 
 # -- two-point kernels ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
-The integrand is called once per panel, on the array of its 15 Kronrod
-nodes, and must return an array of values (or a constant, which is
-broadcast).  Panels are processed in a fixed order, so results are
-bit-reproducible.
+The integrand is called once per round over all open panels, on the
+(P, 15) array of their Kronrod nodes, and must return an array of that
+shape (or a constant, which is broadcast).  Each segment sums its
+accepted panels left to right, so results are bit-reproducible and do
+not depend on which other segments share the batch.
 """
 
 from __future__ import annotations
@@ -38,49 +39,59 @@ _WG = np.array([
     0.129484966168870])
 
 
-def _panel(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid + half * _XK
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=complex), xs.shape)
-    k = half * np.sum(_WK * ys)
-    g = half * np.sum(_WG * ys[1::2])
-    return k, abs(k - g)
+def integrate_segments(f, segments):
+    """Integrals of f along the straight segments [a, b] of ``segments``
+    (complex paths), one value per segment.
+
+    Breadth-first: each round calls f once, on the (P, 15) array of the
+    Kronrod nodes of every panel still open across all segments.  A
+    segment's accepted panels are summed left to right, so its value
+    does not depend on the rest of the batch.
+
+    Raises QuadratureNotConverged, naming the segment, when a panel
+    halved MAX_DEPTH times still misses TOL."""
+    ends = np.array(segments, dtype=complex).reshape(-1, 2)
+    a, span = ends[:, 0], ends[:, 1] - ends[:, 0]
+    # open panels: owning segment, [lo, hi] in the segment's parameter
+    seg = np.arange(len(ends))
+    lo, hi = np.zeros(len(ends)), np.ones(len(ends))
+    done = [[] for _ in ends]           # (lo, value) of accepted panels
+    for depth in range(MAX_DEPTH + 1):
+        if not len(seg):
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ts = mid[:, None] + half[:, None] * _XK
+        zs = a[seg, None] + span[seg, None] * ts
+        ys = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape) \
+            * span[seg, None]
+        k = half * np.sum(_WK * ys, axis=-1)
+        err = np.abs(k - half * np.sum(_WG * ys[:, 1::2], axis=-1))
+        ok = err <= TOL * np.maximum(1.0, np.abs(k))
+        for i in np.flatnonzero(ok):
+            done[seg[i]].append((lo[i], k[i]))
+        bad = np.flatnonzero(~ok)
+        if len(bad) and depth == MAX_DEPTH:
+            i = bad[0]
+            raise QuadratureNotConverged(
+                f"panel [{lo[i]:.6g}, {hi[i]:.6g}] of the segment "
+                f"{ends[seg[i], 0]} -> {ends[seg[i], 1]} has error "
+                f"estimate {err[i]:.3g} after {MAX_DEPTH} halvings")
+        seg = np.repeat(seg[bad], 2)
+        lo, hi = (np.stack([lo[bad], mid[bad]], axis=-1).ravel(),
+                  np.stack([mid[bad], hi[bad]], axis=-1).ravel())
+    return [sum((val for _, val in sorted(panels)), 0.0 + 0.0j)
+            for panels in done]
 
 
 def integrate_segment(f, a, b):
-    """Integral of f along the straight segment [a, b] (complex path);
-    f is called on arrays of points.
-
-    Raises QuadratureNotConverged when a panel halved MAX_DEPTH times
-    still misses TOL."""
-    a, b = complex(a), complex(b)
-
-    def lift(t):
-        return f(a + (b - a) * t) * (b - a)
-
-    total = 0.0 + 0.0j
-    stack = [(0.0, 1.0, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        val, err = _panel(lift, lo, hi)
-        if err <= TOL * max(1.0, abs(val)):
-            total += val
-        elif depth >= MAX_DEPTH:
-            raise QuadratureNotConverged(
-                f"panel [{lo:.6g}, {hi:.6g}] of the segment {a} -> {b} "
-                f"has error estimate {err:.3g} after {MAX_DEPTH} halvings")
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-    return total
+    """Integral of f along the straight segment [a, b]; see
+    integrate_segments."""
+    return integrate_segments(f, [(a, b)])[0]
 
 
 def integrate_path(f, points):
     """Integral along a polyline given by ``points``."""
-    return sum(integrate_segment(f, points[i], points[i + 1])
-               for i in range(len(points) - 1))
+    return sum(integrate_segments(f, list(zip(points[:-1], points[1:]))))
 
 
 def split_to_avoid(a, b, obstacles):

@@ -1,5 +1,7 @@
 """The array contract: form values, kernel derivatives and the quadrature
-panels evaluate an ndarray of points in one call."""
+rounds evaluate an ndarray of points in one call."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from spectralflow import quadrature
 from spectralflow.classical import ClassicalSystem
 from spectralflow.curve import Genus1Curve, RationalFunction
+from spectralflow.errors import QuadratureNotConverged
 from spectralflow.forms import (
     BergmanLeg,
     DuForm,
@@ -17,7 +20,11 @@ from spectralflow.forms import (
     YdX,
 )
 from spectralflow.geometry import basis_form, line_integral
-from spectralflow.quadrature import integrate_segment
+from spectralflow.quadrature import (
+    integrate_path,
+    integrate_segment,
+    integrate_segments,
+)
 from spectralflow.series import identity
 from spectralflow.theta import ThetaEvaluator
 
@@ -88,14 +95,9 @@ def test_bergman_derivs_match_taylor(request, which):
             assert abs(D[q, i] - ref) < 1e-12 * abs(ref)
 
 
-def test_quadrature_calls_once_per_panel(monkeypatch):
-    panels = []
-    panel = quadrature._panel
-
-    def counted(f, a, b):
-        panels.append((a, b))
-        return panel(f, a, b)
-    monkeypatch.setattr(quadrature, "_panel", counted)
+def test_quadrature_calls_once_per_panel():
+    # one integrand call per round, on the (P, 15) Kronrod nodes of every
+    # panel still open; a round halves only the panels that failed
     shapes = []
 
     def f(z):
@@ -104,32 +106,84 @@ def test_quadrature_calls_once_per_panel(monkeypatch):
     val = integrate_segment(f, 0.0, 1.0)
     exact = np.log((0.5 - 0.05j) / (-0.5 - 0.05j))
     assert abs(val - exact) < 1e-12
-    assert len(panels) > 1
-    assert shapes == [(15,)] * len(panels)
+    assert len(shapes) > 1 and shapes[0] == (1, 15)
+    assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert all(b[0] % 2 == 0 and b[0] <= 2 * a[0]
+               for a, b in zip(shapes, shapes[1:]))
+    # a batch of segments shares the rounds: as many as its slowest one
+    rounds = len(shapes)
+    shapes.clear()
+    integrate_segments(f, [(0.0, 1.0), (0.0, 1j), (2.0, 3.0)])
+    assert shapes[0] == (3, 15) and len(shapes) == rounds
     # a constant integrand is broadcast over the nodes
     assert abs(integrate_segment(lambda z: 2.0, 0.0, 1 + 1j)
                - 2 * (1 + 1j)) < 1e-14
 
 
+def _depth_first(f, a, b):
+    """The adaptive rule panel by panel, left panel first."""
+    total, stack = 0.0 + 0.0j, [(0.0, 1.0)]
+    while stack:
+        lo, hi = stack.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ys = f(a + (b - a) * (mid + half * quadrature._XK)) * (b - a)
+        k = half * np.sum(quadrature._WK * ys)
+        g = half * np.sum(quadrature._WG * ys[1::2])
+        if abs(k - g) <= quadrature.TOL * max(1.0, abs(k)):
+            total += k
+        else:
+            stack += [(mid, hi), (lo, mid)]
+    return total
+
+
+def test_quadrature_batch_is_bit_identical_to_single_segments():
+    def f(z):
+        return 1.0 / (z - 0.5 - 0.01j) + np.exp(2j * z)
+    segments = [(0.0, 1.0), (0.3j, 0.3j), (1 + 1j, -1 - 0.5j),
+                (0.49, 0.51), (0.0, 1.0), (2.0, 0.0)]
+    batch = integrate_segments(f, segments)
+    singles = [integrate_segment(f, a, b) for a, b in segments]
+    assert np.array(batch).tobytes() == np.array(singles).tobytes()
+    # and to the panel-by-panel rule: panels are summed left to right
+    ref = [_depth_first(f, complex(a), complex(b)) for a, b in segments]
+    assert np.array(batch).tobytes() == np.array(ref).tobytes()
+    # a polyline sums its segments left to right, as the batch's caller does
+    assert integrate_path(f, [0.0, 1.0, 1 + 1j]) == \
+        0 + batch[0] + integrate_segment(f, 1.0, 1 + 1j)
+
+
+def test_quadrature_batch_refuses_the_unconverged_segment():
+    def f(z):
+        return np.abs(z - 1 / 3) ** -0.5
+    with pytest.raises(QuadratureNotConverged,
+                       match=re.escape("segment 0j -> (1+0j)")):
+        integrate_segments(f, [(1j, 2j), (0.0, 1.0), (2.0, 3.0)])
+
+
 def test_chi_panel_is_one_lattice_sum(monkeypatch):
     # Y dX reads wp and wp' from one theta1 jet: on the torus every
-    # quadrature panel of a chi line integral costs one lattice sum
+    # quadrature round of chi line integrals, all panels of all paths
+    # together, costs one lattice sum
     cv = _torus(1j)
     chi = ClassicalSystem(cv, YdX(cv)).chi
-    counts = {"panels": 0, "sums": 0}
-    panel, lattice_sum = quadrature._panel, ThetaEvaluator._sum
+    counts = {"rounds": 0, "sums": 0}
+    value, lattice_sum = chi.value, ThetaEvaluator._sum
 
-    def counted_panel(f, a, b):
-        counts["panels"] += 1
-        return panel(f, a, b)
+    def counted_value(z):
+        counts["rounds"] += 1
+        return value(z)
 
     def counted_sum(self, u, n, a):
         counts["sums"] += 1
         return lattice_sum(self, u, n, a)
-    monkeypatch.setattr(quadrature, "_panel", counted_panel)
+    monkeypatch.setattr(chi, "value", counted_value)
     monkeypatch.setattr(ThetaEvaluator, "_sum", counted_sum)
-    for z1, z2 in [(0.2 + 0.3j, 0.4 + 0.35j), (0.3 + 0.6j, 0.6 + 0.7j),
-                   (0.7 + 0.2j, 0.65 + 0.45j)]:
-        line_integral(cv, chi, z1, z2)
-    assert counts["panels"] > 3
-    assert counts["sums"] == counts["panels"]
+    starts = [0.2 + 0.3j, 0.3 + 0.6j, 0.7 + 0.2j]
+    ends = [0.4 + 0.35j, 0.6 + 0.7j, 0.65 + 0.45j]
+    singles = [line_integral(cv, chi, a, b) for a, b in zip(starts, ends)]
+    assert counts["rounds"] > 3
+    assert counts["sums"] == counts["rounds"]
+    counts.update(rounds=0, sums=0)
+    batch = line_integral(cv, chi, starts, ends)
+    assert batch.tobytes() == np.array(singles).tobytes()
+    assert 1 < counts["rounds"] == counts["sums"] < 3 * len(singles)

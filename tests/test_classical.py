@@ -15,6 +15,7 @@ from spectralflow.curve import Genus0Curve, RationalFunction
 from spectralflow import cache
 from spectralflow.errors import CoincidentPoints, PsiOutOfRange
 from spectralflow.forms import SumForm, ThirdKind, YdX
+from spectralflow.geometry import line_integral
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,48 @@ def test_chi_primitive_cache_bounded(airy, monkeypatch):
     # the oldest point was evicted, and comes back the same
     assert complex(zs[0]) not in sysm._chi_primitive_cache
     assert sysm._chi_from_base(zs[0]) == first
+
+
+def test_chi_batch_past_the_cache_bound(airy, monkeypatch):
+    # a batch larger than the cache returns its own values: the first of
+    # them are evicted before the batch is done storing
+    monkeypatch.setattr(cache, "CACHE_MAX", 16)
+    sysm = ClassicalSystem(airy, YdX(airy))
+    zs = list(1.1 + 0.8j + 0.01 * np.arange(20))
+    got = sysm._chi_from_base(zs)
+    ref = [line_integral(airy, sysm.chi, sysm.o, z) for z in zs]
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert len(sysm._chi_primitive_cache) == 16
+
+
+def test_sheet_data_cache_bounded(torus, monkeypatch):
+    monkeypatch.setattr(cache, "CACHE_MAX", 16)
+    sysm = ClassicalSystem(torus, YdX(torus))
+    solve, calls = torus.sheets_above, []
+
+    def counted(x, *args):
+        calls.append(x)
+        return solve(x, *args)
+    monkeypatch.setattr(torus, "sheets_above", counted)
+    xs = [torus.x_value(0.31 + 0.008 * k + 0.4j) for k in range(20)]
+    for x in xs + xs[-16:]:
+        sysm.sheet_data(x)
+    assert len(calls) == 20 and len(sysm._sheet_cache) == 16
+    sysm.sheet_data(xs[0])          # evicted, so solved again
+    assert len(calls) == 21
+
+
+def test_warm_psi_matrix_is_bit_identical(torus):
+    x1, x2 = torus.x_value(0.33 + 0.41j), torus.x_value(0.44 + 0.36j)
+    cold = ClassicalSystem(torus, YdX(torus)).psi_matrix(x1, x2)
+    warm = ClassicalSystem(torus, YdX(torus))
+    warm.psi_matrix(x2, x1)
+    assert warm.psi_matrix(x1, x2).tobytes() == cold.tobytes()
+    (s1, r1), (s2, r2) = warm.sheet_data(x1), warm.sheet_data(x2)
+    single = [[warm.psi(zi, zj) / (r1[i] * r2[j])
+               for j, zj in enumerate(s2.preimages)]
+              for i, zi in enumerate(s1.preimages)]
+    assert np.array(single).tobytes() == cold.tobytes()
 
 
 def test_b_cycle_single_valuedness(sys_torus):
