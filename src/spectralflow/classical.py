@@ -84,16 +84,13 @@ class ClassicalSystem:
                 vals[k] = self._chi_primitive_cache[k] = v
         return [vals[k] for k in keys]
 
-    def psi(self, z1, z2, dchi=None):
-        """psi_cl reduced by the global chart legs; ``dchi``, where the
-        caller has it at hand, is int_{z2}^{z1} chi.
+    def psi(self, z1, z2):
+        """psi_cl reduced by the global chart legs.
 
         Raises PsiOutOfRange where e^{int chi} leaves the double range,
         as do the Baker-Akhiezer rows; psi_matrix_factored probes there."""
-        if dchi is None:
-            c1, c2 = self._chi_from_base([z1, z2])
-            dchi = c1 - c2
-        expo = _kernel_exp(dchi, f"psi({z1}, {z2})")
+        c1, c2 = self._chi_from_base([z1, z2])
+        expo = _kernel_exp(c1 - c2, f"psi({z1}, {z2})")
         return expo * self.curve.theta_ratio(z1 - z2, self.zeta_t) \
             / self.geo.prime_form(z1, z2)
 
@@ -115,12 +112,12 @@ class ClassicalSystem:
         s1, r1 = self.sheet_data(x1)
         s2, r2 = self.sheet_data(x2)
         d = len(s1.preimages)
-        chi = self._chi_from_base(s1.preimages + s2.preimages)
+        # every sheet point's chi in one batch; psi reads them cached
+        self._chi_from_base(s1.preimages + s2.preimages)
         M = np.zeros((d, d), dtype=complex)
         for i, zi in enumerate(s1.preimages):
             for j, zj in enumerate(s2.preimages):
-                M[i, j] = self.psi(zi, zj, chi[i] - chi[d + j]) \
-                    / (r1[i] * r2[j])
+                M[i, j] = self.psi(zi, zj) / (r1[i] * r2[j])
         return M
 
     def psi_matrix_factored(self, x1, x2):

@@ -28,7 +28,7 @@ from .forms import (
     pole_frame,
     times_and_fillings,
 )
-from .quadrature import integrate_path, integrate_segments, split_to_avoid
+from .quadrature import integrate_path, integrate_paths, split_to_avoid
 from .series import TruncSeries, _monomial, truncate
 
 # a clear basepoint keeps this distance from poles and branch points
@@ -128,9 +128,7 @@ def line_integral(curve, form, z_from, z_to):
     pts = _pole_translates(curve, form)
     paths = [split_to_avoid(a, b, pts)
              for a, b in np.broadcast(z_from, z_to)]
-    vals = iter(integrate_segments(form.value, [
-        seg for path in paths for seg in zip(path[:-1], path[1:])]))
-    out = np.array([sum(next(vals) for _ in path[1:]) for path in paths])
+    out = np.array(integrate_paths(form.value, paths))
     return out if np.ndim(z_from) or np.ndim(z_to) else out[0]
 
 

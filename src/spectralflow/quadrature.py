@@ -1,10 +1,11 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
-The integrand is called once per round over all open panels, on the
-(P, 15) array of their Kronrod nodes, and must return an array of that
-shape (or a constant, which is broadcast).  Each segment sums its
-accepted panels left to right, so results are bit-reproducible and do
-not depend on which other segments share the batch.
+The integrand is called once per round over all open panels (at most
+MAX_PANELS of them), on the (P, 15) array of their Kronrod nodes, and
+must return an array of that shape (or a constant, which is broadcast).
+Each segment sums its accepted panels left to right, so results are
+bit-reproducible and, for an integrand evaluated point by point, do not
+depend on which other segments share the batch.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from .errors import QuadratureNotConverged
 
 # panels are halved at most this many times
 MAX_DEPTH = 14
+# at most this many panels go into one call of the integrand
+MAX_PANELS = 32
 # a panel is accepted when its Kronrod-Gauss gap is below TOL * max(1, |value|)
 TOL = 1e-12
 # obstacles closer than this to a segment get a detour
@@ -43,42 +46,51 @@ def integrate_segments(f, segments):
     """Integrals of f along the straight segments [a, b] of ``segments``
     (complex paths), one value per segment.
 
-    Breadth-first: each round calls f once, on the (P, 15) array of the
-    Kronrod nodes of every panel still open across all segments.  A
-    segment's accepted panels are summed left to right, so its value
-    does not depend on the rest of the batch.
+    Each round calls f once, on the (P, 15) array of the Kronrod nodes
+    of the open panels across all segments: all of them while there are
+    at most MAX_PANELS, else MAX_PANELS of them, the newest halves
+    first, so a round stays small and a refusal comes within about
+    MAX_DEPTH rounds.  A segment's accepted panels are summed left to
+    right, so for an integrand evaluated point by point its value does
+    not depend on the rest of the batch.
 
     Raises QuadratureNotConverged, naming the segment, when a panel
     halved MAX_DEPTH times still misses TOL."""
     ends = np.array(segments, dtype=complex).reshape(-1, 2)
     a, span = ends[:, 0], ends[:, 1] - ends[:, 0]
-    # open panels: owning segment, [lo, hi] in the segment's parameter
-    seg = np.arange(len(ends))
+    # open panels, a stack taken from its end: owning segment and
+    # [lo, hi] in the segment's parameter
+    seg = np.arange(len(ends))[::-1]
     lo, hi = np.zeros(len(ends)), np.ones(len(ends))
     done = [[] for _ in ends]           # (lo, value) of accepted panels
-    for depth in range(MAX_DEPTH + 1):
-        if not len(seg):
-            break
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    while len(seg):
+        keep = max(0, len(seg) - MAX_PANELS)
+        s, l, h = seg[keep:], lo[keep:], hi[keep:]
+        mid, half = 0.5 * (l + h), 0.5 * (h - l)
         ts = mid[:, None] + half[:, None] * _XK
-        zs = a[seg, None] + span[seg, None] * ts
+        zs = a[s, None] + span[s, None] * ts
         ys = np.broadcast_to(np.asarray(f(zs), dtype=complex), zs.shape) \
-            * span[seg, None]
+            * span[s, None]
         k = half * np.sum(_WK * ys, axis=-1)
         err = np.abs(k - half * np.sum(_WG * ys[:, 1::2], axis=-1))
         ok = err <= TOL * np.maximum(1.0, np.abs(k))
         for i in np.flatnonzero(ok):
-            done[seg[i]].append((lo[i], k[i]))
+            done[s[i]].append((l[i], k[i]))
         bad = np.flatnonzero(~ok)
-        if len(bad) and depth == MAX_DEPTH:
-            i = bad[0]
+        # halving is exact, so MAX_DEPTH halvings leave 2^-MAX_DEPTH
+        deep = bad[h[bad] - l[bad] <= 2.0 ** -MAX_DEPTH]
+        if len(deep):
+            i = deep[-1]
             raise QuadratureNotConverged(
-                f"panel [{lo[i]:.6g}, {hi[i]:.6g}] of the segment "
-                f"{ends[seg[i], 0]} -> {ends[seg[i], 1]} has error "
+                f"panel [{l[i]:.6g}, {h[i]:.6g}] of the segment "
+                f"{ends[s[i], 0]} -> {ends[s[i], 1]} has error "
                 f"estimate {err[i]:.3g} after {MAX_DEPTH} halvings")
-        seg = np.repeat(seg[bad], 2)
-        lo, hi = (np.stack([lo[bad], mid[bad]], axis=-1).ravel(),
-                  np.stack([mid[bad], hi[bad]], axis=-1).ravel())
+        # the halves of the failed panels go on top, left half uppermost
+        seg = np.concatenate([seg[:keep], np.repeat(s[bad], 2)])
+        lo = np.concatenate([lo[:keep],
+                             np.stack([mid[bad], l[bad]], -1).ravel()])
+        hi = np.concatenate([hi[:keep],
+                             np.stack([h[bad], mid[bad]], -1).ravel()])
     return [sum((val for _, val in sorted(panels)), 0.0 + 0.0j)
             for panels in done]
 
@@ -89,9 +101,18 @@ def integrate_segment(f, a, b):
     return integrate_segments(f, [(a, b)])[0]
 
 
+def integrate_paths(f, paths):
+    """Integrals along the polylines ``paths`` (each a list of points),
+    one value per path, from one integrate_segments batch; each path
+    sums its segments left to right."""
+    vals = iter(integrate_segments(f, [
+        seg for points in paths for seg in zip(points[:-1], points[1:])]))
+    return [sum(next(vals) for _ in points[1:]) for points in paths]
+
+
 def integrate_path(f, points):
     """Integral along a polyline given by ``points``."""
-    return sum(integrate_segments(f, list(zip(points[:-1], points[1:]))))
+    return integrate_paths(f, [points])[0]
 
 
 def split_to_avoid(a, b, obstacles):

@@ -160,6 +160,22 @@ def test_quadrature_batch_refuses_the_unconverged_segment():
         integrate_segments(f, [(1j, 2j), (0.0, 1.0), (2.0, 3.0)])
 
 
+def test_quadrature_refusal_stays_cheap():
+    # an integrand that converges nowhere on a segment is refused after
+    # MAX_DEPTH + 1 rounds of at most MAX_PANELS panels, not after
+    # opening all 2^MAX_DEPTH panels of the last level
+    shapes = []
+
+    def f(z):
+        shapes.append(np.shape(z))
+        return np.where(z.real < 1.5, np.nan, 1.0)
+    with pytest.raises(QuadratureNotConverged,
+                       match=re.escape("segment 0j -> (1+0j)")):
+        integrate_segments(f, [(2.0, 3.0), (0.0, 1.0)])
+    assert len(shapes) == quadrature.MAX_DEPTH + 1
+    assert max(s[0] for s in shapes) == quadrature.MAX_PANELS
+
+
 def test_chi_panel_is_one_lattice_sum(monkeypatch):
     # Y dX reads wp and wp' from one theta1 jet: on the torus every
     # quadrature round of chi line integrals, all panels of all paths
