@@ -29,6 +29,7 @@ from .series import (
     _monomial,
     _series_exp,
     inverse_at,
+    log_jet,
     pad,
     truncate,
 )
@@ -36,6 +37,17 @@ from .series import (
 # kernel arguments this close to 0 (or to a lattice point) are taken to
 # sit on the pole, and their series carry the Laurent head
 _ON_POLE = 1e-9
+
+
+def _log_linear(o, n) -> np.ndarray:
+    """Rows k = 0..n of [t^k] log(o + t): log o, then -(-1/o)^k/k."""
+    o = np.asarray(o, dtype=complex)
+    out = np.empty((n + 1,) + o.shape, dtype=complex)
+    out[0] = np.log(o)
+    out[1:] = -1.0 / o
+    np.cumprod(out[1:], axis=0, out=out[1:])
+    out[1:] /= -np.arange(1.0, n + 1).reshape((-1,) + (1,) * o.ndim)
+    return out
 
 
 # -- rational functions -------------------------------------------------------
@@ -211,34 +223,22 @@ class SpectralCurve:
         self.ramification_points: list[RamificationPoint] = []
         self.x_poles: list[PoleFrame] = []
 
-    # subclasses provide: x_value, y_value, dx_value, ydx_value (Y dX/dz
-    # from one evaluation), to_cell (the representative of a point in
-    # the chart's cell), x_series(center, order), y_series(center, order),
+    # a backend provides x_value, y_value, dx_value, ydx_value (Y dX/dz
+    # from one evaluation), to_cell (the representative of a point in the
+    # chart's cell), x_series(center, order), y_series(center, order),
     # sheets_above, deformed(...), d (degree of X as a map); the local
     # charts, solved from the curve's equation:
     #   _chart(a, X(a), zeta'(0), n, tag)   (s(zeta), Y(a + s(zeta)))
     #                                       through zeta^n
     #   pole_chart(frame)             s(xi), as far as frame.xi_of_s
-    # the reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 in the
-    # global chart:
-    #   bergman(v)                    F(v)
-    #   bergman_primitive(v)          P(v) with P' = -F
-    #   bergman_taylor(c, inner, n)   [F^(q)(c + inner)/q! for q < n]
-    #   bergman_derivs(v, n)          [F^(q)(v)/q! for q < n]
-    #   bergman_primitive_series(c, order)   P(c + t)
-    #   bergman_leg(c, s, gamma)      [zeta^t] F(c + s(zeta)) s'(zeta) for
-    #                                 t < len(gamma), t on axis 0
-    # where inner is a series vanishing at 0 (often t itself), s(zeta) a
-    # local chart and gamma[t, q] = [zeta^t] s^q s' its Lagrange table
-    # (the recursion engine's); the series carry the Laurent head when c
-    # sits on the pole of F; point values (bergman, bergman_primitive,
-    # bergman_derivs with q on a new first axis, bergman_leg,
-    # x/y/dx/ydx_value) broadcast over an ndarray of points; and the
-    # reduced Szego factor theta(v + zeta)/(theta(zeta) E(v)), with
-    # theta = 1 on the sphere and theta1 on the torus:
-    #   prime_form(v)                 E(v)
-    #   theta_ratio(v, zeta)          theta(v + zeta)/theta(zeta)
-    #   szego_series(c, inner, zeta)  theta_ratio/prime_form at c + inner
+    # and, for the kernels below, its prime form E and theta function
+    # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
+    # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
+    # ndarray of points, and its lattice reduction:
+    #   _log_prime_jet(c, n)          [t^k] log E(c + t)
+    #   _log_prime_jet(l, n, True)    [t^k] log(E(l + t)/t) at a pole l
+    #   _theta_jet(v, n)              [t^k] theta(v + t)
+    #   _lattice_point(c)             the pole l of F nearest c
 
     def branch_values(self):
         return [r.branch_value for r in self.ramification_points]
@@ -300,6 +300,119 @@ class SpectralCurve:
                                     f"zeta@{index}")
         return RamificationPoint(a, xa, zp, s_of_zeta, ys, index)
 
+    # -- kernels, from the prime form -------------------------------------------
+    # B(z1, z2) = F(z1 - z2) dz1 dz2 with F = -(log E)'', the primitive
+    # P = (log E)' (P' = -F) and the Szego factor theta(v + zeta)/(theta(zeta)
+    # E(v)).  Point values are read off the jet of log E and broadcast over
+    # an ndarray.  Series through a chart split log E(c + t) = log(o + t) +
+    # rho(t) at the pole l nearest c, o = c - l: the pole's part, 1/(o + t)^2,
+    # 1/(o + t) or o + t, is exact, from inverting o + inner itself, and
+    # only the regular part rho comes from the jet; they carry the Laurent
+    # head when c sits on the pole.
+
+    def _regular_jet(self, c, n):
+        """(o, rho): rows k = 0..n of rho = [t^k] log(E(c + t)/(o + t)); o is
+        0 for a scalar c on the pole."""
+        pole = self._lattice_point(c)
+        o = c - pole
+        if np.ndim(o) == 0 and abs(o) < _ON_POLE:
+            return 0.0, self._log_prime_jet(pole, n, True)
+        return o, self._log_prime_jet(c, n) - _log_linear(o, n)
+
+    def bergman(self, v):
+        """F(v)."""
+        return self.bergman_derivs(v, 1)[0]
+
+    def bergman_derivs(self, v, count):
+        """[F^(q)(v)/q! = -(q+2)(q+1) [t^(q+2)] log E(v + t) for q < count],
+        q on a new first axis."""
+        q = np.arange(count).reshape((-1,) + (1,) * np.ndim(v))
+        return -(q + 2) * (q + 1) * self._log_prime_jet(v, count + 1)[2:]
+
+    def bergman_primitive(self, v):
+        """P(v)."""
+        return self._log_prime_jet(v, 1)[1]
+
+    def prime_form(self, v):
+        """E(v)."""
+        return np.exp(self._log_prime_jet(v, 0)[0])
+
+    def theta_ratio(self, v, zeta):
+        """theta(v + zeta)/theta(zeta)."""
+        return self._theta_jet(v + zeta, 0)[0] / self._theta_off_divisor(zeta)
+
+    def _theta_off_divisor(self, zeta):
+        """theta(zeta), refused on the theta divisor."""
+        den = self._theta_jet(zeta, 0)[0]
+        if abs(den) < 1e-12:
+            raise ThetaZeroDivision("theta(zeta) on the divisor")
+        return den
+
+    def bergman_taylor(self, c, inner, count):
+        """[F^(q)(c + inner)/q! for q < count], inner a series vanishing
+        at 0.
+
+        The pole's (-1)^q (q+1) (o + inner)^-(q+2) are powers of one
+        inverse of o + inner: expanding 1/(o + t)^2 first and composing
+        with inner loses digits.  The regular part's Taylor coefficients
+        r_k = -(k+2)(k+1) rho_(k+2) give every q at once (the coefficient
+        of t^k in its q-th derivative over q! is C(k+q, q) r_(k+q)),
+        composed with inner through one table of the powers of inner that
+        carry a nonzero coefficient."""
+        K = inner.trunc_order
+        o, rho = self._regular_jet(c, K + count + 1)
+        binv = (inner + o).invert()
+        pole = _power_rows(binv.coeffs, count + 1)[2:]
+        e = np.arange(K + count)
+        D = np.zeros((count, K + count), dtype=complex)
+        D[0] = -(e + 2) * (e + 1) * rho[2:]
+        for q in range(1, count):
+            D[q, :-1] = D[q - 1, 1:] * (e[1:] / q)
+        e = np.flatnonzero(np.any(D[:, :K + 1], axis=0))
+        powers = _power_rows(np.append(np.zeros(inner.k_min), inner.coeffs),
+                             e.max(initial=0))
+        regular = D[:, e] @ powers[e]
+        out = []
+        for q in range(count):
+            # binv^(q+2) starts at t^lo; the sum is known through t^K
+            lo = (q + 2) * binv.k_min
+            n = min(pole.shape[1], K - lo + 1)
+            row = pole[q, :n] * ((-1.0) ** q * (q + 1))
+            row[-lo:] += regular[q, :n + lo]
+            out.append(TruncSeries(row, lo, inner.var_tag))
+        return out
+
+    def bergman_leg(self, c, s, gamma):
+        """[zeta^t] F(c + s(zeta)) s'(zeta) for t < len(gamma), t on axis
+        0, for every c of an ndarray (off the pole): the pole's
+        -d/dzeta (o + s)^-1 from one batched inversion of o + s, plus gamma
+        contracted with the regular part's Taylor coefficients.  Summing
+        gamma against the pole's o^-(q+2) as well is equal, but those
+        terms cancel and lose digits."""
+        n = len(gamma)
+        o, rho = self._regular_jet(c, n + 1)
+        t = np.arange(1.0, n + 1).reshape((-1,) + (1,) * np.ndim(o))
+        regular = -(t + 1) * t * rho[2:]
+        return (gamma @ regular.reshape(n, -1)).reshape(regular.shape) \
+            - t * inverse_at(o, s, n)[1:]
+
+    def bergman_primitive_series(self, c, order):
+        """P(c + t) = 1/(o + t) + rho'(t), known through t^order."""
+        o, rho = self._regular_jet(c, order + 1)
+        pole = TruncSeries(np.concatenate([[o, 1.0], np.zeros(order + 1)]))
+        return pole.invert() + TruncSeries(rho[1:] * np.arange(1, order + 2))
+
+    def szego_series(self, c, inner, zeta):
+        """theta(c + zeta + inner)/(theta(zeta) E(c + inner)) from Taylor
+        series cut at 40 terms, with 1/E(c + inner) = exp(-rho(inner))/
+        (o + inner)."""
+        den = self._theta_off_divisor(zeta)
+        depth = min(len(inner.coeffs), 40)
+        o, rho = self._regular_jet(c, depth)
+        num = TruncSeries(self._theta_jet(c + zeta, depth)).compose(inner)
+        regular = _series_exp(-TruncSeries(rho[1:], 1).compose(inner))
+        return num * (inner + o).invert() * regular * (np.exp(-rho[0]) / den)
+
 
 class Genus0Curve(SpectralCurve):
     def __init__(self, X: RationalFunction, Y: RationalFunction,
@@ -338,49 +451,19 @@ class Genus0Curve(SpectralCurve):
             return self.Y.series_at_infinity(order)
         return self.Y.series(center, order, tag or f"s@{center:.6g}")
 
-    # Bergman kernel: F(v) = 1/v^2, P(v) = 1/v
-    def bergman(self, v):
-        return 1.0 / v ** 2
+    # prime form E(v) = v, theta = 1, and the pole of F at 0
+    def _log_prime_jet(self, c, n, divide=False):
+        if divide:
+            return np.zeros((n + 1,) + np.shape(c), dtype=complex)
+        return _log_linear(c, n)
 
-    def bergman_primitive(self, v):
-        return 1.0 / v
-
-    def bergman_taylor(self, c, inner, count):
-        """F^(q)(c + inner)/q! = (-1)^q (q+1) (c + inner)^-(q+2).
-
-        The powers come from inverting c + inner itself: expanding
-        1/(c + t)^2 first and composing with inner loses digits."""
-        base = inner + c if abs(c) >= _ON_POLE else inner
-        binv = base.invert()
-        acc = binv * binv
-        out = [acc]
-        for q in range(1, count):
-            acc = acc * binv
-            out.append(acc * ((-1.0) ** q * (q + 1)))
+    def _theta_jet(self, v, n):
+        out = np.zeros((n + 1,) + np.shape(v), dtype=complex)
+        out[0] = 1.0
         return out
 
-    def bergman_leg(self, c, s, gamma):
-        """[zeta^t] F(c + s) s' = -[zeta^t] d/dzeta (c + s(zeta))^-1 for
-        t < len(gamma), from one batched inversion of c + s(zeta).
-
-        Summing gamma against bergman_derivs(c) instead is equal, but
-        its c^-(q+2) terms cancel and lose digits."""
-        n = len(gamma)
-        t = np.arange(1.0, n + 1).reshape((-1,) + (1,) * np.ndim(c))
-        return -t * inverse_at(c, s, n)[1:]
-
-    def bergman_derivs(self, v, count):
-        """[F^(q)(v)/q! = (-1)^q (q+1) v^-(q+2) for q < count]."""
-        q = np.arange(count).reshape((-1,) + (1,) * np.ndim(v))
-        return (-1.0) ** q * (q + 1) / np.asarray(v) ** (q + 2)
-
-    def bergman_primitive_series(self, c, order):
-        """1/(c + t), known through t^order."""
-        if abs(c) < _ON_POLE:
-            return TruncSeries(np.concatenate([[1.0], np.zeros(order + 1)]),
-                               -1)
-        return TruncSeries(np.concatenate([[c, 1.0], np.zeros(order - 1)]),
-                           0).invert()
+    def _lattice_point(self, c):
+        return 0.0
 
     def bergman_taylor_at_infinity(self, p, count, order):
         """[F^(q)(p - z)/q! dz/dw for q < count] in the chart w = 1/z:
@@ -394,17 +477,6 @@ class Genus0Curve(SpectralCurve):
             acc = acc * binv
             out.append(acc.shift(q) * (-(q + 1.0)))
         return out
-
-    # Szego factor: E(v) = v and theta = 1
-    def prime_form(self, v):
-        return v
-
-    def theta_ratio(self, v, zeta):
-        return 1.0
-
-    def szego_series(self, c, inner, zeta):
-        """1/(c + inner)."""
-        return (inner + c).invert()
 
     def _find_ramification(self):
         pol = np.polynomial.polynomial
@@ -593,6 +665,7 @@ class Genus1Curve(SpectralCurve):
         self.R1, self.R2 = R1, R2
         self.x_scale = complex(x_scale)
         self.ell = EllipticTools(tau, order + 12)
+        self._log_theta1_prime = np.log(self.ell.theta.theta1(0.0, 1))
         self.d = 2
         self._find_ramification()
         self._find_x_poles()
@@ -627,95 +700,20 @@ class Genus1Curve(SpectralCurve):
         out = r1 + r2 * wpp
         return out.retag(tag or f"s@{center:.6g}")
 
-    # Bergman kernel: F(v) = -(ln theta1)''(v), P(v) = (ln theta1)'(v)
-    def bergman(self, v):
-        return -self.ell.theta.log_theta1_d(v, 2)
+    # prime form E(v) = theta1(v)/theta1'(0), theta = theta1, and the poles
+    # of F on the lattice
+    def _log_prime_jet(self, c, n, divide=False):
+        """From one theta1 jet, less ln theta1'(0); dividing by t drops
+        its first row."""
+        out = log_jet(self._theta_jet(c, n + divide)[int(divide):])
+        out[0] -= self._log_theta1_prime
+        return out
 
-    def bergman_primitive(self, v):
-        return self.ell.theta.log_theta1_d(v, 1)
+    def _theta_jet(self, v, n):
+        return self.ell.theta.theta1_taylor(v, n)
 
-    def _bergman_series(self, c, order):
-        """F(c + t), known through t^order; wp - c0 at lattice points."""
-        ell = self.ell
-        if ell.is_lattice(c, _ON_POLE):
-            return ell.wp_laurent_at_zero(order) - ell.c0
-        return -ell.log_theta1_series(c, order).differentiate().differentiate()
-
-    def bergman_taylor(self, c, inner, count):
-        """[F^(q)(c + inner)/q! for q < count].
-
-        All q are read off one series F(c + t) = sum f_k t^k: the
-        coefficient of t^k in F^(q)(c + t)/q! is C(k+q, q) f_(k+q).  They
-        are composed with ``inner`` at once, through one table of the
-        powers of inner that carry a nonzero coefficient."""
-        K = inner.trunc_order
-        F = self._bergman_series(c, K + count)
-        k0 = F.k_min - count + 1
-        e = np.arange(k0, F.trunc_order + 1)
-        D = np.zeros((count, len(e)), dtype=complex)
-        D[0, F.k_min - k0:] = F.coeffs
-        for q in range(1, count):
-            D[q, :-1] = D[q - 1, 1:] * (e[1:] / q)
-        # inner^-p is known through t^(K-1-p)
-        top = K if k0 >= 0 else K - 1 + k0
-        D, e = D[:, :top - k0 + 1], e[:top - k0 + 1]
-        used = np.any(D, axis=0)
-        T = D[:, used] @ _power_table(inner, e[used], k0, top)
-        return [TruncSeries(row, k0, inner.var_tag) for row in T]
-
-    def bergman_derivs(self, v, count):
-        """[F^(q)(v)/q! for q < count]: -(q+2)(q+1) b_(q+2), where
-        ln theta1(v + t) = sum_k b_k t^k comes from one theta1 jet by the
-        log-series recurrence k b_k = k r_k - sum_(0<i<k) i b_i r_(k-i),
-        r_k = theta1^(k)(v)/(k! theta1(v))."""
-        n = count + 1
-        q = np.arange(n + 1.0).reshape((-1,) + (1,) * np.ndim(v))
-        jet = self.ell.theta.theta1_jet(v, n)
-        r = (jet / np.cumprod(np.maximum(q, 1.0), axis=0))[1:] / jet[0]
-        b = np.zeros_like(r)                # b[k - 1] = b_k
-        for k in range(1, n + 1):
-            b[k - 1] = r[k - 1] - sum(i * b[i - 1] * r[k - i - 1]
-                                      for i in range(1, k)) / k
-        return -(q[:count] + 2) * (q[:count] + 1) * b[1:]
-
-    def bergman_leg(self, c, s, gamma):
-        """[zeta^t] F(c + s) s' = sum_q gamma[t, q] F^(q)(c)/q! for
-        t < len(gamma): the Taylor coefficients of F at every c are one
-        batched log-series of one theta1 jet (bergman_derivs)."""
-        return np.tensordot(gamma, self.bergman_derivs(c, len(gamma)), 1)
-
-    def bergman_primitive_series(self, c, order):
-        """(ln theta1)'(c + t), known through t^order."""
-        ell = self.ell
-        if not ell.is_lattice(c, _ON_POLE):
-            return ell.log_theta1_series(c, order - 1).differentiate()
-        # (ln theta1)'' = c0 - wp: integrate the part past the 1/t^2 head;
-        # a shift by m + n tau adds the quasi-period -2 i pi n
-        wp = ell.wp_laurent_at_zero(order - 1)
-        reg = (ell.c0 - (wp - _monomial(-2, 1.0, wp))).antiderivative()
-        n = round(complex(c).imag / self.tau.imag)
-        return reg + _monomial(-1, 1.0, reg) - 2j * np.pi * n
-
-    # Szego factor: E(v) = theta1(v)/theta1'(0) and theta = theta1
-    def prime_form(self, v):
-        th = self.ell.theta
-        return th.theta1(v) / th.theta1(0.0, 1)
-
-    def theta_ratio(self, v, zeta):
-        th = self.ell.theta
-        den = th.theta1(zeta)
-        if abs(den) < 1e-12:
-            raise ThetaZeroDivision("theta(zeta) on the divisor")
-        return th.theta1(v + zeta) / den
-
-    def szego_series(self, c, inner, zeta):
-        """theta1(c + zeta + inner) theta1'(0) / (theta1(c + inner)
-        theta1(zeta)), from Taylor series of theta1 cut at 40 terms."""
-        th = self.ell.theta
-        depth = min(len(inner.coeffs), 40)
-        num = TruncSeries(th.theta1_taylor(c + zeta, depth), 0).compose(inner)
-        den = TruncSeries(th.theta1_taylor(c, depth), 0).compose(inner)
-        return num * den.invert() * (th.theta1(0.0, 1) / th.theta1(zeta))
+    def _lattice_point(self, c):
+        return self.ell.lattice_point(c)
 
     def _halves(self):
         return [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
@@ -802,24 +800,18 @@ class Genus1Curve(SpectralCurve):
                            self.order)
 
 
-def _power_table(inner: TruncSeries, exps, lo, hi) -> np.ndarray:
-    """Rows: coefficients of inner^e on t^lo..t^hi, for e in ``exps``
-    (ascending); inner starts at t^1."""
-    pows = {0: TruncSeries(np.ones(1), 0)}
-    if exps[-1] > 0:
-        pows[1] = inner
-        for e in range(2, exps[-1] + 1):
-            pows[e] = pows[e - 1] * inner
-    if exps[0] < 0:
-        pows[-1] = inner.invert()
-        for e in range(-2, exps[0] - 1, -1):
-            pows[e] = pows[e + 1] * pows[-1]
-    out = np.zeros((len(exps), hi - lo + 1), dtype=complex)
-    for i, e in enumerate(exps):
-        p = pows[e]
-        n = min(p.trunc_order, hi) - p.k_min + 1
-        out[i, p.k_min - lo:p.k_min - lo + n] = p.coeffs[:n]
-    return out
+def _power_rows(f, top) -> np.ndarray:
+    """Rows p = 0..top: the coefficients of f^p for an array f of Taylor
+    coefficients, as far as f is known; each row is the one before times
+    one Toeplitz matrix of f."""
+    i = np.arange(len(f))
+    lag = i[None, :] - i[:, None]
+    M = np.where(lag >= 0, f[np.maximum(lag, 0)], 0.0)
+    rows = np.zeros((top + 1, len(f)), dtype=complex)
+    rows[0, 0] = 1.0
+    for p in range(1, top + 1):
+        rows[p] = rows[p - 1] @ M
+    return rows
 
 
 def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:

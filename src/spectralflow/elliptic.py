@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import TruncSeries, truncate
+from .series import TruncSeries, log_jet, truncate
 from .theta import ThetaEvaluator
 
 
@@ -27,14 +27,14 @@ class EllipticTools:
     # -- point values ---------------------------------------------------------
 
     def wp(self, u: complex) -> complex:
-        return -self.theta.log_theta1_d(u, 2) + self.c0
+        return self.wp_pair(u)[0]
 
     def wp_prime(self, u: complex) -> complex:
-        return -self.theta.log_theta1_d(u, 3)
+        return self.wp_pair(u)[1]
 
     def wp_pair(self, u):
         """(wp(u), wp'(u)) from one theta1 jet."""
-        _, d2, d3 = self.theta.log_theta1_derivs(u, 3)
+        _, d2, d3 = self.theta.log_theta1_derivs(u)
         return -d2 + self.c0, -d3
 
     # -- local series ----------------------------------------------------------
@@ -52,9 +52,7 @@ class EllipticTools:
     def wp_series(self, u0: complex, order=None) -> TruncSeries:
         """Series of wp(u0 + s); Laurent with u^-2 head when u0 ~ 0."""
         order = order or self.order
-        u0c = self.to_cell(u0)
-        if min(abs(u0c), abs(u0c - 1), abs(u0c - self.tau),
-               abs(u0c - 1 - self.tau)) < 1e-9:
+        if self.is_lattice(u0):
             return self.wp_laurent_at_zero(order)
         ls = self.log_theta1_series(u0, order + 2)
         return -ls.differentiate().differentiate() + self.c0
@@ -67,19 +65,14 @@ class EllipticTools:
         n = order + 4
         coeffs = self.theta.theta1_taylor(0.0, n + 2)
         coeffs[::2] = 0.0            # theta1 is odd; kill roundoff noise
-        tay = TruncSeries(coeffs, 0, )
-        # theta1(s) = theta1'(0) s (1 + ...); strip the zero and take logs
-        g = tay.shift(-1)            # analytic, g(0) = theta1'(0) != 0
-        t0 = g.coeff(0)
-        unit = g * (1.0 / t0)
-        lg = (unit.differentiate() * unit.invert()).antiderivative()
-        reg = -lg.differentiate().differentiate() + self.c0
+        # theta1(s) = s g(s) with g(0) = theta1'(0) != 0, and
         # -(ln theta1)'' = 1/s^2 - (ln g)''; the 1/s^2 monomial is exact,
         # so give it a window long enough not to clip the regular part
+        b = log_jet(coeffs[1:])
+        k = np.arange(len(b) - 2)
         head = np.zeros(n + 6, dtype=complex)
-        head[0] = 1.0
-        inv2 = TruncSeries(head, -2, )
-        out = inv2 + reg
+        head[[0, 2]] = 1.0, self.c0
+        out = TruncSeries(head, -2) - TruncSeries((k + 2) * (k + 1) * b[2:])
         self._laurent0 = out
         return truncate(out, order, absolute=True)
 
@@ -107,6 +100,13 @@ class EllipticTools:
         if t > 1 - 1e-9:
             t -= 1.0
         return s + t * self.tau
+
+    def lattice_point(self, u):
+        """A lattice point m + n tau nearest u: n rounds Im u / Im tau, m
+        the real part left over.  Broadcasts over an ndarray."""
+        u = np.asarray(u)
+        n = np.rint(u.imag / self.tau.imag)
+        return np.rint(u.real - n * self.tau.real) + n * self.tau
 
     def is_lattice(self, u: complex, tol=1e-9) -> bool:
         c = self.to_cell(u)

@@ -156,10 +156,6 @@ class Geometry:
         """dS_{z1,z2}(z)/dchart."""
         return ThirdKind(self.curve, z1, z2).value(z)
 
-    def bergman_primitive(self, zp, z):
-        """G(zp, z) with d_z G = B(zp, z): the dS building block."""
-        return self.curve.bergman_primitive(zp - z)
-
 
 # -- prepotential ------------------------------------------------------------------
 

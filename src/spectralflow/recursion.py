@@ -38,11 +38,12 @@ memo table fills level by level in increasing 2g + n.
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
 leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of an
-array of c in one call per ramification point (on the sphere one
-batched inversion of c + s_a(zeta), on the torus the Taylor
-coefficients of F at every c contracted with gamma), and a tensor is
-contracted with the columns of that matrix, one per point.  Any k up to
-the charts' depth is read this way; the row tables are not used.
+array of c in one call per ramification point, with one algorithm for
+both genera: the pole of F from one batched inversion of c + s_a(zeta)
+(c taken to the nearest pole), and its regular part as gamma contracted
+with the Taylor coefficients at every c.  A tensor is contracted with
+the columns of that matrix, one per point.  Any k up to the charts'
+depth is read this way; the row tables are not used.
 
 The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
 with the cycles dual to the times t_{p,j} and to the filling fraction,

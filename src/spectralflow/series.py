@@ -343,6 +343,20 @@ def inverse_at(c, s: TruncSeries, n) -> np.ndarray:
     return inv.reshape((n + 1,) + c.shape)
 
 
+def log_jet(jet) -> np.ndarray:
+    """Taylor coefficients b_k of log f(c + t), k = 0..n on axis 0, from
+    those of f (f(c) != 0), for every c of an ndarray at once: b_0 is
+    log f(c) and k b_k = k r_k - sum_(0<i<k) i b_i r_(k-i), r = f/f(c)."""
+    jet = np.asarray(jet, dtype=complex)
+    r = jet / jet[0]
+    kb = np.empty_like(r)                       # kb[k] = k b_k
+    for k in range(1, len(r)):
+        kb[k] = k * r[k] - np.einsum("i...,i...->...", kb[1:k], r[k - 1:0:-1])
+    kb[1:] /= np.arange(1, len(r)).reshape((-1,) + (1,) * (r.ndim - 1))
+    kb[0] = np.log(jet[0])
+    return kb
+
+
 def _series_exp(f: TruncSeries) -> TruncSeries:
     """exp of a series with vanishing constant term, from e' = e f'."""
     if f.k_min < 1 and abs(f.coeff(0)) > 0:

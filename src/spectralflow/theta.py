@@ -25,6 +25,8 @@ _MAX_HALF = 400
 # a cached jet holds at least the orders that values and the derivatives
 # of ln theta1 up to the third read
 _MIN_ORDER = 3
+# k! as floats, for Taylor coefficients from jets (171! overflows)
+_FACTORIAL = np.array([float(factorial(k)) for k in range(171)])
 
 
 def _check_tau(tau: complex):
@@ -94,29 +96,17 @@ class ThetaEvaluator:
 
     # -- derived helpers -------------------------------------------------------
 
-    def log_theta1_d(self, u, order: int):
-        """(d/du)^order of ln theta1 at u, order in {1, 2, 3}."""
-        if order not in (1, 2, 3):
-            raise ValueError("order must be 1, 2 or 3")
-        return self.log_theta1_derivs(u, order)[-1]
+    def log_theta1_derivs(self, u):
+        """[(d/du)^k ln theta1 at u for k = 1, 2, 3], from one theta1 jet."""
+        t = self.theta1_jet(u, 3)
+        r1, r2 = t[1] / t[0], t[2] / t[0]
+        return r1, r2 - r1 ** 2, t[3] / t[0] - 3 * r2 * r1 + 2 * r1 ** 3
 
-    def log_theta1_derivs(self, u, order: int):
-        """[(d/du)^k ln theta1 at u for k = 1..order], order <= 3, from
-        one theta1 jet."""
-        t = self.theta1_jet(u, order)
-        r1 = t[1] / t[0]
-        out = [r1]
-        if order >= 2:
-            r2 = t[2] / t[0]
-            out.append(r2 - r1 ** 2)
-        if order >= 3:
-            out.append(t[3] / t[0] - 3 * r2 * r1 + 2 * r1 ** 3)
-        return out
-
-    def theta1_taylor(self, u0: complex, n: int) -> np.ndarray:
-        """Taylor coefficients of theta1 around u0, length n+1."""
-        return self.theta1_jet(u0, n) / np.array(
-            [float(factorial(m)) for m in range(n + 1)])
+    def theta1_taylor(self, u0, n: int) -> np.ndarray:
+        """Rows k = 0..n: the Taylor coefficients of theta1 around u0,
+        shape (n+1,) + shape(u0)."""
+        return self.theta1_jet(u0, n) / _FACTORIAL[:n + 1].reshape(
+            (-1,) + (1,) * np.ndim(u0))
 
 
 def heat_equation_residual(tau, u, h=1e-4):

@@ -1,10 +1,12 @@
 """The reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 of each curve
 backend: its Taylor series against closed forms on the sphere and against
-central differences of F on the torus."""
+central differences of F on the torus; and the Szego factor's series
+against its point values."""
 
 import pytest
 
 from spectralflow.curve import Genus1Curve, RationalFunction
+from spectralflow.errors import ThetaZeroDivision
 from spectralflow.forms import BergmanLeg, SecondKindBasis, ThirdKind
 from spectralflow.series import identity, truncate
 
@@ -121,3 +123,39 @@ def test_forms_in_the_chart_at_infinity(joukowski):
         ref = -f.value(1 / w) / w ** 2
         assert abs(f.local_series("inf", 10).evaluate(w) - ref) \
             < 1e-12 * abs(ref)
+
+
+def _szego_reference(curve, v, zeta):
+    """theta(v + zeta)/(theta(zeta) E(v)) from point values: 1/v on the
+    sphere, theta1(v + zeta) theta1'(0)/(theta1(zeta) theta1(v)) on the
+    torus."""
+    if curve.genus == 0:
+        return 1.0 / v
+    th = curve.ell.theta
+    return th.theta1(v + zeta) * th.theta1(0.0, 1) \
+        / (th.theta1(zeta) * th.theta1(v))
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j])
+@pytest.mark.parametrize("on_pole", [False, True])
+def test_szego_series_matches_point_values(request, curve, on_pole):
+    cv = request.getfixturevalue(curve) if isinstance(curve, str) \
+        else _torus(curve)
+    if on_pole:
+        # on the torus a lattice point other than 0, where theta1 is not odd
+        c = 0.0 if cv.genus == 0 else 1.0 + cv.tau
+    else:
+        c = 0.83 - 0.41j if cv.genus == 0 else 0.31 + 0.27 * cv.tau
+    zeta = 0.23 + 0.17j
+    inner = _chart(cv)
+    G = cv.szego_series(c, inner, zeta)
+    assert G.k_min == (-1 if on_pole else 0)
+    for x in (0.05 + 0.02j, -0.03 + 0.06j):
+        ref = _szego_reference(cv, c + inner.evaluate(x), zeta)
+        assert abs(G.evaluate(x) - ref) < 1e-12 * abs(ref)
+
+
+def test_szego_series_refuses_theta_divisor():
+    cv = _torus(1j)
+    with pytest.raises(ThetaZeroDivision):
+        cv.szego_series(0.31 + 0.27j, _chart(cv), 0.0)
