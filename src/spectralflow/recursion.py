@@ -160,7 +160,12 @@ class RecursionEngine:
         left to the caller).
 
         With z = r_a + s_a(zeta) the rows are one contraction,
-        (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!."""
+        (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!.
+        At b == a, rows[i][j] is the coefficient h_ij of the regular part
+        of B(z_a(zeta1), z_a(zeta2)), which is symmetric; the contraction
+        cancels polar terms down to entries near 2^-(i+j), so each entry
+        with both indices below the row count is read from the row of its
+        lower index, which cancels least."""
         key = (b, a)
         if key in self._plg:
             return self._plg[key]
@@ -180,6 +185,9 @@ class RecursionEngine:
             row = TruncSeries(r, lo) * self.zprime[a]
             rows.append([row.coeff(t) for t in range(width)])
         rows = np.array(rows)
+        if b == a:
+            i, j = np.tril_indices(mmax, -1)
+            rows[i, j] = rows[j, i]
         self._plg[key] = rows
         return rows
 
