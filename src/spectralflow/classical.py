@@ -1,10 +1,10 @@
 """Dispersionless integrable system attached to (curve, 1-form).
 
 The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
-/ (theta(zeta) E(z1, z2)) is written once: the curve supplies the
-Szego factor (prime_form, theta_ratio, szego_series, from its theta
-function and prime form; theta = 1 and E = z1 - z2 on the sphere), and
-chi, zeta come from the A-normalized part of the form.  Sheet matrices, Baker-Akhiezer vectors, the
+/ (theta(zeta) E(z1, z2)) is written once: the curve supplies
+the Szego factor (prime_form, theta_ratio, szego_series; theta = 1 and
+E = z1 - z2 on the sphere), and chi, zeta come from the A-normalized
+part of the form.  Sheet matrices, Baker-Akhiezer vectors, the
 Christoffel-Darboux pairing, the Lax matrix and the classical tau
 function all hang off one ClassicalSystem instance.
 

@@ -453,9 +453,8 @@ class Genus0Curve(SpectralCurve):
 
     # prime form E(v) = v, theta = 1, and the pole of F at 0
     def _log_prime_jet(self, c, n, divide=False):
-        if divide:
-            return np.zeros((n + 1,) + np.shape(c), dtype=complex)
-        return _log_linear(c, n)
+        return np.zeros((n + 1,) + np.shape(c), dtype=complex) if divide \
+            else _log_linear(c, n)
 
     def _theta_jet(self, v, n):
         out = np.zeros((n + 1,) + np.shape(v), dtype=complex)
@@ -713,7 +712,10 @@ class Genus1Curve(SpectralCurve):
         return self.ell.theta.theta1_taylor(v, n)
 
     def _lattice_point(self, c):
-        return self.ell.lattice_point(c)
+        """m + n tau: n rounds Im c / Im tau, m the real part left over."""
+        c = np.asarray(c)
+        n = np.rint(c.imag / self.tau.imag)
+        return np.rint(c.real - n * self.tau.real) + n * self.tau
 
     def _halves(self):
         return [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]

@@ -101,13 +101,6 @@ class EllipticTools:
             t -= 1.0
         return s + t * self.tau
 
-    def lattice_point(self, u):
-        """A lattice point m + n tau nearest u: n rounds Im u / Im tau, m
-        the real part left over.  Broadcasts over an ndarray."""
-        u = np.asarray(u)
-        n = np.rint(u.imag / self.tau.imag)
-        return np.rint(u.real - n * self.tau.real) + n * self.tau
-
     def is_lattice(self, u: complex, tol=1e-9) -> bool:
         c = self.to_cell(u)
         return min(abs(c), abs(c - 1), abs(c - self.tau),

@@ -161,11 +161,10 @@ class RecursionEngine:
 
         With z = r_a + s_a(zeta) the rows are one contraction,
         (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!.
-        At b == a, rows[i][j] is the coefficient h_ij of the regular part
-        of B(z_a(zeta1), z_a(zeta2)), which is symmetric; the contraction
-        cancels polar terms down to entries near 2^-(i+j), so each entry
-        with both indices below the row count is read from the row of its
-        lower index, which cancels least."""
+        At b == a, rows[i][j] is h_ij, the symmetric regular part of
+        B(z_a(zeta1), z_a(zeta2)); the contraction cancels polar terms down
+        to entries near 2^-(i+j), so below the row count h_ij is read from
+        the row of the lower index, which cancels least."""
         key = (b, a)
         if key in self._plg:
             return self._plg[key]
