@@ -349,10 +349,11 @@ def log_jet(jet) -> np.ndarray:
     log f(c) and k b_k = k r_k - sum_(0<i<k) i b_i r_(k-i), r = f/f(c)."""
     jet = np.asarray(jet, dtype=complex)
     r = jet / jet[0]
-    kb = np.empty_like(r)                       # kb[k] = k b_k
-    for k in range(1, len(r)):
-        kb[k] = k * r[k] - np.einsum("i...,i...->...", kb[1:k], r[k - 1:0:-1])
-    kb[1:] /= np.arange(1, len(r)).reshape((-1,) + (1,) * (r.ndim - 1))
+    k = np.arange(len(r)).reshape((-1,) + (1,) * (r.ndim - 1))
+    kb = k * r                                  # becomes k b_k, row by row
+    for m in range(2, len(r)):
+        kb[m] -= np.einsum("i...,i...->...", kb[1:m], r[m - 1:0:-1])
+    kb[1:] /= k[1:]
     kb[0] = np.log(jet[0])
     return kb
 
