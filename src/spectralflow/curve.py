@@ -236,7 +236,8 @@ class SpectralCurve:
     # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
     # ndarray of points, and its lattice reduction:
     #   _log_prime_jet(c, n)          [t^k] log E(c + t)
-    #   _log_prime_jet(l, n, True)    [t^k] log(E(l + t)/t) at a pole l
+    #   _log_prime_jet(c, n, o)       [t^k] log(E(c + t)/(o + t)), o = c - l
+    #                                 the offset from a pole l (o = 0: c = l)
     #   _theta_jet(v, n)              [t^k] theta(v + t)
     #   _lattice_point(c)             the pole l of F nearest c
 
@@ -316,8 +317,8 @@ class SpectralCurve:
         pole = self._lattice_point(c)
         o = c - pole
         if np.ndim(o) == 0 and abs(o) < _ON_POLE:
-            return 0.0, self._log_prime_jet(pole, n, True)
-        return o, self._log_prime_jet(c, n) - _log_linear(o, n)
+            return 0.0, self._log_prime_jet(pole, n, 0.0)
+        return o, self._log_prime_jet(c, n, o)
 
     def bergman(self, v):
         """F(v)."""
@@ -452,9 +453,9 @@ class Genus0Curve(SpectralCurve):
         return self.Y.series(center, order, tag or f"s@{center:.6g}")
 
     # prime form E(v) = v, theta = 1, and the pole of F at 0
-    def _log_prime_jet(self, c, n, divide=False):
-        return np.zeros((n + 1,) + np.shape(c), dtype=complex) if divide \
-            else _log_linear(c, n)
+    def _log_prime_jet(self, c, n, o=None):
+        return _log_linear(c, n) if o is None \
+            else np.zeros((n + 1,) + np.shape(c), dtype=complex)
 
     def _theta_jet(self, v, n):
         out = np.zeros((n + 1,) + np.shape(v), dtype=complex)
@@ -701,12 +702,13 @@ class Genus1Curve(SpectralCurve):
 
     # prime form E(v) = theta1(v)/theta1'(0), theta = theta1, and the poles
     # of F on the lattice
-    def _log_prime_jet(self, c, n, divide=False):
-        """From one theta1 jet, less ln theta1'(0); dividing by t drops
-        its first row."""
-        out = log_jet(self._theta_jet(c, n + divide)[int(divide):])
+    def _log_prime_jet(self, c, n, o=None):
+        """From one theta1 jet, less ln theta1'(0) and log(o + t); on the
+        pole (o = 0) the jet is divided by t, dropping its first row."""
+        on = o is not None and np.ndim(o) == 0 and o == 0
+        out = log_jet(self._theta_jet(c, n + on)[int(on):])
         out[0] -= self._log_theta1_prime
-        return out
+        return out if o is None or on else out - _log_linear(o, n)
 
     def _theta_jet(self, v, n):
         return self.ell.theta.theta1_taylor(v, n)
