@@ -159,17 +159,15 @@ class ClassicalSystem:
 
     def refined_duality_residual(self, z1, z2, z):
         """Pointwise product relation with the holomorphic correction
-        alpha du (none at genus 0: dS alone)."""
-        alpha = 0.0
-        if self.curve.genus == 1:
-            # alpha in reduced chart values; its sign and normalization
-            # are pinned by the pole-matching limit and the numerics (the
-            # displayed -2 i pi alpha du absorbs into +alpha once du is
-            # reduced to 1 in the u-chart)
-            th = self.curve.ell.theta
-            v, tz = z1 - z2 + self.zeta_t, self.zeta_t
-            alpha = th.theta1(v, 1) / th.theta1(v) \
-                - th.theta1(tz, 1) / th.theta1(tz)
+        alpha du, alpha = (ln theta)'(z1 - z2 + zeta) - (ln theta)'(zeta),
+        which is 0 at genus 0 (theta = 1: dS alone)."""
+        # alpha in reduced chart values; its sign and normalization are
+        # pinned by the pole-matching limit and the numerics (the
+        # displayed -2 i pi alpha du absorbs into +alpha once du is
+        # reduced to 1 in the u-chart)
+        (t0, t1), (s0, s1) = (self.curve.theta_jet(v, 1) for v in
+                              (z1 - z2 + self.zeta_t, self.zeta_t))
+        alpha = t1 / t0 - s1 / s0
         lhs = self.psi(z1, z) * self.psi(z, z2)
         rhs = -self.psi(z1, z2) * (self.geo.third_kind(z1, z2, z)
                                    + alpha)
@@ -185,16 +183,12 @@ class ClassicalSystem:
         tau = self.curve.tau
         base = self.psi(z1, z2)
         # accumulate d(ln psi) = chi(z) dz + dlog theta factors continuously
-        th = self.curve.ell.theta
-        zs = [z1] + [z1 + tau * i / _B_LOOP_STEPS
-                     for i in range(1, _B_LOOP_STEPS + 1)]
+        zs = z1 + tau * np.arange(_B_LOOP_STEPS + 1) / _B_LOOP_STEPS
         segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
-        acc = 0.0
-        for prev, znext, seg in zip(zs, zs[1:], segs):
-            dlog = np.log(th.theta1(znext - z2 + self.zeta_t)
-                          / th.theta1(prev - z2 + self.zeta_t)) \
-                - np.log(th.theta1(znext - z2) / th.theta1(prev - z2))
-            acc += seg + dlog
+        num, den = (self.curve.theta_jet(zs - z2 + shift, 0)[0]
+                    for shift in (self.zeta_t, 0.0))
+        acc = np.sum(segs + np.log(num[1:] / num[:-1])
+                     - np.log(den[1:] / den[:-1]))
         final = base * np.exp(acc)
         return abs(final - base) / abs(base)
 
@@ -353,7 +347,7 @@ def _a_normalized(curve, form, eps):
 # -- classical tau and Sato ------------------------------------------------------------
 
 class ClassicalTau:
-    """e^{F0-shifted} theta1(zeta) and its Schlesinger ratios."""
+    """e^{F0-shifted} theta(zeta) and its Schlesinger ratios."""
 
     def __init__(self, curve, form, basepoint=None):
         self.curve = curve
@@ -361,8 +355,7 @@ class ClassicalTau:
         self.prep = prepotential(curve, form, basepoint)
         self.f0_tilde = shifted_prepotential_value(self.prep)
         _, self.zeta_t = _a_normalized(curve, form, self.prep.eps)
-        self.theta_factor = 1.0 if curve.genus == 0 else \
-            curve.ell.theta.theta1(self.zeta_t)
+        self.theta_factor = curve.theta_jet(self.zeta_t, 0)[0]
 
 
 def sato_residual(curve, form, z1, z2, basepoint=None):

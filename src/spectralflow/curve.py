@@ -238,8 +238,11 @@ class SpectralCurve:
     #   _log_prime_jet(c, n)          [t^k] log E(c + t)
     #   _log_prime_jet(c, n, o)       [t^k] log(E(c + t)/(o + t)), o = c - l
     #                                 the offset from a pole l (o = 0: c = l)
-    #   _theta_jet(v, n)              [t^k] theta(v + t)
+    #   theta_jet(v, n)               [t^k] theta(v + t)
     #   _lattice_point(c)             the pole l of F nearest c
+    # The torus backend reads the series of wp = -(log E)'' + c0 behind
+    # x_series and y_series (wp_series), and g2, g3, off the same log E
+    # jet; only point values of wp come from EllipticTools.
 
     def branch_values(self):
         return [r.branch_value for r in self.ramification_points]
@@ -340,13 +343,13 @@ class SpectralCurve:
 
     def theta_ratio(self, v, zeta):
         """theta(v + zeta)/theta(zeta)."""
-        return self._theta_jet(v + zeta, 0)[0] / self._theta_off_divisor(zeta)
+        return self.theta_jet(v + zeta, 0)[0] / self.theta_off_divisor(zeta)
 
-    def _theta_off_divisor(self, zeta):
-        """theta(zeta), refused on the theta divisor."""
-        den = self._theta_jet(zeta, 0)[0]
+    def theta_off_divisor(self, v):
+        """theta(v), refused on the theta divisor."""
+        den = self.theta_jet(v, 0)[0]
         if abs(den) < 1e-12:
-            raise ThetaZeroDivision("theta(zeta) on the divisor")
+            raise ThetaZeroDivision(f"theta({v}) on the divisor")
         return den
 
     def bergman_taylor(self, c, inner, count):
@@ -407,10 +410,10 @@ class SpectralCurve:
         """theta(c + zeta + inner)/(theta(zeta) E(c + inner)) from Taylor
         series cut at 40 terms, with 1/E(c + inner) = exp(-rho(inner))/
         (o + inner)."""
-        den = self._theta_off_divisor(zeta)
+        den = self.theta_off_divisor(zeta)
         depth = min(len(inner.coeffs), 40)
         o, rho = self._regular_jet(c, depth)
-        num = TruncSeries(self._theta_jet(c + zeta, depth)).compose(inner)
+        num = TruncSeries(self.theta_jet(c + zeta, depth)).compose(inner)
         regular = _series_exp(-TruncSeries(rho[1:], 1).compose(inner))
         return num * (inner + o).invert() * regular * (np.exp(-rho[0]) / den)
 
@@ -457,7 +460,7 @@ class Genus0Curve(SpectralCurve):
         return _log_linear(c, n) if o is None \
             else np.zeros((n + 1,) + np.shape(c), dtype=complex)
 
-    def _theta_jet(self, v, n):
+    def theta_jet(self, v, n):
         out = np.zeros((n + 1,) + np.shape(v), dtype=complex)
         out[0] = 1.0
         return out
@@ -664,8 +667,10 @@ class Genus1Curve(SpectralCurve):
         self.tau = complex(tau)
         self.R1, self.R2 = R1, R2
         self.x_scale = complex(x_scale)
-        self.ell = EllipticTools(tau, order + 12)
+        self.ell = EllipticTools(tau)
         self._log_theta1_prime = np.log(self.ell.theta.theta1(0.0, 1))
+        # the jet of log(E(t)/t) behind wp at the lattice, grown on demand
+        self._lattice_jet = np.zeros(0, dtype=complex)
         self.d = 2
         self._find_ramification()
         self._find_x_poles()
@@ -689,11 +694,11 @@ class Genus1Curve(SpectralCurve):
         return self.ell.to_cell(u)
 
     def x_series(self, center, order, tag=None):
-        return self.ell.wp_series(center, order).retag(
+        return self.wp_series(center, order).retag(
             tag or f"s@{center:.6g}") * self.x_scale
 
     def y_series(self, center, order, tag=None):
-        wp = self.ell.wp_series(center, order + 4)
+        wp = self.wp_series(center, order + 4)
         wpp = wp.differentiate()
         r1 = _compose_rational(self.R1, wp, order)
         r2 = _compose_rational(self.R2, wp, order)
@@ -706,12 +711,34 @@ class Genus1Curve(SpectralCurve):
         """From one theta1 jet, less ln theta1'(0) and log(o + t); on the
         pole (o = 0) the jet is divided by t, dropping its first row."""
         on = o is not None and np.ndim(o) == 0 and o == 0
-        out = log_jet(self._theta_jet(c, n + on)[int(on):])
+        out = log_jet(self.theta_jet(c, n + on)[int(on):])
         out[0] -= self._log_theta1_prime
         return out if o is None or on else out - _log_linear(o, n)
 
-    def _theta_jet(self, v, n):
+    def theta_jet(self, v, n):
         return self.ell.theta.theta1_taylor(v, n)
+
+    def wp_series(self, center, order):
+        """wp(center + t) = -(log E)''(center + t) + c0, known through
+        t^(order + 2); at a lattice point 1/t^2 + c0 - (log(E(t)/t))'',
+        known through t^order, from the jet at 0 (a jet taken at another
+        lattice point loses digits)."""
+        on = self.ell.is_lattice(center)
+        if on and len(self._lattice_jet) < order + 3:
+            self._lattice_jet = self._log_prime_jet(0.0, order + 2, 0.0)
+        b = self._lattice_jet[:order + 3] if on \
+            else self._log_prime_jet(center, order + 4)
+        k = np.arange(len(b) - 2)
+        wp = -(k + 2) * (k + 1) * b[2:]
+        wp[0] += self.ell.c0
+        return TruncSeries(np.concatenate([[1.0, 0.0], wp]), -2) if on \
+            else TruncSeries(wp)
+
+    def invariants_g2_g3(self):
+        """Coefficients in wp'^2 = 4 wp^3 - g2 wp - g3: 20 and 28 times
+        the t^2 and t^4 coefficients of wp(t)."""
+        wp = self.wp_series(0.0, 4)
+        return 20.0 * wp.coeff(2), 28.0 * wp.coeff(4)
 
     def _lattice_point(self, c):
         """m + n tau: n rounds Im c / Im tau, m the real part left over."""
@@ -751,7 +778,7 @@ class Genus1Curve(SpectralCurve):
         u = 0 and wp = wp(p) + xi/x_scale at a regular point p."""
         xi = frame.xi_of_s
         n = xi.trunc_order
-        g2, g3 = self.ell.invariants_g2_g3()
+        g2, g3 = self.invariants_g2_g3()
         if frame.order > 0:
             wp = _monomial(-2, 1.0 / self.x_scale, xi)
         else:

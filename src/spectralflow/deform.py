@@ -73,7 +73,7 @@ def deform_second_kind(curve, center, j, lam):
     # genus 1: omega_{0,j} = (1/j)[c_0 (wp - c0c) + sum_m c_m (-1)^m wp^(m)/m!]
     from math import factorial
     ell = curve.ell
-    g2, g3 = ell.invariants_g2_g3()
+    g2, g3 = curve.invariants_g2_g3()
     pairs = _wp_pairs(j + 1, g2, g3)
     A = np.array([0.0], dtype=complex)
     B = np.array([0.0], dtype=complex)
@@ -103,8 +103,7 @@ def _genus1_add_over_dx(curve, A, B, lam):
 
     dX = x_scale wp' du, and [A + B wp']/wp' = B + A wp'/(4wp^3-g2wp-g3).
     """
-    ell = curve.ell
-    g2, g3 = ell.invariants_g2_g3()
+    g2, g3 = curve.invariants_g2_g3()
     sext = np.array([-g3, -g2, 0.0, 4.0], dtype=complex)
     alpha = curve.x_scale
     # R1 and R2 are functions of wp itself, not of X = x_scale * wp, so

@@ -97,6 +97,12 @@ class UnsupportedCycle(SpectralFlowError):
     """Cycle descriptor not available on this curve (e.g. B-cycle at genus 0)."""
 
 
+class BadIndex(SpectralFlowError):
+    """An index or a pole outside what the object defines: an unstable
+    (g, n), F_g for g < 2, a second-kind form of index j < 1, a center
+    that is not a pole of the form."""
+
+
 # -- classical ----------------------------------------------------------------
 
 class StepTooLarge(SpectralFlowError):

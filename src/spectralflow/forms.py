@@ -19,6 +19,7 @@ import numpy as np
 
 from .curve import PoleFrame, _drop_low_noise, _poly_shift
 from .errors import (
+    BadIndex,
     PoleAtRamificationPoint,
     ResidueSumNonzero,
     TruncationTooShort,
@@ -43,7 +44,10 @@ class Form1:
         return []
 
     def cycle_period(self, which):
-        """Closed-form A/B-period coherent with in-cell paths, or None."""
+        """Closed-form A/B-period coherent with in-cell paths, or None.
+
+        Only ``canonical_period`` calls it, at genus 1 and on one atom at
+        a time: it expands a SumForm into its terms itself."""
         return None
 
     def __add__(self, other):
@@ -85,15 +89,6 @@ class SumForm(Form1):
                 if not any(_same_center(p[0], q[0]) for q in seen):
                     seen.append(p)
         return seen
-
-    def cycle_period(self, which):
-        total = 0.0 + 0.0j
-        for c, f in self.terms:
-            v = f.cycle_period(which)
-            if v is None:
-                return None
-            total += c * v
-        return total
 
     def __mul__(self, c):
         return SumForm([(complex(c) * c0, f) for c0, f in self.terms])
@@ -216,12 +211,10 @@ class ThirdKind(Form1):
         return [(self.z1, 1), (self.z2, 1)]
 
     def cycle_period(self, which):
-        if self.curve.genus != 1:
-            return 0.0
         if which == "a":
             return 0.0
-        th = self.curve.ell
-        return 2j * np.pi * (th.to_cell(self.z1) - th.to_cell(self.z2))
+        cell = self.curve.to_cell
+        return 2j * np.pi * (cell(self.z1) - cell(self.z2))
 
 
 class BergmanLeg(Form1):
@@ -247,8 +240,6 @@ class BergmanLeg(Form1):
         return [(self.z0, 2)]
 
     def cycle_period(self, which):
-        if self.curve.genus != 1:
-            return 0.0
         return 0.0 if which == "a" else 2j * np.pi * self.scale
 
 
@@ -262,7 +253,7 @@ class SecondKindBasis(Form1):
 
     def __init__(self, curve, pole, j):
         if j < 1:
-            raise ValueError("second-kind index j must be >= 1")
+            raise BadIndex(f"second-kind index j = {j} must be >= 1")
         self.curve = curve
         self.pole = pole            # PoleFrame
         self.j = int(j)
@@ -309,8 +300,6 @@ class SecondKindBasis(Form1):
         return [(self.center, self.j + 1)]
 
     def cycle_period(self, which):
-        if self.curve.genus != 1:
-            return 0.0
         return 0.0 if which == "a" else 2j * np.pi * self.cm[0] / self.j
 
 
@@ -413,8 +402,7 @@ class WpPolyDu(Form1):
         return out
 
     def local_series(self, center, order):
-        ell = self.curve.ell
-        wp = ell.wp_series(center, order + 2 * len(self.coeffs) + 4)
+        wp = self.curve.wp_series(center, order + 2 * len(self.coeffs) + 4)
         out = None
         for c in self.coeffs[::-1]:
             if out is None:
@@ -427,5 +415,3 @@ class WpPolyDu(Form1):
         return [(0.0, 2 * (len(self.coeffs) - 1))] \
             if len(self.coeffs) > 1 else []
 
-    def cycle_period(self, which):
-        return None          # residue-free: quadrature fallback is exact

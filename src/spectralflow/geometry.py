@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    BadIndex,
     CoincidentPoints,
     DivergentRegularization,
     ResidueFreePreconditionViolated,
-    ThetaZeroDivision,
     UnsupportedCycle,
 )
 from .forms import (
@@ -221,7 +221,7 @@ class Prepotential:
         for r in self.records:
             if _same_center(r.center, center):
                 return r
-        raise KeyError(center)
+        raise BadIndex(f"{center} is not a pole of the form")
 
     def homogeneity_residual(self):
         """|F0 - (1/2) sum_k t_k dF0/dt_k| / max(1, |F0|)."""
@@ -465,20 +465,11 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
 
 
 def fay_residual(curve, z1, z2, z3, z4, w):
-    """Relative residual of the four-point bilinear theta identity."""
-    if curve.genus != 1:
-        raise UnsupportedCycle("the four-point identity needs genus 1")
-    th = curve.ell.theta
+    """Relative residual of Fay's four-point bilinear theta identity;
+    theta factors on the theta divisor are refused.  At genus 0 (theta = 1,
+    E = z1 - z2) it is a rational identity."""
     geo = Geometry(curve)
-
-    def E(a, b):
-        return geo.prime_form(a, b)
-
-    def T(v):
-        val = th.theta1(v)
-        if abs(val) < 1e-12:
-            raise ThetaZeroDivision(f"theta factor at {v} on the divisor")
-        return val
+    E, T = geo.prime_form, curve.theta_off_divisor
 
     u12, u34 = z1 - z2, z3 - z4
     lhs = T(w) * T(u12 + u34 + w) * E(z1, z3) * E(z2, z4) \

@@ -65,7 +65,7 @@ import itertools
 import numpy as np
 
 from .curve import _ON_POLE, flip_parity
-from .errors import PoleAtRamificationPoint, TruncationTooShort
+from .errors import BadIndex, PoleAtRamificationPoint, TruncationTooShort
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries, truncate
 
@@ -275,7 +275,8 @@ class RecursionEngine:
 
     def omega(self, g, n) -> CorrForm:
         if 2 - 2 * g - n >= 0:
-            raise ValueError("only stable (g, n) carry tensors")
+            raise BadIndex(f"({g}, {n}) is unstable: only stable (g, n) "
+                           "carry tensors")
         key = (g, n)
         if key in self._memo:
             return self._memo[key]
@@ -359,7 +360,7 @@ class RecursionEngine:
         points; independent of the primitive's constant because the
         one-point form has no residues."""
         if g < 2:
-            raise ValueError("F_g from residues needs g >= 2")
+            raise BadIndex(f"F_g from residues needs g >= 2, not {g}")
         if g not in self._fg:
             self._fg[g] = self._invariant_with_phi(g, 0.0)
         return self._fg[g]

@@ -15,3 +15,15 @@ def test_tracer_finds_every_counted_and_timed_function(monkeypatch):
     for group in (spans.COUNTED, spans.TIMED):
         for names in group.values():
             assert set(names) <= set(tracer.names)
+
+
+def test_every_benchmark_operation_passes(monkeypatch):
+    # one seed-0 pass of each workload: a library change that breaks a
+    # benchmark operation fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        ops = workloads.run_pass(workload, workload.inputs(0)).ops
+        assert ops, name
+        failed = [(op.name, op.error, op.exc) for op in ops if op.failed]
+        assert not failed, (name, failed)

@@ -17,11 +17,14 @@ from spectralflow.deform import (
     shift_y_by_rational_of_x,
 )
 from spectralflow.errors import (
+    BadIndex,
     PoleAtRamificationPoint,
+    SpectralFlowError,
     TruncationTooShort,
     UnsupportedCycle,
 )
-from spectralflow.forms import BergmanLeg, SecondKindBasis, pole_frame
+from spectralflow.forms import BergmanLeg, SecondKindBasis, YdX, pole_frame
+from spectralflow.geometry import prepotential
 from spectralflow.recursion import (
     CorrForm,
     RecursionEngine,
@@ -377,6 +380,23 @@ def test_unreachable_levels_refused_up_front():
     with pytest.raises(TruncationTooShort, match="row tables"):
         eng.invariant(5)
     assert eng._memo == {}
+
+
+def test_bad_indices_refused_with_library_error(engines, joukowski):
+    # unstable (g, n), F_g below genus 2, j < 1 and a center that is no
+    # pole are refused with a library error, not a ValueError or KeyError
+    assert issubclass(BadIndex, SpectralFlowError)
+    eng = engines["airy"]
+    for g, n in ((0, 1), (0, 2)):
+        with pytest.raises(BadIndex):
+            eng.omega(g, n)
+    with pytest.raises(BadIndex):
+        eng.invariant(1)
+    with pytest.raises(BadIndex):
+        SecondKindBasis(joukowski, joukowski.x_poles[0], 0)
+    prep = prepotential(joukowski, YdX(joukowski))
+    with pytest.raises(BadIndex):
+        prep.dF_dt(0.7 + 0.2j, 1)
 
 
 def test_residue_slice_reads_products():
