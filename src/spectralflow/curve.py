@@ -726,6 +726,7 @@ class Genus1Curve(SpectralCurve):
         on = self.ell.is_lattice(center)
         if on and len(self._lattice_jet) < order + 3:
             self._lattice_jet = self._log_prime_jet(0.0, order + 2, 0.0)
+            self._lattice_jet[1::2] = 0.0     # E(t)/t is even
         b = self._lattice_jet[:order + 3] if on \
             else self._log_prime_jet(center, order + 4)
         k = np.arange(len(b) - 2)

@@ -414,4 +414,3 @@ class WpPolyDu(Form1):
     def poles(self):
         return [(0.0, 2 * (len(self.coeffs) - 1))] \
             if len(self.coeffs) > 1 else []
-
