@@ -709,10 +709,14 @@ class Genus1Curve(SpectralCurve):
     # of F on the lattice
     def _log_prime_jet(self, c, n, o=None):
         """From one theta1 jet, less ln theta1'(0) and log(o + t); on the
-        pole (o = 0) the jet is divided by t, dropping its first row."""
+        pole (o = 0) the jet is divided by t, dropping its first row, and
+        its odd rows are zeroed: log(E(l + t)/t) is even in t up to the
+        exact -2 pi i n t at l = m + n tau, 0 on the real axis."""
         on = o is not None and np.ndim(o) == 0 and o == 0
         out = log_jet(self.theta_jet(c, n + on)[int(on):])
         out[0] -= self._log_theta1_prime
+        if on:
+            out[(3 if np.imag(c) else 1)::2] = 0.0
         return out if o is None or on else out - _log_linear(o, n)
 
     def theta_jet(self, v, n):
@@ -726,7 +730,6 @@ class Genus1Curve(SpectralCurve):
         on = self.ell.is_lattice(center)
         if on and len(self._lattice_jet) < order + 3:
             self._lattice_jet = self._log_prime_jet(0.0, order + 2, 0.0)
-            self._lattice_jet[1::2] = 0.0     # E(t)/t is even
         b = self._lattice_jet[:order + 3] if on \
             else self._log_prime_jet(center, order + 4)
         k = np.arange(len(b) - 2)
@@ -848,12 +851,14 @@ def _power_rows(f, top) -> np.ndarray:
 
 def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:
     """R(c + inner) from the numerator and denominator of R shifted to c,
-    each evaluated on ``inner`` by Horner.  Their roundoff-level leading
-    coefficients are trimmed first, which cancels a removable factor that
-    both carry at c (deformation sums do)."""
+    each evaluated on ``inner`` by Horner; a constant denominator is a
+    scalar division.  Their roundoff-level leading coefficients are
+    trimmed first, which cancels a removable factor that both carry at c
+    (deformation sums do)."""
     num, den = (_trim_leading_noise(TruncSeries(_poly_shift(p, c)))
-                .compose(inner) for p in (R.num, R.den))
-    return num / den
+                for p in (R.num, R.den))
+    den = R.den[0] if len(R.den) == 1 else den.compose(inner)
+    return num.compose(inner) / den
 
 
 def _compose_rational(R: RationalFunction, inner: TruncSeries,

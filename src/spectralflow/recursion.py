@@ -32,18 +32,21 @@ with gamma^{b,m}_{-1-q} the coefficient of s^(-1-q) in zeta_b(s)^-m
 and r_b the location of ramification point b, so no algorithm here
 depends on the genus.  The engine holds only the chart s_b(zeta): by
 Lagrange inversion gamma^{b,m}_{-1-q} = m/(q+1) [zeta^m] s_b(zeta)^(q+1),
-so zeta_b(s) is never built.  Tensors are immutable once computed; the
-memo table fills level by level in increasing 2g + n.
+so zeta_b(s) is never built.  A window W_i is the exact pole
+m zeta^-(m+1) at b == a plus a slice of a row table, the Taylor
+coefficients of B_{b,m}(z_a(zeta))/dzeta below zeta^width.  A table is
+one contraction, gamma_b times F's series in the chart times the
+Toeplitz matrix of s_a'(zeta); it reads s_a through zeta^width for
+b != a and through zeta^(width + m_rows + 4) on the diagonal.  The memo
+of immutable tensors fills in increasing 2g + n.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
 leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of an
-array of c in one call per ramification point, with one algorithm for
-both genera: the pole of F from one batched inversion of c + s_a(zeta)
-(c taken to the nearest pole), and its regular part as gamma contracted
-with the Taylor coefficients at every c.  A tensor is contracted with
-the columns of that matrix, one per point.  Any k up to the charts'
-depth is read this way; the row tables are not used.
+array of c in one call per ramification point
+(``SpectralCurve.bergman_leg``), and a tensor is contracted with their
+columns, one per point.  Any k up to the charts' depth is read this
+way; the row tables are not used.
 
 The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
 with the cycles dual to the times t_{p,j} and to the filling fraction,
@@ -107,8 +110,7 @@ class RecursionEngine:
         # the residue windows and evaluation read far into the local
         # charts, so they are rebuilt much deeper than the curve's
         # validation series
-        deep = cv.order + 2 * mmax + 16
-        self.deep = deep
+        self.deep = deep = cv.order + 2 * mmax + 16
         self.s_of, self.y_of = [], []
         for r in self.rams:
             s_of, y_of = cv.local_chart(r, deep)
@@ -123,10 +125,7 @@ class RecursionEngine:
             self.zprime.append(s_of.differentiate())
             dy = y_of - flip_parity(y_of)
             self.ydiff_inv.append(dy.invert())
-            two_zeta = TruncSeries(
-                np.concatenate([[2.0], np.zeros(deep + 4)]), 1,
-                var_tag=y_of.var_tag)
-            self.phi.append((y_of * two_zeta).antiderivative())
+            self.phi.append((y_of.shift(1) * 2.0).antiderivative())
             self.gamma.append(_lagrange_table(s_of, mmax))
         for a in range(self.A):
             self._rows(a, a)
@@ -155,67 +154,63 @@ class RecursionEngine:
         return top
 
     def _rows(self, b, a):
-        """rows[m-1][t]: coefficient of zeta^t, t >= 0, of
+        """rows[m-1][t]: coefficient of zeta^t, t < width, of
         B_{b,m}(z_a(zeta))/dzeta (the polar part at b == a is exact and
         left to the caller).
 
-        With z = r_a + s_a(zeta) the rows are one contraction,
-        (gamma . T) s_a'(zeta) with T[q] = F^(q)(r_b - r_a - s_a(zeta))/q!.
-        At b == a, rows[i][j] is h_ij, the symmetric regular part of
-        B(z_a(zeta1), z_a(zeta2)); the contraction cancels polar terms down
-        to entries near 2^-(i+j), so below the row count h_ij is read from
-        the row of the lower index, which cancels least."""
+        With z = r_a + s_a(zeta) a table is one contraction, (gamma_b . T)
+        times the Toeplitz matrix of s_a'(zeta), T[q] = F^(q)(r_b - r_a -
+        s_a(zeta))/q!.  A cross pair (b != a) has no pole and reads s_a
+        through zeta^width; the diagonal reads it through zeta^(width +
+        m_rows + 4), as T[q] loses one slot per power of 1/s.  There
+        rows[i][j] is h_ij, the symmetric regular part of B(z_a(zeta1),
+        z_a(zeta2)); the contraction cancels polar terms down to entries
+        near 2^-(i+j), so h_ij is read from the row of the lower index."""
         key = (b, a)
         if key in self._plg:
             return self._plg[key]
         mmax = self._row_count()
         width = mmax + 6
-        # T[q] loses one slot per power of 1/s: keep width + mmax + 4
-        s = truncate(self.s_of[a], width + mmax + 4)
+        s = truncate(self.s_of[a], width + (mmax + 4 if b == a else 0))
         c = self.rams[b].location - self.rams[a].location
         T = self.curve.bergman_taylor(c, -s, mmax)
         lo = min(f.k_min for f in T)
         hi = min(f.trunc_order for f in T)
+        if hi < width - 1:
+            raise TruncationTooShort(f"row table ({b}, {a}) ends at zeta^{hi}")
         stack = np.zeros((mmax, hi - lo + 1), dtype=complex)
         for q, f in enumerate(T):
             stack[q, f.k_min - lo:] = f.coeffs[:hi - f.k_min + 1]
-        rows = []
-        for r in self._gamma(b, mmax) @ stack:
-            row = TruncSeries(r, lo) * self.zprime[a]
-            rows.append([row.coeff(t) for t in range(width)])
-        rows = np.array(rows)
+        # lag[e - lo, t] = t - e indexes the Toeplitz matrix of s_a'
+        lag = np.arange(width)[None, :] - np.arange(lo, hi + 1)[:, None]
+        zp = self.zprime[a].coeffs[:width - lo]
+        rows = (self._gamma(b, mmax) @ stack) \
+            @ np.where(lag >= 0, zp[np.maximum(lag, 0)], 0.0)
         if b == a:
             i, j = np.tril_indices(mmax, -1)
             rows[i, j] = rows[j, i]
         self._plg[key] = rows
         return rows
 
-    # -- basis series -------------------------------------------------------------
-
-    def ram_basis_series(self, b, m, a, lo, hi):
-        """Coefficients of B_{b,m}(z_a(zeta))/dzeta on [lo, hi].
-
-        A window that reaches the regular part (t >= 0) of a B_{b,m} the
-        row tables do not hold is refused.
-        """
-        data = np.zeros(hi - lo + 1, dtype=complex)
-        if a == b and lo <= -(m + 1) <= hi:
-            data[-(m + 1) - lo] = m
-        if hi >= 0:
-            rows = self._rows(b, a)
-            if m > len(rows) or hi >= rows.shape[1]:
-                raise TruncationTooShort(
-                    f"B_({b},{m}) on zeta^[{lo}, {hi}] lies beyond the row "
-                    f"tables (m <= {len(rows)}, t < {rows.shape[1]})")
-            t0 = max(lo, 0)
-            data[t0 - lo:] += rows[m - 1, t0:hi + 1]
-        return data
-
     def _window(self, basis, a, lo, hi):
-        """[ram_basis_series(b, m, a, lo, hi) for (b, m) in basis] as the
-        columns of one (window, len(basis)) matrix."""
-        return np.stack([self.ram_basis_series(b, m, a, lo, hi)
-                         for b, m in basis], axis=1)
+        """The coefficients on zeta^[lo, hi] of B_{b,m}(z_a(zeta))/dzeta,
+        one column per (b, m) of ``basis``: the pole m zeta^-(m+1) at
+        b == a, plus one slice of each row table.  A window reaching the
+        regular part of a B_{b,m} past the row tables is refused."""
+        owner, ms = np.array(basis).T
+        W = np.zeros((hi - lo + 1, len(ms)), dtype=complex)
+        pole = (owner == a) & (lo <= -(ms + 1)) & (-(ms + 1) <= hi)
+        W[-(ms[pole] + 1) - lo, pole] = ms[pole]
+        for b in (set(owner.tolist()) if hi >= 0 else ()):
+            rows, cols = self._rows(b, a), owner == b
+            if ms[cols].max() > len(rows) or hi >= rows.shape[1]:
+                raise TruncationTooShort(
+                    f"B_({b},{ms[cols].max()}) on zeta^[{lo}, {hi}] lies "
+                    f"beyond the row tables (m <= {len(rows)}, "
+                    f"t < {rows.shape[1]})")
+            t0 = max(lo, 0)
+            W[t0 - lo:, cols] = rows[ms[cols] - 1, t0:hi + 1].T
+        return W
 
     # -- the residue tensors -------------------------------------------------------
 

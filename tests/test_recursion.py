@@ -322,6 +322,63 @@ def test_diagonal_rows_match_grunsky_coefficients(joukowski40):
         assert abs(rows[i, j] - ref) < 1e-13 * abs(ref), (i, j)
 
 
+def _lagrange_mp(mp, s, n):
+    """[t, q] -> [zeta^t] s^q s' for t, q < n, s the coefficients of
+    zeta^1.. in mpmath."""
+    s = [mp.mpc(0)] + list(s[:n])
+    ds = [(k + 1) * s[k + 1] for k in range(n)]
+    power, out = [mp.mpc(1)] + [mp.mpc(0)] * (n - 1), mp.matrix(n, n)
+    for q in range(n):
+        for t in range(n):
+            out[t, q] = mp.fsum(power[i] * ds[t - i] for i in range(t + 1))
+        power = [mp.fsum(power[i] * s[k - i] for i in range(k + 1))
+                 for k in range(n)]
+    return out
+
+
+@pytest.mark.parametrize("b, a", [(1, 0), (0, 1)])
+def test_cross_rows_match_reference(joukowski40, b, a):
+    # rows = gamma_b H(c) gamma_a^T with F = 1/v^2, c = r_b - r_a and
+    # H[q, l] = C(q+l, q) F^(q+l)(c)/(q+l)! (-1)^l
+    #         = C(q+l, q) (-1)^q (q+l+1) c^-(q+l+2),
+    # in 40-digit arithmetic from the engine's own chart coefficients
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eng = joukowski40
+    rows = eng._rows(b, a)
+    m_rows, width = rows.shape
+    sb, sa = ([mp.mpc(complex(eng.s_of[x].coeff(k)))
+               for k in range(1, width + 1)] for x in (b, a))
+    gb, ga = _lagrange_mp(mp, sb, m_rows), _lagrange_mp(mp, sa, width)
+    c = mp.mpc(eng.rams[b].location) - mp.mpc(eng.rams[a].location)
+    H = mp.matrix(m_rows, width)
+    for q in range(m_rows):
+        for l in range(width):
+            H[q, l] = mp.binomial(q + l, q) * (-1) ** q * (q + l + 1) \
+                / c ** (q + l + 2)
+    ref = np.array((gb * H * ga.T).tolist(), dtype=complex)
+    assert np.max(np.abs(rows - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which", ["torus", "g1"])
+def test_diagonal_rows_parity_exact(engines, asym_engines, which):
+    # s_a is odd and F even, so h_ij vanishes for i + j odd: exactly, once
+    # the on-pole jet of log(E(t)/t) is even
+    eng = engines["torus"] if which == "torus" else asym_engines["g1"][1]
+    for a in range(eng.A):
+        H = eng._rows(a, a)
+        i, j = np.indices(H.shape)
+        assert np.all(H[(i + j) % 2 == 1] == 0.0), a
+
+
+def test_window_refuses_past_row_tables(joukowski40):
+    m_rows = joukowski40._row_count()
+    with pytest.raises(TruncationTooShort, match="row tables"):
+        joukowski40._window([(0, 1), (1, m_rows + 2)], 0, -3, 3)
+    with pytest.raises(TruncationTooShort, match="row tables"):
+        joukowski40._window([(0, 1)], 0, -3, m_rows + 6)
+
+
 def test_evaluate_omega41(joukowski40):
     # omega(4, 1) reads B_(a,k) with k past the row tables (m <=
     # _row_count()), which evaluation does not use: gate it by the
@@ -414,7 +471,7 @@ def _column_series(eng, col, a, lo, hi):
     B_{b,m}(z_a(zeta)), or the Bergman slot zeta^(m-1) for b = None."""
     b, m = col
     if b is not None:
-        return TruncSeries(eng.ram_basis_series(b, m, a, lo, hi), lo)
+        return TruncSeries(eng._window([(b, m)], a, lo, hi)[:, 0], lo)
     data = np.zeros(hi - lo + 1, dtype=complex)
     data[m - 1 - lo] = 1.0
     return TruncSeries(data, lo)
@@ -476,13 +533,13 @@ def test_levels_build_no_windows(monkeypatch):
     eng = RecursionEngine(cv)
     eng.invariant(2)
     calls = []
-    original = RecursionEngine.ram_basis_series
+    original = RecursionEngine._window
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(RecursionEngine, "ram_basis_series", counted)
+    monkeypatch.setattr(RecursionEngine, "_window", counted)
     eng.invariant(3)
     eng.invariant(4)
     assert calls == []
