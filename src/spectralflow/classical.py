@@ -177,20 +177,20 @@ class ClassicalSystem:
         return abs(self.curve.theta_ratio(0.0, self.zeta_t) - 1.0)
 
     def b_loop_transport_residual(self, z1, z2):
-        """Move z1 around a B-homotopic loop with continuous tracking."""
-        if self.curve.genus != 1:
-            return 0.0
-        tau = self.curve.tau
-        base = self.psi(z1, z2)
-        # accumulate d(ln psi) = chi(z) dz + dlog theta factors continuously
-        zs = z1 + tau * np.arange(_B_LOOP_STEPS + 1) / _B_LOOP_STEPS
-        segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
-        num, den = (self.curve.theta_jet(zs - z2 + shift, 0)[0]
-                    for shift in (self.zeta_t, 0.0))
-        acc = np.sum(segs + np.log(num[1:] / num[:-1])
-                     - np.log(den[1:] / den[:-1]))
-        final = base * np.exp(acc)
-        return abs(final - base) / abs(base)
+        """Move z1 around each B-homotopic loop with continuous tracking;
+        the largest relative change of psi, 0 on the sphere."""
+        out = []
+        for _, b in self.curve.cycles:
+            base = self.psi(z1, z2)
+            # accumulate d(ln psi) = chi(z) dz + dlog theta factors
+            zs = z1 + b * np.arange(_B_LOOP_STEPS + 1) / _B_LOOP_STEPS
+            segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
+            num, den = (self.curve.theta_jet(zs - z2 + shift, 0)[0]
+                        for shift in (self.zeta_t, 0.0))
+            acc = np.sum(segs + np.log(num[1:] / num[:-1])
+                         - np.log(den[1:] / den[:-1]))
+            out.append(abs(base * np.exp(acc) - base) / abs(base))
+        return max(out, default=0.0)
 
     # -- Baker-Akhiezer vectors ---------------------------------------------------------
 
@@ -336,12 +336,14 @@ def _generic_x(curve):
 
 
 def _a_normalized(curve, form, eps):
-    """(chi, zeta): chi = form - 2 i pi eps du has vanishing A-period and
-    zeta is its B-period over 2 i pi; (form, 0) at genus 0."""
-    if curve.genus == 0:
-        return form, 0.0
-    chi = SumForm([(1.0, form), (-2j * np.pi * eps[0], DuForm(curve))])
-    return chi, canonical_period(curve, chi, "b") / (2j * np.pi)
+    """(chi, zeta): chi = form - 2 i pi eps du has vanishing A-periods and
+    zeta is its B-period over 2 i pi; (form, 0) on the sphere."""
+    chi, zeta = form, 0.0
+    for e in eps:
+        chi = SumForm([(1.0, chi), (-2j * np.pi * e, DuForm(curve))])
+    for _ in curve.cycles:
+        zeta += canonical_period(curve, chi, "b") / (2j * np.pi)
+    return chi, zeta
 
 
 # -- classical tau and Sato ------------------------------------------------------------

@@ -76,7 +76,7 @@ class RationalFunction:
         if self.num.size == 0:
             self.num = np.zeros(1, dtype=complex)
         if self.den.size == 0:
-            raise ZeroDivisionError("zero denominator polynomial")
+            raise NotRepresentable("zero denominator polynomial")
 
     def __call__(self, z):
         return (np.polynomial.polynomial.polyval(z, self.num)
@@ -217,17 +217,23 @@ def _sort_points(pts):
 class SpectralCurve:
     """Parametrized spectral curve with validated regularity."""
 
-    def __init__(self, genus, order=DEFAULT_TRUNC):
-        self.genus = genus
+    def __init__(self, cycles, order=DEFAULT_TRUNC):
+        self.cycles = cycles
         self.order = order
         self.ramification_points: list[RamificationPoint] = []
         self.x_poles: list[PoleFrame] = []
 
-    # a backend provides x_value, y_value, dx_value, ydx_value (Y dX/dz
-    # from one evaluation), to_cell (the representative of a point in the
-    # chart's cell), x_series(center, order), y_series(center, order),
-    # sheets_above, deformed(...), d (degree of X as a map); the local
-    # charts, solved from the curve's equation:
+    @property
+    def genus(self):
+        return len(self.cycles)
+
+    # a backend provides its cycles, for each handle the periods (A, B) of
+    # the global chart's du ([] on the sphere, [(1, tau)] on the torus),
+    # x_value, y_value, dx_value, ydx_value (Y dX/dz from one evaluation),
+    # to_cell (the representative of a point in the chart's cell),
+    # x_series(center, order), y_series(center, order), sheets_above,
+    # deformed(...), d (degree of X as a map); the local charts, solved
+    # from the curve's equation:
     #   _chart(a, X(a), zeta'(0), n, tag)   (s(zeta), Y(a + s(zeta)))
     #                                       through zeta^n
     #   pole_chart(frame)             s(xi), as far as frame.xi_of_s
@@ -421,7 +427,7 @@ class SpectralCurve:
 class Genus0Curve(SpectralCurve):
     def __init__(self, X: RationalFunction, Y: RationalFunction,
                  order=DEFAULT_TRUNC):
-        super().__init__(0, order)
+        super().__init__([], order)
         self.X, self.Y = X, Y
         self.dX = X.deriv()
         self.d = X.degree_as_map()
@@ -471,15 +477,10 @@ class Genus0Curve(SpectralCurve):
     def bergman_taylor_at_infinity(self, p, count, order):
         """[F^(q)(p - z)/q! dz/dw for q < count] in the chart w = 1/z:
         -(q+1) w^q (1 - p w)^-(q+2), known through w^order."""
-        base = TruncSeries(np.concatenate([[1.0, -p], np.zeros(order)]), 0,
-                           var_tag="w@inf")
-        binv = base.invert()
-        acc = binv * binv
-        out = [-acc]
-        for q in range(1, count):
-            acc = acc * binv
-            out.append(acc.shift(q) * (-(q + 1.0)))
-        return out
+        base = TruncSeries(np.concatenate([[1.0, -p], np.zeros(order)]))
+        rows = _power_rows(base.invert().coeffs, count + 1)[2:]
+        return [TruncSeries(rows[q] * -(q + 1.0), q, "w@inf")
+                for q in range(count)]
 
     def _find_ramification(self):
         pol = np.polynomial.polynomial
@@ -663,8 +664,9 @@ class Genus1Curve(SpectralCurve):
                  x_scale=1.0, order=DEFAULT_TRUNC):
         if not (np.imag(tau) > 0):
             raise BadModulus(f"Im tau = {np.imag(tau)} must be positive")
-        super().__init__(1, order)
         self.tau = complex(tau)
+        # the A-cycle is the segment [0, 1], the B-cycle [0, tau]
+        super().__init__([(1.0, self.tau)], order)
         self.R1, self.R2 = R1, R2
         self.x_scale = complex(x_scale)
         self.ell = EllipticTools(tau)
@@ -700,8 +702,8 @@ class Genus1Curve(SpectralCurve):
     def y_series(self, center, order, tag=None):
         wp = self.wp_series(center, order + 4)
         wpp = wp.differentiate()
-        r1 = _compose_rational(self.R1, wp, order)
-        r2 = _compose_rational(self.R2, wp, order)
+        r1 = _compose_rational(self.R1, wp)
+        r2 = _compose_rational(self.R2, wp)
         out = r1 + r2 * wpp
         return out.retag(tag or f"s@{center:.6g}")
 
@@ -861,25 +863,22 @@ def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:
     return num.compose(inner) / den
 
 
-def _compose_rational(R: RationalFunction, inner: TruncSeries,
-                      order: int) -> TruncSeries:
-    """R(inner) where inner may be a Laurent series (wp at its pole).
+def _compose_rational(R: RationalFunction, inner: TruncSeries) -> TruncSeries:
+    """R(inner) where inner may be a Laurent series (wp at its pole); a
+    constant denominator is a scalar division.
 
     Denominators like wp'^2 have structural zeros at half periods, so
     roundoff-level leading coefficients are trimmed before division.
     """
     def poly_of(c):
-        out = None
-        for ck in np.asarray(c, dtype=complex)[::-1]:
-            if out is None:
-                out = ck * (inner ** 0)
-            else:
-                out = out * inner + ck
+        out = c[-1] * (inner ** 0)
+        for ck in c[-2::-1]:
+            out = out * inner + ck
         return out
 
     num = _trim_leading_noise(poly_of(R.num))
-    den = _trim_leading_noise(poly_of(R.den))
-    return num / den
+    return num / (R.den[0] if len(R.den) == 1
+                  else _trim_leading_noise(poly_of(R.den)))
 
 
 def _trim_leading_noise(f: TruncSeries, rel=3e-12) -> TruncSeries:
@@ -914,9 +913,17 @@ def _cnum(obj):
 
 
 def _rat(obj) -> RationalFunction:
-    num = [_cnum(c) for c in obj.get("num", [0.0])]
-    den = [_cnum(c) for c in obj.get("den", [1.0])]
-    return RationalFunction(num, den)
+    return RationalFunction([_cnum(c) for c in obj.get("num", [0.0])],
+                            [_cnum(c) for c in obj.get("den", [1.0])])
+
+
+def _field(obj, key, parse, default=None):
+    """parse(obj[key]), or of ``default`` (if given) for a missing key."""
+    try:
+        return parse(obj[key] if default is None else obj.get(key, default))
+    except (AttributeError, KeyError, TypeError, ValueError,
+            NotRepresentable) as exc:
+        raise NotRepresentable(f"curve spec field {key!r}: {exc!r}") from exc
 
 
 def build_curve(spec: dict, order=DEFAULT_TRUNC) -> SpectralCurve:
@@ -928,15 +935,16 @@ def build_curve(spec: dict, order=DEFAULT_TRUNC) -> SpectralCurve:
       {"backend": "weierstrass", "tau": {"re": .., "im": ..},
        "Y": {"R1": {...}, "R2": {...}}}
     Complex numbers are written {"re": .., "im": ..}; bare reals are
-    accepted as well.
+    accepted as well.  A missing or unreadable field is NotRepresentable.
     """
-    backend = spec.get("backend")
+    backend = _field(spec, "backend", str)
     if backend == "rational":
-        return Genus0Curve(_rat(spec["X"]), _rat(spec["Y"]), order)
+        return Genus0Curve(_field(spec, "X", _rat), _field(spec, "Y", _rat),
+                           order)
     if backend == "weierstrass":
-        tau = _cnum(spec["tau"])
         y = spec.get("Y", {})
-        return Genus1Curve(tau, _rat(y.get("R1", {"num": [0.0]})),
-                           _rat(y.get("R2", {"num": [0.0]})),
-                           _cnum(spec.get("xscale", 1.0)), order)
+        return Genus1Curve(_field(spec, "tau", _cnum),
+                           _field(y, "R1", _rat, {}),
+                           _field(y, "R2", _rat, {}),
+                           _field(spec, "xscale", _cnum, 1.0), order)
     raise NotRepresentable(f"unknown backend {backend!r}")

@@ -1,9 +1,8 @@
 """Point values of wp on the torus C/(Z + tau Z), and its lattice reduction.
 
 wp and wp' come from one theta1 jet at each point; the series of wp
-are read off the prime-form jet of the curve's torus backend.  The
-normalization keeps the A-cycle equal to the segment [0, 1] and the
-B-cycle equal to [0, tau], so periods never have to be computed.
+are read off the prime-form jet of the curve's torus backend, whose
+cycle marking is ``Genus1Curve.cycles``.
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ class RootFindingFailed(SpectralFlowError):
 
 
 class NotRepresentable(SpectralFlowError):
-    """A curve deformation leaves the parametric backend family."""
+    """A curve outside the backends: a deformation leaving the parametric
+    family, a zero denominator, or an unreadable curve spec field."""
 
 
 # -- quadrature -------------------------------------------------------------

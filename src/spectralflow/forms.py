@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import PoleFrame, _drop_low_noise, _poly_shift
+from .curve import (
+    PoleFrame,
+    RationalFunction,
+    _compose_rational,
+    _drop_low_noise,
+    _poly_shift,
+)
 from .errors import (
     BadIndex,
     PoleAtRamificationPoint,
@@ -46,8 +52,8 @@ class Form1:
     def cycle_period(self, which):
         """Closed-form A/B-period coherent with in-cell paths, or None.
 
-        Only ``canonical_period`` calls it, at genus 1 and on one atom at
-        a time: it expands a SumForm into its terms itself."""
+        Only ``canonical_period`` calls it, on a curve with cycles and on
+        one atom at a time: it expands a SumForm into its terms itself."""
         return None
 
     def __add__(self, other):
@@ -136,10 +142,6 @@ class YdX(Form1):
 
     def local_series(self, center, order):
         cv = self.curve
-        if center == "inf":
-            y = cv.Y.series_at_infinity(order + 6)
-            dx = cv.X.series_at_infinity(order + 6).differentiate()
-            return y * dx
         depth = 2 * max(p.order for p in cv.x_poles) + 4
         y = cv.y_series(center, order + depth)
         dx = cv.x_series(center, order + depth).differentiate()
@@ -180,7 +182,8 @@ class DuForm(Form1):
         return []
 
     def cycle_period(self, which):
-        return self.c * (1.0 if which == "a" else self.curve.tau)
+        (a, b), = self.curve.cycles
+        return self.c * (a if which == "a" else b)
 
 
 class ThirdKind(Form1):
@@ -376,11 +379,9 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
     if abs(total) > 1e-8:
         raise ResidueSumNonzero(f"sum of residues = {total}")
 
-    if curve.genus == 1:
-        from .geometry import canonical_period
-        eps = np.array([canonical_period(curve, form, "a") / (2j * np.pi)])
-    else:
-        eps = np.zeros(0, dtype=complex)
+    from .geometry import canonical_period
+    eps = np.array([canonical_period(curve, form, "a") / (2j * np.pi)
+                    for _ in curve.cycles], dtype=complex)
     return records, eps
 
 
@@ -395,21 +396,12 @@ class WpPolyDu(Form1):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
     def value(self, z):
-        w = self.curve.ell.wp(z)
-        out = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            out = out * w + c
-        return out
+        return np.polynomial.polynomial.polyval(self.curve.ell.wp(z),
+                                                self.coeffs)
 
     def local_series(self, center, order):
         wp = self.curve.wp_series(center, order + 2 * len(self.coeffs) + 4)
-        out = None
-        for c in self.coeffs[::-1]:
-            if out is None:
-                out = c * (wp ** 0)
-            else:
-                out = out * wp + c
-        return out
+        return _compose_rational(RationalFunction(self.coeffs), wp)
 
     def poles(self):
         return [(0.0, 2 * (len(self.coeffs) - 1))] \

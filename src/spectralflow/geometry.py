@@ -37,37 +37,29 @@ _BASEPOINT_CLEARANCE = 0.2
 
 # -- cycle quadrature -----------------------------------------------------------
 
+def _translates(curve, pts):
+    """The points, then their translates by the cycles into the
+    neighbouring cells: the obstacles of path planning and clearances."""
+    out = list(pts)
+    for a, b in curve.cycles:
+        out += [p + m * a + n * b for p in pts
+                for m in (-1, 0, 1) for n in (-1, 0, 1) if m or n]
+    return out
+
+
 def _pole_translates(curve, form):
-    """Pole locations plus lattice translates (torus) for path planning."""
-    pts = []
-    for c, _ in form.poles():
-        if isinstance(c, str):
-            continue
-        pts.append(complex(c))
-    if curve.genus == 1:
-        tau = curve.tau
-        base = list(pts)
-        for p in base:
-            for m in (-1, 0, 1):
-                for n in (-1, 0, 1):
-                    if m or n:
-                        pts.append(p + m + n * tau)
-    return pts
+    """The form's finite poles and their translates."""
+    return _translates(curve, [complex(c) for c, _ in form.poles()
+                               if not isinstance(c, str)])
 
 
-def _best_offset(pts, direction, tau):
-    """Offset fraction in (0,1) whose cycle line stays clear of pts."""
-    candidates = np.linspace(0.07, 0.93, 29)
-    best, best_d = candidates[0], -1.0
-    for c in candidates:
-        if direction == "a":
-            a0, a1 = c * tau, c * tau + 1.0
-        else:
-            a0, a1 = c, c + tau
-        d = min((_seg_dist(a0, a1, p) for p in pts), default=1.0)
-        if d > best_d:
-            best, best_d = c, d
-    return best, best_d
+def _best_offset(pts, step, across):
+    """The offset c in (0, 1) whose cycle line [c across, c across + step]
+    keeps farthest from pts."""
+    def clearance(c):
+        a0 = c * across
+        return min((_seg_dist(a0, a0 + step, p) for p in pts), default=1.0)
+    return max(np.linspace(0.07, 0.93, 29), key=clearance)
 
 
 def _seg_dist(a, b, p):
@@ -77,21 +69,17 @@ def _seg_dist(a, b, p):
     return abs(a + t * v - p)
 
 
-def a_period(curve, form):
+def quadrature_period(curve, form, which):
+    """The A- (``which`` "a") or B-period of the form by quadrature: the
+    A line is [c B, c B + A] and the B line [c A, c A + B] for the
+    curve's cycle periods (A, B) and the offset c that keeps the line
+    farthest from the form's poles."""
     if curve.genus == 0:
-        raise UnsupportedCycle("no A-cycle at genus 0")
-    pts = _pole_translates(curve, form)
-    c, _ = _best_offset(pts, "a", curve.tau)
-    a0 = c * curve.tau
-    return integrate_path(form.value, [a0, a0 + 1.0])
-
-
-def b_period(curve, form):
-    if curve.genus == 0:
-        raise UnsupportedCycle("no B-cycle at genus 0")
-    pts = _pole_translates(curve, form)
-    c, _ = _best_offset(pts, "b", curve.tau)
-    return integrate_path(form.value, [c, c + curve.tau])
+        raise UnsupportedCycle(f"no {which.upper()}-cycle at genus 0")
+    (a, b), = curve.cycles
+    step, across = (a, b) if which == "a" else (b, a)
+    c = _best_offset(_pole_translates(curve, form), step, across)
+    return integrate_path(form.value, [c * across, c * across + step])
 
 
 def canonical_period(curve, form, which):
@@ -115,7 +103,7 @@ def canonical_period(curve, form, which):
             raise UnsupportedCycle(
                 f"residue-carrying opaque form at {center}: no canonical "
                 "cycle representative")
-    return (a_period if which == "a" else b_period)(curve, form)
+    return quadrature_period(curve, form, which)
 
 
 def line_integral(curve, form, z_from, z_to):
@@ -159,10 +147,18 @@ class Geometry:
 
 # -- prepotential ------------------------------------------------------------------
 
-def default_basepoint(curve):
+def _basepoints(curve):
+    """The basepoint candidates, in the order they are tried."""
     if curve.genus == 1:
-        return 0.37 + 0.21 * curve.tau
-    return 0.73 + 0.58j
+        return [0.37 + 0.21 * curve.tau, 0.61 + 0.43 * curve.tau,
+                0.23 + 0.69 * curve.tau, 0.81 + 0.17 * curve.tau,
+                0.13 + 0.57 * curve.tau]
+    return [0.73 + 0.58j, -0.64 + 0.81j, 1.27 - 0.93j, -1.41 - 0.52j,
+            0.31 + 1.62j]
+
+
+def default_basepoint(curve):
+    return _basepoints(curve)[0]
 
 
 def clear_basepoint(curve, form):
@@ -172,18 +168,9 @@ def clear_basepoint(curve, form):
     point will do; candidates are tried in a fixed order to keep runs
     reproducible.
     """
-    special = [complex(c) for c, _ in form.poles() if not isinstance(c, str)]
-    special += [r.location for r in curve.ramification_points]
-    if curve.genus == 1:
-        cands = [0.37 + 0.21 * curve.tau, 0.61 + 0.43 * curve.tau,
-                 0.23 + 0.69 * curve.tau, 0.81 + 0.17 * curve.tau,
-                 0.13 + 0.57 * curve.tau]
-        tau = curve.tau
-        trans = [m + n * tau for m in (-1, 0, 1) for n in (-1, 0, 1)]
-        special = [p + t for p in special for t in trans]
-    else:
-        cands = [0.73 + 0.58j, -0.64 + 0.81j, 1.27 - 0.93j, -1.41 - 0.52j,
-                 0.31 + 1.62j]
+    cands = _basepoints(curve)
+    rams = [r.location for r in curve.ramification_points]
+    special = _pole_translates(curve, form) + _translates(curve, rams)
     for o in cands:
         if all(abs(o - p) > _BASEPOINT_CLEARANCE for p in special):
             return o
@@ -215,6 +202,9 @@ class Prepotential:
         return (h * xi.invert() ** j).residue() / j
 
     def dF_deps(self, i=0):
+        """dF0/deps_i, the B-period of the form on handle i."""
+        if i not in range(self.curve.genus):
+            raise UnsupportedCycle(f"no filling fraction eps_{i}")
         return self.b_periods_omega[i]
 
     def _rec(self, center):
@@ -276,9 +266,7 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
                                       obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
-    bper = []
-    if curve.genus == 1:
-        bper = [canonical_period(curve, form, "b")]
+    bper = [canonical_period(curve, form, "b") for _ in curve.cycles]
     eps_term = sum(e * b for e, b in zip(eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
     return Prepotential(curve, form, value, mu, records, eps, bper)
@@ -344,13 +332,13 @@ def _regular_primitive(curve, form, frame, h, times, o, s_dir, scale):
 
 
 def shifted_prepotential_value(prep: Prepotential):
-    """F0 - sum eps dF0/deps + i pi eps.tau.eps (genus-1 shift)."""
-    if prep.curve.genus == 0:
-        return prep.value
-    tau = prep.curve.tau
-    eps = prep.eps[0]
-    return prep.value - eps * prep.b_periods_omega[0] \
-        + 1j * np.pi * eps * eps * tau
+    """F0 - sum eps dF0/deps + i pi eps.tau.eps, tau = B/A over the
+    cycles: F0 itself on the sphere."""
+    value = prep.value
+    for e, bp, (a, b) in zip(prep.eps, prep.b_periods_omega,
+                             prep.curve.cycles):
+        value = value - e * bp + 1j * np.pi * e * e * (b / a)
+    return value
 
 
 # -- canonical basis and decomposition ----------------------------------------------
@@ -394,9 +382,7 @@ class _InfThirdKind(ThirdKind):
 def decompose(curve, form, basepoint=None):
     """(records, eps, reconstruction SumForm) in the canonical basis."""
     records, eps = times_and_fillings(curve, form)
-    terms = []
-    if curve.genus == 1 and abs(eps[0]) > 1e-13:
-        terms.append((2j * np.pi * eps[0], DuForm(curve)))
+    terms = [(2j * np.pi * e, DuForm(curve)) for e in eps if abs(e) > 1e-13]
     for rec in records:
         if abs(rec.times[0]) > 1e-13:
             terms.append((rec.times[0],
@@ -454,13 +440,12 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
         p2 = phi2_series(center, order + 4)
         lhs += (p2 * s1).residue()
 
-    rhs = 0.0 + 0.0j
-    if curve.genus == 1:
-        # sign matches the concrete marking A = [0,1], B = [0,tau] with a
-        # counterclockwise fundamental cell (A B A^-1 B^-1 boundary)
-        rhs = -(a_period(curve, form1) * b_period(curve, form2)
-                - b_period(curve, form1) * a_period(curve, form2)) \
-            / (2j * np.pi)
+    # sign matches the marking of curve.cycles with a counterclockwise
+    # fundamental cell (A B A^-1 B^-1 boundary)
+    period = quadrature_period
+    rhs = sum(period(curve, form1, "b") * period(curve, form2, "a")
+              - period(curve, form1, "a") * period(curve, form2, "b")
+              for _ in curve.cycles) / (2j * np.pi)
     return abs(lhs - rhs)
 
 

@@ -67,7 +67,7 @@ import itertools
 
 import numpy as np
 
-from .curve import _ON_POLE, flip_parity
+from .curve import _ON_POLE, _power_rows, flip_parity
 from .errors import BadIndex, PoleAtRamificationPoint, TruncationTooShort
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries, truncate
@@ -501,15 +501,9 @@ def _lagrange_table(s: TruncSeries, n):
     """T[t, q] = (t+1)/(q+1) [zeta^(t+1)] s^(q+1) = [zeta^t] s^q s' for
     t, q < n: by Lagrange inversion, gamma^m_{-1-q} (the coefficient of
     s^(-1-q) in zeta(s)^-m) at m = t + 1.  Reads s through zeta^n only."""
-    s = truncate(s, n)
-    gam = np.zeros((n, n), dtype=complex)
+    f = np.append(np.zeros(s.k_min), truncate(s, n).coeffs)
     ms = np.arange(1, n + 1)
-    acc = s
-    for q in range(n):
-        if q:
-            acc = acc * s
-        gam[q:, q] = ms[q:] / (q + 1) * acc.coeffs[:n - q]
-    return gam
+    return _power_rows(f, n)[1:, 1:].T * (ms[:, None] / ms)
 
 
 # -- residue slices --------------------------------------------------------------------

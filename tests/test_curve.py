@@ -15,6 +15,7 @@ from spectralflow.errors import (
     BadModulus,
     NearBranchPoint,
     NonSimpleRamification,
+    NotRepresentable,
     PoleAtRamificationPoint,
     RootFindingFailed,
 )
@@ -185,3 +186,21 @@ def test_build_curve_json(airy):
             "Y": {"R1": {"num": [0]}, "R2": {"num": [0.5]}}}
     cv = build_curve(spec)
     assert cv.genus == 1 and len(cv.ramification_points) == 3
+
+
+_Y = {"num": [0, 1]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"backend": "rational", "Y": _Y},
+    {"backend": "weierstrass", "Y": {"R2": {"num": [0.5]}}},
+    {"backend": "rational", "X": {"num": [1, 0, 1], "den": [0]}, "Y": _Y},
+    {"backend": "rational", "X": {"num": [0, 0, 1]},
+     "Y": {"num": [0, 1], "den": [0, 0]}},
+    {"backend": "rational", "X": {"num": ["one", 0, 1]}, "Y": _Y},
+    [("backend", "rational")],
+], ids=["no-X", "no-tau", "zero-den-X", "zero-den-Y", "non-numeric",
+        "not-a-dict"])
+def test_build_curve_refuses_malformed_spec(spec):
+    with pytest.raises(NotRepresentable):
+        build_curve(spec)

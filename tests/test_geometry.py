@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectralflow.classical import ClassicalSystem
 from spectralflow.errors import (
     CoincidentPoints,
     QuadratureNotConverged,
@@ -15,18 +16,19 @@ from spectralflow.forms import (
     SumForm,
     ThirdKind,
     YdX,
+    times_and_fillings,
 )
 from spectralflow.geometry import (
     Geometry,
-    a_period,
-    b_period,
     basis_form,
     canonical_period,
     decompose,
     fay_residual,
     line_integral,
     prepotential,
+    quadrature_period,
     riemann_bilinear_residual,
+    shifted_prepotential_value,
 )
 from spectralflow.quadrature import integrate_path, integrate_segment
 
@@ -84,14 +86,14 @@ def test_bergman_periods(torus):
     # A-period of B(., z) vanishes; B-period equals 2 i pi du(z)
     z = 0.4 + 0.27j
     leg = BergmanLeg(torus, z)
-    assert abs(a_period(torus, leg)) < 1e-10
-    assert abs(b_period(torus, leg) - 2j * np.pi) < 1e-8
+    assert abs(quadrature_period(torus, leg, "a")) < 1e-10
+    assert abs(quadrature_period(torus, leg, "b") - 2j * np.pi) < 1e-8
 
 
 def test_du_normalization(torus):
     du = DuForm(torus)
-    assert abs(a_period(torus, du) - 1.0) < 1e-12
-    assert abs(b_period(torus, du) - torus.tau) < 1e-12
+    assert abs(quadrature_period(torus, du, "a") - 1.0) < 1e-12
+    assert abs(quadrature_period(torus, du, "b") - torus.tau) < 1e-12
 
 
 def test_third_kind_structure(torus, joukowski):
@@ -102,8 +104,8 @@ def test_third_kind_structure(torus, joukowski):
     s2 = ds.local_series(z2, 8)
     assert abs(s1.residue() - 1.0) < 1e-12
     assert abs(s2.residue() + 1.0) < 1e-12
-    assert abs(a_period(torus, ds)) < 1e-10
-    bp = b_period(torus, ds)
+    assert abs(quadrature_period(torus, ds, "a")) < 1e-10
+    bp = quadrature_period(torus, ds, "b")
     target = 2j * np.pi * (z1 - z2)
     # quadrature line sits somewhere in the cell: defined modulo 2 i pi
     k = (bp - target) / (2j * np.pi)
@@ -126,7 +128,7 @@ def test_third_kind_b_period_quadrature_vs_abel(torus):
     # dS B-period = 2 i pi (u1 - u2) checked against direct quadrature
     z1, z2 = 0.52 + 0.31j, 0.33 + 0.64j
     ds = ThirdKind(torus, z1, z2)
-    bp = b_period(torus, ds)
+    bp = quadrature_period(torus, ds, "b")
     target = 2j * np.pi * (z1 - z2)
     k = (bp - target) / (2j * np.pi)
     assert abs(bp - target - 2j * np.pi * round(k.real)) < 1e-8
@@ -305,7 +307,30 @@ def test_fay_theta_divisor_rejected(torus):
 
 def test_no_cycles_at_genus0(joukowski):
     with pytest.raises(UnsupportedCycle):
-        a_period(joukowski, YdX(joukowski))
+        quadrature_period(joukowski, YdX(joukowski), "a")
+
+
+def test_cycle_sums_empty_at_genus0(joukowski):
+    # every sum over curve.cycles has no term on the sphere
+    w = YdX(joukowski)
+    _, eps = times_and_fillings(joukowski, w)
+    assert eps.shape == (0,)
+    prep = prepotential(joukowski, w)
+    assert shifted_prepotential_value(prep) == prep.value
+    _, _, recon = decompose(joukowski, w)
+    assert not any(isinstance(f, DuForm) for _, f in recon.terms)
+    sysm = ClassicalSystem(joukowski, w)
+    assert sysm.b_loop_transport_residual(1.1 + 0.8j, 0.4 + 1.3j) == 0.0
+    with pytest.raises(UnsupportedCycle):
+        quadrature_period(joukowski, w, "b")
+
+
+@pytest.mark.parametrize("which, i", [("joukowski", 0), ("torus", 1)])
+def test_dF_deps_refuses_missing_filling_fraction(which, i, joukowski,
+                                                  torus):
+    curve = {"joukowski": joukowski, "torus": torus}[which]
+    with pytest.raises(UnsupportedCycle):
+        prepotential(curve, YdX(curve)).dF_deps(i)
 
 
 def test_quadrature_engine():
