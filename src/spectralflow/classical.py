@@ -1,12 +1,16 @@
 """Dispersionless integrable system attached to (curve, 1-form).
 
 The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
-/ (theta(zeta) E(z1, z2)) is written once: the curve supplies
-the Szego factor (prime_form, theta_ratio, szego_series; theta = 1 and
-E = z1 - z2 on the sphere), and chi, zeta come from the A-normalized
-part of the form.  Sheet matrices, Baker-Akhiezer vectors, the
-Christoffel-Darboux pairing, the Lax matrix and the classical tau
-function all hang off one ClassicalSystem instance.
+/ (theta(zeta) E(z1, z2)) is written once, over a grid of point pairs:
+one batch of chi primitives, one theta sum and one prime form on the
+differences z1 - z2 serve a whole sheet matrix, and a single psi is its
+1 x 1 case.  The curve supplies the Szego factor (prime_form,
+theta_ratio, szego_series; theta = 1 and E = z1 - z2 on the sphere), and
+chi, zeta come from the A-normalized part of the form.  Sheet matrices,
+Baker-Akhiezer vectors, the Christoffel-Darboux pairing, the Lax matrix
+and the classical tau function all hang off one ClassicalSystem
+instance; the sheets above each x are solved once per curve and shared
+by every system on it.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -64,7 +68,6 @@ class ClassicalSystem:
         self.records, self.eps = times_and_fillings(curve, form)
         self.chi, self.zeta_t = _a_normalized(curve, form, self.eps)
         self._chi_primitive_cache = BoundedCache()
-        self._sheet_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
 
@@ -89,36 +92,47 @@ class ClassicalSystem:
 
         Raises PsiOutOfRange where e^{int chi} leaves the double range,
         as do the Baker-Akhiezer rows; psi_matrix_factored probes there."""
-        c1, c2 = self._chi_from_base([z1, z2])
-        expo = _kernel_exp(c1 - c2, f"psi({z1}, {z2})")
-        return expo * self.curve.theta_ratio(z1 - z2, self.zeta_t) \
-            / self.geo.prime_form(z1, z2)
+        return self._psi_grid([z1], [z2], f"psi({z1}, {z2})")[0, 0]
+
+    def _factored_grid(self, z1s, z2s):
+        """(c1, G, c2) with psi(z1s[i], z2s[j]) = e^{c1_i - c2_j} G_ij: the
+        chi primitives of both point sets in one batch, one theta sum and
+        one prime form over the differences z1 - z2."""
+        z1s, z2s = np.asarray(z1s), np.asarray(z2s)
+        chi = np.array(self._chi_from_base(list(z1s) + list(z2s)))
+        G = self.curve.theta_ratio(np.subtract.outer(z1s, z2s), self.zeta_t) \
+            / self.geo.prime_form(z1s[:, None], z2s)
+        return chi[:len(z1s)], G, chi[len(z1s):]
+
+    def _psi_grid(self, z1s, z2s, where):
+        """[psi(z1, z2) for z2 in z2s] for z1 in z1s."""
+        c1, G, c2 = self._factored_grid(z1s, z2s)
+        return _kernel_exp(np.subtract.outer(c1, c2), where) * G
 
     # -- sheet matrices ---------------------------------------------------------------
 
     def sheet_data(self, x):
         """(sheets above x, principal sqrt(dX) per sheet), solved once
-        per x."""
+        per x and curve."""
         key = complex(x)
-        data = self._sheet_cache.get(key)
+        data = self.curve.sheet_cache.get(key)
         if data is None:
             sh = self.curve.sheets_above(x)
             roots = [np.sqrt(self.curve.dx_value(z)) for z in sh.preimages]
-            data = self._sheet_cache[key] = (sh, roots)
+            data = self.curve.sheet_cache[key] = (sh, roots)
         return data
+
+    def _sheet_grid(self, x1, x2):
+        """The sheets above x1 and x2, and the sqrt(dX) products over their
+        grid, as numpy scalars, which psi(z1, z2) / (r1 r2) divides by."""
+        (s1, r1), (s2, r2) = self.sheet_data(x1), self.sheet_data(x2)
+        return s1.preimages, s2.preimages, \
+            np.array([[a * b for b in r2] for a in r1])
 
     def psi_matrix(self, x1, x2):
         """[psi(z^i(x1), z^j(x2))] reduced to the x-chart."""
-        s1, r1 = self.sheet_data(x1)
-        s2, r2 = self.sheet_data(x2)
-        d = len(s1.preimages)
-        # every sheet point's chi in one batch; psi reads them cached
-        self._chi_from_base(s1.preimages + s2.preimages)
-        M = np.zeros((d, d), dtype=complex)
-        for i, zi in enumerate(s1.preimages):
-            for j, zj in enumerate(s2.preimages):
-                M[i, j] = self.psi(zi, zj) / (r1[i] * r2[j])
-        return M
+        z1s, z2s, roots = self._sheet_grid(x1, x2)
+        return self._psi_grid(z1s, z2s, f"psi_matrix({x1}, {x2})") / roots
 
     def psi_matrix_factored(self, x1, x2):
         """(c1, G, c2) with psi-hat_{ij} = e^{c1_i} G_{ij} e^{-c2_j}.
@@ -126,18 +140,9 @@ class ClassicalSystem:
         G carries no essential exponential growth, so probes far from
         the base stay inside floating-point range.
         """
-        s1, r1 = self.sheet_data(x1)
-        s2, r2 = self.sheet_data(x2)
-        d = len(s1.preimages)
-        chi = np.array(self._chi_from_base(s1.preimages + s2.preimages))
-        c1, c2 = chi[:d], chi[d:]
-        G = np.zeros((d, d), dtype=complex)
-        for i, zi in enumerate(s1.preimages):
-            for j, zj in enumerate(s2.preimages):
-                core = self.curve.theta_ratio(zi - zj, self.zeta_t) \
-                    / self.geo.prime_form(zi, zj)
-                G[i, j] = core / (r1[i] * r2[j])
-        return c1, G, c2
+        z1s, z2s, roots = self._sheet_grid(x1, x2)
+        c1, G, c2 = self._factored_grid(z1s, z2s)
+        return c1, G / roots, c2
 
     def duality_residual(self, x1, x2, x3):
         """|Psi(x1,x2) Psi(x2,x3) - factor Psi(x1,x3)| (normalized)."""
@@ -324,9 +329,11 @@ class ClassicalSystem:
 def _kernel_exp(expo, where):
     """e^expo for the kernel's essential factor, refused where it leaves
     the normal double range."""
-    if abs(expo.real) > _EXP_LIMIT:
+    re = np.ravel(np.real(expo))
+    worst = re[np.argmax(np.abs(re))]
+    if abs(worst) > _EXP_LIMIT:
         raise PsiOutOfRange(
-            f"{where} needs e^({expo.real:.1f}), outside the double range")
+            f"{where} needs e^({worst:.1f}), outside the double range")
     return np.exp(expo)
 
 

@@ -4,7 +4,8 @@ A curve carries two meromorphic functions X, Y in a global chart (z on
 the sphere, u on the torus), classified ramification points with their
 sheet involutions as truncated series, pole frames of X, and a sheet
 solver.  Everything is validated at build time; instances are immutable
-and all queries are pure.
+and all queries are pure.  The sheet data of a base value is kept on the
+curve, so every ClassicalSystem on it solves it once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .cache import BoundedCache
 from .elliptic import EllipticTools
 from .errors import (
     BadModulus,
@@ -222,6 +224,9 @@ class SpectralCurve:
         self.order = order
         self.ramification_points: list[RamificationPoint] = []
         self.x_poles: list[PoleFrame] = []
+        # x -> (sheets above x, sqrt(dX) per sheet), filled by
+        # ClassicalSystem.sheet_data
+        self.sheet_cache = BoundedCache()
 
     @property
     def genus(self):

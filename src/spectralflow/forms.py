@@ -359,14 +359,13 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
         frame = pole_frame(curve, center)
         xi = frame.xi_of_s.retag(h.var_tag)
         kind = "x_pole" if frame.order > 0 else "omega_pole"
-        times = []
+        times, prod = [], h
         for j in range(j_cap):
-            prod = h if j == 0 else h * (xi ** j)
             try:
-                t = prod.residue()
+                times.append(prod.residue())
             except TruncationTooShort:
                 break
-            times.append(t)
+            prod = prod * xi
         # trim trailing zeros but keep t_0
         while len(times) > 1 and abs(times[-1]) < tol:
             times.pop()

@@ -56,17 +56,13 @@ def _pole_translates(curve, form):
 def _best_offset(pts, step, across):
     """The offset c in (0, 1) whose cycle line [c across, c across + step]
     keeps farthest from pts."""
-    def clearance(c):
-        a0 = c * across
-        return min((_seg_dist(a0, a0 + step, p) for p in pts), default=1.0)
-    return max(np.linspace(0.07, 0.93, 29), key=clearance)
-
-
-def _seg_dist(a, b, p):
-    v = b - a
-    t = ((p - a) / v).real if v != 0 else 0.0
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * v - p)
+    cs = np.linspace(0.07, 0.93, 29)
+    a0 = (cs * across)[:, None]
+    v = a0 + step - a0
+    p = np.asarray(pts, dtype=complex)
+    t = np.clip(((p - a0) / v).real, 0.0, 1.0)
+    return cs[np.argmax(np.min(np.abs(a0 + t * v - p), axis=1,
+                               initial=np.inf))]
 
 
 def quadrature_period(curve, form, which):
@@ -128,9 +124,9 @@ class Geometry:
     def __init__(self, curve):
         self.curve = curve
 
-    # prime form, reduced by sqrt(chart legs)
+    # prime form, reduced by sqrt(chart legs), broadcast over arrays
     def prime_form(self, z1, z2):
-        if abs(z1 - z2) < 1e-14:
+        if np.any(np.abs(z1 - z2) < 1e-14):
             raise CoincidentPoints("prime form vanishes on the diagonal")
         return self.curve.prime_form(z1 - z2)
 

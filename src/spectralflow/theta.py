@@ -1,13 +1,17 @@
 """Genus-1 theta functions as jets of lattice sums.
 
 One lattice sum gives all derivative orders 0..n at once (a jet): the
-terms e^{i pi q^2 tau + 2 i pi q (u + b)} are tabulated once and weighted
-by (2 i pi q)^k for each order k.  Jets broadcast over an array u.  The
-jet of a scalar argument is cached, at most ``cache.CACHE_MAX`` of them
-per evaluator with the oldest evicted first; array arguments are not
-cached.  Each sum starts on the window |n| <= 8 and doubles it until
-the edge terms fall below 1e-16 of the sum for every point and order;
-a window of 800 terms that still fails raises ThetaNotConverged.
+terms e^{i pi q^2 tau + 2 i pi q (u + b)} are weighted by (2 i pi q)^k
+for each order k.  Jets broadcast over an array u.  The jet of a scalar
+argument is cached, at most ``cache.CACHE_MAX`` of them per evaluator
+with the oldest evicted first; array arguments are not cached.  Each sum
+starts on the window |n| <= 8 and doubles it until the edge terms fall
+below 1e-16 of the sum for every point and order; a window of 800 terms
+that still fails raises ThetaNotConverged.  What does not depend on u
+(i pi q^2 tau, 2 i pi q, the rows (2 i pi q)^k) is tabulated once per
+characteristic and window, at most 2 x 7 tables per evaluator; an order
+whose rows overflow on a window the sum reaches (past 150 at tau = i) is
+refused with ThetaNotConverged.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class ThetaEvaluator:
         _check_tau(tau)
         self.tau = complex(tau)
         self._cache = BoundedCache()
+        self._tables = {}
 
     def theta(self, u, deriv: int = 0):
         """d^k/du^k of theta(u|tau) = sum_n e^{2 i pi n u + i pi n^2 tau}."""
@@ -75,24 +80,41 @@ class ThetaEvaluator:
         """Rows k = 0..n of sum_q (2 i pi q)^k e^{i pi q^2 tau + 2 i pi q
         (u + a)} over q in Z + a; the lattice sits on the last axis."""
         u = np.asarray(u)[..., None]
-        ks = np.arange(n + 1).reshape((-1,) + (1,) * u.ndim)
-        ns = np.arange(-_MIN_HALF, _MIN_HALF + 1)
+        half = _MIN_HALF
         while True:
-            q = ns + a
-            expo = 1j * np.pi * q * q * self.tau + 2j * np.pi * q * (u + a)
-            shift = np.max(expo.real, axis=-1)
-            terms = np.exp(expo - shift[..., None]) * (2j * np.pi * q) ** ks
-            total = np.sum(terms, axis=-1)
+            pre, b, rows = self._table(a, half, n)
+            expo = pre + b * (u + a)
+            shift = expo.real.max(axis=-1)
+            terms = np.exp(expo - shift[..., None]) * rows[:n + 1].reshape(
+                (n + 1,) + (1,) * (u.ndim - 1) + (-1,))
+            total = terms.sum(axis=-1)
             mag = np.abs(terms)
             edge = np.maximum(mag[..., 0], mag[..., -1])
-            scale = np.maximum(np.abs(total), np.max(mag, axis=-1))
-            if np.all(edge <= _TAIL * scale):
+            scale = np.maximum(np.abs(total), mag.max(axis=-1))
+            if (edge <= _TAIL * scale).all():
                 return total * np.exp(shift)
-            if len(ns) >= 2 * _MAX_HALF:
+            if 2 * half + 1 >= 2 * _MAX_HALF:
                 raise ThetaNotConverged(
                     f"theta lattice sum at tau = {self.tau} misses its "
-                    f"tail test on {len(ns)} terms")
-            ns = np.arange(ns[0] * 2, ns[-1] * 2 + 1)
+                    f"tail test on {2 * half + 1} terms")
+            half *= 2
+
+    def _table(self, a, half, n):
+        """(i pi q^2 tau, 2 i pi q, rows k = 0..n at least of (2 i pi q)^k)
+        on the window q = a - half .. a + half."""
+        table = self._tables.get((a, half))
+        if table is None or len(table[2]) <= n:
+            q = np.arange(-half, half + 1) + a
+            b = 2j * np.pi * q
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = b ** np.arange(n + 1)[:, None]
+            if not np.all(np.isfinite(rows)):
+                raise ThetaNotConverged(
+                    f"theta derivative order {n} overflows the powers "
+                    f"(2 i pi q)^k on the window of {2 * half + 1} terms")
+            table = self._tables[(a, half)] = \
+                1j * np.pi * q * q * self.tau, b, rows
+        return table
 
     # -- derived helpers -------------------------------------------------------
 

@@ -11,7 +11,7 @@ from spectralflow.classical import (
     self_replication_residual,
     time_shift_of_third_kind,
 )
-from spectralflow.curve import Genus0Curve, RationalFunction
+from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
 from spectralflow import cache
 from spectralflow.errors import CoincidentPoints, PsiOutOfRange
 from spectralflow.forms import SumForm, ThirdKind, YdX
@@ -85,8 +85,22 @@ def test_psi_outside_float_range_refused(sys_torus):
     with pytest.raises(PsiOutOfRange):
         sys_torus.cd_reconstruction_residual(z1, z2)
     x1, x2 = (sys_torus.curve.x_value(z) for z in (z1, z2))
+    with pytest.raises(PsiOutOfRange):
+        sys_torus.psi_matrix(x1, x2)
     c1, G, c2 = sys_torus.psi_matrix_factored(x1, x2)
     assert np.all(np.isfinite(G))
+
+
+@pytest.mark.parametrize("which", ["airy", "torus"])
+def test_factored_psi_matrix_matches_psi_matrix(which, sys_airy, sys_torus,
+                                                rng):
+    sysm = {"airy": sys_airy, "torus": sys_torus}[which]
+    for _ in range(5):
+        x1, x2 = (random_x(sysm.curve, rng) for _ in range(2))
+        c1, G, c2 = sysm.psi_matrix_factored(x1, x2)
+        M = sysm.psi_matrix(x1, x2)
+        full = np.exp(c1)[:, None] * G * np.exp(-c2)[None, :]
+        assert np.all(np.abs(full - M) <= 1e-14 * np.abs(M))
 
 
 def test_chi_primitive_cache_bounded(airy, monkeypatch):
@@ -114,21 +128,46 @@ def test_chi_batch_past_the_cache_bound(airy, monkeypatch):
     assert len(sysm._chi_primitive_cache) == 16
 
 
-def test_sheet_data_cache_bounded(torus, monkeypatch):
-    monkeypatch.setattr(cache, "CACHE_MAX", 16)
-    sysm = ClassicalSystem(torus, YdX(torus))
-    solve, calls = torus.sheets_above, []
+def _fresh_torus():
+    """The conftest torus, built anew so that its sheet cache is empty."""
+    return Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+
+
+def _count_sheet_solves(curve, monkeypatch):
+    solve, calls = curve.sheets_above, []
 
     def counted(x, *args):
         calls.append(x)
         return solve(x, *args)
-    monkeypatch.setattr(torus, "sheets_above", counted)
+    monkeypatch.setattr(curve, "sheets_above", counted)
+    return calls
+
+
+def test_sheet_data_cache_bounded(monkeypatch):
+    monkeypatch.setattr(cache, "CACHE_MAX", 16)
+    torus = _fresh_torus()
+    sysm = ClassicalSystem(torus, YdX(torus))
+    calls = _count_sheet_solves(torus, monkeypatch)
     xs = [torus.x_value(0.31 + 0.008 * k + 0.4j) for k in range(20)]
     for x in xs + xs[-16:]:
         sysm.sheet_data(x)
-    assert len(calls) == 20 and len(sysm._sheet_cache) == 16
+    assert len(calls) == 20 and len(torus.sheet_cache) == 16
     sysm.sheet_data(xs[0])          # evicted, so solved again
     assert len(calls) == 21
+
+
+def test_systems_on_one_curve_share_sheets(monkeypatch):
+    torus = _fresh_torus()
+    ydx = ClassicalSystem(torus, YdX(torus))
+    tame = ClassicalSystem(torus, SumForm(
+        [(0.7, ThirdKind(torus, 0.21 + 0.33j, 0.68 + 0.52j))]))
+    calls = _count_sheet_solves(torus, monkeypatch)
+    xs = [torus.x_value(u) for u in (0.33 + 0.41j, 0.44 + 0.36j,
+                                     0.38 + 0.31j)]
+    ydx.duality_residual(*xs)
+    tame.inverse_relation_residual(xs[0], xs[1])
+    tame.lax_matrix(xs[2], xs[0])
+    assert sorted(calls, key=abs) == sorted(xs, key=abs)
 
 
 def test_warm_psi_matrix_is_bit_identical(torus):

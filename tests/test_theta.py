@@ -109,3 +109,55 @@ def test_theta_cache_bounded():
     assert len(th._cache) == CACHE_MAX
     th.theta1(us, 1)            # array arguments bypass the cache
     assert len(th._cache) == CACHE_MAX
+
+
+def _reference_sum(tau, u, n, a):
+    """ThetaEvaluator._sum with every term built from scratch on each
+    window, as the sum was written before its window tables; returns the
+    rows and the window half-widths tried."""
+    u = np.asarray(u)[..., None]
+    ks = np.arange(n + 1).reshape((-1,) + (1,) * u.ndim)
+    ns = np.arange(-8, 9)
+    halves = []
+    while True:
+        halves.append(ns[-1])
+        q = ns + a
+        expo = 1j * np.pi * q * q * tau + 2j * np.pi * q * (u + a)
+        shift = np.max(expo.real, axis=-1)
+        terms = np.exp(expo - shift[..., None]) * (2j * np.pi * q) ** ks
+        total = np.sum(terms, axis=-1)
+        mag = np.abs(terms)
+        edge = np.maximum(mag[..., 0], mag[..., -1])
+        scale = np.maximum(np.abs(total), np.max(mag, axis=-1))
+        if np.all(edge <= 1e-16 * scale):
+            return total * np.exp(shift), halves
+        ns = np.arange(ns[0] * 2, ns[-1] * 2 + 1)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 1e-3j])
+def test_window_tables_reproduce_the_direct_sum(tau):
+    # tau = 1e-3 i needs the wide windows (up to 513 terms); there u
+    # stays near the real axis, where the sum converges within the cap
+    th = ThetaEvaluator(tau)
+    rng = np.random.default_rng(4)
+    im = 0.01 if abs(tau) < 0.1 else 0.5
+    halves = set()
+    for n in (0, 3, 34, 75):
+        for a in (0.0, 0.5):
+            for shape in ((), (3, 4)):
+                u = rng.uniform(-0.5, 0.5, shape) \
+                    + 1j * rng.uniform(-im, im, shape)
+                ref, tried = _reference_sum(th.tau, u, n, a)
+                halves.update(tried)
+                assert th._sum(u, n, a).tobytes() == ref.tobytes()
+    assert set(th._tables) <= {(a, h) for a in (0.0, 0.5) for h in halves}
+    assert len(th._tables) <= 2 * len(halves)
+    assert max(halves) >= (256 if abs(tau) < 0.1 else 8)
+
+
+def test_theta_order_overflow_refused():
+    # (2 i pi q)^160 overflows on the second window, |q| <= 16.5
+    th = ThetaEvaluator(1j)
+    assert np.all(np.isfinite(th.theta1_taylor(0.21 + 0.13j, 150)))
+    with pytest.raises(ThetaNotConverged, match="order 160 .* 33 terms"):
+        th.theta1_taylor(0.21 + 0.13j, 160)
