@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import BoundedCache
 from .elliptic import EllipticTools
@@ -319,11 +320,12 @@ class SpectralCurve:
     # B(z1, z2) = F(z1 - z2) dz1 dz2 with F = -(log E)'', the primitive
     # P = (log E)' (P' = -F) and the Szego factor theta(v + zeta)/(theta(zeta)
     # E(v)).  Point values are read off the jet of log E and broadcast over
-    # an ndarray.  Series through a chart split log E(c + t) = log(o + t) +
-    # rho(t) at the pole l nearest c, o = c - l: the pole's part, 1/(o + t)^2,
-    # 1/(o + t) or o + t, is exact, from inverting o + inner itself, and
-    # only the regular part rho comes from the jet; they carry the Laurent
-    # head when c sits on the pole.
+    # an ndarray.  Series split log E(c + t) = log(o + t) + rho(t) at the
+    # pole l nearest c, o = c - l (``_regular_jet``, which the recursion's
+    # row tables read too): the pole's part, 1/(o + t) in P and the Bergman
+    # leg, o + t in the Szego factor, is exact, from inverting o + inner
+    # itself, and only the regular part rho comes from the jet; they carry
+    # the Laurent head when c sits on the pole.  F's series is -d/dt of P's.
 
     def _regular_jet(self, c, n):
         """(o, rho): rows k = 0..n of rho = [t^k] log(E(c + t)/(o + t)); o is
@@ -362,40 +364,6 @@ class SpectralCurve:
         if abs(den) < 1e-12:
             raise ThetaZeroDivision(f"theta({v}) on the divisor")
         return den
-
-    def bergman_taylor(self, c, inner, count):
-        """[F^(q)(c + inner)/q! for q < count], inner a series vanishing
-        at 0.
-
-        The pole's (-1)^q (q+1) (o + inner)^-(q+2) are powers of one
-        inverse of o + inner: expanding 1/(o + t)^2 first and composing
-        with inner loses digits.  The regular part's Taylor coefficients
-        r_k = -(k+2)(k+1) rho_(k+2) give every q at once (the coefficient
-        of t^k in its q-th derivative over q! is C(k+q, q) r_(k+q)),
-        composed with inner through one table of the powers of inner that
-        carry a nonzero coefficient."""
-        K = inner.trunc_order
-        o, rho = self._regular_jet(c, K + count + 1)
-        binv = (inner + o).invert()
-        pole = _power_rows(binv.coeffs, count + 1)[2:]
-        e = np.arange(K + count)
-        D = np.zeros((count, K + count), dtype=complex)
-        D[0] = -(e + 2) * (e + 1) * rho[2:]
-        for q in range(1, count):
-            D[q, :-1] = D[q - 1, 1:] * (e[1:] / q)
-        e = np.flatnonzero(np.any(D[:, :K + 1], axis=0))
-        powers = _power_rows(np.append(np.zeros(inner.k_min), inner.coeffs),
-                             e.max(initial=0))
-        regular = D[:, e] @ powers[e]
-        out = []
-        for q in range(count):
-            # binv^(q+2) starts at t^lo; the sum is known through t^K
-            lo = (q + 2) * binv.k_min
-            n = min(pole.shape[1], K - lo + 1)
-            row = pole[q, :n] * ((-1.0) ** q * (q + 1))
-            row[-lo:] += regular[q, :n + lo]
-            out.append(TruncSeries(row, lo, inner.var_tag))
-        return out
 
     def bergman_leg(self, c, s, gamma):
         """[zeta^t] F(c + s(zeta)) s'(zeta) for t < len(gamma), t on axis
@@ -842,13 +810,19 @@ class Genus1Curve(SpectralCurve):
                            self.order)
 
 
+def _toeplitz(f):
+    """T[..., j, l] = f[..., l - j] for l >= j, else 0, as a view: the
+    matrix of the truncated product by each series of f."""
+    n = f.shape[-1]
+    pad = np.concatenate([np.zeros(f.shape[:-1] + (n - 1,)), f], axis=-1)
+    return sliding_window_view(pad, n, axis=-1)[..., ::-1, :]
+
+
 def _power_rows(f, top) -> np.ndarray:
     """Rows p = 0..top: the coefficients of f^p for an array f of Taylor
     coefficients, as far as f is known; each row is the one before times
     one Toeplitz matrix of f."""
-    i = np.arange(len(f))
-    lag = i[None, :] - i[:, None]
-    M = np.where(lag >= 0, f[np.maximum(lag, 0)], 0.0)
+    M = np.ascontiguousarray(_toeplitz(f))
     rows = np.zeros((top + 1, len(f)), dtype=complex)
     rows[0, 0] = 1.0
     for p in range(1, top + 1):

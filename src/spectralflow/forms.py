@@ -23,6 +23,7 @@ from .curve import (
     _compose_rational,
     _drop_low_noise,
     _poly_shift,
+    flip_parity,
 )
 from .errors import (
     BadIndex,
@@ -31,7 +32,7 @@ from .errors import (
     TruncationTooShort,
     UnsupportedCycle,
 )
-from .series import TruncSeries, _combine, constant, identity
+from .series import TruncSeries, _combine, constant
 
 
 class Form1:
@@ -233,11 +234,11 @@ class BergmanLeg(Form1):
 
     def local_series(self, center, order):
         if center == "inf":
-            F = self.curve.bergman_taylor_at_infinity(self.z0, 1, order + 4)
+            F = self.curve.bergman_taylor_at_infinity(self.z0, 1, order + 4)[0]
         else:
-            F = self.curve.bergman_taylor(center - self.z0,
-                                          identity(order=order + 5), 1)
-        return F[0] * self.scale
+            F = -self.curve.bergman_primitive_series(
+                center - self.z0, order + 6).differentiate()
+        return F * self.scale
 
     def poles(self):
         return [(self.z0, 2)]
@@ -294,10 +295,14 @@ class SecondKindBasis(Form1):
         if center == "inf":
             F = self.curve.bergman_taylor_at_infinity(self.center, j,
                                                       order + 4)
-        else:
-            t = identity(order=order + j + 5)
-            F = self.curve.bergman_taylor(self.center - center, -t, j)
-        return _combine(cm / j, F)
+            return _combine(cm / j, F)
+        # F^(q)(p - center - t)/q!: derivatives of F(p - center + t) = -P',
+        # then t -> -t
+        F = [-self.curve.bergman_primitive_series(
+            self.center - center, order + j + 6).differentiate()]
+        for q in range(1, j):
+            F.append(F[-1].differentiate() * (1.0 / q))
+        return flip_parity(_combine(cm / j, F))
 
     def poles(self):
         return [(self.center, self.j + 1)]

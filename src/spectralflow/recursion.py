@@ -23,8 +23,8 @@ omega(g, 1) with the primitive of Y dX, likewise built once.  Even-k
 slots are structurally absent (the forms have no residues), which the
 quadrature cross-checks confirm.
 
-Every series of the basis forms is one contraction with the curve's
-reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
+Off the row tables, a series of the basis forms is one contraction
+with the curve's reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
 
     B_{b,m}(z) = sum_q gamma^{b,m}_{-1-q} F^(q)(r_b - z)/q!,
 
@@ -34,11 +34,13 @@ depends on the genus.  The engine holds only the chart s_b(zeta): by
 Lagrange inversion gamma^{b,m}_{-1-q} = m/(q+1) [zeta^m] s_b(zeta)^(q+1),
 so zeta_b(s) is never built.  A window W_i is the exact pole
 m zeta^-(m+1) at b == a plus a slice of a row table, the Taylor
-coefficients of B_{b,m}(z_a(zeta))/dzeta below zeta^width.  A table is
-one contraction, gamma_b times F's series in the chart times the
-Toeplitz matrix of s_a'(zeta); it reads s_a through zeta^width for
-b != a and through zeta^(width + m_rows + 4) on the diagonal.  The memo
-of immutable tensors fills in increasing 2g + n.
+coefficients of B_{b,m}(z_a(zeta))/dzeta below zeta^width.  As
+B = d1 d2 log E, a table, diagonal or cross, is m (t+1) times the
+coefficient of zeta1^m zeta2^(t+1) of log E(r_b - r_a + s_b(zeta1) -
+s_a(zeta2)), less log(zeta1 - zeta2) on the diagonal (the Grunsky
+coefficients; Pommerenke, *Univalent Functions*, 1975), exact on the
+table's box as indices only add.  The memo of immutable tensors fills
+in increasing 2g + n.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
@@ -67,7 +69,7 @@ import itertools
 
 import numpy as np
 
-from .curve import _ON_POLE, _power_rows, flip_parity
+from .curve import _ON_POLE, _power_rows, _toeplitz, flip_parity
 from .errors import BadIndex, PoleAtRamificationPoint, TruncationTooShort
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries, truncate
@@ -112,30 +114,34 @@ class RecursionEngine:
         # validation series
         self.deep = deep = cv.order + 2 * mmax + 16
         self.s_of, self.y_of = [], []
+        self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
+        self.phi = []               # primitive of Y dX in the zeta chart
         for r in self.rams:
             s_of, y_of = cv.local_chart(r, deep)
             self.s_of.append(s_of)
             self.y_of.append(y_of)
-        self.zprime = []            # s'(zeta)
-        self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
-        self.phi = []               # primitive of Y dX in the zeta chart
-        self.gamma = []             # [m-1, q]: gamma^{a,m}_{-1-q}
-        for a in range(self.A):
-            s_of, y_of = self.s_of[a], self.y_of[a]
-            self.zprime.append(s_of.differentiate())
-            dy = y_of - flip_parity(y_of)
-            self.ydiff_inv.append(dy.invert())
+            self.ydiff_inv.append((y_of - flip_parity(y_of)).invert())
             self.phi.append((y_of.shift(1) * 2.0).antiderivative())
-            self.gamma.append(_lagrange_table(s_of, mmax))
+        # per chart, deepened on demand: [p, i] = [zeta^i] s^p, and
+        # [m-1, q] = gamma^{a,m}_{-1-q}
+        self.powers = [np.zeros((0, 0))] * self.A
+        self.gamma = [np.zeros((0, 0))] * self.A
         for a in range(self.A):
             self._rows(a, a)
 
+    def _powers(self, a, n):
+        """The table [p, i] = [zeta^i] s_a(zeta)^p for p, i <= n."""
+        if len(self.powers[a]) <= n:
+            self.powers[a] = _power_rows(_taylor(self.s_of[a], n), n)
+        return self.powers[a][:n + 1, :n + 1]
+
     def _gamma(self, a, n):
         """The table [m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
-        q < n, deepened on demand: evaluation and the pairings read past
-        the row tables."""
+        q < n: by Lagrange inversion m/(q+1) [zeta^m] s_a^(q+1).
+        Evaluation and the pairings read it past the row tables."""
         if len(self.gamma[a]) < n:
-            self.gamma[a] = _lagrange_table(self.s_of[a], n)
+            ms = np.arange(1, n + 1)
+            self.gamma[a] = self._powers(a, n)[1:, 1:].T * (ms[:, None] / ms)
         return self.gamma[a][:n, :n]
 
     def _row_count(self):
@@ -158,37 +164,36 @@ class RecursionEngine:
         B_{b,m}(z_a(zeta))/dzeta (the polar part at b == a is exact and
         left to the caller).
 
-        With z = r_a + s_a(zeta) a table is one contraction, (gamma_b . T)
-        times the Toeplitz matrix of s_a'(zeta), T[q] = F^(q)(r_b - r_a -
-        s_a(zeta))/q!.  A cross pair (b != a) has no pole and reads s_a
-        through zeta^width; the diagonal reads it through zeta^(width +
-        m_rows + 4), as T[q] loses one slot per power of 1/s.  There
-        rows[i][j] is h_ij, the symmetric regular part of B(z_a(zeta1),
-        z_a(zeta2)); the contraction cancels polar terms down to entries
-        near 2^-(i+j), so h_ij is read from the row of the lower index."""
+        rows[m-1][t] = m (t+1) L[m, t+1], L[i, j] the coefficient of
+        zeta1^i zeta2^j of log E(c + V), c = r_b - r_a, V = s_b(zeta1) -
+        s_a(zeta2), less log(zeta1 - zeta2) on the diagonal.  With the
+        curve's log E(c + v) = log(o + v) + rho(v) (``_regular_jet``),
+        L = log W + rho(V): W = o + V off the diagonal, and on it (o = 0)
+        W = V/(zeta1 - zeta2), W[i, j] = s_(i+j+1).  rho(V) = P_b^T H P_a,
+        P the charts' power tables and H[q, l] = C(q+l, q) rho_(q+l) (-1)^l.
+        Indices only add, so both terms are exact on the box."""
         key = (b, a)
         if key in self._plg:
             return self._plg[key]
-        mmax = self._row_count()
-        width = mmax + 6
-        s = truncate(self.s_of[a], width + (mmax + 4 if b == a else 0))
-        c = self.rams[b].location - self.rams[a].location
-        T = self.curve.bergman_taylor(c, -s, mmax)
-        lo = min(f.k_min for f in T)
-        hi = min(f.trunc_order for f in T)
-        if hi < width - 1:
-            raise TruncationTooShort(f"row table ({b}, {a}) ends at zeta^{hi}")
-        stack = np.zeros((mmax, hi - lo + 1), dtype=complex)
-        for q, f in enumerate(T):
-            stack[q, f.k_min - lo:] = f.coeffs[:hi - f.k_min + 1]
-        # lag[e - lo, t] = t - e indexes the Toeplitz matrix of s_a'
-        lag = np.arange(width)[None, :] - np.arange(lo, hi + 1)[:, None]
-        zp = self.zprime[a].coeffs[:width - lo]
-        rows = (self._gamma(b, mmax) @ stack) \
-            @ np.where(lag >= 0, zp[np.maximum(lag, 0)], 0.0)
+        n1 = self._row_count() + 1
+        n2 = n1 + 6
+        e = np.add.outer(np.arange(n1), np.arange(n2))
+        o, rho = self.curve._regular_jet(
+            self.rams[b].location - self.rams[a].location, n1 + n2 - 2)
+        Pb, Pa = self._powers(b, n2 - 1)[:n1, :n1], self._powers(a, n2 - 1)
         if b == a:
-            i, j = np.tril_indices(mmax, -1)
-            rows[i, j] = rows[j, i]
+            W = _taylor(self.s_of[a], n1 + n2 - 1)[e + 1]
+        else:
+            W = np.zeros((n1, n2), dtype=complex)
+            W[:, 0], W[0] = Pb[1], -Pa[1]
+            W[0, 0] = o
+        # C(q+l, q) from the factorials k!
+        fact = np.cumprod(np.append(1.0, np.arange(1.0, n1 + n2 - 1)))
+        H = rho[e] * fact[e] / np.outer(fact[:n1], fact[:n2]) \
+            * (-1.0) ** np.arange(n2)
+        m = np.arange(n1)[:, None]
+        rows = (_log_derivative(W) + m * (Pb.T @ H @ Pa))[1:, 1:] \
+            * np.arange(1, n2)
         self._plg[key] = rows
         return rows
 
@@ -497,13 +502,26 @@ def _contract(t, M):
     return t
 
 
-def _lagrange_table(s: TruncSeries, n):
-    """T[t, q] = (t+1)/(q+1) [zeta^(t+1)] s^(q+1) = [zeta^t] s^q s' for
-    t, q < n: by Lagrange inversion, gamma^m_{-1-q} (the coefficient of
-    s^(-1-q) in zeta(s)^-m) at m = t + 1.  Reads s through zeta^n only."""
-    f = np.append(np.zeros(s.k_min), truncate(s, n).coeffs)
-    ms = np.arange(1, n + 1)
-    return _power_rows(f, n)[1:, 1:].T * (ms[:, None] / ms)
+def _taylor(s: TruncSeries, n):
+    """The coefficients of zeta^0..zeta^n of a series without a pole."""
+    return np.append(np.zeros(s.k_min), truncate(s, n, absolute=True).coeffs)
+
+
+def _log_derivative(W):
+    """D = zeta1 d/dzeta1 log W, D[i, j] the coefficient of zeta1^i
+    zeta2^j, on the box of W (W[0, 0] != 0).  With U = W/W[0], whose row 0
+    is 1, the rows of D U = zeta1 dU/dzeta1 give D[i] = i U[i] -
+    sum_(0<k<i) D[k] U[i-k], as in ``series.log_jet``; the products in
+    zeta2 of row i are one product with the Toeplitz matrices of U
+    stacked in reverse."""
+    n1, n2 = W.shape
+    U = W @ _toeplitz(TruncSeries(W[0]).invert().coeffs)
+    T = np.ascontiguousarray(_toeplitz(U)[:0:-1]).reshape(-1, n2)
+    D = U * np.arange(n1)[:, None]
+    flat = D.reshape(-1)
+    for i in range(2, n1):
+        D[i] -= flat[n2:i * n2] @ T[(n1 - i) * n2:]
+    return D
 
 
 # -- residue slices --------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 of each curve
-backend: its Taylor series against closed forms on the sphere and against
-central differences of F on the torus; and the Szego factor's series
-against its point values."""
+backend: the Taylor series of F and of its derivatives, read off the
+primitive's series, against closed forms on the sphere and against
+central differences of F on the torus, at the points of a chart; and the
+Szego factor's series against its point values."""
 
 import pytest
 
 from spectralflow.curve import Genus1Curve, RationalFunction
 from spectralflow.errors import ThetaZeroDivision
 from spectralflow.forms import BergmanLeg, SecondKindBasis, ThirdKind
-from spectralflow.series import identity, truncate
+from spectralflow.series import truncate
 
 TAUS = [1j, 0.25 + 1.07j]
 
@@ -22,6 +23,15 @@ def _chart(curve):
     return truncate(curve.ramification_points[0].s_of_zeta, 24)
 
 
+def _taylor(curve, c, count, order):
+    """[F^(q)(c + t)/q! for q < count], series in t: F(c + t) = -P'(c + t)
+    from the primitive's series, then its derivatives over q!."""
+    F = [-curve.bergman_primitive_series(c, order + count).differentiate()]
+    for q in range(1, count):
+        F.append(F[-1].differentiate() * (1.0 / q))
+    return F
+
+
 def _sphere_taylor(q, v):
     return (-1.0) ** q * (q + 1) / v ** (q + 2)
 
@@ -31,12 +41,12 @@ def _sphere_taylor(q, v):
 def test_sphere_taylor_closed_form(request, which, c):
     cv = request.getfixturevalue(which)
     inner = _chart(cv)
-    T = cv.bergman_taylor(c, inner, 6)
+    T = _taylor(cv, c, 6, 30)
     for x in (0.05 + 0.02j, -0.03 + 0.06j):
-        v = c + inner.evaluate(x)
+        t = inner.evaluate(x)
         for q, f in enumerate(T):
-            ref = _sphere_taylor(q, v)
-            assert abs(f.evaluate(x) - ref) < 1e-12 * abs(ref)
+            ref = _sphere_taylor(q, c + t)
+            assert abs(f.evaluate(t) - ref) < 1e-12 * abs(ref)
     if c == 0.0:
         assert [f.k_min for f in T] == [-(q + 2) for q in range(6)]
 
@@ -56,12 +66,13 @@ def _fd_taylor(curve, v, q, h):
 def test_torus_taylor_generic_point(tau):
     cv = _torus(tau)
     c = 0.31 + 0.27 * tau
-    T = cv.bergman_taylor(c, identity(order=12), 3)
+    T = _taylor(cv, c, 3, 12)
+    D = cv.bergman_derivs(c, 3)
     for q in range(3):
         ref = _fd_taylor(cv, c, q, 2e-4)
         assert abs(T[q].coeff(0) - ref) < 1e-5 * abs(ref)
-        # the Taylor coefficients of F(c + t) are the same numbers
-        assert abs(T[0].coeff(q) - T[q].coeff(0)) < 1e-12 * abs(ref)
+        # the same numbers as the jet of log E at c, without the pole split
+        assert abs(T[q].coeff(0) - D[q]) < 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -70,25 +81,24 @@ def test_torus_taylor_through_chart(tau, lattice):
     cv = _torus(tau)
     c = 0.0 if lattice == 0.0 else 1.0 + tau
     inner = -_chart(cv)
-    T = cv.bergman_taylor(c, inner, 3)
+    T = _taylor(cv, c, 3, 24)
     assert T[0].k_min == -2
     for x in (0.4 + 0.3j, -0.2 + 0.5j):
-        v = c + inner.evaluate(x)
+        t = inner.evaluate(x)
         for q in range(3):
-            ref = _fd_taylor(cv, v, q, 1e-3 * abs(v - c))
-            assert abs(T[q].evaluate(x) - ref) < 1e-5 * abs(ref)
+            ref = _fd_taylor(cv, c + t, q, 1e-3 * abs(t))
+            assert abs(T[q].evaluate(t) - ref) < 1e-5 * abs(ref)
 
 
 @pytest.mark.parametrize("tau", TAUS)
 def test_torus_taylor_generic_chart(tau):
     cv = _torus(tau)
     c = 0.58 + 0.19 * tau
-    inner = _chart(cv)
-    T = cv.bergman_taylor(c, inner, 3)
-    x = 0.7 - 0.4j
+    T = _taylor(cv, c, 3, 24)
+    t = _chart(cv).evaluate(0.7 - 0.4j)
     for q in range(3):
-        ref = _fd_taylor(cv, c + inner.evaluate(x), q, 2e-4)
-        assert abs(T[q].evaluate(x) - ref) < 1e-5 * abs(ref)
+        ref = _fd_taylor(cv, c + t, q, 2e-4)
+        assert abs(T[q].evaluate(t) - ref) < 1e-5 * abs(ref)
 
 
 @pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
@@ -100,16 +110,22 @@ def test_primitive_series(request, curve, on_pole):
         c = 0.0 if cv.genus == 0 else 1.0 + cv.tau
     else:
         c = 0.44 + 0.17j
-    P = cv.bergman_primitive_series(c, 14)
-    F = cv.bergman_taylor(c, identity(order=16), 1)[0]
-    # P' = -F, term by term
-    dP = P.differentiate()
-    for k in range(dP.k_min, 12):
-        assert abs(dP.coeff(k) + F.coeff(k)) < 1e-10 * max(1.0, abs(F.coeff(k)))
-    # and the constant: values agree with P itself
-    t = 0.05 + 0.03j
-    ref = cv.bergman_primitive(c + t)
-    assert abs(P.evaluate(t) - ref) < 1e-12 * abs(ref)
+    P = cv.bergman_primitive_series(c, 24)
+    F = -P.differentiate()
+    if on_pole:
+        assert F.k_min == -2 and F.coeff(-2) == 1.0
+    else:
+        # P' = -F term by term, F's Taylor coefficients read off the jet
+        # of log E at c
+        D = cv.bergman_derivs(c, 12)
+        for k in range(12):
+            assert abs(F.coeff(k) - D[k]) < 1e-10 * max(1.0, abs(D[k]))
+    # and the values: P and -P' against P and F themselves
+    for t in (0.05 + 0.03j, -0.04 + 0.02j):
+        ref = cv.bergman_primitive(c + t)
+        assert abs(P.evaluate(t) - ref) < 1e-12 * abs(ref)
+        ref = cv.bergman(c + t)
+        assert abs(F.evaluate(t) - ref) < 1e-12 * abs(ref)
 
 
 def test_forms_in_the_chart_at_infinity(joukowski):
