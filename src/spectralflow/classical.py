@@ -2,15 +2,17 @@
 
 The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
 / (theta(zeta) E(z1, z2)) is written once, over a grid of point pairs:
-one batch of chi primitives, one theta sum and one prime form on the
+the chi primitives of both point sets and one Szego factor on the
 differences z1 - z2 serve a whole sheet matrix, and a single psi is its
-1 x 1 case.  The curve supplies the Szego factor (prime_form,
-theta_ratio, szego_series; theta = 1 and E = z1 - z2 on the sphere), and
-chi, zeta come from the A-normalized part of the form.  Sheet matrices,
-Baker-Akhiezer vectors, the Christoffel-Darboux pairing, the Lax matrix
-and the classical tau function all hang off one ClassicalSystem
-instance; the sheets above each x are solved once per curve and shared
-by every system on it.
+1 x 1 case.  The curve supplies the Szego factor (szego_grid,
+szego_series; theta = 1 and E = z1 - z2 on the sphere).  chi, zeta and
+the primitive int_o^z chi are read off the form's expansion in the
+canonical basis, in closed form: no quadrature runs, except in the
+b_loop_transport_residual oracle.  Sheet matrices, Baker-Akhiezer
+vectors, the Christoffel-Darboux pairing, the Lax matrix and the
+classical tau function all hang off one ClassicalSystem instance; the
+sheets above each x are solved once per curve and shared by every
+system on it.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -35,13 +37,14 @@ from .errors import (
 from .forms import BergmanLeg, DuForm, SumForm, ThirdKind, times_and_fillings
 from .geometry import (
     Geometry,
+    _basis,
+    _regular_primitive,
+    _same_center,
     canonical_period,
     clear_basepoint,
     line_integral,
     prepotential,
     shifted_prepotential_value,
-    _regular_primitive,
-    _same_center,
 )
 from .series import _series_exp
 
@@ -66,26 +69,28 @@ class ClassicalSystem:
         self.o = basepoint if basepoint is not None \
             else clear_basepoint(curve, form)
         self.records, self.eps = times_and_fillings(curve, form)
-        self.chi, self.zeta_t = _a_normalized(curve, form, self.eps)
+        self.chi, self._chi_basis, self.zeta_t = _a_normalized(
+            curve, form, self.records, self.eps)
         self._chi_primitive_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
 
     def _chi_from_base(self, zs):
-        """int_o^z chi at one point z, or [int_o^z chi for z in zs]: the
-        uncached points are integrated in one quadrature batch, and their
-        values are taken from the batch, not read back from the bounded
-        cache."""
+        """int_o^z chi at one point z, or [int_o^z chi for z in zs], along
+        the straight segments from o, in closed form from chi's expansion
+        in the canonical basis.  The uncached points are computed in one
+        batch, and their values are taken from the batch, not read back
+        from the bounded cache; each depends on its own z only."""
         if np.ndim(zs) == 0:
             return self._chi_from_base([zs])[0]
         keys = [complex(z) for z in zs]
         vals = {k: self._chi_primitive_cache.get(k) for k in keys}
         todo = [k for k, v in vals.items() if v is None]
         if todo:
-            for k, v in zip(todo, line_integral(self.curve, self.chi,
-                                                self.o, todo)):
+            for k, v in zip(todo, self._chi_basis.primitive(
+                    self.o, np.array(todo))):
                 vals[k] = self._chi_primitive_cache[k] = v
-        return [vals[k] for k in keys]
+        return np.array([vals[k] for k in keys])
 
     def psi(self, z1, z2):
         """psi_cl reduced by the global chart legs.
@@ -96,12 +101,11 @@ class ClassicalSystem:
 
     def _factored_grid(self, z1s, z2s):
         """(c1, G, c2) with psi(z1s[i], z2s[j]) = e^{c1_i - c2_j} G_ij: the
-        chi primitives of both point sets in one batch, one theta sum and
-        one prime form over the differences z1 - z2."""
+        chi primitives of both point sets in one batch, and the Szego
+        factor G over the differences z1 - z2 in one theta sum."""
         z1s, z2s = np.asarray(z1s), np.asarray(z2s)
-        chi = np.array(self._chi_from_base(list(z1s) + list(z2s)))
-        G = self.curve.theta_ratio(np.subtract.outer(z1s, z2s), self.zeta_t) \
-            / self.geo.prime_form(z1s[:, None], z2s)
+        chi = self._chi_from_base(np.concatenate([z1s, z2s]))
+        G = self.geo.szego(z1s[:, None], z2s, self.zeta_t)
         return chi[:len(z1s)], G, chi[len(z1s):]
 
     def _psi_grid(self, z1s, z2s, where):
@@ -179,11 +183,14 @@ class ClassicalSystem:
         return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
     def alpha_at_coincidence(self):
-        return abs(self.curve.theta_ratio(0.0, self.zeta_t) - 1.0)
+        theta = self.curve.theta_jet(self.zeta_t, 0)[0]
+        return abs(theta / self.curve.theta_off_divisor(self.zeta_t) - 1)
 
     def b_loop_transport_residual(self, z1, z2):
         """Move z1 around each B-homotopic loop with continuous tracking;
-        the largest relative change of psi, 0 on the sphere."""
+        the largest relative change of psi, 0 on the sphere.  An oracle
+        for zeta: chi is integrated along the loop by quadrature
+        (line_integral), not by the closed-form primitive."""
         out = []
         for _, b in self.curve.cycles:
             base = self.psi(z1, z2)
@@ -198,14 +205,6 @@ class ClassicalSystem:
         return max(out, default=0.0)
 
     # -- Baker-Akhiezer vectors ---------------------------------------------------------
-
-    def _pole_record(self, xp):
-        for rec in self.records:
-            if _same_center(rec.center, xp.location):
-                return rec
-        from .forms import PoleTimes
-        return PoleTimes(xp.location, xp.order, "x_pole",
-                         np.zeros(1, dtype=complex))
 
     def _ba_series(self, xp, z, sign):
         """Series in xi of the regularized kernel at a pole of X.
@@ -223,14 +222,15 @@ class ClassicalSystem:
         primitive at the pole, and G the curve's Szego factor.
         """
         cv = self.curve
-        rec = self._pole_record(xp)
-        times = rec.times
+        # every pole of X has a record of times
+        times = next(r.times for r in self.records
+                     if _same_center(r.center, xp.location))
         key = ("W", str(xp.location))
         cached = self._chi_primitive_cache.get(key)
         if cached is None:
             h = self.chi.local_series(xp.location, cv.order + 6)
-            W, K = _regular_primitive(cv, self.chi, xp, h, times, self.o,
-                                      0.61 + 0.37j, 0.18)
+            W, K = _regular_primitive(self._chi_basis, self.o, xp, h,
+                                      times, 0.61 + 0.37j, 0.18)
             cached = (W, xp.s_of_xi.retag(h.var_tag), K)
             self._chi_primitive_cache[key] = cached
         W, s_of_xi, K = cached
@@ -342,15 +342,18 @@ def _generic_x(curve):
         curve.x_value(0.29 + 0.33j * curve.tau.imag)
 
 
-def _a_normalized(curve, form, eps):
-    """(chi, zeta): chi = form - 2 i pi eps du has vanishing A-periods and
-    zeta is its B-period over 2 i pi; (form, 0) on the sphere."""
-    chi, zeta = form, 0.0
+def _a_normalized(curve, form, records, eps):
+    """(chi, basis, zeta): chi = form - 2 i pi eps du, whose A-periods
+    vanish; basis, chi in the canonical basis, whose atoms give its
+    primitive; zeta, chi's B-period over 2 i pi, the closed sum of the
+    atoms' (0 on the sphere)."""
+    chi = form
     for e in eps:
         chi = SumForm([(1.0, chi), (-2j * np.pi * e, DuForm(curve))])
-    for _ in curve.cycles:
-        zeta += canonical_period(curve, chi, "b") / (2j * np.pi)
-    return chi, zeta
+    basis = _basis(curve, records, [])
+    zeta = sum(canonical_period(curve, basis, "b")
+               for _ in curve.cycles) / (2j * np.pi)
+    return chi, basis, zeta
 
 
 # -- classical tau and Sato ------------------------------------------------------------
@@ -363,7 +366,8 @@ class ClassicalTau:
         self.form = form
         self.prep = prepotential(curve, form, basepoint)
         self.f0_tilde = shifted_prepotential_value(self.prep)
-        _, self.zeta_t = _a_normalized(curve, form, self.prep.eps)
+        _, _, self.zeta_t = _a_normalized(curve, form, self.prep.records,
+                                          self.prep.eps)
         self.theta_factor = curve.theta_jet(self.zeta_t, 0)[0]
 
 

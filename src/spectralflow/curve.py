@@ -53,6 +53,22 @@ def _log_linear(o, n) -> np.ndarray:
     return out
 
 
+def _log1m_rise(ya, yb):
+    """log(1 - e^(2 i pi y)) continued along the straight segments
+    [ya, yb]: the principal log above the real axis, 2 i pi y + log(1 -
+    e^(-2 i pi y)) below it.  Where a segment crosses the real axis at x,
+    the first exceeds the second by -i pi (2 floor(x) + 1)."""
+    y = np.stack([ya, yb])
+    below = y.imag < 0
+    w = np.exp(2j * np.pi * y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        side = np.log1p(-np.where(below, 1.0 / w, w)) + 2j * np.pi * y * below
+        cross = below[0].astype(float) - below[1]
+        x = ya.real + (yb - ya).real * ya.imag / (ya.imag - yb.imag)
+        turn = np.where(cross != 0, cross * (2 * np.floor(x) + 1), 0.0)
+    return side[1] - side[0] + 1j * np.pi * turn
+
+
 # -- rational functions -------------------------------------------------------
 
 def _poly_shift(c: np.ndarray, z0: complex) -> np.ndarray:
@@ -252,6 +268,11 @@ class SpectralCurve:
     #                                 the offset from a pole l (o = 0: c = l)
     #   theta_jet(v, n)               [t^k] theta(v + t)
     #   _lattice_point(c)             the pole l of F nearest c
+    #   _log_prime_rise(a, b)         the change of log E continued along
+    #                                 the straight segments [a, b] (a and b
+    #                                 broadcast)
+    #   szego_grid(v, zeta)           theta(v + zeta)/(theta(zeta) E(v))
+    #                                 over an ndarray v, in one theta sum
     # The torus backend reads the series of wp = -(log E)'' + c0 behind
     # x_series and y_series (wp_series), and g2, g3, off the same log E
     # jet; only point values of wp come from EllipticTools.
@@ -354,10 +375,6 @@ class SpectralCurve:
         """E(v)."""
         return np.exp(self._log_prime_jet(v, 0)[0])
 
-    def theta_ratio(self, v, zeta):
-        """theta(v + zeta)/theta(zeta)."""
-        return self.theta_jet(v + zeta, 0)[0] / self.theta_off_divisor(zeta)
-
     def theta_off_divisor(self, v):
         """theta(v), refused on the theta divisor."""
         den = self.theta_jet(v, 0)[0]
@@ -443,6 +460,12 @@ class Genus0Curve(SpectralCurve):
         out = np.zeros((n + 1,) + np.shape(v), dtype=complex)
         out[0] = 1.0
         return out
+
+    def _log_prime_rise(self, a, b):
+        return np.log(b / a)
+
+    def szego_grid(self, v, zeta):
+        return 1.0 / v
 
     def _lattice_point(self, c):
         return 0.0
@@ -643,7 +666,8 @@ class Genus1Curve(SpectralCurve):
         self.R1, self.R2 = R1, R2
         self.x_scale = complex(x_scale)
         self.ell = EllipticTools(tau)
-        self._log_theta1_prime = np.log(self.ell.theta.theta1(0.0, 1))
+        self._theta1_prime = self.ell.theta.theta1(0.0, 1)
+        self._log_theta1_prime = np.log(self._theta1_prime)
         # the jet of log(E(t)/t) behind wp at the lattice, grown on demand
         self._lattice_jet = np.zeros(0, dtype=complex)
         self.d = 2
@@ -696,6 +720,25 @@ class Genus1Curve(SpectralCurve):
 
     def theta_jet(self, v, n):
         return self.ell.theta.theta1_taylor(v, n)
+
+    def szego_grid(self, v, zeta):
+        """theta1(v + zeta) theta1'(0)/(theta1(zeta) theta1(v)), from one
+        lattice sum over the stacked v + zeta and v."""
+        num, den = self.theta_jet(np.stack([v + zeta, v]), 0)[0]
+        return num * self._theta1_prime / (self.theta_off_divisor(zeta) * den)
+
+    def _log_prime_rise(self, a, b):
+        """From the Jacobi triple product theta1(v) = C e^(i pi v)
+        prod_(n>=1) (1 - e^(2 i pi (v + n tau))) prod_(n>=0) (1 - e^(2 i pi
+        (n tau - v))), whose factors are continued one by one: those with
+        Im(n tau) - |Im v| < 6.3, past which each is within 1e-17 of 1."""
+        a, b = np.broadcast_arrays(a, b)
+        top = int((max(np.abs(a.imag).max(), np.abs(b.imag).max())
+                   + 6.3) / self.tau.imag) + 1
+        n = (np.arange(top + 1) * self.tau).reshape((-1,) + (1,) * a.ndim)
+        rise = _log1m_rise(np.concatenate([a + n[1:], n - a]),
+                           np.concatenate([b + n[1:], n - b]))
+        return 1j * np.pi * (b - a) + rise.sum(0)
 
     def wp_series(self, center, order):
         """wp(center + t) = -(log E)''(center + t) + c0, known through

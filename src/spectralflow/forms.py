@@ -6,7 +6,9 @@ an ndarray of points (a constant form may return its scalar, which
 broadcasts), and
 ``local_series(center, order)`` the series of g in the chart offset;
 ``center`` may be the string "inf" on the sphere, where the series is
-taken in w = 1/z and omega = h(w) dw.
+taken in w = 1/z and omega = h(w) dw.  The atoms of the canonical basis,
+and their sums, also give ``primitive(o, zs)``: [int_o^z for z in zs]
+along the straight segments, in closed form from the curve's log E.
 
 The atoms here close under everything the library needs: Y dX, the
 canonical basis (holomorphic, second kind, third kind), Bergman legs
@@ -88,6 +90,10 @@ class SumForm(Form1):
             s = f.local_series(center, order) * c
             out = s if out is None else out + s
         return out
+
+    def primitive(self, o, zs):
+        return sum((c * f.primitive(o, zs) for c, f in self.terms),
+                   np.zeros(len(zs), dtype=complex))
 
     def poles(self):
         seen = []
@@ -179,6 +185,9 @@ class DuForm(Form1):
     def local_series(self, center, order):
         return constant(self.c, order=order)
 
+    def primitive(self, o, zs):
+        return self.c * (zs - o)
+
     def poles(self):
         return []
 
@@ -210,6 +219,11 @@ class ThirdKind(Form1):
             return out
         P = self.curve.bergman_primitive_series
         return P(center - self.z1, order + 3) - P(center - self.z2, order + 3)
+
+    def primitive(self, o, zs):
+        """log E(. - z1) - log E(. - z2), continued from o to each z."""
+        p = np.array([[self.z1], [self.z2]])
+        return np.subtract(*self.curve._log_prime_rise(o - p, zs - p))
 
     def poles(self):
         return [(self.z1, 1), (self.z2, 1)]
@@ -304,6 +318,19 @@ class SecondKindBasis(Form1):
             F.append(F[-1].differentiate() * (1.0 / q))
         return flip_parity(_combine(cm / j, F))
 
+    def primitive(self, o, zs):
+        """(1/j) sum_m c_m (m+1) L_(m+1)(p - .) from o to each z, L_k = [t^k]
+        log E(. + t): F^(m)(p - z)/m! dz = d((m+1) L_(m+1)(p - z)); at
+        "inf" the polynomial -(1/j) sum_m c_m z^(m+1)."""
+        j, z = self.j, np.append(zs, o)
+        if self.center == "inf":
+            vals = -np.polynomial.polynomial.polyval(
+                z, np.concatenate([[0.0], self.cm])) / j
+        else:
+            L = self.curve._log_prime_jet(self.center - z, j)[1:]
+            vals = (self.cm * np.arange(1, j + 1) / j) @ L
+        return vals[:-1] - vals[-1]
+
     def poles(self):
         return [(self.center, self.j + 1)]
 
@@ -314,11 +341,12 @@ class SecondKindBasis(Form1):
 # -- times and filling fractions -----------------------------------------------
 
 class PoleTimes:
-    """Laurent data of a form at one pole."""
+    """Laurent data of a form at one pole, in the local coordinate of
+    ``frame`` (its order d_p)."""
 
-    def __init__(self, center, d_p, kind, times):
+    def __init__(self, center, frame, kind, times):
         self.center = center
-        self.d_p = d_p
+        self.frame = frame
         self.kind = kind            # 'x_pole' or 'omega_pole'
         self.times = times          # t_j = Res omega xi^j, j = 0..len-1
 
@@ -345,7 +373,9 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
     """All times t_{p,j} of the form plus its filling fractions.
 
     Poles of the form sitting at ramification points are rejected; the
-    residue-theorem sum over t_{p,0} is enforced as a check.
+    residue-theorem sum over t_{p,0} is enforced as a check.  The filling
+    fractions are read off a point value of the form less its expansion
+    in the canonical basis, which refuses times cut short at j_cap.
     """
     j_cap = j_max if j_max is not None else curve.order - 4
     records = []
@@ -376,17 +406,15 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
             times.pop()
         if kind == "omega_pole" and all(abs(t) < tol for t in times):
             continue                    # pole cancelled inside a SumForm
-        records.append(PoleTimes(center, frame.order, kind,
+        records.append(PoleTimes(center, frame, kind,
                                  np.array(times)))
 
     total = sum(r.times[0] for r in records)
     if abs(total) > 1e-8:
         raise ResidueSumNonzero(f"sum of residues = {total}")
 
-    from .geometry import canonical_period
-    eps = np.array([canonical_period(curve, form, "a") / (2j * np.pi)
-                    for _ in curve.cycles], dtype=complex)
-    return records, eps
+    from .geometry import _filling_fractions
+    return records, _filling_fractions(curve, form, records, j_cap)
 
 
 class WpPolyDu(Form1):

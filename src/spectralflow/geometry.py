@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
 from .errors import (
     BadIndex,
     CoincidentPoints,
     DivergentRegularization,
     ResidueFreePreconditionViolated,
+    TruncationTooShort,
     UnsupportedCycle,
 )
 from .forms import (
@@ -28,18 +30,20 @@ from .forms import (
     pole_frame,
     times_and_fillings,
 )
-from .quadrature import integrate_path, integrate_paths, split_to_avoid
 from .series import TruncSeries, _monomial, truncate
 
 # a clear basepoint keeps this distance from poles and branch points
 _BASEPOINT_CLEARANCE = 0.2
+# the form less its expansion in the basis, c du, may differ between two
+# points by this much of the values there before the expansion is refused
+_EPS_GAP = 1e-10
 
 
-# -- cycle quadrature -----------------------------------------------------------
+# -- cycle periods --------------------------------------------------------------
 
 def _translates(curve, pts):
     """The points, then their translates by the cycles into the
-    neighbouring cells: the obstacles of path planning and clearances."""
+    neighbouring cells: the obstacles of cycle lines and clearances."""
     out = list(pts)
     for a, b in curve.cycles:
         out += [p + m * a + n * b for p in pts
@@ -66,57 +70,55 @@ def _best_offset(pts, step, across):
 
 
 def quadrature_period(curve, form, which):
-    """The A- (``which`` "a") or B-period of the form by quadrature: the
-    A line is [c B, c B + A] and the B line [c A, c A + B] for the
-    curve's cycle periods (A, B) and the offset c that keeps the line
-    farthest from the form's poles."""
+    """The A- (``which`` "a") or B-period of the form by quadrature, an
+    oracle for riemann_bilinear_residual and the tests: the A line is
+    [c B, c B + A] and the B line [c A, c A + B] for the curve's cycle
+    periods (A, B) and the offset c that keeps the line farthest from
+    the form's poles."""
     if curve.genus == 0:
         raise UnsupportedCycle(f"no {which.upper()}-cycle at genus 0")
     (a, b), = curve.cycles
     step, across = (a, b) if which == "a" else (b, a)
     c = _best_offset(_pole_translates(curve, form), step, across)
-    return integrate_path(form.value, [c * across, c * across + step])
+    return quadrature.integrate_path(form.value,
+                                     [c * across, c * across + step])
 
 
 def canonical_period(curve, form, which):
-    """A/B-period coherent with in-cell path conventions.
-
-    Closed forms are used whenever the form is built from canonical
-    atoms; quadrature is the fallback for residue-free pieces, whose
-    periods do not depend on the representative line.
-    """
+    """A/B-period coherent with in-cell path conventions, in closed form:
+    each atom of the canonical basis has its own, a sum sums them, and
+    any other form takes that of its expansion in the basis."""
     if curve.genus == 0:
         raise UnsupportedCycle("no cycles at genus 0")
     if isinstance(form, SumForm):
         return sum(c * canonical_period(curve, f, which)
                    for c, f in form.terms)
     closed = form.cycle_period(which)
-    if closed is not None:
-        return closed
-    for center, _ in form.poles():
-        h = form.local_series(center, curve.order + 6)
-        if abs(h.residue()) > 1e-10:
-            raise UnsupportedCycle(
-                f"residue-carrying opaque form at {center}: no canonical "
-                "cycle representative")
-    return quadrature_period(curve, form, which)
+    return closed if closed is not None \
+        else canonical_period(curve, decompose(curve, form)[2], which)
 
 
 def line_integral(curve, form, z_from, z_to):
-    """Integral of the form from z_from to z_to along an in-domain
-    polyline avoiding its poles.
+    """Integral of the form along the straight segment from z_from to
+    z_to, the path of the closed-form primitives, by adaptive quadrature:
+    their oracle.
 
     Either endpoint may be a sequence (the other one is broadcast
-    against it): then every path is integrated in one quadrature batch
-    and an array of values, one per path, is returned."""
-    pts = _pole_translates(curve, form)
-    paths = [split_to_avoid(a, b, pts)
-             for a, b in np.broadcast(z_from, z_to)]
-    out = np.array(integrate_paths(form.value, paths))
+    against it): then every segment is integrated in one quadrature
+    batch and an array of values, one per segment, is returned."""
+    out = np.array(quadrature.integrate_segments(
+        form.value, list(np.broadcast(z_from, z_to))))
     return out if np.ndim(z_from) or np.ndim(z_to) else out[0]
 
 
 # -- two-point kernels ------------------------------------------------------------
+
+def _apart(z1, z2):
+    """z1 - z2, refused where the prime form vanishes on the diagonal."""
+    if np.any(np.abs(z1 - z2) < 1e-14):
+        raise CoincidentPoints("prime form vanishes on the diagonal")
+    return z1 - z2
+
 
 class Geometry:
     """Prime form, Bergman kernel and third-kind form for one curve."""
@@ -126,9 +128,12 @@ class Geometry:
 
     # prime form, reduced by sqrt(chart legs), broadcast over arrays
     def prime_form(self, z1, z2):
-        if np.any(np.abs(z1 - z2) < 1e-14):
-            raise CoincidentPoints("prime form vanishes on the diagonal")
-        return self.curve.prime_form(z1 - z2)
+        return self.curve.prime_form(_apart(z1, z2))
+
+    def szego(self, z1, z2, zeta):
+        """theta(z1 - z2 + zeta)/(theta(zeta) E(z1, z2)), broadcast over
+        arrays."""
+        return self.curve.szego_grid(_apart(z1, z2), zeta)
 
     def bergman(self, z1, z2):
         """B(z1, z2)/(dchart dchart)."""
@@ -194,7 +199,7 @@ class Prepotential:
         """
         rec = self._rec(center)
         h = self.form.local_series(rec.center, self.curve.order + 6)
-        xi = pole_frame(self.curve, rec.center).xi_of_s.retag(h.var_tag)
+        xi = rec.frame.xi_of_s.retag(h.var_tag)
         return (h * xi.invert() ** j).residue() / j
 
     def dF_deps(self, i=0):
@@ -227,25 +232,26 @@ def _key(center):
         (round(complex(center).real, 9), round(complex(center).imag, 9))
 
 
-def prepotential(curve, form, basepoint=None, records=None, eps=None):
+def prepotential(curve, form, basepoint=None):
     """F0 from the regularized pairing of the form with itself.
 
     The second-kind block enters as Res_p[(sum_j t_j/j xi^-j) omega]/2,
     the sign fixed by finite-difference oracles against the first
     derivative identities (dF0/dt_{p,j} = (1/j) Res xi^-j omega,
-    dF0/deps = B-period, homogeneity of degree two).
+    dF0/deps = B-period, homogeneity of degree two).  The primitives of
+    the chemical potentials and the B-periods are read off the form's
+    expansion in the canonical basis.
     """
     o = basepoint if basepoint is not None else clear_basepoint(curve, form)
-    if records is None:
-        records, eps = times_and_fillings(curve, form)
+    records, eps, basis = decompose(curve, form)
+    obstacles = _pole_translates(curve, form)
 
     res_v = 0.0 + 0.0j
     mu = {}
     t0mu = 0.0 + 0.0j
-    obstacles = _pole_translates(curve, form)
     for rec in records:
         h = form.local_series(rec.center, curve.order + 6)
-        frame = pole_frame(curve, rec.center)
+        frame = rec.frame
         xi = frame.xi_of_s.retag(h.var_tag)
         # Res_p V_p omega with V_p = -sum_{j>=1} (t_j / j) xi^-j
         if len(rec.times) > 1:
@@ -258,45 +264,41 @@ def prepotential(curve, form, basepoint=None, records=None, eps=None):
                 V = term if V is None else V + term
             if V is not None:
                 res_v += (V * h).residue()
-        mu[_key(rec.center)] = _mu_of(curve, form, rec, frame, h, o,
-                                      obstacles)
+        mu[_key(rec.center)] = _mu_of(rec, h, basis, o, obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
-    bper = [canonical_period(curve, form, "b") for _ in curve.cycles]
+    bper = [canonical_period(curve, basis, "b") for _ in curve.cycles]
     eps_term = sum(e * b for e, b in zip(eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
     return Prepotential(curve, form, value, mu, records, eps, bper)
 
 
-def _mu_of(curve, form, rec, frame, h, o, obstacles):
+def _mu_of(rec, h, basis, o, obstacles):
     """Regularized int_o^p (omega - dV_p - t_p0 dlog xi), matched on the
-    way from p towards the basepoint."""
-    others = [complex(c) for c in obstacles
-              if not isinstance(c, str)
-              and not _same_center(c, rec.center if not
-                                   isinstance(rec.center, str) else 1e9)]
+    way from p towards the basepoint; ``basis`` is omega in the canonical
+    basis."""
     if rec.center == "inf":
         s_dir, dmin = 0.05 + 0.031j, 1.0
     else:
         p = complex(rec.center)
-        dmin = min([abs(p - c) for c in others if abs(p - c) > 1e-9],
+        dmin = min([abs(p - c) for c in obstacles if abs(p - c) > 1e-9],
                    default=1.0)
         s_dir = (complex(o) - p)
         s_dir /= abs(s_dir)
-    _, mu = _regular_primitive(curve, form, frame, h, rec.times, o, s_dir,
-                              0.2 * min(1.0, dmin))
+    _, mu = _regular_primitive(basis, o, rec.frame, h, rec.times, s_dir,
+                               0.2 * min(1.0, dmin))
     return mu
 
 
-def _regular_primitive(curve, form, frame, h, times, o, s_dir, scale):
+def _regular_primitive(basis, o, frame, h, times, s_dir, scale):
     """(W, K) for a form with series h at the pole ``frame.location``
-    and times t_j there.
+    and times t_j there, written ``basis`` in the canonical basis.
 
     Near the pole, form = dV + t_0 dlog(xi) + w(xi) dxi with
     V = -sum_{j>=1} t_j/j xi^-j; W is the zero-based primitive of w and
-    K = int_o^p (form - dV - t_0 dlog xi).  K is matched at
-    s = scale * s_dir, halving the scale (up to 10 times) until the
-    series of W has converged there.
+    K = int_o^p (form - dV - t_0 dlog xi), with int_o^z form from the
+    atoms of the basis.  K is matched at s = scale * s_dir, halving the
+    scale (up to 10 times) until the series of W has converged there.
     """
     s_of_xi = frame.s_of_xi.retag(h.var_tag)
     h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
@@ -319,7 +321,7 @@ def _regular_primitive(curve, form, frame, h, times, o, s_dir, scale):
     z_q = 1.0 / s_q if frame.location == "inf" \
         else complex(frame.location) + s_q
     V_q = -sum(times[j] / j * xi_q ** (-j) for j in range(1, len(times)))
-    K = line_integral(curve, form, o, z_q) - V_q \
+    K = basis.primitive(o, np.array([z_q]))[0] - V_q \
         - times[0] * np.log(xi_q) - w_q
     if not np.isfinite(K):
         raise DivergentRegularization(
@@ -363,6 +365,9 @@ class _InfThirdKind(ThirdKind):
     def value(self, z):
         return -1.0 / (z - self.z2)
 
+    def primitive(self, o, zs):
+        return -self.curve._log_prime_rise(o - self.z2, zs - self.z2)
+
     def local_series(self, center, order):
         if center == "inf":
             den = TruncSeries(np.concatenate(
@@ -375,19 +380,52 @@ class _InfThirdKind(ThirdKind):
         return [("inf", 1), (self.z2, 1)]
 
 
-def decompose(curve, form, basepoint=None):
-    """(records, eps, reconstruction SumForm) in the canonical basis."""
-    records, eps = times_and_fillings(curve, form)
+def _basis(curve, records, eps):
+    """The form with these times and filling fractions in the canonical
+    basis: sum 2 i pi eps du + sum t_(p,0) dS_(p,p*) + sum t_(p,j)
+    omega_(p,j).  p* is the first finite pole with a residue: the
+    residues sum to 0, so the third-kind part is sum t_(p,0) dS_(p,o) for
+    any o, and this writing of it needs no point off the form's poles."""
     terms = [(2j * np.pi * e, DuForm(curve)) for e in eps if abs(e) > 1e-13]
+    star = next((r for r in records if not isinstance(r.center, str)
+                 and abs(r.times[0]) > 1e-13), None)
     for rec in records:
-        if abs(rec.times[0]) > 1e-13:
-            terms.append((rec.times[0],
-                          basis_form(curve, rec.center, 0, basepoint)))
+        if abs(rec.times[0]) > 1e-13 and rec is not star:
+            terms.append((rec.times[0], basis_form(
+                curve, rec.center, 0, star and star.center)))
         for j in range(1, len(rec.times)):
             if abs(rec.times[j]) > 1e-13:
                 terms.append((rec.times[j],
-                              basis_form(curve, rec.center, j)))
-    return records, eps, SumForm(terms)
+                              SecondKindBasis(curve, rec.frame, j)))
+    return SumForm(terms)
+
+
+def decompose(curve, form):
+    """(records, eps, the form rebuilt in the canonical basis)."""
+    records, eps = times_and_fillings(curve, form)
+    return records, eps, _basis(curve, records, eps)
+
+
+def _filling_fractions(curve, form, records, j_cap):
+    """eps of the form with these times: the basis forms have no
+    A-periods, so the form less its expansion in them is c du, c = 2 i pi
+    eps, read at the clear basepoint (0 on the sphere).  Read at the next
+    candidate, c differs by at most 2.7e-15 of the values there over the
+    forms of the tests; past _EPS_GAP of them the times stopped short of
+    a pole's order (at j_cap), and TruncationTooShort is raised."""
+    basis, cands = _basis(curve, records, []), _basepoints(curve)
+    o = clear_basepoint(curve, form)
+    vals = [(form.value(z), basis.value(z))
+            for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
+    (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
+    if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
+        deep = max(records, key=lambda r: len(r.times))
+        raise TruncationTooShort(
+            f"the times at {deep.center} stop after {len(deep.times)} "
+            f"terms (j_cap = {j_cap}): the form less its expansion is "
+            f"{c1:.6g} du at one basepoint and {c2:.6g} du at the next")
+    return np.array([c1 / (2j * np.pi) for _ in curve.cycles],
+                    dtype=complex)
 
 
 # -- identity checkers -----------------------------------------------------------------

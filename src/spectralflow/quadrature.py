@@ -1,8 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
-The integrand is called once per round over all open panels (at most
-MAX_PANELS of them), on the (P, 15) array of their Kronrod nodes, and
-must return an array of that shape (or a constant, which is broadcast).
+The library computes its periods and primitives in closed form; this
+module is their oracle (``geometry.line_integral``,
+``geometry.quadrature_period``, the B-loop transport check and the
+tests).  The integrand is called once per round over all open panels
+(at most MAX_PANELS of them), on the (P, 15) array of their Kronrod
+nodes, and must return an array of that shape (or a constant, which is
+broadcast).
 Each segment sums its accepted panels left to right, so results are
 bit-reproducible and, for an integrand evaluated point by point, do not
 depend on which other segments share the batch.
@@ -20,8 +24,6 @@ MAX_DEPTH = 14
 MAX_PANELS = 32
 # a panel is accepted when its Kronrod-Gauss gap is below TOL * max(1, |value|)
 TOL = 1e-12
-# obstacles closer than this to a segment get a detour
-CLEARANCE = 1e-3
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1]
 _XK = np.array([
@@ -101,55 +103,7 @@ def integrate_segment(f, a, b):
     return integrate_segments(f, [(a, b)])[0]
 
 
-def integrate_paths(f, paths):
-    """Integrals along the polylines ``paths`` (each a list of points),
-    one value per path, from one integrate_segments batch; each path
-    sums its segments left to right."""
-    vals = iter(integrate_segments(f, [
-        seg for points in paths for seg in zip(points[:-1], points[1:])]))
-    return [sum(next(vals) for _ in points[1:]) for points in paths]
-
-
 def integrate_path(f, points):
-    """Integral along a polyline given by ``points``."""
-    return integrate_paths(f, [points])[0]
-
-
-def split_to_avoid(a, b, obstacles):
-    """Polyline from a to b detouring around listed points.
-
-    Obstacles within CLEARANCE of the open segment get a sideways
-    detour; obstacles at the endpoints are the caller's business and
-    are skipped (a path *to* a pole is legitimate for regularized
-    integrands).
-    """
-    a, b = complex(a), complex(b)
-    direction = b - a
-    length = abs(direction)
-    if length == 0:
-        return [a, b]
-    unit = direction / length
-    hits = []
-    for p in obstacles:
-        p = complex(p)
-        if min(abs(p - a), abs(p - b)) < 2 * CLEARANCE:
-            continue
-        t = ((p - a) / unit).real / length
-        if 0.0 < t < 1.0:
-            dist = abs(a + t * length * unit - p)
-            if dist < CLEARANCE:
-                hits.append((t, dist, p))
-    if not hits:
-        return [a, b]
-    hits.sort(key=lambda h: h[0])
-    margin = max(8 * CLEARANCE, 2 * max(h[1] for h in hits))
-    margin = min(margin, 0.2 * length)
-    pts = [a]
-    for t, dist, p in hits:
-        foot = a + t * length * unit
-        away = foot - p
-        side = (away / abs(away)) if abs(away) > 1e-15 else 1j * unit
-        pts.append(foot - unit * margin + side * margin)
-        pts.append(foot + unit * margin + side * margin)
-    pts.append(b)
-    return pts
+    """Integral along the polyline ``points``: one integrate_segments
+    batch, its segments summed left to right."""
+    return sum(integrate_segments(f, list(zip(points[:-1], points[1:]))))

@@ -101,6 +101,9 @@ class RecursionEngine:
         self._memo: dict = {}
         self._fg: dict = {}
         self._plg: dict = {}
+        # (c, order) -> curve._regular_jet(c, order): the diagonal tables
+        # all read the jet at c = 0
+        self._jets: dict = {}
         self._P = self._diag = self._phi_pair = None
         self._prepare_local_data()
 
@@ -178,8 +181,10 @@ class RecursionEngine:
         n1 = self._row_count() + 1
         n2 = n1 + 6
         e = np.add.outer(np.arange(n1), np.arange(n2))
-        o, rho = self.curve._regular_jet(
-            self.rams[b].location - self.rams[a].location, n1 + n2 - 2)
+        jet = (self.rams[b].location - self.rams[a].location, n1 + n2 - 2)
+        if jet not in self._jets:
+            self._jets[jet] = self.curve._regular_jet(*jet)
+        o, rho = self._jets[jet]
         Pb, Pa = self._powers(b, n2 - 1)[:n1, :n1], self._powers(a, n2 - 1)
         if b == a:
             W = _taylor(self.s_of[a], n1 + n2 - 1)[e + 1]

@@ -13,9 +13,13 @@ from spectralflow.classical import (
 )
 from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
 from spectralflow import cache
-from spectralflow.errors import CoincidentPoints, PsiOutOfRange
+from spectralflow.errors import (
+    CoincidentPoints,
+    PsiOutOfRange,
+    TruncationTooShort,
+)
 from spectralflow.forms import SumForm, ThirdKind, YdX
-from spectralflow.geometry import line_integral
+from spectralflow.geometry import basis_form, line_integral
 
 
 @pytest.fixture(scope="module")
@@ -116,16 +120,129 @@ def test_chi_primitive_cache_bounded(airy, monkeypatch):
     assert sysm._chi_from_base(zs[0]) == first
 
 
-def test_chi_batch_past_the_cache_bound(airy, monkeypatch):
+def test_chi_batch_past_the_cache_bound(airy, torus, monkeypatch):
     # a batch larger than the cache returns its own values: the first of
-    # them are evicted before the batch is done storing
+    # them are evicted before the batch is done storing.  Each equals its
+    # point computed alone, bit for bit; the quadrature comparison is
+    # test_chi_primitive_matches_quadrature
     monkeypatch.setattr(cache, "CACHE_MAX", 16)
-    sysm = ClassicalSystem(airy, YdX(airy))
-    zs = list(1.1 + 0.8j + 0.01 * np.arange(20))
-    got = sysm._chi_from_base(zs)
-    ref = [line_integral(airy, sysm.chi, sysm.o, z) for z in zs]
-    assert np.array(got).tobytes() == np.array(ref).tobytes()
-    assert len(sysm._chi_primitive_cache) == 16
+    for curve, zs in ((airy, 1.1 + 0.8j + 0.01 * np.arange(20)),
+                      (torus, 0.2 + 0.3j + 0.03 * np.arange(20))):
+        form = _tame(curve) if curve.genus else YdX(curve)
+        sysm = ClassicalSystem(curve, form)
+        got = sysm._chi_from_base(list(zs))
+        assert len(sysm._chi_primitive_cache) == 16
+        ref = [ClassicalSystem(curve, form)._chi_from_base(z) for z in zs]
+        assert got.tobytes() == np.array(ref).tobytes()
+
+
+def _tame(curve):
+    """The benchmark's tame torus form: residues +-0.7 and a second-kind
+    pole; on the sphere, residues +-0.7 beside Y dX."""
+    if curve.genus == 0:
+        return SumForm([(0.7, ThirdKind(curve, 0.5 + 0.3j, -0.4 + 0.9j)),
+                        (1.0, YdX(curve))])
+    return SumForm([(0.7, ThirdKind(curve, 0.21 + 0.33j, 0.68 + 0.52j)),
+                    (0.4, basis_form(curve, 0.41 + 0.13j, 1))])
+
+
+_TAU2 = 0.25 + 1.07j
+# (curve, form) pairs of the closed-form oracles
+_CLOSED_CASES = ["airy-ydx", "joukowski-ydx", "joukowski-tame", "torus-ydx",
+                 "torus-tame", "tau2-ydx", "tau2-tame"]
+
+
+def _closed_case(which, airy, joukowski, torus):
+    name, form = which.split("-")
+    curve = {"airy": airy, "joukowski": joukowski, "torus": torus,
+             "tau2": _torus_at(_TAU2)}[name]
+    return curve, (YdX(curve) if form == "ydx" else _tame(curve))
+
+
+def _torus_at(tau):
+    return Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
+
+
+def _closed_points(curve, count=16):
+    rng = np.random.default_rng(20261019)
+    if curve.genus:
+        return rng.uniform(0, 1, count) + rng.uniform(0, 1, count) * curve.tau
+    return rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
+
+
+@pytest.mark.parametrize("which", _CLOSED_CASES)
+def test_chi_primitive_matches_quadrature(which, airy, joukowski, torus):
+    # measured: at most 1.0e-14 of max(1, |int chi|) over these cases
+    curve, form = _closed_case(which, airy, joukowski, torus)
+    sysm = ClassicalSystem(curve, form)
+    zs = _closed_points(curve)
+    ref = line_integral(curve, sysm.chi, sysm.o, zs)
+    err = np.abs(sysm._chi_from_base(zs) - ref) / np.maximum(1, np.abs(ref))
+    assert err.max() < 1e-13
+
+
+@pytest.mark.parametrize("which", ["joukowski-tame", "torus-tame",
+                                   "tau2-tame"])
+def test_chi_primitive_needs_the_winding(which, airy, joukowski, torus,
+                                         monkeypatch):
+    # the principal log E jumps by 2 i pi at some of the points, which
+    # the segment from o does not cross: with log E's change along the
+    # segment taken as the principal one, those points miss the
+    # quadrature by 2 pi t_0 = 4.4 (t_0 = +-0.7)
+    curve, form = _closed_case(which, airy, joukowski, torus)
+    sysm = ClassicalSystem(curve, form)
+    zs = _closed_points(curve)
+    ref = line_integral(curve, sysm.chi, sysm.o, zs)
+
+    def principal(a, b):
+        return curve._log_prime_jet(b, 0)[0] - curve._log_prime_jet(a, 0)[0]
+    monkeypatch.setattr(curve, "_log_prime_rise", principal)
+    miss = np.abs(sysm._chi_from_base(zs) - ref)
+    assert 0 < np.sum(miss > 1.0) < len(zs)
+    assert np.allclose(miss[miss > 1.0], 2 * np.pi * 0.7)
+
+
+@pytest.mark.parametrize("tau", [1j, _TAU2])
+def test_eps_and_zeta_match_quadrature(tau):
+    from spectralflow.geometry import quadrature_period
+    curve = _torus_at(tau)
+    for form in (YdX(curve), _tame(curve)):
+        sysm = ClassicalSystem(curve, form)
+        eps = quadrature_period(curve, form, "a") / (2j * np.pi)
+        zeta = quadrature_period(curve, sysm.chi, "b") / (2j * np.pi)
+        # measured: 4.8e-14 (eps) and 2.0e-13 (zeta, |zeta| = 37.8)
+        assert abs(sysm.eps[0] - eps) < 1e-12 * max(1, abs(eps))
+        assert abs(sysm.zeta_t - zeta) < 1e-12 * max(1, abs(zeta))
+
+
+def test_classical_system_makes_no_quadrature_call(monkeypatch):
+    from spectralflow import quadrature
+    from spectralflow.errors import QuadratureNotConverged
+
+    def refuse(f, segments):
+        raise QuadratureNotConverged("a library path called quadrature")
+    monkeypatch.setattr(quadrature, "integrate_segments", refuse)
+    torus = _fresh_torus()
+    ydx, tame = ClassicalSystem(torus, YdX(torus)), \
+        ClassicalSystem(torus, _tame(torus))
+    xs = [torus.x_value(u) for u in (0.33 + 0.41j, 0.44 + 0.36j,
+                                     0.38 + 0.31j)]
+    assert np.isfinite(tame.lax_matrix(xs[0], xs[1])).all()
+    assert ydx.duality_residual(*xs) < 1e-8
+    for sysm in (ydx, tame):
+        Psi, Phi = sysm.ba_matrices(xs[2])
+        assert np.isfinite(Psi).all() and np.isfinite(Phi).all()
+    with pytest.raises(QuadratureNotConverged):
+        ydx.b_loop_transport_residual(0.31 + 0.22j, 0.12 + 0.41j)
+
+
+def test_truncated_expansion_refused(torus):
+    # wp^11 du has a pole of order 22 at 0, past j_cap = order - 4 = 20:
+    # the point values of eps at two basepoints then disagree
+    from spectralflow.forms import WpPolyDu
+    with pytest.raises(TruncationTooShort, match="j_cap = 20"):
+        ClassicalSystem(torus, WpPolyDu(torus, [0.0] * 11 + [1.0]))
+    ClassicalSystem(torus, WpPolyDu(torus, [0.0] * 10 + [1.0]))
 
 
 def _fresh_torus():
