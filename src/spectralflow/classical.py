@@ -34,10 +34,16 @@ from .errors import (
     SingularSheetMatrix,
     StepTooLarge,
 )
-from .forms import BergmanLeg, DuForm, SumForm, ThirdKind, times_and_fillings
+from .forms import (
+    BergmanLeg,
+    DuForm,
+    SumForm,
+    ThirdKind,
+    expansion,
+    times_and_fillings,
+)
 from .geometry import (
     Geometry,
-    _basis,
     _regular_primitive,
     _same_center,
     canonical_period,
@@ -68,9 +74,11 @@ class ClassicalSystem:
         self.geo = Geometry(curve)
         self.o = basepoint if basepoint is not None \
             else clear_basepoint(curve, form)
-        self.records, self.eps = times_and_fillings(curve, form)
-        self.chi, self._chi_basis, self.zeta_t = _a_normalized(
-            curve, form, self.records, self.eps)
+        self.records, self.eps, self._chi_basis = expansion(curve, form)
+        # chi = form - 2 i pi eps du, whose A-periods vanish
+        self.chi = SumForm([(1.0, form)] + [(-2j * np.pi * e, DuForm(curve))
+                                            for e in self.eps])
+        self.zeta_t = _zeta(curve, self._chi_basis)
         self._chi_primitive_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
@@ -342,18 +350,11 @@ def _generic_x(curve):
         curve.x_value(0.29 + 0.33j * curve.tau.imag)
 
 
-def _a_normalized(curve, form, records, eps):
-    """(chi, basis, zeta): chi = form - 2 i pi eps du, whose A-periods
-    vanish; basis, chi in the canonical basis, whose atoms give its
-    primitive; zeta, chi's B-period over 2 i pi, the closed sum of the
-    atoms' (0 on the sphere)."""
-    chi = form
-    for e in eps:
-        chi = SumForm([(1.0, chi), (-2j * np.pi * e, DuForm(curve))])
-    basis = _basis(curve, records, [])
-    zeta = sum(canonical_period(curve, basis, "b")
+def _zeta(curve, basis):
+    """chi's B-period over 2 i pi, the closed sum of the atoms' of its
+    expansion ``basis`` in the canonical basis (0 on the sphere)."""
+    return sum(canonical_period(curve, basis, "b")
                for _ in curve.cycles) / (2j * np.pi)
-    return chi, basis, zeta
 
 
 # -- classical tau and Sato ------------------------------------------------------------
@@ -366,8 +367,7 @@ class ClassicalTau:
         self.form = form
         self.prep = prepotential(curve, form, basepoint)
         self.f0_tilde = shifted_prepotential_value(self.prep)
-        _, _, self.zeta_t = _a_normalized(curve, form, self.prep.records,
-                                          self.prep.eps)
+        self.zeta_t = _zeta(curve, self.prep.basis)
         self.theta_factor = curve.theta_jet(self.zeta_t, 0)[0]
 
 

@@ -53,6 +53,14 @@ def _log_linear(o, n) -> np.ndarray:
     return out
 
 
+def _binomials(n, count) -> np.ndarray:
+    """[..., k] = C(n + k, k) = prod_(j<=k) (n + j)/j, k < count."""
+    k = np.arange(1.0, count)
+    steps = np.concatenate([np.ones(np.shape(n) + (1,)),
+                            (np.expand_dims(n, -1) + k) / k], axis=-1)
+    return np.cumprod(steps, axis=-1)
+
+
 def _log1m_rise(ya, yb):
     """log(1 - e^(2 i pi y)) continued along the straight segments
     [ya, yb]: the principal log above the real axis, 2 i pi y + log(1 -
@@ -118,8 +126,10 @@ class RationalFunction:
                          var_tag=var_tag)
         qs = TruncSeries(_poly_shift(q, z0)[:order + 1 + len(self.den)], 0,
                          var_tag=var_tag)
-        # deformation sums carry removable 0/0 factors at special points
-        return _trim_leading_noise(ps) / _trim_leading_noise(qs)
+        # removable 0/0 factors of deformation sums, and the roundoff that
+        # opens the shifted denominator at a pole, are trimmed
+        return _trim_leading_noise(ps, head=None) \
+            / _trim_leading_noise(qs, head=None)
 
     def series_at_infinity(self, order: int, var_tag="w@inf") -> TruncSeries:
         """Series in w = 1/z."""
@@ -154,17 +164,21 @@ class RationalFunction:
         return RationalFunction(self.num * c, self.den)
 
 
-def _cluster(roots, tol=1e-7):
-    """Group numerically equal roots into (value, multiplicity) pairs."""
-    roots = sorted(roots, key=lambda r: (round(r.real, 7), round(r.imag, 7)))
-    out = []
-    for r in roots:
-        if out and abs(r - out[-1][0]) < tol * max(1.0, abs(r)):
-            val, m = out[-1]
-            out[-1] = ((val * m + r) / (m + 1), m + 1)
-        else:
-            out.append((r, 1))
-    return [(complex(v), int(m)) for v, m in out]
+def _cluster(roots, tol=1e-10):
+    """Group the roots of a polynomial into (centre, multiplicity) pairs.
+    polyroots spreads an m-fold root by about roundoff^(1/m) (2.5e-3 at m =
+    5), so a group is a root's m nearest, for the largest m that keep
+    within tol^(1/m) max(1, |centre|) of their mean, the centre."""
+    left, out = [complex(r) for r in roots], []
+    while left:
+        near = np.array(sorted(left, key=lambda q: abs(q - left[0])))
+        m = max(m for m in range(1, len(near) + 1) if np.max(np.abs(
+            near[:m] - near[:m].mean())) < tol ** (1 / m) * max(
+                1.0, abs(near[:m].mean())))
+        out.append((complex(near[:m].mean()), m))
+        left = list(near[m:])
+    return sorted(out, key=lambda p: (round(p[0].real, 7),
+                                      round(p[0].imag, 7)))
 
 
 # -- data records ---------------------------------------------------------------
@@ -267,12 +281,15 @@ class SpectralCurve:
     #   _log_prime_jet(c, n, o)       [t^k] log(E(c + t)/(o + t)), o = c - l
     #                                 the offset from a pole l (o = 0: c = l)
     #   theta_jet(v, n)               [t^k] theta(v + t)
-    #   _lattice_point(c)             the pole l of F nearest c
+    #   _lattice_point(c)             the pole l of F nearest c, where E
+    #                                 vanishes (0 on the sphere)
     #   _log_prime_rise(a, b)         the change of log E continued along
     #                                 the straight segments [a, b] (a and b
     #                                 broadcast)
     #   szego_grid(v, zeta)           theta(v + zeta)/(theta(zeta) E(v))
     #                                 over an ndarray v, in one theta sum
+    # The kernels below and forms.KernelForm read the curve only through
+    # these; the sphere adds their series in w = 1/z (kernel_at_infinity).
     # The torus backend reads the series of wp = -(log E)'' + c0 behind
     # x_series and y_series (wp_series), and g2, g3, off the same log E
     # jet; only point values of wp come from EllipticTools.
@@ -343,10 +360,9 @@ class SpectralCurve:
     # E(v)).  Point values are read off the jet of log E and broadcast over
     # an ndarray.  Series split log E(c + t) = log(o + t) + rho(t) at the
     # pole l nearest c, o = c - l (``_regular_jet``, which the recursion's
-    # row tables read too): the pole's part, 1/(o + t) in P and the Bergman
-    # leg, o + t in the Szego factor, is exact, from inverting o + inner
-    # itself, and only the regular part rho comes from the jet; they carry
-    # the Laurent head when c sits on the pole.  F's series is -d/dt of P's.
+    # row tables read too): the pole's part is in closed form and only the
+    # regular part rho comes from the jet; on the pole the series carry
+    # the exact Laurent head.
 
     def _regular_jet(self, c, n):
         """(o, rho): rows k = 0..n of rho = [t^k] log(E(c + t)/(o + t)); o is
@@ -359,17 +375,24 @@ class SpectralCurve:
 
     def bergman(self, v):
         """F(v)."""
-        return self.bergman_derivs(v, 1)[0]
+        return -2.0 * self._log_prime_jet(v, 2)[2]
 
-    def bergman_derivs(self, v, count):
-        """[F^(q)(v)/q! = -(q+2)(q+1) [t^(q+2)] log E(v + t) for q < count],
-        q on a new first axis."""
-        q = np.arange(count).reshape((-1,) + (1,) * np.ndim(v))
-        return -(q + 2) * (q + 1) * self._log_prime_jet(v, count + 1)[2:]
-
-    def bergman_primitive(self, v):
-        """P(v)."""
-        return self._log_prime_jet(v, 1)[1]
+    def kernel_series(self, c, head, order):
+        """[t^i] sum_k head[k] K_k(c + t), i <= order, for the kernels K_k =
+        (-1)^k d/dt (1/k!) d^k/dt^k log E of forms.KernelForm; on the pole
+        the exact head sum_k head[k] t^-(k+1) leads, and rho alone follows."""
+        count = len(head)
+        o, jet = self._regular_jet(c, order + count)
+        if o != 0:
+            jet = jet + _log_linear(o, order + count)
+        # [t^(i-1)] K_k = i C(i + k, k) [t^(i+k)] log E, i = 1..order + 1
+        i = np.arange(1, order + 2)
+        signed = np.asarray(head) * (-1.0) ** np.arange(count)
+        taylor = i * ((_binomials(i, count)
+                       * jet[np.add.outer(i, np.arange(count))]) @ signed)
+        if o != 0:
+            return TruncSeries(taylor)
+        return TruncSeries(np.concatenate([head[::-1], taylor]), -count)
 
     def prime_form(self, v):
         """E(v)."""
@@ -395,12 +418,6 @@ class SpectralCurve:
         regular = -(t + 1) * t * rho[2:]
         return (gamma @ regular.reshape(n, -1)).reshape(regular.shape) \
             - t * inverse_at(o, s, n)[1:]
-
-    def bergman_primitive_series(self, c, order):
-        """P(c + t) = 1/(o + t) + rho'(t), known through t^order."""
-        o, rho = self._regular_jet(c, order + 1)
-        pole = TruncSeries(np.concatenate([[o, 1.0], np.zeros(order + 1)]))
-        return pole.invert() + TruncSeries(rho[1:] * np.arange(1, order + 2))
 
     def szego_series(self, c, inner, zeta):
         """theta(c + zeta + inner)/(theta(zeta) E(c + inner)) from Taylor
@@ -470,13 +487,16 @@ class Genus0Curve(SpectralCurve):
     def _lattice_point(self, c):
         return 0.0
 
-    def bergman_taylor_at_infinity(self, p, count, order):
-        """[F^(q)(p - z)/q! dz/dw for q < count] in the chart w = 1/z:
-        -(q+1) w^q (1 - p w)^-(q+2), known through w^order."""
-        base = TruncSeries(np.concatenate([[1.0, -p], np.zeros(order)]))
-        rows = _power_rows(base.invert().coeffs, count + 1)[2:]
-        return [TruncSeries(rows[q] * -(q + 1.0), q, "w@inf")
-                for q in range(count)]
+    def kernel_at_infinity(self, p, head, order):
+        """sum_k head[k] (z - p)^-(k+1) dz = h(w) dw in the chart w = 1/z:
+        h = -sum_k head[k] w^(k-1) (1 - p w)^-(k+1), known through
+        w^order, from the closed-form coefficients C(k + n, n) p^n."""
+        n = np.arange(order + 2)
+        rows = _binomials(n, len(head)) * (complex(p) ** n)[:, None]
+        out = np.zeros(order + 2, dtype=complex)
+        for k, c in enumerate(head):
+            out[k:] -= c * rows[:order + 2 - k, k]
+        return TruncSeries(out, -1, "w@inf")
 
     def _find_ramification(self):
         pol = np.polynomial.polynomial
@@ -879,7 +899,7 @@ def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:
     scalar division.  Their roundoff-level leading coefficients are
     trimmed first, which cancels a removable factor that both carry at c
     (deformation sums do)."""
-    num, den = (_trim_leading_noise(TruncSeries(_poly_shift(p, c)))
+    num, den = (_trim_leading_noise(TruncSeries(_poly_shift(p, c)), head=None)
                 for p in (R.num, R.den))
     den = R.den[0] if len(R.den) == 1 else den.compose(inner)
     return num.compose(inner) / den
@@ -903,10 +923,11 @@ def _compose_rational(R: RationalFunction, inner: TruncSeries) -> TruncSeries:
                   else _trim_leading_noise(poly_of(R.den)))
 
 
-def _trim_leading_noise(f: TruncSeries, rel=3e-12) -> TruncSeries:
-    """Zero leading coefficients that are roundoff relative to the head."""
+def _trim_leading_noise(f: TruncSeries, rel=3e-12, head=8) -> TruncSeries:
+    """Zero leading coefficients that are roundoff relative to the largest
+    of the first ``head`` (of all of them for None: a polynomial's)."""
     coeffs = f.coeffs.copy()
-    scale = np.max(np.abs(coeffs[:8])) if len(coeffs) else 0.0
+    scale = np.max(np.abs(coeffs[:head])) if len(coeffs) else 0.0
     i = 0
     while i < len(coeffs) - 1 and abs(coeffs[i]) < rel * scale:
         coeffs[i] = 0.0

@@ -47,38 +47,31 @@ def deform_second_kind(curve, center, j, lam):
         raise NotRepresentable(
             f"deformations are supported at poles of X only, not {center}")
     bf = SecondKindBasis(curve, xp, j)
-    cm = bf.cm
     if curve.genus == 0:
         if center == "inf":
-            num = np.zeros(j, dtype=complex)
-            for m in range(j):
-                num[m] = -cm[m] * (m + 1) / j
-            omega_rat = RationalFunction(num)
+            omega_rat = bf.R
         else:
-            p = complex(center)
-            num = np.zeros(1, dtype=complex)
-            den = np.array([1.0], dtype=complex)
+            # sum_k head[k] (z - p)^-(k+1) over (z - p)^(len(head)), by Horner
+            (p, head), = bf.parts
             shift = np.array([-p, 1.0], dtype=complex)
-            for _ in range(j + 1):
-                den = _pol.polymul(den, shift)
-            for m in range(j):
-                piece = np.array([cm[m] * (m + 1) / j], dtype=complex)
-                for _ in range(j - 1 - m):
-                    piece = _pol.polymul(piece, shift)
-                num = _pol.polyadd(num, piece)
-            omega_rat = RationalFunction(num, den)
+            num = np.zeros(1, dtype=complex)
+            for c in head:
+                num = _pol.polyadd(_pol.polymul(num, shift), [c])
+            omega_rat = RationalFunction(num, _pol.polypow(shift, len(head)))
         dY = _rat_div(omega_rat.scale(lam), curve.dX)
         return curve.deformed(dY)
 
-    # genus 1: omega_{0,j} = (1/j)[c_0 (wp - c0c) + sum_m c_m (-1)^m wp^(m)/m!]
+    # genus 1, head[m+1] = (m+1) a_m: omega_{0,j} = sum_m a_m (-1)^m
+    # F^(m)(u)/m! du with F = wp - c0
     from math import factorial
     ell = curve.ell
     g2, g3 = curve.invariants_g2_g3()
     pairs = _wp_pairs(j + 1, g2, g3)
     A = np.array([0.0], dtype=complex)
     B = np.array([0.0], dtype=complex)
-    for m in range(j):
-        c = cm[m] * (-1.0) ** m / factorial(m) / j
+    (_, head), = bf.parts
+    for m, hm in enumerate(head[1:]):
+        c = hm * (-1.0) ** m / factorial(m + 1)
         if c == 0:
             continue
         Am, Bm = pairs[m]

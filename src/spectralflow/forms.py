@@ -3,16 +3,17 @@
 Forms are represented against the global chart (z on the sphere, u on
 the torus): ``value(z)`` returns g with omega = g dz, elementwise over
 an ndarray of points (a constant form may return its scalar, which
-broadcasts), and
-``local_series(center, order)`` the series of g in the chart offset;
-``center`` may be the string "inf" on the sphere, where the series is
-taken in w = 1/z and omega = h(w) dw.  The atoms of the canonical basis,
-and their sums, also give ``primitive(o, zs)``: [int_o^z for z in zs]
-along the straight segments, in closed form from the curve's log E.
+broadcasts), and ``local_series(center, order)`` the series of g in the
+chart offset; ``center`` may be the string "inf" on the sphere, where the
+series is taken in w = 1/z and omega = h(w) dw.  The canonical basis and
+its sums also give ``primitive(o, zs)``: [int_o^z for z in zs] along the
+straight segments, in closed form from the curve's log E.
 
-The atoms here close under everything the library needs: Y dX, the
-canonical basis (holomorphic, second kind, third kind), Bergman legs
-for insertion-operator deformations, and linear combinations.
+Every form built from the prime form is one KernelForm: a sum over
+finite poles of residues of the Bergman kernel, read off one jet of log E
+per pole.  ThirdKind (dS), BergmanLeg and SecondKindBasis (omega_{p,j})
+construct it, and a form's expansion in the canonical basis is one.
+Besides, Y dX, c du, rational and wp-polynomial forms, and sums.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ from .curve import (
     RationalFunction,
     _compose_rational,
     _drop_low_noise,
-    _poly_shift,
-    flip_parity,
 )
 from .errors import (
     BadIndex,
+    NotRepresentable,
     PoleAtRamificationPoint,
     ResidueSumNonzero,
     TruncationTooShort,
     UnsupportedCycle,
 )
-from .series import TruncSeries, _combine, constant
+from .series import constant
 
 
 class Form1:
@@ -109,6 +109,10 @@ class SumForm(Form1):
     __rmul__ = __mul__
 
 
+def _label(center):
+    return center if isinstance(center, str) else f"{complex(center):.6g}"
+
+
 def _same_center(a, b, tol=1e-9):
     if isinstance(a, str) or isinstance(b, str):
         return a == b
@@ -129,6 +133,14 @@ class RationalDz(Form1):
             # omega = R(1/w) d(1/w) = -R(1/w) w^-2 dw
             return -self.R.series_at_infinity(order + 4).shift(-2)
         return self.R.series(center, order)
+
+    def primitive(self, o, zs):
+        """int_o^z R dz for a polynomial R (the second-kind atoms at inf)."""
+        if len(self.R.den) > 1:
+            raise NotRepresentable("a primitive needs a polynomial R")
+        integral = np.polynomial.polynomial.polyint(self.R.num / self.R.den[0])
+        vals = np.polynomial.polynomial.polyval(np.append(zs, o), integral)
+        return vals[:-1] - vals[-1]
 
     def poles(self):
         out = [(p, m + 1) for p, m in self.R.finite_poles()]
@@ -196,158 +208,113 @@ class DuForm(Form1):
         return self.c * (a if which == "a" else b)
 
 
-class ThirdKind(Form1):
+class KernelForm(Form1):
+    """sum_p sum_k head_p[k] K_k(z - p) dz over finite poles p, K_k the
+    residue of B = d1 d2 log E with principal part (z - p)^-(k+1) dz and no
+    A-period.  With L_n(v) = [t^n] log E(v + t), d/dz L_n(z - p) = (n + 1)
+    L_(n+1)(z - p) gives K_k = (-1)^k (k + 1) L_(k+1) and the primitive
+    sum_k (-1)^k head_p[k] L_k(z - p), L_0 = log E continued along the
+    segment: head_p[0] = r_p is the residue (K_0 = P = (log E)'), head_p[m+1]
+    = (m + 1) a_(p,m) weighs F^(m)(p - z)/m! (F = -(log E)''), and the
+    B-period is 2 i pi sum_p (r_p cell(p) + a_(p,0)).  Each quantity reads
+    one jet of log E per pole; on the sphere, residues that do not sum to
+    0 leave a simple pole at inf."""
+
+    def __init__(self, curve, parts):
+        self.curve = curve
+        self.parts = [(complex(p), np.asarray(h, dtype=complex))
+                      for p, h in parts]
+        self.centers = np.array([p for p, _ in self.parts])
+        width = max(len(h) for _, h in self.parts)
+        # row p: (-1)^k head_p[k], the weight of L_k(z - p) in the primitive
+        self.signed = np.array([np.pad(h, (0, width - len(h)))
+                                for _, h in self.parts]) \
+            * (-1.0) ** np.arange(width)
+
+    def _sum(self, weights, z, poles):
+        """sum_(k>=1) weights[p, k-1] L_k(z - p) over the poles selected, from
+        one jet, summed in order: a z gets the same bits in any batch."""
+        shape = (-1,) + (1,) * np.ndim(z)
+        jet = self.curve._log_prime_jet(z - self.centers[poles].reshape(
+            shape), weights.shape[1])[1:]
+        return (weights.T.reshape(jet.shape[:2] + shape[1:]) * jet).sum((0, 1))
+
+    def value(self, z):
+        return self._sum(self.signed * np.arange(1, self.signed.shape[1] + 1),
+                         z, Ellipsis)
+
+    def primitive(self, o, zs):
+        r, deep = self.signed[:, 0], np.any(self.signed[:, 1:], axis=1)
+        out = np.zeros(len(zs), dtype=complex)
+        if np.any(r):
+            p = self.centers[r != 0, None]
+            out += r[r != 0] @ self.curve._log_prime_rise(o - p, zs - p)
+        if np.any(deep):
+            vals = self._sum(self.signed[deep, 1:], np.append(zs, o), deep)
+            out += vals[:-1] - vals[-1]
+        return out
+
+    def local_series(self, center, order):
+        terms = [self.curve.kernel_at_infinity(p, h, order) if center == "inf"
+                 else self.curve.kernel_series(center - p, h, order)
+                 for p, h in self.parts]
+        return sum(terms[1:], terms[0])
+
+    def poles(self):
+        out = [(p, len(h)) for p, h in self.parts]
+        if abs(np.sum(self.signed[:, 0])) > 1e-10:
+            out.append(("inf", 1))
+        return out
+
+    def cycle_period(self, which):
+        return 0.0 if which == "a" else 2j * np.pi * sum(
+            h[0] * self.curve.to_cell(p) + (h[1] if len(h) > 1 else 0)
+            for p, h in self.parts)
+
+
+def ThirdKind(curve, z1, z2):
     """dS_{z1,z2}: simple poles +1 at z1 and -1 at z2."""
-
-    def __init__(self, curve, z1, z2):
-        self.curve = curve
-        self.z1, self.z2 = complex(z1), complex(z2)
-
-    def value(self, z):
-        P = self.curve.bergman_primitive
-        return P(z - self.z1) - P(z - self.z2)
-
-    def local_series(self, center, order):
-        if center == "inf":
-            # 1/(1/w - zi) * (-1/w^2) dw = -1/(w (1 - zi w)) dw
-            out = None
-            for sgn, zi in ((1.0, self.z1), (-1.0, self.z2)):
-                den = TruncSeries(
-                    np.concatenate([[1.0, -zi], np.zeros(order + 4)]), 0)
-                t = den.invert().shift(-1) * (-sgn)
-                out = t if out is None else out + t
-            return out
-        P = self.curve.bergman_primitive_series
-        return P(center - self.z1, order + 3) - P(center - self.z2, order + 3)
-
-    def primitive(self, o, zs):
-        """log E(. - z1) - log E(. - z2), continued from o to each z."""
-        p = np.array([[self.z1], [self.z2]])
-        return np.subtract(*self.curve._log_prime_rise(o - p, zs - p))
-
-    def poles(self):
-        return [(self.z1, 1), (self.z2, 1)]
-
-    def cycle_period(self, which):
-        if which == "a":
-            return 0.0
-        cell = self.curve.to_cell
-        return 2j * np.pi * (cell(self.z1) - cell(self.z2))
+    return KernelForm(curve, [(z1, [1.0]), (z2, [-1.0])])
 
 
-class BergmanLeg(Form1):
+def BergmanLeg(curve, z0, scale=1.0):
     """scale * B(z0, .) with one leg frozen at z0."""
-
-    def __init__(self, curve, z0, scale=1.0):
-        self.curve = curve
-        self.z0 = complex(z0)
-        self.scale = complex(scale)
-
-    def value(self, z):
-        return self.scale * self.curve.bergman(z - self.z0)
-
-    def local_series(self, center, order):
-        if center == "inf":
-            F = self.curve.bergman_taylor_at_infinity(self.z0, 1, order + 4)[0]
-        else:
-            F = -self.curve.bergman_primitive_series(
-                center - self.z0, order + 6).differentiate()
-        return F * self.scale
-
-    def poles(self):
-        return [(self.z0, 2)]
-
-    def cycle_period(self, which):
-        return 0.0 if which == "a" else 2j * np.pi * self.scale
+    return KernelForm(curve, [(z0, [0.0, scale])])
 
 
-class SecondKindBasis(Form1):
-    """omega_{p,j} normalized so that d(omega)/d t_{p,j} pairing holds:
-    principal part xi^-(j+1) d(xi) at p, no residue, no other pole.
+def SecondKindBasis(curve, pole, j):
+    """omega_{p,j} at the PoleFrame ``pole``: principal part xi^-(j+1) dxi =
+    -(1/j) d(xi^-j) at p and no other pole; at inf on the sphere the
+    polynomial -sum_m head[m+1] z^m dz (z^m dz = -w^-(m+2) dw)."""
+    if j < 1:
+        raise BadIndex(f"second-kind index j = {j} must be >= 1")
+    head = _principal_part((pole.xi_of_s.invert() ** j).differentiate()
+                           * (-1.0 / j))
+    if pole.location == "inf":
+        return RationalDz(RationalFunction(-head[1:]))
+    return KernelForm(curve, [(pole.location, head)])
 
-    With z' = p + s near the pole, B(z', z) = sum_m F^(m)(p - z)/m! s^m
-    dz, so omega_{p,j}(z) = (1/j) sum_m c_m F^(m)(p - z)/m!, where c_m is
-    the coefficient of s^(-1-m) in xi(s)^-j."""
 
-    def __init__(self, curve, pole, j):
-        if j < 1:
-            raise BadIndex(f"second-kind index j = {j} must be >= 1")
-        self.curve = curve
-        self.pole = pole            # PoleFrame
-        self.j = int(j)
-        xi = pole.xi_of_s
-        invj = xi.invert() ** j
-        # c[m] = coefficient of s^(-1-m) in xi(s)^-j, m = 0..j-1
-        self.cm = np.array([invj.coeff(-1 - m) for m in range(j)],
-                           dtype=complex)
-        self.center = pole.location
-
-    def value(self, z):
-        j, cm = self.j, self.cm
-        if self.center == "inf":
-            # B(z', z) = -sum_m (m+1) z^m w'^m dw' dz near w' = 0
-            return -sum(cm[m] * (m + 1) * z ** m for m in range(j)) / j
-        F = self.curve.bergman_derivs(self.center - z, j)
-        return sum(cm[m] * F[m] for m in range(j)) / j
-
-    def local_series(self, center, order):
-        j, cm = self.j, self.cm
-        if self.center == "inf":
-            poly = np.zeros(j + 1, dtype=complex)
-            for m in range(j):
-                poly[m] = -cm[m] * (m + 1) / j
-            if center == "inf":
-                # q(z) dz = -q(1/w) w^-2 dw
-                n = len(poly)
-                rev = np.zeros(order + n + 4, dtype=complex)
-                rev[:n] = -poly[::-1]
-                return TruncSeries(rev, -(n + 1))
-            shifted = _poly_shift(poly, center)
-            pad = np.zeros(max(order + 1, len(shifted)), dtype=complex)
-            pad[:len(shifted)] = shifted
-            return TruncSeries(pad[:order + 1], 0)
-        if center == "inf":
-            F = self.curve.bergman_taylor_at_infinity(self.center, j,
-                                                      order + 4)
-            return _combine(cm / j, F)
-        # F^(q)(p - center - t)/q!: derivatives of F(p - center + t) = -P',
-        # then t -> -t
-        F = [-self.curve.bergman_primitive_series(
-            self.center - center, order + j + 6).differentiate()]
-        for q in range(1, j):
-            F.append(F[-1].differentiate() * (1.0 / q))
-        return flip_parity(_combine(cm / j, F))
-
-    def primitive(self, o, zs):
-        """(1/j) sum_m c_m (m+1) L_(m+1)(p - .) from o to each z, L_k = [t^k]
-        log E(. + t): F^(m)(p - z)/m! dz = d((m+1) L_(m+1)(p - z)); at
-        "inf" the polynomial -(1/j) sum_m c_m z^(m+1)."""
-        j, z = self.j, np.append(zs, o)
-        if self.center == "inf":
-            vals = -np.polynomial.polynomial.polyval(
-                z, np.concatenate([[0.0], self.cm])) / j
-        else:
-            L = self.curve._log_prime_jet(self.center - z, j)[1:]
-            vals = (self.cm * np.arange(1, j + 1) / j) @ L
-        return vals[:-1] - vals[-1]
-
-    def poles(self):
-        return [(self.center, self.j + 1)]
-
-    def cycle_period(self, which):
-        return 0.0 if which == "a" else 2j * np.pi * self.cm[0] / self.j
+def _principal_part(h, tol=0.0):
+    """[h_(-1), h_(-2), ...], the coefficients of a series h at its negative
+    powers, without the trailing ones of modulus <= tol."""
+    head = h.coeffs[:max(-h.k_min, 0)][::-1]
+    return head[:np.flatnonzero(np.abs(head) > tol).max(initial=-1) + 1]
 
 
 # -- times and filling fractions -----------------------------------------------
 
 class PoleTimes:
     """Laurent data of a form at one pole, in the local coordinate of
-    ``frame`` (its order d_p)."""
+    ``frame`` (its order d_p): the form's series there in the chart, its
+    principal part and its times."""
 
-    def __init__(self, center, frame, kind, times):
+    def __init__(self, center, frame, kind, series, head, times):
         self.center = center
         self.frame = frame
         self.kind = kind            # 'x_pole' or 'omega_pole'
+        self.series = series        # the form's local series at center
+        self.head = head            # _principal_part of the series
         self.times = times          # t_j = Res omega xi^j, j = 0..len-1
 
     def __repr__(self):
@@ -370,12 +337,19 @@ def pole_frame(curve, center):
 
 
 def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
-    """All times t_{p,j} of the form plus its filling fractions.
+    """All times t_{p,j} of the form plus its filling fractions."""
+    return expansion(curve, form, j_max, tol)[:2]
+
+
+def expansion(curve, form: Form1, j_max=None, tol=1e-10):
+    """(records, eps, basis): the form's PoleTimes, its filling fractions,
+    and the form less 2 i pi eps du in the canonical basis, built once.
 
     Poles of the form sitting at ramification points are rejected; the
-    residue-theorem sum over t_{p,0} is enforced as a check.  The filling
-    fractions are read off a point value of the form less its expansion
-    in the canonical basis, which refuses times cut short at j_cap.
+    residue-theorem sum over t_{p,0} is enforced as a check.  xi is s to
+    first order at every pole, so the times run to the pole's order: a
+    pole deeper than j_cap is refused.  The filling fractions are read off
+    a point value of the form less its expansion in the canonical basis.
     """
     j_cap = j_max if j_max is not None else curve.order - 4
     records = []
@@ -401,20 +375,41 @@ def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
             except TruncationTooShort:
                 break
             prod = prod * xi
+        head = _principal_part(h, tol)
+        if len(head) > len(times):
+            raise TruncationTooShort(
+                f"the pole at {_label(center)} has order {len(head)}, but its "
+                f"times stop after {len(times)} terms (j_cap = {j_cap})")
         # trim trailing zeros but keep t_0
         while len(times) > 1 and abs(times[-1]) < tol:
             times.pop()
         if kind == "omega_pole" and all(abs(t) < tol for t in times):
             continue                    # pole cancelled inside a SumForm
-        records.append(PoleTimes(center, frame, kind,
+        records.append(PoleTimes(center, frame, kind, h, head,
                                  np.array(times)))
 
     total = sum(r.times[0] for r in records)
     if abs(total) > 1e-8:
-        raise ResidueSumNonzero(f"sum of residues = {total}")
+        raise ResidueSumNonzero(f"sum of residues = {total:.6g}: " + ", ".join(
+            f"{r.times[0]:.3g} at {_label(r.center)}" for r in records))
 
     from .geometry import _filling_fractions
-    return records, _filling_fractions(curve, form, records, j_cap)
+    basis = _basis(curve, records)
+    return records, _filling_fractions(curve, form, basis, records, j_cap), \
+        basis
+
+
+def _basis(curve, records):
+    """The form less its c du in the canonical basis: one KernelForm with
+    the principal part of each finite pole (t_(p,0) dS + sum_j t_(p,j)
+    omega_(p,j)), and the polynomial -sum_m head[m+1] z^m dz at inf on the
+    sphere, where the kernel form has the residue."""
+    finite = [(r.center, r.head) for r in records
+              if r.center != "inf" and len(r.head)]
+    terms = [(1.0, KernelForm(curve, finite))] if finite else []
+    terms += [(1.0, RationalDz(RationalFunction(-r.head[1:])))
+              for r in records if r.center == "inf" and len(r.head) > 1]
+    return SumForm(terms)
 
 
 class WpPolyDu(Form1):

@@ -23,14 +23,18 @@ from .errors import (
 )
 from .forms import (
     DuForm,
+    KernelForm,
+    PoleTimes,
     SecondKindBasis,
     SumForm,
     ThirdKind,
+    _label,
     _same_center,
+    expansion,
     pole_frame,
     times_and_fillings,
 )
-from .series import TruncSeries, _monomial, truncate
+from .series import _monomial, truncate
 
 # a clear basepoint keeps this distance from poles and branch points
 _BASEPOINT_CLEARANCE = 0.2
@@ -113,11 +117,13 @@ def line_integral(curve, form, z_from, z_to):
 
 # -- two-point kernels ------------------------------------------------------------
 
-def _apart(z1, z2):
-    """z1 - z2, refused where the prime form vanishes on the diagonal."""
-    if np.any(np.abs(z1 - z2) < 1e-14):
+def _apart(curve, z1, z2):
+    """z1 - z2, refused where the prime form vanishes: on the diagonal,
+    modulo the curve's lattice (whose only point is 0 on the sphere)."""
+    v = z1 - z2
+    if np.any(np.abs(v - curve._lattice_point(v)) < 1e-14):
         raise CoincidentPoints("prime form vanishes on the diagonal")
-    return z1 - z2
+    return v
 
 
 class Geometry:
@@ -128,18 +134,16 @@ class Geometry:
 
     # prime form, reduced by sqrt(chart legs), broadcast over arrays
     def prime_form(self, z1, z2):
-        return self.curve.prime_form(_apart(z1, z2))
+        return self.curve.prime_form(_apart(self.curve, z1, z2))
 
     def szego(self, z1, z2, zeta):
         """theta(z1 - z2 + zeta)/(theta(zeta) E(z1, z2)), broadcast over
         arrays."""
-        return self.curve.szego_grid(_apart(z1, z2), zeta)
+        return self.curve.szego_grid(_apart(self.curve, z1, z2), zeta)
 
     def bergman(self, z1, z2):
         """B(z1, z2)/(dchart dchart)."""
-        if abs(z1 - z2) < 1e-14:
-            raise CoincidentPoints("Bergman kernel pole on the diagonal")
-        return self.curve.bergman(z1 - z2)
+        return self.curve.bergman(_apart(self.curve, z1, z2))
 
     def third_kind(self, z1, z2, z):
         """dS_{z1,z2}(z)/dchart."""
@@ -181,13 +185,15 @@ def clear_basepoint(curve, form):
 class Prepotential:
     """Value, chemical potentials and derivative lookups for one form."""
 
-    def __init__(self, curve, form, value, mu, records, eps, b_periods):
+    def __init__(self, curve, form, value, mu, records, eps, basis,
+                 b_periods):
         self.curve = curve
         self.form = form
         self.value = value
         self.mu = mu                     # {pole label: regularized potential}
         self.records = records          # PoleTimes list
         self.eps = eps
+        self.basis = basis              # the form less 2 i pi eps du
         self.b_periods_omega = b_periods
 
     def dF_dt(self, center, j):
@@ -197,10 +203,7 @@ class Prepotential:
         used throughout; it is pinned by the finite-difference oracle in
         the tests.
         """
-        rec = self._rec(center)
-        h = self.form.local_series(rec.center, self.curve.order + 6)
-        xi = rec.frame.xi_of_s.retag(h.var_tag)
-        return (h * xi.invert() ** j).residue() / j
+        return _pairing(self._rec(center), j)
 
     def dF_deps(self, i=0):
         """dF0/deps_i, the B-period of the form on handle i."""
@@ -227,6 +230,12 @@ class Prepotential:
         return abs(self.value - 0.5 * total) / max(1.0, abs(self.value))
 
 
+def _pairing(rec, j):
+    """(1/j) Res_p xi^-j omega at the pole of a PoleTimes record."""
+    xi = rec.frame.xi_of_s.retag(rec.series.var_tag)
+    return (rec.series * xi.invert() ** j).residue() / j
+
+
 def _key(center):
     return center if isinstance(center, str) else \
         (round(complex(center).real, 9), round(complex(center).imag, 9))
@@ -243,37 +252,28 @@ def prepotential(curve, form, basepoint=None):
     expansion in the canonical basis.
     """
     o = basepoint if basepoint is not None else clear_basepoint(curve, form)
-    records, eps, basis = decompose(curve, form)
+    records, eps, chi_basis = expansion(curve, form)
+    basis = _with_du(curve, chi_basis, eps)
     obstacles = _pole_translates(curve, form)
 
     res_v = 0.0 + 0.0j
     mu = {}
     t0mu = 0.0 + 0.0j
     for rec in records:
-        h = form.local_series(rec.center, curve.order + 6)
-        frame = rec.frame
-        xi = frame.xi_of_s.retag(h.var_tag)
-        # Res_p V_p omega with V_p = -sum_{j>=1} (t_j / j) xi^-j
-        if len(rec.times) > 1:
-            xinv = xi.invert()
-            V = None
-            for j in range(1, len(rec.times)):
-                if rec.times[j] == 0:
-                    continue
-                term = (xinv ** j) * (rec.times[j] / j)
-                V = term if V is None else V + term
-            if V is not None:
-                res_v += (V * h).residue()
-        mu[_key(rec.center)] = _mu_of(rec, h, basis, o, obstacles)
+        # Res_p V_p omega with V_p = sum_{j>=1} (t_j / j) xi^-j
+        res_v += sum(t * _pairing(rec, j) for j, t in enumerate(rec.times)
+                     if j and t != 0)
+        mu[_key(rec.center)] = _mu_of(rec, basis, o, obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
     bper = [canonical_period(curve, basis, "b") for _ in curve.cycles]
     eps_term = sum(e * b for e, b in zip(eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
-    return Prepotential(curve, form, value, mu, records, eps, bper)
+    return Prepotential(curve, form, value, mu, records, eps, chi_basis,
+                        bper)
 
 
-def _mu_of(rec, h, basis, o, obstacles):
+def _mu_of(rec, basis, o, obstacles):
     """Regularized int_o^p (omega - dV_p - t_p0 dlog xi), matched on the
     way from p towards the basepoint; ``basis`` is omega in the canonical
     basis."""
@@ -285,8 +285,8 @@ def _mu_of(rec, h, basis, o, obstacles):
                    default=1.0)
         s_dir = (complex(o) - p)
         s_dir /= abs(s_dir)
-    _, mu = _regular_primitive(basis, o, rec.frame, h, rec.times, s_dir,
-                               0.2 * min(1.0, dmin))
+    _, mu = _regular_primitive(basis, o, rec.frame, rec.series, rec.times,
+                               s_dir, 0.2 * min(1.0, dmin))
     return mu
 
 
@@ -342,78 +342,38 @@ def shifted_prepotential_value(prep: Prepotential):
 # -- canonical basis and decomposition ----------------------------------------------
 
 def basis_form(curve, rec_or_center, j, basepoint=None):
-    """omega_{p,j}: dS_{p,o} for j = 0, second kind for j >= 1."""
-    if isinstance(rec_or_center, (str, complex, float, int)):
-        center = rec_or_center
-    else:
-        center = rec_or_center.center
+    """omega_{p,j}: dS_{p,o} for j = 0 (-dz/(z - o) for p = inf on the
+    sphere), second kind for j >= 1."""
+    center = rec_or_center.center if isinstance(rec_or_center, PoleTimes) \
+        else rec_or_center
     if j == 0:
         o = basepoint if basepoint is not None else default_basepoint(curve)
         if center == "inf":
-            return _InfThirdKind(curve, o)
+            return KernelForm(curve, [(o, [-1.0])])
         return ThirdKind(curve, center, o)
     return SecondKindBasis(curve, pole_frame(curve, center), j)
 
 
-class _InfThirdKind(ThirdKind):
-    """dS_{inf,o} on the sphere: -dz/(z - o)."""
-
-    def __init__(self, curve, o):
-        self.curve = curve
-        self.z1, self.z2 = None, complex(o)
-
-    def value(self, z):
-        return -1.0 / (z - self.z2)
-
-    def primitive(self, o, zs):
-        return -self.curve._log_prime_rise(o - self.z2, zs - self.z2)
-
-    def local_series(self, center, order):
-        if center == "inf":
-            den = TruncSeries(np.concatenate(
-                [[1.0, -self.z2], np.zeros(order + 4)]), 0)
-            return den.invert().shift(-1)
-        return -self.curve.bergman_primitive_series(center - self.z2,
-                                                    order + 3)
-
-    def poles(self):
-        return [("inf", 1), (self.z2, 1)]
-
-
-def _basis(curve, records, eps):
-    """The form with these times and filling fractions in the canonical
-    basis: sum 2 i pi eps du + sum t_(p,0) dS_(p,p*) + sum t_(p,j)
-    omega_(p,j).  p* is the first finite pole with a residue: the
-    residues sum to 0, so the third-kind part is sum t_(p,0) dS_(p,o) for
-    any o, and this writing of it needs no point off the form's poles."""
-    terms = [(2j * np.pi * e, DuForm(curve)) for e in eps if abs(e) > 1e-13]
-    star = next((r for r in records if not isinstance(r.center, str)
-                 and abs(r.times[0]) > 1e-13), None)
-    for rec in records:
-        if abs(rec.times[0]) > 1e-13 and rec is not star:
-            terms.append((rec.times[0], basis_form(
-                curve, rec.center, 0, star and star.center)))
-        for j in range(1, len(rec.times)):
-            if abs(rec.times[j]) > 1e-13:
-                terms.append((rec.times[j],
-                              SecondKindBasis(curve, rec.frame, j)))
-    return SumForm(terms)
+def _with_du(curve, basis, eps):
+    """basis + sum 2 i pi eps du."""
+    return SumForm([(1.0, basis)] + [(2j * np.pi * e, DuForm(curve))
+                                     for e in eps if abs(e) > 1e-13])
 
 
 def decompose(curve, form):
     """(records, eps, the form rebuilt in the canonical basis)."""
-    records, eps = times_and_fillings(curve, form)
-    return records, eps, _basis(curve, records, eps)
+    records, eps, basis = expansion(curve, form)
+    return records, eps, _with_du(curve, basis, eps)
 
 
-def _filling_fractions(curve, form, records, j_cap):
-    """eps of the form with these times: the basis forms have no
-    A-periods, so the form less its expansion in them is c du, c = 2 i pi
+def _filling_fractions(curve, form, basis, records, j_cap):
+    """eps of the form with ``basis`` its expansion less c du: the basis
+    forms have no A-periods, so the form less ``basis`` is c du, c = 2 i pi
     eps, read at the clear basepoint (0 on the sphere).  Read at the next
     candidate, c differs by at most 2.7e-15 of the values there over the
-    forms of the tests; past _EPS_GAP of them the times stopped short of
-    a pole's order (at j_cap), and TruncationTooShort is raised."""
-    basis, cands = _basis(curve, records, []), _basepoints(curve)
+    forms of the tests; past _EPS_GAP of them, TruncationTooShort backs up
+    the refusal of a pole deeper than j_cap."""
+    cands = _basepoints(curve)
     o = clear_basepoint(curve, form)
     vals = [(form.value(z), basis.value(z))
             for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
@@ -421,7 +381,7 @@ def _filling_fractions(curve, form, records, j_cap):
     if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
         deep = max(records, key=lambda r: len(r.times))
         raise TruncationTooShort(
-            f"the times at {deep.center} stop after {len(deep.times)} "
+            f"the times at {_label(deep.center)} stop after {len(deep.times)} "
             f"terms (j_cap = {j_cap}): the form less its expansion is "
             f"{c1:.6g} du at one basepoint and {c2:.6g} du at the next")
     return np.array([c1 / (2j * np.pi) for _ in curve.cycles],

@@ -57,7 +57,7 @@ residues gives
 
     (1/j) Res_p xi^-j B_{a,k} = [zeta^(k-1)] omega_{p,j}(z_a(zeta))/dzeta
 
-for the second-kind form omega_{p,j} (``forms.SecondKindBasis``), and
+for omega_{p,j} (``forms.SecondKindBasis``, a ``forms.KernelForm``), and
 the B-period of B_{a,k} is the coefficient of 2 pi i du
 (``forms.DuForm``).  ``chart_vector`` reads either as gamma contracted
 with the form's Taylor coefficients at r_a, to the charts' depth.

@@ -318,15 +318,6 @@ def _monomial(k, c, like: TruncSeries) -> TruncSeries:
     return TruncSeries(head, k, like.var_tag)
 
 
-def _combine(coefs, series) -> TruncSeries:
-    """sum_q coefs[q] * series[q] over the nonzero coefficients."""
-    out = None
-    for c, f in zip(coefs, series):
-        if c != 0:
-            out = f * c if out is None else out + f * c
-    return out
-
-
 def inverse_at(c, s: TruncSeries, n) -> np.ndarray:
     """Coefficients of 1/(c + s(t)) through t^n on axis 0, for every c of
     an ndarray at once (c != 0; s vanishes at 0): the recurrence of

@@ -236,6 +236,21 @@ def test_classical_system_makes_no_quadrature_call(monkeypatch):
         ydx.b_loop_transport_residual(0.31 + 0.22j, 0.12 + 0.41j)
 
 
+def test_ydx_primitive_one_jet_per_batch():
+    # Y dX on tau = i has t_1 and t_5 at u = 0: the expansion holds one
+    # kernel atom there, and a primitive batch takes one jet of log E
+    torus = _fresh_torus()
+    sysm = ClassicalSystem(torus, YdX(torus))
+    jet, calls = torus._log_prime_jet, []
+
+    def counted(c, n, *rest):
+        calls.append(n)
+        return jet(c, n, *rest)
+    torus._log_prime_jet = counted
+    sysm._chi_from_base(0.3 + 0.4j + 0.05 * np.arange(4))
+    assert calls == [5]
+
+
 def test_truncated_expansion_refused(torus):
     # wp^11 du has a pole of order 22 at 0, past j_cap = order - 4 = 20:
     # the point values of eps at two basepoints then disagree

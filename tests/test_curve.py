@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from spectralflow.errors import (
     NotRepresentable,
     PoleAtRamificationPoint,
     RootFindingFailed,
+    SpectralFlowError,
 )
 from spectralflow.forms import RationalDz, YdX, times_and_fillings
 
@@ -169,6 +172,39 @@ def test_du_filling_fraction(torus):
     from spectralflow.forms import DuForm
     _, eps = times_and_fillings(torus, DuForm(torus, 2j * np.pi))
     assert abs(eps[0] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("pole", [0.5, 0.3 + 0.7j])
+def test_multiple_pole_is_one_record(airy, pole):
+    # polyroots spreads an m-fold root by up to 2.5e-3 (m = 5): the roots
+    # are grouped by a tolerance that fits m, around their mean
+    for m in range(2, 6):
+        den = np.polynomial.polynomial.polyfromroots([pole] * m)
+        assert len(RationalFunction([1.0], den).finite_poles()) == 1
+        recs, _ = times_and_fillings(airy,
+                                     RationalDz(RationalFunction([1.0], den)))
+        (rec,) = [r for r in recs if r.center != "inf"]
+        assert abs(rec.center - pole) < 1e-9
+        assert len(rec.head) == m
+
+
+@pytest.mark.parametrize("pole", [0.5, 0.3 + 0.7j])
+def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
+    # measured: one record up to m = 18 at 0.5 and m = 10 at 0.3 + 0.7i;
+    # past that the monomial coefficients of (z - p)^m lose the pole, and
+    # the refusal names where it is
+    for m in range(6, 21):
+        den = np.polynomial.polynomial.polyfromroots([pole] * m)
+        try:
+            recs, _ = times_and_fillings(
+                airy, RationalDz(RationalFunction([1.0], den)))
+        except SpectralFlowError as exc:
+            named = re.findall(r"[-+]?\d[\d.e+-]*j", str(exc))
+            assert any(abs(complex(c) - pole) < 1e-6 for c in named), \
+                (m, str(exc))
+        else:
+            (rec,) = [r for r in recs if r.center != "inf"]
+            assert abs(rec.center - pole) < 1e-9 and len(rec.head) == m
 
 
 def test_pole_at_ramification_rejected(airy):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralflow.classical import ClassicalSystem
+from spectralflow.curve import Genus0Curve, RationalFunction
 from spectralflow.errors import (
     CoincidentPoints,
     QuadratureNotConverged,
@@ -66,6 +67,24 @@ def test_prime_form_matches_theta1_quotient(torus):
     z1, z2 = 0.41 + 0.13j, 0.18 + 0.67j
     target = th.theta1(z1 - z2) / th.theta1(0.0, 1)
     assert abs(geo.prime_form(z1, z2) - target) < 1e-14
+
+
+@pytest.mark.parametrize("shift", ["1", "tau", "1+tau"])
+def test_coincident_points_modulo_the_lattice(torus, shift):
+    # z1 - z2 on the lattice is the diagonal of the torus: each kernel
+    # refuses it instead of returning roundoff (2.9e32, -1.7e16, 5.8e-17)
+    geo = Geometry(torus)
+    z2 = 0.3 + 0.2j
+    z1 = z2 + {"1": 1.0, "tau": torus.tau, "1+tau": 1.0 + torus.tau}[shift]
+    for kernel in (geo.bergman, geo.prime_form,
+                   lambda a, b: geo.szego(a, b, 0.23 + 0.17j)):
+        with pytest.raises(CoincidentPoints):
+            kernel(z1, z2)
+    # off the lattice they stay finite; on the sphere only 0 is refused
+    assert np.isfinite(geo.bergman(z1 + 0.1, z2))
+    sphere = Geometry(Genus0Curve(RationalFunction([0, 0, 1]),
+                                  RationalFunction([0, 1])))
+    assert abs(sphere.prime_form(z1, z2) - (z1 - z2)) < 1e-15 * abs(z1 - z2)
 
 
 def test_bergman_genus0(joukowski):

@@ -1,14 +1,22 @@
 """The reduced Bergman kernel B(z1, z2) = F(z1 - z2) dz1 dz2 of each curve
 backend: the Taylor series of F and of its derivatives, read off the
-primitive's series, against closed forms on the sphere and against
-central differences of F on the torus, at the points of a chart; and the
-Szego factor's series against its point values."""
+kernel series of SpectralCurve.kernel_series, against closed forms on the
+sphere and against central differences of F on the torus, at the points
+of a chart; and the Szego factor's series against its point values."""
 
+import numpy as np
 import pytest
 
 from spectralflow.curve import Genus1Curve, RationalFunction
 from spectralflow.errors import ThetaZeroDivision
-from spectralflow.forms import BergmanLeg, SecondKindBasis, ThirdKind
+from spectralflow.forms import (
+    BergmanLeg,
+    KernelForm,
+    SecondKindBasis,
+    ThirdKind,
+    pole_frame,
+)
+from spectralflow.geometry import basis_form
 from spectralflow.series import truncate
 
 TAUS = [1j, 0.25 + 1.07j]
@@ -24,12 +32,18 @@ def _chart(curve):
 
 
 def _taylor(curve, c, count, order):
-    """[F^(q)(c + t)/q! for q < count], series in t: F(c + t) = -P'(c + t)
-    from the primitive's series, then its derivatives over q!."""
-    F = [-curve.bergman_primitive_series(c, order + count).differentiate()]
-    for q in range(1, count):
-        F.append(F[-1].differentiate() * (1.0 / q))
-    return F
+    """[F^(q)(c + t)/q! for q < count], series in t: F^(q)/q! is (-1)^q
+    (q + 1) times the kernel with principal part v^-(q+2)."""
+    return [curve.kernel_series(c, [0.0] * (q + 1) + [(-1.0) ** q * (q + 1)],
+                                order) for q in range(count)]
+
+
+def _jet_derivs(curve, v, count):
+    """[F^(q)(v)/q! = -(q+2)(q+1) [t^(q+2)] log E(v + t) for q < count],
+    q on a new first axis: the jet of log E at v, without the pole
+    split."""
+    q = np.arange(count).reshape((-1,) + (1,) * np.ndim(v))
+    return -(q + 2) * (q + 1) * curve._log_prime_jet(v, count + 1)[2:]
 
 
 def _sphere_taylor(q, v):
@@ -67,7 +81,7 @@ def test_torus_taylor_generic_point(tau):
     cv = _torus(tau)
     c = 0.31 + 0.27 * tau
     T = _taylor(cv, c, 3, 12)
-    D = cv.bergman_derivs(c, 3)
+    D = _jet_derivs(cv, c, 3)
     for q in range(3):
         ref = _fd_taylor(cv, c, q, 2e-4)
         assert abs(T[q].coeff(0) - ref) < 1e-5 * abs(ref)
@@ -110,30 +124,62 @@ def test_primitive_series(request, curve, on_pole):
         c = 0.0 if cv.genus == 0 else 1.0 + cv.tau
     else:
         c = 0.44 + 0.17j
-    P = cv.bergman_primitive_series(c, 24)
+    P = cv.kernel_series(c, [1.0], 24)
     F = -P.differentiate()
     if on_pole:
         assert F.k_min == -2 and F.coeff(-2) == 1.0
     else:
         # P' = -F term by term, F's Taylor coefficients read off the jet
         # of log E at c
-        D = cv.bergman_derivs(c, 12)
+        D = _jet_derivs(cv, c, 12)
         for k in range(12):
             assert abs(F.coeff(k) - D[k]) < 1e-10 * max(1.0, abs(D[k]))
     # and the values: P and -P' against P and F themselves
     for t in (0.05 + 0.03j, -0.04 + 0.02j):
-        ref = cv.bergman_primitive(c + t)
+        ref = KernelForm(cv, [(0.0, [1.0])]).value(c + t)
         assert abs(P.evaluate(t) - ref) < 1e-12 * abs(ref)
         ref = cv.bergman(c + t)
         assert abs(F.evaluate(t) - ref) < 1e-12 * abs(ref)
 
 
+def _constructed(curve):
+    """Each constructor of the kernel form, with a pole it was built at:
+    dS, a Bergman leg, and omega_{p,j} at the pole 0 of X and at a regular
+    point."""
+    p, q = 0.31 + 0.22j, -0.17 + 0.41j
+    if curve.genus:
+        p, q = p + 0.3, q + 0.4 + 0.2 * curve.tau
+    xp = next(f for f in curve.x_poles if f.location == 0.0)
+    out = [(ThirdKind(curve, p, q), p), (BergmanLeg(curve, p, 2.0), p)]
+    out += [(SecondKindBasis(curve, xp, j), 0.0) for j in (1, 2, 3)]
+    out.append((SecondKindBasis(curve, pole_frame(curve, q), 2), q))
+    return out
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
+def test_kernel_forms_match_point_values(request, curve):
+    # the local series of each constructor on its pole (with the Laurent
+    # head), on a translate of the pole by the lattice, and off the pole
+    cv = request.getfixturevalue(curve) if isinstance(curve, str) \
+        else _torus(curve)
+    shift = 1.0 + cv.tau if cv.genus else 0.0
+    for form, pole in _constructed(cv):
+        assert isinstance(form, KernelForm)
+        for center in (pole, pole + shift, pole + 0.23 - 0.14j):
+            ser = form.local_series(center, 30)
+            assert (ser.k_min < 0) == (center != pole + 0.23 - 0.14j)
+            for t in (0.05 + 0.02j, -0.03 + 0.04j):
+                ref = form.value(center + t)
+                assert abs(ser.evaluate(t) - ref) < 1e-12 * abs(ref)
+
+
 def test_forms_in_the_chart_at_infinity(joukowski):
     # omega = g(z) dz = h(w) dw with z = 1/w, so h(w) = -g(1/w) / w^2
-    xp = next(p for p in joukowski.x_poles if p.location != "inf")
-    forms = [BergmanLeg(joukowski, 0.3 + 0.2j, 2.0),
-             ThirdKind(joukowski, 0.3 + 0.2j, -0.4 + 0.1j)]
-    forms += [SecondKindBasis(joukowski, xp, j) for j in (1, 2, 3)]
+    forms = [f for f, _ in _constructed(joukowski)]
+    # dS_{inf,o}: a kernel form whose residues leave one at inf
+    forms += [basis_form(joukowski, "inf", 0, 0.3 + 0.2j),
+              basis_form(joukowski, "inf", 2)]
+    assert ("inf", 1) in forms[-2].poles()
     w = 0.05 + 0.02j
     for f in forms:
         ref = -f.value(1 / w) / w ** 2

@@ -23,7 +23,13 @@ from spectralflow.errors import (
     TruncationTooShort,
     UnsupportedCycle,
 )
-from spectralflow.forms import BergmanLeg, SecondKindBasis, YdX, pole_frame
+from spectralflow.forms import (
+    BergmanLeg,
+    KernelForm,
+    SecondKindBasis,
+    YdX,
+    pole_frame,
+)
 from spectralflow.geometry import prepotential
 from spectralflow.recursion import (
     CorrForm,
@@ -682,13 +688,14 @@ def test_pole_pairing_one_local_series_per_ramification_point(
     eng = pairing_engines["torus"]
     w = eng.omega(2, 1)
     calls = []
-    original = SecondKindBasis.local_series
+    # omega_{p,j} at a finite pole is a KernelForm
+    original = KernelForm.local_series
 
     def counted(self, center, order):
         calls.append(center)
         return original(self, center, order)
 
-    monkeypatch.setattr(SecondKindBasis, "local_series", counted)
+    monkeypatch.setattr(KernelForm, "local_series", counted)
     eng.pole_pairing_vector(w.basis, 0.3 + 0.4j, 3)
     assert len(calls) == eng.A
     assert set(calls) == {r.location for r in eng.rams}
