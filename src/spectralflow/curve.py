@@ -117,19 +117,20 @@ class RationalFunction:
         return RationalFunction(num, mul(self.den, self.den))
 
     def series(self, z0: complex, order: int, var_tag="") -> TruncSeries:
-        n = max(len(self.num), len(self.den)) + order + 1
-        p = np.zeros(n, dtype=complex)
-        q = np.zeros(n, dtype=complex)
-        p[:len(self.num)] = self.num
-        q[:len(self.den)] = self.den
-        ps = TruncSeries(_poly_shift(p, z0)[:order + 1 + len(self.num)], 0,
-                         var_tag=var_tag)
-        qs = TruncSeries(_poly_shift(q, z0)[:order + 1 + len(self.den)], 0,
-                         var_tag=var_tag)
-        # removable 0/0 factors of deformation sums, and the roundoff that
-        # opens the shifted denominator at a pole, are trimmed
-        return _trim_leading_noise(ps, head=None) \
-            / _trim_leading_noise(qs, head=None)
+        """Series at z0 from the numerator and denominator shifted to z0.  At
+        a pole of order m the denominator's first m shifted coefficients are
+        roundoff of their terms (<= 8.9e-16), so (z - z0)^m is divided out
+        first; removable 0/0 factors of deformation sums are trimmed."""
+        pol, q = np.polynomial.polynomial, _poly_shift(self.den, z0)
+        terms = _poly_shift(abs(self.den), abs(z0))
+        m = int(np.argmax(abs(q) > 1e-12 * terms))
+        if m:
+            q = _poly_shift(pol.polydiv(self.den, pol.polyfromroots(
+                [z0] * m))[0], z0)
+        num, den = (_trim_leading_noise(TruncSeries(np.concatenate(
+            [c, np.zeros(order + 1)]), k, var_tag), head=None)
+            for c, k in ((_poly_shift(self.num, z0), 0), (q, m)))
+        return num / den
 
     def series_at_infinity(self, order: int, var_tag="w@inf") -> TruncSeries:
         """Series in w = 1/z."""

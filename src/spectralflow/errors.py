@@ -27,6 +27,10 @@ class TruncationTooShort(SpectralFlowError):
     """A coefficient outside the tracked window was requested."""
 
 
+class LevelTooLarge(SpectralFlowError):
+    """A recursion level whose dense tensor passes the byte bound."""
+
+
 class NotInvertibleAtOrigin(SpectralFlowError):
     """Functional inversion of a series with f(0) != 0 or f'(0) == 0."""
 

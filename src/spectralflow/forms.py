@@ -216,14 +216,15 @@ class KernelForm(Form1):
     sum_k (-1)^k head_p[k] L_k(z - p), L_0 = log E continued along the
     segment: head_p[0] = r_p is the residue (K_0 = P = (log E)'), head_p[m+1]
     = (m + 1) a_(p,m) weighs F^(m)(p - z)/m! (F = -(log E)''), and the
-    B-period is 2 i pi sum_p (r_p cell(p) + a_(p,0)).  Each quantity reads
-    one jet of log E per pole; on the sphere, residues that do not sum to
-    0 leave a simple pole at inf."""
+    B-period is 2 i pi sum_p (r_p p + a_(p,0)), p reduced to the cell, where
+    log E(z - p) has no A-period.  Each quantity reads one jet of log E
+    per pole; on the sphere, residues that do not sum to 0 leave a simple
+    pole at inf."""
 
     def __init__(self, curve, parts):
         self.curve = curve
-        self.parts = [(complex(p), np.asarray(h, dtype=complex))
-                      for p, h in parts]
+        self.parts = [(complex(curve.to_cell(p)),
+                       np.asarray(h, dtype=complex)) for p, h in parts]
         self.centers = np.array([p for p, _ in self.parts])
         width = max(len(h) for _, h in self.parts)
         # row p: (-1)^k head_p[k], the weight of L_k(z - p) in the primitive
@@ -268,7 +269,7 @@ class KernelForm(Form1):
 
     def cycle_period(self, which):
         return 0.0 if which == "a" else 2j * np.pi * sum(
-            h[0] * self.curve.to_cell(p) + (h[1] if len(h) > 1 else 0)
+            h[0] * p + (h[1] if len(h) > 1 else 0)
             for p, h in self.parts)
 
 

@@ -18,10 +18,14 @@ Soibelman, arXiv:1701.09137; Andersen-Borot-Chekhov-Orantin,
 arXiv:1703.03307).  W_i runs over the windows of the basis forms
 B_{b,m}(z_a(zeta)), then over Bergman slots h_{k'} = zeta^(k'-1), which
 carry an omega(0, 2)(zeta, z_j) factor.  Each term of a level is then
-one contraction of P^a with its two factors, and F_g one pairing of
-omega(g, 1) with the primitive of Y dX, likewise built once.  Even-k
+one contraction of P^a with its two factors, and as P^a is symmetric in
+its columns, a product term and its mirror are one contraction.  Even-k
 slots are structurally absent (the forms have no residues), which the
-quadrature cross-checks confirm.
+quadrature cross-checks confirm.  F_g is the dilaton pairing
+1/(2 - 2g) sum_a Res_a Phi omega(g, 1) (Eynard-Orantin, math-ph/0702045),
+Phi = int Y dX = int 2 zeta y_a dzeta, which only the pole k
+zeta^-(k+1) dzeta of B_{a,k} at a meets: F_g = 1/(1 - g) sum_(a,k)
+omega(g, 1)[(a, k)] [zeta^(k-2)] y_a, read off the chart of Y.
 
 Off the row tables, a series of the basis forms is one contraction
 with the curve's reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
@@ -70,9 +74,19 @@ import itertools
 import numpy as np
 
 from .curve import _ON_POLE, _power_rows, _toeplitz, flip_parity
-from .errors import BadIndex, PoleAtRamificationPoint, TruncationTooShort
+from .errors import (
+    BadIndex,
+    LevelTooLarge,
+    PoleAtRamificationPoint,
+    TruncationTooShort,
+)
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries, truncate
+
+# The largest dense level a request may build.  The largest that the
+# tests and the benchmark build is Joukowski omega(0, 5), 1.6 MB; F_5's
+# omega(0, 6) (48 MB) fits, F_6's omega(0, 7) (1.7 GB) does not.
+MAX_LEVEL_BYTES = 1 << 28
 
 
 class CorrForm:
@@ -99,12 +113,11 @@ class RecursionEngine:
         self.rams = curve.ramification_points
         self.A = len(self.rams)
         self._memo: dict = {}
-        self._fg: dict = {}
         self._plg: dict = {}
         # (c, order) -> curve._regular_jet(c, order): the diagonal tables
         # all read the jet at c = 0
         self._jets: dict = {}
-        self._P = self._diag = self._phi_pair = None
+        self._P = self._diag = None
         self._prepare_local_data()
 
     # -- local expansions -------------------------------------------------------
@@ -118,13 +131,11 @@ class RecursionEngine:
         self.deep = deep = cv.order + 2 * mmax + 16
         self.s_of, self.y_of = [], []
         self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
-        self.phi = []               # primitive of Y dX in the zeta chart
         for r in self.rams:
             s_of, y_of = cv.local_chart(r, deep)
             self.s_of.append(s_of)
             self.y_of.append(y_of)
             self.ydiff_inv.append((y_of - flip_parity(y_of)).invert())
-            self.phi.append((y_of.shift(1) * 2.0).antiderivative())
         # per chart, deepened on demand: [p, i] = [zeta^i] s^p, and
         # [m-1, q] = gamma^{a,m}_{-1-q}
         self.powers = [np.zeros((0, 0))] * self.A
@@ -203,23 +214,23 @@ class RecursionEngine:
         return rows
 
     def _window(self, basis, a, lo, hi):
-        """The coefficients on zeta^[lo, hi] of B_{b,m}(z_a(zeta))/dzeta,
-        one column per (b, m) of ``basis``: the pole m zeta^-(m+1) at
-        b == a, plus one slice of each row table.  A window reaching the
-        regular part of a B_{b,m} past the row tables is refused."""
+        """The coefficients on zeta^[lo, hi], lo < 0 <= hi, of
+        B_{b,m}(z_a(zeta))/dzeta, one column per (b, m) of ``basis``: the
+        pole m zeta^-(m+1) at b == a, plus one slice of each row table.  A
+        window reaching the regular part of a B_{b,m} past the row tables
+        is refused."""
         owner, ms = np.array(basis).T
         W = np.zeros((hi - lo + 1, len(ms)), dtype=complex)
-        pole = (owner == a) & (lo <= -(ms + 1)) & (-(ms + 1) <= hi)
+        pole = (owner == a) & (lo <= -(ms + 1))
         W[-(ms[pole] + 1) - lo, pole] = ms[pole]
-        for b in (set(owner.tolist()) if hi >= 0 else ()):
+        for b in set(owner.tolist()):
             rows, cols = self._rows(b, a), owner == b
             if ms[cols].max() > len(rows) or hi >= rows.shape[1]:
                 raise TruncationTooShort(
                     f"B_({b},{ms[cols].max()}) on zeta^[{lo}, {hi}] lies "
                     f"beyond the row tables (m <= {len(rows)}, "
                     f"t < {rows.shape[1]})")
-            t0 = max(lo, 0)
-            W[t0 - lo:, cols] = rows[ms[cols] - 1, t0:hi + 1].T
+            W[-lo:, cols] = rows[ms[cols] - 1, :hi + 1].T
         return W
 
     # -- the residue tensors -------------------------------------------------------
@@ -300,30 +311,33 @@ class RecursionEngine:
 
     def _check_reach(self, g, n):
         """Refuse (g, n) before any work when the curve order or the row
-        tables are too short for it.  The requirements shrink with
-        6g + 2n down the recursion, so the windows of (g, n) itself bound
-        every level below it."""
+        tables are too short for it, or when a level it builds passes
+        ``MAX_LEVEL_BYTES`` of 16-byte entries.  Down the recursion 6g + 2n
+        falls, the deepest factor being omega(g, n - 1) (omega(g - 1, 2) at
+        n = 1), and h + j <= g + n, so for each j the chain
+        omega(g - i, n + i) has the most slots: the largest tensor."""
         top = max(k_slots(g, n))
-        # the stable forms whose basis windows (g, n) reads; an
-        # omega(0, 2) factor is the Bergman kernel, read without the tables
-        forms = [f for _, f1, f2 in _products(g, n - 1) for f in (f1, f2)]
-        if g >= 1:
-            forms.append((g - 1, n + 1))
-        m = max((max(k_slots(h, j)) for h, j in forms if 2 * h + j > 2),
-                default=0)
+        m = max(k_slots(*((g, n - 1) if n > 1 else (g - 1, 2))))
         m_rows = self._row_count()
         if top + 4 > self.curve.order or m > m_rows:
             raise TruncationTooShort(
                 f"(g, n) = ({g}, {n}) needs curve order >= {top + 4} and "
                 f"B_(b,m) for m <= {m}; this engine has curve order "
                 f"{self.curve.order} and row tables m <= {m_rows}")
+        size, big = max((16 * (self.A * len(k_slots(h, j))) ** j, (h, j))
+                        for h, j in zip(range(g, -1, -1), range(n, n + g + 1))
+                        if 2 * h + j > 2)
+        if size > MAX_LEVEL_BYTES:
+            raise LevelTooLarge(
+                f"(g, n) = ({g}, {n}) builds omega{big}, a dense tensor of "
+                f"{size:.3g} bytes, past the bound of {MAX_LEVEL_BYTES}")
 
     def _add_residues(self, g, n, P, diag, heads, tensor):
         """The residues at one ramification point: tensor[heads, ...] +=
         P contracted with the two factors of each of the recursion's
-        terms.  A stable factor's spectators fill a prefix of the level's
-        basis; an omega(0, 2) factor is its Bergman slots, which map onto
-        the level's own ``heads``."""
+        terms, each unordered split once.  A stable factor's spectators
+        fill a prefix of the level's basis; an omega(0, 2) factor is its
+        Bergman slots, which map onto the level's own ``heads``."""
         J = n - 1
         nb, K = self._nb, len(diag)
 
@@ -343,9 +357,9 @@ class RecursionEngine:
             res = np.tensordot(P[:, d, d], sub.tensor, axes=([1, 2], [0, 1]))
             tensor[(heads,) + (d,) * J] += res
 
-        # stable products
-        for I, f1, f2 in _products(g, J):
-            res, spect = P[:, slots(f1), slots(f2)], []
+        # stable products, one per unordered split
+        for I, f1, f2, w in _products(g, J):
+            res, spect = w * P[:, slots(f1), slots(f2)], []
             for f in (f1, f2):
                 if f == (0, 2):
                     res = np.moveaxis(res, 1, -1)
@@ -361,45 +375,21 @@ class RecursionEngine:
     # -- invariants --------------------------------------------------------------------
 
     def invariant(self, g):
-        """F_g, g >= 2, from the primitive pairing at ramification
-        points; independent of the primitive's constant because the
-        one-point form has no residues."""
+        """F_g, g >= 2, by the dilaton equation: 1/(1 - g) sum_(a,k)
+        omega(g, 1)[(a, k)] [zeta^(k-2)] y_a, the pairing of omega(g, 1)
+        with Phi = int Y dX at the ramification points, where only the
+        pole of B_{a,k} at a meets the regular Phi."""
         if g < 2:
             raise BadIndex(f"F_g from residues needs g >= 2, not {g}")
-        if g not in self._fg:
-            self._fg[g] = self._invariant_with_phi(g, 0.0)
-        return self._fg[g]
+        w1 = self.omega(g, 1)
+        y = [self.y_of[a].coeff(k - 2) for a, k in w1.basis]
+        return complex(w1.tensor @ y) / (1 - g)
 
     def invariant_with_shifted_primitive(self, g, shift):
-        return self._invariant_with_phi(g, complex(shift))
-
-    def _invariant_with_phi(self, g, shift):
-        w1 = self.omega(g, 1)
-        d = len(w1.basis)
-        total = sum(phi[:d] @ w1.tensor
-                    for phi in self._primitive_pairing(shift))
-        return total / (2 - 2 * g)
-
-    def _primitive_pairing(self, shift):
-        """Phi^a[(b, m)] = Res_{zeta=0} (phi_a(zeta) + shift)
-        B_{b,m}(z_a(zeta)) for every head (b, m) of the residue tensors,
-        in their k-major order; the unshifted pairing is built once."""
-        if not shift and self._phi_pair is not None:
-            return self._phi_pair
-        m_top = self._row_count() + 4
-        heads = [(b, m) for m in range(1, m_top + 1, 2)
-                 for b in range(self.A)]
-        out = []
-        for a in range(self.A):
-            phi = self.phi[a] + shift if shift else self.phi[a]
-            # phi starts at zeta^k_min: no term above zeta^(-1 - k_min)
-            # pairs with it
-            lo, hi = -(m_top + 1), -1 - phi.k_min
-            out.append(_residue_slice(phi, [1], lo, hi)[0]
-                       @ self._window(heads, a, lo, hi))
-        if not shift:
-            self._phi_pair = out
-        return out
+        """F_g with Phi + shift, which is ``invariant(g)``: the constant
+        pairs with the zeta^-1 slot of each B_{a,k} at a, which is 0.  Kept
+        for the benchmark's torus-forms check; ROADMAP item 4 deletes both."""
+        return self.invariant(g)
 
     # -- evaluation ---------------------------------------------------------------------
 
@@ -488,15 +478,18 @@ class RecursionEngine:
 # -- the recursion's terms -------------------------------------------------------------
 
 def _products(g, J):
-    """(I, (g1, n1), (g2, n2)) for each product term of the recursion at
-    (g, J + 1): the first factor takes the slots I of the J spectators;
-    splits with an omega(0, 1) factor carry no term."""
-    for h in range(g + 1):
+    """(I, (g1, n1), (g2, n2), w) for each product term of the recursion
+    at (g, J + 1), the first factor taking the spectator slots I.  P^a is
+    symmetric in its columns, so a split and its mirror (I^c, (g2, n2),
+    (g1, n1)) are one term of weight w = 2 (1 for the self-mirror split,
+    J = 0 and g1 = g2).  Splits with an omega(0, 1) factor carry none."""
+    for h in range(g // 2 + 1):
         for r in range(J + 1):
             for I in itertools.combinations(range(J), r):
                 f1, f2 = (h, 1 + r), (g - h, 1 + J - r)
-                if (0, 1) not in (f1, f2):
-                    yield I, f1, f2
+                if (0, 1) in (f1, f2) or (2 * h == g and J and 0 not in I):
+                    continue
+                yield I, f1, f2, 1 if 2 * h == g and not J else 2
 
 
 def _contract(t, M):

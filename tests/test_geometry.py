@@ -136,6 +136,17 @@ def test_third_kind_structure(torus, joukowski):
     assert abs(ds0.value(5.0) - (1 / 3.0 - 1 / 2.0)) < 1e-14
 
 
+@pytest.mark.parametrize("z1", [0.2 + 0.3j, 0.2 + 1.3j, -0.8 - 0.7j])
+def test_third_kind_periods_match_quadrature(torus, z1):
+    # a pole outside the cell is reduced to it, so the form keeps no
+    # A-period and its closed periods are the quadrature's (a pole at
+    # 0.2 + 1.3i left unreduced had A-period 2 i pi)
+    ds = ThirdKind(torus, z1, 0.6 + 0.1j)
+    for which in "ab":
+        assert abs(quadrature_period(torus, ds, which)
+                   - canonical_period(torus, ds, which)) < 1e-10
+
+
 def test_antisymmetry_of_third_kind(torus):
     z1, z2, z = 0.62 + 0.41j, 0.21 + 0.77j, 0.5 + 0.1j
     a = ThirdKind(torus, z1, z2).value(z)
