@@ -30,6 +30,7 @@ from .series import (
     DEFAULT_TRUNC,
     TruncSeries,
     _monomial,
+    constant,
     _series_exp,
     inverse_at,
     log_jet,
@@ -95,7 +96,16 @@ def _poly_shift(c: np.ndarray, z0: complex) -> np.ndarray:
 
 
 class RationalFunction:
-    """P(z)/Q(z) with ascending complex coefficient arrays."""
+    """P(z)/Q(z) with ascending complex coefficient arrays.
+
+    Every expansion of a rational function is one composition, ``R.of``:
+    R of a TruncSeries (c + s at a point, w^-1 at inf, wp's Laurent series
+    at a lattice point) or of another RationalFunction.  ``+``, ``-``, ``*``
+    and ``/`` take a RationalFunction or a number, ``**`` an integer; none
+    cancels a common factor, which ``of`` divides out where it expands.
+    Point values take each multiple pole's factor (z - p)^m apart from
+    the rest of Q: its monomial coefficients would lose a deep pole.
+    """
 
     def __init__(self, num, den=(1.0,)):
         self.num = np.trim_zeros(np.asarray(num, dtype=complex), "b")
@@ -106,8 +116,23 @@ class RationalFunction:
             raise NotRepresentable("zero denominator polynomial")
 
     def __call__(self, z):
-        return (np.polynomial.polynomial.polyval(z, self.num)
-                / np.polynomial.polynomial.polyval(z, self.den))
+        deep, rest = self._split
+        den = np.polynomial.polynomial.polyval(z, rest)
+        for p, m in deep:
+            den = den * (z - p) ** m
+        return np.polynomial.polynomial.polyval(z, self.num) / den
+
+    def of(self, inner):
+        """R(inner).  With c the t^0 coefficient of inner (0 for a rational
+        inner), the numerator and the denominator are shifted to c, their
+        zeros of order m at c divided out (``_at``), and both evaluated by
+        Horner on t = inner - c: R(inner) = P(t)/Q(t) t^(m_P - m_Q).  A
+        constant denominator is a scalar division."""
+        c = 0.0 if isinstance(inner, RationalFunction) else inner.coeff(0)
+        t = inner - c if c else inner
+        (m, num), (k, den) = _at(self.num, c), _at(self.den, c)
+        out = _horner(num, t) / (den[0] if len(den) == 1 else _horner(den, t))
+        return out * t ** (m - k) if m != k else out
 
     def deriv(self) -> "RationalFunction":
         der = np.polynomial.polynomial.polyder
@@ -116,33 +141,22 @@ class RationalFunction:
             mul(der(self.num), self.den), mul(self.num, der(self.den)))
         return RationalFunction(num, mul(self.den, self.den))
 
-    def series(self, z0: complex, order: int, var_tag="") -> TruncSeries:
-        """Series at z0 from the numerator and denominator shifted to z0.  At
-        a pole of order m the denominator's first m shifted coefficients are
-        roundoff of their terms (<= 8.9e-16), so (z - z0)^m is divided out
-        first; removable 0/0 factors of deformation sums are trimmed."""
-        pol, q = np.polynomial.polynomial, _poly_shift(self.den, z0)
-        terms = _poly_shift(abs(self.den), abs(z0))
-        m = int(np.argmax(abs(q) > 1e-12 * terms))
-        if m:
-            q = _poly_shift(pol.polydiv(self.den, pol.polyfromroots(
-                [z0] * m))[0], z0)
-        num, den = (_trim_leading_noise(TruncSeries(np.concatenate(
-            [c, np.zeros(order + 1)]), k, var_tag), head=None)
-            for c, k in ((_poly_shift(self.num, z0), 0), (q, m)))
-        return num / den
-
-    def series_at_infinity(self, order: int, var_tag="w@inf") -> TruncSeries:
-        """Series in w = 1/z."""
-        dp, dq = len(self.num) - 1, len(self.den) - 1
-        n = order + max(dp, dq) + 2
-        pr = np.zeros(n, dtype=complex)
-        qr = np.zeros(n, dtype=complex)
-        pr[:dp + 1] = self.num[::-1]
-        qr[:dq + 1] = self.den[::-1]
-        ps = TruncSeries(pr, dq - dp, var_tag=var_tag)  # w^{-dp} P_rev -> shift
-        qs = TruncSeries(qr, 0, var_tag=var_tag)
-        return ps / qs
+    @cached_property
+    def _split(self):
+        """The denominator's multiple roots (p, m) that the numerator does
+        not share, p polished by a Newton step on Q^(m-1), where it is
+        simple, and Q with each (z - p)^m divided out; only where that
+        leaves roundoff (1e-12 of Q): polyroots misplaces the roots of a Q
+        with a tiny leading term."""
+        pol, deep, rest = np.polynomial.polynomial, [], self.den
+        for p, m in [(p, m) for p, m in self.finite_poles() if m > 1]:
+            d = pol.polyder(self.den, m - 1)
+            p -= pol.polyval(p, d) / pol.polyval(p, pol.polyder(d))
+            quo, rem = pol.polydiv(rest, pol.polyfromroots([p] * m))
+            if not _at(self.num, p)[0] \
+                    and np.max(abs(rem)) <= 1e-12 * np.max(abs(rest)):
+                deep, rest = deep + [(p, m)], quo
+        return deep, rest
 
     def finite_poles(self):
         """[(location, multiplicity)] for roots of the denominator."""
@@ -154,15 +168,67 @@ class RationalFunction:
     def degree_as_map(self) -> int:
         return max(len(self.num), len(self.den)) - 1
 
-    # small arithmetic closure, enough for curve deformations
-    def add(self, other):
-        pol = np.polynomial.polynomial
-        num = pol.polyadd(pol.polymul(self.num, other.den),
-                          pol.polymul(other.num, self.den))
-        return RationalFunction(num, pol.polymul(self.den, other.den))
+    def __add__(self, other):
+        o, mul = _rational(other), np.polynomial.polynomial.polymul
+        return RationalFunction(np.polynomial.polynomial.polyadd(
+            mul(self.num, o.den), mul(o.num, self.den)), mul(self.den, o.den))
 
-    def scale(self, c):
-        return RationalFunction(self.num * c, self.den)
+    def __sub__(self, other):
+        return self + _rational(other) * -1.0
+
+    def __mul__(self, other):
+        o, mul = _rational(other), np.polynomial.polynomial.polymul
+        return RationalFunction(mul(self.num, o.num), mul(self.den, o.den))
+
+    def __truediv__(self, other):
+        o = _rational(other)
+        return self * RationalFunction(o.den, o.num)
+
+    def __pow__(self, k: int):
+        pw = np.polynomial.polynomial.polypow
+        return RationalFunction(pw(self.num, k), pw(self.den, k)) if k >= 0 \
+            else RationalFunction([1.0]) / self ** -k
+
+
+def _rational(c) -> RationalFunction:
+    return c if isinstance(c, RationalFunction) else RationalFunction([c])
+
+
+def _at(p, c):
+    """(m, q): the order m of the zero of the polynomial p at c, counted as
+    the lowest coefficients of p(c + t) below 1e-12 of their terms or of
+    the largest (g3 computed on the square lattice is roundoff of the
+    others), and q = p(c + t)/t^m, (z - c)^m divided out of p first."""
+    pol = np.polynomial.polynomial
+    q = _poly_shift(p, c)
+    terms = np.maximum(_poly_shift(abs(p), abs(c)), np.max(abs(q)))
+    m = int(np.argmax(abs(q) > 1e-12 * terms))
+    if m:
+        q = _poly_shift(pol.polydiv(p, pol.polyfromroots([c] * m))[0], c)
+    return m, q
+
+
+def _horner(p, t):
+    """p(t) for ascending coefficients p, from a constant of t's kind; a
+    series constant gets a window that never clips the products."""
+    acc = RationalFunction(p[-1:]) if isinstance(t, RationalFunction) \
+        else constant(p[-1], t.var_tag,
+                      t.trunc_order + abs(t.k_min) + len(t.coeffs) + 4)
+    for ck in p[-2::-1]:
+        acc = acc * t + ck
+    return acc
+
+
+def _about(R: RationalFunction, center, order, tag=None) -> TruncSeries:
+    """R at ``center`` in t = z - center (tagged ``tag``, by default
+    s@center) or at "inf" in w = 1/z (tagged "w@inf"), known through t^order
+    at least: R.of the chart variable, known deep enough for any pole."""
+    n = order + R.degree_as_map() + 1
+    if center == "inf":
+        return R.of(TruncSeries(np.eye(1, n + 2)[0], -1, "w@inf"))
+    z = np.zeros(n + 1, dtype=complex)
+    z[:2] = center, 1.0
+    return R.of(TruncSeries(z, 0, f"s@{center:.6g}" if tag is None else tag))
 
 
 def _cluster(roots, tol=1e-10):
@@ -460,14 +526,10 @@ class Genus0Curve(SpectralCurve):
         return z
 
     def x_series(self, center, order, tag=None):
-        if center == "inf":
-            return self.X.series_at_infinity(order)
-        return self.X.series(center, order, tag or f"s@{center:.6g}")
+        return _about(self.X, center, order, tag)
 
     def y_series(self, center, order, tag=None):
-        if center == "inf":
-            return self.Y.series_at_infinity(order)
-        return self.Y.series(center, order, tag or f"s@{center:.6g}")
+        return _about(self.Y, center, order, tag)
 
     # prime form E(v) = v, theta = 1, and the pole of F at 0
     def _log_prime_jet(self, c, n, o=None):
@@ -500,10 +562,7 @@ class Genus0Curve(SpectralCurve):
         return TruncSeries(out, -1, "w@inf")
 
     def _find_ramification(self):
-        pol = np.polynomial.polynomial
-        num = pol.polysub(pol.polymul(pol.polyder(self.X.num), self.X.den),
-                          pol.polymul(self.X.num, pol.polyder(self.X.den)))
-        num = np.trim_zeros(num, "b")
+        pol, num = np.polynomial.polynomial, self.dX.num
         if len(num) <= 1:
             return
         roots = _cluster(pol.polyroots(num))
@@ -532,7 +591,7 @@ class Genus0Curve(SpectralCurve):
         num, den = _poly_shift(self.X.num, a), _poly_shift(self.X.den, a)
         s = _solve_chart(np.polynomial.polynomial.polysub(num, xa * den),
                          den, 2, zp, n, tag)
-        return s, _rational_at(self.Y, a, s)
+        return s, self.Y.of(s + a)
 
     def pole_chart(self, frame):
         """s(xi) from xi^m = 1/X at a pole of X of order m (in w = 1/z at
@@ -555,25 +614,22 @@ class Genus0Curve(SpectralCurve):
 
     def _find_x_poles(self):
         for p, m in self.X.finite_poles():
-            xs = self.X.series(p, self.order + 4)
-            xi = _root_coordinate(xs, m, f"xi@{p:.6g}")
+            xi = _root_coordinate(self.x_series(p, self.order + 4), m,
+                                  f"xi@{p:.6g}")
             self.x_poles.append(PoleFrame(self, p, m, xi))
         dp = len(self.X.num) - len(self.X.den)
         if dp >= 1:
-            xs = self.X.series_at_infinity(self.order + 4 + dp)
-            xi = _root_coordinate(xs, dp, "xi@inf")
+            xi = _root_coordinate(self.x_series("inf", self.order + 4 + dp),
+                                  dp, "xi@inf")
             self.x_poles.append(PoleFrame(self, "inf", dp, xi))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
-        pol = np.polynomial.polynomial
-        coeffs = pol.polysub(self.X.num, np.asarray([x]) * np.pad(
-            self.X.den, (0, max(0, len(self.X.num) - len(self.X.den)))))
-        coeffs = np.trim_zeros(np.atleast_1d(coeffs), "b")
+        coeffs = (self.X - x).num
         if len(coeffs) - 1 != self.d:
             raise RootFindingFailed(
                 f"degree drop at x = {x}: preimages escape to infinity")
-        roots = pol.polyroots(coeffs)
+        roots = np.polynomial.polynomial.polyroots(coeffs)
         if len(roots) != self.d:
             raise RootFindingFailed(f"expected {self.d} preimages at x = {x}")
         roots = [_solve_x(self.X, self.dX, x, r) for r in roots]
@@ -581,26 +637,11 @@ class Genus0Curve(SpectralCurve):
 
     def deformed(self, dY: RationalFunction) -> "Genus0Curve":
         """New curve with Y -> Y + dY."""
-        return Genus0Curve(self.X, self.Y.add(dY), self.order)
+        return Genus0Curve(self.X, self.Y + dY, self.order)
 
     def scaled(self, lam: complex) -> "Genus0Curve":
         """(X, Y) -> (lam X, Y / lam)."""
-        return Genus0Curve(RationalFunction(self.X.num * lam, self.X.den),
-                           self.Y.scale(1.0 / lam), self.order)
-
-
-def _drop_low_noise(f: TruncSeries, upto: int = 2) -> TruncSeries:
-    """Zero roundoff-level coefficients below exponent ``upto``.
-
-    Used where a vanishing low order is known analytically (simple
-    ramification) but root polishing leaves ~1e-16 residue.
-    """
-    coeffs = f.coeffs.copy()
-    ks = np.arange(f.k_min, f.trunc_order + 1)
-    scale = np.max(np.abs(coeffs))
-    mask = (ks < upto) & (np.abs(coeffs) < 1e-9 * scale)
-    coeffs[mask] = 0.0
-    return TruncSeries(coeffs, f.k_min, f.var_tag)
+        return Genus0Curve(self.X * lam, self.Y / lam, self.order)
 
 
 def _root_coordinate(x_series: TruncSeries, m: int, tag: str) -> TruncSeries:
@@ -719,10 +760,7 @@ class Genus1Curve(SpectralCurve):
 
     def y_series(self, center, order, tag=None):
         wp = self.wp_series(center, order + 4)
-        wpp = wp.differentiate()
-        r1 = _compose_rational(self.R1, wp)
-        r2 = _compose_rational(self.R2, wp)
-        out = r1 + r2 * wpp
+        out = self.R1.of(wp) + self.R2.of(wp) * wp.differentiate()
         return out.retag(tag or f"s@{center:.6g}")
 
     # prime form E(v) = theta1(v)/theta1'(0), theta = theta1, and the poles
@@ -809,11 +847,8 @@ class Genus1Curve(SpectralCurve):
         root = TruncSeries(quartic, 0, var_tag=tag).sqrt()
         s = (root.invert() * (1.0 / zp)).antiderivative()
         wp_prime = (root * (2.0 * zp / self.x_scale)).shift(1)
-        t = _monomial(2, 1.0 / self.x_scale, s)
-        e_a = self.ell.wp(a)
-        y = _rational_at(self.R1, e_a, t) + _rational_at(self.R2, e_a, t) \
-            * wp_prime
-        return s, y
+        wp = _monomial(2, 1.0 / self.x_scale, s) + self.ell.wp(a)
+        return s, self.R1.of(wp) + self.R2.of(wp) * wp_prime
 
     def pole_chart(self, frame):
         """ds/dxi = (dwp/dxi)/wp' with wp' = sqrt(4 wp^3 - g2 wp - g3) on
@@ -865,13 +900,12 @@ class Genus1Curve(SpectralCurve):
         raise RootFindingFailed(f"wp inversion did not converge at x = {x}")
 
     def deformed(self, dR1: RationalFunction, dR2: RationalFunction):
-        return Genus1Curve(self.tau, self.R1.add(dR1), self.R2.add(dR2),
+        return Genus1Curve(self.tau, self.R1 + dR1, self.R2 + dR2,
                            self.x_scale, self.order)
 
     def scaled(self, lam: complex) -> "Genus1Curve":
-        return Genus1Curve(self.tau, self.R1.scale(1.0 / lam),
-                           self.R2.scale(1.0 / lam), self.x_scale * lam,
-                           self.order)
+        return Genus1Curve(self.tau, self.R1 / lam, self.R2 / lam,
+                           self.x_scale * lam, self.order)
 
 
 def _toeplitz(f):
@@ -892,48 +926,6 @@ def _power_rows(f, top) -> np.ndarray:
     for p in range(1, top + 1):
         rows[p] = rows[p - 1] @ M
     return rows
-
-
-def _rational_at(R: RationalFunction, c, inner: TruncSeries) -> TruncSeries:
-    """R(c + inner) from the numerator and denominator of R shifted to c,
-    each evaluated on ``inner`` by Horner; a constant denominator is a
-    scalar division.  Their roundoff-level leading coefficients are
-    trimmed first, which cancels a removable factor that both carry at c
-    (deformation sums do)."""
-    num, den = (_trim_leading_noise(TruncSeries(_poly_shift(p, c)), head=None)
-                for p in (R.num, R.den))
-    den = R.den[0] if len(R.den) == 1 else den.compose(inner)
-    return num.compose(inner) / den
-
-
-def _compose_rational(R: RationalFunction, inner: TruncSeries) -> TruncSeries:
-    """R(inner) where inner may be a Laurent series (wp at its pole); a
-    constant denominator is a scalar division.
-
-    Denominators like wp'^2 have structural zeros at half periods, so
-    roundoff-level leading coefficients are trimmed before division.
-    """
-    def poly_of(c):
-        out = c[-1] * (inner ** 0)
-        for ck in c[-2::-1]:
-            out = out * inner + ck
-        return out
-
-    num = _trim_leading_noise(poly_of(R.num))
-    return num / (R.den[0] if len(R.den) == 1
-                  else _trim_leading_noise(poly_of(R.den)))
-
-
-def _trim_leading_noise(f: TruncSeries, rel=3e-12, head=8) -> TruncSeries:
-    """Zero leading coefficients that are roundoff relative to the largest
-    of the first ``head`` (of all of them for None: a polynomial's)."""
-    coeffs = f.coeffs.copy()
-    scale = np.max(np.abs(coeffs[:head])) if len(coeffs) else 0.0
-    i = 0
-    while i < len(coeffs) - 1 and abs(coeffs[i]) < rel * scale:
-        coeffs[i] = 0.0
-        i += 1
-    return TruncSeries(coeffs, f.k_min, f.var_tag)
 
 
 # -- sheet continuation ----------------------------------------------------------

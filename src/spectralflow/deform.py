@@ -8,18 +8,22 @@ derivatives are polynomials in wp and 1/wp' is wp' over the sextic).
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 from .curve import RationalFunction
 from .errors import NotRepresentable
-from .forms import SecondKindBasis, _same_center
+from .forms import (
+    DuForm,
+    SecondKindBasis,
+    SumForm,
+    WpPolyDu,
+    _same_center,
+    times_and_fillings,
+)
 
 _pol = np.polynomial.polynomial
-
-
-def _rat_div(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return RationalFunction(_pol.polymul(a.num, b.den),
-                            _pol.polymul(a.den, b.num))
 
 
 def _wp_pairs(mmax, g2, g3):
@@ -49,21 +53,16 @@ def deform_second_kind(curve, center, j, lam):
     bf = SecondKindBasis(curve, xp, j)
     if curve.genus == 0:
         if center == "inf":
-            omega_rat = bf.R
+            omega = bf.R
         else:
-            # sum_k head[k] (z - p)^-(k+1) over (z - p)^(len(head)), by Horner
+            # sum_k head[k] (z - p)^-(k+1) = H(v) v, v = 1/(z - p)
             (p, head), = bf.parts
-            shift = np.array([-p, 1.0], dtype=complex)
-            num = np.zeros(1, dtype=complex)
-            for c in head:
-                num = _pol.polyadd(_pol.polymul(num, shift), [c])
-            omega_rat = RationalFunction(num, _pol.polypow(shift, len(head)))
-        dY = _rat_div(omega_rat.scale(lam), curve.dX)
-        return curve.deformed(dY)
+            v = RationalFunction([1.0], [-p, 1.0])
+            omega = RationalFunction(head).of(v) * v
+        return curve.deformed(omega * lam / curve.dX)
 
     # genus 1, head[m+1] = (m+1) a_m: omega_{0,j} = sum_m a_m (-1)^m
     # F^(m)(u)/m! du with F = wp - c0
-    from math import factorial
     ell = curve.ell
     g2, g3 = curve.invariants_g2_g3()
     pairs = _wp_pairs(j + 1, g2, g3)
@@ -98,69 +97,20 @@ def _genus1_add_over_dx(curve, A, B, lam):
     """
     g2, g3 = curve.invariants_g2_g3()
     sext = np.array([-g3, -g2, 0.0, 4.0], dtype=complex)
-    alpha = curve.x_scale
     # R1 and R2 are functions of wp itself, not of X = x_scale * wp, so
     # only the 1/dX = 1/(x_scale wp' du) weight carries x_scale
-    dR1 = RationalFunction(np.atleast_1d(B) * (lam / alpha))
-    dR2 = RationalFunction(np.atleast_1d(A) * (lam / alpha), sext)
-    return curve.deformed(dR1, dR2)
+    w = lam / curve.x_scale
+    return curve.deformed(RationalFunction(B) * w,
+                          RationalFunction(A, sext) * w)
 
 
 def shift_y_by_rational_of_x(curve, R: RationalFunction):
     """(X, Y) -> (X, Y + R(X)): a symplectic transformation."""
     if curve.genus == 0:
-        comp_num = _compose_rat(R, curve.X)
-        return curve.deformed(comp_num)
+        return curve.deformed(R.of(curve.X))
     # X = x_scale wp: R(X) = R(x_scale wp) as a rational function of wp
-    scaled = _scale_argument(R, curve.x_scale)
-    return curve.deformed(scaled, RationalFunction([0.0]))
-
-
-def _compose_rat(R: RationalFunction, X: RationalFunction):
-    """R(X(z)) as a rational function of z.
-
-    With X = N/D and R = P/Q: lift both P and Q through
-    sum c_k N^k D^(deg - k), then balance the leftover D powers.
-    """
-    cn = np.asarray(R.num, dtype=complex)
-    cd = np.asarray(R.den, dtype=complex)
-
-    def lift(c):
-        m = len(c) - 1
-        out = np.array([0.0], dtype=complex)
-        for k, ck in enumerate(c):
-            if ck == 0:
-                continue
-            term = np.array([ck], dtype=complex)
-            for _ in range(k):
-                term = _pol.polymul(term, X.num)
-            for _ in range(m - k):
-                term = _pol.polymul(term, X.den)
-            out = _pol.polyadd(out, term)
-        return out, m
-
-    num_l, mn = lift(cn)
-    den_l, md = lift(cd)
-    # R(X) = num_l D^(md) / (den_l D^(mn))  -- powers balance via lift
-    extra_n = md
-    extra_d = mn
-    num = num_l
-    den = den_l
-    for _ in range(extra_n):
-        num = _pol.polymul(num, X.den)
-    for _ in range(extra_d):
-        den = _pol.polymul(den, X.den)
-    return RationalFunction(num, den)
-
-
-def _scale_argument(R: RationalFunction, alpha):
-    """R(alpha x) as a rational function of x."""
-    def scale(c):
-        c = np.asarray(c, dtype=complex).copy()
-        for k in range(len(c)):
-            c[k] *= alpha ** k
-        return c
-    return RationalFunction(scale(R.num), scale(R.den))
+    return curve.deformed(R.of(RationalFunction([0.0, curve.x_scale])),
+                          RationalFunction([0.0]))
 
 
 def regularized_direction(curve, base):
@@ -176,9 +126,6 @@ def regularized_direction(curve, base):
     to the direction's time components; ``eps`` is its filling-fraction
     component.
     """
-    from .forms import DuForm, SecondKindBasis, SumForm, WpPolyDu
-    from .forms import times_and_fillings
-
     rams = curve.ramification_points
     if curve.genus == 0:
         if base == "eps":

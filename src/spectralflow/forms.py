@@ -13,19 +13,16 @@ Every form built from the prime form is one KernelForm: a sum over
 finite poles of residues of the Bergman kernel, read off one jet of log E
 per pole.  ThirdKind (dS), BergmanLeg and SecondKindBasis (omega_{p,j})
 construct it, and a form's expansion in the canonical basis is one.
-Besides, Y dX, c du, rational and wp-polynomial forms, and sums.
+Besides, Y dX, c du, sums, and R(z) dz and P(wp) du for a rational R and
+a polynomial P, whose series are R.of the chart variable (w^-1 at inf)
+and P.of wp's series (``RationalFunction.of``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curve import (
-    PoleFrame,
-    RationalFunction,
-    _compose_rational,
-    _drop_low_noise,
-)
+from .curve import PoleFrame, RationalFunction, _about
 from .errors import (
     BadIndex,
     NotRepresentable,
@@ -131,8 +128,8 @@ class RationalDz(Form1):
     def local_series(self, center, order):
         if center == "inf":
             # omega = R(1/w) d(1/w) = -R(1/w) w^-2 dw
-            return -self.R.series_at_infinity(order + 4).shift(-2)
-        return self.R.series(center, order)
+            return -_about(self.R, "inf", order + 4).shift(-2)
+        return _about(self.R, center, order, "")
 
     def primitive(self, o, zs):
         """int_o^z R dz for a polynomial R (the second-kind atoms at inf)."""
@@ -329,8 +326,8 @@ def pole_frame(curve, center):
                if _same_center(p.location, center)), None)
     if xp is not None:
         return xp
-    xi = _drop_low_noise(curve.x_series(center, curve.order + 6)
-                         - curve.x_value(center), upto=1)
+    xs = curve.x_series(center, curve.order + 6)
+    xi = xs - xs.coeff(0)
     if abs(xi.coeff(1)) < 1e-12:
         raise PoleAtRamificationPoint(
             f"coordinate X - X(p) degenerate at {center}")
@@ -429,7 +426,7 @@ class WpPolyDu(Form1):
 
     def local_series(self, center, order):
         wp = self.curve.wp_series(center, order + 2 * len(self.coeffs) + 4)
-        return _compose_rational(RationalFunction(self.coeffs), wp)
+        return RationalFunction(self.coeffs).of(wp)
 
     def poles(self):
         return [(0.0, 2 * (len(self.coeffs) - 1))] \

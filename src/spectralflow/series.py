@@ -186,6 +186,9 @@ class TruncSeries:
         """Multiplicative inverse; window length is preserved."""
         lead = self._leading()
         n = len(self.coeffs)
+        if not self.coeffs[1:].any():     # a monomial inverts exactly
+            return TruncSeries(np.eye(1, n)[0] / lead, -self.k_min,
+                               self.var_tag)
         u = self.coeffs / lead            # unit part, u[0] == 1
         inv = np.zeros(n, dtype=complex)
         inv[0] = 1.0

@@ -191,13 +191,13 @@ def test_multiple_pole_is_one_record(airy, pole):
 @pytest.mark.parametrize("pole", [0.5, 0.3 + 0.7j])
 def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
     # the pole's factor is divided out of the denominator before the
-    # Taylor shift, so its series is exact at every m.  Measured: one
-    # record up to m = 18 at 0.5 (and at 20) and m = 10 at 0.3 + 0.7i;
-    # past that the form's own point values, from the monomial
-    # coefficients of (z - p)^m, miss the two-point eps check, and past
-    # j_cap = 20 the times are cut short up front: either refusal names
-    # the pole.  Past m = 20 at 0.3 + 0.7i the roots split into clusters
-    kept, top = {0.5: (18, 24), 0.3 + 0.7j: (10, 20)}[pole]
+    # Taylor shift, so its series is exact at every m, and the form's
+    # point values divide by (z - p)^m over the root cluster, not by the
+    # monomial coefficients.  Measured: one record for every m up to
+    # j_cap = 20 at both poles; past it the times are cut short up front,
+    # and the refusal names the pole.  Past m = 20 at 0.3 + 0.7i the
+    # roots split into clusters
+    kept, top = {0.5: (20, 24), 0.3 + 0.7j: (20, 20)}[pole]
     for m in range(6, top + 1):
         den = np.polynomial.polynomial.polyfromroots([pole] * m)
         try:
