@@ -473,18 +473,18 @@ class SpectralCurve:
         return den
 
     def bergman_leg(self, c, s, gamma):
-        """[zeta^t] F(c + s(zeta)) s'(zeta) for t < len(gamma), t on axis
-        0, for every c of an ndarray (off the pole): the pole's
-        -d/dzeta (o + s)^-1 from one batched inversion of o + s, plus gamma
-        contracted with the regular part's Taylor coefficients.  Summing
-        gamma against the pole's o^-(q+2) as well is equal, but those
-        terms cancel and lose digits."""
-        n = len(gamma)
+        """[zeta^t] F(c[i, p] + s[i](zeta)) s[i]'(zeta), t < n on axis 1,
+        for charts i with Taylor coefficients s[i] and (n, n) tables
+        gamma[i], at c off the pole, from one kernel jet: the pole's
+        -d/dzeta (o + s)^-1 by one batched inversion, plus gamma contracted
+        with the regular part's Taylor coefficients.  Summing gamma against
+        the pole's o^-(q+2) as well is equal, but those terms cancel and
+        lose digits."""
+        n = gamma.shape[-1]
         o, rho = self._regular_jet(c, n + 1)
-        t = np.arange(1.0, n + 1).reshape((-1,) + (1,) * np.ndim(o))
-        regular = -(t + 1) * t * rho[2:]
-        return (gamma @ regular.reshape(n, -1)).reshape(regular.shape) \
-            - t * inverse_at(o, s, n)[1:]
+        t = np.arange(1.0, n + 1)[:, None]
+        regular = -(t + 1) * t * rho[2:].swapaxes(0, 1)
+        return gamma @ regular - t * inverse_at(o, s, n)[:, 1:]
 
     def szego_series(self, c, inner, zeta):
         """theta(c + zeta + inner)/(theta(zeta) E(c + inner)) from Taylor
@@ -730,7 +730,7 @@ class Genus1Curve(SpectralCurve):
         self.ell = EllipticTools(tau)
         self._theta1_prime = self.ell.theta.theta1(0.0, 1)
         self._log_theta1_prime = np.log(self._theta1_prime)
-        # the jet of log(E(t)/t) behind wp at the lattice, grown on demand
+        # the jet of log(E(t)/t) at 0, grown on demand
         self._lattice_jet = np.zeros(0, dtype=complex)
         self.d = 2
         self._find_ramification()
@@ -769,12 +769,18 @@ class Genus1Curve(SpectralCurve):
         """From one theta1 jet, less ln theta1'(0) and log(o + t); on the
         pole (o = 0) the jet is divided by t, dropping its first row, and
         its odd rows are zeroed: log(E(l + t)/t) is even in t up to the
-        exact -2 pi i n t at l = m + n tau, 0 on the real axis."""
+        exact -2 pi i n t at l = m + n tau, 0 on the real axis.  The jet at
+        0 on the pole (wp's, the diagonal row tables') is kept read-only."""
         on = o is not None and np.ndim(o) == 0 and o == 0
+        if on and c == 0 and len(self._lattice_jet) > n:
+            return self._lattice_jet[:n + 1]
         out = log_jet(self.theta_jet(c, n + on)[int(on):])
         out[0] -= self._log_theta1_prime
         if on:
             out[(3 if np.imag(c) else 1)::2] = 0.0
+            if c == 0:
+                out.flags.writeable = False
+                self._lattice_jet = out
         return out if o is None or on else out - _log_linear(o, n)
 
     def theta_jet(self, v, n):
@@ -803,15 +809,15 @@ class Genus1Curve(SpectralCurve):
         """wp(center + t) = -(log E)''(center + t) + c0, known through
         t^(order + 2); at a lattice point 1/t^2 + c0 - (log(E(t)/t))'',
         known through t^order, from the jet at 0 (a jet taken at another
-        lattice point loses digits)."""
+        lattice point loses digits).  Odd slots about a half period are 0."""
         on = self.ell.is_lattice(center)
-        if on and len(self._lattice_jet) < order + 3:
-            self._lattice_jet = self._log_prime_jet(0.0, order + 2, 0.0)
-        b = self._lattice_jet[:order + 3] if on \
+        b = self._log_prime_jet(0.0, order + 2, 0.0) if on \
             else self._log_prime_jet(center, order + 4)
         k = np.arange(len(b) - 2)
         wp = -(k + 2) * (k + 1) * b[2:]
         wp[0] += self.ell.c0
+        if self.ell.is_lattice(2 * center):
+            wp[1::2] = 0.0
         return TruncSeries(np.concatenate([[1.0, 0.0], wp]), -2) if on \
             else TruncSeries(wp)
 

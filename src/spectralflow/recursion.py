@@ -43,16 +43,18 @@ B = d1 d2 log E, a table, diagonal or cross, is m (t+1) times the
 coefficient of zeta1^m zeta2^(t+1) of log E(r_b - r_a + s_b(zeta1) -
 s_a(zeta2)), less log(zeta1 - zeta2) on the diagonal (the Grunsky
 coefficients; Pommerenke, *Univalent Functions*, 1975), exact on the
-table's box as indices only add.  The memo of immutable tensors fills
-in increasing 2g + n.
+table's box as indices only add.  E is odd, so the tables (a, b) and
+(b, a) are transposes, read off one expansion per pair.  The memo of
+immutable tensors fills in increasing 2g + n.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
-leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of an
-array of c in one call per ramification point
-(``SpectralCurve.bergman_leg``), and a tensor is contracted with their
-columns, one per point.  Any k up to the charts' depth is read this
-way; the row tables are not used.
+leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of every
+ramification point a and point z in one call
+(``SpectralCurve.bergman_leg``): one kernel jet on the stacked c, one
+inversion of o + s_a batched over the stacked charts.  A tensor is
+contracted with their columns, one per point.  Any k up to the charts'
+depth is read this way; the row tables are not used.
 
 The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
 with the cycles dual to the times t_{p,j} and to the filling fraction,
@@ -114,9 +116,6 @@ class RecursionEngine:
         self.A = len(self.rams)
         self._memo: dict = {}
         self._plg: dict = {}
-        # (c, order) -> curve._regular_jet(c, order): the diagonal tables
-        # all read the jet at c = 0
-        self._jets: dict = {}
         self._P = self._diag = None
         self._prepare_local_data()
 
@@ -167,7 +166,7 @@ class RecursionEngine:
     def _top_k(self, ks):
         """The largest k of a basis, refused past the charts' depth
         ``deep``."""
-        top = int(max(ks))
+        top = int(max(ks, default=0))
         if top > self.deep:
             raise TruncationTooShort(
                 f"B_(a,{top}) lies beyond the chart depth k <= {self.deep}")
@@ -185,36 +184,37 @@ class RecursionEngine:
         L = log W + rho(V): W = o + V off the diagonal, and on it (o = 0)
         W = V/(zeta1 - zeta2), W[i, j] = s_(i+j+1).  rho(V) = P_b^T H P_a,
         P the charts' power tables and H[q, l] = C(q+l, q) rho_(q+l) (-1)^l.
-        Indices only add, so both terms are exact on the box."""
-        key = (b, a)
-        if key in self._plg:
-            return self._plg[key]
+        Indices only add, so both terms are exact on the box.  E is odd, so
+        L_ab[i, j] = L_ba[j, i] for i, j >= 1: off the diagonal D = zeta1
+        d/dzeta1 L is built once per pair, on a square box, and both tables
+        are read off it."""
+        if (b, a) in self._plg:
+            return self._plg[b, a]
         n1 = self._row_count() + 1
         n2 = n1 + 6
-        e = np.add.outer(np.arange(n1), np.arange(n2))
-        jet = (self.rams[b].location - self.rams[a].location, n1 + n2 - 2)
-        if jet not in self._jets:
-            self._jets[jet] = self.curve._regular_jet(*jet)
-        o, rho = self._jets[jet]
-        Pb, Pa = self._powers(b, n2 - 1)[:n1, :n1], self._powers(a, n2 - 1)
+        box = n1 if b == a else n2
+        e = np.add.outer(np.arange(box), np.arange(n2))
+        o, rho = self.curve._regular_jet(
+            self.rams[b].location - self.rams[a].location, box + n2 - 2)
+        Pb, Pa = self._powers(b, n2 - 1)[:box, :box], self._powers(a, n2 - 1)
         if b == a:
             W = _taylor(self.s_of[a], n1 + n2 - 1)[e + 1]
         else:
-            W = np.zeros((n1, n2), dtype=complex)
+            W = np.zeros((box, n2), dtype=complex)
             W[:, 0], W[0] = Pb[1], -Pa[1]
             W[0, 0] = o
         # C(q+l, q) from the factorials k!
-        fact = np.cumprod(np.append(1.0, np.arange(1.0, n1 + n2 - 1)))
-        H = rho[e] * fact[e] / np.outer(fact[:n1], fact[:n2]) \
+        fact = np.cumprod(np.append(1.0, np.arange(1.0, box + n2 - 1)))
+        H = rho[e] * fact[e] / np.outer(fact[:box], fact[:n2]) \
             * (-1.0) ** np.arange(n2)
-        m = np.arange(n1)[:, None]
-        rows = (_log_derivative(W) + m * (Pb.T @ H @ Pa))[1:, 1:] \
-            * np.arange(1, n2)
-        self._plg[key] = rows
-        return rows
+        D = _log_derivative(W) + np.arange(box)[:, None] * (Pb.T @ H @ Pa)
+        self._plg[b, a] = D[1:n1, 1:] * np.arange(1, n2)
+        if b != a:
+            self._plg[a, b] = D.T[1:n1, 1:] * np.arange(1, n1)[:, None]
+        return self._plg[b, a]
 
     def _window(self, basis, a, lo, hi):
-        """The coefficients on zeta^[lo, hi], lo < 0 <= hi, of
+        """The coefficients on zeta^[lo, hi], lo <= 0 <= hi, of
         B_{b,m}(z_a(zeta))/dzeta, one column per (b, m) of ``basis``: the
         pole m zeta^-(m+1) at b == a, plus one slice of each row table.  A
         window reaching the regular part of a B_{b,m} past the row tables
@@ -237,55 +237,56 @@ class RecursionEngine:
 
     def _residue_tensors(self):
         """P^a[k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) c_a(zeta)
-        for every odd head k <= m_rows + 4, built once per engine.
+        for every odd head k <= m_rows + 4, built once per engine from its
+        nonzero blocks, and the (1, 1) diagonal term per a.
 
         The columns i, j are the windows of B_{b,m}(z_a(zeta)), m odd
         <= m_rows, in the k-major order of the level bases, then the
         Bergman slots h_{k'}, the unit windows zeta^(k'-1), one per head.
-        At -zeta a window includes d(-zeta).  c_a starts at zeta^-1, so
-        only pole x regular and pole x pole products leave a residue,
-        and windows on zeta^[-(m_rows + 1), m_rows + 3] make the sums
-        exact.  Also returns the (1, 1) diagonal term per a."""
+        At -zeta a window includes d(-zeta): (flip W)[e] = (-1)^(e+1) W[e].
+        c_a = 1/(y(zeta) - y(-zeta)) is odd from zeta^-1, and a window's
+        only negative exponent is the pole m zeta^-(m+1) of a column (a, m),
+        so P^a = H + H^T + (pole x pole) + c_-1 W[0] (flip W)[0] at k = 1:
+        H[k, (a, m)] = m sum_(e >= 0) [zeta^(m+1-k-e)] c_a (flip W)[e] is
+        one product over the regular rows zeta^[0, m_rows + 3], which make
+        the sums exact.  The diagonal term pairs c_a with omega(0, 2) at
+        (z_a(zeta), z_a(-zeta)), over dzeta -1/(4 zeta^2) - sum rows[i, j]
+        (-1)^j zeta^(i+j) on the diagonal table."""
         if self._P is not None:
             return self._P, self._diag
         m_rows = self._row_count()
         heads = np.arange(1, m_rows + 5, 2)
-        basis = [(b, m) for m in range(1, m_rows + 1, 2)
-                 for b in range(self.A)]
+        ms = np.arange(1, m_rows + 1, 2)
+        basis = [(b, int(m)) for m in ms for b in range(self.A)]
         lo, hi = -(m_rows + 1), m_rows + 3
-        e = np.arange(lo, hi + 1)
+        e = np.arange(hi + 1)
         unit = (e[:, None] == heads[None, :] - 1).astype(complex)
-        # the window at -zeta, d(-zeta) = -dzeta included
-        flip = ((-1.0 + 0j) ** ((e + 1) % 2))[:, None]
-        scale = (-0.5 / heads)[:, None, None]
-        pair = np.add.outer(e, e) - 2 * lo
-        self._nb = len(basis)
+        flip = (-1.0) ** (e + 1)[:, None]
+        pole = -(ms + 1)            # the poles' exponents, all flipped by -1
+        scale = -0.5 / heads
+        w = scale[:, None] * ms     # [k, m] the pole's weight in P[k]
+        i, j = np.nonzero(np.add.outer(e, e)[:m_rows, :m_rows] < m_rows)
+        self._nb = nb = len(basis)
         self._columns = basis + [(None, int(k)) for k in heads]
         self._P, self._diag = [], []
         for a in range(self.A):
-            W = np.hstack([self._window(basis, a, lo, hi), unit])
-            c = self.ydiff_inv[a]
-            R2 = _residue_slice(c, heads, 2 * lo, 2 * hi)[:, pair]
-            P = np.tensordot(np.tensordot(R2, W, axes=([1], [0])),
-                             flip * W, axes=([1], [0]))
-            self._P.append(scale * P)
-            R = _residue_slice(c, heads, lo, hi)
-            self._diag.append(scale[:, 0, 0]
-                              * (R @ self._bergman_diagonal(a, lo, hi)))
+            FW = flip * np.hstack([self._window(basis, a, 0, hi), unit])
+            # R[k, e - 2 lo] = [zeta^(-k-e)] c_a
+            R = _residue_slice(self.ydiff_inv[a], heads, 2 * lo, hi)
+            G = w[..., None] * R[:, np.add.outer(pole, e) - 2 * lo]
+            H = (G.reshape(-1, hi + 1) @ FW).reshape(len(heads), len(ms), -1)
+            own = slice(a, nb, self.A)
+            P = np.zeros((len(heads),) + (H.shape[-1],) * 2, dtype=complex)
+            P[:, own] = H
+            P[:, :, own] += H.transpose(0, 2, 1)
+            P[:, own, own] -= w[..., None] * ms \
+                * R[:, np.add.outer(pole, pole) - 2 * lo]
+            P[0] -= scale[0] * R[0, -2 * lo] * np.outer(FW[0], FW[0])
+            self._P.append(P)
+            rows = self._rows(a, a)[i, j] * (-1.0) ** j
+            self._diag.append(scale * (-0.25 * R[:, -2 - 2 * lo]
+                                       - R[:, i + j - 2 * lo] @ rows))
         return self._P, self._diag
-
-    def _bergman_diagonal(self, a, lo, hi):
-        """omega_2^(0)(z_a(zeta), z_a(-zeta))/dzeta on [lo, hi]: the
-        polar -1/(4 zeta^2) plus -sum_{i+j=t} rows[i, j] (-1)^j."""
-        dat = np.zeros(hi - lo + 1, dtype=complex)
-        if lo <= -2 <= hi:
-            dat[-2 - lo] = -0.25
-        H = self._rows(a, a)
-        i, j = np.indices((len(H), len(H)))
-        keep = i + j <= min(len(H) - 1, hi)
-        np.add.at(dat, (i + j)[keep] - lo, -H[i[keep], j[keep]]
-                  * (-1.0) ** j[keep])
-        return dat
 
     # -- the recursion ---------------------------------------------------------------
 
@@ -398,23 +399,24 @@ class RecursionEngine:
         ``points`` (columns).
 
         Row k - 1 of the leg [zeta^t] F(r_a - z + s_a(zeta)) s_a'(zeta)
-        is B_{a,k}(z); the curve returns the legs of every point in one
-        call per ramification point.  Any k up to the charts' depth
-        ``deep`` is read; deeper ones are refused."""
+        is B_{a,k}(z); the curve returns the legs of every ramification
+        point and every point in one call.  Any k up to the charts' depth
+        ``deep`` is read; deeper ones are refused.  An empty basis (a
+        curve without ramification points) gives an empty matrix."""
         z = np.asarray(points, dtype=complex)
-        owner, ks = np.array(basis).T
+        owner, ks = np.array(basis, dtype=int).reshape(-1, 2).T
         top = self._top_k(ks)
-        out = np.empty((len(basis), len(z)), dtype=complex)
-        for a in set(owner.tolist()):
-            r = self.rams[a].location
-            if any(abs(self.curve.to_cell(p) - r) < _ON_POLE for p in z):
-                raise PoleAtRamificationPoint(
-                    f"evaluation point on the ramification point {r}")
-            legs = self.curve.bergman_leg(r - z, self.s_of[a],
-                                          self._gamma(a, top))
-            rows = owner == a
-            out[rows] = legs[ks[rows] - 1]
-        return out
+        own, row = np.unique(owner, return_inverse=True)
+        if not len(own):
+            return np.zeros((0, len(z)), dtype=complex)
+        c = np.array([self.rams[a].location for a in own])[:, None] - z
+        on = np.abs(c - self.curve._lattice_point(c)) < _ON_POLE
+        if on.any():
+            raise PoleAtRamificationPoint(
+                f"evaluation point on a ramification point: {z[on.any(0)]}")
+        return self.curve.bergman_leg(
+            c, np.stack([self._powers(a, top)[1] for a in own]),
+            np.stack([self._gamma(a, top) for a in own]))[row, ks - 1]
 
     def evaluate(self, form: CorrForm, points):
         """omega_n^(g)(points) divided by the chart legs."""
@@ -427,13 +429,11 @@ class RecursionEngine:
         point a in the first slot, remaining slots frozen.  The contour
         samples and the spectators are one ``basis_matrix`` read, and
         the spectators are contracted once."""
-        r = self.rams[a]
-        s, sp = r.s_of_zeta, r.s_of_zeta.differentiate()
+        s = self.rams[a].s_of_zeta
         zeta = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5)
                                / samples)
-        horner = np.polynomial.polynomial.polyval
-        z = r.location + horner(zeta, s.coeffs) * zeta ** s.k_min
-        dz = horner(zeta, sp.coeffs) * zeta ** sp.k_min
+        z = self.rams[a].location + s.evaluate(zeta)
+        dz = s.differentiate().evaluate(zeta)
         M = self.basis_matrix(form.basis,
                               np.concatenate([z, np.ravel(other_points)]))
         head = _contract(np.moveaxis(form.tensor, 0, -1), M[:, samples:])
@@ -448,7 +448,7 @@ class RecursionEngine:
         coefficient is sum_q h_q [zeta^(k-1)] s_a^q s_a' = (gamma . h)[k-1]:
         one local series per ramification point.  A form with a pole
         there is refused."""
-        owner, ks = np.array(basis).T
+        owner, ks = np.array(basis, dtype=int).reshape(-1, 2).T
         top = self._top_k(ks)
         out = np.empty(len(basis), dtype=complex)
         for a in set(owner.tolist()):
@@ -457,9 +457,8 @@ class RecursionEngine:
             if h.k_min < 0:
                 raise PoleAtRamificationPoint(
                     f"form has a pole at the ramification point {r}")
-            taylor = np.array([h.coeff(q) for q in range(top)])
-            rows = owner == a
-            out[rows] = (self._gamma(a, top) @ taylor)[ks[rows] - 1]
+            column = self._gamma(a, top) @ [h.coeff(q) for q in range(top)]
+            out[owner == a] = column[ks[owner == a] - 1]
         return out
 
     def b_cycle_vector(self, basis):

@@ -280,13 +280,10 @@ class TruncSeries:
         """Multiply by z**k."""
         return TruncSeries(self.coeffs, self.k_min + k, self.var_tag)
 
-    def evaluate(self, z: complex) -> complex:
-        """Numeric evaluation by Horner's rule."""
-        z = complex(z)
-        val = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            val = val * z + c
-        return val * z ** self.k_min
+    def evaluate(self, z):
+        """Numeric evaluation by Horner's rule, at a point or an ndarray."""
+        return np.polynomial.polynomial.polyval(z, self.coeffs) \
+            * z ** self.k_min
 
     def retag(self, var_tag: str) -> "TruncSeries":
         return TruncSeries(self.coeffs, self.k_min, var_tag)
@@ -321,20 +318,18 @@ def _monomial(k, c, like: TruncSeries) -> TruncSeries:
     return TruncSeries(head, k, like.var_tag)
 
 
-def inverse_at(c, s: TruncSeries, n) -> np.ndarray:
-    """Coefficients of 1/(c + s(t)) through t^n on axis 0, for every c of
-    an ndarray at once (c != 0; s vanishes at 0): the recurrence of
-    ``TruncSeries.invert``, with the coefficients of s shared by all c."""
-    c = np.asarray(c, dtype=complex)
-    rs = np.zeros(n + 1, dtype=complex)         # rs[n - j] = [t^j] s
-    rs[n - s.k_min::-1] = s.coeffs[:n + 1 - s.k_min]
-    inv = np.empty((n + 1, c.size), dtype=complex)
-    inv[0] = 1.0 / c.ravel()
-    neg = -inv[0]
+def inverse_at(c, s, n) -> np.ndarray:
+    """Coefficients of 1/(c[i, p] + s[i](t)) through t^n on axis 1, for a
+    stack of charts i, c of shape (A, P) (c != 0), s[i] the Taylor
+    coefficients of chart i through t^n (s[i, 0] = 0): the recurrence of
+    ``TruncSeries.invert``, each step one product batched over charts."""
+    rs = np.asarray(s)[:, None, n:0:-1]         # rs[:, 0, n - j] = [t^j] s
+    inv = np.empty((len(c), n + 1, len(c[0])), dtype=complex)
+    inv[:, 0] = 1.0 / np.asarray(c)
+    neg = -inv[:, 0]
     for m in range(1, n + 1):
-        np.dot(rs[n - m:n], inv[:m], out=inv[m])
-        inv[m] *= neg
-    return inv.reshape((n + 1,) + c.shape)
+        inv[:, m] = neg * (rs[:, :, n - m:] @ inv[:, :m])[:, 0]
+    return inv
 
 
 def log_jet(jet) -> np.ndarray:

@@ -319,3 +319,19 @@ def test_deform_holomorphic_on_the_square_torus_pointwise(curves):
     for u in POINTS:
         want = cv.y_value(u) + lam * 2j * np.pi / cv.dx_value(u)
         assert _rel(new.y_value(u), want) < 1e-13
+
+
+def test_deformed_torus_y_series_at_a_half_period(curves):
+    # wp is even about each half period, so its odd slots there are exactly
+    # 0; Y + lam 2 i pi du/dX then has a simple pole at 1/2, where wp' = 0,
+    # with no roundoff in the leading slot of wp - wp(1/2)
+    cv = curves["torus"]
+    for h in (0.5, 0.5j, 0.5 + 0.5j, 1.5 + 1j):
+        assert np.all(cv.wp_series(h, 10).coeffs[1::2] == 0.0), h
+    new = deform_holomorphic(cv, 0.1)
+    ys = new.y_series(0.5, 10)
+    assert ys.k_min == -1
+    t = 0.05 * np.exp(1j * np.array([0.4, 2.5, 4.1]))
+    got = np.array([ys.evaluate(x) for x in t])
+    assert np.max(np.abs(got - new.y_value(0.5 + t))) \
+        < 1e-9 * np.max(np.abs(got))

@@ -142,14 +142,13 @@ def test_omega2_is_bergman_convention(engines, asym_engines, rng):
 
 
 @pytest.mark.parametrize("which", ["airy", "torus"])
-def test_evaluate_one_kernel_call_per_ramification_point(engines, rng,
-                                                         monkeypatch, which):
-    # evaluation reads B_{a,k} at all its points in one batched kernel
-    # call per ramification point
+def test_evaluate_one_kernel_call(engines, rng, monkeypatch, which):
+    # evaluation reads B_{a,k} at every ramification point and every point
+    # in one batched kernel call: one Bergman leg from one kernel jet
     eng = engines[which]
     w = eng.omega(0, 4)
     pts = sample_points(eng.curve, rng, 4)
-    calls = {"bergman_leg": 0}
+    calls = {"bergman_leg": 0, "_regular_jet": 0}
     cls = type(eng.curve)
     for name in calls:
         def counted(self, *args, _name=name, _f=getattr(cls, name)):
@@ -157,9 +156,9 @@ def test_evaluate_one_kernel_call_per_ramification_point(engines, rng,
             return _f(self, *args)
         monkeypatch.setattr(cls, name, counted)
     eng.evaluate(w, pts)
-    assert calls == {"bergman_leg": eng.A}
+    assert calls == {"bergman_leg": 1, "_regular_jet": 1}
     eng.residue_at_point_oracle(w, 0, pts[1:], samples=200)
-    assert calls == {"bergman_leg": 2 * eng.A}
+    assert calls == {"bergman_leg": 2, "_regular_jet": 2}
 
 
 def test_evaluate_at_ramification_point_refused(engines):
@@ -168,6 +167,27 @@ def test_evaluate_at_ramification_point_refused(engines):
         r = eng.rams[-1].location
         with pytest.raises(PoleAtRamificationPoint):
             eng.evaluate(w, [r, r + 0.3, r + 0.3j])
+    # on the torus the point is recognised modulo the lattice, in any slot
+    eng = engines["torus"]
+    r = eng.rams[-1].location + 1 + eng.curve.tau
+    with pytest.raises(PoleAtRamificationPoint):
+        eng.evaluate(eng.omega(0, 3), [0.2 + 0.1j, r, 0.3 + 0.2j])
+
+
+def test_curve_without_ramification_points_is_computed():
+    # X of degree 1 has no ramification point: the basis is empty, so every
+    # stable form evaluates to 0, and F_2 is 0
+    cv = Genus0Curve(RationalFunction([0.3, 1]),
+                     RationalFunction([0, 1, 0.5]))
+    eng = RecursionEngine(cv)
+    assert eng.A == 0
+    pts = [0.4 + 0.2j, 1.1 - 0.3j, -0.7 + 0.9j, 0.2 - 1.3j]
+    for g, n in SUITE:
+        w = eng.omega(g, n)
+        assert w.basis == [] and eng.evaluate(w, pts[:n]) == 0
+    assert eng.invariant(2) == 0
+    assert eng.basis_matrix([], pts).shape == (0, 4)
+    assert eng.chart_vector(YdX(cv), []).shape == (0,)
 
 
 # -- structural suite ------------------------------------------------------------------
@@ -576,6 +596,57 @@ def test_residue_tensor_matches_series_products(asym_engines, which):
                 * eng.ydiff_inv[a]
             want = prod.coeff(-k) / (2 * k)
             assert abs(P[a][(k - 1) // 2, i, j] - want) < 1e-14 * scale
+
+
+def _dense_residue_tensor(eng, a):
+    """P^a as one dense Hankel contraction: every window on zeta^[lo, hi],
+    poles included, against every other through the (K, L, L) slice of
+    c_a = 1/(y - ybar) at the sum of their exponents."""
+    m_rows = eng._row_count()
+    heads = np.arange(1, m_rows + 5, 2)
+    lo, hi = -(m_rows + 1), m_rows + 3
+    e = np.arange(lo, hi + 1)
+    unit = (e[:, None] == heads[None, :] - 1).astype(complex)
+    W = np.hstack([eng._window(eng._columns[:eng._nb], a, lo, hi), unit])
+    flip = ((-1.0 + 0j) ** ((e + 1) % 2))[:, None]
+    R2 = _residue_slice(eng.ydiff_inv[a], heads, 2 * lo, 2 * hi)
+    P = np.tensordot(np.tensordot(R2[:, np.add.outer(e, e) - 2 * lo], W,
+                                  axes=([1], [0])),
+                     flip * W, axes=([1], [0]))
+    return (-0.5 / heads)[:, None, None] * P
+
+
+def _dense_diagonal_term(eng, a):
+    """The (1, 1) term: -1/(2k) [zeta^-k] c_a(zeta) omega(0, 2)(z_a(zeta),
+    z_a(-zeta))/dzeta, the Bergman diagonal -1/(4 zeta^2) - sum_(i+j=t)
+    rows[i, j] (-1)^j zeta^t laid out on zeta^[lo, hi] first."""
+    m_rows = eng._row_count()
+    heads = np.arange(1, m_rows + 5, 2)
+    lo, hi = -(m_rows + 1), m_rows + 3
+    dat = np.zeros(hi - lo + 1, dtype=complex)
+    dat[-2 - lo] = -0.25
+    H = eng._rows(a, a)
+    i, j = np.indices((len(H), len(H)))
+    keep = i + j <= min(len(H) - 1, hi)
+    np.add.at(dat, (i + j)[keep] - lo,
+              -H[i[keep], j[keep]] * (-1.0) ** j[keep])
+    R = _residue_slice(eng.ydiff_inv[a], heads, lo, hi)
+    return (-0.5 / heads) * (R @ dat)
+
+
+@pytest.mark.parametrize("which", ["airy", "joukowski", "torus", "g0", "g1"])
+def test_residue_tensor_matches_dense_oracle(engines, asym_engines,
+                                             joukowski40, which):
+    # the tensor built from its nonzero blocks equals the dense contraction,
+    # and the (1, 1) term the Bergman diagonal laid out term by term
+    eng = {"joukowski": joukowski40, **engines,
+           **{k: e for k, (_, e) in asym_engines.items()}}[which]
+    P, diag = eng._residue_tensors()
+    for a in range(eng.A):
+        dense = _dense_residue_tensor(eng, a)
+        assert np.abs(P[a] - dense).max() <= 1e-15 * np.abs(dense).max(), a
+        want = _dense_diagonal_term(eng, a)
+        assert np.abs(diag[a] - want).max() <= 1e-15 * np.abs(want).max(), a
 
 
 def test_residue_tensor_airy_closed_form(engines):
