@@ -25,6 +25,7 @@ from .errors import (
     RootFindingFailed,
     SingularCurve,
     ThetaZeroDivision,
+    TruncationTooShort,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -257,17 +258,18 @@ class RamificationPoint:
     ``zeta_prime`` = zeta'(0), the principal root of the s^2 coefficient
     of X(a + s) - X(a).  ``s_of_zeta`` (the chart offset s = z - a) and
     ``y_series`` (Y(a + s(zeta))) are series in zeta known through
-    zeta^(curve order + 5); the involution is s(-zeta).
+    zeta^(curve order + 5); the involution is s(-zeta).  They validate
+    the curve: an engine solves its charts (``local_chart``) to the depth
+    that its reach rule gives its row tables.
     """
 
     def __init__(self, location, branch_value, zeta_prime, s_of_zeta,
-                 y_series, index):
+                 y_series):
         self.location = complex(location)
         self.branch_value = complex(branch_value)
         self.zeta_prime = complex(zeta_prime)
         self.s_of_zeta = s_of_zeta
         self.y_series = y_series          # Y(z(zeta)) as series in zeta
-        self.index = index
 
     @property
     def involution(self) -> TruncSeries:
@@ -284,13 +286,18 @@ def flip_parity(f: TruncSeries) -> TruncSeries:
 class PoleFrame:
     """Local coordinate xi(s) at a point p = location + s of ``curve``:
     X^(-1/d) at a pole of X of order d >= 1, X - X(p) (order -1) at a
-    pole of a form where X is regular."""
+    pole of a form where X is regular; without xi, solved on first read."""
 
-    def __init__(self, curve, location, order, xi_of_s):
+    def __init__(self, curve, location, order, xi_of_s=None):
         self.curve = curve
         self.location = location          # chart value or "inf"
         self.order = int(order)
-        self.xi_of_s = xi_of_s
+        if xi_of_s is not None:
+            self.xi_of_s = xi_of_s
+
+    @cached_property
+    def xi_of_s(self):
+        return self.curve.x_pole_coordinate(self)
 
     @cached_property
     def s_of_xi(self):
@@ -318,6 +325,9 @@ class SpectralCurve:
     """Parametrized spectral curve with validated regularity."""
 
     def __init__(self, cycles, order=DEFAULT_TRUNC):
+        if order < 2:
+            raise TruncationTooShort(f"curve order {order} < 2 cannot hold "
+                                     "zeta^2 = X - X(a)")
         self.cycles = cycles
         self.order = order
         self.ramification_points: list[RamificationPoint] = []
@@ -400,14 +410,12 @@ class SpectralCurve:
         xs = self.x_series(ram.location, self.order + 2) - ram.branch_value
         return xs.compose(ram.s_of_zeta)
 
-    def local_chart(self, ram: RamificationPoint, order: int):
-        """(s_of_zeta, y_in_zeta) at ``ram``, known through
-        zeta^(order + 5) on the branch ``ram.zeta_prime``.
-
-        The recursion needs deeper windows than the validation series
-        stored on the ramification points."""
+    def local_chart(self, ram: RamificationPoint, n: int):
+        """(s_of_zeta, y_in_zeta) at ``ram``, known through zeta^n on the
+        branch ``ram.zeta_prime``: an engine's charts, as deep as the row
+        tables of its reach rule read them (``RecursionEngine.deep``)."""
         return self._chart(ram.location, ram.branch_value, ram.zeta_prime,
-                           order + 5, ram.s_of_zeta.var_tag)
+                           n, ram.s_of_zeta.var_tag)
 
     def _ramification_point(self, a, index):
         """The RamificationPoint at a simple zero a of dX."""
@@ -419,7 +427,7 @@ class SpectralCurve:
         zp = np.sqrt(xs.coeff(2))
         s_of_zeta, ys = self._chart(a, xa, zp, self.order + 5,
                                     f"zeta@{index}")
-        return RamificationPoint(a, xa, zp, s_of_zeta, ys, index)
+        return RamificationPoint(a, xa, zp, s_of_zeta, ys)
 
     # -- kernels, from the prime form -------------------------------------------
     # B(z1, z2) = F(z1 - z2) dz1 dz2 with F = -(log E)'', the primitive
@@ -581,8 +589,6 @@ class Genus0Curve(SpectralCurve):
         self.ramification_points.sort(
             key=lambda r: (round(r.location.real, 9),
                            round(r.location.imag, 9)))
-        for i, r in enumerate(self.ramification_points):
-            r.index = i
 
     def _chart(self, a, xa, zp, n, tag):
         """zeta^2 = X(a + s) - xa = U(s)/den(s) from X's shifted numerator
@@ -876,9 +882,12 @@ class Genus1Curve(SpectralCurve):
         return truncate(ds.antiderivative(), n, absolute=True)
 
     def _find_x_poles(self):
-        xs = self.x_series(0.0, self.order + 6)
-        xi = _root_coordinate(xs, 2, "xi@0")
-        self.x_poles.append(PoleFrame(self, 0.0, 2, xi))
+        self.x_poles.append(PoleFrame(self, 0.0, 2))
+
+    def x_pole_coordinate(self, frame):
+        """xi = X^(-1/2) at u = 0, from the lattice jet of log E that an
+        engine's diagonal row tables compute first."""
+        return _root_coordinate(self.x_series(0.0, self.order + 6), 2, "xi@0")
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         """The preimages u and -u of x: wp is even, so one Newton solve

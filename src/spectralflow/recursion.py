@@ -47,6 +47,11 @@ table's box as indices only add.  E is odd, so the tables (a, b) and
 (b, a) are transposes, read off one expansion per pair.  The memo of
 immutable tensors fills in increasing 2g + n.
 
+One reach rule (``_check_reach``), the curve order and a byte bound,
+admits the levels before any work and sizes the engine when it is built:
+the row tables and P^a reach the largest m an admitted level reads
+(``m_rows``), the charts the deepest coefficient the tables read.
+
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
 leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of every
@@ -85,9 +90,9 @@ from .errors import (
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries, truncate
 
-# The largest dense level a request may build.  The largest that the
-# tests and the benchmark build is Joukowski omega(0, 5), 1.6 MB; F_5's
-# omega(0, 6) (48 MB) fits, F_6's omega(0, 7) (1.7 GB) does not.
+# The largest dense level a request may build, read by an engine when it is
+# built; it sizes the row tables too (m <= 39, 27, 21 for 1, 2, 3 points at
+# any order).  Joukowski omega(0, 6) (48 MB) fits, omega(0, 7) (1.7 GB) not.
 MAX_LEVEL_BYTES = 1 << 28
 
 
@@ -114,8 +119,8 @@ class RecursionEngine:
         self.curve = curve
         self.rams = curve.ramification_points
         self.A = len(self.rams)
-        self._memo: dict = {}
-        self._plg: dict = {}
+        self._max_bytes = MAX_LEVEL_BYTES
+        self._memo, self._plg = {}, {}
         self._P = self._diag = None
         self._prepare_local_data()
 
@@ -123,18 +128,23 @@ class RecursionEngine:
 
     def _prepare_local_data(self):
         cv = self.curve
-        mmax = self._row_count()
-        # the residue windows and evaluation read far into the local
-        # charts, so they are rebuilt much deeper than the curve's
-        # validation series
-        self.deep = deep = cv.order + 2 * mmax + 16
-        self.s_of, self.y_of = [], []
-        self.ydiff_inv = []         # 1 / (Y(zeta) - Y(-zeta))
-        for r in self.rams:
-            s_of, y_of = cv.local_chart(r, deep)
-            self.s_of.append(s_of)
-            self.y_of.append(y_of)
-            self.ydiff_inv.append((y_of - flip_parity(y_of)).invert())
+        # the largest m that an admitted level reads, the top k of its
+        # deepest factor (refusals grow with n)
+        self.m_rows = 0
+        for g in range(cv.order // 6 + 1):
+            for n in itertools.count(max(1, 3 - 2 * g)):
+                try:
+                    self._check_reach(g, n)
+                except (TruncationTooShort, LevelTooLarge):
+                    break
+                deepest = (g, n - 1) if n > 1 else (g - 1, 2)
+                self.m_rows = max(self.m_rows, *k_slots(*deepest))
+        # the diagonal row tables read the charts through zeta^(2 m + 7)
+        self.deep = deep = 2 * self.m_rows + 7
+        charts = [cv.local_chart(r, deep) for r in self.rams]
+        self.s_of, self.y_of = [s for s, _ in charts], [y for _, y in charts]
+        # 1 / (Y(zeta) - Y(-zeta))
+        self.ydiff_inv = [(y - flip_parity(y)).invert() for y in self.y_of]
         # per chart, deepened on demand: [p, i] = [zeta^i] s^p, and
         # [m-1, q] = gamma^{a,m}_{-1-q}
         self.powers = [np.zeros((0, 0))] * self.A
@@ -151,21 +161,14 @@ class RecursionEngine:
     def _gamma(self, a, n):
         """The table [m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
         q < n: by Lagrange inversion m/(q+1) [zeta^m] s_a^(q+1).
-        Evaluation and the pairings read it past the row tables."""
+        Evaluation and the pairings read it to the charts' depth."""
         if len(self.gamma[a]) < n:
             ms = np.arange(1, n + 1)
             self.gamma[a] = self._powers(a, n)[1:, 1:].T * (ms[:, None] / ms)
         return self.gamma[a][:n, :n]
 
-    def _row_count(self):
-        """Largest m of the row tables of ``_rows``: two past the top k
-        of omega(3, 1), the deepest level they serve.  Evaluation and
-        the pairings read any k up to the charts' depth ``deep``."""
-        return max(k_slots(3, 1)) + 2
-
     def _top_k(self, ks):
-        """The largest k of a basis, refused past the charts' depth
-        ``deep``."""
+        """The largest k of a basis, refused past the charts' depth."""
         top = int(max(ks, default=0))
         if top > self.deep:
             raise TruncationTooShort(
@@ -173,9 +176,9 @@ class RecursionEngine:
         return top
 
     def _rows(self, b, a):
-        """rows[m-1][t]: coefficient of zeta^t, t < width, of
-        B_{b,m}(z_a(zeta))/dzeta (the polar part at b == a is exact and
-        left to the caller).
+        """rows[m-1][t]: coefficient of zeta^t, t < m_rows + 6, of
+        B_{b,m}(z_a(zeta))/dzeta for m up to the largest an admitted level
+        reads, m_rows (the polar part at b == a is left to the caller).
 
         rows[m-1][t] = m (t+1) L[m, t+1], L[i, j] the coefficient of
         zeta1^i zeta2^j of log E(c + V), c = r_b - r_a, V = s_b(zeta1) -
@@ -190,7 +193,7 @@ class RecursionEngine:
         are read off it."""
         if (b, a) in self._plg:
             return self._plg[b, a]
-        n1 = self._row_count() + 1
+        n1 = self.m_rows + 1
         n2 = n1 + 6
         box = n1 if b == a else n2
         e = np.add.outer(np.arange(box), np.arange(n2))
@@ -216,21 +219,14 @@ class RecursionEngine:
     def _window(self, basis, a, lo, hi):
         """The coefficients on zeta^[lo, hi], lo <= 0 <= hi, of
         B_{b,m}(z_a(zeta))/dzeta, one column per (b, m) of ``basis``: the
-        pole m zeta^-(m+1) at b == a, plus one slice of each row table.  A
-        window reaching the regular part of a B_{b,m} past the row tables
-        is refused."""
+        pole m zeta^-(m+1) at b == a, plus one slice of each row table."""
         owner, ms = np.array(basis).T
         W = np.zeros((hi - lo + 1, len(ms)), dtype=complex)
         pole = (owner == a) & (lo <= -(ms + 1))
         W[-(ms[pole] + 1) - lo, pole] = ms[pole]
         for b in set(owner.tolist()):
-            rows, cols = self._rows(b, a), owner == b
-            if ms[cols].max() > len(rows) or hi >= rows.shape[1]:
-                raise TruncationTooShort(
-                    f"B_({b},{ms[cols].max()}) on zeta^[{lo}, {hi}] lies "
-                    f"beyond the row tables (m <= {len(rows)}, "
-                    f"t < {rows.shape[1]})")
-            W[-lo:, cols] = rows[ms[cols] - 1, :hi + 1].T
+            cols = owner == b
+            W[-lo:, cols] = self._rows(b, a)[ms[cols] - 1, :hi + 1].T
         return W
 
     # -- the residue tensors -------------------------------------------------------
@@ -238,7 +234,8 @@ class RecursionEngine:
     def _residue_tensors(self):
         """P^a[k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) c_a(zeta)
         for every odd head k <= m_rows + 4, built once per engine from its
-        nonzero blocks, and the (1, 1) diagonal term per a.
+        nonzero blocks, and the (1, 1) diagonal term per a: an admitted level
+        reads windows m <= m_rows and heads k <= m_rows + 4.
 
         The columns i, j are the windows of B_{b,m}(z_a(zeta)), m odd
         <= m_rows, in the k-major order of the level bases, then the
@@ -254,7 +251,7 @@ class RecursionEngine:
         (-1)^j zeta^(i+j) on the diagonal table."""
         if self._P is not None:
             return self._P, self._diag
-        m_rows = self._row_count()
+        m_rows = self.m_rows
         heads = np.arange(1, m_rows + 5, 2)
         ms = np.arange(1, m_rows + 1, 2)
         basis = [(b, int(m)) for m in ms for b in range(self.A)]
@@ -311,27 +308,24 @@ class RecursionEngine:
         return form
 
     def _check_reach(self, g, n):
-        """Refuse (g, n) before any work when the curve order or the row
-        tables are too short for it, or when a level it builds passes
-        ``MAX_LEVEL_BYTES`` of 16-byte entries.  Down the recursion 6g + 2n
-        falls, the deepest factor being omega(g, n - 1) (omega(g - 1, 2) at
-        n = 1), and h + j <= g + n, so for each j the chain
-        omega(g - i, n + i) has the most slots: the largest tensor."""
+        """The one admission rule, which also sizes the tables: (g, n) is
+        refused before any work when its top k + 4 passes the curve order,
+        or a level it builds passes the byte bound of 16-byte entries.  Down
+        the recursion 6g + 2n falls, the deepest factor being omega(g, n - 1)
+        (omega(g - 1, 2) at n = 1), and h + j <= g + n, so for each j the
+        chain omega(g - i, n + i) has the most slots: the largest tensor."""
         top = max(k_slots(g, n))
-        m = max(k_slots(*((g, n - 1) if n > 1 else (g - 1, 2))))
-        m_rows = self._row_count()
-        if top + 4 > self.curve.order or m > m_rows:
+        if top + 4 > self.curve.order:
             raise TruncationTooShort(
-                f"(g, n) = ({g}, {n}) needs curve order >= {top + 4} and "
-                f"B_(b,m) for m <= {m}; this engine has curve order "
-                f"{self.curve.order} and row tables m <= {m_rows}")
+                f"(g, n) = ({g}, {n}) needs curve order >= {top + 4}; this "
+                f"engine has curve order {self.curve.order}")
         size, big = max((16 * (self.A * len(k_slots(h, j))) ** j, (h, j))
                         for h, j in zip(range(g, -1, -1), range(n, n + g + 1))
                         if 2 * h + j > 2)
-        if size > MAX_LEVEL_BYTES:
+        if size > self._max_bytes:
             raise LevelTooLarge(
                 f"(g, n) = ({g}, {n}) builds omega{big}, a dense tensor of "
-                f"{size:.3g} bytes, past the bound of {MAX_LEVEL_BYTES}")
+                f"{size:.3g} bytes, past the bound of {self._max_bytes}")
 
     def _add_residues(self, g, n, P, diag, heads, tensor):
         """The residues at one ramification point: tensor[heads, ...] +=
@@ -389,7 +383,7 @@ class RecursionEngine:
     def invariant_with_shifted_primitive(self, g, shift):
         """F_g with Phi + shift, which is ``invariant(g)``: the constant
         pairs with the zeta^-1 slot of each B_{a,k} at a, which is 0.  Kept
-        for the benchmark's torus-forms check; ROADMAP item 4 deletes both."""
+        for the benchmark's torus-forms check; ROADMAP item 3 deletes both."""
         return self.invariant(g)
 
     # -- evaluation ---------------------------------------------------------------------
@@ -526,12 +520,9 @@ def _log_derivative(W):
 def _residue_slice(f: TruncSeries, ks, lo, hi):
     """R[i, e - lo] = coefficient of zeta^(-ks[i] - e) in ``f`` for e in
     [lo, hi], so that R @ d is the zeta^(-k) coefficient of
-    (sum_e d[e] zeta^e) f(zeta) for every k in ``ks`` at once."""
+    (sum_e d[e] zeta^e) f(zeta) for every k in ``ks`` at once; the reach
+    rule solves the charts deep enough for every slice."""
     idx = -np.array(ks)[:, None] - np.arange(lo, hi + 1)[None, :]
-    if idx.max() > f.trunc_order:
-        raise TruncationTooShort(
-            f"residue slice needs zeta^{idx.max()} beyond truncation order "
-            f"{f.trunc_order} (tag {f.var_tag!r})")
     pos = idx - f.k_min
     out = np.zeros(idx.shape, dtype=complex)
     out[pos >= 0] = f.coeffs[pos[pos >= 0]]

@@ -42,9 +42,9 @@ class TruncSeries:
     def __init__(self, coeffs, k_min=0, var_tag=""):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 1:
-            raise ValueError("coefficient array must be one-dimensional")
+            raise SpectralFlowError("coefficient array must be 1-D")
         if coeffs.size == 0:
-            raise ValueError("series needs at least one tracked coefficient")
+            raise SpectralFlowError("series needs a tracked coefficient")
         # strip exact zeros at the low edge so k_min is the true valuation
         # (unless everything is zero, in which case keep the window).
         nz = np.nonzero(coeffs)[0]
@@ -209,7 +209,7 @@ class TruncSeries:
                 f"leading exponent {self.k_min}")
         root = np.sqrt(lead) if branch is None else complex(branch)
         if abs(root * root - lead) > 1e-9 * abs(lead):
-            raise ValueError("branch does not square to leading coefficient")
+            raise SpectralFlowError("branch does not square to the lead")
         n = len(self.coeffs)
         u = self.coeffs / lead
         s = np.zeros(n, dtype=complex)
@@ -350,7 +350,7 @@ def log_jet(jet) -> np.ndarray:
 def _series_exp(f: TruncSeries) -> TruncSeries:
     """exp of a series with vanishing constant term, from e' = e f'."""
     if f.k_min < 1 and abs(f.coeff(0)) > 0:
-        raise ValueError("series exp needs vanishing constant term")
+        raise SpectralFlowError("series exp needs vanishing constant term")
     n = f.trunc_order
     df = f.differentiate()
     d = np.array([df.coeff(k) for k in range(n)], dtype=complex)

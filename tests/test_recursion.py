@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from spectralflow.curve import (
     Genus0Curve,
     Genus1Curve,
     RationalFunction,
+    build_curve,
     flip_parity,
 )
 from spectralflow.deform import (
@@ -126,14 +128,14 @@ def _on_circle(f, zeta):
 def test_omega2_is_bergman_convention(engines, asym_engines, rng):
     # the basis forms are the chart's Taylor coefficients of the Bergman
     # kernel: sum_k B_{a,k}(z) zeta^(k-1) = F(r_a + s_a(zeta) - z) s_a'(zeta),
-    # read for every point at once
-    K = 40
+    # read for every point at once and every k the engine accepts
     zeta = 0.05 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j)
     for eng in [*engines.values(), *(e for _, e in asym_engines.values())]:
         cv = eng.curve
         pts = np.array(sample_points(cv, rng, 5))
         for a, r in enumerate(eng.rams):
-            M = eng.basis_matrix([(a, k) for k in range(1, K + 1)], pts)
+            M = eng.basis_matrix([(a, k) for k in range(1, eng.deep + 1)],
+                                 pts)
             lhs = np.polynomial.polynomial.polyval(zeta, M)
             rhs = cv.bergman(r.location + _on_circle(eng.s_of[a], zeta)
                              - pts[:, None]) \
@@ -294,7 +296,8 @@ def _bernoulli(n):
     return b[n]
 
 
-@pytest.mark.parametrize("g, tol", [(2, 2e-14), (3, 2e-14), (4, 2e-14)])
+@pytest.mark.parametrize("g, tol", [(2, 2e-14), (3, 2e-14), (4, 2e-14),
+                                    (5, 2e-14)])
 def test_joukowski_fg_harer_zagier(joukowski40, g, tol):
     # F_g = -B_2g / (2g (2g - 2)) (Harer-Zagier)
     exact = float(-_bernoulli(2 * g) / (2 * g * (2 * g - 2)))
@@ -428,29 +431,23 @@ def test_diagonal_rows_parity_exact(engines, asym_engines, which):
         assert np.all(H[(i + j) % 2 == 1] == 0.0), a
 
 
-def test_window_refuses_past_row_tables(joukowski40):
-    m_rows = joukowski40._row_count()
-    with pytest.raises(TruncationTooShort, match="row tables"):
-        joukowski40._window([(0, 1), (1, m_rows + 2)], 0, -3, 3)
-    with pytest.raises(TruncationTooShort, match="row tables"):
-        joukowski40._window([(0, 1)], 0, -3, m_rows + 6)
-
-
 def test_evaluate_omega41(joukowski40):
-    # omega(4, 1) reads B_(a,k) with k past the row tables (m <=
-    # _row_count()), which evaluation does not use: gate it by the
+    # omega(4, 1), and omega(5, 1), whose top k lies past the row tables
+    # (m <= m_rows), which evaluation does not use: gate them by the
     # involution z -> 1/z and by quadrature
-    w = joukowski40.omega(4, 1)
-    assert max(k for _, k in w.basis) > joukowski40._row_count()
-    for z in (1.3 + 0.4j, 0.7 + 1.1j, 1.9 + 0.2j):
-        val = joukowski40.evaluate(w, [z])
-        inv = joukowski40.evaluate(w, [1 / z]) * (-1 / z ** 2)
-        assert abs(val + inv) / abs(val) < 1e-12
-    for a, r in enumerate(joukowski40.rams):
-        res = joukowski40.residue_at_point_oracle(w, a, [], radius=0.1,
-                                                  samples=400)
-        scale = abs(joukowski40.evaluate(w, [r.location + 0.1]))
-        assert abs(res) / scale < 1e-12
+    assert max(k for _, k in joukowski40.omega(5, 1).basis) \
+        > joukowski40.m_rows
+    for g in (4, 5):
+        w = joukowski40.omega(g, 1)
+        for z in (1.3 + 0.4j, 0.7 + 1.1j, 1.9 + 0.2j):
+            val = joukowski40.evaluate(w, [z])
+            inv = joukowski40.evaluate(w, [1 / z]) * (-1 / z ** 2)
+            assert abs(val + inv) / abs(val) < 1e-12
+        for a, r in enumerate(joukowski40.rams):
+            res = joukowski40.residue_at_point_oracle(w, a, [], radius=0.1,
+                                                      samples=400)
+            scale = abs(joukowski40.evaluate(w, [r.location + 0.1]))
+            assert abs(res) / scale < 1e-12
 
 
 def test_evaluate_beyond_tracked_k_refused(joukowski40):
@@ -461,13 +458,12 @@ def test_evaluate_beyond_tracked_k_refused(joukowski40):
         joukowski40.evaluate(deep, [1.3 + 0.4j])
     with pytest.raises(TruncationTooShort, match="chart depth"):
         joukowski40.pole_pairing_vector(deep.basis, "inf", 1)
-    # below it the pairing is read at g = 4, past the row tables:
-    # special geometry against finite differences of F_4
+    # below it the pairing is read at g = 4: special geometry against
+    # finite differences of F_4
     curve = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
                         RationalFunction([0, 1, 0.2]), order=40)
     eng = RecursionEngine(curve)
     fac, times, _ = regularized_direction(curve, ("t", 2))
-    assert max(k for _, k in eng.omega(4, 1).basis) > eng._row_count()
     pred = 0.0
     for (center, j), t in times.items():
         pred += t * dF_dt(eng, 4, center, j)
@@ -477,30 +473,40 @@ def test_evaluate_beyond_tracked_k_refused(joukowski40):
 
 
 def test_invariant_beyond_row_tables_refused(joukowski40):
-    # F_5 needs B_(a,m) with m past the row tables; they are refused
-    # rather than read with their regular part dropped
-    with pytest.raises(TruncationTooShort, match="row tables"):
-        joukowski40.invariant(5)
+    # the reach rule that admits the levels sizes the row tables: F_5's
+    # omega(4, 2) reads the largest m = 27, and F_6, whose levels read
+    # m = 33, is refused by the curve order before any work
+    assert joukowski40.m_rows == max(k_slots(4, 2)) == 27
+    with pytest.raises(TruncationTooShort, match="curve order >= 41"):
+        joukowski40.invariant(6)
+    for g in range(7):
+        for n in range(1 if g else 3, 12):
+            try:
+                joukowski40._check_reach(g, n)
+            except (TruncationTooShort, LevelTooLarge):
+                continue
+            deepest = (g, n - 1) if n > 1 else (g - 1, 2)
+            assert max(k_slots(*deepest)) <= joukowski40.m_rows, (g, n)
 
 
 def test_unreachable_levels_refused_up_front():
-    # omega(4, 2) and F_5 read B_(a,m) past the row tables; the guard in
-    # omega() refuses them before any lower level is built
+    # F_6 needs curve order 41 and omega(5, 2) builds omega(0, 7) (1.7 GB);
+    # the guard in omega() refuses them before any lower level is built
     cv = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
                      RationalFunction([0, 1]), order=40)
     eng = RecursionEngine(cv)
-    with pytest.raises(TruncationTooShort, match="row tables"):
-        eng.omega(4, 2)
-    with pytest.raises(TruncationTooShort, match="row tables"):
-        eng.invariant(5)
+    with pytest.raises(TruncationTooShort, match="curve order"):
+        eng.invariant(6)
+    with pytest.raises(LevelTooLarge, match=re.escape("omega(0, 7)")):
+        eng.omega(5, 2)
     assert eng._memo == {}
 
 
 def test_levels_past_the_byte_bound_refused_up_front(torus, monkeypatch):
     # on sizes alone: omega(0, 8) and omega(0, 12) on Joukowski at order
     # 40 (16^8 and 24^12 complex entries) and omega(1, 6) on tau = i, which
-    # builds omega(0, 7) (21^7 entries, 27 GiB), pass the row-table check;
-    # the byte bound refuses them before any level is built
+    # builds omega(0, 7) (21^7 entries, 27 GiB), pass the curve order; the
+    # byte bound refuses them before any level is built
     cv = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
                      RationalFunction([0, 1]), order=40)
     jk, tor = RecursionEngine(cv), RecursionEngine(torus)
@@ -509,13 +515,17 @@ def test_levels_past_the_byte_bound_refused_up_front(torus, monkeypatch):
         with pytest.raises(LevelTooLarge, match=re.escape(f"omega{big}")):
             eng.omega(g, n)
         assert eng._memo == {}
-    # the bound is on bytes: Joukowski omega(0, 4) is 8^4 entries of 16 bytes
+    # the bound is on bytes: Joukowski omega(0, 4) is 8^4 entries of 16
+    # bytes.  An engine reads it when it is built, and it sizes the tables:
+    # below it the deepest level is omega(2, 1), which reads m <= 9
     monkeypatch.setattr(recursion, "MAX_LEVEL_BYTES", 16 * 8 ** 4 - 1)
+    small = RecursionEngine(cv)
+    assert small.m_rows == 9
     with pytest.raises(LevelTooLarge, match=r"omega\(0, 4\)"):
-        jk.omega(1, 3)
-    assert jk._memo == {}
+        small.omega(1, 3)
+    assert small._memo == {}
     monkeypatch.setattr(recursion, "MAX_LEVEL_BYTES", 16 * 8 ** 4)
-    assert jk.omega(0, 4).tensor.nbytes == 16 * 8 ** 4
+    assert RecursionEngine(cv).omega(0, 4).tensor.nbytes == 16 * 8 ** 4
 
 
 def test_products_cover_each_split_once():
@@ -583,7 +593,7 @@ def test_residue_tensor_matches_series_products(asym_engines, which):
     _, eng = asym_engines[which]
     P, _ = eng._residue_tensors()
     cols = eng._columns
-    lo, hi = -(eng._row_count() + 1), eng._row_count() + 5
+    lo, hi = -(eng.m_rows + 1), eng.m_rows + 5
     rng = np.random.default_rng(7)
     for a in range(eng.A):
         scale = np.abs(P[a]).max()
@@ -602,7 +612,7 @@ def _dense_residue_tensor(eng, a):
     """P^a as one dense Hankel contraction: every window on zeta^[lo, hi],
     poles included, against every other through the (K, L, L) slice of
     c_a = 1/(y - ybar) at the sum of their exponents."""
-    m_rows = eng._row_count()
+    m_rows = eng.m_rows
     heads = np.arange(1, m_rows + 5, 2)
     lo, hi = -(m_rows + 1), m_rows + 3
     e = np.arange(lo, hi + 1)
@@ -620,7 +630,7 @@ def _dense_diagonal_term(eng, a):
     """The (1, 1) term: -1/(2k) [zeta^-k] c_a(zeta) omega(0, 2)(z_a(zeta),
     z_a(-zeta))/dzeta, the Bergman diagonal -1/(4 zeta^2) - sum_(i+j=t)
     rows[i, j] (-1)^j zeta^t laid out on zeta^[lo, hi] first."""
-    m_rows = eng._row_count()
+    m_rows = eng.m_rows
     heads = np.arange(1, m_rows + 5, 2)
     lo, hi = -(m_rows + 1), m_rows + 3
     dat = np.zeros(hi - lo + 1, dtype=complex)
@@ -867,6 +877,64 @@ def test_truncation_guard():
     eng = RecursionEngine(cv)
     with pytest.raises(TruncationTooShort):
         eng.omega(2, 1)
+
+
+@pytest.mark.parametrize("order", range(-1, 9))
+def test_short_orders_refused(order):
+    # a curve order below 2 cannot hold a chart and is refused with a
+    # library error; on orders 2-8 an engine builds and refuses every
+    # stable level by the curve order, before any work
+    specs = [{"backend": "rational", "X": {"num": [1, 0, 1], "den": [0, 1]},
+              "Y": {"num": [0, 1]}},
+             {"backend": "weierstrass", "tau": {"re": 0, "im": 1},
+              "Y": {"R2": {"num": [0.5]}}}]
+    if order < 2:
+        for spec in specs:
+            with pytest.raises(SpectralFlowError, match="cannot hold"):
+                build_curve(spec, order)
+        return
+    for spec in specs:
+        eng = RecursionEngine(build_curve(spec, order))
+        for g in range(4):
+            for n in range(max(1, 3 - 2 * g), 9 - 2 * g):
+                with pytest.raises(TruncationTooShort, match="curve order"):
+                    eng.omega(g, n)
+        assert eng._memo == {} and eng._P is None
+
+
+def test_torus_order_90_matches_order_24(engines):
+    # past the byte bound's m <= 21 a higher order only deepens the
+    # curve's validation series: F_2 and F_3 stay put
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng = RecursionEngine(Genus1Curve(1j, RationalFunction([0.0]),
+                                          RationalFunction([0.5]), order=90))
+    assert eng.m_rows == 21
+    for g in (2, 3):
+        want = engines["torus"].invariant(g)
+        assert abs(eng.invariant(g) - want) <= 1e-13 * abs(want)
+
+
+def test_torus_lattice_jet_computed_once(monkeypatch):
+    # the on-pole jet of log E at 0 is computed once per curve and engine,
+    # at the depth the diagonal row tables read, and the pole frame of X
+    # read after it reuses it
+    calls = []
+    theta_jet = Genus1Curve.theta_jet
+
+    def counted(self, v, n):
+        if np.ndim(v) == 0 and v == 0:
+            calls.append(n)
+        return theta_jet(self, v, n)
+
+    monkeypatch.setattr(Genus1Curve, "theta_jet", counted)
+    cv = Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+    assert calls == []
+    eng = RecursionEngine(cv)
+    assert calls == [2 * eng.m_rows + 7]
+    cv.x_poles[0].xi_of_s
+    eng.invariant(2)
+    assert len(calls) == 1
 
 
 def test_k_slots_cover_bound():

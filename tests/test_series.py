@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from spectralflow.errors import (
     IncompatibleFrames,
     OddLeadingExponentForSqrt,
+    SpectralFlowError,
     TruncationTooShort,
     ZeroLeadingCoefficient,
 )
 from spectralflow.series import (
     TruncSeries,
+    _series_exp,
     constant,
     from_poly,
     identity,
@@ -165,3 +167,15 @@ def test_antiderivative_inverts_derivative():
     f = rand_series(rng, n=15, k_min=2)
     g = f.differentiate().antiderivative()
     assert max_common_diff(f, g) < 1e-13
+
+
+def test_bad_input_refused_with_library_error():
+    # no bare ValueError: a 2-D or empty coefficient array, a branch that
+    # does not square to the lead, exp of a series with a constant term
+    for coeffs in (np.ones((2, 2)), []):
+        with pytest.raises(SpectralFlowError, match="coefficient"):
+            TruncSeries(coeffs)
+    with pytest.raises(SpectralFlowError, match="branch"):
+        TruncSeries([4.0, 1.0]).sqrt(branch=3.0)
+    with pytest.raises(SpectralFlowError, match="constant term"):
+        _series_exp(TruncSeries([0.5, 1.0]))
