@@ -6,13 +6,14 @@ the chi primitives of both point sets and one Szego factor on the
 differences z1 - z2 serve a whole sheet matrix, and a single psi is its
 1 x 1 case.  The curve supplies the Szego factor (szego_grid,
 szego_series; theta = 1 and E = z1 - z2 on the sphere).  chi, zeta and
-the primitive int_o^z chi are read off the form's expansion in the
-canonical basis, in closed form: no quadrature runs, except in the
-b_loop_transport_residual oracle.  Sheet matrices, Baker-Akhiezer
-vectors, the Christoffel-Darboux pairing, the Lax matrix and the
-classical tau function all hang off one ClassicalSystem instance; the
-sheets above each x are solved once per curve and shared by every
-system on it.
+the primitive int_o^z chi are read off the form's one expansion in the
+canonical basis (``forms.expansion``), in closed form: no quadrature
+runs, except in the b_loop_transport_residual oracle.  Sheet matrices,
+Baker-Akhiezer vectors, the Christoffel-Darboux pairing and the Lax
+matrix hang off one ClassicalSystem instance; the sheets above each x
+are solved once per curve and shared by every system on it.  The
+classical tau function e^(F0~) theta(zeta) is read off two
+prepotentials by sato_residual.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -39,15 +40,11 @@ from .forms import (
     DuForm,
     SumForm,
     ThirdKind,
+    _same_center,
     expansion,
-    times_and_fillings,
 )
 from .geometry import (
-    Geometry,
     _regular_primitive,
-    _same_center,
-    canonical_period,
-    clear_basepoint,
     line_integral,
     prepotential,
     shifted_prepotential_value,
@@ -71,14 +68,12 @@ class ClassicalSystem:
     def __init__(self, curve, form, basepoint=None):
         self.curve = curve
         self.form = form
-        self.geo = Geometry(curve)
+        self.expansion = expansion(curve, form)
         self.o = basepoint if basepoint is not None \
-            else clear_basepoint(curve, form)
-        self.records, self.eps, self._chi_basis = expansion(curve, form)
+            else self.expansion.basepoint
         # chi = form - 2 i pi eps du, whose A-periods vanish
         self.chi = SumForm([(1.0, form)] + [(-2j * np.pi * e, DuForm(curve))
-                                            for e in self.eps])
-        self.zeta_t = _zeta(curve, self._chi_basis)
+                                            for e in self.expansion.eps])
         self._chi_primitive_cache = BoundedCache()
 
     # -- kernel -------------------------------------------------------------------
@@ -95,7 +90,7 @@ class ClassicalSystem:
         vals = {k: self._chi_primitive_cache.get(k) for k in keys}
         todo = [k for k, v in vals.items() if v is None]
         if todo:
-            for k, v in zip(todo, self._chi_basis.primitive(
+            for k, v in zip(todo, self.expansion.basis.primitive(
                     self.o, np.array(todo))):
                 vals[k] = self._chi_primitive_cache[k] = v
         return np.array([vals[k] for k in keys])
@@ -113,7 +108,7 @@ class ClassicalSystem:
         factor G over the differences z1 - z2 in one theta sum."""
         z1s, z2s = np.asarray(z1s), np.asarray(z2s)
         chi = self._chi_from_base(np.concatenate([z1s, z2s]))
-        G = self.geo.szego(z1s[:, None], z2s, self.zeta_t)
+        G = self.curve.szego_grid(z1s[:, None] - z2s, self.expansion.zeta)
         return chi[:len(z1s)], G, chi[len(z1s):]
 
     def _psi_grid(self, z1s, z2s, where):
@@ -182,17 +177,19 @@ class ClassicalSystem:
         # pinned by the pole-matching limit and the numerics (the
         # displayed -2 i pi alpha du absorbs into +alpha once du is
         # reduced to 1 in the u-chart)
-        (t0, t1), (s0, s1) = (self.curve.theta_jet(v, 1) for v in
-                              (z1 - z2 + self.zeta_t, self.zeta_t))
+        zeta = self.expansion.zeta
+        (t0, t1), (s0, s1) = (self.curve.theta_jet(v, 1)
+                              for v in (z1 - z2 + zeta, zeta))
         alpha = t1 / t0 - s1 / s0
         lhs = self.psi(z1, z) * self.psi(z, z2)
-        rhs = -self.psi(z1, z2) * (self.geo.third_kind(z1, z2, z)
+        rhs = -self.psi(z1, z2) * (ThirdKind(self.curve, z1, z2).value(z)
                                    + alpha)
         return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
     def alpha_at_coincidence(self):
-        theta = self.curve.theta_jet(self.zeta_t, 0)[0]
-        return abs(theta / self.curve.theta_off_divisor(self.zeta_t) - 1)
+        zeta = self.expansion.zeta
+        return abs(self.curve.theta_jet(zeta, 0)[0]
+                   / self.curve.theta_off_divisor(zeta) - 1)
 
     def b_loop_transport_residual(self, z1, z2):
         """Move z1 around each B-homotopic loop with continuous tracking;
@@ -206,7 +203,7 @@ class ClassicalSystem:
             zs = z1 + b * np.arange(_B_LOOP_STEPS + 1) / _B_LOOP_STEPS
             segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
             num, den = (self.curve.theta_jet(zs - z2 + shift, 0)[0]
-                        for shift in (self.zeta_t, 0.0))
+                        for shift in (self.expansion.zeta, 0.0))
             acc = np.sum(segs + np.log(num[1:] / num[:-1])
                          - np.log(den[1:] / den[:-1]))
             out.append(abs(base * np.exp(acc) - base) / abs(base))
@@ -231,13 +228,13 @@ class ClassicalSystem:
         """
         cv = self.curve
         # every pole of X has a record of times
-        times = next(r.times for r in self.records
+        times = next(r.times for r in self.expansion.records
                      if _same_center(r.center, xp.location))
         key = ("W", str(xp.location))
         cached = self._chi_primitive_cache.get(key)
         if cached is None:
             h = self.chi.local_series(xp.location, cv.order + 6)
-            W, K = _regular_primitive(self._chi_basis, self.o, xp, h,
+            W, K = _regular_primitive(self.expansion.basis, self.o, xp, h,
                                       times, 0.61 + 0.37j, 0.18)
             cached = (W, xp.s_of_xi.retag(h.var_tag), K)
             self._chi_primitive_cache[key] = cached
@@ -259,7 +256,7 @@ class ClassicalSystem:
             # sign < 0: z1(xi) - z = (p - z) + s(xi)
             p = complex(xp.location)
             G = cv.szego_series(sign * (z - p), s_of_xi * (-sign),
-                                self.zeta_t)
+                                self.expansion.zeta)
             dleg = s_of_xi.differentiate()
         leg = dleg.sqrt()
         return (G * expo * leg) * amp
@@ -350,26 +347,7 @@ def _generic_x(curve):
         curve.x_value(0.29 + 0.33j * curve.tau.imag)
 
 
-def _zeta(curve, basis):
-    """chi's B-period over 2 i pi, the closed sum of the atoms' of its
-    expansion ``basis`` in the canonical basis (0 on the sphere)."""
-    return sum(canonical_period(curve, basis, "b")
-               for _ in curve.cycles) / (2j * np.pi)
-
-
-# -- classical tau and Sato ------------------------------------------------------------
-
-class ClassicalTau:
-    """e^{F0-shifted} theta(zeta) and its Schlesinger ratios."""
-
-    def __init__(self, curve, form, basepoint=None):
-        self.curve = curve
-        self.form = form
-        self.prep = prepotential(curve, form, basepoint)
-        self.f0_tilde = shifted_prepotential_value(self.prep)
-        self.zeta_t = _zeta(curve, self.prep.basis)
-        self.theta_factor = curve.theta_jet(self.zeta_t, 0)[0]
-
+# -- the classical tau function and Sato -----------------------------------------
 
 def sato_residual(curve, form, z1, z2, basepoint=None):
     """Residual of the Schlesinger-shift relation, squared form.
@@ -382,15 +360,17 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
 
         (T(omega + dS)/T(omega))^2 dX(z1) dX(z2) = - psi_cl(z1,z2)^2,
 
-    which this residual probes together with |ratio| = 1.  Returns
+    with T(omega) = e^(F0~) theta(zeta), F0~ the shifted prepotential
+    and zeta that of omega's expansion, each read off one prepotential.
+    The residual probes it together with |ratio| = 1.  Returns
     (squared-form residual, raw ratio).
     """
-    ds = ThirdKind(curve, z1, z2)
-    shifted = SumForm([(1.0, form), (1.0, ds)])
-    t0 = ClassicalTau(curve, form, basepoint)
-    t1 = ClassicalTau(curve, shifted, basepoint)
-    lhs = np.exp(t1.f0_tilde - t0.f0_tilde)
-    lhs *= t1.theta_factor / t0.theta_factor
+    shifted = SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))])
+    p0, p1 = (prepotential(curve, f, basepoint) for f in (form, shifted))
+    lhs = np.exp(shifted_prepotential_value(p1)
+                 - shifted_prepotential_value(p0))
+    lhs *= curve.theta_jet(p1.expansion.zeta, 0)[0] \
+        / curve.theta_jet(p0.expansion.zeta, 0)[0]
     lhs *= np.sqrt(curve.dx_value(z1)) * np.sqrt(curve.dx_value(z2))
     sysm = ClassicalSystem(curve, form, basepoint)
     rhs = sysm.psi(z1, z2)
@@ -401,10 +381,10 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
 
 def time_shift_of_third_kind(curve, form, z1, z2):
     """Times of omega + dS minus times of omega at a shared pole set."""
-    base, _ = times_and_fillings(curve, form, _SHIFT_J_MAX)
-    shifted, _ = times_and_fillings(
+    base = expansion(curve, form, _SHIFT_J_MAX).records
+    shifted = expansion(
         curve, SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))]),
-        _SHIFT_J_MAX)
+        _SHIFT_J_MAX).records
     out = {}
     for rec in shifted:
         mate = next((r for r in base

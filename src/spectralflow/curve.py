@@ -19,6 +19,7 @@ from .cache import BoundedCache
 from .elliptic import EllipticTools
 from .errors import (
     BadModulus,
+    CoincidentPoints,
     NearBranchPoint,
     NonSimpleRamification,
     NotRepresentable,
@@ -102,8 +103,10 @@ class RationalFunction:
     Every expansion of a rational function is one composition, ``R.of``:
     R of a TruncSeries (c + s at a point, w^-1 at inf, wp's Laurent series
     at a lattice point) or of another RationalFunction.  ``+``, ``-``, ``*``
-    and ``/`` take a RationalFunction or a number, ``**`` an integer; none
-    cancels a common factor, which ``of`` divides out where it expands.
+    and ``/`` take a RationalFunction or a number, ``**`` an integer.  ``+``
+    and ``-`` over equal denominators keep one copy of it, and ``of`` a
+    rational inner builds no common factor; otherwise none is cancelled,
+    and ``of`` a series divides out the zeros it would leave.
     Point values take each multiple pole's factor (z - p)^m apart from
     the rest of Q: its monomial coefficients would lose a deep pole.
     """
@@ -124,12 +127,18 @@ class RationalFunction:
         return np.polynomial.polynomial.polyval(z, self.num) / den
 
     def of(self, inner):
-        """R(inner).  With c the t^0 coefficient of inner (0 for a rational
-        inner), the numerator and the denominator are shifted to c, their
-        zeros of order m at c divided out (``_at``), and both evaluated by
-        Horner on t = inner - c: R(inner) = P(t)/Q(t) t^(m_P - m_Q).  A
-        constant denominator is a scalar division."""
-        c = 0.0 if isinstance(inner, RationalFunction) else inner.coeff(0)
+        """R(inner).  Of a rational inner P/Q, in homogeneous form: with
+        R = sum n_i z^i / sum d_i z^i and D its degree as a map, R(P/Q) =
+        sum n_i P^i Q^(D - i) / sum d_i P^i Q^(D - i).  Of a series, with c
+        its t^0 coefficient, the numerator and the denominator are shifted
+        to c, their zeros of order m at c divided out (``_at``), and both
+        evaluated by Horner on t = inner - c: R(inner) = P(t)/Q(t) t^(m_P -
+        m_Q).  A constant denominator is a scalar division."""
+        if isinstance(inner, RationalFunction):
+            top = self.degree_as_map()
+            return RationalFunction(_homogeneous(self.num, inner, top),
+                                    _homogeneous(self.den, inner, top))
+        c = inner.coeff(0)
         t = inner - c if c else inner
         (m, num), (k, den) = _at(self.num, c), _at(self.den, c)
         out = _horner(num, t) / (den[0] if len(den) == 1 else _horner(den, t))
@@ -170,9 +179,12 @@ class RationalFunction:
         return max(len(self.num), len(self.den)) - 1
 
     def __add__(self, other):
-        o, mul = _rational(other), np.polynomial.polynomial.polymul
-        return RationalFunction(np.polynomial.polynomial.polyadd(
-            mul(self.num, o.den), mul(o.num, self.den)), mul(self.den, o.den))
+        o, pol = _rational(other), np.polynomial.polynomial
+        if np.array_equal(self.den, o.den):
+            return RationalFunction(pol.polyadd(self.num, o.num), self.den)
+        return RationalFunction(pol.polyadd(pol.polymul(self.num, o.den),
+                                            pol.polymul(o.num, self.den)),
+                                pol.polymul(self.den, o.den))
 
     def __sub__(self, other):
         return self + _rational(other) * -1.0
@@ -210,13 +222,22 @@ def _at(p, c):
 
 
 def _horner(p, t):
-    """p(t) for ascending coefficients p, from a constant of t's kind; a
-    series constant gets a window that never clips the products."""
-    acc = RationalFunction(p[-1:]) if isinstance(t, RationalFunction) \
-        else constant(p[-1], t.var_tag,
-                      t.trunc_order + abs(t.k_min) + len(t.coeffs) + 4)
+    """p(t) for ascending coefficients p and a series t, from a constant
+    whose window never clips the products."""
+    acc = constant(p[-1], t.var_tag,
+                   t.trunc_order + abs(t.k_min) + len(t.coeffs) + 4)
     for ck in p[-2::-1]:
         acc = acc * t + ck
+    return acc
+
+
+def _homogeneous(c, inner, top):
+    """sum_i c_i P^i Q^(top - i) for inner = P/Q, by Horner on P."""
+    pol = np.polynomial.polynomial
+    acc = np.zeros(1, dtype=complex)
+    for i in range(len(c) - 1, -1, -1):
+        acc = pol.polyadd(pol.polymul(acc, inner.num),
+                          c[i] * pol.polypow(inner.den, top - i))
     return acc
 
 
@@ -343,7 +364,8 @@ class SpectralCurve:
     # a backend provides its cycles, for each handle the periods (A, B) of
     # the global chart's du ([] on the sphere, [(1, tau)] on the torus),
     # x_value, y_value, dx_value, ydx_value (Y dX/dz from one evaluation),
-    # to_cell (the representative of a point in the chart's cell),
+    # to_cell (the representative of a point in the chart's cell, where
+    # KernelForm places its poles and the sheets are reported),
     # x_series(center, order), y_series(center, order), sheets_above,
     # deformed(...), d (degree of X as a map); the local charts, solved
     # from the curve's equation:
@@ -359,7 +381,8 @@ class SpectralCurve:
     #                                 the offset from a pole l (o = 0: c = l)
     #   theta_jet(v, n)               [t^k] theta(v + t)
     #   _lattice_point(c)             the pole l of F nearest c, where E
-    #                                 vanishes (0 on the sphere)
+    #                                 vanishes (0 on the sphere): behind
+    #                                 _on_lattice, the one lattice test
     #   _log_prime_rise(a, b)         the change of log E continued along
     #                                 the straight segments [a, b] (a and b
     #                                 broadcast)
@@ -367,9 +390,11 @@ class SpectralCurve:
     #                                 over an ndarray v, in one theta sum
     # The kernels below and forms.KernelForm read the curve only through
     # these; the sphere adds their series in w = 1/z (kernel_at_infinity).
-    # The torus backend reads the series of wp = -(log E)'' + c0 behind
-    # x_series and y_series (wp_series), and g2, g3, off the same log E
-    # jet; only point values of wp come from EllipticTools.
+    # prime_form, bergman and szego_grid take v = z1 - z2 and refuse a v
+    # on the lattice (CoincidentPoints).  The torus backend reads the
+    # series of wp = -(log E)'' + c0 behind x_series and y_series
+    # (wp_series), and g2, g3, off the same log E jet; EllipticTools
+    # gives the theta1 sums, c0, point values of wp and to_cell.
 
     def branch_values(self):
         return [r.branch_value for r in self.ramification_points]
@@ -448,9 +473,21 @@ class SpectralCurve:
             return 0.0, self._log_prime_jet(pole, n, 0.0)
         return o, self._log_prime_jet(c, n, o)
 
+    def _on_lattice(self, v, tol):
+        """Whether any of v lies within tol of the lattice (of 0 on the
+        sphere): the one lattice test of either backend."""
+        return np.any(np.abs(v - self._lattice_point(v)) < tol)
+
+    def _apart(self, v):
+        """v = z1 - z2, refused where the prime form vanishes: on the
+        diagonal, modulo the lattice."""
+        if self._on_lattice(v, 1e-14):
+            raise CoincidentPoints("prime form vanishes on the diagonal")
+        return v
+
     def bergman(self, v):
-        """F(v)."""
-        return -2.0 * self._log_prime_jet(v, 2)[2]
+        """F(v) = B(z1, z2)/(dchart dchart) at v = z1 - z2."""
+        return -2.0 * self._log_prime_jet(self._apart(v), 2)[2]
 
     def kernel_series(self, c, head, order):
         """[t^i] sum_k head[k] K_k(c + t), i <= order, for the kernels K_k =
@@ -470,8 +507,9 @@ class SpectralCurve:
         return TruncSeries(np.concatenate([head[::-1], taylor]), -count)
 
     def prime_form(self, v):
-        """E(v)."""
-        return np.exp(self._log_prime_jet(v, 0)[0])
+        """E(z1, z2), reduced by the square roots of the chart legs, at v =
+        z1 - z2."""
+        return np.exp(self._log_prime_jet(self._apart(v), 0)[0])
 
     def theta_off_divisor(self, v):
         """theta(v), refused on the theta divisor."""
@@ -553,7 +591,7 @@ class Genus0Curve(SpectralCurve):
         return np.log(b / a)
 
     def szego_grid(self, v, zeta):
-        return 1.0 / v
+        return 1.0 / self._apart(v)
 
     def _lattice_point(self, c):
         return 0.0
@@ -795,7 +833,8 @@ class Genus1Curve(SpectralCurve):
     def szego_grid(self, v, zeta):
         """theta1(v + zeta) theta1'(0)/(theta1(zeta) theta1(v)), from one
         lattice sum over the stacked v + zeta and v."""
-        num, den = self.theta_jet(np.stack([v + zeta, v]), 0)[0]
+        num, den = self.theta_jet(np.stack([v + zeta, self._apart(v)]),
+                                  0)[0]
         return num * self._theta1_prime / (self.theta_off_divisor(zeta) * den)
 
     def _log_prime_rise(self, a, b):
@@ -816,13 +855,13 @@ class Genus1Curve(SpectralCurve):
         t^(order + 2); at a lattice point 1/t^2 + c0 - (log(E(t)/t))'',
         known through t^order, from the jet at 0 (a jet taken at another
         lattice point loses digits).  Odd slots about a half period are 0."""
-        on = self.ell.is_lattice(center)
+        on = self._on_lattice(center, 1e-9)
         b = self._log_prime_jet(0.0, order + 2, 0.0) if on \
             else self._log_prime_jet(center, order + 4)
         k = np.arange(len(b) - 2)
         wp = -(k + 2) * (k + 1) * b[2:]
         wp[0] += self.ell.c0
-        if self.ell.is_lattice(2 * center):
+        if self._on_lattice(2 * center, 1e-9):
             wp[1::2] = 0.0
         return TruncSeries(np.concatenate([[1.0, 0.0], wp]), -2) if on \
             else TruncSeries(wp)
@@ -835,7 +874,6 @@ class Genus1Curve(SpectralCurve):
 
     def _lattice_point(self, c):
         """m + n tau: n rounds Im c / Im tau, m the real part left over."""
-        c = np.asarray(c)
         n = np.rint(c.imag / self.tau.imag)
         return np.rint(c.real - n * self.tau.real) + n * self.tau
 
@@ -905,9 +943,9 @@ class Genus1Curve(SpectralCurve):
                 except RootFindingFailed:
                     continue
                 u = self.ell.to_cell(u)
-                if self.ell.is_lattice(u, tol=1e-6):
+                if self._on_lattice(u, 1e-6):
                     continue
-                if self.ell.is_lattice(2 * u, tol=1e-6):
+                if self._on_lattice(2 * u, 1e-6):
                     raise RootFindingFailed(
                         f"x = {x} is a branch value: its preimages coincide")
                 pair = [u, self.ell.to_cell(-u)]

@@ -20,7 +20,7 @@ from .forms import (
     SumForm,
     WpPolyDu,
     _same_center,
-    times_and_fillings,
+    expansion,
 )
 
 _pol = np.polynomial.polynomial
@@ -173,9 +173,9 @@ def regularized_direction(curve, base):
     cs = np.concatenate([[0.0], sol])
     corr = WpPolyDu(curve, cs)
     direction = SumForm([(1.0, base_form), (1.0, corr)])
-    records, eps = times_and_fillings(curve, direction)
+    exp = expansion(curve, direction)
     times = {}
-    for rec in records:
+    for rec in exp.records:
         if rec.kind == "x_pole":
             for jj, t in enumerate(rec.times):
                 if abs(t) > 1e-11:
@@ -191,4 +191,4 @@ def regularized_direction(curve, base):
         A = np.asarray(cs, dtype=complex)
         return _genus1_add_over_dx(out, A, np.array([0.0]), lam)
 
-    return factory, times, eps[0] if len(eps) else 0.0
+    return factory, times, exp.eps[0]

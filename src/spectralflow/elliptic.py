@@ -1,4 +1,4 @@
-"""Point values of wp on the torus C/(Z + tau Z), and its lattice reduction.
+"""Point values of wp on the torus C/(Z + tau Z), and the cell reduction.
 
 wp and wp' come from one theta1 jet at each point; the series of wp
 are read off the prime-form jet of the curve's torus backend, whose
@@ -13,8 +13,8 @@ from .theta import ThetaEvaluator
 
 
 class EllipticTools:
-    """wp and wp' at points, and the lattice reduction, for one modulus
-    tau."""
+    """wp and wp' at points, and the reduction of a point to the cell,
+    for one modulus tau."""
 
     def __init__(self, tau: complex):
         self.tau = complex(tau)
@@ -35,7 +35,7 @@ class EllipticTools:
         _, d2, d3 = self.theta.log_theta1_derivs(u)
         return -d2 + self.c0, -d3
 
-    # -- lattice reduction -------------------------------------------------------
+    # -- cell reduction ----------------------------------------------------------
 
     def to_cell(self, u: complex) -> complex:
         """Representative in the cell {s + t tau : s, t in [0, 1)}.
@@ -52,8 +52,3 @@ class EllipticTools:
         if t > 1 - 1e-9:
             t -= 1.0
         return s + t * self.tau
-
-    def is_lattice(self, u: complex, tol=1e-9) -> bool:
-        c = self.to_cell(u)
-        return min(abs(c), abs(c - 1), abs(c - self.tau),
-                   abs(c - 1 - self.tau)) < tol

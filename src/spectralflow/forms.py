@@ -12,10 +12,16 @@ straight segments, in closed form from the curve's log E.
 Every form built from the prime form is one KernelForm: a sum over
 finite poles of residues of the Bergman kernel, read off one jet of log E
 per pole.  ThirdKind (dS), BergmanLeg and SecondKindBasis (omega_{p,j})
-construct it, and a form's expansion in the canonical basis is one.
-Besides, Y dX, c du, sums, and R(z) dz and P(wp) du for a rational R and
-a polynomial P, whose series are R.of the chart variable (w^-1 at inf)
-and P.of wp's series (``RationalFunction.of``).
+construct it.  Besides, Y dX, c du, sums, and R(z) dz and P(wp) du for a
+rational R and a polynomial P, whose series are R.of the chart variable
+(w^-1 at inf) and P.of wp's series (``RationalFunction.of``).
+
+``expansion(curve, form)`` reads any form once into an Expansion record:
+its times at each pole, its filling fractions eps, the form less 2 i pi
+eps du in the canonical basis (one KernelForm, plus a polynomial at inf
+on the sphere), that with its du terms, zeta (the B-period over 2 i pi)
+and the basepoint at which eps was read.  The prepotential and the
+classical system keep that record.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ class Form1:
     def cycle_period(self, which):
         """Closed-form A/B-period coherent with in-cell paths, or None.
 
-        Only ``canonical_period`` calls it, on a curve with cycles and on
-        one atom at a time: it expands a SumForm into its terms itself."""
+        ``canonical_period`` and Expansion's zeta call it, on a curve with
+        cycles and on one atom at a time: they expand a SumForm into its
+        terms themselves."""
         return None
 
     def __add__(self, other):
@@ -300,7 +307,16 @@ def _principal_part(h, tol=0.0):
     return head[:np.flatnonzero(np.abs(head) > tol).max(initial=-1) + 1]
 
 
-# -- times and filling fractions -----------------------------------------------
+# -- times, filling fractions and the canonical basis -----------------------------
+
+# times and principal-part coefficients this small in modulus are 0
+_TIME_TOL = 1e-10
+# a clear basepoint keeps this distance from poles and branch points
+_BASEPOINT_CLEARANCE = 0.2
+# the form less its expansion in the basis, c du, may differ between two
+# points by this much of the values there before the expansion is refused
+_EPS_GAP = 1e-10
+
 
 class PoleTimes:
     """Laurent data of a form at one pole, in the local coordinate of
@@ -319,6 +335,28 @@ class PoleTimes:
         return f"PoleTimes({self.center}, kind={self.kind}, t={self.times})"
 
 
+class Expansion:
+    """One form read once in the canonical basis.
+
+    ``records``: its PoleTimes, one per pole of the form or of X;
+    ``eps``: its filling fractions, one per handle;
+    ``basis``: the form less 2 i pi eps du, the sum of its principal parts
+    (t_(p,0) dS + sum_j t_(p,j) omega_(p,j)), whose A-periods vanish;
+    ``with_du``: basis + 2 i pi eps du, the form itself;
+    ``zeta``: the B-period of ``basis`` over 2 i pi (0 on the sphere);
+    ``basepoint``: the clear point at which eps was read."""
+
+    def __init__(self, curve, records, eps, basis, basepoint):
+        self.records = records
+        self.eps = eps
+        self.basis = basis
+        self.with_du = SumForm([(1.0, basis)] + [
+            (2j * np.pi * e, DuForm(curve)) for e in eps if abs(e) > 1e-13])
+        self.zeta = sum(sum(c * f.cycle_period("b") for c, f in basis.terms)
+                        for _ in curve.cycles) / (2j * np.pi)
+        self.basepoint = basepoint
+
+
 def pole_frame(curve, center):
     """The local coordinate at ``center``: the curve's frame at a pole
     of X, else xi = X - X(center) (order -1)."""
@@ -334,14 +372,9 @@ def pole_frame(curve, center):
     return PoleFrame(curve, center, -1, xi)
 
 
-def times_and_fillings(curve, form: Form1, j_max=None, tol=1e-10):
-    """All times t_{p,j} of the form plus its filling fractions."""
-    return expansion(curve, form, j_max, tol)[:2]
-
-
-def expansion(curve, form: Form1, j_max=None, tol=1e-10):
-    """(records, eps, basis): the form's PoleTimes, its filling fractions,
-    and the form less 2 i pi eps du in the canonical basis, built once.
+def expansion(curve, form: Form1, j_max=None) -> Expansion:
+    """The form's Expansion: its times at every pole, its filling
+    fractions and its canonical basis, built once.
 
     Poles of the form sitting at ramification points are rejected; the
     residue-theorem sum over t_{p,0} is enforced as a check.  xi is s to
@@ -373,15 +406,15 @@ def expansion(curve, form: Form1, j_max=None, tol=1e-10):
             except TruncationTooShort:
                 break
             prod = prod * xi
-        head = _principal_part(h, tol)
+        head = _principal_part(h, _TIME_TOL)
         if len(head) > len(times):
             raise TruncationTooShort(
                 f"the pole at {_label(center)} has order {len(head)}, but its "
                 f"times stop after {len(times)} terms (j_cap = {j_cap})")
         # trim trailing zeros but keep t_0
-        while len(times) > 1 and abs(times[-1]) < tol:
+        while len(times) > 1 and abs(times[-1]) < _TIME_TOL:
             times.pop()
-        if kind == "omega_pole" and all(abs(t) < tol for t in times):
+        if kind == "omega_pole" and all(abs(t) < _TIME_TOL for t in times):
             continue                    # pole cancelled inside a SumForm
         records.append(PoleTimes(center, frame, kind, h, head,
                                  np.array(times)))
@@ -391,10 +424,9 @@ def expansion(curve, form: Form1, j_max=None, tol=1e-10):
         raise ResidueSumNonzero(f"sum of residues = {total:.6g}: " + ", ".join(
             f"{r.times[0]:.3g} at {_label(r.center)}" for r in records))
 
-    from .geometry import _filling_fractions
     basis = _basis(curve, records)
-    return records, _filling_fractions(curve, form, basis, records, j_cap), \
-        basis
+    o, eps = _filling_fractions(curve, form, basis, records, j_cap)
+    return Expansion(curve, records, eps, basis, o)
 
 
 def _basis(curve, records):
@@ -408,6 +440,59 @@ def _basis(curve, records):
     terms += [(1.0, RationalDz(RationalFunction(-r.head[1:])))
               for r in records if r.center == "inf" and len(r.head) > 1]
     return SumForm(terms)
+
+
+def _filling_fractions(curve, form, basis, records, j_cap):
+    """(o, eps) for the form with ``basis`` its expansion less c du: the
+    basis forms have no A-periods, so the form less ``basis`` is c du, c =
+    2 i pi eps (0 on the sphere), read at the first candidate o clear of
+    the form's poles and the branch points (any clear point will do; a
+    fixed order keeps runs reproducible).  Read at the next candidate, c
+    differs by at most 2.7e-15 of the values there over the forms of the
+    tests; past _EPS_GAP of them, TruncationTooShort backs up the refusal
+    of a pole deeper than j_cap."""
+    cands = _basepoints(curve)
+    special = _pole_translates(curve, form) + _translates(
+        curve, [r.location for r in curve.ramification_points])
+    o = next((c for c in cands if all(abs(c - p) > _BASEPOINT_CLEARANCE
+                                      for p in special)), cands[0])
+    vals = [(form.value(z), basis.value(z))
+            for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
+    (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
+    if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
+        deep = max(records, key=lambda r: len(r.times))
+        raise TruncationTooShort(
+            f"the times at {_label(deep.center)} stop after {len(deep.times)} "
+            f"terms (j_cap = {j_cap}): the form less its expansion is "
+            f"{c1:.6g} du at one basepoint and {c2:.6g} du at the next")
+    return o, np.array([c1 / (2j * np.pi) for _ in curve.cycles],
+                       dtype=complex)
+
+
+def _basepoints(curve):
+    """The basepoint candidates, in the order they are tried."""
+    if curve.genus == 1:
+        return [0.37 + 0.21 * curve.tau, 0.61 + 0.43 * curve.tau,
+                0.23 + 0.69 * curve.tau, 0.81 + 0.17 * curve.tau,
+                0.13 + 0.57 * curve.tau]
+    return [0.73 + 0.58j, -0.64 + 0.81j, 1.27 - 0.93j, -1.41 - 0.52j,
+            0.31 + 1.62j]
+
+
+def _translates(curve, pts):
+    """The points, then their translates by the cycles into the
+    neighbouring cells: the obstacles of cycle lines and clearances."""
+    out = list(pts)
+    for a, b in curve.cycles:
+        out += [p + m * a + n * b for p in pts
+                for m in (-1, 0, 1) for n in (-1, 0, 1) if m or n]
+    return out
+
+
+def _pole_translates(curve, form):
+    """The form's finite poles and their translates."""
+    return _translates(curve, [complex(c) for c, _ in form.poles()
+                               if not isinstance(c, str)])
 
 
 class WpPolyDu(Form1):

@@ -1,11 +1,14 @@
-"""Canonical geometric objects on a spectral curve.
+"""Periods, the prepotential F0 and the identity checks of a spectral curve.
 
-Values of spinors and forms are always reported "reduced", i.e. with
-the chart legs stripped: on the sphere E(z1, z2) sqrt(dz1 dz2) =
-z1 - z2, on the torus E(z1, z2) sqrt(du1 du2) = theta1(u1 - u2) /
-theta1'(0).  The odd-characteristic theta is realized through theta1,
-which keeps the prime form antisymmetric and exact to third order on
-the diagonal.
+Everything here reads a form through its expansion in the canonical basis
+(``forms.expansion``): its times, filling fractions eps and B-period give
+F0, its chemical potentials and derivatives, and the closed-form A- and
+B-periods.  ``quadrature_period`` and ``line_integral`` integrate by
+adaptive quadrature instead, as oracles for those closed forms.  The
+two-point kernels (prime form, Bergman kernel, Szego factor) are the
+curve's own (``SpectralCurve.prime_form``, ``bergman``, ``szego_grid``),
+reported with the chart legs stripped: on the sphere E(z1, z2) sqrt(dz1
+dz2) = z1 - z2, on the torus theta1(u1 - u2)/theta1'(0).
 """
 
 from __future__ import annotations
@@ -15,51 +18,26 @@ import numpy as np
 from . import quadrature
 from .errors import (
     BadIndex,
-    CoincidentPoints,
     DivergentRegularization,
     ResidueFreePreconditionViolated,
-    TruncationTooShort,
     UnsupportedCycle,
 )
 from .forms import (
-    DuForm,
     KernelForm,
     PoleTimes,
     SecondKindBasis,
     SumForm,
     ThirdKind,
-    _label,
+    _basepoints,
+    _pole_translates,
     _same_center,
     expansion,
     pole_frame,
-    times_and_fillings,
 )
 from .series import _monomial, truncate
 
-# a clear basepoint keeps this distance from poles and branch points
-_BASEPOINT_CLEARANCE = 0.2
-# the form less its expansion in the basis, c du, may differ between two
-# points by this much of the values there before the expansion is refused
-_EPS_GAP = 1e-10
-
 
 # -- cycle periods --------------------------------------------------------------
-
-def _translates(curve, pts):
-    """The points, then their translates by the cycles into the
-    neighbouring cells: the obstacles of cycle lines and clearances."""
-    out = list(pts)
-    for a, b in curve.cycles:
-        out += [p + m * a + n * b for p in pts
-                for m in (-1, 0, 1) for n in (-1, 0, 1) if m or n]
-    return out
-
-
-def _pole_translates(curve, form):
-    """The form's finite poles and their translates."""
-    return _translates(curve, [complex(c) for c, _ in form.poles()
-                               if not isinstance(c, str)])
-
 
 def _best_offset(pts, step, across):
     """The offset c in (0, 1) whose cycle line [c across, c across + step]
@@ -99,7 +77,7 @@ def canonical_period(curve, form, which):
                    for c, f in form.terms)
     closed = form.cycle_period(which)
     return closed if closed is not None \
-        else canonical_period(curve, decompose(curve, form)[2], which)
+        else canonical_period(curve, expansion(curve, form).with_du, which)
 
 
 def line_integral(curve, form, z_from, z_to):
@@ -115,85 +93,17 @@ def line_integral(curve, form, z_from, z_to):
     return out if np.ndim(z_from) or np.ndim(z_to) else out[0]
 
 
-# -- two-point kernels ------------------------------------------------------------
-
-def _apart(curve, z1, z2):
-    """z1 - z2, refused where the prime form vanishes: on the diagonal,
-    modulo the curve's lattice (whose only point is 0 on the sphere)."""
-    v = z1 - z2
-    if np.any(np.abs(v - curve._lattice_point(v)) < 1e-14):
-        raise CoincidentPoints("prime form vanishes on the diagonal")
-    return v
-
-
-class Geometry:
-    """Prime form, Bergman kernel and third-kind form for one curve."""
-
-    def __init__(self, curve):
-        self.curve = curve
-
-    # prime form, reduced by sqrt(chart legs), broadcast over arrays
-    def prime_form(self, z1, z2):
-        return self.curve.prime_form(_apart(self.curve, z1, z2))
-
-    def szego(self, z1, z2, zeta):
-        """theta(z1 - z2 + zeta)/(theta(zeta) E(z1, z2)), broadcast over
-        arrays."""
-        return self.curve.szego_grid(_apart(self.curve, z1, z2), zeta)
-
-    def bergman(self, z1, z2):
-        """B(z1, z2)/(dchart dchart)."""
-        return self.curve.bergman(_apart(self.curve, z1, z2))
-
-    def third_kind(self, z1, z2, z):
-        """dS_{z1,z2}(z)/dchart."""
-        return ThirdKind(self.curve, z1, z2).value(z)
-
-
 # -- prepotential ------------------------------------------------------------------
-
-def _basepoints(curve):
-    """The basepoint candidates, in the order they are tried."""
-    if curve.genus == 1:
-        return [0.37 + 0.21 * curve.tau, 0.61 + 0.43 * curve.tau,
-                0.23 + 0.69 * curve.tau, 0.81 + 0.17 * curve.tau,
-                0.13 + 0.57 * curve.tau]
-    return [0.73 + 0.58j, -0.64 + 0.81j, 1.27 - 0.93j, -1.41 - 0.52j,
-            0.31 + 1.62j]
-
-
-def default_basepoint(curve):
-    return _basepoints(curve)[0]
-
-
-def clear_basepoint(curve, form):
-    """A basepoint staying away from the form's poles and branch points.
-
-    Only differences of chemical potentials are canonical, so any clear
-    point will do; candidates are tried in a fixed order to keep runs
-    reproducible.
-    """
-    cands = _basepoints(curve)
-    rams = [r.location for r in curve.ramification_points]
-    special = _pole_translates(curve, form) + _translates(curve, rams)
-    for o in cands:
-        if all(abs(o - p) > _BASEPOINT_CLEARANCE for p in special):
-            return o
-    return cands[0]
-
 
 class Prepotential:
     """Value, chemical potentials and derivative lookups for one form."""
 
-    def __init__(self, curve, form, value, mu, records, eps, basis,
-                 b_periods):
+    def __init__(self, curve, form, value, mu, expansion, b_periods):
         self.curve = curve
         self.form = form
         self.value = value
         self.mu = mu                     # {pole label: regularized potential}
-        self.records = records          # PoleTimes list
-        self.eps = eps
-        self.basis = basis              # the form less 2 i pi eps du
+        self.expansion = expansion       # the form's forms.Expansion
         self.b_periods_omega = b_periods
 
     def dF_dt(self, center, j):
@@ -212,7 +122,7 @@ class Prepotential:
         return self.b_periods_omega[i]
 
     def _rec(self, center):
-        for r in self.records:
+        for r in self.expansion.records:
             if _same_center(r.center, center):
                 return r
         raise BadIndex(f"{center} is not a pole of the form")
@@ -220,12 +130,12 @@ class Prepotential:
     def homogeneity_residual(self):
         """|F0 - (1/2) sum_k t_k dF0/dt_k| / max(1, |F0|)."""
         total = 0.0 + 0.0j
-        for rec in self.records:
+        for rec in self.expansion.records:
             for j in range(1, len(rec.times)):
                 if rec.times[j] != 0:
                     total += rec.times[j] * self.dF_dt(rec.center, j)
             total += rec.times[0] * self.mu[_key(rec.center)]
-        for i, e in enumerate(self.eps):
+        for i, e in enumerate(self.expansion.eps):
             total += e * self.b_periods_omega[i]
         return abs(self.value - 0.5 * total) / max(1.0, abs(self.value))
 
@@ -251,26 +161,24 @@ def prepotential(curve, form, basepoint=None):
     the chemical potentials and the B-periods are read off the form's
     expansion in the canonical basis.
     """
-    o = basepoint if basepoint is not None else clear_basepoint(curve, form)
-    records, eps, chi_basis = expansion(curve, form)
-    basis = _with_du(curve, chi_basis, eps)
+    exp = expansion(curve, form)
+    o = basepoint if basepoint is not None else exp.basepoint
     obstacles = _pole_translates(curve, form)
 
     res_v = 0.0 + 0.0j
     mu = {}
     t0mu = 0.0 + 0.0j
-    for rec in records:
+    for rec in exp.records:
         # Res_p V_p omega with V_p = sum_{j>=1} (t_j / j) xi^-j
         res_v += sum(t * _pairing(rec, j) for j, t in enumerate(rec.times)
                      if j and t != 0)
-        mu[_key(rec.center)] = _mu_of(rec, basis, o, obstacles)
+        mu[_key(rec.center)] = _mu_of(rec, exp.with_du, o, obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
-    bper = [canonical_period(curve, basis, "b") for _ in curve.cycles]
-    eps_term = sum(e * b for e, b in zip(eps, bper))
+    bper = [canonical_period(curve, exp.with_du, "b") for _ in curve.cycles]
+    eps_term = sum(e * b for e, b in zip(exp.eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
-    return Prepotential(curve, form, value, mu, records, eps, chi_basis,
-                        bper)
+    return Prepotential(curve, form, value, mu, exp, bper)
 
 
 def _mu_of(rec, basis, o, obstacles):
@@ -333,13 +241,13 @@ def shifted_prepotential_value(prep: Prepotential):
     """F0 - sum eps dF0/deps + i pi eps.tau.eps, tau = B/A over the
     cycles: F0 itself on the sphere."""
     value = prep.value
-    for e, bp, (a, b) in zip(prep.eps, prep.b_periods_omega,
+    for e, bp, (a, b) in zip(prep.expansion.eps, prep.b_periods_omega,
                              prep.curve.cycles):
         value = value - e * bp + 1j * np.pi * e * e * (b / a)
     return value
 
 
-# -- canonical basis and decomposition ----------------------------------------------
+# -- canonical basis ----------------------------------------------------------------
 
 def basis_form(curve, rec_or_center, j, basepoint=None):
     """omega_{p,j}: dS_{p,o} for j = 0 (-dz/(z - o) for p = inf on the
@@ -347,45 +255,11 @@ def basis_form(curve, rec_or_center, j, basepoint=None):
     center = rec_or_center.center if isinstance(rec_or_center, PoleTimes) \
         else rec_or_center
     if j == 0:
-        o = basepoint if basepoint is not None else default_basepoint(curve)
+        o = basepoint if basepoint is not None else _basepoints(curve)[0]
         if center == "inf":
             return KernelForm(curve, [(o, [-1.0])])
         return ThirdKind(curve, center, o)
     return SecondKindBasis(curve, pole_frame(curve, center), j)
-
-
-def _with_du(curve, basis, eps):
-    """basis + sum 2 i pi eps du."""
-    return SumForm([(1.0, basis)] + [(2j * np.pi * e, DuForm(curve))
-                                     for e in eps if abs(e) > 1e-13])
-
-
-def decompose(curve, form):
-    """(records, eps, the form rebuilt in the canonical basis)."""
-    records, eps, basis = expansion(curve, form)
-    return records, eps, _with_du(curve, basis, eps)
-
-
-def _filling_fractions(curve, form, basis, records, j_cap):
-    """eps of the form with ``basis`` its expansion less c du: the basis
-    forms have no A-periods, so the form less ``basis`` is c du, c = 2 i pi
-    eps, read at the clear basepoint (0 on the sphere).  Read at the next
-    candidate, c differs by at most 2.7e-15 of the values there over the
-    forms of the tests; past _EPS_GAP of them, TruncationTooShort backs up
-    the refusal of a pole deeper than j_cap."""
-    cands = _basepoints(curve)
-    o = clear_basepoint(curve, form)
-    vals = [(form.value(z), basis.value(z))
-            for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
-    (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
-    if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
-        deep = max(records, key=lambda r: len(r.times))
-        raise TruncationTooShort(
-            f"the times at {_label(deep.center)} stop after {len(deep.times)} "
-            f"terms (j_cap = {j_cap}): the form less its expansion is "
-            f"{c1:.6g} du at one basepoint and {c2:.6g} du at the next")
-    return np.array([c1 / (2j * np.pi) for _ in curve.cycles],
-                    dtype=complex)
 
 
 # -- identity checkers -----------------------------------------------------------------
@@ -398,12 +272,11 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
     the cell boundary touch the polygon edges where the primitive's
     determination is ambiguous).
     """
-    records2, _ = times_and_fillings(curve, form2)
-    for rec in records2:
+    for rec in expansion(curve, form2).records:
         if abs(rec.times[0]) > 1e-10:
             raise ResidueFreePreconditionViolated(
                 f"form2 has residue {rec.times[0]} at {rec.center}")
-    o = basepoint if basepoint is not None else default_basepoint(curve)
+    o = basepoint if basepoint is not None else _basepoints(curve)[0]
     obstacles = _pole_translates(curve, form1) \
         + _pole_translates(curve, form2)
 
@@ -447,8 +320,10 @@ def fay_residual(curve, z1, z2, z3, z4, w):
     """Relative residual of Fay's four-point bilinear theta identity;
     theta factors on the theta divisor are refused.  At genus 0 (theta = 1,
     E = z1 - z2) it is a rational identity."""
-    geo = Geometry(curve)
-    E, T = geo.prime_form, curve.theta_off_divisor
+    T = curve.theta_off_divisor
+
+    def E(a, b):
+        return curve.prime_form(a - b)
 
     u12, u34 = z1 - z2, z3 - z4
     lhs = T(w) * T(u12 + u34 + w) * E(z1, z3) * E(z2, z4) \

@@ -75,6 +75,9 @@ def test_lagrange_gamma_matches_zeta_powers(curve):
     cv = _curve(curve)
     eng = RecursionEngine(cv)
     for a, r in enumerate(eng.rams):
+        # a fresh engine fills its tables on first read: fill them here
+        eng._gamma(a, eng.deep)
+        assert eng.gamma[a].shape == (eng.deep, eng.deep)
         # X - X(a) has a double zero at a: its slots below s^2 are roundoff
         xs = cv.x_series(r.location, eng.deep + 4)
         xs = TruncSeries([xs.coeff(k) for k in range(2, xs.trunc_order + 1)],

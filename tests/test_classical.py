@@ -3,7 +3,6 @@ import pytest
 
 from spectralflow.classical import (
     ClassicalSystem,
-    ClassicalTau,
     insertion_deformed_system,
     ode_growth_probe,
     ode_matrix,
@@ -69,7 +68,7 @@ def test_normalization_limit(sys_airy, sys_torus, rng):
         scale = abs(sysm.chi.value(z2))
         vals = []
         for h in (1e-4, 1e-6):
-            E = sysm.geo.prime_form(z2 + h, z2)
+            E = sysm.curve.prime_form(z2 + h - z2)
             vals.append(abs(E * sysm.psi(z2 + h, z2) - 1.0))
         assert vals[1] < 1e-8 + 10 * scale * 1e-6
         assert vals[1] < 0.05 * vals[0]
@@ -211,8 +210,8 @@ def test_eps_and_zeta_match_quadrature(tau):
         eps = quadrature_period(curve, form, "a") / (2j * np.pi)
         zeta = quadrature_period(curve, sysm.chi, "b") / (2j * np.pi)
         # measured: 4.8e-14 (eps) and 2.0e-13 (zeta, |zeta| = 37.8)
-        assert abs(sysm.eps[0] - eps) < 1e-12 * max(1, abs(eps))
-        assert abs(sysm.zeta_t - zeta) < 1e-12 * max(1, abs(zeta))
+        assert abs(sysm.expansion.eps[0] - eps) < 1e-12 * max(1, abs(eps))
+        assert abs(sysm.expansion.zeta - zeta) < 1e-12 * max(1, abs(zeta))
 
 
 def test_classical_system_makes_no_quadrature_call(monkeypatch):
@@ -599,4 +598,4 @@ def test_ode_growth_at_omega_poles(sys_airy):
 def test_insertion_deformation_preserves_fillings(sys_torus):
     sysm = insertion_deformed_system(sys_torus.curve, sys_torus.form,
                                      0.52 + 0.61j, 1e-3)
-    assert abs(sysm.eps[0] - sys_torus.eps[0]) < 1e-9
+    assert abs(sysm.expansion.eps[0] - sys_torus.expansion.eps[0]) < 1e-9

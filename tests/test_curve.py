@@ -22,7 +22,7 @@ from spectralflow.errors import (
     RootFindingFailed,
     TruncationTooShort,
 )
-from spectralflow.forms import RationalDz, YdX, times_and_fillings
+from spectralflow.forms import RationalDz, YdX, expansion
 
 
 def test_airy_ramification(airy):
@@ -99,9 +99,9 @@ def _grid_preimages(curve, x):
             if abs(ell.wp(u) - target) > 1e-9 * max(1.0, abs(target)):
                 continue
             u = ell.to_cell(u)
-            if ell.is_lattice(u, tol=1e-6):
+            if curve._on_lattice(u, 1e-6):
                 continue
-            if not any(abs(u - s) < 1e-6 or ell.is_lattice(u - s, tol=1e-6)
+            if not any(abs(u - s) < 1e-6 or curve._on_lattice(u - s, 1e-6)
                        for s in sols):
                 sols.append(u)
     return _sort_points(sols)
@@ -148,20 +148,20 @@ def test_continue_sheets_refuses_a_missed_root(joukowski):
 
 def test_residue_theorem_for_ydx(airy, joukowski, torus):
     for curve in (airy, joukowski, torus):
-        recs, _ = times_and_fillings(curve, YdX(curve))
+        recs = expansion(curve, YdX(curve)).records
         assert abs(sum(r.times[0] for r in recs)) < 1e-10
 
 
 def test_airy_times(airy):
-    recs, _ = times_and_fillings(airy, YdX(airy))
+    recs = expansion(airy, YdX(airy)).records
     (rec,) = recs
     assert rec.center == "inf"
     assert np.allclose(rec.times, [0, 0, 0, -2])
 
 
 def test_dz_over_z_times(joukowski):
-    recs, _ = times_and_fillings(joukowski,
-                                 RationalDz(RationalFunction([1], [0, 1])))
+    recs = expansion(joukowski,
+                     RationalDz(RationalFunction([1], [0, 1]))).records
     by_center = {r.center if isinstance(r.center, str) else "0": r.times[0]
                  for r in recs}
     assert abs(by_center["0"] - 1) < 1e-12
@@ -170,7 +170,7 @@ def test_dz_over_z_times(joukowski):
 
 def test_du_filling_fraction(torus):
     from spectralflow.forms import DuForm
-    _, eps = times_and_fillings(torus, DuForm(torus, 2j * np.pi))
+    eps = expansion(torus, DuForm(torus, 2j * np.pi)).eps
     assert abs(eps[0] - 1.0) < 1e-10
 
 
@@ -181,8 +181,8 @@ def test_multiple_pole_is_one_record(airy, pole):
     for m in range(2, 6):
         den = np.polynomial.polynomial.polyfromroots([pole] * m)
         assert len(RationalFunction([1.0], den).finite_poles()) == 1
-        recs, _ = times_and_fillings(airy,
-                                     RationalDz(RationalFunction([1.0], den)))
+        recs = expansion(airy,
+                         RationalDz(RationalFunction([1.0], den))).records
         (rec,) = [r for r in recs if r.center != "inf"]
         assert abs(rec.center - pole) < 1e-9
         assert len(rec.head) == m
@@ -201,8 +201,8 @@ def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
     for m in range(6, top + 1):
         den = np.polynomial.polynomial.polyfromroots([pole] * m)
         try:
-            recs, _ = times_and_fillings(
-                airy, RationalDz(RationalFunction([1.0], den)))
+            recs = expansion(
+                airy, RationalDz(RationalFunction([1.0], den))).records
         except TruncationTooShort as exc:
             assert m > kept, (m, str(exc))
             named = re.findall(r"[-+]?\d[\d.e+-]*j", str(exc))
@@ -215,7 +215,7 @@ def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
 
 def test_pole_at_ramification_rejected(airy):
     with pytest.raises(PoleAtRamificationPoint):
-        times_and_fillings(airy, RationalDz(RationalFunction([1], [0, 1])))
+        expansion(airy, RationalDz(RationalFunction([1], [0, 1])))
 
 
 def test_build_curve_json(airy):

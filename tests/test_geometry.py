@@ -13,17 +13,14 @@ from spectralflow.errors import (
 from spectralflow.forms import (
     BergmanLeg,
     DuForm,
-    RationalDz,
     SumForm,
     ThirdKind,
     YdX,
-    times_and_fillings,
+    expansion,
 )
 from spectralflow.geometry import (
-    Geometry,
     basis_form,
     canonical_period,
-    decompose,
     fay_residual,
     line_integral,
     prepotential,
@@ -37,67 +34,64 @@ from spectralflow.quadrature import integrate_path, integrate_segment
 # -- kernels ------------------------------------------------------------------
 
 def test_prime_form_genus0(joukowski):
-    geo = Geometry(joukowski)
-    assert geo.prime_form(2.0, 1.0) == 1.0
+    assert joukowski.prime_form(2.0 - 1.0) == 1.0
     with pytest.raises(CoincidentPoints):
-        geo.prime_form(1.3, 1.3)
+        joukowski.prime_form(1.3 - 1.3)
 
 
 def test_prime_form_antisymmetry(torus, rng):
-    geo = Geometry(torus)
     for _ in range(6):
         z1 = rng.uniform(0.05, 0.95) + 1j * rng.uniform(0.05, 0.95)
         z2 = rng.uniform(0.05, 0.95) + 1j * rng.uniform(0.05, 0.95)
-        a, b = geo.prime_form(z1, z2), geo.prime_form(z2, z1)
+        a, b = torus.prime_form(z1 - z2), torus.prime_form(z2 - z1)
         assert abs(a + b) < 1e-12 * abs(a)
 
 
 def test_prime_form_short_distance(torus):
     # E = (u1 - u2) + O((u1-u2)^3): no quadratic term
-    geo = Geometry(torus)
     u2 = 0.31 + 0.22j
     for h in (1e-2, 1e-3):
-        val = geo.prime_form(u2 + h, u2)
+        val = torus.prime_form(u2 + h - u2)
         assert abs(val - h) < 2 * h ** 3
 
 
 def test_prime_form_matches_theta1_quotient(torus):
-    geo = Geometry(torus)
     th = torus.ell.theta
     z1, z2 = 0.41 + 0.13j, 0.18 + 0.67j
     target = th.theta1(z1 - z2) / th.theta1(0.0, 1)
-    assert abs(geo.prime_form(z1, z2) - target) < 1e-14
+    assert abs(torus.prime_form(z1 - z2) - target) < 1e-14
 
 
 @pytest.mark.parametrize("shift", ["1", "tau", "1+tau"])
 def test_coincident_points_modulo_the_lattice(torus, shift):
     # z1 - z2 on the lattice is the diagonal of the torus: each kernel
     # refuses it instead of returning roundoff (2.9e32, -1.7e16, 5.8e-17)
-    geo = Geometry(torus)
     z2 = 0.3 + 0.2j
     z1 = z2 + {"1": 1.0, "tau": torus.tau, "1+tau": 1.0 + torus.tau}[shift]
-    for kernel in (geo.bergman, geo.prime_form,
-                   lambda a, b: geo.szego(a, b, 0.23 + 0.17j)):
+    for kernel in (torus.bergman, torus.prime_form,
+                   lambda v: torus.szego_grid(v, 0.23 + 0.17j)):
         with pytest.raises(CoincidentPoints):
-            kernel(z1, z2)
+            kernel(z1 - z2)
+        # in a grid too, where one entry is on the lattice
+        with pytest.raises(CoincidentPoints):
+            kernel(np.array([z1 + 0.1, z1]) - z2)
     # off the lattice they stay finite; on the sphere only 0 is refused
-    assert np.isfinite(geo.bergman(z1 + 0.1, z2))
-    sphere = Geometry(Genus0Curve(RationalFunction([0, 0, 1]),
-                                  RationalFunction([0, 1])))
-    assert abs(sphere.prime_form(z1, z2) - (z1 - z2)) < 1e-15 * abs(z1 - z2)
+    assert np.isfinite(torus.bergman(z1 + 0.1 - z2))
+    sphere = Genus0Curve(RationalFunction([0, 0, 1]), RationalFunction([0, 1]))
+    assert abs(sphere.prime_form(z1 - z2) - (z1 - z2)) < 1e-15 * abs(z1 - z2)
+    with pytest.raises(CoincidentPoints):
+        sphere.szego_grid(np.array([[z1 - z2, 0.0]]), 0.0)
 
 
 def test_bergman_genus0(joukowski):
-    geo = Geometry(joukowski)
-    assert abs(geo.bergman(3.0, 1.0) - 0.25) < 1e-15
+    assert abs(joukowski.bergman(3.0 - 1.0) - 0.25) < 1e-15
 
 
 def test_bergman_symmetry(torus, rng):
-    geo = Geometry(torus)
     for _ in range(5):
         z1 = rng.uniform(0.05, 0.95) + 1j * rng.uniform(0.05, 0.95)
         z2 = rng.uniform(0.05, 0.95) + 1j * rng.uniform(0.05, 0.95)
-        a, b = geo.bergman(z1, z2), geo.bergman(z2, z1)
+        a, b = torus.bergman(z1 - z2), torus.bergman(z2 - z1)
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
@@ -170,7 +164,7 @@ def test_third_kind_b_period_quadrature_vs_abel(torus):
 def test_decomposition_roundtrip(which, airy, joukowski, torus, rng):
     curve = {"airy": airy, "joukowski": joukowski, "torus": torus}[which]
     w = YdX(curve)
-    _, _, recon = decompose(curve, w)
+    recon = expansion(curve, w).with_du
     for _ in range(20):
         if curve.genus == 0:
             z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
@@ -249,8 +243,7 @@ def test_second_derivative_prime_form(joukowski):
     vp = prepotential(joukowski, SumForm([(1.0, w), (h, ds)])).value
     vm = prepotential(joukowski, SumForm([(1.0, w), (-h, ds)])).value
     fd2 = (vp - 2 * prep0 + vm) / h ** 2
-    geo = Geometry(joukowski)
-    target = -np.log(geo.prime_form(z1, z2) ** 2
+    target = -np.log(joukowski.prime_form(z1 - z2) ** 2
                      * joukowski.dx_value(z1) * joukowski.dx_value(z2))
     # e^{d2 F0} = -1/(E^2 dX dX): the ordered-pair regularization sign
     assert abs(np.exp(fd2) + np.exp(target)) < 1e-6 * abs(np.exp(target))
@@ -343,12 +336,11 @@ def test_no_cycles_at_genus0(joukowski):
 def test_cycle_sums_empty_at_genus0(joukowski):
     # every sum over curve.cycles has no term on the sphere
     w = YdX(joukowski)
-    _, eps = times_and_fillings(joukowski, w)
-    assert eps.shape == (0,)
+    exp = expansion(joukowski, w)
+    assert exp.eps.shape == (0,) and exp.zeta == 0
     prep = prepotential(joukowski, w)
     assert shifted_prepotential_value(prep) == prep.value
-    _, _, recon = decompose(joukowski, w)
-    assert not any(isinstance(f, DuForm) for _, f in recon.terms)
+    assert not any(isinstance(f, DuForm) for _, f in exp.with_du.terms)
     sysm = ClassicalSystem(joukowski, w)
     assert sysm.b_loop_transport_residual(1.1 + 0.8j, 0.4 + 1.3j) == 0.0
     with pytest.raises(UnsupportedCycle):

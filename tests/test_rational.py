@@ -213,6 +213,34 @@ def test_operators_pointwise():
             assert abs(got - want) <= 1e-14 * abs(want)
 
 
+
+def test_sum_over_one_denominator_keeps_it():
+    # equal denominators are not multiplied together: the sum keeps
+    # 1 + z^2, whose roots +-i stay simple poles
+    total = RationalFunction([2, 1], [1, 0, 1]) \
+        + RationalFunction([1], [1, 0, 1])
+    assert np.array_equal(total.num, [3, 1])
+    assert np.array_equal(total.den, [1, 0, 1])
+    poles = total.finite_poles()
+    assert [m for _, m in poles] == [1, 1]
+    assert max(abs(p - q) for (p, _), q in zip(poles, (-1j, 1j))) < 1e-15
+
+
+def test_of_rational_inner_builds_no_common_factor():
+    # R(X) in homogeneous form for R of degree 4 and the Joukowski X:
+    # numerator and denominator of degree 8, eight simple poles, and none
+    # at X's pole 0, where R(X) tends to R(inf) = 1
+    R = RationalFunction([1, 2, 0, 0, 1], [2, 0, 1, 0, 1])
+    X = RationalFunction([1, 0, 1], [0, 1])
+    RX = R.of(X)
+    assert (len(RX.num) - 1, len(RX.den) - 1) == (8, 8)
+    poles = RX.finite_poles()
+    assert [m for _, m in poles] == [1] * 8
+    assert min(abs(p) for p, _ in poles) > 0.1
+    assert abs(RX(0.0) - 1.0) < 1e-15
+    for z in (0.3 + 0.8j, -1.1 + 0.4j, 1.7 - 0.6j):
+        assert abs(RX(z) - R(X(z))) < 1e-14 * abs(R(X(z)))
+
 # -- the window contract ----------------------------------------------------------
 
 def _sphere():
