@@ -44,6 +44,7 @@ from .forms import (
     expansion,
 )
 from .geometry import (
+    _prepotential,
     _regular_primitive,
     line_integral,
     prepotential,
@@ -56,8 +57,6 @@ _COND_LIMIT = 1e10
 _EXP_LIMIT = 708.0
 # steps of the B-loop in b_loop_transport_residual
 _B_LOOP_STEPS = 48
-# largest j of the times compared by time_shift_of_third_kind
-_SHIFT_J_MAX = 8
 # the insertion step of self_replication_residual's differences
 _INSERTION_STEP = 1e-4
 
@@ -361,30 +360,30 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
         (T(omega + dS)/T(omega))^2 dX(z1) dX(z2) = - psi_cl(z1,z2)^2,
 
     with T(omega) = e^(F0~) theta(zeta), F0~ the shifted prepotential
-    and zeta that of omega's expansion, each read off one prepotential.
-    The residual probes it together with |ratio| = 1.  Returns
+    and zeta that of omega's expansion, each read off one prepotential;
+    omega's is read off the expansion of the ClassicalSystem that gives
+    psi_cl.  The residual probes it together with |ratio| = 1.  Returns
     (squared-form residual, raw ratio).
     """
+    sysm = ClassicalSystem(curve, form, basepoint)
     shifted = SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))])
-    p0, p1 = (prepotential(curve, f, basepoint) for f in (form, shifted))
+    p0 = _prepotential(curve, form, sysm.expansion, basepoint)
+    p1 = prepotential(curve, shifted, basepoint)
     lhs = np.exp(shifted_prepotential_value(p1)
                  - shifted_prepotential_value(p0))
     lhs *= curve.theta_jet(p1.expansion.zeta, 0)[0] \
         / curve.theta_jet(p0.expansion.zeta, 0)[0]
     lhs *= np.sqrt(curve.dx_value(z1)) * np.sqrt(curve.dx_value(z2))
-    sysm = ClassicalSystem(curve, form, basepoint)
-    rhs = sysm.psi(z1, z2)
-    ratio = lhs / rhs
+    ratio = lhs / sysm.psi(z1, z2)
     residual = abs(ratio * ratio + 1.0)
     return residual, ratio
 
 
 def time_shift_of_third_kind(curve, form, z1, z2):
     """Times of omega + dS minus times of omega at a shared pole set."""
-    base = expansion(curve, form, _SHIFT_J_MAX).records
-    shifted = expansion(
-        curve, SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))]),
-        _SHIFT_J_MAX).records
+    base = expansion(curve, form).records
+    shifted = expansion(curve, SumForm(
+        [(1.0, form), (1.0, ThirdKind(curve, z1, z2))])).records
     out = {}
     for rec in shifted:
         mate = next((r for r in base

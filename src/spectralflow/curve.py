@@ -31,8 +31,8 @@ from .errors import (
 from .series import (
     DEFAULT_TRUNC,
     TruncSeries,
+    _horner,
     _monomial,
-    constant,
     _series_exp,
     inverse_at,
     log_jet,
@@ -154,14 +154,10 @@ class RationalFunction:
     @cached_property
     def _split(self):
         """The denominator's multiple roots (p, m) that the numerator does
-        not share, p polished by a Newton step on Q^(m-1), where it is
-        simple, and Q with each (z - p)^m divided out; only where that
-        leaves roundoff (1e-12 of Q): polyroots misplaces the roots of a Q
-        with a tiny leading term."""
+        not share, and Q with each (z - p)^m divided out; only where that
+        leaves roundoff (1e-12 of Q)."""
         pol, deep, rest = np.polynomial.polynomial, [], self.den
         for p, m in [(p, m) for p, m in self.finite_poles() if m > 1]:
-            d = pol.polyder(self.den, m - 1)
-            p -= pol.polyval(p, d) / pol.polyval(p, pol.polyder(d))
             quo, rem = pol.polydiv(rest, pol.polyfromroots([p] * m))
             if not _at(self.num, p)[0] \
                     and np.max(abs(rem)) <= 1e-12 * np.max(abs(rest)):
@@ -169,11 +165,19 @@ class RationalFunction:
         return deep, rest
 
     def finite_poles(self):
-        """[(location, multiplicity)] for roots of the denominator."""
+        """[(location, multiplicity)] for the roots of the denominator Q:
+        the root clusters of polyroots (``_cluster``), each centre polished
+        by Newton on Q^(m-1), where the root is simple.  polyroots
+        misplaces the roots of a Q with a tiny leading term."""
         if len(self.den) == 1:
             return []
-        roots = np.polynomial.polynomial.polyroots(self.den)
-        return _cluster(roots)
+        pol, out = np.polynomial.polynomial, []
+        for p, m in _cluster(pol.polyroots(self.den)):
+            d = pol.polyder(self.den, m - 1)
+            dd = pol.polyder(d)
+            out.append((_newton(lambda z: pol.polyval(z, d),
+                                lambda z: pol.polyval(z, dd), p), m))
+        return out
 
     def degree_as_map(self) -> int:
         return max(len(self.num), len(self.den)) - 1
@@ -219,16 +223,6 @@ def _at(p, c):
     if m:
         q = _poly_shift(pol.polydiv(p, pol.polyfromroots([c] * m))[0], c)
     return m, q
-
-
-def _horner(p, t):
-    """p(t) for ascending coefficients p and a series t, from a constant
-    whose window never clips the products."""
-    acc = constant(p[-1], t.var_tag,
-                   t.trunc_order + abs(t.k_min) + len(t.coeffs) + 4)
-    for ck in p[-2::-1]:
-        acc = acc * t + ck
-    return acc
 
 
 def _homogeneous(c, inner, top):

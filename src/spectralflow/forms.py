@@ -52,7 +52,7 @@ class Form1:
         raise NotImplementedError
 
     def poles(self):
-        """[(center, hint)] where hint is an order bound or None."""
+        """The centres of the form's poles: chart values, or "inf"."""
         return []
 
     def cycle_period(self, which):
@@ -102,9 +102,8 @@ class SumForm(Form1):
     def poles(self):
         seen = []
         for _, f in self.terms:
-            for p in f.poles():
-                if not any(_same_center(p[0], q[0]) for q in seen):
-                    seen.append(p)
+            seen += [p for p in f.poles()
+                     if not any(_same_center(p, q) for q in seen)]
         return seen
 
     def __mul__(self, c):
@@ -147,11 +146,10 @@ class RationalDz(Form1):
         return vals[:-1] - vals[-1]
 
     def poles(self):
-        out = [(p, m + 1) for p, m in self.R.finite_poles()]
-        dnum, dden = len(self.R.num) - 1, len(self.R.den) - 1
-        if dnum - dden >= -1:
-            out.append(("inf", dnum - dden + 2))
-        return out
+        out = [p for p, _ in self.R.finite_poles()]
+        # R ~ z^-1 or larger at inf: R dz = -R(1/w) w^-2 dw has a pole
+        return out + ["inf"] if len(self.R.num) + 1 >= len(self.R.den) \
+            else out
 
 
 class YdX(Form1):
@@ -172,17 +170,16 @@ class YdX(Form1):
 
     def poles(self):
         cv = self.curve
-        out = [(p.location, None) for p in cv.x_poles]
+        out = [p.location for p in cv.x_poles]
         if cv.genus == 0:
-            out.extend((p, m + 1) for p, m in cv.Y.finite_poles()
-                       if not any(_same_center(p, q[0]) for q in out))
+            more = [p for p, _ in cv.Y.finite_poles()]
         else:
-            for R in (cv.R1, cv.R2):
-                for root, _ in R.finite_poles():
+            more = [u for R in (cv.R1, cv.R2) for root, _ in R.finite_poles()
                     for u in cv.sheets_above(cv.x_scale * root,
-                                             allow_near_branch=True).preimages:
-                        if not any(_same_center(u, q[0]) for q in out):
-                            out.append((u, None))
+                                             allow_near_branch=True).preimages]
+        for p in more:
+            if not any(_same_center(p, q) for q in out):
+                out.append(p)
         return out
 
 
@@ -266,10 +263,9 @@ class KernelForm(Form1):
         return sum(terms[1:], terms[0])
 
     def poles(self):
-        out = [(p, len(h)) for p, h in self.parts]
-        if abs(np.sum(self.signed[:, 0])) > 1e-10:
-            out.append(("inf", 1))
-        return out
+        out = [p for p, _ in self.parts]
+        return out + ["inf"] if abs(np.sum(self.signed[:, 0])) > 1e-10 \
+            else out
 
     def cycle_period(self, which):
         return 0.0 if which == "a" else 2j * np.pi * sum(
@@ -323,13 +319,17 @@ class PoleTimes:
     ``frame`` (its order d_p): the form's series there in the chart, its
     principal part and its times."""
 
-    def __init__(self, center, frame, kind, series, head, times):
+    def __init__(self, center, frame, series, head, times):
         self.center = center
         self.frame = frame
-        self.kind = kind            # 'x_pole' or 'omega_pole'
         self.series = series        # the form's local series at center
         self.head = head            # _principal_part of the series
         self.times = times          # t_j = Res omega xi^j, j = 0..len-1
+
+    @property
+    def kind(self):
+        """'x_pole' at a pole of X (frame order d_p > 0), else 'omega_pole'."""
+        return "x_pole" if self.frame.order > 0 else "omega_pole"
 
     def __repr__(self):
         return f"PoleTimes({self.center}, kind={self.kind}, t={self.times})"
@@ -372,19 +372,22 @@ def pole_frame(curve, center):
     return PoleFrame(curve, center, -1, xi)
 
 
-def expansion(curve, form: Form1, j_max=None) -> Expansion:
+def expansion(curve, form: Form1) -> Expansion:
     """The form's Expansion: its times at every pole, its filling
     fractions and its canonical basis, built once.
 
     Poles of the form sitting at ramification points are rejected; the
     residue-theorem sum over t_{p,0} is enforced as a check.  xi is s to
-    first order at every pole, so the times run to the pole's order: a
-    pole deeper than j_cap is refused.  The filling fractions are read off
-    a point value of the form less its expansion in the canonical basis.
+    first order at every pole, so at a pole of order m (the length of its
+    principal part) t_j = Res omega xi^j is 0 for j >= m: the window of the
+    product starts above xi^-1.  The times run to t_(m-1), one series
+    product each after t_0, and a pole deeper than j_cap = curve order - 4
+    is refused before any product.  The filling fractions are read off a
+    point value of the form less its expansion in the canonical basis.
     """
-    j_cap = j_max if j_max is not None else curve.order - 4
+    j_cap = curve.order - 4
     records = []
-    centers = [p[0] for p in form.poles()]
+    centers = list(form.poles())
     # poles of X always get a record, even if all times vanish
     for xp in curve.x_poles:
         if not any(_same_center(xp.location, c) for c in centers):
@@ -396,28 +399,21 @@ def expansion(curve, form: Form1, j_max=None) -> Expansion:
                 raise PoleAtRamificationPoint(
                     f"form has a pole at ramification point {r.location}")
         h = form.local_series(center, curve.order + 6)
+        head = _principal_part(h, _TIME_TOL)
+        if len(head) > j_cap:
+            raise TruncationTooShort(
+                f"the pole at {_label(center)} has order {len(head)}, past "
+                f"j_cap = {j_cap}")
         frame = pole_frame(curve, center)
         xi = frame.xi_of_s.retag(h.var_tag)
-        kind = "x_pole" if frame.order > 0 else "omega_pole"
-        times, prod = [], h
-        for j in range(j_cap):
-            try:
-                times.append(prod.residue())
-            except TruncationTooShort:
-                break
+        times, prod = [h.residue()], h
+        for _ in range(1, len(head)):
             prod = prod * xi
-        head = _principal_part(h, _TIME_TOL)
-        if len(head) > len(times):
-            raise TruncationTooShort(
-                f"the pole at {_label(center)} has order {len(head)}, but its "
-                f"times stop after {len(times)} terms (j_cap = {j_cap})")
-        # trim trailing zeros but keep t_0
-        while len(times) > 1 and abs(times[-1]) < _TIME_TOL:
-            times.pop()
-        if kind == "omega_pole" and all(abs(t) < _TIME_TOL for t in times):
+            times.append(prod.residue())
+        rec = PoleTimes(center, frame, h, head, np.array(times))
+        if rec.kind == "omega_pole" and max(map(abs, times)) < _TIME_TOL:
             continue                    # pole cancelled inside a SumForm
-        records.append(PoleTimes(center, frame, kind, h, head,
-                                 np.array(times)))
+        records.append(rec)
 
     total = sum(r.times[0] for r in records)
     if abs(total) > 1e-8:
@@ -449,8 +445,9 @@ def _filling_fractions(curve, form, basis, records, j_cap):
     the form's poles and the branch points (any clear point will do; a
     fixed order keeps runs reproducible).  Read at the next candidate, c
     differs by at most 2.7e-15 of the values there over the forms of the
-    tests; past _EPS_GAP of them, TruncationTooShort backs up the refusal
-    of a pole deeper than j_cap."""
+    tests; past _EPS_GAP of them, the principal parts miss some of the
+    form (a pole read short, say a root cluster split apart), and
+    TruncationTooShort names the deepest pole."""
     cands = _basepoints(curve)
     special = _pole_translates(curve, form) + _translates(
         curve, [r.location for r in curve.ramification_points])
@@ -462,9 +459,10 @@ def _filling_fractions(curve, form, basis, records, j_cap):
     if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
         deep = max(records, key=lambda r: len(r.times))
         raise TruncationTooShort(
-            f"the times at {_label(deep.center)} stop after {len(deep.times)} "
-            f"terms (j_cap = {j_cap}): the form less its expansion is "
-            f"{c1:.6g} du at one basepoint and {c2:.6g} du at the next")
+            f"the form less its expansion is {c1:.6g} du at one basepoint "
+            f"and {c2:.6g} du at the next: its principal parts miss some of "
+            f"it (the deepest, at {_label(deep.center)}, has order "
+            f"{len(deep.times)}; j_cap = {j_cap})")
     return o, np.array([c1 / (2j * np.pi) for _ in curve.cycles],
                        dtype=complex)
 
@@ -491,7 +489,7 @@ def _translates(curve, pts):
 
 def _pole_translates(curve, form):
     """The form's finite poles and their translates."""
-    return _translates(curve, [complex(c) for c, _ in form.poles()
+    return _translates(curve, [complex(c) for c in form.poles()
                                if not isinstance(c, str)])
 
 
@@ -514,5 +512,4 @@ class WpPolyDu(Form1):
         return RationalFunction(self.coeffs).of(wp)
 
     def poles(self):
-        return [(0.0, 2 * (len(self.coeffs) - 1))] \
-            if len(self.coeffs) > 1 else []
+        return [0.0] if len(self.coeffs) > 1 else []

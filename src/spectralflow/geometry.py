@@ -1,14 +1,18 @@
 """Periods, the prepotential F0 and the identity checks of a spectral curve.
 
-Everything here reads a form through its expansion in the canonical basis
-(``forms.expansion``): its times, filling fractions eps and B-period give
-F0, its chemical potentials and derivatives, and the closed-form A- and
-B-periods.  ``quadrature_period`` and ``line_integral`` integrate by
-adaptive quadrature instead, as oracles for those closed forms.  The
-two-point kernels (prime form, Bergman kernel, Szego factor) are the
-curve's own (``SpectralCurve.prime_form``, ``bergman``, ``szego_grid``),
-reported with the chart legs stripped: on the sphere E(z1, z2) sqrt(dz1
-dz2) = z1 - z2, on the torus theta1(u1 - u2)/theta1'(0).
+Everything here reads a form through its one expansion in the canonical
+basis (``forms.expansion``): its times, filling fractions eps and zeta
+give F0, its chemical potentials and derivatives, and its B-periods 2 i pi
+(zeta + eps B).  ``canonical_period`` gives the closed-form A- and
+B-periods, and the Riemann bilinear check reads its periods and the
+primitive of its second form in closed form too.  ``quadrature_period``
+and ``line_integral`` integrate by adaptive quadrature instead: oracles
+for those closed forms, called by the tests and, for line_integral, by
+the B-loop transport check of ``classical``.  The two-point kernels
+(prime form, Bergman kernel, Szego factor) are the curve's own
+(``SpectralCurve.prime_form``, ``bergman``, ``szego_grid``), reported
+with the chart legs stripped: on the sphere E(z1, z2) sqrt(dz1 dz2) =
+z1 - z2, on the torus theta1(u1 - u2)/theta1'(0).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def _best_offset(pts, step, across):
 
 def quadrature_period(curve, form, which):
     """The A- (``which`` "a") or B-period of the form by quadrature, an
-    oracle for riemann_bilinear_residual and the tests: the A line is
+    oracle for ``canonical_period`` that only the tests call: the A line is
     [c B, c B + A] and the B line [c A, c A + B] for the curve's cycle
     periods (A, B) and the offset c that keeps the line farthest from
     the form's poles."""
@@ -98,9 +102,8 @@ def line_integral(curve, form, z_from, z_to):
 class Prepotential:
     """Value, chemical potentials and derivative lookups for one form."""
 
-    def __init__(self, curve, form, value, mu, expansion, b_periods):
+    def __init__(self, curve, value, mu, expansion, b_periods):
         self.curve = curve
-        self.form = form
         self.value = value
         self.mu = mu                     # {pole label: regularized potential}
         self.expansion = expansion       # the form's forms.Expansion
@@ -161,7 +164,12 @@ def prepotential(curve, form, basepoint=None):
     the chemical potentials and the B-periods are read off the form's
     expansion in the canonical basis.
     """
-    exp = expansion(curve, form)
+    return _prepotential(curve, form, expansion(curve, form), basepoint)
+
+
+def _prepotential(curve, form, exp, basepoint):
+    """The Prepotential of ``form`` read off ``exp``, its Expansion: the
+    B-period on each handle (A, B) is 2 i pi (zeta + eps B)."""
     o = basepoint if basepoint is not None else exp.basepoint
     obstacles = _pole_translates(curve, form)
 
@@ -175,26 +183,32 @@ def prepotential(curve, form, basepoint=None):
         mu[_key(rec.center)] = _mu_of(rec, exp.with_du, o, obstacles)
         t0mu += rec.times[0] * mu[_key(rec.center)]
 
-    bper = [canonical_period(curve, exp.with_du, "b") for _ in curve.cycles]
+    bper = [2j * np.pi * (exp.zeta + e * b)
+            for e, (_, b) in zip(exp.eps, curve.cycles)]
     eps_term = sum(e * b for e, b in zip(exp.eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
-    return Prepotential(curve, form, value, mu, exp, bper)
+    return Prepotential(curve, value, mu, exp, bper)
+
+
+def _matching_step(center, o, obstacles):
+    """(s_dir, scale): a primitive is matched to its series at the pole
+    ``center`` at the chart offset s = scale s_dir, a fifth of the way to
+    the nearest obstacle (at most 0.2) towards the basepoint o; at inf on
+    the sphere, at w = 0.2 (0.05 + 0.031 i)."""
+    if center == "inf":
+        return 0.05 + 0.031j, 0.2
+    p = complex(center)
+    dmin = min([abs(p - c) for c in obstacles if abs(p - c) > 1e-9],
+               default=1.0)
+    return (complex(o) - p) / abs(complex(o) - p), 0.2 * min(1.0, dmin)
 
 
 def _mu_of(rec, basis, o, obstacles):
     """Regularized int_o^p (omega - dV_p - t_p0 dlog xi), matched on the
     way from p towards the basepoint; ``basis`` is omega in the canonical
     basis."""
-    if rec.center == "inf":
-        s_dir, dmin = 0.05 + 0.031j, 1.0
-    else:
-        p = complex(rec.center)
-        dmin = min([abs(p - c) for c in obstacles if abs(p - c) > 1e-9],
-                   default=1.0)
-        s_dir = (complex(o) - p)
-        s_dir /= abs(s_dir)
     _, mu = _regular_primitive(basis, o, rec.frame, rec.series, rec.times,
-                               s_dir, 0.2 * min(1.0, dmin))
+                               *_matching_step(rec.center, o, obstacles))
     return mu
 
 
@@ -265,53 +279,46 @@ def basis_form(curve, rec_or_center, j, basepoint=None):
 # -- identity checkers -----------------------------------------------------------------
 
 def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
-    """|sum of residues of phi2 omega1 - period pairing|.
+    """|sum of residues of phi2 omega1 - period pairing|, phi2 = int_o^z
+    form2.
 
     form2 must be residue-free at all of its poles, and on the torus
     every pole must lie strictly inside the fundamental cell (poles on
     the cell boundary touch the polygon edges where the primitive's
-    determination is ambiguous).
+    determination is ambiguous).  Everything is in closed form: phi2 near
+    each pole is the primitive of form2's local series, its constant read
+    off the primitive of form2's expansion at the matching point of
+    ``_matching_step``, and the periods are ``canonical_period``'s.  o is
+    that expansion's basepoint unless given.
     """
-    for rec in expansion(curve, form2).records:
+    exp2 = expansion(curve, form2)
+    for rec in exp2.records:
         if abs(rec.times[0]) > 1e-10:
             raise ResidueFreePreconditionViolated(
                 f"form2 has residue {rec.times[0]} at {rec.center}")
-    o = basepoint if basepoint is not None else _basepoints(curve)[0]
+    o = basepoint if basepoint is not None else exp2.basepoint
     obstacles = _pole_translates(curve, form1) \
         + _pole_translates(curve, form2)
-
-    # single-valued primitive of form2 on the cut domain
-    def phi2_series(center, order):
-        ser = form2.local_series(center, order + 2).antiderivative()
-        if center == "inf":
-            zq = 1.0 / (0.045 + 0.027j)
-            sq = 0.045 + 0.027j
-        else:
-            p = complex(center)
-            dmin = min([abs(p - c) for c in obstacles
-                        if abs(p - c) > 1e-9], default=1.0)
-            direction = complex(o) - p
-            direction /= abs(direction)
-            sq = 0.22 * min(1.0, dmin) * direction
-            zq = p + sq
-        const = line_integral(curve, form2, o, zq) - ser.evaluate(sq)
-        return ser + const
+    centers = {}
+    for c in form1.poles() + form2.poles():
+        centers.setdefault(_key(c), c)
 
     lhs = 0.0 + 0.0j
-    centers = {_key(c): c for c, _ in form1.poles()}
-    for c, _ in form2.poles():
-        centers.setdefault(_key(c), c)
     for center in centers.values():
-        order = curve.order
-        s1 = form1.local_series(center, order + 4)
-        p2 = phi2_series(center, order + 4)
-        lhs += (p2 * s1).residue()
+        s_dir, scale = _matching_step(center, o, obstacles)
+        s_q = scale * s_dir
+        z_q = 1.0 / s_q if center == "inf" else complex(center) + s_q
+        phi2 = form2.local_series(center, curve.order + 6).antiderivative()
+        phi2 = phi2 + (exp2.with_du.primitive(o, np.array([z_q]))[0]
+                       - phi2.evaluate(s_q))
+        lhs += (phi2 * form1.local_series(center, curve.order + 4)).residue()
 
     # sign matches the marking of curve.cycles with a counterclockwise
     # fundamental cell (A B A^-1 B^-1 boundary)
-    period = quadrature_period
-    rhs = sum(period(curve, form1, "b") * period(curve, form2, "a")
-              - period(curve, form1, "a") * period(curve, form2, "b")
+    rhs = sum(canonical_period(curve, form1, "b")
+              * canonical_period(curve, form2, "a")
+              - canonical_period(curve, form1, "a")
+              * canonical_period(curve, form2, "b")
               for _ in curve.cycles) / (2j * np.pi)
     return abs(lhs - rhs)
 

@@ -1,9 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
 The library computes its periods and primitives in closed form; this
-module is their oracle (``geometry.line_integral``,
-``geometry.quadrature_period``, the B-loop transport check and the
-tests).  The integrand is called once per round over all open panels
+module is their oracle.  The tests call it through
+``geometry.quadrature_period`` and ``geometry.line_integral``, and the
+library only in ``ClassicalSystem.b_loop_transport_residual``, itself an
+oracle for zeta.  The integrand is called once per round over all open panels
 (at most MAX_PANELS of them), on the (P, 15) array of their Kronrod
 nodes, and must return an array of that shape (or a constant, which is
 broadcast).

@@ -196,20 +196,14 @@ class TruncSeries:
             inv[m] = -np.dot(u[1:m + 1][::-1], inv[:m])
         return TruncSeries(inv / lead, -self.k_min, self.var_tag)
 
-    def sqrt(self, branch: complex | None = None) -> "TruncSeries":
-        """Square root; leading exponent must be even.
-
-        ``branch`` selects the leading coefficient explicitly (it must
-        square to the series' leading coefficient); by default the
-        principal root is used.
-        """
+    def sqrt(self) -> "TruncSeries":
+        """Square root, the principal root of the leading coefficient;
+        the leading exponent must be even."""
         lead = self._leading()
         if self.k_min % 2:
             raise OddLeadingExponentForSqrt(
                 f"leading exponent {self.k_min}")
-        root = np.sqrt(lead) if branch is None else complex(branch)
-        if abs(root * root - lead) > 1e-9 * abs(lead):
-            raise SpectralFlowError("branch does not square to the lead")
+        root = np.sqrt(lead)
         n = len(self.coeffs)
         u = self.coeffs / lead
         s = np.zeros(n, dtype=complex)
@@ -254,16 +248,10 @@ class TruncSeries:
         if inner.k_min < 1:
             raise NotInvertibleAtOrigin(
                 "composition needs inner series with inner(0) == 0")
-        # exact constants get a generous window so they never clip products
-        guard = inner.trunc_order + abs(self.k_min) + len(inner.coeffs) + 4
         out = None
-        # positive-exponent part by Horner from the top
-        top = self.trunc_order
-        if top >= 0:
-            acc = constant(self.coeff(top), inner.var_tag, guard)
-            for k in range(top - 1, -1, -1):
-                acc = acc * inner + self.coeff(k)
-            out = acc
+        if self.trunc_order >= 0:           # the non-negative part
+            out = _horner([self.coeff(k) for k in
+                           range(self.trunc_order + 1)], inner)
         if self.k_min < 0:
             inv = inner.invert()
             pos = inv
@@ -309,6 +297,16 @@ def from_poly(coeffs, var_tag="", order=DEFAULT_TRUNC):
     c = np.zeros(max(order + 1, len(coeffs)), dtype=complex)
     c[:len(coeffs)] = coeffs
     return TruncSeries(c[:order + 1], 0, var_tag)
+
+
+def _horner(p, t):
+    """p(t) for ascending coefficients p and a series t, from a constant
+    whose window never clips the products."""
+    acc = constant(p[-1], t.var_tag,
+                   t.trunc_order + abs(t.k_min) + len(t.coeffs) + 4)
+    for ck in p[-2::-1]:
+        acc = acc * t + ck
+    return acc
 
 
 def _monomial(k, c, like: TruncSeries) -> TruncSeries:

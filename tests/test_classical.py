@@ -516,6 +516,22 @@ def test_sato_quadratic_exactness(airy):
     assert abs(d3) < 1e-8 * max(1.0, abs(vals[0]))
 
 
+def test_sato_residual_expands_twice(monkeypatch, torus):
+    # omega's one expansion serves psi_cl and F0(omega), and omega + dS
+    # has the other
+    from spectralflow import classical, geometry
+    from spectralflow.forms import expansion
+    calls = []
+
+    def counted(curve, form):
+        calls.append(form)
+        return expansion(curve, form)
+    for module in (classical, geometry):
+        monkeypatch.setattr(module, "expansion", counted)
+    res, _ = sato_residual(torus, YdX(torus), 0.31 + 0.22j, 0.72 + 0.31j)
+    assert len(calls) == 2 and res < 1e-7
+
+
 @pytest.mark.parametrize("which", ["airy", "joukowski", "torus"])
 def test_sato_relation(which, airy, joukowski, torus, rng):
     curve = {"airy": airy, "joukowski": joukowski, "torus": torus}[which]

@@ -194,8 +194,8 @@ def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
     # Taylor shift, so its series is exact at every m, and the form's
     # point values divide by (z - p)^m over the root cluster, not by the
     # monomial coefficients.  Measured: one record for every m up to
-    # j_cap = 20 at both poles; past it the times are cut short up front,
-    # and the refusal names the pole.  Past m = 20 at 0.3 + 0.7i the
+    # j_cap = 20 at both poles; past it the pole is refused before any
+    # time is read, and the refusal names it.  Past m = 20 at 0.3 + 0.7i the
     # roots split into clusters
     kept, top = {0.5: (20, 24), 0.3 + 0.7j: (20, 20)}[pole]
     for m in range(6, top + 1):

@@ -291,6 +291,23 @@ def test_riemann_bilinear_double_pole_pair(torus):
     assert riemann_bilinear_residual(torus, b1, b2) < 1e-8
 
 
+def test_riemann_bilinear_makes_no_quadrature_call(monkeypatch, torus):
+    # phi2's constant and the periods are closed forms: the checks above
+    # still compute with the quadrature engine refusing every call
+    from spectralflow import quadrature
+
+    def refuse(f, segments):
+        raise QuadratureNotConverged("a library path called quadrature")
+    monkeypatch.setattr(quadrature, "integrate_segments", refuse)
+    b1 = basis_form(torus, 0.41 + 0.33j, 1)
+    b2 = basis_form(torus, 0.63 + 0.57j, 2)
+    assert riemann_bilinear_residual(torus, DuForm(torus, 2j * np.pi),
+                                     b1) < 1e-8
+    assert riemann_bilinear_residual(torus, b1, b2) < 1e-8
+    with pytest.raises(QuadratureNotConverged):
+        quadrature_period(torus, b1, "a")
+
+
 def test_riemann_bilinear_rejects_residues(torus):
     ds = ThirdKind(torus, 0.3 + 0.4j, 0.7 + 0.6j)
     du = DuForm(torus)

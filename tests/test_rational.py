@@ -241,6 +241,15 @@ def test_of_rational_inner_builds_no_common_factor():
     for z in (0.3 + 0.8j, -1.1 + 0.4j, 1.7 - 0.6j):
         assert abs(RX(z) - R(X(z))) < 1e-14 * abs(R(X(z)))
 
+
+def test_poles_of_a_tiny_leading_term_are_polished():
+    # Q = -i (1 + z) - 4.5e-92 i z^2 has roots -1 and about -2.2e91, but
+    # polyroots returns 0 and -2.2e91: Newton on Q moves 0 to -1
+    poles = RationalFunction([1], [-1j, -1j, -4.5e-92j]).finite_poles()
+    assert [m for _, m in poles] == [1, 1]
+    assert min(abs(p + 1) for p, _ in poles) < 1e-15
+    assert max(abs(p) for p, _ in poles) > 1e91
+
 # -- the window contract ----------------------------------------------------------
 
 def _sphere():

@@ -170,12 +170,10 @@ def test_antiderivative_inverts_derivative():
 
 
 def test_bad_input_refused_with_library_error():
-    # no bare ValueError: a 2-D or empty coefficient array, a branch that
-    # does not square to the lead, exp of a series with a constant term
+    # no bare ValueError: a 2-D or empty coefficient array, exp of a
+    # series with a constant term
     for coeffs in (np.ones((2, 2)), []):
         with pytest.raises(SpectralFlowError, match="coefficient"):
             TruncSeries(coeffs)
-    with pytest.raises(SpectralFlowError, match="branch"):
-        TruncSeries([4.0, 1.0]).sqrt(branch=3.0)
     with pytest.raises(SpectralFlowError, match="constant term"):
         _series_exp(TruncSeries([0.5, 1.0]))
