@@ -1,11 +1,12 @@
 """Spectral-curve backends: genus-0 rational and genus-1 Weierstrass.
 
 A curve carries two meromorphic functions X, Y in a global chart (z on
-the sphere, u on the torus), classified ramification points with their
-sheet involutions as truncated series, pole frames of X, and a sheet
-solver.  Everything is validated at build time; instances are immutable
-and all queries are pure.  The sheet data of a base value is kept on the
-curve, so every ClassicalSystem on it solves it once.
+the sphere, u on the torus), a Frame (a local coordinate and its chart)
+at each ramification point and each pole of X, and a sheet solver.
+Everything is validated at build time, and all queries are pure.  Two
+things are kept as they are first computed: each frame's deepest chart,
+and the sheet data of a base value, so every ClassicalSystem on the
+curve solves it once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cache import BoundedCache
 from .elliptic import EllipticTools
 from .errors import (
-    BadModulus,
     CoincidentPoints,
     NearBranchPoint,
     NonSimpleRamification,
@@ -32,7 +32,6 @@ from .series import (
     DEFAULT_TRUNC,
     TruncSeries,
     _horner,
-    _monomial,
     _series_exp,
     inverse_at,
     log_jet,
@@ -266,31 +265,6 @@ def _cluster(roots, tol=1e-10):
 
 # -- data records ---------------------------------------------------------------
 
-class RamificationPoint:
-    """Simple zero a of dX with its local double-sheet structure.
-
-    The local coordinate is zeta = sqrt(X - X(a)) on the branch
-    ``zeta_prime`` = zeta'(0), the principal root of the s^2 coefficient
-    of X(a + s) - X(a).  ``s_of_zeta`` (the chart offset s = z - a) and
-    ``y_series`` (Y(a + s(zeta))) are series in zeta known through
-    zeta^(curve order + 5); the involution is s(-zeta).  They validate
-    the curve: an engine solves its charts (``local_chart``) to the depth
-    that its reach rule gives its row tables.
-    """
-
-    def __init__(self, location, branch_value, zeta_prime, s_of_zeta,
-                 y_series):
-        self.location = complex(location)
-        self.branch_value = complex(branch_value)
-        self.zeta_prime = complex(zeta_prime)
-        self.s_of_zeta = s_of_zeta
-        self.y_series = y_series          # Y(z(zeta)) as series in zeta
-
-    @property
-    def involution(self) -> TruncSeries:
-        return flip_parity(self.s_of_zeta)
-
-
 def flip_parity(f: TruncSeries) -> TruncSeries:
     """f(-zeta) for a series in zeta."""
     ks = np.arange(f.k_min, f.trunc_order + 1)
@@ -298,27 +272,69 @@ def flip_parity(f: TruncSeries) -> TruncSeries:
                        f.var_tag)
 
 
-class PoleFrame:
-    """Local coordinate xi(s) at a point p = location + s of ``curve``:
-    X^(-1/d) at a pole of X of order d >= 1, X - X(p) (order -1) at a
-    pole of a form where X is regular; without xi, solved on first read."""
+class Frame:
+    """The local coordinate xi at a point p = location + s of ``curve``
+    (at "inf" on the sphere the offset s is w = 1/z).  At a pole of X of
+    order d, ``order`` = d and xi^d = 1/X.  Elsewhere ``order`` = -e and
+    xi^e = X - X(p), ``value`` = X(p), where X - X(p) vanishes to order e:
+    -1 at a regular point, -2 at a ramification point.  xi'(0)
+    (``xi_prime``) is the principal root in every case.
 
-    def __init__(self, curve, location, order, xi_of_s=None):
+    ``value``, ``xi_of_s`` and ``xi_prime`` are computed on first read
+    where the curve does not give them.  ``chart(n)`` gives (s(xi), Y(p +
+    s(xi))) known through xi^n, Y only at a ramification point (None
+    elsewhere), from the curve's one chart routine ``_frame_chart``.  The
+    frame keeps the deepest chart read so far: a shallower read truncates
+    it, a deeper one continues from it."""
+
+    def __init__(self, curve, location, order, value=None, xi_prime=None):
         self.curve = curve
         self.location = location          # chart value or "inf"
         self.order = int(order)
-        if xi_of_s is not None:
-            self.xi_of_s = xi_of_s
+        self.tag = "xi@" + (location if isinstance(location, str)
+                            else f"{complex(location):.6g}")
+        if value is not None:
+            self.value = value
+        if xi_prime is not None:
+            self.xi_prime = complex(xi_prime)
+        self._chart = None
+
+    @cached_property
+    def value(self):
+        return self.curve.x_value(self.location)
 
     @cached_property
     def xi_of_s(self):
-        return self.curve.x_pole_coordinate(self)
+        """xi(s) from X's series at p, known through s^(curve order + 6),
+        and d orders further at a pole of order d at "inf"."""
+        cv, m = self.curve, abs(self.order)
+        xs = cv.x_series(self.location, cv.order + 6
+                         + (m if self.location == "inf" else 0))
+        # off the poles, X(p) and the roundoff below s^e are dropped
+        lo = max(m - xs.k_min, 0)
+        f = xs.invert() if self.order > 0 else \
+            TruncSeries(xs.coeffs[lo:], xs.k_min + lo)
+        return _root_coordinate(f, m, self.tag)
 
     @cached_property
+    def xi_prime(self):
+        return self.xi_of_s.coeff(1)
+
+    def chart(self, n):
+        """(s(xi), Y(p + s(xi)) or None), known through xi^n."""
+        if self._chart is None or self._chart[0].trunc_order < n:
+            s = None if self._chart is None else self._chart[0]
+            self._chart = self.curve._frame_chart(self, n, s)
+        s, y = self._chart
+        if s.trunc_order == n:
+            return s, y
+        return truncate(s, n, absolute=True), \
+            None if y is None else truncate(y, n, absolute=True)
+
+    @property
     def s_of_xi(self):
-        """The chart offset s as a series in xi, known as far as xi(s)
-        and solved from the curve's equation."""
-        return self.curve.pole_chart(self)
+        """s(xi), as far as xi(s) is known."""
+        return self.chart(self.xi_of_s.trunc_order)[0]
 
 
 class SheetStructure:
@@ -345,8 +361,8 @@ class SpectralCurve:
                                      "zeta^2 = X - X(a)")
         self.cycles = cycles
         self.order = order
-        self.ramification_points: list[RamificationPoint] = []
-        self.x_poles: list[PoleFrame] = []
+        self.ramification_points: list[Frame] = []
+        self.x_poles: list[Frame] = []
         # x -> (sheets above x, sqrt(dX) per sheet), filled by
         # ClassicalSystem.sheet_data
         self.sheet_cache = BoundedCache()
@@ -361,11 +377,12 @@ class SpectralCurve:
     # to_cell (the representative of a point in the chart's cell, where
     # KernelForm places its poles and the sheets are reported),
     # x_series(center, order), y_series(center, order), sheets_above,
-    # deformed(...), d (degree of X as a map); the local charts, solved
-    # from the curve's equation:
-    #   _chart(a, X(a), zeta'(0), n, tag)   (s(zeta), Y(a + s(zeta)))
-    #                                       through zeta^n
-    #   pole_chart(frame)             s(xi), as far as frame.xi_of_s
+    # deformed(...), d (degree of X as a map); one chart routine for every
+    # Frame, solved from the curve's equation:
+    #   _frame_chart(frame, n, s)     (s(xi), Y(p + s(xi)) at a ramification
+    #                                 point, else None) through xi^n,
+    #                                 continued from the shallower chart s
+    #                                 where the routine iterates
     # and, for the kernels below, its prime form E and theta function
     # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
     # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
@@ -391,7 +408,7 @@ class SpectralCurve:
     # gives the theta1 sums, c0, point values of wp and to_cell.
 
     def branch_values(self):
-        return [r.branch_value for r in self.ramification_points]
+        return [r.value for r in self.ramification_points]
 
     def _branch_scale(self):
         vals = [abs(v) for v in self.branch_values()]
@@ -412,12 +429,13 @@ class SpectralCurve:
                     raise NonSimpleRamification(
                         f"ramification points {a} and {b} collide")
         for r in self.ramification_points:
-            odd = r.y_series - flip_parity(r.y_series)
-            if abs(odd.coeff(1)) < 1e-10:
+            s, y = r.chart(self.order + 5)
+            if abs((y - flip_parity(y)).coeff(1)) < 1e-10:
                 raise SingularCurve(
                     f"dY vanishes at ramification point {r.location}")
-            # involution must satisfy X(s(-zeta)) = X(a) + zeta^2
-            fwd = self.x_series_in_zeta(r)
+            # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2
+            xs = self.x_series(r.location, self.order + 2) - r.value
+            fwd = xs.compose(s)
             res = max(abs(fwd.coeff(k) - (1.0 if k == 2 else 0.0))
                       for k in range(fwd.k_min, min(fwd.trunc_order,
                                                     self.order) + 1))
@@ -425,28 +443,14 @@ class SpectralCurve:
                 raise SingularCurve(
                     f"local coordinate at {r.location} inconsistent: {res}")
 
-    def x_series_in_zeta(self, ram: RamificationPoint) -> TruncSeries:
-        xs = self.x_series(ram.location, self.order + 2) - ram.branch_value
-        return xs.compose(ram.s_of_zeta)
-
-    def local_chart(self, ram: RamificationPoint, n: int):
-        """(s_of_zeta, y_in_zeta) at ``ram``, known through zeta^n on the
-        branch ``ram.zeta_prime``: an engine's charts, as deep as the row
-        tables of its reach rule read them (``RecursionEngine.deep``)."""
-        return self._chart(ram.location, ram.branch_value, ram.zeta_prime,
-                           n, ram.s_of_zeta.var_tag)
-
-    def _ramification_point(self, a, index):
-        """The RamificationPoint at a simple zero a of dX."""
+    def _ramification_point(self, a):
+        """The Frame at a simple zero a of dX, zeta^2 = X - X(a)."""
         xa = self.x_value(a)
         xs = self.x_series(a, self.order + 4) - xa
         if abs(xs.coeff(1)) > 1e-9 * max(1.0, abs(xs.coeff(2))):
             raise NonSimpleRamification(
                 f"inconsistent vanishing of dX at {a}")
-        zp = np.sqrt(xs.coeff(2))
-        s_of_zeta, ys = self._chart(a, xa, zp, self.order + 5,
-                                    f"zeta@{index}")
-        return RamificationPoint(a, xa, zp, s_of_zeta, ys)
+        return Frame(self, a, -2, xa, np.sqrt(xs.coeff(2)))
 
     # -- kernels, from the prime form -------------------------------------------
     # B(z1, z2) = F(z1 - z2) dz1 dz2 with F = -(log E)'', the primitive
@@ -544,6 +548,9 @@ class Genus0Curve(SpectralCurve):
         super().__init__([], order)
         self.X, self.Y = X, Y
         self.dX = X.deriv()
+        scale = np.max(np.abs(X.num)) * np.max(np.abs(X.den))
+        if np.all(np.abs(self.dX.num) <= 1e-12 * scale):
+            raise SingularCurve("X is constant: dX vanishes identically")
         self.d = X.degree_as_map()
         self._find_ramification()
         self._find_x_poles()
@@ -607,7 +614,6 @@ class Genus0Curve(SpectralCurve):
             return
         roots = _cluster(pol.polyroots(num))
         den_roots = [p for p, _ in self.X.finite_poles()]
-        idx = 0
         for a, mult in roots:
             if any(abs(a - q) < 1e-7 for q in den_roots):
                 continue                      # cancelled by a pole of X
@@ -616,50 +622,34 @@ class Genus0Curve(SpectralCurve):
                     f"dX has a zero of order {mult} at {a}")
             # one Newton step polishes the root to working precision
             a -= pol.polyval(a, num) / pol.polyval(a, pol.polyder(num))
-            self.ramification_points.append(self._ramification_point(a, idx))
-            idx += 1
+            self.ramification_points.append(self._ramification_point(a))
         self.ramification_points.sort(
             key=lambda r: (round(r.location.real, 9),
                            round(r.location.imag, 9)))
 
-    def _chart(self, a, xa, zp, n, tag):
-        """zeta^2 = X(a + s) - xa = U(s)/den(s) from X's shifted numerator
-        and denominator; Y(a + s(zeta)) from Y's, both on series in zeta
-        by Horner."""
-        num, den = _poly_shift(self.X.num, a), _poly_shift(self.X.den, a)
-        s = _solve_chart(np.polynomial.polynomial.polysub(num, xa * den),
-                         den, 2, zp, n, tag)
-        return s, self.Y.of(s + a)
-
-    def pole_chart(self, frame):
-        """s(xi) from xi^m = 1/X at a pole of X of order m (in w = 1/z at
-        "inf"), or from xi = X - X(p) at a regular point p."""
-        xi = frame.xi_of_s
-        if frame.location == "inf":
+    def _frame_chart(self, frame, n, s=None):
+        """xi^d = 1/X = V/U at a pole of X, xi^e = X - X(p) = U/V elsewhere,
+        from X's numerator and denominator shifted to p (reversed at "inf",
+        in w = 1/z), by Newton from the chart s if one is given; Y(p + s)
+        by Horner at a ramification point."""
+        p = frame.location
+        if p == "inf":
             lift = len(self.X.num) - len(self.X.den)
             num = np.concatenate([np.zeros(max(-lift, 0)), self.X.num[::-1]])
             den = np.concatenate([np.zeros(max(lift, 0)), self.X.den[::-1]])
         else:
-            num = _poly_shift(self.X.num, frame.location)
-            den = _poly_shift(self.X.den, frame.location)
-        if frame.order > 0:
-            U, V, m = den, num, frame.order
-        else:
-            U, V, m = np.polynomial.polynomial.polysub(
-                num, self.X(frame.location) * den), den, 1
-        return _solve_chart(U, V, m, xi.coeffs[0], xi.trunc_order,
-                            xi.var_tag)
+            num, den = _poly_shift(self.X.num, p), _poly_shift(self.X.den, p)
+        U, V = (den, num) if frame.order > 0 else \
+            (np.polynomial.polynomial.polysub(num, frame.value * den), den)
+        s = _solve_chart(U, V, abs(frame.order), frame.xi_prime, n,
+                         frame.tag, s)
+        return s, self.Y.of(s + p) if frame.order == -2 else None
 
     def _find_x_poles(self):
-        for p, m in self.X.finite_poles():
-            xi = _root_coordinate(self.x_series(p, self.order + 4), m,
-                                  f"xi@{p:.6g}")
-            self.x_poles.append(PoleFrame(self, p, m, xi))
+        self.x_poles = [Frame(self, p, m) for p, m in self.X.finite_poles()]
         dp = len(self.X.num) - len(self.X.den)
         if dp >= 1:
-            xi = _root_coordinate(self.x_series("inf", self.order + 4 + dp),
-                                  dp, "xi@inf")
-            self.x_poles.append(PoleFrame(self, "inf", dp, xi))
+            self.x_poles.append(Frame(self, "inf", dp))
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
@@ -682,40 +672,41 @@ class Genus0Curve(SpectralCurve):
         return Genus0Curve(self.X * lam, self.Y / lam, self.order)
 
 
-def _root_coordinate(x_series: TruncSeries, m: int, tag: str) -> TruncSeries:
-    """xi(s) = X(s)^(-1/m) near a pole of X of order m (principal branch)."""
-    inv = x_series.invert()               # k_min = m
-    lead = inv.coeffs[0]
-    root = np.exp(np.log(lead) / m)
-    unit = inv.shift(-m) * (1.0 / lead)
+def _root_coordinate(f: TruncSeries, m: int, tag: str) -> TruncSeries:
+    """f^(1/m) on the principal branch, for a series f with a zero of order
+    m at 0: f itself at m = 1."""
     if m == 1:
-        frac = unit
-    elif m == 2:
+        return f.retag(tag)
+    lead = f.coeffs[0]
+    unit = f.shift(-m) * (1.0 / lead)
+    if m == 2:
         frac = unit.sqrt()
     else:
         # unit^(1/m) via exp(log/m)
         lg = (unit.differentiate() * unit.invert()).antiderivative()
         frac = _series_exp(lg * (1.0 / m))
-    return (frac * root).shift(1).retag(tag)
+    return (frac * np.exp(np.log(lead) / m)).shift(1).retag(tag)
 
 
-def _solve_chart(U, V, m, slope, n, tag):
+def _solve_chart(U, V, m, slope, n, tag, s=None):
     """s(t) = t sigma(t), known through t^n, with t^m = U(s)/V(s) and
     t'(0) = ``slope``, for polynomials U (vanishing to order m at s = 0,
     its lower coefficients being roundoff) and V with V(0) != 0.
 
     sigma solves sigma^m A(t sigma) = V(t sigma), A = U/s^m, by Newton
     iteration on series with order doubling (Brent and Kung, J. ACM
-    1978): each step doubles the number of known coefficients.  The
-    polynomials have finite degree, so evaluating them on a series by
-    Horner passes no radius of convergence."""
+    1978): each step doubles the number of known coefficients, from
+    1/slope or from a shallower solution s.  The polynomials have finite
+    degree, so evaluating them on a series by Horner passes no radius of
+    convergence."""
     der = np.polynomial.polynomial.polyder
     A, V = np.asarray(U[m:], dtype=complex), np.asarray(V, dtype=complex)
     # a trailing zero keeps the derivative of a constant non-empty
     A, dA = TruncSeries(A), TruncSeries(der(np.append(A, 0.0)))
     V, dV = TruncSeries(V), TruncSeries(der(np.append(V, 0.0)))
-    sigma = TruncSeries([1.0 / slope], var_tag=tag)
-    k = 1
+    sigma = TruncSeries([1.0 / slope], var_tag=tag) if s is None \
+        else s.shift(-1)
+    k = len(sigma.coeffs)
     while k < n:
         k = min(2 * k, n)
         sigma = pad(sigma, k)
@@ -758,14 +749,16 @@ class Genus1Curve(SpectralCurve):
 
     def __init__(self, tau, R1: RationalFunction, R2: RationalFunction,
                  x_scale=1.0, order=DEFAULT_TRUNC):
-        if not (np.imag(tau) > 0):
-            raise BadModulus(f"Im tau = {np.imag(tau)} must be positive")
+        self.ell = EllipticTools(tau)           # refuses Im tau <= 0
         self.tau = complex(tau)
         # the A-cycle is the segment [0, 1], the B-cycle [0, tau]
         super().__init__([(1.0, self.tau)], order)
         self.R1, self.R2 = R1, R2
         self.x_scale = complex(x_scale)
-        self.ell = EllipticTools(tau)
+        if self.x_scale == 0:
+            raise SingularCurve("X is constant: x_scale = 0")
+        # wp at the half periods, the roots of wp'^2/4
+        self._e = [self.ell.wp(h) for h in self._halves()]
         self._theta1_prime = self.ell.theta.theta1(0.0, 1)
         self._log_theta1_prime = np.log(self._theta1_prime)
         # the jet of log(E(t)/t) at 0, grown on demand
@@ -875,51 +868,37 @@ class Genus1Curve(SpectralCurve):
         return [0.5, 0.5 * self.tau, 0.5 * (1 + self.tau)]
 
     def _find_ramification(self):
-        for idx, a in enumerate(self._halves()):
-            self.ramification_points.append(self._ramification_point(a, idx))
+        self.ramification_points = [self._ramification_point(a)
+                                    for a in self._halves()]
 
-    def _chart(self, a, xa, zp, n, tag):
-        """With zeta^2 = X - X_a and wp'^2 = 4 prod_i (wp - e_i),
-        s'(zeta) = 1/(zeta'(0) sqrt((1 + zeta^2/(X_a - X_b))
-        (1 + zeta^2/(X_a - X_c)))) over the other half periods b, c; then
-        wp = e_a + zeta^2/x_scale, wp' = 2 zeta/(x_scale s'(zeta)) and
-        Y = R1(wp) + R2(wp) wp' in closed form."""
-        alpha, beta = [1.0 / (xa - self.x_value(h)) for h in self._halves()
-                       if abs(h - a) > 1e-9]
-        quartic = np.zeros(n, dtype=complex)
-        quartic[[0, 2, 4]] = [1.0, alpha + beta, alpha * beta]
-        root = TruncSeries(quartic, 0, var_tag=tag).sqrt()
-        s = (root.invert() * (1.0 / zp)).antiderivative()
-        wp_prime = (root * (2.0 * zp / self.x_scale)).shift(1)
-        wp = _monomial(2, 1.0 / self.x_scale, s) + self.ell.wp(a)
-        return s, self.R1.of(wp) + self.R2.of(wp) * wp_prime
-
-    def pole_chart(self, frame):
-        """ds/dxi = (dwp/dxi)/wp' with wp' = sqrt(4 wp^3 - g2 wp - g3) on
-        the branch s'(0) = 1/xi'(0), where wp = xi^-2/x_scale at the pole
-        u = 0 and wp = wp(p) + xi/x_scale at a regular point p."""
-        xi = frame.xi_of_s
-        n = xi.trunc_order
-        g2, g3 = self.invariants_g2_g3()
-        if frame.order > 0:
-            wp = _monomial(-2, 1.0 / self.x_scale, xi)
-        else:
-            head = np.zeros(n + 1, dtype=complex)
-            head[:2] = [self.ell.wp(frame.location), 1.0 / self.x_scale]
-            wp = TruncSeries(head, 0, var_tag=xi.var_tag)
-        ds = wp.differentiate() \
-            * (wp * wp * wp * 4.0 - wp * g2 - g3).sqrt().invert()
-        if (ds.coeff(0) * xi.coeffs[0]).real < 0:
-            ds = -ds
-        return truncate(ds.antiderivative(), n, absolute=True)
+    def _frame_chart(self, frame, n, s=None):
+        """s'(xi) = (dwp/dxi)/wp' with wp'^2 = 4 prod_i (wp - e_i) over the
+        half-period values e_i, on the branch s'(0) xi'(0) = 1, where wp =
+        xi^-d/x_scale at the pole u = 0 and wp(p) + xi^e/x_scale elsewhere;
+        at a ramification point, where wp - e_a is xi^2/x_scale exactly,
+        Y = R1(wp) + R2(wp) wp'.  The chart is solved afresh at any depth
+        (s is not read): the formula is closed."""
+        # n terms of wp give s through xi^n at every kind of frame
+        head = np.zeros(n, dtype=complex)
+        head[0] = 1.0 / self.x_scale
+        wp = TruncSeries(head, -frame.order, frame.tag)
+        if frame.order < 0:
+            wp = wp + self.ell.wp(frame.location)
+        root = wp - self._e[0]
+        for e in self._e[1:]:
+            root = root * (wp - e)
+        root = (root * 4.0).sqrt()
+        ds = wp.differentiate() * root.invert()
+        if (ds.coeff(0) * frame.xi_prime).real < 0:
+            ds, root = -ds, -root
+        s = ds.antiderivative()
+        if frame.order != -2:
+            return s, None
+        return s, truncate(self.R1.of(wp) + self.R2.of(wp) * root, n,
+                           absolute=True)
 
     def _find_x_poles(self):
-        self.x_poles.append(PoleFrame(self, 0.0, 2))
-
-    def x_pole_coordinate(self, frame):
-        """xi = X^(-1/2) at u = 0, from the lattice jet of log E that an
-        engine's diagonal row tables compute first."""
-        return _root_coordinate(self.x_series(0.0, self.order + 6), 2, "xi@0")
+        self.x_poles = [Frame(self, 0.0, 2)]
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
         """The preimages u and -u of x: wp is even, so one Newton solve

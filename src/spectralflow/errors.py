@@ -42,7 +42,8 @@ class NonSimpleRamification(SpectralFlowError):
 
 
 class SingularCurve(SpectralFlowError):
-    """dY vanishes at a ramification point."""
+    """A degenerate curve: X constant (dX = 0), dY vanishing at a
+    ramification point, or a ramification chart that misses its frame."""
 
 
 class BadModulus(SpectralFlowError):

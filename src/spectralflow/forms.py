@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import PoleFrame, RationalFunction, _about
+from .curve import Frame, RationalFunction, _about
 from .errors import (
     BadIndex,
     NotRepresentable,
@@ -284,7 +284,7 @@ def BergmanLeg(curve, z0, scale=1.0):
 
 
 def SecondKindBasis(curve, pole, j):
-    """omega_{p,j} at the PoleFrame ``pole``: principal part xi^-(j+1) dxi =
+    """omega_{p,j} at the Frame ``pole``: principal part xi^-(j+1) dxi =
     -(1/j) d(xi^-j) at p and no other pole; at inf on the sphere the
     polynomial -sum_m head[m+1] z^m dz (z^m dz = -w^-(m+2) dw)."""
     if j < 1:
@@ -358,18 +358,20 @@ class Expansion:
 
 
 def pole_frame(curve, center):
-    """The local coordinate at ``center``: the curve's frame at a pole
-    of X, else xi = X - X(center) (order -1)."""
+    """The Frame at ``center``: the curve's own at a pole of X, which a
+    chart value matches once reduced to the cell, else a new regular
+    frame xi = X - X(center) (order -1), refused where X - X(center)
+    vanishes to second order."""
+    cell = center if isinstance(center, str) else curve.to_cell(center)
     xp = next((p for p in curve.x_poles
-               if _same_center(p.location, center)), None)
+               if _same_center(p.location, cell)), None)
     if xp is not None:
         return xp
-    xs = curve.x_series(center, curve.order + 6)
-    xi = xs - xs.coeff(0)
-    if abs(xi.coeff(1)) < 1e-12:
+    frame = Frame(curve, center, -1)
+    if abs(frame.xi_prime) < 1e-12:
         raise PoleAtRamificationPoint(
             f"coordinate X - X(p) degenerate at {center}")
-    return PoleFrame(curve, center, -1, xi)
+    return frame
 
 
 def expansion(curve, form: Form1) -> Expansion:

@@ -50,7 +50,10 @@ immutable tensors fills in increasing 2g + n.
 One reach rule (``_check_reach``), the curve order and a byte bound,
 admits the levels before any work and sizes the engine when it is built:
 the row tables and P^a reach the largest m an admitted level reads
-(``m_rows``), the charts the deepest coefficient the tables read.
+(``m_rows``), the charts the deepest coefficient the tables read.  The
+charts s_a(zeta) and y_a(zeta) are the curve's own, read off its frame
+at each ramification point (``Frame.chart``), which continues the chart
+the curve solved to validate itself: the engine solves none afresh.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
@@ -139,9 +142,10 @@ class RecursionEngine:
                     break
                 deepest = (g, n - 1) if n > 1 else (g - 1, 2)
                 self.m_rows = max(self.m_rows, *k_slots(*deepest))
-        # the diagonal row tables read the charts through zeta^(2 m + 7)
+        # the diagonal row tables read the charts through zeta^(2 m + 7),
+        # continued from those the curve validated
         self.deep = deep = 2 * self.m_rows + 7
-        charts = [cv.local_chart(r, deep) for r in self.rams]
+        charts = [r.chart(deep) for r in self.rams]
         self.s_of, self.y_of = [s for s, _ in charts], [y for _, y in charts]
         # 1 / (Y(zeta) - Y(-zeta))
         self.ydiff_inv = [(y - flip_parity(y)).invert() for y in self.y_of]
@@ -423,7 +427,7 @@ class RecursionEngine:
         point a in the first slot, remaining slots frozen.  The contour
         samples and the spectators are one ``basis_matrix`` read, and
         the spectators are contracted once."""
-        s = self.rams[a].s_of_zeta
+        s = self.s_of[a]
         zeta = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5)
                                / samples)
         z = self.rams[a].location + s.evaluate(zeta)

@@ -1,13 +1,15 @@
-"""Local charts solved from the curve's equation: the ramification charts
-s(zeta), y(zeta) against closed forms and against the curve's own point
-values, the Lagrange-inversion gamma tables against zeta(s)^-m, and the
-pole charts s(xi) against the frame's defining relation."""
+"""Local charts solved from the curve's equation: the chart s(xi) of
+every frame kind against the frame's defining relation and y(zeta)
+against the curve's point values, the ramification charts against a
+closed form, an engine's charts continued from the curve's, and the
+Lagrange-inversion gamma tables against zeta(s)^-m."""
 
 from math import comb
 
 import numpy as np
 import pytest
 
+from spectralflow import curve as curve_module
 from spectralflow.curve import (
     Genus0Curve,
     Genus1Curve,
@@ -54,18 +56,27 @@ def test_joukowski_engine_chart_closed_form():
     assert np.max(err * 2.0 ** ks) < 1e-13
 
 
-@pytest.mark.parametrize("tau", TAUS)
-def test_torus_chart_solves_the_curve(tau):
-    # X(a + s(zeta)) - X(a) = zeta^2 and Y(a + s(zeta)) = y(zeta), pointwise
-    cv = _torus(tau)
-    for r in cv.ramification_points:
-        s, y = cv.local_chart(r, 60)
-        for th in np.linspace(0.0, 2 * np.pi, 7)[:-1]:
-            zeta = 0.1 * np.exp(1j * th)
-            u = r.location + s.evaluate(zeta)
-            assert abs(cv.x_value(u) - r.branch_value - zeta ** 2) < 1e-12
-            yu = cv.y_value(u)
-            assert abs(yu - y.evaluate(zeta)) < 1e-11 * abs(yu)
+def test_engine_continues_the_curves_charts(monkeypatch):
+    # the curve solves each ramification chart once, to validate it; the
+    # engine deepens those by Newton, bit for bit a fresh solve
+    fresh = []
+    solve = curve_module._solve_chart
+
+    def counted(*args):
+        # (U, V, m, slope, n, tag) and the chart to continue, if any
+        fresh.append(len(args) < 7 or args[6] is None)
+        return solve(*args)
+
+    monkeypatch.setattr(curve_module, "_solve_chart", counted)
+    cv = _joukowski40()
+    assert fresh == [True, True]
+    eng = RecursionEngine(cv)
+    assert fresh == [True, True, False, False]
+    for a, r in enumerate(eng.rams):
+        s, y = cv._frame_chart(r, eng.deep)
+        for got, want in ((eng.s_of[a], s), (eng.y_of[a], y)):
+            assert got.k_min == want.k_min
+            assert np.array_equal(got.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
@@ -88,7 +99,7 @@ def test_lagrange_gamma_matches_zeta_powers(curve):
             xs = (xs + flip_parity(xs)) * 0.5
         # the chart's branch zeta'(0) is the principal root
         zeta = xs.sqrt()
-        assert abs(zeta.coeff(1) - r.zeta_prime) < 1e-13 * abs(r.zeta_prime)
+        assert abs(zeta.coeff(1) - r.xi_prime) < 1e-13 * abs(r.xi_prime)
         zeta_inv = zeta.invert()
         acc = zeta_inv
         # row m is built from the entries of the rows before it, so it is
@@ -105,19 +116,28 @@ def test_lagrange_gamma_matches_zeta_powers(curve):
 
 @pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
 def test_pole_charts_solve_the_frame(curve):
-    # X(p + s(xi)) = xi^-d at a pole of X of order d, X(p) + xi at a
-    # regular point; at "inf" the chart offset is w = 1/z
+    # every frame kind, pointwise: X(p + s(xi)) = xi^-d at a pole of X of
+    # order d, X(p) + xi^e elsewhere (e = 2 at a ramification point, 1 at
+    # a regular point), and Y(p + s(zeta)) = y(zeta) at a ramification
+    # point; at "inf" the chart offset is w = 1/z
     cv = _curve(curve)
-    centers = [p.location for p in cv.x_poles] + [0.31 + 0.22j]
-    for c in centers:
+    cases = [(r, r.chart(60), 0.1, 7) for r in cv.ramification_points]
+    for c in [p.location for p in cv.x_poles] + [0.31 + 0.22j]:
         fr = pole_frame(cv, c)
-        for th in np.linspace(0.0, 2 * np.pi, 5)[:-1]:
-            xi = 0.02 * np.exp(1j * th)
-            s = fr.s_of_xi.evaluate(xi)
-            if c == "inf":
-                x = cv.x_value(1.0 / s)
+        cases.append((fr, fr.chart(fr.xi_of_s.trunc_order), 0.02, 5))
+    for fr, (s, y), radius, count in cases:
+        assert (y is None) == (fr.order != -2)
+        for th in np.linspace(0.0, 2 * np.pi, count)[:-1]:
+            xi = radius * np.exp(1j * th)
+            u = 1.0 / s.evaluate(xi) if fr.location == "inf" \
+                else fr.location + s.evaluate(xi)
+            x = cv.x_value(u)
+            if fr.order > 0:
+                assert abs(x - xi ** -fr.order) < 1e-12 * abs(xi) ** -fr.order
+            elif fr.order == -1:
+                want = fr.value + xi
+                assert abs(x - want) < 1e-12 * abs(want), (fr.location, xi)
             else:
-                x = cv.x_value(c + s)
-            want = xi ** -fr.order if fr.order > 0 \
-                else cv.x_value(c) + xi
-            assert abs(x - want) < 1e-12 * abs(want), (c, xi)
+                assert abs(x - fr.value - xi ** 2) < 1e-12
+                yu = cv.y_value(u)
+                assert abs(yu - y.evaluate(xi)) < 1e-11 * abs(yu)

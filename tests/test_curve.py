@@ -20,6 +20,7 @@ from spectralflow.errors import (
     NotRepresentable,
     PoleAtRamificationPoint,
     RootFindingFailed,
+    SingularCurve,
     TruncationTooShort,
 )
 from spectralflow.forms import RationalDz, YdX, expansion
@@ -28,10 +29,10 @@ from spectralflow.forms import RationalDz, YdX, expansion
 def test_airy_ramification(airy):
     assert len(airy.ramification_points) == 1
     r = airy.ramification_points[0]
-    assert abs(r.location) < 1e-12 and abs(r.branch_value) < 1e-12
+    assert abs(r.location) < 1e-12 and abs(r.value) < 1e-12
     # global involution z -> -z
-    inv = r.involution
-    assert abs(inv.coeff(1) + r.s_of_zeta.coeff(1)) < 1e-14
+    s, _ = r.chart(airy.order + 5)
+    assert abs(flip_parity(s).coeff(1) + s.coeff(1)) < 1e-14
 
 
 def test_joukowski_ramification(joukowski):
@@ -40,7 +41,8 @@ def test_joukowski_ramification(joukowski):
     # involution at z = 1 is z -> 1/z
     r1 = [r for r in joukowski.ramification_points
           if abs(r.location - 1) < 1e-9][0]
-    comp = r1.involution - (r1.s_of_zeta + 1.0).invert() + 1.0
+    s, _ = r1.chart(joukowski.order + 5)
+    comp = flip_parity(s) - (s + 1.0).invert() + 1.0
     assert max(abs(c) for c in comp.coeffs) < 1e-10
 
 
@@ -53,14 +55,16 @@ def test_weierstrass_ramification(torus):
 
 def test_involution_squares_to_identity(torus):
     for r in torus.ramification_points:
-        ev = r.s_of_zeta + flip_parity(r.s_of_zeta)
+        s, _ = r.chart(torus.order + 5)
+        ev = s + flip_parity(s)
         assert max(abs(c) for c in ev.coeffs) < 1e-12
 
 
 def test_local_coordinate_consistency(joukowski, torus):
     for curve in (joukowski, torus):
         for r in curve.ramification_points:
-            xz = curve.x_series_in_zeta(r)
+            xz = (curve.x_series(r.location, curve.order + 2)
+                  - r.value).compose(r.chart(curve.order + 5)[0])
             res = max(abs(xz.coeff(k) - (1.0 if k == 2 else 0.0))
                       for k in range(xz.k_min, 20))
             assert res < 1e-10
@@ -245,4 +249,23 @@ _Y = {"num": [0, 1]}
         "not-a-dict"])
 def test_build_curve_refuses_malformed_spec(spec):
     with pytest.raises(NotRepresentable):
+        build_curve(spec)
+
+
+@pytest.mark.parametrize("make, spec", [
+    (lambda: Genus0Curve(RationalFunction([2.0]), RationalFunction([0, 1])),
+     {"backend": "rational", "X": {"num": [2.0]}, "Y": _Y}),
+    (lambda: Genus0Curve(RationalFunction([2, 2], [1, 1]),
+                         RationalFunction([0, 1])),
+     {"backend": "rational", "X": {"num": [2, 2], "den": [1, 1]}, "Y": _Y}),
+    (lambda: Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]),
+                         x_scale=0),
+     {"backend": "weierstrass", "tau": {"im": 1.0}, "xscale": 0,
+      "Y": {"R2": {"num": [0.5]}}}),
+], ids=["constant", "constant-ratio", "zero-x-scale"])
+def test_constant_x_refused_when_built(make, spec):
+    # dX = 0: no chart, no pole of X, no degree of X as a map
+    with pytest.raises(SingularCurve):
+        make()
+    with pytest.raises(SingularCurve):
         build_curve(spec)

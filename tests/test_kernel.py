@@ -17,7 +17,6 @@ from spectralflow.forms import (
     pole_frame,
 )
 from spectralflow.geometry import basis_form
-from spectralflow.series import truncate
 
 TAUS = [1j, 0.25 + 1.07j]
 
@@ -28,7 +27,7 @@ def _torus(tau):
 
 def _chart(curve):
     """A chart series vanishing at 0 that is not just t."""
-    return truncate(curve.ramification_points[0].s_of_zeta, 24)
+    return curve.ramification_points[0].chart(24)[0]
 
 
 def _taylor(curve, c, count, order):

@@ -350,7 +350,7 @@ def test_diagonal_rows_match_grunsky_coefficients(joukowski40):
     r = joukowski40.rams[0]
     rows = joukowski40._rows(0, 0)[:21, :21]
     ref = _grunsky_rows(round(r.location.real),
-                        complex(np.round(r.zeta_prime)), 21)
+                        complex(np.round(r.xi_prime)), 21)
     zero = np.abs(ref) < 1e-30 * np.abs(ref).max()
     err = np.abs(rows - ref)
     assert np.all(err[~zero] <= 1e-14 * np.abs(ref[~zero]))
@@ -842,6 +842,14 @@ def test_b_cycle_vector_genus0_refused(pairing_engines):
     eng = pairing_engines["joukowski"]
     with pytest.raises(UnsupportedCycle):
         eng.b_cycle_vector(eng.omega(2, 1).basis)
+
+
+@pytest.mark.parametrize("center", [1.0, 1j, 1 + 1j])
+def test_pole_of_x_matched_in_the_cell(engines, center):
+    # on the tau = i torus each center is the pole u = 0 of X
+    eng = engines["torus"]
+    assert pole_frame(eng.curve, center) is eng.curve.x_poles[0]
+    assert dF_dt(eng, 2, center, 1) == dF_dt(eng, 2, 0.0, 1)
 
 
 def test_special_geometry_omega_derivative(asym_engines, rng):
