@@ -24,6 +24,7 @@ every product the checks use.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -38,12 +39,15 @@ from .errors import (
 from .forms import (
     BergmanLeg,
     DuForm,
+    PoleTimes,
     SumForm,
     ThirdKind,
+    _pole_translates,
     _same_center,
     expansion,
 )
 from .geometry import (
+    _matching_step,
     _prepotential,
     _regular_primitive,
     line_integral,
@@ -185,11 +189,6 @@ class ClassicalSystem:
                                    + alpha)
         return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
-    def alpha_at_coincidence(self):
-        zeta = self.expansion.zeta
-        return abs(self.curve.theta_jet(zeta, 0)[0]
-                   / self.curve.theta_off_divisor(zeta) - 1)
-
     def b_loop_transport_residual(self, z1, z2):
         """Move z1 around each B-homotopic loop with continuous tracking;
         the largest relative change of psi, 0 on the sphere.  An oracle
@@ -210,8 +209,24 @@ class ClassicalSystem:
 
     # -- Baker-Akhiezer vectors ---------------------------------------------------------
 
-    def _ba_series(self, xp, z, sign):
-        """Series in xi of the regularized kernel at a pole of X.
+    @cached_property
+    def _chi_at_x_poles(self):
+        """(W, K) of chi at each pole of X, read by ``_regular_primitive``
+        off chi's record there and matched as the prepotential is."""
+        obstacles = _pole_translates(self.curve, self.form)
+        out = []
+        for xp in self.curve.x_poles:
+            # every pole of X has a record of the form, in its own frame
+            rec = next(r for r in self.expansion.records if r.frame is xp)
+            chi = PoleTimes(rec.center, xp, self.chi.local_series(
+                rec.center, self.curve.order + 6), rec.head)
+            out.append(_regular_primitive(
+                self.expansion.basis, self.o, chi,
+                *_matching_step(rec.center, self.o, obstacles)))
+        return out
+
+    def _ba_series(self, xp, W, K, z, sign):
+        """Series in xi of the regularized kernel at the pole of X ``xp``.
 
         sign +1: psi(z, z2 -> pole) e^{+V} xi^{+t0} / sqrt(d xi);
         sign -1: psi(z1 -> pole, z) e^{-V} xi^{-t0} / sqrt(d xi).
@@ -222,23 +237,10 @@ class ClassicalSystem:
 
             e^{sign (C(z) - K)} e^{-sign W(xi)} G(xi) sqrt(dz/dxi),
 
-        where C(z) = int_o^z chi, K the matching constant of the chi
-        primitive at the pole, and G the curve's Szego factor.
+        where C(z) = int_o^z chi, K the regularized potential of chi at
+        the pole, and G the curve's Szego factor.
         """
-        cv = self.curve
-        # every pole of X has a record of times
-        times = next(r.times for r in self.expansion.records
-                     if _same_center(r.center, xp.location))
-        key = ("W", str(xp.location))
-        cached = self._chi_primitive_cache.get(key)
-        if cached is None:
-            h = self.chi.local_series(xp.location, cv.order + 6)
-            W, K = _regular_primitive(self.expansion.basis, self.o, xp, h,
-                                      times, 0.61 + 0.37j, 0.18)
-            cached = (W, xp.s_of_xi.retag(h.var_tag), K)
-            self._chi_primitive_cache[key] = cached
-        W, s_of_xi, K = cached
-
+        s_of_xi = xp.s_of_xi
         amp = _kernel_exp(sign * (self._chi_from_base(z) - K),
                           f"the Baker-Akhiezer series at {z}")
         expo = _series_exp(W * (-sign))
@@ -254,8 +256,8 @@ class ClassicalSystem:
             # chart difference: sign > 0: z - z2(xi) = (z - p) - s(xi);
             # sign < 0: z1(xi) - z = (p - z) + s(xi)
             p = complex(xp.location)
-            G = cv.szego_series(sign * (z - p), s_of_xi * (-sign),
-                                self.expansion.zeta)
+            G = self.curve.szego_series(sign * (z - p), s_of_xi * (-sign),
+                                        self.expansion.zeta)
             dleg = s_of_xi.differentiate()
         leg = dleg.sqrt()
         return (G * expo * leg) * amp
@@ -266,8 +268,8 @@ class ClassicalSystem:
         expand in the reflected local parameter, which pins the
         antidiagonal of the pairing matrix to (-1)^{k'} (k'-1)! (k-1)!."""
         out = []
-        for xp in self.curve.x_poles:
-            ser = self._ba_series(xp, z, sign)
+        for xp, (W, K) in zip(self.curve.x_poles, self._chi_at_x_poles):
+            ser = self._ba_series(xp, W, K, z, sign)
             for j in range(xp.order):
                 val = ser.coeff(j) * factorial(j)
                 out.append(val if sign > 0 else val * (-1.0) ** (j + 1))

@@ -23,6 +23,7 @@ from .errors import (
     NearBranchPoint,
     NonSimpleRamification,
     NotRepresentable,
+    ResidueSumNonzero,
     RootFindingFailed,
     SingularCurve,
     ThetaZeroDivision,
@@ -530,6 +531,11 @@ class SpectralCurve:
         regular = -(t + 1) * t * rho[2:].swapaxes(0, 1)
         return gamma @ regular - t * inverse_at(o, s, n)[:, 1:]
 
+    def kernel_at_infinity(self, p, head, order):
+        """Refused off the sphere: no point at inf takes the residues."""
+        raise ResidueSumNonzero("a kernel form's residues must sum to 0 "
+                                "on a curve without a point at inf")
+
     def szego_series(self, c, inner, zeta):
         """theta(c + zeta + inner)/(theta(zeta) E(c + inner)) from Taylor
         series cut at 40 terms, with 1/E(c + inner) = exp(-rho(inner))/
@@ -783,6 +789,8 @@ class Genus1Curve(SpectralCurve):
         return (self.R1(w) + self.R2(w) * wp) * (self.x_scale * wp)
 
     def to_cell(self, u):
+        if isinstance(u, str):
+            raise NotRepresentable(f"the torus chart has no point {u!r}")
         return self.ell.to_cell(u)
 
     def x_series(self, center, order, tag=None):

@@ -68,7 +68,8 @@ class RootFindingFailed(SpectralFlowError):
 
 class NotRepresentable(SpectralFlowError):
     """A curve outside the backends: a deformation leaving the parametric
-    family, a zero denominator, or an unreadable curve spec field."""
+    family, a zero denominator, or an unreadable curve spec field; or a
+    point or a form the curve does not have (inf on the torus)."""
 
 
 # -- quadrature -------------------------------------------------------------

@@ -17,14 +17,17 @@ rational R and a polynomial P, whose series are R.of the chart variable
 (w^-1 at inf) and P.of wp's series (``RationalFunction.of``).
 
 ``expansion(curve, form)`` reads any form once into an Expansion record:
-its times at each pole, its filling fractions eps, the form less 2 i pi
-eps du in the canonical basis (one KernelForm, plus a polynomial at inf
-on the sphere), that with its du terms, zeta (the B-period over 2 i pi)
-and the basepoint at which eps was read.  The prepotential and the
-classical system keep that record.
+a PoleTimes at each pole, whose times and dual pairings are coefficients
+of the form in the pole's coordinate, its filling fractions eps, the form
+less 2 i pi eps du in the canonical basis (one KernelForm, plus a
+polynomial at inf on the sphere), that with its du terms, zeta (the
+B-period over 2 i pi) and the basepoint at which eps was read.  The
+prepotential and the classical system keep that record.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -305,8 +308,8 @@ def _principal_part(h, tol=0.0):
 
 # -- times, filling fractions and the canonical basis -----------------------------
 
-# times and principal-part coefficients this small in modulus are 0
-_TIME_TOL = 1e-10
+# principal-part coefficients this small in modulus are 0
+_HEAD_TOL = 1e-10
 # a clear basepoint keeps this distance from poles and branch points
 _BASEPOINT_CLEARANCE = 0.2
 # the form less its expansion in the basis, c du, may differ between two
@@ -315,16 +318,33 @@ _EPS_GAP = 1e-10
 
 
 class PoleTimes:
-    """Laurent data of a form at one pole, in the local coordinate of
-    ``frame`` (its order d_p): the form's series there in the chart, its
-    principal part and its times."""
+    """Laurent data of a form at one pole, in the local coordinate xi of
+    ``frame`` (its order d_p): the form's series there in the chart and its
+    principal part, and, read on first use, ``local``, the form in xi, whose
+    coefficients are its times and its dual pairings."""
 
-    def __init__(self, center, frame, series, head, times):
+    def __init__(self, center, frame, series, head):
         self.center = center
         self.frame = frame
         self.series = series        # the form's local series at center
         self.head = head            # _principal_part of the series
-        self.times = times          # t_j = Res omega xi^j, j = 0..len-1
+
+    @cached_property
+    def local(self):
+        """h(s(xi)) s'(xi), the form as local dxi."""
+        s = self.frame.s_of_xi
+        return self.series.compose(s) * s.differentiate()
+
+    @cached_property
+    def times(self):
+        """t_j = Res omega xi^j = [xi^(-j-1)] local, j below the pole's
+        order (t_0 alone where the principal part vanishes)."""
+        return np.array([self.local.coeff(-j - 1)
+                         for j in range(max(len(self.head), 1))])
+
+    def pairing(self, j):
+        """(1/j) Res xi^-j omega = [xi^(j-1)] local / j, for j >= 1."""
+        return self.local.coeff(j - 1) / j
 
     @property
     def kind(self):
@@ -362,7 +382,7 @@ def pole_frame(curve, center):
     chart value matches once reduced to the cell, else a new regular
     frame xi = X - X(center) (order -1), refused where X - X(center)
     vanishes to second order."""
-    cell = center if isinstance(center, str) else curve.to_cell(center)
+    cell = curve.to_cell(center)
     xp = next((p for p in curve.x_poles
                if _same_center(p.location, cell)), None)
     if xp is not None:
@@ -375,17 +395,13 @@ def pole_frame(curve, center):
 
 
 def expansion(curve, form: Form1) -> Expansion:
-    """The form's Expansion: its times at every pole, its filling
-    fractions and its canonical basis, built once.
+    """The form's Expansion: a record at every pole, its filling fractions
+    and its canonical basis, built once.
 
-    Poles of the form sitting at ramification points are rejected; the
-    residue-theorem sum over t_{p,0} is enforced as a check.  xi is s to
-    first order at every pole, so at a pole of order m (the length of its
-    principal part) t_j = Res omega xi^j is 0 for j >= m: the window of the
-    product starts above xi^-1.  The times run to t_(m-1), one series
-    product each after t_0, and a pole deeper than j_cap = curve order - 4
-    is refused before any product.  The filling fractions are read off a
-    point value of the form less its expansion in the canonical basis.
+    A pole at a ramification point is refused, and so is one deeper than
+    j_cap = curve order - 4; the residue theorem is enforced as a check.
+    The filling fractions are read off a point value of the form less its
+    expansion in the canonical basis.
     """
     j_cap = curve.order - 4
     records = []
@@ -401,26 +417,20 @@ def expansion(curve, form: Form1) -> Expansion:
                 raise PoleAtRamificationPoint(
                     f"form has a pole at ramification point {r.location}")
         h = form.local_series(center, curve.order + 6)
-        head = _principal_part(h, _TIME_TOL)
+        head = _principal_part(h, _HEAD_TOL)
         if len(head) > j_cap:
             raise TruncationTooShort(
                 f"the pole at {_label(center)} has order {len(head)}, past "
                 f"j_cap = {j_cap}")
-        frame = pole_frame(curve, center)
-        xi = frame.xi_of_s.retag(h.var_tag)
-        times, prod = [h.residue()], h
-        for _ in range(1, len(head)):
-            prod = prod * xi
-            times.append(prod.residue())
-        rec = PoleTimes(center, frame, h, head, np.array(times))
-        if rec.kind == "omega_pole" and max(map(abs, times)) < _TIME_TOL:
-            continue                    # pole cancelled inside a SumForm
-        records.append(rec)
+        rec = PoleTimes(center, pole_frame(curve, center), h, head)
+        if rec.kind == "x_pole" or len(head):   # else cancelled in a SumForm
+            records.append(rec)
 
-    total = sum(r.times[0] for r in records)
+    total = sum(r.series.residue() for r in records)
     if abs(total) > 1e-8:
         raise ResidueSumNonzero(f"sum of residues = {total:.6g}: " + ", ".join(
-            f"{r.times[0]:.3g} at {_label(r.center)}" for r in records))
+            f"{r.series.residue():.3g} at {_label(r.center)}"
+            for r in records))
 
     basis = _basis(curve, records)
     o, eps = _filling_fractions(curve, form, basis, records, j_cap)
@@ -459,12 +469,12 @@ def _filling_fractions(curve, form, basis, records, j_cap):
             for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
     (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
     if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
-        deep = max(records, key=lambda r: len(r.times))
+        deep = max(records, key=lambda r: len(r.head))
         raise TruncationTooShort(
             f"the form less its expansion is {c1:.6g} du at one basepoint "
             f"and {c2:.6g} du at the next: its principal parts miss some of "
             f"it (the deepest, at {_label(deep.center)}, has order "
-            f"{len(deep.times)}; j_cap = {j_cap})")
+            f"{len(deep.head)}; j_cap = {j_cap})")
     return o, np.array([c1 / (2j * np.pi) for _ in curve.cycles],
                        dtype=complex)
 

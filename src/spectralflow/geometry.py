@@ -1,9 +1,9 @@
 """Periods, the prepotential F0 and the identity checks of a spectral curve.
 
 Everything here reads a form through its one expansion in the canonical
-basis (``forms.expansion``): its times, filling fractions eps and zeta
-give F0, its chemical potentials and derivatives, and its B-periods 2 i pi
-(zeta + eps B).  ``canonical_period`` gives the closed-form A- and
+basis (``forms.expansion``): its times, dual pairings and regularized
+potentials, eps and zeta give F0 and its derivatives, and its B-periods
+2 i pi (zeta + eps B).  ``canonical_period`` gives the closed-form A- and
 B-periods, and the Riemann bilinear check reads its periods and the
 primitive of its second form in closed form too.  ``quadrature_period``
 and ``line_integral`` integrate by adaptive quadrature instead: oracles
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .forms import (
     KernelForm,
-    PoleTimes,
     SecondKindBasis,
     SumForm,
     ThirdKind,
@@ -38,7 +37,7 @@ from .forms import (
     expansion,
     pole_frame,
 )
-from .series import _monomial, truncate
+from .series import TruncSeries, truncate
 
 
 # -- cycle periods --------------------------------------------------------------
@@ -100,12 +99,11 @@ def line_integral(curve, form, z_from, z_to):
 # -- prepotential ------------------------------------------------------------------
 
 class Prepotential:
-    """Value, chemical potentials and derivative lookups for one form."""
+    """Value and derivative lookups for one form."""
 
-    def __init__(self, curve, value, mu, expansion, b_periods):
+    def __init__(self, curve, value, expansion, b_periods):
         self.curve = curve
         self.value = value
-        self.mu = mu                     # {pole label: regularized potential}
         self.expansion = expansion       # the form's forms.Expansion
         self.b_periods_omega = b_periods
 
@@ -116,7 +114,7 @@ class Prepotential:
         used throughout; it is pinned by the finite-difference oracle in
         the tests.
         """
-        return _pairing(self._rec(center), j)
+        return self._rec(center).pairing(j)
 
     def dF_deps(self, i=0):
         """dF0/deps_i, the B-period of the form on handle i."""
@@ -129,29 +127,6 @@ class Prepotential:
             if _same_center(r.center, center):
                 return r
         raise BadIndex(f"{center} is not a pole of the form")
-
-    def homogeneity_residual(self):
-        """|F0 - (1/2) sum_k t_k dF0/dt_k| / max(1, |F0|)."""
-        total = 0.0 + 0.0j
-        for rec in self.expansion.records:
-            for j in range(1, len(rec.times)):
-                if rec.times[j] != 0:
-                    total += rec.times[j] * self.dF_dt(rec.center, j)
-            total += rec.times[0] * self.mu[_key(rec.center)]
-        for i, e in enumerate(self.expansion.eps):
-            total += e * self.b_periods_omega[i]
-        return abs(self.value - 0.5 * total) / max(1.0, abs(self.value))
-
-
-def _pairing(rec, j):
-    """(1/j) Res_p xi^-j omega at the pole of a PoleTimes record."""
-    xi = rec.frame.xi_of_s.retag(rec.series.var_tag)
-    return (rec.series * xi.invert() ** j).residue() / j
-
-
-def _key(center):
-    return center if isinstance(center, str) else \
-        (round(complex(center).real, 9), round(complex(center).imag, 9))
 
 
 def prepotential(curve, form, basepoint=None):
@@ -173,21 +148,21 @@ def _prepotential(curve, form, exp, basepoint):
     o = basepoint if basepoint is not None else exp.basepoint
     obstacles = _pole_translates(curve, form)
 
-    res_v = 0.0 + 0.0j
-    mu = {}
-    t0mu = 0.0 + 0.0j
+    res_v = t0mu = 0.0 + 0.0j
     for rec in exp.records:
         # Res_p V_p omega with V_p = sum_{j>=1} (t_j / j) xi^-j
-        res_v += sum(t * _pairing(rec, j) for j, t in enumerate(rec.times)
+        res_v += sum(t * rec.pairing(j) for j, t in enumerate(rec.times)
                      if j and t != 0)
-        mu[_key(rec.center)] = _mu_of(rec, exp.with_du, o, obstacles)
-        t0mu += rec.times[0] * mu[_key(rec.center)]
+        # t_p0 times the regularized potential mu_p
+        _, mu = _regular_primitive(exp.with_du, o, rec, *_matching_step(
+            rec.center, o, obstacles))
+        t0mu += rec.times[0] * mu
 
     bper = [2j * np.pi * (exp.zeta + e * b)
             for e, (_, b) in zip(exp.eps, curve.cycles)]
     eps_term = sum(e * b for e, b in zip(exp.eps, bper))
     value = 0.5 * (res_v + t0mu + eps_term)
-    return Prepotential(curve, value, mu, exp, bper)
+    return Prepotential(curve, value, exp, bper)
 
 
 def _matching_step(center, o, obstacles):
@@ -203,32 +178,21 @@ def _matching_step(center, o, obstacles):
     return (complex(o) - p) / abs(complex(o) - p), 0.2 * min(1.0, dmin)
 
 
-def _mu_of(rec, basis, o, obstacles):
-    """Regularized int_o^p (omega - dV_p - t_p0 dlog xi), matched on the
-    way from p towards the basepoint; ``basis`` is omega in the canonical
-    basis."""
-    _, mu = _regular_primitive(basis, o, rec.frame, rec.series, rec.times,
-                               *_matching_step(rec.center, o, obstacles))
-    return mu
-
-
-def _regular_primitive(basis, o, frame, h, times, s_dir, scale):
-    """(W, K) for a form with series h at the pole ``frame.location``
-    and times t_j there, written ``basis`` in the canonical basis.
+def _regular_primitive(basis, o, rec, s_dir, scale):
+    """(W, K) for the form ``basis``, written in the canonical basis, at
+    the pole of its PoleTimes ``rec``.
 
     Near the pole, form = dV + t_0 dlog(xi) + w(xi) dxi with
-    V = -sum_{j>=1} t_j/j xi^-j; W is the zero-based primitive of w and
-    K = int_o^p (form - dV - t_0 dlog xi), with int_o^z form from the
-    atoms of the basis.  K is matched at s = scale * s_dir, halving the
-    scale (up to 10 times) until the series of W has converged there.
+    V = -sum_{j>=1} t_j/j xi^-j; w is the regular part of ``rec.local``, W
+    its zero-based primitive and K = int_o^p (form - dV - t_0 dlog xi), the
+    regularized potential, with int_o^z form from the atoms of the basis.
+    K is matched at s = scale * s_dir, halving the scale (up to 10 times)
+    until the series of W has converged there.
     """
-    s_of_xi = frame.s_of_xi.retag(h.var_tag)
-    h_xi = h.compose(s_of_xi) * s_of_xi.differentiate()
-    reg = h_xi
-    for j in range(len(times)):
-        if times[j] != 0:
-            reg = reg - _monomial(-j - 1, complex(times[j]), h_xi)
-    W = reg.antiderivative()
+    frame, times, local = rec.frame, rec.times, rec.local
+    lo = max(-local.k_min, 0)
+    W = TruncSeries(local.coeffs[lo:], local.k_min + lo,
+                    local.var_tag).antiderivative()
     W_half = truncate(W, max(4, len(W.coeffs) // 2))
     for _ in range(10):
         s_q = scale * s_dir
@@ -263,11 +227,9 @@ def shifted_prepotential_value(prep: Prepotential):
 
 # -- canonical basis ----------------------------------------------------------------
 
-def basis_form(curve, rec_or_center, j, basepoint=None):
+def basis_form(curve, center, j, basepoint=None):
     """omega_{p,j}: dS_{p,o} for j = 0 (-dz/(z - o) for p = inf on the
     sphere), second kind for j >= 1."""
-    center = rec_or_center.center if isinstance(rec_or_center, PoleTimes) \
-        else rec_or_center
     if j == 0:
         o = basepoint if basepoint is not None else _basepoints(curve)[0]
         if center == "inf":
@@ -293,18 +255,16 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
     """
     exp2 = expansion(curve, form2)
     for rec in exp2.records:
-        if abs(rec.times[0]) > 1e-10:
+        res = rec.series.residue()
+        if abs(res) > 1e-10:
             raise ResidueFreePreconditionViolated(
-                f"form2 has residue {rec.times[0]} at {rec.center}")
+                f"form2 has residue {res} at {rec.center}")
     o = basepoint if basepoint is not None else exp2.basepoint
     obstacles = _pole_translates(curve, form1) \
         + _pole_translates(curve, form2)
-    centers = {}
-    for c in form1.poles() + form2.poles():
-        centers.setdefault(_key(c), c)
 
     lhs = 0.0 + 0.0j
-    for center in centers.values():
+    for center in (form1 + form2).poles():
         s_dir, scale = _matching_step(center, o, obstacles)
         s_q = scale * s_dir
         z_q = 1.0 / s_q if center == "inf" else complex(center) + s_q

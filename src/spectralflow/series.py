@@ -309,13 +309,6 @@ def _horner(p, t):
     return acc
 
 
-def _monomial(k, c, like: TruncSeries) -> TruncSeries:
-    """c z**k in the frame of ``like``, known up to its truncation."""
-    head = np.zeros(like.trunc_order - k + 1, dtype=complex)
-    head[0] = c
-    return TruncSeries(head, k, like.var_tag)
-
-
 def inverse_at(c, s, n) -> np.ndarray:
     """Coefficients of 1/(c[i, p] + s[i](t)) through t^n on axis 1, for a
     stack of charts i, c of shape (A, P) (c != 0), s[i] the Taylor

@@ -371,10 +371,6 @@ def test_refined_duality(which, sys_airy, sys_torus, rng):
         count += 1
 
 
-def test_alpha_vanishes_at_coincidence(sys_torus):
-    assert sys_torus.alpha_at_coincidence() < 1e-12
-
-
 def test_refined_duality_pole_matching(sys_torus):
     # z -> z1: both sides carry the simple pole, residue -psi(z1,z2)
     z1, z2 = 0.31 + 0.22j, 0.12 + 0.41j

@@ -19,11 +19,12 @@ from spectralflow.errors import (
     NonSimpleRamification,
     NotRepresentable,
     PoleAtRamificationPoint,
+    ResidueSumNonzero,
     RootFindingFailed,
     SingularCurve,
     TruncationTooShort,
 )
-from spectralflow.forms import RationalDz, YdX, expansion
+from spectralflow.forms import KernelForm, RationalDz, YdX, expansion
 
 
 def test_airy_ramification(airy):
@@ -220,6 +221,19 @@ def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
 def test_pole_at_ramification_rejected(airy):
     with pytest.raises(PoleAtRamificationPoint):
         expansion(airy, RationalDz(RationalFunction([1], [0, 1])))
+
+
+def test_unbalanced_kernel_form_refused_on_torus(torus):
+    # residues that do not sum to 0 leave a pole at inf on the sphere; the
+    # torus has no such point
+    with pytest.raises(ResidueSumNonzero):
+        expansion(torus, KernelForm(torus, [(0.3 + 0.2j, [1.0])]))
+
+
+def test_rational_dz_refused_on_torus(torus):
+    # R(z) dz is a form on the sphere: its pole at inf is no torus point
+    with pytest.raises(NotRepresentable):
+        expansion(torus, RationalDz(RationalFunction([1.0], [0.3, 1.0])))
 
 
 def test_build_curve_json(airy):

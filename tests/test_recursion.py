@@ -3,6 +3,7 @@ import re
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -254,6 +255,78 @@ def test_airy_invariants_vanish(engines):
     eng = engines["airy"]
     assert abs(eng.invariant(2)) < 1e-14
     assert abs(eng.invariant(3)) < 1e-14
+
+
+def _double_factorial(n):
+    """n!! for odd n >= -1, (-1)!! = 1."""
+    out = 1
+    for m in range(n, 0, -2):
+        out *= m
+    return out
+
+
+@cache
+def _witten_kontsevich(g, ds):
+    """<tau_d1 ... tau_dn>_g in exact rationals for sorted ds, by the DVV
+    recursion (Dijkgraaf-Verlinde-Verlinde 1991) on the largest d, from
+    <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; 0 off 3g - 3 + n = sum d and at
+    unstable (g, n)."""
+    if 2 * g - 2 + len(ds) <= 0 or g < 0 or sum(ds) != 3 * g - 3 + len(ds):
+        return Fraction(0)
+    if (g, ds) in ((0, (0, 0, 0)), (1, (1,))):
+        return Fraction(1) if g == 0 else Fraction(1, 24)
+    k, rest = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        moved = tuple(sorted(rest[:j] + (d + k,) + rest[j + 1:]))
+        total += Fraction(_double_factorial(2 * k + 2 * d + 1),
+                          _double_factorial(2 * d - 1)) \
+            * _witten_kontsevich(g, moved)
+    for r in range(k):
+        s = k - 1 - r
+        c = Fraction(_double_factorial(2 * r + 1)
+                     * _double_factorial(2 * s + 1), 2)
+        total += c * _witten_kontsevich(g - 1, tuple(sorted(rest + (r, s))))
+        for g1 in range(g + 1):
+            for mask in itertools.product((False, True), repeat=len(rest)):
+                left = tuple(d for d, m in zip(rest, mask) if m)
+                right = tuple(d for d, m in zip(rest, mask) if not m)
+                total += c * _witten_kontsevich(
+                    g1, tuple(sorted(left + (r,)))) * _witten_kontsevich(
+                    g - g1, tuple(sorted(right + (s,))))
+    return total / _double_factorial(2 * k + 3)
+
+
+def test_witten_kontsevich_table():
+    # Witten 1991: <tau_4>_2 = 1/1152, <tau_7>_3 = 1/82944; string and
+    # dilaton equations at genus 1
+    assert _witten_kontsevich(2, (4,)) == Fraction(1, 1152)
+    assert _witten_kontsevich(3, (7,)) == Fraction(1, 82944)
+    assert _witten_kontsevich(1, (0, 2)) == Fraction(1, 24)
+    assert _witten_kontsevich(1, (1, 1)) == Fraction(1, 24)
+
+
+@pytest.mark.parametrize("g, n", SUITE)
+def test_airy_entries_are_intersection_numbers(g, n):
+    # X = z^2, Y = z: s(zeta) = zeta, so every entry of omega(g, n) is
+    # 2^(2-2g-n) <tau_d1 ... tau_dn>_g prod (2 d_i - 1)!!, k = 2d + 1.
+    # Measured at order 40: every entry on sum d = 3g - 3 + n equals its
+    # bracket to the last bit, and every entry off it is exactly 0.0
+    eng = RecursionEngine(Genus0Curve(RationalFunction([0, 0, 1]),
+                                      RationalFunction([0, 1]), order=40))
+    w = eng.omega(g, n)
+    ds = [(k - 1) // 2 for _, k in w.basis]
+    for idx in itertools.product(range(len(ds)), repeat=n):
+        d = [ds[i] for i in idx]
+        exact = Fraction(2) ** (2 - 2 * g - n) \
+            * _witten_kontsevich(g, tuple(sorted(d)))
+        for di in d:
+            exact *= _double_factorial(2 * di - 1)
+        if exact == 0:
+            assert w.tensor[idx] == 0.0, (idx, w.tensor[idx])
+        else:
+            assert abs(w.tensor[idx] - float(exact)) \
+                <= 1e-15 * float(exact), (idx, w.tensor[idx], exact)
 
 
 @pytest.mark.parametrize("which", ["joukowski", "torus"])

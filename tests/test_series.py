@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectralflow.errors import (
     IncompatibleFrames,
+    NotInvertibleAtOrigin,
     OddLeadingExponentForSqrt,
     SpectralFlowError,
     TruncationTooShort,
@@ -160,6 +161,13 @@ def test_compose_resolves_exp_log():
     assert abs(comp.coeff(0) - 1.0) < 1e-12
     assert abs(comp.coeff(1) - 1.0) < 1e-12
     assert max(abs(comp.coeff(j)) for j in range(2, comp.trunc_order + 1)) < 1e-10
+
+
+def test_compose_needs_inner_vanishing_at_origin():
+    # f(inner) with inner = 1 + z: inner(0) != 0
+    f = from_poly([1.0, 2.0], order=6)
+    with pytest.raises(NotInvertibleAtOrigin):
+        f.compose(from_poly([1.0, 1.0], order=6))
 
 
 def test_antiderivative_inverts_derivative():
