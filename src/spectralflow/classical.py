@@ -12,8 +12,8 @@ runs, except in the b_loop_transport_residual oracle.  Sheet matrices,
 Baker-Akhiezer vectors, the Christoffel-Darboux pairing and the Lax
 matrix hang off one ClassicalSystem instance; the sheets above each x
 are solved once per curve and shared by every system on it.  The
-classical tau function e^(F0~) theta(zeta) is read off two
-prepotentials by sato_residual.
+classical tau function e^(F0~) theta(zeta) is read off two expansions
+by sato_residual.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -42,18 +42,10 @@ from .forms import (
     PoleTimes,
     SumForm,
     ThirdKind,
-    _pole_translates,
     _same_center,
     expansion,
 )
-from .geometry import (
-    _matching_step,
-    _prepotential,
-    _regular_primitive,
-    line_integral,
-    prepotential,
-    shifted_prepotential_value,
-)
+from .geometry import line_integral
 from .series import _series_exp
 
 _COND_LIMIT = 1e10
@@ -211,18 +203,15 @@ class ClassicalSystem:
 
     @cached_property
     def _chi_at_x_poles(self):
-        """(W, K) of chi at each pole of X, read by ``_regular_primitive``
-        off chi's record there and matched as the prepotential is."""
-        obstacles = _pole_translates(self.curve, self.form)
-        out = []
+        """(W, K) of chi at each pole of X, read by ``PoleTimes.regularized``
+        off chi's record there and matched as F0's potentials are."""
+        exp, out = self.expansion, []
         for xp in self.curve.x_poles:
             # every pole of X has a record of the form, in its own frame
-            rec = next(r for r in self.expansion.records if r.frame is xp)
+            rec = next(r for r in exp.records if r.frame is xp)
             chi = PoleTimes(rec.center, xp, self.chi.local_series(
                 rec.center, self.curve.order + 6), rec.head)
-            out.append(_regular_primitive(
-                self.expansion.basis, self.o, chi,
-                *_matching_step(rec.center, self.o, obstacles)))
+            out.append(chi.regularized(exp.basis, self.o, exp.obstacles))
         return out
 
     def _ba_series(self, xp, W, K, z, sign):
@@ -361,20 +350,16 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
 
         (T(omega + dS)/T(omega))^2 dX(z1) dX(z2) = - psi_cl(z1,z2)^2,
 
-    with T(omega) = e^(F0~) theta(zeta), F0~ the shifted prepotential
-    and zeta that of omega's expansion, each read off one prepotential;
-    omega's is read off the expansion of the ClassicalSystem that gives
-    psi_cl.  The residual probes it together with |ratio| = 1.  Returns
-    (squared-form residual, raw ratio).
+    with T(omega) = e^(F0~) theta(zeta), F0~ the shifted F0 and zeta of
+    omega's expansion; omega's is the expansion of the ClassicalSystem
+    that gives psi_cl.  The residual probes it together with |ratio| = 1.
+    Returns (squared-form residual, raw ratio).
     """
     sysm = ClassicalSystem(curve, form, basepoint)
     shifted = SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))])
-    p0 = _prepotential(curve, form, sysm.expansion, basepoint)
-    p1 = prepotential(curve, shifted, basepoint)
-    lhs = np.exp(shifted_prepotential_value(p1)
-                 - shifted_prepotential_value(p0))
-    lhs *= curve.theta_jet(p1.expansion.zeta, 0)[0] \
-        / curve.theta_jet(p0.expansion.zeta, 0)[0]
+    e0, e1 = sysm.expansion, expansion(curve, shifted)
+    lhs = np.exp(e1.shifted_F0(basepoint) - e0.shifted_F0(basepoint))
+    lhs *= curve.theta_jet(e1.zeta, 0)[0] / curve.theta_jet(e0.zeta, 0)[0]
     lhs *= np.sqrt(curve.dx_value(z1)) * np.sqrt(curve.dx_value(z2))
     ratio = lhs / sysm.psi(z1, z2)
     residual = abs(ratio * ratio + 1.0)

@@ -384,6 +384,8 @@ class SpectralCurve:
     #                                 point, else None) through xi^n,
     #                                 continued from the shallower chart s
     #                                 where the routine iterates
+    #   _x_on_chart(p, s)             X(p + s(xi)), by which the
+    #                                 ramification charts are checked
     # and, for the kernels below, its prime form E and theta function
     # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
     # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
@@ -435,8 +437,7 @@ class SpectralCurve:
                 raise SingularCurve(
                     f"dY vanishes at ramification point {r.location}")
             # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2
-            xs = self.x_series(r.location, self.order + 2) - r.value
-            fwd = xs.compose(s)
+            fwd = self._x_on_chart(r.location, s) - r.value
             res = max(abs(fwd.coeff(k) - (1.0 if k == 2 else 0.0))
                       for k in range(fwd.k_min, min(fwd.trunc_order,
                                                     self.order) + 1))
@@ -650,6 +651,11 @@ class Genus0Curve(SpectralCurve):
         s = _solve_chart(U, V, abs(frame.order), frame.xi_prime, n,
                          frame.tag, s)
         return s, self.Y.of(s + p) if frame.order == -2 else None
+
+    def _x_on_chart(self, p, s):
+        """X(p + s) by Horner, as _frame_chart reads Y: X's Taylor series at
+        p would grow like the inverse distance to X's nearest pole."""
+        return self.X.of(s + p)
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, p, m) for p, m in self.X.finite_poles()]
@@ -904,6 +910,11 @@ class Genus1Curve(SpectralCurve):
             return s, None
         return s, truncate(self.R1.of(wp) + self.R2.of(wp) * root, n,
                            absolute=True)
+
+    def _x_on_chart(self, p, s):
+        """wp's series at p, off its lattice jet, composed with s: a check
+        of _frame_chart's product formula by another path."""
+        return self.x_series(p, self.order + 2).compose(s)
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, 0.0, 2)]

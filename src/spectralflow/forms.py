@@ -22,7 +22,7 @@ of the form in the pole's coordinate, its filling fractions eps, the form
 less 2 i pi eps du in the canonical basis (one KernelForm, plus a
 polynomial at inf on the sphere), that with its du terms, zeta (the
 B-period over 2 i pi) and the basepoint at which eps was read.  The
-prepotential and the classical system keep that record.
+record gives F0 and its derivatives, and the classical system keeps it.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ import numpy as np
 from .curve import Frame, RationalFunction, _about
 from .errors import (
     BadIndex,
+    DivergentRegularization,
     NotRepresentable,
     PoleAtRamificationPoint,
     ResidueSumNonzero,
     TruncationTooShort,
     UnsupportedCycle,
 )
-from .series import constant
+from .series import TruncSeries, constant, truncate
 
 
 class Form1:
@@ -346,6 +347,43 @@ class PoleTimes:
         """(1/j) Res xi^-j omega = [xi^(j-1)] local / j, for j >= 1."""
         return self.local.coeff(j - 1) / j
 
+    def regularized(self, form, o, obstacles):
+        """(W, K) at this pole for ``form``, the record's form written in
+        the canonical basis.
+
+        Near the pole, form = dV + t_0 dlog(xi) + w(xi) dxi with
+        V = -sum_{j>=1} t_j/j xi^-j; w is the regular part of ``local``, W
+        its zero-based primitive and K = int_o^p (form - dV - t_0 dlog xi),
+        the regularized potential, with int_o^z form from the atoms of the
+        basis.  K is matched at the point of ``_matching_step``, halving its
+        scale (up to 10 times) until the series of W has converged there.
+        """
+        frame, times, local = self.frame, self.times, self.local
+        s_dir, scale = _matching_step(self.center, o, obstacles)
+        lo = max(-local.k_min, 0)
+        W = TruncSeries(local.coeffs[lo:], local.k_min + lo,
+                        local.var_tag).antiderivative()
+        W_half = truncate(W, max(4, len(W.coeffs) // 2))
+        for _ in range(10):
+            s_q = scale * s_dir
+            xi_q = frame.xi_of_s.evaluate(s_q)
+            w_q = W.evaluate(xi_q)
+            if abs(w_q - W_half.evaluate(xi_q)) < 1e-10 * (1 + abs(w_q)):
+                break
+            scale *= 0.5
+        else:
+            raise DivergentRegularization(
+                f"series tail at {frame.location} never converged")
+        z_q = 1.0 / s_q if frame.location == "inf" \
+            else complex(frame.location) + s_q
+        V_q = -sum(times[j] / j * xi_q ** (-j) for j in range(1, len(times)))
+        K = form.primitive(o, np.array([z_q]))[0] - V_q \
+            - times[0] * np.log(xi_q) - w_q
+        if not np.isfinite(K):
+            raise DivergentRegularization(
+                f"regularized primitive at {frame.location} not finite")
+        return W, K
+
     @property
     def kind(self):
         """'x_pole' at a pole of X (frame order d_p > 0), else 'omega_pole'."""
@@ -353,6 +391,19 @@ class PoleTimes:
 
     def __repr__(self):
         return f"PoleTimes({self.center}, kind={self.kind}, t={self.times})"
+
+
+def _matching_step(center, o, obstacles):
+    """(s_dir, scale): a primitive is matched to its series at the pole
+    ``center`` at the chart offset s = scale s_dir, a fifth of the way to
+    the nearest obstacle (at most 0.2) towards the basepoint o; at inf on
+    the sphere, at w = 0.2 (0.05 + 0.031 i)."""
+    if center == "inf":
+        return 0.05 + 0.031j, 0.2
+    p = complex(center)
+    dmin = min([abs(p - c) for c in obstacles if abs(p - c) > 1e-9],
+               default=1.0)
+    return (complex(o) - p) / abs(complex(o) - p), 0.2 * min(1.0, dmin)
 
 
 class Expansion:
@@ -364,9 +415,14 @@ class Expansion:
     (t_(p,0) dS + sum_j t_(p,j) omega_(p,j)), whose A-periods vanish;
     ``with_du``: basis + 2 i pi eps du, the form itself;
     ``zeta``: the B-period of ``basis`` over 2 i pi (0 on the sphere);
-    ``basepoint``: the clear point at which eps was read."""
+    ``b_periods``: the form's B-period 2 i pi (zeta + eps B) on each handle
+    (A, B), dF0/deps;
+    ``basepoint``: the clear point at which eps was read;
+    ``obstacles``: the form's finite poles and their translates, which
+    the basepoint and each matching point keep clear of."""
 
-    def __init__(self, curve, records, eps, basis, basepoint):
+    def __init__(self, curve, records, eps, basis, basepoint, obstacles):
+        self.curve = curve
         self.records = records
         self.eps = eps
         self.basis = basis
@@ -374,7 +430,55 @@ class Expansion:
             (2j * np.pi * e, DuForm(curve)) for e in eps if abs(e) > 1e-13])
         self.zeta = sum(sum(c * f.cycle_period("b") for c, f in basis.terms)
                         for _ in curve.cycles) / (2j * np.pi)
+        self.b_periods = [2j * np.pi * (self.zeta + e * b)
+                          for e, (_, b) in zip(eps, curve.cycles)]
         self.basepoint = basepoint
+        self.obstacles = obstacles
+
+    def F0(self, basepoint=None):
+        """F0 from the regularized pairing of the form with itself.
+
+        The second-kind block enters as Res_p[(sum_j t_j/j xi^-j) omega]/2,
+        the sign fixed by finite-difference oracles against the first
+        derivative identities (dF0/dt_{p,j} = (1/j) Res xi^-j omega,
+        dF0/deps = B-period, homogeneity of degree two), and each t_(p,0)
+        pairs with the form's regularized potential at p, from ``basepoint``.
+        """
+        o = basepoint if basepoint is not None else self.basepoint
+        res_v = t0mu = 0.0 + 0.0j
+        for rec in self.records:
+            # Res_p V_p omega with V_p = sum_{j>=1} (t_j / j) xi^-j
+            res_v += sum(t * rec.pairing(j) for j, t in enumerate(rec.times)
+                         if j and t != 0)
+            # t_p0 times the regularized potential mu_p
+            _, mu = rec.regularized(self.with_du, o, self.obstacles)
+            t0mu += rec.times[0] * mu
+        eps_term = sum(e * b for e, b in zip(self.eps, self.b_periods))
+        return 0.5 * (res_v + t0mu + eps_term)
+
+    def shifted_F0(self, basepoint=None):
+        """F0 - sum eps dF0/deps + i pi eps.tau.eps, tau = B/A over the
+        cycles: F0 itself on the sphere."""
+        value = self.F0(basepoint)
+        for e, bp, (a, b) in zip(self.eps, self.b_periods,
+                                 self.curve.cycles):
+            value = value - e * bp + 1j * np.pi * e * e * (b / a)
+        return value
+
+    def dF_dt(self, center, j):
+        """dF0/dt_{p,j} = (1/j) Res_p xi^-j omega for j >= 1, the 1/j that of
+        the times t_{p,j} = Res omega xi^j (pinned by the finite-difference
+        oracle in the tests); refused at a center that is no pole."""
+        for rec in self.records:
+            if _same_center(rec.center, center):
+                return rec.pairing(j)
+        raise BadIndex(f"{center} is not a pole of the form")
+
+    def dF_deps(self, i=0):
+        """dF0/deps_i, the B-period of the form on handle i."""
+        if i not in range(len(self.eps)):
+            raise UnsupportedCycle(f"no filling fraction eps_{i}")
+        return self.b_periods[i]
 
 
 def pole_frame(curve, center):
@@ -433,8 +537,10 @@ def expansion(curve, form: Form1) -> Expansion:
             for r in records))
 
     basis = _basis(curve, records)
-    o, eps = _filling_fractions(curve, form, basis, records, j_cap)
-    return Expansion(curve, records, eps, basis, o)
+    obstacles = _pole_translates(curve, form)
+    o, eps = _filling_fractions(curve, form, basis, records, j_cap,
+                                obstacles)
+    return Expansion(curve, records, eps, basis, o, obstacles)
 
 
 def _basis(curve, records):
@@ -450,18 +556,18 @@ def _basis(curve, records):
     return SumForm(terms)
 
 
-def _filling_fractions(curve, form, basis, records, j_cap):
+def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
     """(o, eps) for the form with ``basis`` its expansion less c du: the
     basis forms have no A-periods, so the form less ``basis`` is c du, c =
     2 i pi eps (0 on the sphere), read at the first candidate o clear of
-    the form's poles and the branch points (any clear point will do; a
+    the ``obstacles`` and the branch points (any clear point will do; a
     fixed order keeps runs reproducible).  Read at the next candidate, c
     differs by at most 2.7e-15 of the values there over the forms of the
     tests; past _EPS_GAP of them, the principal parts miss some of the
     form (a pole read short, say a root cluster split apart), and
     TruncationTooShort names the deepest pole."""
     cands = _basepoints(curve)
-    special = _pole_translates(curve, form) + _translates(
+    special = obstacles + _translates(
         curve, [r.location for r in curve.ramification_points])
     o = next((c for c in cands if all(abs(c - p) > _BASEPOINT_CLEARANCE
                                       for p in special)), cands[0])

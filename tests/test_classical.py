@@ -17,7 +17,7 @@ from spectralflow.errors import (
     PsiOutOfRange,
     TruncationTooShort,
 )
-from spectralflow.forms import SumForm, ThirdKind, YdX
+from spectralflow.forms import SumForm, ThirdKind, YdX, expansion
 from spectralflow.geometry import basis_form, line_integral
 
 
@@ -500,13 +500,12 @@ def test_sato_time_shift_structure(airy):
 
 def test_sato_quadratic_exactness(airy):
     # F0(omega + lam dS) is exactly quadratic in lam
-    from spectralflow.geometry import prepotential
     w = YdX(airy)
     ds = ThirdKind(airy, 1.8 + 0.7j, -1.1 + 1.3j)
     vals = []
     for lam in (0.0, 0.5, 1.0, 1.5):
         form = SumForm([(1.0, w), (lam, ds)]) if lam else w
-        vals.append(prepotential(airy, form, basepoint=0.73 + 0.58j).value)
+        vals.append(expansion(airy, form).F0(basepoint=0.73 + 0.58j))
     # third finite difference of a quadratic vanishes
     d3 = vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]
     assert abs(d3) < 1e-8 * max(1.0, abs(vals[0]))
@@ -515,15 +514,13 @@ def test_sato_quadratic_exactness(airy):
 def test_sato_residual_expands_twice(monkeypatch, torus):
     # omega's one expansion serves psi_cl and F0(omega), and omega + dS
     # has the other
-    from spectralflow import classical, geometry
-    from spectralflow.forms import expansion
+    from spectralflow import classical
     calls = []
 
     def counted(curve, form):
         calls.append(form)
         return expansion(curve, form)
-    for module in (classical, geometry):
-        monkeypatch.setattr(module, "expansion", counted)
+    monkeypatch.setattr(classical, "expansion", counted)
     res, _ = sato_residual(torus, YdX(torus), 0.31 + 0.22j, 0.72 + 0.31j)
     assert len(calls) == 2 and res < 1e-7
 

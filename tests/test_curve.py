@@ -25,6 +25,7 @@ from spectralflow.errors import (
     TruncationTooShort,
 )
 from spectralflow.forms import KernelForm, RationalDz, YdX, expansion
+from spectralflow.series import TruncSeries
 
 
 def test_airy_ramification(airy):
@@ -71,9 +72,50 @@ def test_local_coordinate_consistency(joukowski, torus):
             assert res < 1e-10
 
 
+def test_chart_check_holds_next_to_a_pole_of_x():
+    # a = -0.389 is a ramification point 0.389 from X's pole at 0: X's
+    # Taylor series there grows like 0.389^-k, and composed with the chart
+    # it read 1.6e-7 at order 40; X evaluated on the chart reads 1.4e-15
+    cv = Genus0Curve(RationalFunction([0.2, 1, 0, 0, 0.3, 0.1], [0, 0, 1]),
+                     RationalFunction([0, 1, 0.3]), order=40)
+    assert len(cv.ramification_points) == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                        RationalFunction([0, 1])),
+    lambda: Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5])),
+], ids=["joukowski", "torus"])
+def test_perturbed_ramification_chart_refused(monkeypatch, make):
+    # 1e-6 added at xi^5 of each ramification chart leaves X(a + s) - X(a)
+    # off xi^2 by 2.0e-6 on Joukowski and 1.9e-5 on tau = i, past the
+    # check's 1e-8
+    cls = type(make())
+    solve = cls._frame_chart
+
+    def perturbed(self, frame, n, s=None):
+        s, y = solve(self, frame, n, s)
+        if frame.order == -2:
+            bump = np.zeros(len(s.coeffs), dtype=complex)
+            bump[5 - s.k_min] = 1e-6
+            s = TruncSeries(s.coeffs + bump, s.k_min, s.var_tag)
+        return s, y
+
+    monkeypatch.setattr(cls, "_frame_chart", perturbed)
+    with pytest.raises(SingularCurve, match="inconsistent"):
+        make()
+
+
 def test_regularity_rejects_cubic():
     with pytest.raises(NonSimpleRamification):
         Genus0Curve(RationalFunction([0, 0, 0, 1]), RationalFunction([0, 1]))
+
+
+def test_vanishing_dy_at_ramification_refused():
+    # Y = z^2 on X = z^2: Y is even in the chart zeta = z, so its odd part
+    # has no zeta^1 term and the recursion kernel would divide by 0
+    with pytest.raises(SingularCurve, match="dY vanishes"):
+        Genus0Curve(RationalFunction([0, 0, 1]), RationalFunction([0, 0, 1]))
 
 
 def test_bad_modulus():
@@ -134,6 +176,13 @@ def test_near_branch_warning(airy):
         airy.sheets_above(1e-9)
     sh = airy.sheets_above(1e-9, allow_near_branch=True)
     assert sh.near_branch
+
+
+def test_torus_branch_value_refused_even_when_allowed(torus):
+    # at a branch value u and -u coincide at a half period: no two sheets
+    for r in torus.ramification_points:
+        with pytest.raises(RootFindingFailed, match="coincide"):
+            torus.sheets_above(r.value, allow_near_branch=True)
 
 
 def test_sheet_monodromy_is_transposition(airy):
@@ -221,6 +270,18 @@ def test_deep_multiple_pole_kept_or_refused_by_name(airy, pole):
 def test_pole_at_ramification_rejected(airy):
     with pytest.raises(PoleAtRamificationPoint):
         expansion(airy, RationalDz(RationalFunction([1], [0, 1])))
+
+
+def test_residue_theorem_enforced(airy):
+    # a form that hides its pole at -0.7 leaves the residue 1 at 0.5
+    # unbalanced: refused by the residue theorem, not read on
+    class HiddenPole(RationalDz):
+        def poles(self):
+            return [p for p in super().poles() if abs(p + 0.7) > 1e-9]
+
+    form = HiddenPole(RationalFunction([1.2], [-0.35, 0.2, 1.0]))
+    with pytest.raises(ResidueSumNonzero, match="sum of residues = 1"):
+        expansion(airy, form)
 
 
 def test_unbalanced_kernel_form_refused_on_torus(torus):

@@ -23,10 +23,8 @@ from spectralflow.geometry import (
     canonical_period,
     fay_residual,
     line_integral,
-    prepotential,
     quadrature_period,
     riemann_bilinear_residual,
-    shifted_prepotential_value,
 )
 from spectralflow.quadrature import integrate_path, integrate_segment
 
@@ -185,42 +183,42 @@ def test_basis_form_has_single_pole_no_residue(joukowski, torus):
             assert abs(ser.residue()) < 1e-12
 
 
-# -- prepotential -------------------------------------------------------------------
+# -- F0 -----------------------------------------------------------------------
 
 def test_homogeneity(joukowski, torus):
     # F0 is quadratic in the form: F0(2 omega) = 4 F0(omega).  Measured
     # for Y dX: within 7e-17 on Joukowski and exactly on the tau = i torus
     for curve in (joukowski, torus):
         w = YdX(curve)
-        f1 = prepotential(curve, w).value
-        f2 = prepotential(curve, SumForm([(2.0, w)])).value
+        f1 = expansion(curve, w).F0()
+        f2 = expansion(curve, SumForm([(2.0, w)])).F0()
         assert abs(f2 - 4.0 * f1) <= 1e-12 * abs(4.0 * f1)
 
 
 def test_first_derivative_t_oracle(joukowski):
     """Central-difference oracle for dF0/dt_{p,j}, h-sweep."""
     w = YdX(joukowski)
-    prep = prepotential(joukowski, w)
+    exp = expansion(joukowski, w)
     bf = basis_form(joukowski, "inf", 2)
     fds = []
     for h in (1e-3, 1e-4):
-        vp = prepotential(joukowski, SumForm([(1.0, w), (h, bf)])).value
-        vm = prepotential(joukowski, SumForm([(1.0, w), (-h, bf)])).value
+        vp = expansion(joukowski, SumForm([(1.0, w), (h, bf)])).F0()
+        vm = expansion(joukowski, SumForm([(1.0, w), (-h, bf)])).F0()
         fds.append((vp - vm) / (2 * h))
-    target = prep.dF_dt("inf", 2)
+    target = exp.dF_dt("inf", 2)
     assert abs(fds[1] - target) < 1e-6 * max(1.0, abs(target))
     assert abs(fds[0] - fds[1]) < 1e-4
 
 
 def test_first_derivative_eps_oracle(torus):
     w = YdX(torus)
-    prep = prepotential(torus, w)
+    exp = expansion(torus, w)
     du = DuForm(torus, 2j * np.pi)
     h = 1e-4
-    vp = prepotential(torus, SumForm([(1.0, w), (h, du)])).value
-    vm = prepotential(torus, SumForm([(1.0, w), (-h, du)])).value
+    vp = expansion(torus, SumForm([(1.0, w), (h, du)])).F0()
+    vm = expansion(torus, SumForm([(1.0, w), (-h, du)])).F0()
     fd = (vp - vm) / (2 * h)
-    assert abs(fd - prep.dF_deps()) < 1e-5 * max(1.0, abs(fd))
+    assert abs(fd - exp.dF_deps()) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_third_kind_derivative_is_line_integral(joukowski, torus):
@@ -229,8 +227,8 @@ def test_third_kind_derivative_is_line_integral(joukowski, torus):
         w = YdX(curve)
         ds = ThirdKind(curve, z1, z2)
         h = 1e-4
-        vp = prepotential(curve, SumForm([(1.0, w), (h, ds)])).value
-        vm = prepotential(curve, SumForm([(1.0, w), (-h, ds)])).value
+        vp = expansion(curve, SumForm([(1.0, w), (h, ds)])).F0()
+        vm = expansion(curve, SumForm([(1.0, w), (-h, ds)])).F0()
         fd = (vp - vm) / (2 * h)
         target = line_integral(curve, w, z2, z1)
         assert abs(fd - target) < 1e-6 * max(1.0, abs(target))
@@ -243,9 +241,9 @@ def test_second_derivative_prime_form(joukowski):
     z1, z2 = 1.7 + 0.6j, -0.9 + 1.4j
     ds = ThirdKind(joukowski, z1, z2)
     h = 1e-3
-    prep0 = prepotential(joukowski, w).value
-    vp = prepotential(joukowski, SumForm([(1.0, w), (h, ds)])).value
-    vm = prepotential(joukowski, SumForm([(1.0, w), (-h, ds)])).value
+    prep0 = expansion(joukowski, w).F0()
+    vp = expansion(joukowski, SumForm([(1.0, w), (h, ds)])).F0()
+    vm = expansion(joukowski, SumForm([(1.0, w), (-h, ds)])).F0()
     fd2 = (vp - 2 * prep0 + vm) / h ** 2
     target = -np.log(joukowski.prime_form(z1 - z2) ** 2
                      * joukowski.dx_value(z1) * joukowski.dx_value(z2))
@@ -260,22 +258,22 @@ def test_quadratic_form_identity(joukowski):
     # (measured 2.5e-13 for Y dX against the order-2 basis form at inf)
     w = YdX(joukowski)
     b = basis_form(joukowski, "inf", 2)
-    p1 = prepotential(joukowski, w)
-    p2 = prepotential(joukowski, SumForm([(2.0, w)]))
-    assert abs(p2.value - 4.0 * p1.value) < 1e-8 * max(1.0, abs(p1.value))
-    fb = prepotential(joukowski, b).value
-    fp = prepotential(joukowski, SumForm([(1.0, w), (1.0, b)])).value
-    fm = prepotential(joukowski, SumForm([(1.0, w), (-1.0, b)])).value
-    scale = max(1.0, abs(p1.value), abs(fb))
-    assert abs(fp + fm - 2.0 * p1.value - 2.0 * fb) < 1e-10 * scale
+    f1 = expansion(joukowski, w).F0()
+    f2 = expansion(joukowski, SumForm([(2.0, w)])).F0()
+    assert abs(f2 - 4.0 * f1) < 1e-8 * max(1.0, abs(f1))
+    fb = expansion(joukowski, b).F0()
+    fp = expansion(joukowski, SumForm([(1.0, w), (1.0, b)])).F0()
+    fm = expansion(joukowski, SumForm([(1.0, w), (-1.0, b)])).F0()
+    scale = max(1.0, abs(f1), abs(fb))
+    assert abs(fp + fm - 2.0 * f1 - 2.0 * fb) < 1e-10 * scale
 
 
 def test_mu_basepoint_dependence_cancels(joukowski):
     # sum_p t_p0 mu_p enters F0; individual mu move with the basepoint
     # but F0 must not
     w = YdX(joukowski)
-    v1 = prepotential(joukowski, w, basepoint=0.73 + 0.58j).value
-    v2 = prepotential(joukowski, w, basepoint=-0.64 + 0.81j).value
+    v1 = expansion(joukowski, w).F0(basepoint=0.73 + 0.58j)
+    v2 = expansion(joukowski, w).F0(basepoint=-0.64 + 0.81j)
     assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
 
@@ -366,8 +364,7 @@ def test_cycle_sums_empty_at_genus0(joukowski):
     w = YdX(joukowski)
     exp = expansion(joukowski, w)
     assert exp.eps.shape == (0,) and exp.zeta == 0
-    prep = prepotential(joukowski, w)
-    assert shifted_prepotential_value(prep) == prep.value
+    assert exp.shifted_F0() == exp.F0()
     assert not any(isinstance(f, DuForm) for _, f in exp.with_du.terms)
     sysm = ClassicalSystem(joukowski, w)
     assert sysm.b_loop_transport_residual(1.1 + 0.8j, 0.4 + 1.3j) == 0.0
@@ -380,7 +377,7 @@ def test_dF_deps_refuses_missing_filling_fraction(which, i, joukowski,
                                                   torus):
     curve = {"joukowski": joukowski, "torus": torus}[which]
     with pytest.raises(UnsupportedCycle):
-        prepotential(curve, YdX(curve)).dF_deps(i)
+        expansion(curve, YdX(curve)).dF_deps(i)
 
 
 def test_quadrature_engine():

@@ -35,9 +35,9 @@ from spectralflow.forms import (
     KernelForm,
     SecondKindBasis,
     YdX,
+    expansion,
     pole_frame,
 )
-from spectralflow.geometry import prepotential
 from spectralflow.recursion import (
     CorrForm,
     RecursionEngine,
@@ -51,6 +51,9 @@ from spectralflow.recursion import (
 from spectralflow.series import TruncSeries
 
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
+# the deeper levels gated entry by entry on Airy, up to genus 5
+AIRY_DEEP = [(0, 5), (0, 6), (1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2),
+             (4, 1), (5, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -306,22 +309,30 @@ def test_witten_kontsevich_table():
     assert _witten_kontsevich(1, (1, 1)) == Fraction(1, 24)
 
 
-@pytest.mark.parametrize("g, n", SUITE)
-def test_airy_entries_are_intersection_numbers(g, n):
+@pytest.fixture(scope="module")
+def airy40():
+    return RecursionEngine(Genus0Curve(RationalFunction([0, 0, 1]),
+                                       RationalFunction([0, 1]), order=40))
+
+
+@pytest.mark.parametrize("g, n", SUITE + AIRY_DEEP)
+def test_airy_entries_are_intersection_numbers(airy40, g, n):
     # X = z^2, Y = z: s(zeta) = zeta, so every entry of omega(g, n) is
     # 2^(2-2g-n) <tau_d1 ... tau_dn>_g prod (2 d_i - 1)!!, k = 2d + 1.
-    # Measured at order 40: every entry on sum d = 3g - 3 + n equals its
-    # bracket to the last bit, and every entry off it is exactly 0.0
-    eng = RecursionEngine(Genus0Curve(RationalFunction([0, 0, 1]),
-                                      RationalFunction([0, 1]), order=40))
-    w = eng.omega(g, n)
+    # Measured at order 40: every entry on sum d = 3g - 3 + n is within
+    # 4.4e-16 of its bracket, relative (the worst at omega(5, 1)), and
+    # every entry off it is exactly 0.0
+    w = airy40.omega(g, n)
     ds = [(k - 1) // 2 for _, k in w.basis]
+    brackets = {}        # each sorted d once: omega(0, 6) has 46656 entries
     for idx in itertools.product(range(len(ds)), repeat=n):
-        d = [ds[i] for i in idx]
-        exact = Fraction(2) ** (2 - 2 * g - n) \
-            * _witten_kontsevich(g, tuple(sorted(d)))
-        for di in d:
-            exact *= _double_factorial(2 * di - 1)
+        d = tuple(sorted(ds[i] for i in idx))
+        if d not in brackets:
+            exact = Fraction(2) ** (2 - 2 * g - n) * _witten_kontsevich(g, d)
+            for di in d:
+                exact *= _double_factorial(2 * di - 1)
+            brackets[d] = exact
+        exact = brackets[d]
         if exact == 0:
             assert w.tensor[idx] == 0.0, (idx, w.tensor[idx])
         else:
@@ -375,6 +386,40 @@ def test_joukowski_fg_harer_zagier(joukowski40, g, tol):
     # F_g = -B_2g / (2g (2g - 2)) (Harer-Zagier)
     exact = float(-_bernoulli(2 * g) / (2 * g * (2 * g - 2)))
     assert abs(joukowski40.invariant(g) - exact) < tol * abs(exact)
+
+
+@cache
+def _harer_zagier(g, n):
+    """epsilon_g(n), the number of genus-g gluings of a 2n-gon, in exact
+    integers: (n + 1) eps_g(n) = 2 (2n - 1) eps_g(n - 1) + (n - 1) (2n - 1)
+    (2n - 3) eps_(g-1)(n - 2), from the Catalan numbers eps_0 (Harer-Zagier
+    1986)."""
+    if g < 0 or n < 0:
+        return 0
+    if g == 0:
+        return comb(2 * n, n) // (n + 1)
+    if n == 0:
+        return 0
+    total = 2 * (2 * n - 1) * _harer_zagier(g, n - 1) + (n - 1) \
+        * (2 * n - 1) * (2 * n - 3) * _harer_zagier(g - 1, n - 2)
+    assert total % (n + 1) == 0
+    return total // (n + 1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_joukowski_omega_g1_counts_gluings(joukowski40, g):
+    # at the pole z = inf of X = z + 1/z, [x^(-2n-1) dx] omega(g, 1) =
+    # eps_g(n), read as the mean of X^2n omega/dz z over 256 nodes on
+    # |z| = 2.5, which encloses both ramification points.  Measured for
+    # n = 2g .. 2g + 4: within 2.0e-12 relative, the worst at (5, 10),
+    # where the terms of the mean cancel; 1e-11 bounds it
+    assert _harer_zagier(1, 3) == 10 and _harer_zagier(2, 4) == 21
+    z = 2.5 * np.exp(2j * np.pi * np.arange(256) / 256)
+    w = joukowski40.omega(g, 1)
+    f = w.tensor @ joukowski40.basis_matrix(w.basis, z)
+    for n in range(2 * g, 2 * g + 5):
+        got = np.mean((z + 1 / z) ** (2 * n) * f * z)
+        assert abs(got / _harer_zagier(g, n) - 1) < 1e-11, (n, got)
 
 
 def _grunsky_rows(a, zeta_prime, n):
@@ -633,9 +678,9 @@ def test_bad_indices_refused_with_library_error(engines, joukowski):
         eng.invariant(1)
     with pytest.raises(BadIndex):
         SecondKindBasis(joukowski, joukowski.x_poles[0], 0)
-    prep = prepotential(joukowski, YdX(joukowski))
+    exp = expansion(joukowski, YdX(joukowski))
     with pytest.raises(BadIndex):
-        prep.dF_dt(0.7 + 0.2j, 1)
+        exp.dF_dt(0.7 + 0.2j, 1)
 
 
 def test_residue_slice_reads_products():
