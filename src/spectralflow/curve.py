@@ -281,14 +281,15 @@ class Frame:
     -1 at a regular point, -2 at a ramification point.  xi'(0)
     (``xi_prime``) is the principal root in every case.
 
-    ``value``, ``xi_of_s`` and ``xi_prime`` are computed on first read
-    where the curve does not give them.  ``chart(n)`` gives (s(xi), Y(p +
-    s(xi))) known through xi^n, Y only at a ramification point (None
+    ``value``, X's series ``x_local`` (which xi(s), xi'(0) and the torus
+    chart check read), ``xi_of_s`` and ``xi_prime`` are computed on first
+    read where the curve does not give them.  ``chart(n)`` gives (s(xi),
+    Y(p + s(xi))) known through xi^n, Y only at a ramification point (None
     elsewhere), from the curve's one chart routine ``_frame_chart``.  The
     frame keeps the deepest chart read so far: a shallower read truncates
     it, a deeper one continues from it."""
 
-    def __init__(self, curve, location, order, value=None, xi_prime=None):
+    def __init__(self, curve, location, order, value=None):
         self.curve = curve
         self.location = location          # chart value or "inf"
         self.order = int(order)
@@ -296,8 +297,6 @@ class Frame:
                             else f"{complex(location):.6g}")
         if value is not None:
             self.value = value
-        if xi_prime is not None:
-            self.xi_prime = complex(xi_prime)
         self._chart = None
 
     @cached_property
@@ -305,12 +304,17 @@ class Frame:
         return self.curve.x_value(self.location)
 
     @cached_property
+    def x_local(self):
+        """X's series at p, known through s^(curve order + 6), and d orders
+        further at a pole of order d at "inf"."""
+        cv = self.curve
+        return cv.x_series(self.location, cv.order + 6 + (
+            abs(self.order) if self.location == "inf" else 0))
+
+    @cached_property
     def xi_of_s(self):
-        """xi(s) from X's series at p, known through s^(curve order + 6),
-        and d orders further at a pole of order d at "inf"."""
-        cv, m = self.curve, abs(self.order)
-        xs = cv.x_series(self.location, cv.order + 6
-                         + (m if self.location == "inf" else 0))
+        """xi(s) from X's series at p (``x_local``)."""
+        xs, m = self.x_local, abs(self.order)
         # off the poles, X(p) and the roundoff below s^e are dropped
         lo = max(m - xs.k_min, 0)
         f = xs.invert() if self.order > 0 else \
@@ -384,7 +388,9 @@ class SpectralCurve:
     #                                 point, else None) through xi^n,
     #                                 continued from the shallower chart s
     #                                 where the routine iterates
-    #   _x_on_chart(p, s)             X(p + s(xi)), by which the
+    #   _x_on_chart(frame, s)         the Taylor coefficients of X(p +
+    #                                 s(xi)) and the size of the terms
+    #                                 summed into each, by which the
     #                                 ramification charts are checked
     # and, for the kernels below, its prime form E and theta function
     # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
@@ -436,23 +442,26 @@ class SpectralCurve:
             if abs((y - flip_parity(y)).coeff(1)) < 1e-10:
                 raise SingularCurve(
                     f"dY vanishes at ramification point {r.location}")
-            # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2
-            fwd = self._x_on_chart(r.location, s) - r.value
-            res = max(abs(fwd.coeff(k) - (1.0 if k == 2 else 0.0))
-                      for k in range(fwd.k_min, min(fwd.trunc_order,
-                                                    self.order) + 1))
+            # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2, each
+            # coefficient within 1e-8 of the terms summed into it (or of 1)
+            fwd, size = self._x_on_chart(r, s)
+            fwd[0] -= r.value
+            fwd[2] -= 1.0
+            res = np.max((abs(fwd) / np.maximum(size, 1.0))[:self.order + 1])
             if res > 1e-8:
                 raise SingularCurve(
                     f"local coordinate at {r.location} inconsistent: {res}")
 
     def _ramification_point(self, a):
-        """The Frame at a simple zero a of dX, zeta^2 = X - X(a)."""
-        xa = self.x_value(a)
-        xs = self.x_series(a, self.order + 4) - xa
+        """The Frame at a simple zero a of dX, zeta^2 = X - X(a), with
+        zeta'(0) read off the frame's series of X."""
+        frame = Frame(self, a, -2, self.x_value(a))
+        xs = frame.x_local
         if abs(xs.coeff(1)) > 1e-9 * max(1.0, abs(xs.coeff(2))):
             raise NonSimpleRamification(
                 f"inconsistent vanishing of dX at {a}")
-        return Frame(self, a, -2, xa, np.sqrt(xs.coeff(2)))
+        frame.xi_prime = complex(np.sqrt(xs.coeff(2)))
+        return frame
 
     # -- kernels, from the prime form -------------------------------------------
     # B(z1, z2) = F(z1 - z2) dz1 dz2 with F = -(log E)'', the primitive
@@ -652,10 +661,11 @@ class Genus0Curve(SpectralCurve):
                          frame.tag, s)
         return s, self.Y.of(s + p) if frame.order == -2 else None
 
-    def _x_on_chart(self, p, s):
+    def _x_on_chart(self, frame, s):
         """X(p + s) by Horner, as _frame_chart reads Y: X's Taylor series at
-        p would grow like the inverse distance to X's nearest pole."""
-        return self.X.of(s + p)
+        p would grow like the inverse distance to X's nearest pole.  Size 1:
+        the check's bound stays absolute."""
+        return _taylor(self.X.of(s + frame.location), s.trunc_order), 1.0
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, p, m) for p, m in self.X.finite_poles()]
@@ -911,10 +921,14 @@ class Genus1Curve(SpectralCurve):
         return s, truncate(self.R1.of(wp) + self.R2.of(wp) * root, n,
                            absolute=True)
 
-    def _x_on_chart(self, p, s):
-        """wp's series at p, off its lattice jet, composed with s: a check
-        of _frame_chart's product formula by another path."""
-        return self.x_series(p, self.order + 2).compose(s)
+    def _x_on_chart(self, frame, s):
+        """X's series at p (the frame's ``x_local``, off wp's lattice jet)
+        summed against the power table of s, x @ P, as far as both are
+        known: a check of _frame_chart's product formula by another path.
+        |x| @ |P| sizes the terms summed into each coefficient."""
+        n = min(s.trunc_order, frame.x_local.trunc_order)
+        x, P = _taylor(frame.x_local, n), _power_rows(_taylor(s, n), n)
+        return x @ P, abs(x) @ abs(P)
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, 0.0, 2)]
@@ -959,6 +973,11 @@ def _toeplitz(f):
     n = f.shape[-1]
     pad = np.concatenate([np.zeros(f.shape[:-1] + (n - 1,)), f], axis=-1)
     return sliding_window_view(pad, n, axis=-1)[..., ::-1, :]
+
+
+def _taylor(s: TruncSeries, n) -> np.ndarray:
+    """The coefficients of zeta^0..zeta^n of a series without a pole."""
+    return np.append(np.zeros(s.k_min), truncate(s, n, absolute=True).coeffs)
 
 
 def _power_rows(f, top) -> np.ndarray:

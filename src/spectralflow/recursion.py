@@ -83,7 +83,7 @@ import itertools
 
 import numpy as np
 
-from .curve import _ON_POLE, _power_rows, _toeplitz, flip_parity
+from .curve import _ON_POLE, _power_rows, _taylor, _toeplitz, flip_parity
 from .errors import (
     BadIndex,
     LevelTooLarge,
@@ -91,7 +91,7 @@ from .errors import (
     TruncationTooShort,
 )
 from .forms import DuForm, SecondKindBasis, pole_frame
-from .series import TruncSeries, truncate
+from .series import TruncSeries
 
 # The largest dense level a request may build, read by an engine when it is
 # built; it sizes the row tables too (m <= 39, 27, 21 for 1, 2, 3 points at
@@ -495,11 +495,6 @@ def _contract(t, M):
     for col in M.T:
         t = np.tensordot(t, col, axes=([0], [0]))
     return t
-
-
-def _taylor(s: TruncSeries, n):
-    """The coefficients of zeta^0..zeta^n of a series without a pole."""
-    return np.append(np.zeros(s.k_min), truncate(s, n, absolute=True).coeffs)
 
 
 def _log_derivative(W):

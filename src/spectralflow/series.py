@@ -244,7 +244,10 @@ class TruncSeries:
     # -- composition -------------------------------------------------------
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(w)); inner must vanish at the origin."""
+        """self(inner(w)); inner must vanish at the origin.  The outer
+        series is read as a polynomial past its window: 1 + z + z^2 + O(z^3)
+        composed with a series known through w^10 reports a window through
+        w^10, not w^2.  _solve_chart's polynomials rely on this."""
         if inner.k_min < 1:
             raise NotInvertibleAtOrigin(
                 "composition needs inner series with inner(0) == 0")

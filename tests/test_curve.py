@@ -25,6 +25,7 @@ from spectralflow.errors import (
     TruncationTooShort,
 )
 from spectralflow.forms import KernelForm, RationalDz, YdX, expansion
+from spectralflow.recursion import RecursionEngine
 from spectralflow.series import TruncSeries
 
 
@@ -88,8 +89,9 @@ def test_chart_check_holds_next_to_a_pole_of_x():
 ], ids=["joukowski", "torus"])
 def test_perturbed_ramification_chart_refused(monkeypatch, make):
     # 1e-6 added at xi^5 of each ramification chart leaves X(a + s) - X(a)
-    # off xi^2 by 2.0e-6 on Joukowski and 1.9e-5 on tau = i, past the
-    # check's 1e-8
+    # off xi^2 by 2.0e-6 on Joukowski and at least 1.4e-5 at each half
+    # period of tau = i (scaled by the size of the terms), past the check's
+    # 1e-8
     cls = type(make())
     solve = cls._frame_chart
 
@@ -104,6 +106,79 @@ def test_perturbed_ramification_chart_refused(monkeypatch, make):
     monkeypatch.setattr(cls, "_frame_chart", perturbed)
     with pytest.raises(SingularCurve, match="inconsistent"):
         make()
+
+
+@pytest.mark.parametrize("tau", [2j, 0.5 + 2j])
+def test_regular_torus_builds_at_high_order(tau):
+    # the chart's coefficients grow like 1.78^k at tau = 0.5 + 2i, and an
+    # absolute 1e-8 bound on X(a + s) - X(a) - xi^2 refused the curve at
+    # orders 40 and 48 on roundoff (up to 1.8e-4); scaled by the size of
+    # the terms summed into each coefficient the residual reads 1.3e-14,
+    # and F_2, which reads the charts only to a depth set by g, is the
+    # order-24 value
+    def build(order):
+        return Genus1Curve(tau, RationalFunction([0.0]),
+                           RationalFunction([0.5]), order=order)
+    f2 = RecursionEngine(build(24)).invariant(2)
+    for order in (40, 48):
+        cv = build(order)
+        assert len(cv.ramification_points) == 3
+        assert abs(RecursionEngine(cv).invariant(2) - f2) <= 1e-14 * abs(f2)
+
+
+def test_torus_build_reads_x_series_once_per_half_period(monkeypatch):
+    # each half period's frame reads X's series once, for its slope and
+    # its chart check alike, and the check composes no series
+    calls = {"x_series": [], "compose": 0}
+    x_series, compose = Genus1Curve.x_series, TruncSeries.compose
+
+    def counted_x_series(self, center, order, tag=None):
+        calls["x_series"].append(center)
+        return x_series(self, center, order, tag)
+
+    def counted_compose(self, inner):
+        calls["compose"] += 1
+        return compose(self, inner)
+    monkeypatch.setattr(Genus1Curve, "x_series", counted_x_series)
+    monkeypatch.setattr(TruncSeries, "compose", counted_compose)
+    cv = Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+    assert len(calls["x_series"]) == 3
+    assert set(calls["x_series"]) == set(cv._halves())
+    assert calls["compose"] == 0
+
+
+def _wp_at_half_periods(tau, n):
+    """[t^k] wp(h + t), k <= n, at the half periods 1/2, tau/2 and (1 +
+    tau)/2 in 40 digits: e_i from the theta constants, then wp'' = 6 wp^2 -
+    g2/2, g2 = 2 sum e_i^2, term by term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        t2, t3, t4 = (mpmath.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+        c = mpmath.pi ** 2 / 3
+        es = [c * (t3 + t4), -c * (t2 + t3), c * (t2 - t4)]
+        g2 = 2 * sum(e ** 2 for e in es)
+        out = []
+        for e in es:
+            cs = [e, mpmath.mpf(0)] + [mpmath.mpf(0)] * (n - 1)
+            for k in range(n - 1):
+                rhs = 6 * sum(cs[i] * cs[k - i] for i in range(k + 1))
+                cs[k + 2] = (rhs - (g2 / 2 if k == 0 else 0)) \
+                    / ((k + 2) * (k + 1))
+            out.append(np.array([complex(x) for x in cs]))
+        return out
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 2j, 0.25 + 1.07j])
+def test_wp_series_at_half_periods_match_reference(tau):
+    # the torus chart check's path: X's series at each half period, off
+    # the log E jet, through t^40; measured within 1.3e-13 of the largest
+    # coefficient
+    cv = Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
+    for h, ref in zip(cv._halves(), _wp_at_half_periods(tau, 40)):
+        xs = cv.x_series(h, 40)
+        got = np.array([xs.coeff(k) for k in range(41)])
+        assert np.max(abs(got - ref)) <= 1e-12 * np.max(abs(ref))
 
 
 def test_regularity_rejects_cubic():
