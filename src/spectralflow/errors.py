@@ -28,7 +28,7 @@ class TruncationTooShort(SpectralFlowError):
 
 
 class LevelTooLarge(SpectralFlowError):
-    """A recursion level whose dense tensor passes the byte bound."""
+    """A recursion level whose dense size passes the byte bound."""
 
 
 class NotInvertibleAtOrigin(SpectralFlowError):

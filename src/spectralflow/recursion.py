@@ -1,13 +1,14 @@
 """Residue recursion for the symplectic covariant forms and invariants.
 
-A form with 2 - 2g - n < 0 is stored as a fully contracted tensor over
-the basis
+A form with 2 - 2g - n < 0 is stored over the basis
 
     B_{a,k}(z) = Res_{z'->a} zeta_a(z')^{-k} B(z', z),   k odd,
 
-one index per variable, ordered k-major.  The generating property
-B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^{k-1} dzeta closes the
-recursion on these tensors, and quadrature exists only as a test
+ordered k-major, as a matrix over its degree-bounded support
+(``CorrForm``): with d = (k - 1)/2, each coefficient with sum d >
+3g - 3 + n is 0 (Eynard-Orantin, math-ph/0702045).  The generating
+property B(z_a(zeta), w) = sum_k B_{a,k}(w) zeta^{k-1} dzeta closes the
+recursion on these matrices, and quadrature exists only as a test
 oracle.  The residue kernel at a ramification point a is the same for
 every level, so it is built once per engine as the quadratic tensor
 
@@ -18,14 +19,14 @@ Soibelman, arXiv:1701.09137; Andersen-Borot-Chekhov-Orantin,
 arXiv:1703.03307).  W_i runs over the windows of the basis forms
 B_{b,m}(z_a(zeta)), then over Bergman slots h_{k'} = zeta^(k'-1), which
 carry an omega(0, 2)(zeta, z_j) factor.  Each term of a level is then
-one contraction of P^a with its two factors, and as P^a is symmetric in
-its columns, a product term and its mirror are one contraction.  Even-k
-slots are structurally absent (the forms have no residues), which the
-quadrature cross-checks confirm.  F_g is the dilaton pairing
-1/(2 - 2g) sum_a Res_a Phi omega(g, 1) (Eynard-Orantin, math-ph/0702045),
-Phi = int Y dX = int 2 zeta y_a dzeta, which only the pole k
-zeta^-(k+1) dzeta of B_{a,k} at a meets: F_g = 1/(1 - g) sum_(a,k)
-omega(g, 1)[(a, k)] [zeta^(k-2)] y_a, read off the chart of Y.
+M1^T P^a M2 for its two factors and every a at once, and as P^a is
+symmetric in its columns, a product term and its mirror are one
+contraction.  Even-k slots are structurally absent (the forms have no
+residues), which the quadrature cross-checks confirm.  F_g is the
+dilaton pairing 1/(2 - 2g) sum_a Res_a Phi omega(g, 1) (Eynard-Orantin,
+math-ph/0702045), Phi = int Y dX = int 2 zeta y_a dzeta, which only the
+pole k zeta^-(k+1) dzeta of B_{a,k} at a meets: F_g = 1/(1 - g)
+sum_(a,k) omega(g, 1)[(a, k)] [zeta^(k-2)] y_a, read off the chart of Y.
 
 Off the row tables, a series of the basis forms is one contraction
 with the curve's reduced Bergman kernel F (B(z, w) = F(z - w) dz dw):
@@ -45,24 +46,26 @@ s_a(zeta2)), less log(zeta1 - zeta2) on the diagonal (the Grunsky
 coefficients; Pommerenke, *Univalent Functions*, 1975), exact on the
 table's box as indices only add.  E is odd, so the tables (a, b) and
 (b, a) are transposes, read off one expansion per pair.  The memo of
-immutable tensors fills in increasing 2g + n.
+immutable levels fills in increasing 2g + n.
 
-One reach rule (``_check_reach``), the curve order and a byte bound,
-admits the levels before any work and sizes the engine when it is built:
-the row tables and P^a reach the largest m an admitted level reads
-(``m_rows``), the charts the deepest coefficient the tables read.  The
-charts s_a(zeta) and y_a(zeta) are the curve's own, read off its frame
-at each ramification point (``Frame.chart``), which continues the chart
-the curve solved to validate itself: the engine solves none afresh.
+One reach rule (``_check_reach``), the curve order and a bound on a
+level's dense size, admits the levels before any work and sizes the
+engine when it is built: the row tables and P^a reach the largest m an
+admitted level reads (``m_rows``), the charts the deepest coefficient
+the tables read.  The charts s_a(zeta) and y_a(zeta) are the curve's
+own, read off its frame at each ramification point (``Frame.chart``),
+which continues the chart the curve solved to validate itself: the
+engine solves none afresh.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
 leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of every
 ramification point a and point z in one call
 (``SpectralCurve.bergman_leg``): one kernel jet on the stacked c, one
-inversion of o + s_a batched over the stacked charts.  A tensor is
-contracted with their columns, one per point.  Any k up to the charts'
-depth is read this way; the row tables are not used.
+inversion of o + s_a batched over the stacked charts.  A level's rows
+and spectator tuples are contracted with their columns, one per point.
+Any k up to the charts' depth is read this way; the row tables are not
+used.
 
 The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
 with the cycles dual to the times t_{p,j} and to the filling fraction,
@@ -93,20 +96,24 @@ from .errors import (
 from .forms import DuForm, SecondKindBasis, pole_frame
 from .series import TruncSeries
 
-# The largest dense level a request may build, read by an engine when it is
-# built; it sizes the row tables too (m <= 39, 27, 21 for 1, 2, 3 points at
-# any order).  Joukowski omega(0, 6) (48 MB) fits, omega(0, 7) (1.7 GB) not.
+# The bound on the dense size, 16 bytes an entry, of the levels a request
+# builds, read by an engine when it is built; that size, never stored, sizes
+# the row tables and P^a (m <= 39, 27, 21 for 1, 2, 3 points at any order).
+# Joukowski omega(0, 6) (48 MB dense) fits, omega(0, 7) (1.7 GB) not.
 MAX_LEVEL_BYTES = 1 << 28
 
 
 class CorrForm:
-    """Coefficient tensor of one (g, n) form over the odd-k basis."""
+    """One (g, n) form as a matrix over the odd-k basis: row i the first
+    variable's basis element, column s the other n - 1, ``spectators[s]``,
+    in lexicographic order with sum d <= 3g - 3 + n (d = (k - 1)/2)."""
 
-    def __init__(self, g, n, basis, tensor):
+    def __init__(self, g, n, basis, tensor, spectators):
         self.g = int(g)
         self.n = int(n)
-        self.basis = basis          # [(a, k) for k for a]
-        self.tensor = tensor        # ndarray, shape (len(basis),) * n
+        self.basis = basis              # [(a, k) for k for a]
+        self.tensor = tensor            # ndarray (len(basis), len(spectators))
+        self.spectators = spectators    # int ndarray (S, n - 1)
 
 
 def k_slots(g, n):
@@ -236,9 +243,9 @@ class RecursionEngine:
     # -- the residue tensors -------------------------------------------------------
 
     def _residue_tensors(self):
-        """P^a[k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) c_a(zeta)
+        """P[a, k, i, j] = -1/(2k) [zeta^-k] W_i(zeta) W_j(-zeta) c_a(zeta)
         for every odd head k <= m_rows + 4, built once per engine from its
-        nonzero blocks, and the (1, 1) diagonal term per a: an admitted level
+        nonzero blocks, and the (1, 1) diagonal term [a, k]: an admitted level
         reads windows m <= m_rows and heads k <= m_rows + 4.
 
         The columns i, j are the windows of B_{b,m}(z_a(zeta)), m odd
@@ -269,24 +276,24 @@ class RecursionEngine:
         i, j = np.nonzero(np.add.outer(e, e)[:m_rows, :m_rows] < m_rows)
         self._nb = nb = len(basis)
         self._columns = basis + [(None, int(k)) for k in heads]
-        self._P, self._diag = [], []
+        self._P = np.zeros((self.A, len(heads)) + (nb + len(heads),) * 2,
+                           dtype=complex)
+        self._diag = np.zeros((self.A, len(heads)), dtype=complex)
         for a in range(self.A):
             FW = flip * np.hstack([self._window(basis, a, 0, hi), unit])
             # R[k, e - 2 lo] = [zeta^(-k-e)] c_a
             R = _residue_slice(self.ydiff_inv[a], heads, 2 * lo, hi)
             G = w[..., None] * R[:, np.add.outer(pole, e) - 2 * lo]
             H = (G.reshape(-1, hi + 1) @ FW).reshape(len(heads), len(ms), -1)
-            own = slice(a, nb, self.A)
-            P = np.zeros((len(heads),) + (H.shape[-1],) * 2, dtype=complex)
+            own, P = slice(a, nb, self.A), self._P[a]
             P[:, own] = H
             P[:, :, own] += H.transpose(0, 2, 1)
             P[:, own, own] -= w[..., None] * ms \
                 * R[:, np.add.outer(pole, pole) - 2 * lo]
             P[0] -= scale[0] * R[0, -2 * lo] * np.outer(FW[0], FW[0])
-            self._P.append(P)
             rows = self._rows(a, a)[i, j] * (-1.0) ** j
-            self._diag.append(scale * (-0.25 * R[:, -2 - 2 * lo]
-                                       - R[:, i + j - 2 * lo] @ rows))
+            self._diag[a] = scale * (-0.25 * R[:, -2 - 2 * lo]
+                                     - R[:, i + j - 2 * lo] @ rows)
         return self._P, self._diag
 
     # -- the recursion ---------------------------------------------------------------
@@ -303,21 +310,25 @@ class RecursionEngine:
         ks = k_slots(g, n)
         # k-major: every level's basis is a prefix of the heads of P
         basis = [(a, k) for k in ks for a in range(self.A)]
-        tensor = np.zeros((len(basis),) * n, dtype=complex)
-        for a in range(self.A):
-            self._add_residues(g, n, P[a][:len(ks)], diag[a][:len(ks)],
-                               slice(a, None, self.A), tensor)
-        form = CorrForm(g, n, basis, tensor)
+        spect = _support(self.A, 3 * g - 3 + n, n - 1)
+        acc = np.zeros((len(spect) + 1, self.A, len(ks)), dtype=complex)
+        if self.A:
+            self._add_residues(g, n, P[:, :len(ks)], diag[:, :len(ks)],
+                               spect, acc)
+        # rows (k, a) k-major, as the basis
+        tensor = acc[:-1].T.reshape(len(basis), len(spect))
+        form = CorrForm(g, n, basis, tensor, spect)
         self._memo[key] = form
         return form
 
     def _check_reach(self, g, n):
         """The one admission rule, which also sizes the tables: (g, n) is
         refused before any work when its top k + 4 passes the curve order,
-        or a level it builds passes the byte bound of 16-byte entries.  Down
+        or the dense size of a level it builds, 16 bytes an entry, passes the
+        byte bound; that size sizes the tables, a level stores less.  Down
         the recursion 6g + 2n falls, the deepest factor being omega(g, n - 1)
         (omega(g - 1, 2) at n = 1), and h + j <= g + n, so for each j the
-        chain omega(g - i, n + i) has the most slots: the largest tensor."""
+        chain omega(g - i, n + i) has the most slots: the largest size."""
         top = max(k_slots(g, n))
         if top + 4 > self.curve.order:
             raise TruncationTooShort(
@@ -328,48 +339,54 @@ class RecursionEngine:
                         if 2 * h + j > 2)
         if size > self._max_bytes:
             raise LevelTooLarge(
-                f"(g, n) = ({g}, {n}) builds omega{big}, a dense tensor of "
+                f"(g, n) = ({g}, {n}) builds omega{big}, of dense size "
                 f"{size:.3g} bytes, past the bound of {self._max_bytes}")
 
-    def _add_residues(self, g, n, P, diag, heads, tensor):
-        """The residues at one ramification point: tensor[heads, ...] +=
-        P contracted with the two factors of each of the recursion's
-        terms, each unordered split once.  A stable factor's spectators
-        fill a prefix of the level's basis; an omega(0, 2) factor is its
-        Bergman slots, which map onto the level's own ``heads``."""
-        J = n - 1
-        nb, K = self._nb, len(diag)
+    def _add_residues(self, g, n, P, diag, spect, acc):
+        """The residues at every ramification point a at once: acc[s, a, k]
+        += P^a[k] contracted with the two factors of each of the
+        recursion's terms, each unordered split once, at the level's
+        column s; the last s takes what falls off the support.  A stable
+        factor is its matrix M_f on a prefix of P's columns, its spectators
+        ranked into the level's; an omega(0, 2) factor is P's Bergman
+        slots, whose spectator is the level's own head (a, k')."""
+        A, K = diag.shape
+        J, nb = n - 1, self._nb
+        rank = _ranker(spect, A * K)
+        flat = acc.reshape(-1, K)
 
-        def slots(f):
-            """P's columns for a factor, and its spectators' slots in the
-            level: the Bergman slots for omega(0, 2), else a prefix."""
+        def factor(f):
+            """P's columns, the matrix (None for the identity) and the
+            spectator tuples (S_f, 1 or A, n_f - 1) of a factor."""
             if f == (0, 2):
-                return slice(nb, nb + K)
-            return slice(len(self.omega(*f).basis))
+                own = A * np.arange(K)[:, None] + np.arange(A)
+                return slice(nb, nb + K), None, own[..., None]
+            w = self.omega(*f)
+            return slice(len(w.basis)), w.tensor, w.spectators[:, None]
 
-        # omega^{(g-1)}_{J+2}(z, zbar, J)
+        # omega^{(g-1)}_{J+2}(z, zbar, J): M_sub gathered at (j, spectators)
+        # over the L basis elements under its degree bound 3g - 5 + n, past
+        # which its entries are 0
         if (g, n) == (1, 1):
-            tensor[heads] += diag
+            acc[0] += diag
         elif g >= 1:
-            sub = self.omega(g - 1, J + 2)
-            d = slots((g - 1, J + 2))
-            res = np.tensordot(P[:, d, d], sub.tensor, axes=([1, 2], [0, 1]))
-            tensor[(heads,) + (d,) * J] += res
+            sub, L = self.omega(g - 1, J + 2), A * (3 * g - 4 + n)
+            cols = _ranker(sub.spectators, len(sub.basis))(
+                (np.arange(L)[:, None, None], [0]), (spect, range(1, n)))
+            Z = np.hstack([sub.tensor[:L], np.zeros((L, 1))])[:, cols]
+            acc[:-1] += (P[:, :, :L, :L].reshape(A * K, L * L)
+                         @ Z.reshape(L * L, -1)).T.reshape(-1, A, K)
 
-        # stable products, one per unordered split
+        # stable products, one per unordered split: M1^T (w P) M2
         for I, f1, f2, w in _products(g, J):
-            res, spect = w * P[:, slots(f1), slots(f2)], []
-            for f in (f1, f2):
-                if f == (0, 2):
-                    res = np.moveaxis(res, 1, -1)
-                    spect.append(heads)
-                else:
-                    res = np.tensordot(res, self.omega(*f).tensor,
-                                       axes=([1], [0]))
-                    spect += [slots(f)] * (f[1] - 1)
-            inv = np.argsort(list(I) + [j for j in range(J) if j not in I])
-            res = np.transpose(res, [0] + [1 + int(p) for p in inv])
-            tensor[(heads,) + tuple(spect[p] for p in inv)] += res
+            (c1, M1, t1), (c2, M2, t2) = factor(f1), factor(f2)
+            res = w * P[:, :, c1, c2]
+            res = res if M2 is None else res @ M2
+            res = res if M1 is None else M1.T @ res
+            r = rank((t1[:, None], I),
+                     (t2[None], [j for j in range(J) if j not in I]))
+            flat[A * r.reshape(-1, r.shape[-1]) + np.arange(A)] += \
+                res.transpose(2, 3, 0, 1).reshape(-1, A, K)
 
     # -- invariants --------------------------------------------------------------------
 
@@ -382,7 +399,7 @@ class RecursionEngine:
             raise BadIndex(f"F_g from residues needs g >= 2, not {g}")
         w1 = self.omega(g, 1)
         y = [self.y_of[a].coeff(k - 2) for a, k in w1.basis]
-        return complex(w1.tensor @ y) / (1 - g)
+        return complex(w1.tensor[:, 0] @ y) / (1 - g)
 
     def invariant_with_shifted_primitive(self, g, shift):
         """F_g with Phi + shift, which is ``invariant(g)``: the constant
@@ -418,8 +435,8 @@ class RecursionEngine:
 
     def evaluate(self, form: CorrForm, points):
         """omega_n^(g)(points) divided by the chart legs."""
-        return complex(_contract(form.tensor,
-                                 self.basis_matrix(form.basis, points)))
+        B = self.basis_matrix(form.basis, points)
+        return complex(B[:, 0] @ _head(form, B[:, 1:]))
 
     def residue_at_point_oracle(self, form, a, other_points,
                                 radius=5e-2, samples=600):
@@ -434,7 +451,7 @@ class RecursionEngine:
         dz = s.differentiate().evaluate(zeta)
         M = self.basis_matrix(form.basis,
                               np.concatenate([z, np.ravel(other_points)]))
-        head = _contract(np.moveaxis(form.tensor, 0, -1), M[:, samples:])
+        head = _head(form, M[:, samples:])
         return complex(np.mean((head @ M[:, :samples]) * dz * zeta))
 
     # -- pairings ----------------------------------------------------------------------
@@ -489,12 +506,36 @@ def _products(g, J):
                 yield I, f1, f2, 1 if 2 * h == g and not J else 2
 
 
-def _contract(t, M):
-    """t with its leading axes contracted, in order, against the columns
-    of M."""
-    for col in M.T:
-        t = np.tensordot(t, col, axes=([0], [0]))
+def _support(A, D, J):
+    """The J-tuples of basis indices b = A d + a with sum d <= D, in
+    lexicographic order: the columns of a level."""
+    d = np.repeat(np.arange(D + 1), A)
+    t, ds = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=int)
+    for _ in range(J):
+        s, b = np.nonzero(ds[:, None] + d <= D)
+        t, ds = np.column_stack([t[s], b]), ds[s] + d[b]
     return t
+
+
+def _ranker(spect, R):
+    """rank(*parts): the column in ``spect`` of each tuple of indices < R
+    made of parts (t, positions), broadcast, else len(spect); codes in
+    radix R grow with the lexicographic order, so no table is dense."""
+    powers = R ** np.arange(spect.shape[1] - 1, -1, -1)
+    codes = np.append(spect @ powers, -1)
+
+    def rank(*parts):
+        q = sum(t @ powers[list(pos)] for t, pos in parts)
+        r = np.searchsorted(codes[:-1], q)
+        return np.where(codes[r] == q, r, len(spect))
+    return rank
+
+
+def _head(form, M):
+    """A form with its spectator slots contracted, in order, against the
+    columns of M: a vector over its basis."""
+    return form.tensor @ np.prod(M[form.spectators, np.arange(form.n - 1)],
+                                 axis=-1)
 
 
 def _log_derivative(W):
@@ -535,13 +576,13 @@ def dF_dt(engine: RecursionEngine, g, center, j):
     form; sign pinned by the finite-difference oracles."""
     w1 = engine.omega(g, 1)
     pv = engine.pole_pairing_vector(w1.basis, center, j)
-    return complex(w1.tensor @ pv)
+    return complex(w1.tensor[:, 0] @ pv)
 
 
 def dF_deps(engine: RecursionEngine, g):
     """dF_g/deps (g >= 2, genus 1)."""
     w1 = engine.omega(g, 1)
-    return complex(w1.tensor @ engine.b_cycle_vector(w1.basis))
+    return complex(w1.tensor[:, 0] @ engine.b_cycle_vector(w1.basis))
 
 
 def domega_dt(engine: RecursionEngine, g, n, center, j, points):
@@ -553,4 +594,4 @@ def domega_dt(engine: RecursionEngine, g, n, center, j, points):
     w = engine.omega(g, n + 1)
     pv = engine.pole_pairing_vector(w.basis, center, j)
     M = engine.basis_matrix(w.basis, points)
-    return -complex(_contract(w.tensor, np.column_stack([pv, M])))
+    return -complex(pv @ _head(w, M))

@@ -50,6 +50,8 @@ from spectralflow.recursion import (
 )
 from spectralflow.series import TruncSeries
 
+from dense_reference import DenseReference, degree_sums, dense_view
+
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
 # the deeper levels gated entry by entry on Airy, up to genus 5
 AIRY_DEEP = [(0, 5), (0, 6), (1, 3), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2),
@@ -117,9 +119,9 @@ def test_airy_omega03_contour_oracle(engines, rng):
 def test_airy_omega11_closed_form(engines):
     eng = engines["airy"]
     w = eng.omega(1, 1)
-    nz = np.argwhere(np.abs(w.tensor) > 1e-14)
+    nz = np.argwhere(np.abs(dense_view(w)) > 1e-14)
     assert [w.basis[i] for i in nz[0]] == [(0, 3)]
-    assert abs(w.tensor[nz[0][0]] - 1.0 / 48.0) < 1e-14
+    assert abs(dense_view(w)[nz[0][0]] - 1.0 / 48.0) < 1e-14
     z = 1.4 + 0.3j
     assert abs(eng.evaluate(w, [z]) - 1.0 / (16 * z ** 4)) < 1e-14
 
@@ -234,10 +236,11 @@ def test_pole_order_bound(engines, which, gn):
     g, n = gn
     eng = engines[which]
     w = eng.omega(g, n)
-    scale = np.abs(w.tensor).max()
+    dense = dense_view(w)
+    scale = np.abs(dense).max()
     for i, (a, k) in enumerate(w.basis):
         if k > 6 * g + 2 * n - 4 + 1:
-            sl = np.abs(np.take(w.tensor, i, axis=0))
+            sl = np.abs(np.take(dense, i, axis=0))
             assert (sl.max() if sl.size else 0.0) < 1e-10 * max(1.0, scale)
 
 
@@ -323,6 +326,7 @@ def test_airy_entries_are_intersection_numbers(airy40, g, n):
     # 4.4e-16 of its bracket, relative (the worst at omega(5, 1)), and
     # every entry off it is exactly 0.0
     w = airy40.omega(g, n)
+    dense = dense_view(w)
     ds = [(k - 1) // 2 for _, k in w.basis]
     brackets = {}        # each sorted d once: omega(0, 6) has 46656 entries
     for idx in itertools.product(range(len(ds)), repeat=n):
@@ -334,10 +338,10 @@ def test_airy_entries_are_intersection_numbers(airy40, g, n):
             brackets[d] = exact
         exact = brackets[d]
         if exact == 0:
-            assert w.tensor[idx] == 0.0, (idx, w.tensor[idx])
+            assert dense[idx] == 0.0, (idx, dense[idx])
         else:
-            assert abs(w.tensor[idx] - float(exact)) \
-                <= 1e-15 * float(exact), (idx, w.tensor[idx], exact)
+            assert abs(dense[idx] - float(exact)) \
+                <= 1e-15 * float(exact), (idx, dense[idx], exact)
 
 
 @pytest.mark.parametrize("which", ["joukowski", "torus"])
@@ -358,7 +362,7 @@ def test_f2_contour_oracle(which, joukowski, torus):
     for a, r in enumerate(eng.rams):
         phi = (eng.y_of[a].shift(1) * 2.0).antiderivative()
         z = r.location + _on_circle(eng.s_of[a], zeta)
-        val = w12.tensor @ eng.basis_matrix(w12.basis, z) \
+        val = w12.tensor[:, 0] @ eng.basis_matrix(w12.basis, z) \
             * _on_circle(eng.s_of[a].differentiate(), zeta)
         total += np.mean(_on_circle(phi, zeta) * val * zeta)
     tol = {"joukowski": 2e-10, "torus": 3e-9}[which]
@@ -416,10 +420,59 @@ def test_joukowski_omega_g1_counts_gluings(joukowski40, g):
     assert _harer_zagier(1, 3) == 10 and _harer_zagier(2, 4) == 21
     z = 2.5 * np.exp(2j * np.pi * np.arange(256) / 256)
     w = joukowski40.omega(g, 1)
-    f = w.tensor @ joukowski40.basis_matrix(w.basis, z)
+    f = w.tensor[:, 0] @ joukowski40.basis_matrix(w.basis, z)
     for n in range(2 * g, 2 * g + 5):
         got = np.mean((z + 1 / z) ** (2 * n) * f * z)
         assert abs(got / _harer_zagier(g, n) - 1) < 1e-11, (n, got)
+
+
+def test_joukowski_f6_harer_zagier_order_48(monkeypatch):
+    # F_6 at curve order 48 builds omega(0, 7), whose dense size (14^7
+    # entries, 1.7 GB) passes the shipped byte bound; the memo stores
+    # 788,734 entries.  Measured on a 2-core VM with one BLAS thread:
+    # relative error 1.0e-15, 0.22-0.30 s and 102 MB peak RSS for the
+    # whole process
+    monkeypatch.setattr(recursion, "MAX_LEVEL_BYTES", 1 << 31)
+    eng = RecursionEngine(Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                                      RationalFunction([0, 1]), order=48))
+    exact = float(-_bernoulli(12) / (12 * 10))
+    assert abs(eng.invariant(6) - exact) < 5e-15 * abs(exact)
+
+
+def _lattice_count(eng, g, b):
+    """N_(g,n)(b) read off omega(g, n) at z = 0 on Joukowski: each basis
+    form's Taylor coefficients there are one 32-node FFT on |z| = 0.4."""
+    z = 0.4 * np.exp(2j * np.pi * np.arange(32) / 32)
+    w = eng.omega(g, len(b))
+    C = np.fft.fft(eng.basis_matrix(w.basis, z), axis=1) / 32 \
+        / 0.4 ** np.arange(32)
+    got = dense_view(w)
+    for bi in b:
+        got = np.tensordot(got, C[:, bi - 1], axes=([0], [0]))
+    return complex(got) / np.prod(b)
+
+
+@pytest.mark.parametrize("g, b, count", [
+    (1, (4,), Fraction(1, 4)), (1, (2,), 0), (0, (2, 2, 1, 1), 2),
+    (0, (3, 3, 3, 3), 8), (0, (4, 2, 2, 2), 6), (1, (4, 2), Fraction(1, 2)),
+    (1, (3, 3), Fraction(1, 3))])
+def test_joukowski_lattice_point_counts(joukowski40, g, b, count):
+    # at the pole z = 0 of X = z + 1/z, omega(g, n) = sum N_(g,n)(b)
+    # prod b_i z_i^(b_i - 1) dz_i, N the lattice-point counts of the moduli
+    # space of curves (Norbury, arXiv:0801.4590), N_(1,1)(b) = (b^2 - 4)/48.
+    # The FFT is aliased by the coefficients 32 orders up.  Measured: within
+    # 5.1e-8 relative, the worst at N_(1,2)(3, 3), and 7.5e-11 absolute at
+    # N_(1,1)(2) = 0
+    got = _lattice_count(joukowski40, g, b)
+    assert abs(got - float(count)) <= max(1e-7 * float(count), 1e-9), got
+
+
+def test_joukowski_lattice_point_counts_03(joukowski40):
+    # N_(0,3)(b) = 1 for an even sum b and 0 for an odd one; measured within
+    # 1.5e-11 for every b_i <= 4
+    for b in itertools.product(range(1, 5), repeat=3):
+        got = _lattice_count(joukowski40, 0, b)
+        assert abs(got - (1 - sum(b) % 2)) <= 1e-10, (b, got)
 
 
 def _grunsky_rows(a, zeta_prime, n):
@@ -571,7 +624,8 @@ def test_evaluate_omega41(joukowski40):
 def test_evaluate_beyond_tracked_k_refused(joukowski40):
     # evaluation and the pole pairing read B_(a,k) up to the charts'
     # depth and refuse past it
-    deep = CorrForm(0, 1, [(0, joukowski40.deep + 2)], np.ones(1))
+    deep = CorrForm(0, 1, [(0, joukowski40.deep + 2)], np.ones((1, 1)),
+                    np.zeros((1, 0), dtype=int))
     with pytest.raises(TruncationTooShort, match="chart depth"):
         joukowski40.evaluate(deep, [1.3 + 0.4j])
     with pytest.raises(TruncationTooShort, match="chart depth"):
@@ -642,8 +696,50 @@ def test_levels_past_the_byte_bound_refused_up_front(torus, monkeypatch):
     with pytest.raises(LevelTooLarge, match=r"omega\(0, 4\)"):
         small.omega(1, 3)
     assert small._memo == {}
+    # at the bound omega(0, 4) is admitted: its dense size, which sizes the
+    # tables, is exactly the bound, while the level stores only its support
     monkeypatch.setattr(recursion, "MAX_LEVEL_BYTES", 16 * 8 ** 4)
-    assert RecursionEngine(cv).omega(0, 4).tensor.nbytes == 16 * 8 ** 4
+    w = RecursionEngine(cv).omega(0, 4)
+    assert dense_view(w).nbytes == 16 * 8 ** 4 > w.tensor.nbytes
+
+
+@pytest.mark.parametrize("which", ["airy", "torus", "g0", "g1", "joukowski"])
+def test_levels_match_dense_reference(engines, asym_engines, joukowski40,
+                                      which):
+    # every stored entry against the dense recursion, and every dense entry
+    # past the degree bound sum d <= 3g - 3 + n exactly 0.0, so the support
+    # drops nothing.  Measured within 2.0e-16 of the level's largest entry,
+    # the worst at Joukowski omega(2, 3)
+    eng = {"joukowski": joukowski40, **engines,
+           **{k: e for k, (_, e) in asym_engines.items()}}[which]
+    ref = DenseReference(eng)
+    for g, n in SUITE + (AIRY_DEEP if which == "joukowski" else []):
+        w, dense = eng.omega(g, n), ref.omega(g, n)
+        assert np.abs(dense_view(w) - dense).max() \
+            <= 1e-15 * np.abs(dense).max(), (g, n)
+        assert np.all(dense[degree_sums(w) > 3 * g - 3 + n] == 0.0), (g, n)
+
+
+def test_levels_store_their_support():
+    # Joukowski at order 40 after F_2, F_3 and F_4: the memo's 13 levels
+    # hold 9812 entries, where their dense tensors held 151,196
+    cv = Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
+                     RationalFunction([0, 1]), order=40)
+    eng = RecursionEngine(cv)
+    for g in (2, 3, 4):
+        eng.invariant(g)
+    assert sum(w.tensor.size for w in eng._memo.values()) <= 12_000
+
+
+@pytest.mark.parametrize("which, sizes", [
+    ("joukowski", (27, 61, (2, 16, 44, 44))),
+    ("torus", (15, 37, (3, 10, 34, 34)))])
+def test_table_sizing(engines, joukowski40, which, sizes):
+    # the reach rule sizes the row tables, the charts and the residue
+    # tensors P^a (stacked over the ramification points) on dense level
+    # sizes, whatever the levels store
+    eng = joukowski40 if which == "joukowski" else engines["torus"]
+    assert (eng.m_rows, eng.deep, eng._residue_tensors()[0].shape) == sizes
 
 
 def test_products_cover_each_split_once():
@@ -856,7 +952,8 @@ def test_special_geometry_t_genus0(asym_engines):
     w = eng.omega(2, 1)
     pred = 0.0
     for (center, j), t in times.items():
-        pred += t * (w.tensor @ eng.pole_pairing_vector(w.basis, center, j))
+        pred += t * (w.tensor[:, 0]
+                     @ eng.pole_pairing_vector(w.basis, center, j))
     fds = [_fd_invariant(fac, 2, h) for h in (1e-3, 1e-4)]
     assert abs(fds[1] - pred) / abs(pred) < 1e-5
     assert abs(fds[0] - fds[1]) / abs(pred) < 1e-2    # h-sweep sanity
@@ -868,7 +965,7 @@ def test_special_geometry_eps_genus1(asym_engines):
     w = eng.omega(2, 1)
     pred = epsc * dF_deps(eng, 2)
     for (center, j), t in times.items():
-        pred += t * (w.tensor @ eng.pole_pairing_vector(
+        pred += t * (w.tensor[:, 0] @ eng.pole_pairing_vector(
             w.basis, center, j))
     fds = [_fd_invariant(fac, 2, h) for h in (1e-3, 1e-4)]
     assert abs(fds[1] - pred) / abs(pred) < 1e-5
@@ -880,7 +977,7 @@ def test_special_geometry_t_genus1(asym_engines):
     w = eng.omega(2, 1)
     pred = epsc * dF_deps(eng, 2)
     for (center, j), t in times.items():
-        pred += t * (w.tensor @ eng.pole_pairing_vector(
+        pred += t * (w.tensor[:, 0] @ eng.pole_pairing_vector(
             w.basis, center, j))
     fds = [_fd_invariant(fac, 2, h) for h in (1e-3, 1e-4)]
     assert abs(fds[1] - pred) / abs(pred) < 1e-5
