@@ -11,6 +11,7 @@ curve solves it once.
 
 from __future__ import annotations
 
+import cmath
 from functools import cached_property
 
 import numpy as np
@@ -742,17 +743,35 @@ def _solve_chart(U, V, m, slope, n, tag, s=None):
 
 
 def _newton(f, df, z0, steps=40, tol=1e-14):
+    """Newton from z0; it stops at the last finite iterate on a zero or
+    non-finite step."""
     z = complex(z0)
     for _ in range(steps):
-        fz = f(z)
         d = df(z)
-        if d == 0:
+        step = f(z) / d if d != 0 else 0.0
+        if step == 0 or not cmath.isfinite(step):
             break
-        step = fz / d
         z -= step
         if abs(step) < tol * max(1.0, abs(z)):
             break
     return z
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt/sqrt((t+x)(t+y)(t+z)): the
+    duplication DLMF 19.26.18 until x, y, z agree to 1e-3 of their mean,
+    then the series 19.36.1 (error O(1e-18)); principal square roots."""
+    for _ in range(40):
+        a = (x + y + z) / 3
+        if max(abs(a - x), abs(a - y), abs(a - z)) <= 1e-3 * abs(a):
+            break
+        rx, ry, rz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = rx * ry + ry * rz + rz * rx
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    dx, dy = 1 - x / a, 1 - y / a
+    e2, e3 = dx * dy - (dx + dy) ** 2, -dx * dy * (dx + dy)
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) \
+        / cmath.sqrt(a)
 
 
 def _solve_x(f, df, target, z0, steps=40):
@@ -934,29 +953,27 @@ class Genus1Curve(SpectralCurve):
         self.x_poles = [Frame(self, 0.0, 2)]
 
     def sheets_above(self, x, allow_near_branch=False) -> SheetStructure:
-        """The preimages u and -u of x: wp is even, so one Newton solve
-        gives both.  Seeds on an 8 x 8 grid are tried in turn until one
-        converges off the lattice."""
+        """The preimages u and -u of x: wp is even, so one solve gives
+        both.  u = R_F(x/x_scale - e_i) inverts wp in closed form (DLMF
+        19.25.35) and seeds Newton on wp from theta, which sets the last
+        digits.  A non-finite x is NotRepresentable; an x whose u lies
+        within 1e-6 of the lattice (the pole of X) or of a half period (a
+        branch value, where u and -u coincide) is RootFindingFailed."""
+        if not cmath.isfinite(x):
+            raise NotRepresentable(f"x = {x} is not a finite point")
         near = self.check_near_branch(x, raise_on_hit=not allow_near_branch)
         target = x / self.x_scale
-        grid = 9
-        for i in range(1, grid):
-            for j in range(1, grid):
-                u0 = (i / grid) + (j / grid) * self.tau
-                try:
-                    u = _solve_x(self.ell.wp, self.ell.wp_prime, target, u0,
-                                 steps=60)
-                except RootFindingFailed:
-                    continue
-                u = self.ell.to_cell(u)
-                if self._on_lattice(u, 1e-6):
-                    continue
-                if self._on_lattice(2 * u, 1e-6):
-                    raise RootFindingFailed(
-                        f"x = {x} is a branch value: its preimages coincide")
-                pair = [u, self.ell.to_cell(-u)]
-                return SheetStructure(x, _sort_points(pair), near)
-        raise RootFindingFailed(f"wp inversion did not converge at x = {x}")
+        u = _carlson_rf(*[target - e for e in self._e])
+        if not cmath.isfinite(u) or self._on_lattice(u, 1e-6):
+            raise RootFindingFailed(
+                f"x = {x} is too close to the pole of X at u = 0: its "
+                f"preimages lie within 1e-6 of the lattice")
+        u = _solve_x(self.ell.wp, self.ell.wp_prime, target, u)
+        if self._on_lattice(2 * u, 1e-6):
+            raise RootFindingFailed(
+                f"x = {x} is a branch value: its preimages coincide")
+        pair = [self.ell.to_cell(u), self.ell.to_cell(-u)]
+        return SheetStructure(x, _sort_points(pair), near)
 
     def deformed(self, dR1: RationalFunction, dR2: RationalFunction):
         return Genus1Curve(self.tau, self.R1 + dR1, self.R2 + dR2,

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spectralflow.curve import (
     Genus1Curve,
     RationalFunction,
     _newton,
+    _solve_x,
     _sort_points,
     build_curve,
     continue_sheets,
@@ -212,13 +214,16 @@ def test_sheets_above(airy, joukowski, torus):
 
 def _grid_preimages(curve, x):
     """Reference wp inversion: Newton from all 8 x 8 grid seeds, every
-    distinct converged off-lattice solution kept."""
+    distinct converged off-lattice solution kept; a seed whose iterates
+    run off to where theta overflows is dropped."""
     ell, target, sols = curve.ell, x / curve.x_scale, []
     for i in range(1, 9):
         for j in range(1, 9):
-            u = _newton(lambda u: ell.wp(u) - target, ell.wp_prime,
-                        i / 9 + j / 9 * curve.tau, steps=60)
-            if abs(ell.wp(u) - target) > 1e-9 * max(1.0, abs(target)):
+            with np.errstate(all="ignore"):
+                u = _newton(lambda u: ell.wp(u) - target, ell.wp_prime,
+                            i / 9 + j / 9 * curve.tau, steps=60)
+                res = abs(ell.wp(u) - target)
+            if not res <= 1e-9 * max(1.0, abs(target)):
                 continue
             u = ell.to_cell(u)
             if curve._on_lattice(u, 1e-6):
@@ -229,21 +234,75 @@ def _grid_preimages(curve, x):
     return _sort_points(sols)
 
 
-@pytest.mark.parametrize("tau", [1j, 0.25 + 1.07j])
+@pytest.mark.parametrize("tau", [1j, 0.25 + 1.07j, -0.45 + 0.6j, 3j])
 def test_torus_sheets_match_grid_search(tau):
     cv = Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
     rng = np.random.default_rng(7)
+
+    def check(x, allow_near_branch=False):
+        got = cv.sheets_above(x, allow_near_branch).preimages
+        ref = _grid_preimages(cv, x)
+        assert len(ref) == 2
+        # wp from theta is known to about 1e-14 absolute, so a root where
+        # |wp'| < 1e-2 is only known to 1e-14/|wp'|: next to e2 and e3 at
+        # tau = 3i, |wp'| = 2.7e-3, and both solves lie 1e-12 to 2.2e-12
+        # from the 40-digit mpmath root
+        tol = max(1e-12, 1e-14 / abs(cv.ell.wp_prime(ref[0])))
+        assert max(abs(a - b) for a, b in zip(got, ref)) < tol
+
     checked = 0
     while checked < 8:
         u = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
         x = cv.x_value(u)
         if cv.check_near_branch(x):
             continue
-        got = cv.sheets_above(x).preimages
-        ref = _grid_preimages(cv, x)
-        assert len(ref) == 2
-        assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
+        check(x)
         checked += 1
+    # next to each branch value, where wp' nearly vanishes at the root
+    for e in cv._e:
+        check(e + 1e-5 * (1 + 1j), allow_near_branch=True)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+@pytest.mark.parametrize("x, tol", [(1e6, 1e-12), (-1e6, 1e-12),
+                                    (1e6j, 1e-12), (1e3 + 1e3j, 1e-12),
+                                    (1e9, 1e-10)])
+def test_torus_sheets_at_large_x(tau, x, tol):
+    # the preimages come within 1/sqrt|x| of the lattice; at 1e9 wp from
+    # theta keeps about 11 digits there (theta1 cancels to O(u)), measured
+    # within 1.1e-11 relative
+    cv = Genus1Curve(tau, RationalFunction([0.0]), RationalFunction([0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = cv.sheets_above(x).preimages
+        assert max(abs(cv.x_value(w) - x) for w in (u, v)) <= tol * abs(x)
+    assert cv._on_lattice(u + v, 1e-9) and not cv._on_lattice(u, 1e-6)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_torus_non_finite_x_refused(torus, x):
+    with pytest.raises(NotRepresentable):
+        torus.sheets_above(x)
+
+
+@pytest.mark.parametrize("x", [1e14, -1e14j, 1e300])
+def test_torus_x_at_the_pole_refused(torus, x):
+    with pytest.raises(RootFindingFailed, match="pole of X"):
+        torus.sheets_above(x)
+
+
+def test_newton_stops_on_a_non_finite_step():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return z - 1.0 if len(calls) == 1 else complex(np.nan, np.nan)
+
+    with pytest.raises(RootFindingFailed):
+        _solve_x(f, lambda z: 1.0 + 0.5j, 0.0, 3.0, steps=60)
+    # one finite step, the NaN that stops it, the residual gate's call
+    assert len(calls) == 3
+    assert _newton(lambda z: 0.0, lambda z: 1.0, 2.0) == 2.0
 
 
 def test_near_branch_warning(airy):
