@@ -37,7 +37,6 @@ from .series import (
     _series_exp,
     inverse_at,
     log_jet,
-    pad,
     truncate,
 )
 
@@ -569,8 +568,8 @@ class Genus0Curve(SpectralCurve):
         if np.all(np.abs(self.dX.num) <= 1e-12 * scale):
             raise SingularCurve("X is constant: dX vanishes identically")
         self.d = X.degree_as_map()
-        self._find_ramification()
         self._find_x_poles()
+        self._find_ramification()
         self._validate_ramification()
 
     # chart helpers (z-chart; "inf" handled through w = 1/z)
@@ -627,10 +626,8 @@ class Genus0Curve(SpectralCurve):
 
     def _find_ramification(self):
         pol, num = np.polynomial.polynomial, self.dX.num
-        if len(num) <= 1:
-            return
         roots = _cluster(pol.polyroots(num))
-        den_roots = [p for p, _ in self.X.finite_poles()]
+        den_roots = [f.location for f in self.x_poles if f.location != "inf"]
         for a, mult in roots:
             if any(abs(a - q) < 1e-7 for q in den_roots):
                 continue                      # cancelled by a pole of X
@@ -670,6 +667,10 @@ class Genus0Curve(SpectralCurve):
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, p, m) for p, m in self.X.finite_poles()]
+        for fr in self.x_poles:
+            if _at(self.X.num, fr.location)[0]:
+                raise NotRepresentable(f"X's num and den share the root "
+                                       f"{fr.location}: cancel the factor")
         dp = len(self.X.num) - len(self.X.den)
         if dp >= 1:
             self.x_poles.append(Frame(self, "inf", dp))
@@ -717,29 +718,38 @@ def _solve_chart(U, V, m, slope, n, tag, s=None):
     its lower coefficients being roundoff) and V with V(0) != 0.
 
     sigma solves sigma^m A(t sigma) = V(t sigma), A = U/s^m, by Newton
-    iteration on series with order doubling (Brent and Kung, J. ACM
-    1978): each step doubles the number of known coefficients, from
-    1/slope or from a shallower solution s.  The polynomials have finite
-    degree, so evaluating them on a series by Horner passes no radius of
-    convergence."""
-    der = np.polynomial.polynomial.polyder
-    A, V = np.asarray(U[m:], dtype=complex), np.asarray(V, dtype=complex)
-    # a trailing zero keeps the derivative of a constant non-empty
-    A, dA = TruncSeries(A), TruncSeries(der(np.append(A, 0.0)))
-    V, dV = TruncSeries(V), TruncSeries(der(np.append(V, 0.0)))
-    sigma = TruncSeries([1.0 / slope], var_tag=tag) if s is None \
-        else s.shift(-1)
-    k = len(sigma.coeffs)
-    while k < n:
-        k = min(2 * k, n)
-        sigma = pad(sigma, k)
-        s = sigma.shift(1)
-        head = sigma ** (m - 1)
-        a = A.compose(s)
-        F = head * sigma * a - V.compose(s)
-        dF = head * (a * m + s * dA.compose(s)) - dV.compose(s).shift(1)
-        sigma = sigma - F / dF
-    return sigma.shift(1)
+    with order doubling (Brent and Kung, J. ACM 1978) from 1/slope or a
+    shallower solution s, on arrays of the k known coefficients: A, A', V,
+    V' by Horner on t sigma (finite degree: no radius of convergence is
+    passed), each product one np.convolve cut to k terms.  Reversion
+    through a power table (``_power_rows``) sums entries up to 2e8 into
+    the Joukowski chart's coefficients, which fall like 2^-k; at depth 61
+    its error times 2^k reads 4e7, Newton's 0."""
+    polys = [np.asarray(p, dtype=complex) for p in (U[m:], V)]
+    polys += [np.polynomial.polynomial.polyder(p) for p in polys]
+    sigma = np.array([1 / slope], dtype=complex) if s is None else s.coeffs
+
+    def mul(f, g):
+        return np.convolve(f, g)[:k]
+
+    def horner(p):
+        acc = np.concatenate([p[-1:], np.zeros(k - 1)])
+        for ck in p[-2::-1]:
+            acc = np.concatenate([[ck], mul(acc, sigma)[:k - 1]])
+        return acc
+
+    while len(sigma) < n:
+        k = min(2 * len(sigma), n)
+        sigma = np.concatenate([sigma, np.zeros(k - len(sigma))])
+        a, v, da, dv = map(horner, polys)
+        head = (TruncSeries(sigma) ** (m - 1)).coeffs[:k]
+        dF = m * a
+        dF[1:] += mul(da, sigma)[:k - 1]
+        dF = mul(dF, head)
+        dF[1:] -= dv[:k - 1]
+        F = mul(a, mul(head, sigma)) - v
+        sigma -= mul(F, TruncSeries(dF).invert().coeffs)
+    return TruncSeries(sigma, 1, tag)
 
 
 def _newton(f, df, z0, steps=40, tol=1e-14):

@@ -244,17 +244,16 @@ class TruncSeries:
     # -- composition -------------------------------------------------------
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(w)); inner must vanish at the origin.  The outer
-        series is read as a polynomial past its window: 1 + z + z^2 + O(z^3)
-        composed with a series known through w^10 reports a window through
-        w^10, not w^2.  _solve_chart's polynomials rely on this."""
+        """self(inner(w)); inner must vanish at the origin.  For self known
+        through z^K and inner of valuation v, the unknown z^(K+1) term
+        starts at w^((K+1) v): 1 + z + z^2 + O(z^3) composed with a series
+        known through w^10 is known through w^2."""
         if inner.k_min < 1:
             raise NotInvertibleAtOrigin(
                 "composition needs inner series with inner(0) == 0")
-        out = None
-        if self.trunc_order >= 0:           # the non-negative part
-            out = _horner([self.coeff(k) for k in
-                           range(self.trunc_order + 1)], inner)
+        out, K = None, self.trunc_order
+        if K >= 0:                          # the non-negative part
+            out = _horner([self.coeff(k) for k in range(K + 1)], inner)
         if self.k_min < 0:
             inv = inner.invert()
             pos = inv
@@ -263,7 +262,7 @@ class TruncSeries:
                 out = term if out is None else out + term
                 if k > self.k_min:
                     pos = pos * inv
-        return out
+        return truncate(out, (K + 1) * inner.k_min - 1, absolute=True)
 
     # -- misc ----------------------------------------------------------------
 
@@ -363,12 +362,3 @@ def truncate(f: TruncSeries, n_or_K: int, absolute=False) -> TruncSeries:
         raise TruncationTooShort("truncation removes every coefficient")
     return TruncSeries(f.coeffs[:n], f.k_min, f.var_tag)
 
-
-def pad(f: TruncSeries, n: int) -> TruncSeries:
-    """Declare coefficients up to window length n (only safe when the
-    dropped information is known to be zero, e.g. inside Newton loops)."""
-    if n <= len(f.coeffs):
-        return f
-    c = np.zeros(n, dtype=complex)
-    c[:len(f.coeffs)] = f.coeffs
-    return TruncSeries(c, f.k_min, f.var_tag)

@@ -35,8 +35,23 @@ def _torus(tau):
                        x_scale=1.7 - 0.4j)
 
 
+# X with poles of order m >= 2, where the chart solve reads sigma^(m-1)
+SPHERES = {
+    "airy": ([0, 0, 1], [1], [0, 1]),                  # order 2 at inf
+    "cubic": ([0, -3, 0, 1], [1], [0, 1]),             # order 3 at inf
+    # order 2 at 0, order 3 at inf
+    "fivept": ([0.2, 1, 0, 0, 0.3, 0.1], [0, 0, 1], [0, 1, 0.3]),
+}
+
+
 def _curve(which):
-    return _joukowski40() if which == "joukowski" else _torus(which)
+    if which == "joukowski":
+        return _joukowski40()
+    if which in SPHERES:
+        num, den, y = SPHERES[which]
+        return Genus0Curve(RationalFunction(num, den), RationalFunction(y),
+                           order=40)
+    return _torus(which)
 
 
 def test_joukowski_engine_chart_closed_form():
@@ -128,7 +143,20 @@ def test_lagrange_gamma_matches_zeta_powers(curve):
             assert err < 1e-13 * scale, (a, m)
 
 
-@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])
+def test_cubic_ramification_charts_solve_the_curve():
+    # X(a + s(zeta)) = X(a) + zeta^2 at a = 1 and -1, pointwise
+    cv = _curve("cubic")
+    assert len(cv.ramification_points) == 2
+    for r in cv.ramification_points:
+        s, _ = r.chart(cv.order + 5)
+        for th in np.linspace(0.0, 2 * np.pi, 7)[:-1]:
+            zeta = 0.1 * np.exp(1j * th)
+            u = r.location + s.evaluate(zeta)
+            assert abs(cv.x_value(u) - r.value - zeta ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j,
+                                   *SPHERES])
 def test_pole_charts_solve_the_frame(curve):
     # X(p + s(xi)) = xi^-d at a pole of X of order d, X(p) + xi at a
     # regular point; at "inf" the chart offset is w = 1/z

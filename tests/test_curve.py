@@ -195,6 +195,17 @@ def test_vanishing_dy_at_ramification_refused():
         Genus0Curve(RationalFunction([0, 0, 1]), RationalFunction([0, 0, 1]))
 
 
+@pytest.mark.parametrize("num, den", [
+    ([0, 0, 0, 1], [0, 0, 1]),                  # z^3 / z^2
+    ([-0.5, 1, -0.5, 1], [0, -0.5, 1]),         # Joukowski, z - 1/2 in both
+], ids=["at-0", "at-half"])
+def test_shared_root_of_x_refused(num, den):
+    # a root shared by X's numerator and denominator is no pole of X; taken
+    # for one, it gets a frame of the wrong order and a series fails later
+    with pytest.raises(NotRepresentable, match="share the root"):
+        Genus0Curve(RationalFunction(num, den), RationalFunction([0, 1, 0.3]))
+
+
 def test_bad_modulus():
     with pytest.raises(BadModulus):
         Genus1Curve(-0.2j, RationalFunction([0.0]), RationalFunction([0.5]))

@@ -163,6 +163,21 @@ def test_compose_resolves_exp_log():
     assert max(abs(comp.coeff(j)) for j in range(2, comp.trunc_order + 1)) < 1e-10
 
 
+def test_compose_window_stops_at_the_outer_series_knowledge():
+    # (1 + z + z^2 + O(z^3))(w + O(w^11)): the O(z^3) term starts at w^3;
+    # with a valuation-2 inner it starts at w^6
+    f = TruncSeries([1.0, 1.0, 1.0])
+    comp = f.compose(identity(order=10))
+    assert comp.trunc_order == 2
+    assert [comp.coeff(k) for k in range(3)] == [1.0, 1.0, 1.0]
+    with pytest.raises(TruncationTooShort):
+        comp.coeff(3)
+    assert f.compose(identity(order=10) ** 2).trunc_order == 5
+    # a Laurent outer known through z^-1 knows nothing at w^0
+    g = TruncSeries([2.0, 1.0], -2)
+    assert g.compose(identity(order=10)).trunc_order == -1
+
+
 def test_compose_needs_inner_vanishing_at_origin():
     # f(inner) with inner = 1 + z: inner(0) != 0
     f = from_poly([1.0, 2.0], order=6)
