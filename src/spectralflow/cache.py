@@ -1,4 +1,7 @@
-"""A dict bounded at CACHE_MAX entries, for the evaluators' point caches."""
+"""A dict bounded at CACHE_MAX entries, for the point caches: theta jets,
+chi primitives, sheets, and the Bergman legs of ``RecursionEngine``, where
+a point held shallower than a read asks is read again to the deepest level
+the engine stores (``RecursionEngine.basis_matrix``)."""
 
 from __future__ import annotations
 

@@ -281,7 +281,7 @@ class Frame:
     -1 at a regular point, -2 at a ramification point.  xi'(0)
     (``xi_prime``) is the principal root in every case.
 
-    ``value``, X's series ``x_local`` (which xi(s), xi'(0) and the torus
+    ``value``, X's series ``x_local`` (which xi(s), xi'(0) and the curve's
     chart check read), ``xi_of_s`` and ``xi_prime`` are computed on first
     read where the curve does not give them.  ``chart(n)`` gives (s(xi),
     Y(p + s(xi))) known through xi^n, Y only at a ramification point (None
@@ -388,10 +388,6 @@ class SpectralCurve:
     #                                 point, else None) through xi^n,
     #                                 continued from the shallower chart s
     #                                 where the routine iterates
-    #   _x_on_chart(frame, s)         the Taylor coefficients of X(p +
-    #                                 s(xi)) and the size of the terms
-    #                                 summed into each, by which the
-    #                                 ramification charts are checked
     # and, for the kernels below, its prime form E and theta function
     # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
     # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
@@ -442,9 +438,14 @@ class SpectralCurve:
             if abs((y - flip_parity(y)).coeff(1)) < 1e-10:
                 raise SingularCurve(
                     f"dY vanishes at ramification point {r.location}")
-            # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2, each
-            # coefficient within 1e-8 of the terms summed into it (or of 1)
-            fwd, size = self._x_on_chart(r, s)
+            # the chart must satisfy X(a + s(zeta)) = X(a) + zeta^2: X's
+            # series at a (the frame's x_local) summed against the power
+            # table of s, x @ P, as far as both are known, each coefficient
+            # within 1e-8 of the terms summed into it, |x| @ |P| (or of 1).
+            # A chart whose coefficients grow sums large terms to 0.
+            n = min(s.trunc_order, r.x_local.trunc_order)
+            x, P = _taylor(r.x_local, n), _power_rows(_taylor(s, n), n)
+            fwd, size = x @ P, abs(x) @ abs(P)
             fwd[0] -= r.value
             fwd[2] -= 1.0
             res = np.max((abs(fwd) / np.maximum(size, 1.0))[:self.order + 1])
@@ -658,12 +659,6 @@ class Genus0Curve(SpectralCurve):
         s = _solve_chart(U, V, abs(frame.order), frame.xi_prime, n,
                          frame.tag, s)
         return s, self.Y.of(s + p) if frame.order == -2 else None
-
-    def _x_on_chart(self, frame, s):
-        """X(p + s) by Horner, as _frame_chart reads Y: X's Taylor series at
-        p would grow like the inverse distance to X's nearest pole.  Size 1:
-        the check's bound stays absolute."""
-        return _taylor(self.X.of(s + frame.location), s.trunc_order), 1.0
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, p, m) for p, m in self.X.finite_poles()]
@@ -949,15 +944,6 @@ class Genus1Curve(SpectralCurve):
             return s, None
         return s, truncate(self.R1.of(wp) + self.R2.of(wp) * root, n,
                            absolute=True)
-
-    def _x_on_chart(self, frame, s):
-        """X's series at p (the frame's ``x_local``, off wp's lattice jet)
-        summed against the power table of s, x @ P, as far as both are
-        known: a check of _frame_chart's product formula by another path.
-        |x| @ |P| sizes the terms summed into each coefficient."""
-        n = min(s.trunc_order, frame.x_local.trunc_order)
-        x, P = _taylor(frame.x_local, n), _power_rows(_taylor(s, n), n)
-        return x @ P, abs(x) @ abs(P)
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, 0.0, 2)]

@@ -565,7 +565,9 @@ def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
     differs by at most 2.7e-15 of the values there over the forms of the
     tests; past _EPS_GAP of them, the principal parts miss some of the
     form (a pole read short, say a root cluster split apart), and
-    TruncationTooShort names the deepest pole."""
+    TruncationTooShort names the deepest pole, unless the form is not
+    periodic over the cycles (a form of the sphere's chart on the torus):
+    that form is NotRepresentable."""
     cands = _basepoints(curve)
     special = obstacles + _translates(
         curve, [r.location for r in curve.ramification_points])
@@ -575,6 +577,13 @@ def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
             for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
     (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
     if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
+        f = vals[0][0]
+        shift = max((abs(form.value(o + w) - f) for cycle in curve.cycles
+                     for w in cycle), default=0.0)
+        if shift > _EPS_GAP * max(1.0, abs(f)):
+            raise NotRepresentable(
+                f"the form changes by {shift:.3g} over a cycle of the "
+                f"curve: it is not a form on it")
         deep = max(records, key=lambda r: len(r.head))
         raise TruncationTooShort(
             f"the form less its expansion is {c1:.6g} du at one basepoint "

@@ -60,12 +60,12 @@ engine solves none afresh.
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
 leg F(c + s_a(zeta)) s_a'(zeta).  The curve returns the legs of every
-ramification point a and point z in one call
-(``SpectralCurve.bergman_leg``): one kernel jet on the stacked c, one
-inversion of o + s_a batched over the stacked charts.  A level's rows
-and spectator tuples are contracted with their columns, one per point.
-Any k up to the charts' depth is read this way; the row tables are not
-used.
+ramification point a at every point z not in the engine's bounded leg
+memo in one call (``SpectralCurve.bergman_leg``): one kernel jet on the
+stacked c, one inversion of o + s_a batched over the stacked charts.
+A level's rows and spectator tuples are contracted with their columns,
+one per point.  Any k up to the charts' depth is read this way; the row
+tables are not used.
 
 The pairings of special geometry (Eynard-Orantin, math-ph/0702045),
 with the cycles dual to the times t_{p,j} and to the filling fraction,
@@ -86,6 +86,7 @@ import itertools
 
 import numpy as np
 
+from .cache import BoundedCache
 from .curve import _ON_POLE, _power_rows, _taylor, _toeplitz, flip_parity
 from .errors import (
     BadIndex,
@@ -131,6 +132,7 @@ class RecursionEngine:
         self.A = len(self.rams)
         self._max_bytes = MAX_LEVEL_BYTES
         self._memo, self._plg = {}, {}
+        self._legs = BoundedCache()
         self._P = self._diag = None
         self._prepare_local_data()
 
@@ -411,48 +413,48 @@ class RecursionEngine:
 
     def basis_matrix(self, basis, points):
         """B_{a,k}(z)/dchart for (a, k) in ``basis`` (rows) and z in
-        ``points`` (columns).
-
-        Row k - 1 of the leg [zeta^t] F(r_a - z + s_a(zeta)) s_a'(zeta)
-        is B_{a,k}(z); the curve returns the legs of every ramification
-        point and every point in one call.  Any k up to the charts' depth
-        ``deep`` is read; deeper ones are refused.  An empty basis (a
-        curve without ramification points) gives an empty matrix."""
-        z = np.asarray(points, dtype=complex)
+        ``points`` (columns): row k - 1 of the leg [zeta^t] F(r_a - z +
+        s_a(zeta)) s_a'(zeta), k up to the charts' depth ``deep``.  The legs
+        at z of every ramification point, an (A, depth) array, are held in a
+        memo of ``cache.CACHE_MAX`` points; those not held, or held short of
+        the top k asked, are read in one curve call, and the request takes
+        them from that batch.  Depth rule: a fresh point is read to the top
+        k asked, a held one read deeper to the deepest level stored.  A
+        point on a ramification point is refused and not stored; an empty
+        basis (no ramification points) gives an empty matrix."""
         owner, ks = np.array(basis, dtype=int).reshape(-1, 2).T
         top = self._top_k(ks)
-        own, row = np.unique(owner, return_inverse=True)
-        if not len(own):
-            return np.zeros((0, len(z)), dtype=complex)
-        c = np.array([self.rams[a].location for a in own])[:, None] - z
-        on = np.abs(c - self.curve._lattice_point(c)) < _ON_POLE
-        if on.any():
-            raise PoleAtRamificationPoint(
-                f"evaluation point on a ramification point: {z[on.any(0)]}")
-        return self.curve.bergman_leg(
-            c, np.stack([self._powers(a, top)[1] for a in own]),
-            np.stack([self._gamma(a, top) for a in own]))[row, ks - 1]
+        keys = np.asarray(points, dtype=complex).tolist()
+        if not len(ks):
+            return np.zeros((0, len(keys)), dtype=complex)
+        cols = {p: self._legs.get(p) for p in keys}
+        todo = [p for p, leg in cols.items()
+                if leg is None or leg.shape[1] < top]
+        if todo:
+            # levels are k-major: a basis's last element has its top k
+            depth = top if all(cols[p] is None for p in todo) else \
+                max([top] + [f.basis[-1][1] for f in self._memo.values()])
+            c = np.array([r.location for r in self.rams])[:, None] - todo
+            on = np.abs(c - self.curve._lattice_point(c)) < _ON_POLE
+            if on.any():
+                raise PoleAtRamificationPoint(
+                    "evaluation point on a ramification point: "
+                    f"{np.array(todo)[on.any(0)]}")
+            s = np.stack([self._powers(a, depth)[1] for a in range(self.A)])
+            legs = self.curve.bergman_leg(c, s, np.stack(
+                [self._gamma(a, depth) for a in range(self.A)]))
+            for p, leg in zip(todo, legs.transpose(2, 0, 1)):
+                cols[p] = self._legs[p] = leg.copy()
+        M = np.array([cols[p][:, :top] for p in keys])
+        return M[:, owner, ks - 1].T
 
     def evaluate(self, form: CorrForm, points):
-        """omega_n^(g)(points) divided by the chart legs."""
+        """omega_n^(g)(points) divided by the chart legs, read through the
+        leg memo of ``basis_matrix``: levels evaluated at the same points
+        read each point's legs once, and once more, to the deepest level
+        stored, where a deeper level follows."""
         B = self.basis_matrix(form.basis, points)
         return complex(B[:, 0] @ _head(form, B[:, 1:]))
-
-    def residue_at_point_oracle(self, form, a, other_points,
-                                radius=5e-2, samples=600):
-        """Contour-quadrature oracle for the residue at ramification
-        point a in the first slot, remaining slots frozen.  The contour
-        samples and the spectators are one ``basis_matrix`` read, and
-        the spectators are contracted once."""
-        s = self.s_of[a]
-        zeta = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5)
-                               / samples)
-        z = self.rams[a].location + s.evaluate(zeta)
-        dz = s.differentiate().evaluate(zeta)
-        M = self.basis_matrix(form.basis,
-                              np.concatenate([z, np.ravel(other_points)]))
-        head = _head(form, M[:, samples:])
-        return complex(np.mean((head @ M[:, :samples]) * dz * zeta))
 
     # -- pairings ----------------------------------------------------------------------
 

@@ -27,3 +27,19 @@ def test_every_benchmark_operation_passes(monkeypatch):
         assert ops, name
         failed = [(op.name, op.error, op.exc) for op in ops if op.failed]
         assert not failed, (name, failed)
+
+
+def test_warm_queries_repeat_a_cold_pass(monkeypatch):
+    # the seed-0 queries run twice on one set-up read the engine's level
+    # memo, its leg memo and the theta cache the first run filled: every
+    # answer must repeat a cold pass bit for bit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name in ("sphere-genus", "torus-forms"):
+        workload = workloads.WORKLOADS[name]
+        inputs = workload.inputs(0)
+        cold = [op.value for op in workloads.run_pass(workload, inputs).ops]
+        state = workload.setup()
+        for _ in range(2):
+            warm = [op.value for op in workload.queries(state, inputs)]
+            assert warm == cold, name

@@ -77,18 +77,46 @@ def test_local_coordinate_consistency(joukowski, torus):
 
 def test_chart_check_holds_next_to_a_pole_of_x():
     # a = -0.389 is a ramification point 0.389 from X's pole at 0: X's
-    # Taylor series there grows like 0.389^-k, and composed with the chart
-    # it read 1.6e-7 at order 40; X evaluated on the chart reads 1.4e-15
+    # Taylor series there grows like 0.389^-k (to 1.7e20), and composed
+    # with the chart it reads 1.2e-7 at order 40, 4.4e-16 of the terms
+    # summed
     cv = Genus0Curve(RationalFunction([0.2, 1, 0, 0, 0.3, 0.1], [0, 0, 1]),
                      RationalFunction([0, 1, 0.3]), order=40)
     assert len(cv.ramification_points) == 5
 
 
+# X and Y of sphere curves whose ramification charts grow: the first's
+# coefficients reach 2.3e9 at xi^35, the second's 4e14 at xi^41
+GROWING_CHARTS = {
+    "quintic": (RationalFunction([0.1, 0.5, -0.3, 0.2, 0.7, 1.0]),
+                RationalFunction([0, 1])),
+    "rational": (RationalFunction([0.3 + 0.1j, 1.1, -0.7, 0.25j, 0.4],
+                                  [3, 0.2 - 0.1j]),
+                 RationalFunction([0.1, 1, 0.2j])),
+}
+
+
+@pytest.mark.parametrize("which, order", [("quintic", 30), ("rational", 36)])
+def test_sphere_builds_where_its_charts_grow(which, order):
+    # X(a + s) - X(a) - xi^2 sums terms up to 2e10 and 1e15 into each
+    # coefficient, and read against an absolute 1e-8 refused these regular
+    # curves with SingularCurve (1.9e-8 and 4.9e-4); scaled by the size of
+    # the terms it reads 2e-16 and 6e-14, and each chart meets X on a
+    # circle pointwise, to the roundoff of X(a)
+    cv = Genus0Curve(*GROWING_CHARTS[which], order=order)
+    zeta = 0.05 * np.exp(2j * np.pi * np.arange(8) / 8)
+    for r in cv.ramification_points:
+        s, _ = r.chart(order + 5)
+        res = cv.x_value(r.location + s.evaluate(zeta)) - r.value - zeta ** 2
+        assert np.max(abs(res)) < 1e-14 * max(1.0, abs(r.value))
+
+
 @pytest.mark.parametrize("make", [
     lambda: Genus0Curve(RationalFunction([1, 0, 1], [0, 1]),
                         RationalFunction([0, 1])),
+    lambda: Genus0Curve(*GROWING_CHARTS["quintic"], order=30),
     lambda: Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5])),
-], ids=["joukowski", "torus"])
+], ids=["joukowski", "quintic", "torus"])
 def test_perturbed_ramification_chart_refused(monkeypatch, make):
     # 1e-6 added at xi^5 of each ramification chart leaves X(a + s) - X(a)
     # off xi^2 by 2.0e-6 on Joukowski and at least 1.4e-5 at each half
@@ -437,9 +465,11 @@ def test_unbalanced_kernel_form_refused_on_torus(torus):
 
 
 def test_rational_dz_refused_on_torus(torus):
-    # R(z) dz is a form on the sphere: its pole at inf is no torus point
-    with pytest.raises(NotRepresentable):
-        expansion(torus, RationalDz(RationalFunction([1.0], [0.3, 1.0])))
+    # R(z) dz is a form on the sphere: its pole at inf is no torus point,
+    # and without one (1/(z + 0.3)^2) it is not periodic over the cycles
+    for den in ([0.3, 1.0], [0.09, 0.6, 1.0]):
+        with pytest.raises(NotRepresentable):
+            expansion(torus, RationalDz(RationalFunction([1.0], den)))
 
 
 def test_build_curve_json(airy):

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from spectralflow import recursion
+from spectralflow import cache as bounded, recursion
 from spectralflow.curve import (
     Genus0Curve,
     Genus1Curve,
@@ -51,6 +51,7 @@ from spectralflow.recursion import (
 from spectralflow.series import TruncSeries
 
 from dense_reference import DenseReference, degree_sums, dense_view
+from oracles import leg_matrix, residue_at_point
 
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
 # the deeper levels gated entry by entry on Airy, up to genus 5
@@ -150,11 +151,15 @@ def test_omega2_is_bergman_convention(engines, asym_engines, rng):
 
 
 @pytest.mark.parametrize("which", ["airy", "torus"])
-def test_evaluate_one_kernel_call(engines, rng, monkeypatch, which):
+def test_evaluate_one_kernel_call(airy, torus, rng, monkeypatch, which):
     # evaluation reads B_{a,k} at every ramification point and every point
-    # in one batched kernel call: one Bergman leg from one kernel jet
-    eng = engines[which]
-    w = eng.omega(0, 4)
+    # not yet read in one batched kernel call: one Bergman leg from one
+    # kernel jet.  A repeat, in any order, reads the engine's leg memo; a
+    # deeper form at the same points reads them once more, to the deepest
+    # level stored (omega(2, 1), k <= 13), which then reads none; a fresh
+    # point is read to the depth asked
+    eng = RecursionEngine({"airy": airy, "torus": torus}[which])
+    w3, w13, w21 = eng.omega(0, 3), eng.omega(1, 3), eng.omega(2, 1)
     pts = sample_points(eng.curve, rng, 4)
     calls = {"bergman_leg": 0, "_regular_jet": 0}
     cls = type(eng.curve)
@@ -163,10 +168,66 @@ def test_evaluate_one_kernel_call(engines, rng, monkeypatch, which):
             calls[_name] += 1
             return _f(self, *args)
         monkeypatch.setattr(cls, name, counted)
-    eng.evaluate(w, pts)
+    eng.evaluate(w3, pts[:3])
     assert calls == {"bergman_leg": 1, "_regular_jet": 1}
-    eng.residue_at_point_oracle(w, 0, pts[1:], samples=200)
+    eng.evaluate(w3, pts[:3])
+    eng.evaluate(w3, pts[2::-1])
+    assert calls == {"bergman_leg": 1, "_regular_jet": 1}
+    eng.evaluate(w13, pts[:3])
+    eng.evaluate(w13, pts[2::-1])
     assert calls == {"bergman_leg": 2, "_regular_jet": 2}
+    eng.evaluate(w21, pts[1:2])
+    assert calls == {"bergman_leg": 2, "_regular_jet": 2}
+    eng.evaluate(w3, [pts[3]] + pts[1:3])
+    assert calls == {"bergman_leg": 3, "_regular_jet": 3}
+    assert eng._legs[pts[3]].shape == (eng.A, 5)
+    assert eng._legs[pts[1]].shape == (eng.A, 13)
+
+
+def test_leg_memo_bounded_within_one_call(airy, rng, monkeypatch):
+    # a single read of more points than the memo holds takes every value
+    # from its own batch, matches a direct read and leaves the memo bounded
+    monkeypatch.setattr(bounded, "CACHE_MAX", 16)
+    eng = RecursionEngine(airy)
+    w = eng.omega(1, 2)
+    first = sample_points(airy, rng, 3)
+    eng.evaluate(w, first[:2])
+    pts = first + sample_points(airy, rng, 40)
+    M = eng.basis_matrix(w.basis, pts)
+    assert np.array_equal(M, leg_matrix(eng, w.basis, pts))
+    assert len(eng._legs) <= 16
+
+
+def test_refused_point_not_stored(engines):
+    for eng in engines.values():
+        w = eng.omega(0, 3)
+        r = eng.rams[0].location
+        held = dict(eng._legs)
+        with pytest.raises(PoleAtRamificationPoint):
+            eng.evaluate(w, [r + 0.31, r, r + 0.29j])
+        assert dict(eng._legs).keys() == held.keys()
+
+
+@pytest.mark.parametrize("which, tol", [("airy", 0.0), ("torus", 0.0),
+                                        ("g1", 1e-15)])
+def test_warm_and_cold_engines_agree(airy, torus, asym_engines, rng, which,
+                                     tol):
+    # every level of SUITE read again on an engine whose leg memo holds the
+    # points, read to the deepest level, repeats a fresh engine's value.
+    # On the sphere the legs' leading coefficients do not depend on the
+    # depth read, so the values agree bit for bit; on a torus a theta sum
+    # reads a wider window for a deeper jet, which can move the last bits
+    # (up to 3.5e-16 relative on g1, none on the square torus)
+    cv = {"airy": airy, "torus": torus, "g1": asym_engines["g1"][0]}[which]
+    warm = RecursionEngine(cv)
+    pts = sample_points(cv, rng, 4)
+
+    def read(eng, g, n):
+        return eng.evaluate(eng.omega(g, n), pts[:n])
+    cold = [read(RecursionEngine(cv), g, n) for g, n in SUITE]
+    for _ in range(2):
+        for (g, n), want in zip(SUITE, cold):
+            assert abs(read(warm, g, n) - want) <= tol * abs(want)
 
 
 def test_evaluate_at_ramification_point_refused(engines):
@@ -223,8 +284,7 @@ def test_vanishing_residues_by_quadrature(engines, rng, which, gn):
     w = eng.omega(g, n)
     pts = sample_points(eng.curve, rng, n - 1)
     for a in range(min(eng.A, 2)):
-        res = eng.residue_at_point_oracle(w, a, pts, radius=0.1,
-                                          samples=400)
+        res = residue_at_point(eng, w, a, pts, radius=0.1, samples=400)
         scale = max(1.0, abs(eng.evaluate(w, [eng.rams[a].location + 0.1]
                                           + pts)))
         assert abs(res) / scale < 1e-8
@@ -615,8 +675,8 @@ def test_evaluate_omega41(joukowski40):
             inv = joukowski40.evaluate(w, [1 / z]) * (-1 / z ** 2)
             assert abs(val + inv) / abs(val) < 1e-12
         for a, r in enumerate(joukowski40.rams):
-            res = joukowski40.residue_at_point_oracle(w, a, [], radius=0.1,
-                                                      samples=400)
+            res = residue_at_point(joukowski40, w, a, [], radius=0.1,
+                                   samples=400)
             scale = abs(joukowski40.evaluate(w, [r.location + 0.1]))
             assert abs(res) / scale < 1e-12
 
