@@ -1,19 +1,18 @@
 """Dispersionless integrable system attached to (curve, 1-form).
 
 The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
-/ (theta(zeta) E(z1, z2)) is written once, over a grid of point pairs:
-the chi primitives of both point sets and one Szego factor on the
-differences z1 - z2 serve a whole sheet matrix, and a single psi is its
-1 x 1 case.  The curve supplies the Szego factor (szego_grid,
-szego_series; theta = 1 and E = z1 - z2 on the sphere).  chi, zeta and
-the primitive int_o^z chi are read off the form's one expansion in the
-canonical basis (``forms.expansion``), in closed form: no quadrature
-runs, except in the b_loop_transport_residual oracle.  Sheet matrices,
-Baker-Akhiezer vectors, the Christoffel-Darboux pairing and the Lax
-matrix hang off one ClassicalSystem instance; the sheets above each x
-are solved once per curve and shared by every system on it.  The
-classical tau function e^(F0~) theta(zeta) is read off two expansions
-by sato_residual.
+/ (theta(zeta) E(z1, z2)) is written once (_kernel), over stacked grids
+of point pairs: one chi batch and one Szego theta sum on the differences
+z1 - z2 serve every sheet matrix a call reads; one psi is its 1 x 1
+case.  On the torus theta is read at zeta - n tau, within Im tau / 2 of
+the real axis, with e^(-2 i pi n (z1 - z2)) in the chi exponents.  Each
+system keeps its x-chart sheet blocks in a bounded memo; the sheets above
+an x are solved once per curve.  The curve supplies the Szego factor
+(szego_grid, szego_series; theta = 1, E = z1 - z2 on the sphere).  chi,
+zeta and int_o^z chi are read off the form's one expansion in the
+canonical basis (``forms.expansion``) in closed form; only the
+b_loop_transport_residual oracle runs quadrature.  sato_residual reads
+the classical tau function e^(F0~) theta(zeta) off two expansions.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -70,6 +69,10 @@ class ClassicalSystem:
         self.chi = SumForm([(1.0, form)] + [(-2j * np.pi * e, DuForm(curve))
                                             for e in self.expansion.eps])
         self._chi_primitive_cache = BoundedCache()
+        self._psi_blocks = BoundedCache()
+        zeta = self.expansion.zeta
+        self._turns = round(zeta.imag / curve.tau.imag) if curve.genus else 0
+        self._zeta = zeta - self._turns * curve.tau if self._turns else zeta
 
     # -- kernel -------------------------------------------------------------------
 
@@ -95,21 +98,21 @@ class ClassicalSystem:
 
         Raises PsiOutOfRange where e^{int chi} leaves the double range,
         as do the Baker-Akhiezer rows; psi_matrix_factored probes there."""
-        return self._psi_grid([z1], [z2], f"psi({z1}, {z2})")[0, 0]
+        c1, G, c2 = self._kernel([[z1]], [[z2]])
+        return _assemble(c1, G, c2, f"psi({z1}, {z2})")[0, 0, 0]
 
-    def _factored_grid(self, z1s, z2s):
-        """(c1, G, c2) with psi(z1s[i], z2s[j]) = e^{c1_i - c2_j} G_ij: the
-        chi primitives of both point sets in one batch, and the Szego
-        factor G over the differences z1 - z2 in one theta sum."""
-        z1s, z2s = np.asarray(z1s), np.asarray(z2s)
-        chi = self._chi_from_base(np.concatenate([z1s, z2s]))
-        G = self.curve.szego_grid(z1s[:, None] - z2s, self.expansion.zeta)
-        return chi[:len(z1s)], G, chi[len(z1s):]
-
-    def _psi_grid(self, z1s, z2s, where):
-        """[psi(z1, z2) for z2 in z2s] for z1 in z1s."""
-        c1, G, c2 = self._factored_grid(z1s, z2s)
-        return _kernel_exp(np.subtract.outer(c1, c2), where) * G
+    def _kernel(self, z1s, z2s):
+        """(c1, G, c2) with psi(z1s[p, i], z2s[p, j]) = e^{c1_pi - c2_pj}
+        G_pij over grids of shape (P, d): the chi primitives in one batch
+        and G over the stacked differences z1 - z2 in one theta sum, at
+        zeta - n tau with theta1's factor e^(-2 i pi n (z1 - z2)) in c."""
+        zs = np.array([z1s, z2s])
+        chi = self._chi_from_base(zs.ravel()).reshape(zs.shape)
+        if self._turns:
+            chi = chi - 2j * np.pi * self._turns * zs
+        G = self.curve.szego_grid(zs[0][:, :, None] - zs[1][:, None, :],
+                                  self._zeta)
+        return chi[0], G, chi[1]
 
     # -- sheet matrices ---------------------------------------------------------------
 
@@ -124,45 +127,52 @@ class ClassicalSystem:
             data = self.curve.sheet_cache[key] = (sh, roots)
         return data
 
-    def _sheet_grid(self, x1, x2):
-        """The sheets above x1 and x2, and the sqrt(dX) products over their
-        grid, as numpy scalars, which psi(z1, z2) / (r1 r2) divides by."""
-        (s1, r1), (s2, r2) = self.sheet_data(x1), self.sheet_data(x2)
-        return s1.preimages, s2.preimages, \
-            np.array([[a * b for b in r2] for a in r1])
+    def _blocks(self, pairs, where=None):
+        """psi_matrix of each (x1, x2) in pairs, refused as ``where``, or
+        psi_matrix_factored without it.  Pairs not in the bounded memo are
+        read in one _kernel call, and stored read-only as (c1, G, c2, the
+        sqrt(dX) products) once the call's matrices are formed."""
+        keys = [(complex(a), complex(b)) for a, b in pairs]
+        got = {k: self._psi_blocks.get(k) for k in keys}
+        todo = [k for k, v in got.items() if v is None]
+        if todo:
+            sheets = [[self.sheet_data(x) for x in k] for k in todo]
+            zs = np.array([[s.preimages for s, _ in pair] for pair in sheets])
+            c1, G, c2 = self._kernel(zs[:, 0], zs[:, 1])
+            for k, a, g, b, ((_, r1), (_, r2)) in zip(todo, c1, G, c2, sheets):
+                got[k] = (a, g, b, np.array([[u * v for v in r2] for u in r1]))
+                for arr in got[k]:
+                    arr.flags.writeable = False
+        out = [(c1, G / r, c2) if where is None
+               else _assemble(c1, G, c2, where) / r
+               for c1, G, c2, r in (got[k] for k in keys)]
+        for k in todo:
+            self._psi_blocks[k] = got[k]
+        return out
 
     def psi_matrix(self, x1, x2):
-        """[psi(z^i(x1), z^j(x2))] reduced to the x-chart."""
-        z1s, z2s, roots = self._sheet_grid(x1, x2)
-        return self._psi_grid(z1s, z2s, f"psi_matrix({x1}, {x2})") / roots
+        """[psi(z^i(x1), z^j(x2))] in the x-chart, read by _blocks: held in
+        the bounded memo, its Szego theta read at zeta - n tau."""
+        return self._blocks([(x1, x2)], f"psi_matrix({x1}, {x2})")[0]
 
     def psi_matrix_factored(self, x1, x2):
-        """(c1, G, c2) with psi-hat_{ij} = e^{c1_i} G_{ij} e^{-c2_j}.
-
-        G carries no essential exponential growth, so probes far from
-        the base stay inside floating-point range.
-        """
-        z1s, z2s, roots = self._sheet_grid(x1, x2)
-        c1, G, c2 = self._factored_grid(z1s, z2s)
-        return c1, G / roots, c2
+        """(c1, G, c2) with psi-hat_{ij} = e^{c1_i} G_{ij} e^{-c2_j}: G
+        carries no essential exponential growth, so probes far from the
+        base stay inside floating-point range.  Read as psi_matrix."""
+        return self._blocks([(x1, x2)])[0]
 
     def duality_residual(self, x1, x2, x3):
         """|Psi(x1,x2) Psi(x2,x3) - factor Psi(x1,x3)| (normalized)."""
-        M12 = self.psi_matrix(x1, x2)
-        M23 = self.psi_matrix(x2, x3)
-        M13 = self.psi_matrix(x1, x3)
-        lhs = M12 @ M23
+        M12, M23, M13 = self._blocks([(x1, x2), (x2, x3), (x1, x3)],
+                                     f"duality_residual({x1}, {x2}, {x3})")
         rhs = (x1 - x3) / ((x1 - x2) * (x2 - x3)) * M13
-        scale = max(np.abs(rhs).max(), 1e-30)
-        return np.abs(lhs - rhs).max() / scale
+        return np.abs(M12 @ M23 - rhs).max() / max(np.abs(rhs).max(), 1e-30)
 
     def inverse_relation_residual(self, x1, x2):
-        M12 = self.psi_matrix(x1, x2)
-        M21 = self.psi_matrix(x2, x1)
-        d = M12.shape[0]
-        target = -np.eye(d) / (x1 - x2) ** 2
-        lhs = M12 @ M21
-        return np.abs(lhs - target).max() / np.abs(target).max()
+        M12, M21 = self._blocks([(x1, x2), (x2, x1)],
+                                f"inverse_relation_residual({x1}, {x2})")
+        target = -np.eye(len(M12)) / (x1 - x2) ** 2
+        return np.abs(M12 @ M21 - target).max() / np.abs(target).max()
 
     def refined_duality_residual(self, z1, z2, z):
         """Pointwise product relation with the holomorphic correction
@@ -321,6 +331,11 @@ class ClassicalSystem:
         return out
 
 
+def _assemble(c1, G, c2, where):
+    """e^{c1_i - c2_j} G_ij on the last two axes, refused by _kernel_exp."""
+    return _kernel_exp(c1[..., :, None] - c2[..., None, :], where) * G
+
+
 def _kernel_exp(expo, where):
     """e^expo for the kernel's essential factor, refused where it leaves
     the normal double range."""
@@ -428,14 +443,13 @@ def ode_matrix(system: ClassicalSystem, x1, x, h=None):
     derivative chi(z^j)/X'(z^j) instead of overflowing values.
     """
     h = h or 1e-6 * max(1.0, abs(x))
-    _, Gp, _ = system.psi_matrix_factored(x1, x + h)
-    _, Gm, _ = system.psi_matrix_factored(x1, x - h)
-    _, G, _ = system.psi_matrix_factored(x1, x)
+    Gp, Gm, G = (g for _, g, _ in system._blocks(
+        [(x1, x + h), (x1, x - h), (x1, x)]))
     if np.linalg.cond(G) > _COND_LIMIT:
         raise SingularSheetMatrix("sheet matrix not invertible")
     sh, _ = system.sheet_data(x)
-    rate = np.array([system.chi.value(z) / system.curve.dx_value(z)
-                     for z in sh.preimages])
+    rate = np.array([(system.chi.value(z) - 2j * np.pi * system._turns)
+                     / system.curve.dx_value(z) for z in sh.preimages])
     dG = (Gp - Gm) / (2 * h)
     Ginv = np.linalg.inv(G)
     d = G.shape[0]

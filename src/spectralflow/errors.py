@@ -93,7 +93,7 @@ class ThetaZeroDivision(SpectralFlowError):
 
 
 class ThetaNotConverged(SpectralFlowError):
-    """A theta lattice sum reached its window cap before its tail test."""
+    """A theta lattice sum failed its tail test or left the double range."""
 
 
 class ResidueFreePreconditionViolated(SpectralFlowError):

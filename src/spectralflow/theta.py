@@ -7,16 +7,16 @@ argument is cached, at most ``cache.CACHE_MAX`` of them per evaluator
 with the oldest evicted first; array arguments are not cached.  Each sum
 starts on the window |n| <= 8 and doubles it until the edge terms fall
 below 1e-16 of the sum for every point and order; a window of 800 terms
-that still fails raises ThetaNotConverged.  What does not depend on u
-(i pi q^2 tau, 2 i pi q, the rows (2 i pi q)^k) is tabulated once per
-characteristic and window, at most 2 x 7 tables per evaluator; an order
-whose rows overflow on a window the sum reaches (past 150 at tau = i) is
-refused with ThetaNotConverged.
+that still fails, or a sum whose value leaves the double range, raises
+ThetaNotConverged.  What does not depend on u (i pi q^2 tau, 2 i pi q,
+the rows (2 i pi q)^k) is tabulated once per characteristic and window,
+at most 2 x 7 tables per evaluator; an order whose rows overflow on a
+window the sum reaches (past 150 at tau = i) is refused the same way.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, log
 
 import numpy as np
 
@@ -92,6 +92,12 @@ class ThetaEvaluator:
             edge = np.maximum(mag[..., 0], mag[..., -1])
             scale = np.maximum(np.abs(total), mag.max(axis=-1))
             if (edge <= _TAIL * scale).all():
+                # the value is below e^shift (2 half + 1) (7 half + 7)^n
+                top = float(shift.max() if shift.ndim else shift)
+                bound = top + log(2 * half + 1) + int(n) * log(7 * half + 7)
+                if bound > 709.78 and top + log(scale.max()) > 709.78:
+                    raise ThetaNotConverged(f"theta sum at tau = {self.tau} "
+                                            "leaves the double range")
                 return total * np.exp(shift)
             if 2 * half + 1 >= 2 * _MAX_HALF:
                 raise ThetaNotConverged(

@@ -2,6 +2,7 @@
 names; a rename here that it does not follow breaks ``--trace 1``."""
 
 import importlib
+import pickle
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,15 +32,17 @@ def test_every_benchmark_operation_passes(monkeypatch):
 
 def test_warm_queries_repeat_a_cold_pass(monkeypatch):
     # the seed-0 queries run twice on one set-up read the engine's level
-    # memo, its leg memo and the theta cache the first run filled: every
-    # answer must repeat a cold pass bit for bit
+    # memo, its leg memo, the systems' psi block memos and the theta cache
+    # the first run filled: every answer must repeat a cold pass bit for
+    # bit.  The answers hold numpy arrays, so they are compared pickled
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    for name in ("sphere-genus", "torus-forms"):
+    for name in ("sphere-genus", "torus-forms", "classical-torus"):
         workload = workloads.WORKLOADS[name]
         inputs = workload.inputs(0)
-        cold = [op.value for op in workloads.run_pass(workload, inputs).ops]
+        cold = pickle.dumps(
+            [op.value for op in workloads.run_pass(workload, inputs).ops])
         state = workload.setup()
         for _ in range(2):
             warm = [op.value for op in workload.queries(state, inputs)]
-            assert warm == cold, name
+            assert pickle.dumps(warm) == cold, name

@@ -14,7 +14,9 @@ from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
 from spectralflow import cache
 from spectralflow.errors import (
     CoincidentPoints,
+    NearBranchPoint,
     PsiOutOfRange,
+    ThetaNotConverged,
     TruncationTooShort,
 )
 from spectralflow.forms import SumForm, ThirdKind, YdX, expansion
@@ -314,6 +316,128 @@ def test_warm_psi_matrix_is_bit_identical(torus):
     assert np.array(single).tobytes() == cold.tobytes()
 
 
+# -- the sheet-block memo -------------------------------------------------------
+
+def _airy_xs(count):
+    return [2.1 + 0.9j + 0.13 * k + 0.07j * k * k for k in range(count)]
+
+
+def test_psi_block_memo_bounded(airy, monkeypatch):
+    monkeypatch.setattr(cache, "CACHE_MAX", 4)
+    sysm = ClassicalSystem(airy, YdX(airy))
+    xs = _airy_xs(11)
+    first = sysm.psi_matrix(xs[0], xs[1])
+    for a, b in zip(xs[1:], xs[2:]):
+        sysm.psi_matrix(a, b)
+    assert len(sysm._psi_blocks) == 4
+    # the oldest pair was evicted, and comes back the same
+    assert (complex(xs[0]), complex(xs[1])) not in sysm._psi_blocks
+    assert sysm.psi_matrix(xs[0], xs[1]).tobytes() == first.tobytes()
+    # a call reading more pairs than the memo holds takes its own blocks
+    monkeypatch.setattr(cache, "CACHE_MAX", 2)
+    small = ClassicalSystem(airy, YdX(airy))
+    got = small.duality_residual(*xs[3:6])
+    assert len(small._psi_blocks) == 2
+    assert got == ClassicalSystem(airy, YdX(airy)).duality_residual(*xs[3:6])
+
+
+def test_refused_psi_block_not_stored(airy, torus):
+    sysm = ClassicalSystem(airy, YdX(airy))
+    x1, x2 = _airy_xs(2)
+    with pytest.raises(CoincidentPoints):
+        sysm.psi_matrix(x1, x1)
+    with pytest.raises(CoincidentPoints):
+        sysm.duality_residual(x1, x2, x2)
+    with pytest.raises(NearBranchPoint):
+        sysm.psi_matrix(x1, 0.0)          # X = z^2 branches at x = 0
+    assert len(sysm._psi_blocks) == 0
+    # e^738 is refused by psi_matrix and stores nothing; the factored
+    # block stays in range, is stored, and psi_matrix still refuses it
+    tor = ClassicalSystem(torus, YdX(torus))
+    x1, x2 = (torus.x_value(z) for z in (0.1877 + 0.1336j, 0.75 + 0.4314j))
+    with pytest.raises(PsiOutOfRange):
+        tor.psi_matrix(x1, x2)
+    assert len(tor._psi_blocks) == 0
+    tor.psi_matrix_factored(x1, x2)
+    assert len(tor._psi_blocks) == 1
+    with pytest.raises(PsiOutOfRange):
+        tor.psi_matrix(x1, x2)
+
+
+def test_psi_blocks_read_only(airy):
+    sysm = ClassicalSystem(airy, YdX(airy))
+    x1, x2 = _airy_xs(2)
+    M = sysm.psi_matrix(x1, x2)
+    (block,) = sysm._psi_blocks.values()
+    assert len(block) == 4
+    assert not any(a.flags.writeable for a in block)
+    # what a read returns is the caller's own
+    M[0, 0] += 1.0
+    assert sysm.psi_matrix(x1, x2)[0, 0] == M[0, 0] - 1.0
+
+
+def test_duality_reads_one_theta_sum_and_one_chi_batch(monkeypatch):
+    torus = _fresh_torus()
+    sysm = ClassicalSystem(torus, YdX(torus))
+    xs = [torus.x_value(u) for u in (0.33 + 0.41j, 0.44 + 0.36j,
+                                     0.38 + 0.31j)]
+    sums, batches = [], []
+    grid, primitive = torus.szego_grid, sysm.expansion.basis.primitive
+
+    def counted_grid(v, zeta):
+        sums.append(np.shape(v))
+        return grid(v, zeta)
+
+    def counted_primitive(o, zs):
+        batches.append(len(zs))
+        return primitive(o, zs)
+    monkeypatch.setattr(torus, "szego_grid", counted_grid)
+    monkeypatch.setattr(sysm.expansion.basis, "primitive", counted_primitive)
+    first = sysm.duality_residual(*xs)
+    # three 2 x 2 blocks; the chi batch holds the 6 distinct preimages
+    assert sums == [(3, 2, 2)] and batches == [6]
+    assert sysm.duality_residual(*xs) == first
+    assert sums == [(3, 2, 2)] and batches == [6]
+
+
+@pytest.mark.parametrize("which", ["airy", "torus", "tau2"])
+def test_stacked_psi_blocks_match_single_reads(which, airy, torus):
+    # a theta sum picks one window for its whole batch, so a block read
+    # beside others may move in its last bits; without theta it cannot
+    curve = {"airy": airy, "torus": torus, "tau2": _torus_at(_TAU2)}[which]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        xs = [random_x(curve, rng) for _ in range(3)]
+        stacked = ClassicalSystem(curve, YdX(curve))
+        stacked.duality_residual(*xs)
+        for pair in ((xs[0], xs[1]), (xs[1], xs[2]), (xs[0], xs[2])):
+            single = ClassicalSystem(curve, YdX(curve)).psi_matrix(*pair)
+            got = stacked.psi_matrix(*pair)
+            if which == "airy":
+                assert got.tobytes() == single.tobytes()
+            else:
+                assert np.all(np.abs(got - single) <= 1e-15 * np.abs(single))
+
+
+def test_psi_reads_theta_near_the_real_axis():
+    # on this curve zeta = 87.8 + 28.5i sits 47 periods up, where theta1
+    # is e^4250: psi reads theta at zeta - 47 tau and carries the
+    # quasi-period factor in its exponents.  The oracles that still read
+    # theta at zeta itself refuse by name
+    curve = _torus_at(-0.45 + 0.6j)
+    sysm = ClassicalSystem(curve, YdX(curve))
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        xs = [curve.x_value(complex(rng.uniform(0.2, 0.45),
+                                    rng.uniform(0.2, 0.45)))
+              for _ in range(3)]
+        assert np.all(np.isfinite(sysm.psi_matrix(xs[0], xs[1])))
+        assert sysm.duality_residual(*xs) < 1e-11
+    with pytest.raises(ThetaNotConverged, match="double range"):
+        sysm.refined_duality_residual(0.3 + 0.25j, 0.22 + 0.4j,
+                                      0.41 + 0.33j)
+
+
 def test_b_cycle_single_valuedness(sys_torus):
     res = sys_torus.b_loop_transport_residual(0.31 + 0.22j, 0.12 + 0.41j)
     assert res < 1e-8
@@ -602,6 +726,25 @@ def test_ode_growth_at_omega_poles(sys_airy):
     slope = np.log(vals[1] / vals[0]) / np.log(10.0)
     assert abs(slope - round(slope)) < 0.1
     assert 1 <= round(slope) <= 2
+
+
+def test_zeta_reduction_keeps_psi_and_the_ode_spectrum(torus):
+    # 3 x the tame form's third-kind part puts zeta at -1.41 - 0.58i, so
+    # psi reads theta at zeta + tau, with theta1's quasi-period factor in
+    # chi.  Its sheet matrix is the unreduced reading's (measured 8.6e-16
+    # apart); M is the unreduced one conjugated by the x1-side gauge
+    # e^(-2 i pi n z1), so their spectra agree (6.3e-10, the differences)
+    form = SumForm([(3.0, ThirdKind(torus, 0.21 + 0.33j, 0.68 + 0.52j)),
+                    (0.4, basis_form(torus, 0.41 + 0.13j, 1))])
+    x1, x = torus.x_value(0.33 + 0.41j), torus.x_value(0.41 + 0.36j)
+    reduced, plain = ClassicalSystem(torus, form), ClassicalSystem(torus, form)
+    plain._turns, plain._zeta = 0, plain.expansion.zeta
+    assert reduced._turns == -1
+    P, P0 = (s.psi_matrix(x1, x) for s in (reduced, plain))
+    assert np.abs(P - P0).max() < 1e-14 * np.abs(P0).max()
+    eig = [np.sort_complex(np.linalg.eigvals(ode_matrix(s, x1, x)))
+           for s in (reduced, plain)]
+    assert np.abs(eig[0] - eig[1]).max() < 1e-7 * np.abs(eig[1]).max()
 
 
 def test_insertion_deformation_preserves_fillings(sys_torus):

@@ -24,6 +24,7 @@ from spectralflow.errors import (
     ResidueSumNonzero,
     RootFindingFailed,
     SingularCurve,
+    ThetaNotConverged,
     TruncationTooShort,
 )
 from spectralflow.forms import KernelForm, RationalDz, YdX, expansion
@@ -254,14 +255,17 @@ def test_sheets_above(airy, joukowski, torus):
 def _grid_preimages(curve, x):
     """Reference wp inversion: Newton from all 8 x 8 grid seeds, every
     distinct converged off-lattice solution kept; a seed whose iterates
-    run off to where theta overflows is dropped."""
+    run off to where theta overflows (refused) is dropped."""
     ell, target, sols = curve.ell, x / curve.x_scale, []
     for i in range(1, 9):
         for j in range(1, 9):
-            with np.errstate(all="ignore"):
-                u = _newton(lambda u: ell.wp(u) - target, ell.wp_prime,
-                            i / 9 + j / 9 * curve.tau, steps=60)
-                res = abs(ell.wp(u) - target)
+            try:
+                with np.errstate(all="ignore"):
+                    u = _newton(lambda u: ell.wp(u) - target, ell.wp_prime,
+                                i / 9 + j / 9 * curve.tau, steps=60)
+                    res = abs(ell.wp(u) - target)
+            except ThetaNotConverged:
+                continue
             if not res <= 1e-9 * max(1.0, abs(target)):
                 continue
             u = ell.to_cell(u)

@@ -161,3 +161,20 @@ def test_theta_order_overflow_refused():
     assert np.all(np.isfinite(th.theta1_taylor(0.21 + 0.13j, 150)))
     with pytest.raises(ThetaNotConverged, match="order 160 .* 33 terms"):
         th.theta1_taylor(0.21 + 0.13j, 160)
+
+
+def test_theta_sum_outside_double_range_refused():
+    # theta1 at Im u = 28.5 on Im tau = 0.6 is about e^4250; at Im u = 10
+    # it is about e^523 and still a double
+    th = ThetaEvaluator(-0.45 + 0.6j)
+    assert np.isfinite(th.theta1(1.0 + 10j))
+    with pytest.raises(ThetaNotConverged, match="double range"):
+        th.theta1(87.81 + 28.5j)
+    with pytest.raises(ThetaNotConverged, match="double range"):
+        th.theta1_jet(np.array([0.3 + 0.2j, 87.81 + 28.5j]), 2)
+    # a high order carries a value past the range nearer the axis: the
+    # 60th derivative on tau = i is e^565 at Im u = 10, e^711 at Im u = 12
+    th = ThetaEvaluator(1j)
+    assert np.all(np.isfinite(th.theta1_jet(0.3 + 10j, 60)))
+    with pytest.raises(ThetaNotConverged, match="double range"):
+        th.theta1_jet(0.3 + 12j, 60)
