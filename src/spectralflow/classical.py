@@ -181,10 +181,10 @@ class ClassicalSystem:
         # alpha in reduced chart values; its sign and normalization are
         # pinned by the pole-matching limit and the numerics (the
         # displayed -2 i pi alpha du absorbs into +alpha once du is
-        # reduced to 1 in the u-chart)
-        zeta = self.expansion.zeta
+        # reduced to 1 in the u-chart).  Both terms shift by -2 i pi n
+        # under zeta -> zeta - n tau, so alpha is read at the reduced zeta
         (t0, t1), (s0, s1) = (self.curve.theta_jet(v, 1)
-                              for v in (z1 - z2 + zeta, zeta))
+                              for v in (z1 - z2 + self._zeta, self._zeta))
         alpha = t1 / t0 - s1 / s0
         lhs = self.psi(z1, z) * self.psi(z, z2)
         rhs = -self.psi(z1, z2) * (ThirdKind(self.curve, z1, z2).value(z)

@@ -499,22 +499,29 @@ class SpectralCurve:
         """F(v) = B(z1, z2)/(dchart dchart) at v = z1 - z2."""
         return -2.0 * self._log_prime_jet(self._apart(v), 2)[2]
 
-    def kernel_series(self, c, head, order):
-        """[t^i] sum_k head[k] K_k(c + t), i <= order, for the kernels K_k =
-        (-1)^k d/dt (1/k!) d^k/dt^k log E of forms.KernelForm; on the pole
-        the exact head sum_k head[k] t^-(k+1) leads, and rho alone follows."""
-        count = len(head)
-        o, jet = self._regular_jet(c, order + count)
-        if o != 0:
-            jet = jet + _log_linear(o, order + count)
-        # [t^(i-1)] K_k = i C(i + k, k) [t^(i+k)] log E, i = 1..order + 1
-        i = np.arange(1, order + 2)
-        signed = np.asarray(head) * (-1.0) ** np.arange(count)
-        taylor = i * ((_binomials(i, count)
-                       * jet[np.add.outer(i, np.arange(count))]) @ signed)
-        if o != 0:
-            return TruncSeries(taylor)
-        return TruncSeries(np.concatenate([head[::-1], taylor]), -count)
+    def kernel_series(self, cs, heads, order):
+        """[[t^i] sum_k head[k] K_k(c + t), i <= order, for each c of cs and
+        head of heads], K_k = (-1)^k d/dt (1/k!) d^k/dt^k log E: the c off
+        the pole from one batched jet, sliced to each depth; on the pole the
+        exact head sum_k head[k] t^-(k+1) leads, and rho alone follows."""
+        cs = np.asarray(cs, dtype=complex)
+        off = np.abs(cs - self._lattice_point(cs)) >= _ON_POLE
+        if off.any():
+            depth = order + max(len(h) for h, away in zip(heads, off) if away)
+            o, jet = self._regular_jet(cs[off], depth)
+            jets = iter((jet + _log_linear(o, depth)).T)
+        i, out = np.arange(1, order + 2), []
+        for c, head, away in zip(cs, heads, off):
+            count = len(head)
+            jet = next(jets) if away else self._log_prime_jet(
+                self._lattice_point(c), order + count, 0.0)
+            # [t^(i-1)] K_k = i C(i + k, k) [t^(i+k)] log E, i = 1..order + 1
+            signed = np.asarray(head) * (-1.0) ** np.arange(count)
+            taylor = i * ((_binomials(i, count)
+                           * jet[np.add.outer(i, np.arange(count))]) @ signed)
+            out.append(TruncSeries(taylor) if away else TruncSeries(
+                np.concatenate([head[::-1], taylor]), -count))
+        return out
 
     def prime_form(self, v):
         """E(z1, z2), reduced by the square roots of the chart legs, at v =

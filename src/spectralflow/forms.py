@@ -4,17 +4,19 @@ Forms are represented against the global chart (z on the sphere, u on
 the torus): ``value(z)`` returns g with omega = g dz, elementwise over
 an ndarray of points (a constant form may return its scalar, which
 broadcasts), and ``local_series(center, order)`` the series of g in the
-chart offset; ``center`` may be the string "inf" on the sphere, where the
-series is taken in w = 1/z and omega = h(w) dw.  The canonical basis and
-its sums also give ``primitive(o, zs)``: [int_o^z for z in zs] along the
-straight segments, in closed form from the curve's log E.
+chart offset (``series_at`` at a list of centers); ``center`` may be the
+string "inf" on the sphere, where the series is taken in w = 1/z and
+omega = h(w) dw.  The canonical basis and its sums also give
+``primitive(o, zs)``: [int_o^z for z in zs] along the straight segments,
+in closed form from the curve's log E.
 
 Every form built from the prime form is one KernelForm: a sum over
-finite poles of residues of the Bergman kernel, read off one jet of log E
-per pole.  ThirdKind (dS), BergmanLeg and SecondKindBasis (omega_{p,j})
-construct it.  Besides, Y dX, c du, sums, and R(z) dz and P(wp) du for a
-rational R and a polynomial P, whose series are R.of the chart variable
-(w^-1 at inf) and P.of wp's series (``RationalFunction.of``).
+finite poles of residues of the Bergman kernel, whose series an expansion
+reads off one batched jet of log E.  ThirdKind (dS), BergmanLeg and
+SecondKindBasis (omega_{p,j}) construct it.  Besides, Y dX, c du, sums,
+and R(z) dz and P(wp) du for a rational R and a polynomial P, whose
+series are R.of the chart variable (w^-1 at inf) and P.of wp's series
+(``RationalFunction.of``).
 
 ``expansion(curve, form)`` reads any form once into an Expansion record:
 a PoleTimes at each pole, whose times and dual pairings are coefficients
@@ -45,15 +47,20 @@ from .series import TruncSeries, constant, truncate
 
 
 class Form1:
-    """Base class; subclasses provide value / local_series / poles."""
+    """Base class; subclasses provide value, poles and local_series, or
+    series_at where the reads at several centers share work."""
 
     def value(self, z):  # pragma: no cover
         """g(z) with omega = g dz, for a point or elementwise over an
         ndarray of points; a constant may come back as a scalar."""
         raise NotImplementedError
 
-    def local_series(self, center, order):  # pragma: no cover
-        raise NotImplementedError
+    def local_series(self, center, order):
+        return self.series_at([center], order)[0]
+
+    def series_at(self, centers, order):
+        """[local_series(c, order) for c in centers]."""
+        return [self.local_series(c, order) for c in centers]
 
     def poles(self):
         """The centres of the form's poles: chart values, or "inf"."""
@@ -92,12 +99,15 @@ class SumForm(Form1):
     def value(self, z):
         return sum(c * f.value(z) for c, f in self.terms)
 
-    def local_series(self, center, order):
-        out = None
-        for c, f in self.terms:
-            s = f.local_series(center, order) * c
-            out = s if out is None else out + s
-        return out
+    def series_at(self, centers, order):
+        """Each term's series at every center, those of its KernelForms in
+        one batched read, summed in the order of the terms."""
+        kernels = [f for _, f in self.terms if isinstance(f, KernelForm)]
+        batch = iter(_kernel_series(kernels, centers, order))
+        each = [[s * c for s in (next(batch) if isinstance(f, KernelForm)
+                                 else f.series_at(centers, order))]
+                for c, f in self.terms]
+        return [sum(row[1:], row[0]) for row in zip(*each)]
 
     def primitive(self, o, zs):
         return sum((c * f.primitive(o, zs) for c, f in self.terms),
@@ -222,9 +232,9 @@ class KernelForm(Form1):
     segment: head_p[0] = r_p is the residue (K_0 = P = (log E)'), head_p[m+1]
     = (m + 1) a_(p,m) weighs F^(m)(p - z)/m! (F = -(log E)''), and the
     B-period is 2 i pi sum_p (r_p p + a_(p,0)), p reduced to the cell, where
-    log E(z - p) has no A-period.  Each quantity reads one jet of log E
-    per pole; on the sphere, residues that do not sum to 0 leave a simple
-    pole at inf."""
+    log E(z - p) has no A-period.  Each quantity reads one batched jet of
+    log E: ``series_at`` one over every offset c - p off the pole.  On the
+    sphere, residues that do not sum to 0 leave a simple pole at inf."""
 
     def __init__(self, curve, parts):
         self.curve = curve
@@ -260,11 +270,8 @@ class KernelForm(Form1):
             out += vals[:-1] - vals[-1]
         return out
 
-    def local_series(self, center, order):
-        terms = [self.curve.kernel_at_infinity(p, h, order) if center == "inf"
-                 else self.curve.kernel_series(center - p, h, order)
-                 for p, h in self.parts]
-        return sum(terms[1:], terms[0])
+    def series_at(self, centers, order):
+        return _kernel_series([self], centers, order)[0]
 
     def poles(self):
         out = [p for p, _ in self.parts]
@@ -275,6 +282,22 @@ class KernelForm(Form1):
         return 0.0 if which == "a" else 2j * np.pi * sum(
             h[0] * p + (h[1] if len(h) > 1 else 0)
             for p, h in self.parts)
+
+
+def _kernel_series(forms, centers, order):
+    """[[the series of f at c for c in centers] for f in forms], KernelForms
+    of one curve: every finite offset c - p of every form from one
+    curve.kernel_series read, at "inf" kernel_at_infinity per pole."""
+    reads = [(c - p, h) for f in forms for c in centers
+             if not isinstance(c, str) for p, h in f.parts]
+    got = iter(forms[0].curve.kernel_series(*zip(*reads), order)
+               if reads else ())
+
+    def at(f, c):
+        terms = [f.curve.kernel_at_infinity(p, h, order) if isinstance(c, str)
+                 else next(got) for p, h in f.parts]
+        return sum(terms[1:], terms[0])
+    return [[at(f, c) for c in centers] for f in forms]
 
 
 def ThirdKind(curve, z1, z2):
@@ -515,12 +538,11 @@ def expansion(curve, form: Form1) -> Expansion:
         if not any(_same_center(xp.location, c) for c in centers):
             centers.append(xp.location)
 
-    for center in centers:
-        for r in curve.ramification_points:
-            if _same_center(center, r.location):
-                raise PoleAtRamificationPoint(
-                    f"form has a pole at ramification point {r.location}")
-        h = form.local_series(center, curve.order + 6)
+    for r in curve.ramification_points:
+        if any(_same_center(c, r.location) for c in centers):
+            raise PoleAtRamificationPoint(
+                f"form has a pole at ramification point {r.location}")
+    for center, h in zip(centers, form.series_at(centers, curve.order + 6)):
         head = _principal_part(h, _HEAD_TOL)
         if len(head) > j_cap:
             raise TruncationTooShort(
@@ -573,14 +595,13 @@ def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
         curve, [r.location for r in curve.ramification_points])
     o = next((c for c in cands if all(abs(c - p) > _BASEPOINT_CLEARANCE
                                       for p in special)), cands[0])
-    vals = [(form.value(z), basis.value(z))
-            for z in (o, cands[(cands.index(o) + 1) % len(cands)])]
-    (c1, c2), scale = [f - b for f, b in vals], max(map(abs, sum(vals, ())))
+    zs = np.array([o, cands[(cands.index(o) + 1) % len(cands)]])
+    F, B = (np.broadcast_to(g.value(zs), 2) for g in (form, basis))
+    (c1, c2), scale = F - B, max(np.abs(F).max(), np.abs(B).max())
     if not abs(c1 - c2) <= _EPS_GAP * max(1.0, scale):
-        f = vals[0][0]
-        shift = max((abs(form.value(o + w) - f) for cycle in curve.cycles
+        shift = max((abs(form.value(o + w) - F[0]) for cycle in curve.cycles
                      for w in cycle), default=0.0)
-        if shift > _EPS_GAP * max(1.0, abs(f)):
+        if shift > _EPS_GAP * max(1.0, abs(F[0])):
             raise NotRepresentable(
                 f"the form changes by {shift:.3g} over a cycle of the "
                 f"curve: it is not a form on it")

@@ -7,13 +7,15 @@ of a chart; and the Szego factor's series against its point values."""
 import numpy as np
 import pytest
 
-from spectralflow.curve import Genus1Curve, RationalFunction
+from spectralflow.curve import Genus1Curve, RationalFunction, SpectralCurve
 from spectralflow.errors import ThetaZeroDivision
 from spectralflow.forms import (
     BergmanLeg,
     KernelForm,
     SecondKindBasis,
+    SumForm,
     ThirdKind,
+    expansion,
     pole_frame,
 )
 from spectralflow.geometry import basis_form
@@ -33,8 +35,9 @@ def _chart(curve):
 def _taylor(curve, c, count, order):
     """[F^(q)(c + t)/q! for q < count], series in t: F^(q)/q! is (-1)^q
     (q + 1) times the kernel with principal part v^-(q+2)."""
-    return [curve.kernel_series(c, [0.0] * (q + 1) + [(-1.0) ** q * (q + 1)],
-                                order) for q in range(count)]
+    return curve.kernel_series(
+        [c] * count, [[0.0] * (q + 1) + [(-1.0) ** q * (q + 1)]
+                      for q in range(count)], order)
 
 
 def _jet_derivs(curve, v, count):
@@ -123,7 +126,7 @@ def test_primitive_series(request, curve, on_pole):
         c = 0.0 if cv.genus == 0 else 1.0 + cv.tau
     else:
         c = 0.44 + 0.17j
-    P = cv.kernel_series(c, [1.0], 24)
+    P, = cv.kernel_series([c], [[1.0]], 24)
     F = -P.differentiate()
     if on_pole:
         assert F.k_min == -2 and F.coeff(-2) == 1.0
@@ -184,6 +187,57 @@ def test_forms_in_the_chart_at_infinity(joukowski):
         ref = -f.value(1 / w) / w ** 2
         assert abs(f.local_series("inf", 10).evaluate(w) - ref) \
             < 1e-12 * abs(ref)
+
+
+def _tame(curve):
+    """A third-kind form plus a second-kind form at a regular point: three
+    kernel poles, with the pole of X a fourth center."""
+    return SumForm([(0.7, ThirdKind(curve, 0.21 + 0.33j, 0.68 + 0.52j)),
+                    (0.4, basis_form(curve, 0.41 + 0.13j, 1))])
+
+
+def _batch_forms(curve):
+    out = [ThirdKind(curve, 0.21 + 0.33j, 0.68 + 0.52j),
+           SecondKindBasis(curve, pole_frame(curve, 0.3 + 0.2j), 2),
+           _tame(curve)]
+    if curve.genus:
+        # a pole at a lattice translate of the pole of X: that center's read
+        # is on the pole, beside the other poles' reads off it
+        out.append(ThirdKind(curve, 1.0 + curve.tau, 0.4 + 0.3j))
+    return out
+
+
+@pytest.mark.parametrize("curve", ["airy", "joukowski", 1j, 0.25 + 1.07j])
+def test_batched_reads_equal_single_reads(request, curve):
+    # an expansion reads every center of a form in one batch ("inf" too,
+    # at the pole of X on the sphere): each record's series has the bits
+    # of the form's series read at that center alone
+    cv = request.getfixturevalue(curve) if isinstance(curve, str) \
+        else _torus(curve)
+    for form in _batch_forms(cv):
+        records = expansion(cv, form).records
+        assert len(records) >= 2
+        for rec in records:
+            single = form.local_series(rec.center, cv.order + 6)
+            assert rec.series.k_min == single.k_min
+            assert rec.series.coeffs.tobytes() == single.coeffs.tobytes()
+
+
+def test_expansion_reads_its_kernel_series_in_one_jet(monkeypatch):
+    # the tame form's 9 off-pole (center, pole) offsets are one
+    # _regular_jet read; the 3 on-pole reads take the lattice jet
+    cv = _torus(1j)
+    form = _tame(cv)
+    calls = []
+    original = SpectralCurve._regular_jet
+
+    def counted(self, c, n):
+        calls.append(np.shape(c))
+        return original(self, c, n)
+
+    monkeypatch.setattr(SpectralCurve, "_regular_jet", counted)
+    expansion(cv, form)
+    assert calls == [(9,)]
 
 
 def _szego_reference(curve, v, zeta):

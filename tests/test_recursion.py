@@ -215,9 +215,11 @@ def test_warm_and_cold_engines_agree(airy, torus, asym_engines, rng, which,
     # every level of SUITE read again on an engine whose leg memo holds the
     # points, read to the deepest level, repeats a fresh engine's value.
     # On the sphere the legs' leading coefficients do not depend on the
-    # depth read, so the values agree bit for bit; on a torus a theta sum
-    # reads a wider window for a deeper jet, which can move the last bits
-    # (up to 3.5e-16 relative on g1, none on the square torus)
+    # depth read, so the values agree bit for bit.  On a torus the legs'
+    # regular part is contracted as gamma @ regular in bergman_leg, a BLAS
+    # product whose kernel, and so its summation order, depends on the
+    # number of columns (points) read together, which can move the last
+    # bits (up to 3.5e-16 relative on g1, none on the square torus)
     cv = {"airy": airy, "torus": torus, "g1": asym_engines["g1"][0]}[which]
     warm = RecursionEngine(cv)
     pts = sample_points(cv, rng, 4)
