@@ -5,14 +5,17 @@ The spinor kernel psi(z1, z2) = e^{int chi} theta(u(z1) - u(z2) + zeta)
 of point pairs: one chi batch and one Szego theta sum on the differences
 z1 - z2 serve every sheet matrix a call reads; one psi is its 1 x 1
 case.  On the torus theta is read at zeta - n tau, within Im tau / 2 of
-the real axis, with e^(-2 i pi n (z1 - z2)) in the chi exponents.  Each
-system keeps its x-chart sheet blocks in a bounded memo; the sheets above
-an x are solved once per curve.  The curve supplies the Szego factor
-(szego_grid, szego_series; theta = 1, E = z1 - z2 on the sphere).  chi,
-zeta and int_o^z chi are read off the form's one expansion in the
-canonical basis (``forms.expansion``) in closed form; only the
-b_loop_transport_residual oracle runs quadrature.  sato_residual reads
-the classical tau function e^(F0~) theta(zeta) off two expansions.
+the real axis, with e^(-2 i pi n (z1 - z2)) in the chi exponents; the
+Baker-Akhiezer series do the same.  Each system keeps its x-chart sheet
+blocks in a bounded memo; the sheets above an x are solved once per
+curve.  The curve supplies the Szego factor (szego_grid, szego_series;
+theta = 1, E = z1 - z2 on the sphere).  chi, zeta and int_o^z chi are
+read off the form's one expansion in the canonical basis
+(``forms.expansion``) in closed form; only the b_loop_transport_residual
+oracle runs quadrature.  sato_residual reads the classical tau function
+e^(F0~) theta(zeta) off two expansions.  The insertion and x-derivatives
+of self_replication_residual and ode_matrix are closed forms too.  Every
+residual is relative to its target, refused where that is 0 or infinite.
 
 Spinor values are reported in fixed charts: reduced by the global
 chart legs (z on the sphere, u on the torus), or additionally by
@@ -29,12 +32,7 @@ from math import factorial
 import numpy as np
 
 from .cache import BoundedCache
-from .errors import (
-    PsiOutOfRange,
-    SingularCDMatrix,
-    SingularSheetMatrix,
-    StepTooLarge,
-)
+from .errors import PsiOutOfRange, SingularCDMatrix, SingularSheetMatrix
 from .forms import (
     BergmanLeg,
     DuForm,
@@ -52,8 +50,6 @@ _COND_LIMIT = 1e10
 _EXP_LIMIT = 708.0
 # steps of the B-loop in b_loop_transport_residual
 _B_LOOP_STEPS = 48
-# the insertion step of self_replication_residual's differences
-_INSERTION_STEP = 1e-4
 
 
 class ClassicalSystem:
@@ -166,30 +162,34 @@ class ClassicalSystem:
         M12, M23, M13 = self._blocks([(x1, x2), (x2, x3), (x1, x3)],
                                      f"duality_residual({x1}, {x2}, {x3})")
         rhs = (x1 - x3) / ((x1 - x2) * (x2 - x3)) * M13
-        return np.abs(M12 @ M23 - rhs).max() / max(np.abs(rhs).max(), 1e-30)
+        return _relative(M12 @ M23 - rhs, rhs,
+                         f"duality_residual({x1}, {x2}, {x3})")
 
     def inverse_relation_residual(self, x1, x2):
-        M12, M21 = self._blocks([(x1, x2), (x2, x1)],
-                                f"inverse_relation_residual({x1}, {x2})")
+        where = f"inverse_relation_residual({x1}, {x2})"
+        M12, M21 = self._blocks([(x1, x2), (x2, x1)], where)
         target = -np.eye(len(M12)) / (x1 - x2) ** 2
-        return np.abs(M12 @ M21 - target).max() / np.abs(target).max()
+        return _relative(M12 @ M21 - target, target, where)
+
+    def _alpha(self, v):
+        """alpha(v) = (ln theta)'(v + zeta) - (ln theta)'(zeta), d/dzeta of
+        ln G(v; zeta), read at the reduced zeta (both terms shift alike)."""
+        (t0, t1), (s0, s1) = (self.curve.theta_jet(w, 1)
+                              for w in (v + self._zeta, self._zeta))
+        return t1 / t0 - s1 / s0
 
     def refined_duality_residual(self, z1, z2, z):
         """Pointwise product relation with the holomorphic correction
-        alpha du, alpha = (ln theta)'(z1 - z2 + zeta) - (ln theta)'(zeta),
-        which is 0 at genus 0 (theta = 1: dS alone)."""
+        alpha(z1 - z2) du, which is 0 at genus 0 (dS alone)."""
         # alpha in reduced chart values; its sign and normalization are
         # pinned by the pole-matching limit and the numerics (the
         # displayed -2 i pi alpha du absorbs into +alpha once du is
-        # reduced to 1 in the u-chart).  Both terms shift by -2 i pi n
-        # under zeta -> zeta - n tau, so alpha is read at the reduced zeta
-        (t0, t1), (s0, s1) = (self.curve.theta_jet(v, 1)
-                              for v in (z1 - z2 + self._zeta, self._zeta))
-        alpha = t1 / t0 - s1 / s0
+        # reduced to 1 in the u-chart)
         lhs = self.psi(z1, z) * self.psi(z, z2)
         rhs = -self.psi(z1, z2) * (ThirdKind(self.curve, z1, z2).value(z)
-                                   + alpha)
-        return abs(lhs - rhs) / max(abs(rhs), 1e-30)
+                                   + self._alpha(z1 - z2))
+        return _relative(lhs - rhs, rhs,
+                         f"refined_duality_residual({z1}, {z2}, {z})")
 
     def b_loop_transport_residual(self, z1, z2):
         """Move z1 around each B-homotopic loop with continuous tracking;
@@ -237,12 +237,11 @@ class ClassicalSystem:
             e^{sign (C(z) - K)} e^{-sign W(xi)} G(xi) sqrt(dz/dxi),
 
         where C(z) = int_o^z chi, K the regularized potential of chi at
-        the pole, and G the curve's Szego factor.
+        the pole, and G the curve's Szego factor, read at zeta - n tau
+        with theta1's factor e^(-2 i pi n sign (z - p - s(xi))) in C and W.
         """
         s_of_xi = xp.s_of_xi
-        amp = _kernel_exp(sign * (self._chi_from_base(z) - K),
-                          f"the Baker-Akhiezer series at {z}")
-        expo = _series_exp(W * (-sign))
+        base, W = self._chi_from_base(z) - K, W * (-sign)
         # the Szego factor G and the sqrt(dz/dxi) leg
         if xp.location == "inf":
             wq = s_of_xi          # w-offset as a function of xi
@@ -256,10 +255,14 @@ class ClassicalSystem:
             # sign < 0: z1(xi) - z = (p - z) + s(xi)
             p = complex(xp.location)
             G = self.curve.szego_series(sign * (z - p), s_of_xi * (-sign),
-                                        self.expansion.zeta)
+                                        self._zeta)
             dleg = s_of_xi.differentiate()
+            if self._turns:
+                turn = 2j * np.pi * self._turns
+                base, W = base - turn * (z - p), W + s_of_xi * (turn * sign)
+        amp = _kernel_exp(sign * base, f"the Baker-Akhiezer series at {z}")
         leg = dleg.sqrt()
-        return (G * expo * leg) * amp
+        return (G * _series_exp(W) * leg) * amp
 
     def _ba_vector(self, z, sign):
         """Baker-Akhiezer rows at z over (pole, derivative) pairs: j! times
@@ -307,7 +310,8 @@ class ClassicalSystem:
         x1, x2 = cv.x_value(z1), cv.x_value(z2)
         recon = vec1 @ A @ vec2 / (x1 - x2)
         target = self.psi(z1, z2)
-        return abs(recon - target) / max(abs(target), 1e-30)
+        return _relative(recon - target, target,
+                         f"cd_reconstruction_residual({z1}, {z2})")
 
     # -- Lax ----------------------------------------------------------------------------
 
@@ -345,6 +349,16 @@ def _kernel_exp(expo, where):
         raise PsiOutOfRange(
             f"{where} needs e^({worst:.1f}), outside the double range")
     return np.exp(expo)
+
+
+def _relative(err, target, where):
+    """max |err| / max |target|, refused where |target| is 0 or not
+    finite: a residual against nothing checks nothing."""
+    scale = np.abs(target).max()
+    if not 0 < scale < np.inf:
+        raise PsiOutOfRange(f"{where} has |target| = {scale}, outside the "
+                            "double range")
+    return np.abs(err).max() / scale
 
 
 def _generic_x(curve):
@@ -400,67 +414,44 @@ def time_shift_of_third_kind(curve, form, z1, z2):
     return out
 
 
-# -- insertion operator and the bilinear difference relation -----------------------------
-
-def insertion_deformed_system(curve, form, z, lam, basepoint=None):
-    """System for omega + lam B(z, .)/dX(z)."""
-    leg = BergmanLeg(curve, z, 1.0 / curve.dx_value(z))
-    return ClassicalSystem(curve, SumForm([(1.0, form), (lam, leg)]),
-                           basepoint)
-
+# -- the bilinear difference relation and the Lax ODE --------------------------------
 
 def self_replication_residual(curve, form, z, z1, z2, basepoint=None):
-    """|delta_z psi + psi(z1,z) psi(z,z2)| via guarded differences,
-    Richardson-extrapolated from the steps _INSERTION_STEP and half it.
-
-    delta_z includes the dX(z) weight of the insertion operator, so the
-    balance holds in reduced chart values.
-    """
-    base = ClassicalSystem(curve, form, basepoint)
-    o = base.o
-
-    def dpsi(step):
-        up = insertion_deformed_system(curve, form, z, step, o)
-        dn = insertion_deformed_system(curve, form, z, -step, o)
-        return (up.psi(z1, z2) - dn.psi(z1, z2)) / (2 * step) \
-            * curve.dx_value(z)
-
-    d1 = dpsi(_INSERTION_STEP)
-    d2 = dpsi(_INSERTION_STEP / 2)
-    fd = (4 * d2 - d1) / 3
-    target = -base.psi(z1, z) * base.psi(z, z2)
-    if abs(d1 - d2) > 0.3 * max(abs(fd), 1e-30):
-        raise StepTooLarge("h-sweep disagreement in the insertion FD")
-    return abs(fd - target) / max(abs(target), 1e-30)
+    """|delta_z psi + psi(z1,z) psi(z,z2)| relative to the latter, with
+    delta_z psi(z1, z2) = psi(z1, z2) [int_{z2}^{z1} chi_L + zeta_L
+    alpha(z1 - z2)] read off the expansion of L = B(z, .): psi depends on
+    omega through chi's primitive and zeta, both linear in omega, and
+    the dX(z) weight of omega + lam B(z, .)/dX(z) cancels."""
+    sysm = ClassicalSystem(curve, form, basepoint)
+    leg = expansion(curve, BergmanLeg(curve, z, 1.0))
+    c1, c2 = leg.basis.primitive(sysm.o, np.array([z1, z2]))
+    delta = sysm.psi(z1, z2) * (c1 - c2 + leg.zeta * sysm._alpha(z1 - z2))
+    target = -sysm.psi(z1, z) * sysm.psi(z, z2)
+    return _relative(delta - target, target,
+                     f"self_replication_residual({z}, {z1}, {z2})")
 
 
-def ode_matrix(system: ClassicalSystem, x1, x, h=None):
+def ode_matrix(system: ClassicalSystem, x1, x):
     """M conjugated by the constant x1-side gauge, from
-    (d/dx + id/(x - x1) - M) Psi-hat = 0 by central differences.
+    (d/dx + id/(x - x1) - M) Psi-hat = 0 in closed form.
 
     Working with the factored kernel keeps every entry polynomially
     bounded: the x-side exponential contributes its exact logarithmic
-    derivative chi(z^j)/X'(z^j) instead of overflowing values.
+    derivative chi(z^j)/X'(z^j) instead of overflowing values, and
+    G_ij = S(z^i(x1) - z^j(x))/sqrt(X'(z^i) X'(z^j)), S the Szego factor,
+    has dG_ij/dx = G_ij [-(ln S)' - X''(z^j)/(2 X'(z^j))] / X'(z^j), with
+    (ln S)'(v) = (ln theta)'(v + zeta) - (ln E)'(v).
     """
-    h = h or 1e-6 * max(1.0, abs(x))
-    Gp, Gm, G = (g for _, g, _ in system._blocks(
-        [(x1, x + h), (x1, x - h), (x1, x)]))
+    ((_, G, _),) = system._blocks([(x1, x)])
     if np.linalg.cond(G) > _COND_LIMIT:
         raise SingularSheetMatrix("sheet matrix not invertible")
-    sh, _ = system.sheet_data(x)
-    rate = np.array([(system.chi.value(z) - 2j * np.pi * system._turns)
-                     / system.curve.dx_value(z) for z in sh.preimages])
-    dG = (Gp - Gm) / (2 * h)
-    Ginv = np.linalg.inv(G)
-    d = G.shape[0]
-    return dG @ Ginv - G @ np.diag(rate) @ Ginv + np.eye(d) / (x - x1)
-
-
-def ode_growth_probe(system: ClassicalSystem, x1, target, dists=(1e-2, 1e-3),
-                     direction=1.0):
-    """log-log growth exponent of |M(x)| as x -> target."""
-    vals = []
-    for d in dists:
-        x = target + direction * d
-        vals.append(np.abs(ode_matrix(system, x1, x)).max())
-    return np.log(vals[1] / vals[0]) / np.log(dists[1] / dists[0])
+    cv = system.curve
+    zs = [np.asarray(system.sheet_data(y)[0].preimages) for y in (x1, x)]
+    v = np.subtract.outer(*zs)
+    t0, t1 = cv.theta_jet(v + system._zeta, 1)
+    dlog_s = t1 / t0 - cv._log_prime_jet(v, 1)[1]
+    d1, d2 = np.array([[cv.x_series(z, 3).coeff(k) for k in (1, 2)]
+                       for z in zs[1]]).T
+    chi = system.chi.value(zs[1]) - 2j * np.pi * system._turns
+    K = (-dlog_s - d2 / d1 - chi) / d1
+    return (G * K) @ np.linalg.inv(G) + np.eye(len(G)) / (x - x1)

@@ -112,10 +112,6 @@ class BadIndex(SpectralFlowError):
 
 # -- classical ----------------------------------------------------------------
 
-class StepTooLarge(SpectralFlowError):
-    """Finite-difference h-sweep disagrees beyond the guard threshold."""
-
-
 class SingularCDMatrix(SpectralFlowError):
     """Christoffel-Darboux matrix numerically singular."""
 
@@ -125,5 +121,5 @@ class SingularSheetMatrix(SpectralFlowError):
 
 
 class PsiOutOfRange(SpectralFlowError):
-    """The factor e^{int chi} of the classical kernel leaves the double
-    range."""
+    """The factor e^{int chi} of the classical kernel, or the target of a
+    residual built from it, leaves the double range."""

@@ -136,11 +136,3 @@ class ThetaEvaluator:
         return self.theta1_jet(u0, n) / _FACTORIAL[:n + 1].reshape(
             (-1,) + (1,) * np.ndim(u0))
 
-
-def heat_equation_residual(tau, u, h=1e-4):
-    """|d_tau theta - (1/4 i pi) d_u^2 theta| by central differences."""
-    up = ThetaEvaluator(tau + h)
-    dn = ThetaEvaluator(tau - h)
-    mid = ThetaEvaluator(tau)
-    dtau = (up.theta(u) - dn.theta(u)) / (2 * h)
-    return abs(dtau - mid.theta(u, 2) / (4j * np.pi))

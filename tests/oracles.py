@@ -1,13 +1,19 @@
-"""Oracles for the engine's evaluation, kept on the test side.
+"""Oracles kept on the test side.
 
 ``leg_matrix`` reads B_{a,k}(z)/dchart in one ``bergman_leg`` call, past
 the engine's leg memo; ``residue_at_point`` is a contour quadrature of
-the residue of a form at a ramification point, from those legs.
+the residue of a form at a ramification point, from those legs.  The
+difference probes: ``ode_matrix_fd`` takes the Lax ODE's x-derivative by
+Richardson-extrapolated central differences, ``ode_growth_probe`` reads a
+log-log growth exponent of the closed-form ODE matrix, and
+``heat_equation_residual`` differences theta in tau.
 """
 
 import numpy as np
 
+from spectralflow.classical import ode_matrix
 from spectralflow.recursion import _head
+from spectralflow.theta import ThetaEvaluator
 
 
 def leg_matrix(eng, basis, points):
@@ -37,3 +43,38 @@ def residue_at_point(eng, form, a, other_points, radius=5e-2, samples=600):
                    np.concatenate([z, np.ravel(other_points)]))
     head = _head(form, M[:, samples:])
     return complex(np.mean((head @ M[:, :samples]) * dz * zeta))
+
+
+def ode_matrix_fd(system, x1, x, h=3e-4):
+    """``classical.ode_matrix`` with dG/dx of the factored sheet matrix
+    taken by central differences at the steps h max(1, |x|) and half it,
+    Richardson-extrapolated."""
+    h *= max(1.0, abs(x))
+    Gp, Gm, Gp2, Gm2, G = (g for _, g, _ in system._blocks(
+        [(x1, x + h), (x1, x - h), (x1, x + h / 2), (x1, x - h / 2),
+         (x1, x)]))
+    d1, d2 = (Gp - Gm) / (2 * h), (Gp2 - Gm2) / h
+    sh, _ = system.sheet_data(x)
+    rate = np.array([(system.chi.value(z) - 2j * np.pi * system._turns)
+                     / system.curve.dx_value(z) for z in sh.preimages])
+    Ginv = np.linalg.inv(G)
+    return ((4 * d2 - d1) / 3 - G * rate) @ Ginv \
+        + np.eye(len(G)) / (x - x1)
+
+
+def ode_growth_probe(system, x1, target, dists=(1e-2, 1e-3), direction=1.0):
+    """log-log growth exponent of |M(x)| as x -> target."""
+    vals = []
+    for d in dists:
+        x = target + direction * d
+        vals.append(np.abs(ode_matrix(system, x1, x)).max())
+    return np.log(vals[1] / vals[0]) / np.log(dists[1] / dists[0])
+
+
+def heat_equation_residual(tau, u, h=1e-4):
+    """|d_tau theta - (1/4 i pi) d_u^2 theta| by central differences."""
+    up = ThetaEvaluator(tau + h)
+    dn = ThetaEvaluator(tau - h)
+    mid = ThetaEvaluator(tau)
+    dtau = (up.theta(u) - dn.theta(u)) / (2 * h)
+    return abs(dtau - mid.theta(u, 2) / (4j * np.pi))

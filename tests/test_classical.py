@@ -3,8 +3,7 @@ import pytest
 
 from spectralflow.classical import (
     ClassicalSystem,
-    insertion_deformed_system,
-    ode_growth_probe,
+    _relative,
     ode_matrix,
     sato_residual,
     self_replication_residual,
@@ -18,8 +17,10 @@ from spectralflow.errors import (
     PsiOutOfRange,
     TruncationTooShort,
 )
-from spectralflow.forms import SumForm, ThirdKind, YdX, expansion
+from spectralflow.forms import BergmanLeg, SumForm, ThirdKind, YdX, expansion
 from spectralflow.geometry import basis_form, line_integral
+
+from oracles import ode_growth_probe, ode_matrix_fd
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +553,29 @@ def test_cd_reconstruction(sys_airy, cubic_system, sys_torus, rng):
             assert sysm.cd_reconstruction_residual(z1, z2) < 1e-8
 
 
+def test_cd_reconstruction_reads_theta_near_the_real_axis():
+    # zeta = 87.8 + 28.5i sits 47 periods up: the Baker-Akhiezer series
+    # read theta at zeta itself and were refused (ThetaNotConverged).
+    # At zeta - 47 tau they meet psi (measured 7.9e-13 to 1.9e-12), or
+    # are refused as psi is, where e^{int chi} leaves the double range
+    curve = _torus_at(-0.45 + 0.6j)
+    sysm = ClassicalSystem(curve, YdX(curve))
+    rng = np.random.default_rng(1)
+    refused = 0
+    for _ in range(5):
+        z1 = complex(rng.uniform(0.2, 0.45), rng.uniform(0.2, 0.45))
+        z2 = complex(rng.uniform(0.55, 0.8), rng.uniform(0.2, 0.45))
+        try:
+            sysm.psi(z1, z2)
+        except PsiOutOfRange:
+            refused += 1
+            with pytest.raises(PsiOutOfRange):
+                sysm.cd_reconstruction_residual(z1, z2)
+            continue
+        assert sysm.cd_reconstruction_residual(z1, z2) < 1e-10
+    assert refused == 1
+
+
 # -- Lax ------------------------------------------------------------------------------
 
 def test_lax_trace_and_charpoly(sys_airy, torus, rng):
@@ -666,11 +690,12 @@ def test_sato_relation(which, airy, joukowski, torus, rng):
 
 @pytest.mark.parametrize("which", ["airy", "torus"])
 def test_self_replication(which, airy, torus, rng):
+    # measured over the first 20 draws: at most 1.8e-15 on Airy and
+    # 8.4e-14 on tau = i, where |target| spans 6e-306 to 1.5e248
     curve = {"airy": airy, "torus": torus}[which]
     w = YdX(curve)
-    tol = 1e-7 if curve.genus == 0 else 1e-6
     count = 0
-    while count < 3:
+    while count < 10:
         if curve.genus == 0:
             pts = rng.uniform(0.8, 2.2, 3) + 1j * rng.uniform(0.4, 1.8, 3)
             pts[1] = -pts[1]
@@ -679,8 +704,22 @@ def test_self_replication(which, airy, torus, rng):
         z, z1, z2 = pts
         if min(abs(z - z1), abs(z - z2), abs(z1 - z2)) < 0.25:
             continue
-        assert self_replication_residual(curve, w, z, z1, z2) < tol
+        assert self_replication_residual(curve, w, z, z1, z2) < 1e-12
         count += 1
+    if curve.genus:
+        # |psi(z1, z2)| is 1.0e-113 here: a residual floored at 1e-30
+        # read 5.5e-92 and checked nothing; relative to |target| it
+        # reads 3.0e-14
+        assert self_replication_residual(curve, w, 0.458 + 0.432j,
+                                         0.765 + 0.209j,
+                                         0.201 + 0.248j) < 1e-12
+
+
+@pytest.mark.parametrize("target", [0.0, np.inf, np.nan])
+def test_residual_against_nothing_refused(target):
+    with pytest.raises(PsiOutOfRange):
+        _relative(1e-300, np.array([target, 0.0]), "a check")
+    assert _relative(1e-300, 1e-200, "a check") == pytest.approx(1e-100)
 
 
 def test_self_replication_pole_matching(sys_airy):
@@ -723,12 +762,29 @@ def test_ode_growth_at_omega_poles(sys_airy):
     assert 1 <= round(slope) <= 2
 
 
+@pytest.mark.parametrize("which", ["airy-ydx", "airy-tame", "torus-ydx",
+                                   "torus-tame"])
+def test_ode_matrix_matches_differences(which, airy, torus, rng):
+    # the closed form against Richardson central differences at steps
+    # 3e-4 and 1.5e-4 of max(1, |x|): measured at most 1.0e-12 on Airy
+    # and 2.4e-11 on tau = i, the differences' own error
+    name, kind = which.split("-")
+    curve = {"airy": airy, "torus": torus}[name]
+    sysm = ClassicalSystem(curve, YdX(curve) if kind == "ydx"
+                           else _tame(curve))
+    for _ in range(4):
+        x1, x = (random_x(curve, rng) for _ in range(2))
+        M = ode_matrix(sysm, x1, x)
+        ref = ode_matrix_fd(sysm, x1, x)
+        assert np.abs(M - ref).max() < 1e-9 * np.abs(ref).max()
+
+
 def test_zeta_reduction_keeps_psi_and_the_ode_spectrum(torus):
     # 3 x the tame form's third-kind part puts zeta at -1.41 - 0.58i, so
     # psi reads theta at zeta + tau, with theta1's quasi-period factor in
     # chi.  Its sheet matrix is the unreduced reading's (measured 8.6e-16
     # apart); M is the unreduced one conjugated by the x1-side gauge
-    # e^(-2 i pi n z1), so their spectra agree (6.3e-10, the differences)
+    # e^(-2 i pi n z1), so their spectra agree (measured 5.6e-16)
     form = SumForm([(3.0, ThirdKind(torus, 0.21 + 0.33j, 0.68 + 0.52j)),
                     (0.4, basis_form(torus, 0.41 + 0.13j, 1))])
     x1, x = torus.x_value(0.33 + 0.41j), torus.x_value(0.41 + 0.36j)
@@ -743,6 +799,9 @@ def test_zeta_reduction_keeps_psi_and_the_ode_spectrum(torus):
 
 
 def test_insertion_deformation_preserves_fillings(sys_torus):
-    sysm = insertion_deformed_system(sys_torus.curve, sys_torus.form,
-                                     0.52 + 0.61j, 1e-3)
+    # omega + lam B(z, .)/dX(z): B has no A-period
+    cv, z = sys_torus.curve, 0.52 + 0.61j
+    leg = BergmanLeg(cv, z, 1.0 / cv.dx_value(z))
+    sysm = ClassicalSystem(cv, SumForm([(1.0, sys_torus.form),
+                                        (1e-3, leg)]))
     assert abs(sysm.expansion.eps[0] - sys_torus.expansion.eps[0]) < 1e-9

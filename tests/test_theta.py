@@ -5,7 +5,9 @@ import pytest
 
 from spectralflow.cache import CACHE_MAX
 from spectralflow.errors import BadModulus, ThetaNotConverged
-from spectralflow.theta import ThetaEvaluator, heat_equation_residual
+from spectralflow.theta import ThetaEvaluator
+
+from oracles import heat_equation_residual
 
 
 @pytest.fixture(scope="module")
