@@ -6,9 +6,10 @@ of point pairs: one chi batch and one Szego theta sum on the differences
 z1 - z2 serve every sheet matrix a call reads; one psi is its 1 x 1
 case.  On the torus theta is read at zeta - n tau, within Im tau / 2 of
 the real axis, with e^(-2 i pi n (z1 - z2)) in the chi exponents; the
-Baker-Akhiezer series do the same.  Each system keeps its x-chart sheet
-blocks in a bounded memo; the sheets above an x are solved once per
-curve.  The curve supplies the Szego factor (szego_grid, szego_series;
+Baker-Akhiezer series, the B-loop oracle and the tau function of
+sato_residual do the same (``_theta_turns``).  Each system keeps its
+x-chart sheet blocks in a bounded memo; the sheets above an x are solved
+once per curve.  The curve supplies the Szego factor (szego_grid, szego_series;
 theta = 1, E = z1 - z2 on the sphere).  chi, zeta and int_o^z chi are
 read off the form's one expansion in the canonical basis
 (``forms.expansion``) in closed form; only the b_loop_transport_residual
@@ -66,9 +67,7 @@ class ClassicalSystem:
                                             for e in self.expansion.eps])
         self._chi_primitive_cache = BoundedCache()
         self._psi_blocks = BoundedCache()
-        zeta = self.expansion.zeta
-        self._turns = round(zeta.imag / curve.tau.imag) if curve.genus else 0
-        self._zeta = zeta - self._turns * curve.tau if self._turns else zeta
+        self._turns, self._zeta, _ = _theta_turns(curve, self.expansion.zeta)
 
     # -- kernel -------------------------------------------------------------------
 
@@ -195,7 +194,9 @@ class ClassicalSystem:
         """Move z1 around each B-homotopic loop with continuous tracking;
         the largest relative change of psi, 0 on the sphere.  An oracle
         for zeta: chi is integrated along the loop by quadrature
-        (line_integral), not by the closed-form primitive."""
+        (line_integral), not by the closed-form primitive.  theta is read
+        at zeta - n tau, with theta1's factor e^(-2 i pi n b) over the
+        loop."""
         out = []
         for _, b in self.curve.cycles:
             base = self.psi(z1, z2)
@@ -203,9 +204,10 @@ class ClassicalSystem:
             zs = z1 + b * np.arange(_B_LOOP_STEPS + 1) / _B_LOOP_STEPS
             segs = line_integral(self.curve, self.chi, zs[:-1], zs[1:])
             num, den = (self.curve.theta_jet(zs - z2 + shift, 0)[0]
-                        for shift in (self.expansion.zeta, 0.0))
+                        for shift in (self._zeta, 0.0))
             acc = np.sum(segs + np.log(num[1:] / num[:-1])
-                         - np.log(den[1:] / den[:-1]))
+                         - np.log(den[1:] / den[:-1])) \
+                - 2j * np.pi * self._turns * b
             out.append(abs(base * np.exp(acc) - base) / abs(base))
         return max(out, default=0.0)
 
@@ -351,6 +353,18 @@ def _kernel_exp(expo, where):
     return np.exp(expo)
 
 
+def _theta_turns(curve, zeta):
+    """(n, zeta - n tau, ln theta1(zeta)/theta1(zeta - n tau)) with n
+    rounding Im zeta / Im tau, so theta1 is read within Im tau / 2 of the
+    real axis; theta1(u + n tau) = (-1)^n e^(-i pi n^2 tau - 2 i pi n u)
+    theta1(u).  n = 0 on the sphere, where theta = 1."""
+    n = round(zeta.imag / curve.tau.imag) if curve.genus else 0
+    if not n:
+        return 0, zeta, 0.0
+    u = zeta - n * curve.tau
+    return n, u, 1j * np.pi * n * (1 - n * curve.tau - 2 * u)
+
+
 def _relative(err, target, where):
     """max |err| / max |target|, refused where |target| is 0 or not
     finite: a residual against nothing checks nothing."""
@@ -380,15 +394,18 @@ def sato_residual(curve, form, z1, z2, basepoint=None):
         (T(omega + dS)/T(omega))^2 dX(z1) dX(z2) = - psi_cl(z1,z2)^2,
 
     with T(omega) = e^(F0~) theta(zeta), F0~ the shifted F0 and zeta of
-    omega's expansion; omega's is the expansion of the ClassicalSystem
+    omega's expansion, theta read at zeta - n tau with its factor in the
+    exponent; omega's is the expansion of the ClassicalSystem
     that gives psi_cl.  The residual probes it together with |ratio| = 1.
     Returns (squared-form residual, raw ratio).
     """
     sysm = ClassicalSystem(curve, form, basepoint)
     shifted = SumForm([(1.0, form), (1.0, ThirdKind(curve, z1, z2))])
     e0, e1 = sysm.expansion, expansion(curve, shifted)
-    lhs = np.exp(e1.shifted_F0(basepoint) - e0.shifted_F0(basepoint))
-    lhs *= curve.theta_jet(e1.zeta, 0)[0] / curve.theta_jet(e0.zeta, 0)[0]
+    (_, u0, q0), (_, u1, q1) = (_theta_turns(curve, e.zeta) for e in (e0, e1))
+    lhs = _kernel_exp(e1.shifted_F0(basepoint) - e0.shifted_F0(basepoint)
+                      + q1 - q0, f"sato_residual({z1}, {z2})")
+    lhs *= curve.theta_jet(u1, 0)[0] / curve.theta_jet(u0, 0)[0]
     lhs *= np.sqrt(curve.dx_value(z1)) * np.sqrt(curve.dx_value(z2))
     ratio = lhs / sysm.psi(z1, z2)
     residual = abs(ratio * ratio + 1.0)

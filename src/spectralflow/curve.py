@@ -382,7 +382,7 @@ class SpectralCurve:
     # to_cell (the representative of a point in the chart's cell, where
     # KernelForm places its poles and the sheets are reported),
     # x_series(center, order), y_series(center, order), sheets_above,
-    # deformed(...), d (degree of X as a map); one chart routine for every
+    # d (degree of X as a map); one chart routine for every
     # Frame, solved from the curve's equation:
     #   _frame_chart(frame, n, s)     (s(xi), Y(p + s(xi)) at a ramification
     #                                 point, else None) through xi^n,
@@ -409,7 +409,7 @@ class SpectralCurve:
     # prime_form, bergman and szego_grid take v = z1 - z2 and refuse a v
     # on the lattice (CoincidentPoints).  The torus backend reads the
     # series of wp = -(log E)'' + c0 behind x_series and y_series
-    # (wp_series), and g2, g3, off the same log E jet; EllipticTools
+    # (wp_series) off the same log E jet; EllipticTools
     # gives the theta1 sums, c0, point values of wp and to_cell.
 
     def branch_values(self):
@@ -689,14 +689,6 @@ class Genus0Curve(SpectralCurve):
         roots = [_solve_x(self.X, self.dX, x, r) for r in roots]
         return SheetStructure(x, _sort_points(roots), near)
 
-    def deformed(self, dY: RationalFunction) -> "Genus0Curve":
-        """New curve with Y -> Y + dY."""
-        return Genus0Curve(self.X, self.Y + dY, self.order)
-
-    def scaled(self, lam: complex) -> "Genus0Curve":
-        """(X, Y) -> (lam X, Y / lam)."""
-        return Genus0Curve(self.X * lam, self.Y / lam, self.order)
-
 
 def _root_coordinate(f: TruncSeries, m: int, tag: str) -> TruncSeries:
     """f^(1/m) on the principal branch, for a series f with a zero of order
@@ -908,12 +900,6 @@ class Genus1Curve(SpectralCurve):
         return TruncSeries(np.concatenate([[1.0, 0.0], wp]), -2) if on \
             else TruncSeries(wp)
 
-    def invariants_g2_g3(self):
-        """Coefficients in wp'^2 = 4 wp^3 - g2 wp - g3: 20 and 28 times
-        the t^2 and t^4 coefficients of wp(t)."""
-        wp = self.wp_series(0.0, 4)
-        return 20.0 * wp.coeff(2), 28.0 * wp.coeff(4)
-
     def _lattice_point(self, c):
         """m + n tau: n rounds Im c / Im tau, m the real part left over."""
         n = np.rint(c.imag / self.tau.imag)
@@ -978,14 +964,6 @@ class Genus1Curve(SpectralCurve):
         pair = [self.ell.to_cell(u), self.ell.to_cell(-u)]
         return SheetStructure(x, _sort_points(pair), near)
 
-    def deformed(self, dR1: RationalFunction, dR2: RationalFunction):
-        return Genus1Curve(self.tau, self.R1 + dR1, self.R2 + dR2,
-                           self.x_scale, self.order)
-
-    def scaled(self, lam: complex) -> "Genus1Curve":
-        return Genus1Curve(self.tau, self.R1 / lam, self.R2 / lam,
-                           self.x_scale * lam, self.order)
-
 
 def _toeplitz(f):
     """T[..., j, l] = f[..., l - j] for l >= j, else 0, as a view: the
@@ -1010,18 +988,6 @@ def _power_rows(f, top) -> np.ndarray:
     for p in range(1, top + 1):
         rows[p] = rows[p - 1] @ M
     return rows
-
-
-# -- sheet continuation ----------------------------------------------------------
-
-def continue_sheets(curve, x_path, preimages):
-    """Track preimages along a discrete x-path by nearest Newton basin;
-    RootFindingFailed where a step's Newton misses its x."""
-    current = list(preimages)
-    for x in x_path:
-        current = [curve.to_cell(_solve_x(curve.x_value, curve.dx_value, x, z))
-                   for z in current]
-    return current
 
 
 # -- JSON schema --------------------------------------------------------------------

@@ -67,9 +67,9 @@ class RootFindingFailed(SpectralFlowError):
 
 
 class NotRepresentable(SpectralFlowError):
-    """A curve outside the backends: a deformation leaving the parametric
-    family, a zero denominator, or an unreadable curve spec field; or a
-    point or a form the curve does not have (inf on the torus)."""
+    """A curve outside the backends: a zero denominator or an unreadable
+    curve spec field; or a point or a form the curve does not have (inf
+    on the torus)."""
 
 
 # -- quadrature -------------------------------------------------------------

@@ -14,9 +14,8 @@ Every form built from the prime form is one KernelForm: a sum over
 finite poles of residues of the Bergman kernel, whose series an expansion
 reads off one batched jet of log E.  ThirdKind (dS), BergmanLeg and
 SecondKindBasis (omega_{p,j}) construct it.  Besides, Y dX, c du, sums,
-and R(z) dz and P(wp) du for a rational R and a polynomial P, whose
-series are R.of the chart variable (w^-1 at inf) and P.of wp's series
-(``RationalFunction.of``).
+and R(z) dz for a rational R, whose series is R.of the chart variable
+(w^-1 at inf; ``RationalFunction.of``).
 
 ``expansion(curve, form)`` reads any form once into an Expansion record:
 a PoleTimes at each pole, whose times and dual pairings are coefficients
@@ -639,25 +638,3 @@ def _pole_translates(curve, form):
     """The form's finite poles and their translates."""
     return _translates(curve, [complex(c) for c in form.poles()
                                if not isinstance(c, str)])
-
-
-class WpPolyDu(Form1):
-    """P(wp(u)) du for a polynomial P: correction atom used to build
-    deformation directions vanishing at ramification points."""
-
-    def __init__(self, curve, coeffs):
-        if curve.genus != 1:
-            raise UnsupportedCycle("wp-polynomial forms need genus 1")
-        self.curve = curve
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-
-    def value(self, z):
-        return np.polynomial.polynomial.polyval(self.curve.ell.wp(z),
-                                                self.coeffs)
-
-    def local_series(self, center, order):
-        wp = self.curve.wp_series(center, order + 2 * len(self.coeffs) + 4)
-        return RationalFunction(self.coeffs).of(wp)
-
-    def poles(self):
-        return [0.0] if len(self.coeffs) > 1 else []

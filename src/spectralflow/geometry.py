@@ -4,9 +4,9 @@ F0 and its derivatives are read off a form's one expansion in the
 canonical basis (``forms.Expansion``).  ``canonical_period`` gives the
 closed-form A- and B-periods, and the Riemann bilinear check reads its
 periods and the primitive of its second form in closed form too.
-``quadrature_period`` and ``line_integral`` integrate by adaptive
-quadrature instead: oracles for those closed forms, called by the tests
-and, for line_integral, by the B-loop transport check of ``classical``.
+``line_integral`` integrates by adaptive quadrature instead: an oracle
+for the closed-form primitives, called by the tests and by the B-loop
+transport check of ``classical``.
 The two-point kernels (prime form, Bergman kernel, Szego factor) are the
 curve's own (``SpectralCurve.prime_form``, ``bergman``, ``szego_grid``),
 reported with the chart legs stripped: on the sphere E(z1, z2) sqrt(dz1
@@ -33,33 +33,6 @@ from .forms import (
 
 
 # -- cycle periods --------------------------------------------------------------
-
-def _best_offset(pts, step, across):
-    """The offset c in (0, 1) whose cycle line [c across, c across + step]
-    keeps farthest from pts."""
-    cs = np.linspace(0.07, 0.93, 29)
-    a0 = (cs * across)[:, None]
-    v = a0 + step - a0
-    p = np.asarray(pts, dtype=complex)
-    t = np.clip(((p - a0) / v).real, 0.0, 1.0)
-    return cs[np.argmax(np.min(np.abs(a0 + t * v - p), axis=1,
-                               initial=np.inf))]
-
-
-def quadrature_period(curve, form, which):
-    """The A- (``which`` "a") or B-period of the form by quadrature, an
-    oracle for ``canonical_period`` that only the tests call: the A line is
-    [c B, c B + A] and the B line [c A, c A + B] for the curve's cycle
-    periods (A, B) and the offset c that keeps the line farthest from
-    the form's poles."""
-    if curve.genus == 0:
-        raise UnsupportedCycle(f"no {which.upper()}-cycle at genus 0")
-    (a, b), = curve.cycles
-    step, across = (a, b) if which == "a" else (b, a)
-    c = _best_offset(_pole_translates(curve, form), step, across)
-    return quadrature.integrate_path(form.value,
-                                     [c * across, c * across + step])
-
 
 def canonical_period(curve, form, which):
     """A/B-period coherent with in-cell path conventions, in closed form:

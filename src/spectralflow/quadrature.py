@@ -1,12 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
 
 The library computes its periods and primitives in closed form; this
-module is their oracle.  The tests call it through
-``geometry.quadrature_period`` and ``geometry.line_integral``, and the
-library only in ``ClassicalSystem.b_loop_transport_residual``, itself an
-oracle for zeta.  The integrand is called once per round over all open panels
-(at most MAX_PANELS of them), on the (P, 15) array of their Kronrod
-nodes, and must return an array of that shape (or a constant, which is
+module is their oracle.  The tests call it directly and through
+``geometry.line_integral``, and the library only in
+``ClassicalSystem.b_loop_transport_residual``, itself an oracle for
+zeta.  The integrand is called once per round over all open panels (at
+most MAX_PANELS of them), on the (P, 15) array of their Kronrod nodes,
+and must return an array of that shape (or a constant, which is
 broadcast).
 Each segment sums its accepted panels left to right, so results are
 bit-reproducible and, for an integrand evaluated point by point, do not

@@ -406,8 +406,27 @@ class RecursionEngine:
     def invariant_with_shifted_primitive(self, g, shift):
         """F_g with Phi + shift, which is ``invariant(g)``: the constant
         pairs with the zeta^-1 slot of each B_{a,k} at a, which is 0.  Kept
-        for the benchmark's torus-forms check; ROADMAP item 3 deletes both."""
+        for the benchmark's torus-forms check; ROADMAP item 5 deletes both."""
         return self.invariant(g)
+
+    def dilaton_residual(self, g, n):
+        """max |2 sum_(a,k) [zeta^(k-2)] y_a omega(g, n+1)[(a, k), J] -
+        (2g - 2 + n) omega(g, n)[J]| over the n-tuples J, relative to the
+        largest |(2g - 2 + n) omega(g, n)[J]|: the dilaton equation
+        (Eynard-Orantin, math-ph/0702045, Theorem 4.7), whose n = 0 case
+        is ``invariant``, contracted over omega(g, n+1)'s stored support.
+        Entries of the contraction past omega(g, n)'s support must be 0."""
+        if n < 1:
+            raise BadIndex(f"the dilaton residual needs n >= 1, not {n}")
+        low, up = self.omega(g, n), self.omega(g, n + 1)
+        y = [self.y_of[a].coeff(k - 2) for a, k in up.basis]
+        lhs = 2 * (np.array(y) @ up.tensor)
+        rows, rest = up.spectators[:, 0], up.spectators[:, 1:]
+        col = _ranker(low.spectators, len(up.basis))((rest, range(n - 1)))
+        hit = (rows < len(low.basis)) & (col < len(low.spectators))
+        rhs = np.zeros_like(lhs)
+        rhs[hit] = (2 * g - 2 + n) * low.tensor[rows[hit], col[hit]]
+        return np.abs(lhs - rhs).max() / np.abs(rhs).max()
 
     # -- evaluation ---------------------------------------------------------------------
 

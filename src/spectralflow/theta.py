@@ -1,17 +1,18 @@
-"""Genus-1 theta functions as jets of lattice sums.
+"""Genus-1 theta: the odd Jacobi theta1 as jets of lattice sums.
 
 One lattice sum gives all derivative orders 0..n at once (a jet): the
-terms e^{i pi q^2 tau + 2 i pi q (u + b)} are weighted by (2 i pi q)^k
-for each order k.  Jets broadcast over an array u.  The jet of a scalar
-argument is cached, at most ``cache.CACHE_MAX`` of them per evaluator
-with the oldest evicted first; array arguments are not cached.  Each sum
+terms e^{i pi q^2 tau + 2 i pi q (u + 1/2)}, q in Z + 1/2, are weighted
+by (2 i pi q)^k for each order k.  Jets broadcast over an array u.  The
+jet of a scalar argument is cached, at most ``cache.CACHE_MAX`` of them
+per evaluator with the oldest evicted first; array arguments are not
+cached.  Each sum
 starts on the window |n| <= 8 and doubles it until the edge terms fall
 below 1e-16 of the sum for every point and order; a window of 800 terms
 that still fails, or a sum whose value leaves the double range, raises
 ThetaNotConverged.  What does not depend on u (i pi q^2 tau, 2 i pi q,
-the rows (2 i pi q)^k) is tabulated once per characteristic and window,
-at most 2 x 7 tables per evaluator; an order whose rows overflow on a
-window the sum reaches (past 150 at tau = i) is refused the same way.
+the rows (2 i pi q)^k) is tabulated once per window, at most 7 tables
+per evaluator; an order whose rows overflow on a window the sum reaches
+(past 150 at tau = i) is refused the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _check_tau(tau: complex):
 
 
 class ThetaEvaluator:
-    """Riemann theta and the odd Jacobi theta for one modulus tau.
+    """The odd Jacobi theta1 for one modulus tau.
 
     Derivative orders up to ~60 are supported (needed for local series
     expansions of elliptic functions).
@@ -51,39 +52,34 @@ class ThetaEvaluator:
         self._cache = BoundedCache()
         self._tables = {}
 
-    def theta(self, u, deriv: int = 0):
-        """d^k/du^k of theta(u|tau) = sum_n e^{2 i pi n u + i pi n^2 tau}."""
-        return self._jet(u, deriv, 0.0)[deriv]
-
     def theta1(self, u, deriv: int = 0):
         """d^k/du^k of the odd Jacobi theta1(u) = -sum_n e^{i pi (n+1/2)^2
         tau + 2 i pi (n+1/2)(u+1/2)}."""
-        return -self._jet(u, deriv, 0.5)[deriv]
+        return -self._jet(u, deriv)[deriv]
 
     def theta1_jet(self, u, n: int) -> np.ndarray:
         """Rows k = 0..n: d^k/du^k theta1(u), shape (n+1,) + shape(u)."""
-        return -self._jet(u, n, 0.5)
+        return -self._jet(u, n)
 
-    def _jet(self, u, n, a):
-        """Jet of the sum with characteristic [a, a], through the cache
-        for a scalar u."""
+    def _jet(self, u, n):
+        """Jet of -theta1, through the cache for a scalar u."""
         if np.ndim(u):
-            return self._sum(np.asarray(u, dtype=complex), n, a)
-        key = (a, complex(u))
+            return self._sum(np.asarray(u, dtype=complex), n)
+        key = complex(u)
         jet = self._cache.get(key)
         if jet is None or len(jet) <= n:
-            jet = self._sum(complex(u), max(n, _MIN_ORDER), a)
+            jet = self._sum(key, max(n, _MIN_ORDER))
             self._cache[key] = jet
         return jet[:n + 1]
 
-    def _sum(self, u, n, a):
+    def _sum(self, u, n):
         """Rows k = 0..n of sum_q (2 i pi q)^k e^{i pi q^2 tau + 2 i pi q
-        (u + a)} over q in Z + a; the lattice sits on the last axis."""
+        (u + 1/2)} over q in Z + 1/2; the lattice sits on the last axis."""
         u = np.asarray(u)[..., None]
         half = _MIN_HALF
         while True:
-            pre, b, rows = self._table(a, half, n)
-            expo = pre + b * (u + a)
+            pre, b, rows = self._table(half, n)
+            expo = pre + b * (u + 0.5)
             shift = expo.real.max(axis=-1)
             terms = np.exp(expo - shift[..., None]) * rows[:n + 1].reshape(
                 (n + 1,) + (1,) * (u.ndim - 1) + (-1,))
@@ -105,12 +101,12 @@ class ThetaEvaluator:
                     f"tail test on {2 * half + 1} terms")
             half *= 2
 
-    def _table(self, a, half, n):
+    def _table(self, half, n):
         """(i pi q^2 tau, 2 i pi q, rows k = 0..n at least of (2 i pi q)^k)
-        on the window q = a - half .. a + half."""
-        table = self._tables.get((a, half))
+        on the window q = 1/2 - half .. 1/2 + half."""
+        table = self._tables.get(half)
         if table is None or len(table[2]) <= n:
-            q = np.arange(-half, half + 1) + a
+            q = np.arange(-half, half + 1) + 0.5
             b = 2j * np.pi * q
             with np.errstate(over="ignore", invalid="ignore"):
                 rows = b ** np.arange(n + 1)[:, None]
@@ -118,7 +114,7 @@ class ThetaEvaluator:
                 raise ThetaNotConverged(
                     f"theta derivative order {n} overflows the powers "
                     f"(2 i pi q)^k on the window of {2 * half + 1} terms")
-            table = self._tables[(a, half)] = \
+            table = self._tables[half] = \
                 1j * np.pi * q * q * self.tau, b, rows
         return table
 

@@ -1,29 +1,81 @@
-"""Curve deformations Y dX -> Y dX + lam * omega_k at fixed X.
+"""Curve deformations Y dX -> Y dX + lam * omega_k at fixed X, kept on
+the test side as the finite-difference oracles for the moduli
+derivatives.
 
-Used by the finite-difference oracles for the moduli derivatives: the
-basis directions stay inside the parametric backend families (rational
-on the sphere; R1(wp) + R2(wp) wp' on the torus, where even wp
+The basis directions stay inside the parametric backend families
+(rational on the sphere; R1(wp) + R2(wp) wp' on the torus, where even wp
 derivatives are polynomials in wp and 1/wp' is wp' over the sextic).
+The curves are built directly: ``deformed`` adds to Y (to R1, R2 on the
+torus), ``rescaled`` is the symplectic rescaling (X, Y) -> (lam X, Y/lam)
+and ``shift_y_by_rational_of_x`` the shift (X, Y) -> (X, Y + R(X)).
+``WpPolyDu`` is P(wp) du, the correction atom of the regularized
+directions.
 """
-
-from __future__ import annotations
 
 from math import factorial
 
 import numpy as np
 
-from .curve import RationalFunction
-from .errors import NotRepresentable
-from .forms import (
+from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
+from spectralflow.errors import NotRepresentable, UnsupportedCycle
+from spectralflow.forms import (
     DuForm,
+    Form1,
     SecondKindBasis,
     SumForm,
-    WpPolyDu,
     _same_center,
     expansion,
 )
 
 _pol = np.polynomial.polynomial
+
+
+def deformed(curve, *d):
+    """The curve with Y -> Y + dY on the sphere (d = (dY,)), and with
+    (R1, R2) -> (R1 + dR1, R2 + dR2) on the torus (d = (dR1, dR2))."""
+    if curve.genus == 0:
+        dY, = d
+        return Genus0Curve(curve.X, curve.Y + dY, curve.order)
+    dR1, dR2 = d
+    return Genus1Curve(curve.tau, curve.R1 + dR1, curve.R2 + dR2,
+                       curve.x_scale, curve.order)
+
+
+def rescaled(curve, lam):
+    """(X, Y) -> (lam X, Y / lam): a symplectic transformation."""
+    if curve.genus == 0:
+        return Genus0Curve(curve.X * lam, curve.Y / lam, curve.order)
+    return Genus1Curve(curve.tau, curve.R1 / lam, curve.R2 / lam,
+                       curve.x_scale * lam, curve.order)
+
+
+def invariants_g2_g3(curve):
+    """Coefficients in wp'^2 = 4 wp^3 - g2 wp - g3 on the torus: 20 and
+    28 times the t^2 and t^4 coefficients of wp(t)."""
+    wp = curve.wp_series(0.0, 4)
+    return 20.0 * wp.coeff(2), 28.0 * wp.coeff(4)
+
+
+class WpPolyDu(Form1):
+    """P(wp(u)) du for a polynomial P: correction atom used to build
+    deformation directions vanishing at ramification points."""
+
+    def __init__(self, curve, coeffs):
+        if curve.genus != 1:
+            raise UnsupportedCycle("wp-polynomial forms need genus 1")
+        self.curve = curve
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+
+    def value(self, z):
+        return np.polynomial.polynomial.polyval(self.curve.ell.wp(z),
+                                                self.coeffs)
+
+    def local_series(self, center, order):
+        wp = self.curve.wp_series(center, order + 2 * len(self.coeffs) + 4)
+        return RationalFunction(self.coeffs).of(wp)
+
+    def poles(self):
+        return [0.0] if len(self.coeffs) > 1 else []
 
 
 def _wp_pairs(mmax, g2, g3):
@@ -59,12 +111,12 @@ def deform_second_kind(curve, center, j, lam):
             (p, head), = bf.parts
             v = RationalFunction([1.0], [-p, 1.0])
             omega = RationalFunction(head).of(v) * v
-        return curve.deformed(omega * lam / curve.dX)
+        return deformed(curve, omega * lam / curve.dX)
 
     # genus 1, head[m+1] = (m+1) a_m: omega_{0,j} = sum_m a_m (-1)^m
     # F^(m)(u)/m! du with F = wp - c0
     ell = curve.ell
-    g2, g3 = curve.invariants_g2_g3()
+    g2, g3 = invariants_g2_g3(curve)
     pairs = _wp_pairs(j + 1, g2, g3)
     A = np.array([0.0], dtype=complex)
     B = np.array([0.0], dtype=complex)
@@ -95,22 +147,22 @@ def _genus1_add_over_dx(curve, A, B, lam):
 
     dX = x_scale wp' du, and [A + B wp']/wp' = B + A wp'/(4wp^3-g2wp-g3).
     """
-    g2, g3 = curve.invariants_g2_g3()
+    g2, g3 = invariants_g2_g3(curve)
     sext = np.array([-g3, -g2, 0.0, 4.0], dtype=complex)
     # R1 and R2 are functions of wp itself, not of X = x_scale * wp, so
     # only the 1/dX = 1/(x_scale wp' du) weight carries x_scale
     w = lam / curve.x_scale
-    return curve.deformed(RationalFunction(B) * w,
-                          RationalFunction(A, sext) * w)
+    return deformed(curve, RationalFunction(B) * w,
+                    RationalFunction(A, sext) * w)
 
 
 def shift_y_by_rational_of_x(curve, R: RationalFunction):
     """(X, Y) -> (X, Y + R(X)): a symplectic transformation."""
     if curve.genus == 0:
-        return curve.deformed(R.of(curve.X))
+        return deformed(curve, R.of(curve.X))
     # X = x_scale wp: R(X) = R(x_scale wp) as a rational function of wp
-    return curve.deformed(R.of(RationalFunction([0.0, curve.x_scale])),
-                          RationalFunction([0.0]))
+    return deformed(curve, R.of(RationalFunction([0.0, curve.x_scale])),
+                    RationalFunction([0.0]))
 
 
 def regularized_direction(curve, base):

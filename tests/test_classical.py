@@ -205,7 +205,7 @@ def test_chi_primitive_needs_the_winding(which, airy, joukowski, torus,
 
 @pytest.mark.parametrize("tau", [1j, _TAU2])
 def test_eps_and_zeta_match_quadrature(tau):
-    from spectralflow.geometry import quadrature_period
+    from oracles import quadrature_period
     curve = _torus_at(tau)
     for form in (YdX(curve), _tame(curve)):
         sysm = ClassicalSystem(curve, form)
@@ -255,7 +255,7 @@ def test_ydx_primitive_one_jet_per_batch():
 def test_truncated_expansion_refused(torus):
     # wp^11 du has a pole of order 22 at 0, past j_cap = order - 4 = 20:
     # the point values of eps at two basepoints then disagree
-    from spectralflow.forms import WpPolyDu
+    from deformations import WpPolyDu
     with pytest.raises(TruncationTooShort, match="j_cap = 20"):
         ClassicalSystem(torus, WpPolyDu(torus, [0.0] * 11 + [1.0]))
     ClassicalSystem(torus, WpPolyDu(torus, [0.0] * 10 + [1.0]))
@@ -432,6 +432,37 @@ def test_psi_reads_theta_near_the_real_axis():
         assert sysm.duality_residual(*xs) < 1e-11
     assert sysm.refined_duality_residual(0.3 + 0.25j, 0.22 + 0.4j,
                                          0.41 + 0.33j) < 1e-12
+
+
+def test_psi_oracles_read_theta_near_the_real_axis():
+    # zeta = 87.8 + 28.5i sits 47 periods up: the B-loop oracle and the
+    # tau function of sato_residual read theta1 at zeta - 47 tau with its
+    # quasi-period factor (at zeta itself both were refused,
+    # ThetaNotConverged).  Measured: the B-loop 3.3e-12 to 4.2e-12, Sato
+    # 1.5e-11 to 4.4e-11; where psi is refused, both are refused as psi
+    curve = _torus_at(-0.45 + 0.6j)
+    w = YdX(curve)
+    sysm = ClassicalSystem(curve, w)
+    rng = np.random.default_rng(1)
+    pairs = [(0.31 + 0.22j, 0.12 + 0.41j)] + [
+        (complex(rng.uniform(0.2, 0.45), rng.uniform(0.2, 0.45)),
+         complex(rng.uniform(0.55, 0.8), rng.uniform(0.2, 0.45)))
+        for _ in range(5)]
+    refused = 0
+    for z1, z2 in pairs:
+        try:
+            sysm.psi(z1, z2)
+        except PsiOutOfRange:
+            refused += 1
+            with pytest.raises(PsiOutOfRange):
+                sysm.b_loop_transport_residual(z1, z2)
+            with pytest.raises(PsiOutOfRange):
+                sato_residual(curve, w, z1, z2)
+            continue
+        assert sysm.b_loop_transport_residual(z1, z2) < 1e-10
+        res, ratio = sato_residual(curve, w, z1, z2)
+        assert res < 1e-9 and abs(abs(ratio) - 1.0) < 1e-9
+    assert refused == 1
 
 
 def test_b_cycle_single_valuedness(sys_torus):

@@ -12,7 +12,6 @@ from spectralflow.curve import (
     _solve_x,
     _sort_points,
     build_curve,
-    continue_sheets,
     flip_parity,
 )
 from spectralflow.errors import (
@@ -30,6 +29,8 @@ from spectralflow.errors import (
 from spectralflow.forms import KernelForm, RationalDz, YdX, expansion
 from spectralflow.recursion import RecursionEngine
 from spectralflow.series import TruncSeries
+
+from oracles import continue_sheets
 
 
 def test_airy_ramification(airy):

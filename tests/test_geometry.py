@@ -23,10 +23,11 @@ from spectralflow.geometry import (
     canonical_period,
     fay_residual,
     line_integral,
-    quadrature_period,
     riemann_bilinear_residual,
 )
 from spectralflow.quadrature import integrate_path, integrate_segment
+
+from oracles import quadrature_period
 
 
 # -- kernels ------------------------------------------------------------------

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
-from spectralflow.deform import (
+from spectralflow.forms import RationalDz, SecondKindBasis
+from spectralflow.series import TruncSeries
+
+from deformations import (
+    WpPolyDu,
     deform_holomorphic,
     deform_second_kind,
+    rescaled,
     shift_y_by_rational_of_x,
 )
-from spectralflow.forms import RationalDz, SecondKindBasis, WpPolyDu
-from spectralflow.series import TruncSeries
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -330,7 +333,7 @@ def test_shift_y_by_rational_of_x_pointwise(curves, which):
 @pytest.mark.parametrize("which", ["joukowski", "torus"])
 def test_scaled_pointwise(curves, which):
     cv, lam = curves[which], 2.0 - 0.5j
-    new = cv.scaled(lam)
+    new = rescaled(cv, lam)
     for z in POINTS:
         assert _rel(new.x_value(z), lam * cv.x_value(z)) < 1e-13
         assert _rel(new.y_value(z), cv.y_value(z) / lam) < 1e-13

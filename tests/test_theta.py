@@ -16,10 +16,14 @@ def th():
 
 
 def test_theta_value_at_origin_oracle(th):
-    # independent oracle: direct summation with a fixed window
-    direct = sum(np.exp(1j * np.pi * n * n * 1j) for n in range(-20, 21))
-    assert abs(th.theta(0.0) - direct) < 1e-15
-    assert abs(th.theta(0.0) - np.pi ** 0.25 / math.gamma(0.75)) < 1e-12
+    # independent oracle: direct summation with a fixed window; in closed
+    # form theta1'(0|i) = pi theta2 theta3 theta4 = Gamma(1/4)^3/(4 pi^(5/4))
+    q = np.arange(-20, 21) + 0.5
+    direct = -np.sum(2j * np.pi * q * np.exp(1j * np.pi * q * q * 1j
+                                             + 2j * np.pi * q * 0.5))
+    assert abs(th.theta1(0.0, 1) - direct) < 1e-15
+    assert abs(th.theta1(0.0, 1)
+               - math.gamma(0.25) ** 3 / (4 * np.pi ** 1.25)) < 1e-12
 
 
 def test_quasi_periodicity(th):
@@ -27,16 +31,17 @@ def test_quasi_periodicity(th):
     tau = th.tau
     for _ in range(10):
         w = rng.standard_normal() + 0.4j * rng.standard_normal()
-        lhs = th.theta(w + tau)
-        rhs = np.exp(-1j * np.pi * (2 * w + tau)) * th.theta(w)
+        lhs = th.theta1(w + tau)
+        rhs = -np.exp(-1j * np.pi * (2 * w + tau)) * th.theta1(w)
         assert abs(lhs - rhs) / abs(rhs) < 1e-10
-        assert abs(th.theta(w + 1.0) - th.theta(w)) / abs(th.theta(w)) < 1e-10
+        assert abs(th.theta1(w + 1.0) + th.theta1(w)) \
+            / abs(th.theta1(w)) < 1e-10
 
 
 def test_odd_characteristic_vanishing(th):
-    c = (1 + th.tau) / 2
-    assert abs(th.theta(c)) < 1e-12
-    assert abs(th.theta1(0.0)) < 1e-12
+    # theta1, the odd characteristic, vanishes on the lattice
+    for c in (0.0, 1.0, th.tau, 1 + th.tau):
+        assert abs(th.theta1(c)) < 1e-12
 
 
 def test_theta1_oddness(th):
@@ -90,17 +95,19 @@ def test_theta1_jet_matches_direct_sum(tau):
 
 
 def test_theta_sum_refuses_non_convergence():
-    # the window cap is reached long before the tail test passes; the
-    # capped sum is 801.08 against the modular value 1000
+    # the window cap is reached long before the tail test passes:
+    # theta1(1/2) = theta2(0), which is 1000 by the modular transform
     with pytest.raises(ThetaNotConverged):
-        ThetaEvaluator(1e-6j).theta(0.0)
+        ThetaEvaluator(1e-6j).theta1(0.5)
 
 
-def test_theta_small_tau_modular():
-    t = 1e-3
-    lhs = ThetaEvaluator(1j * t).theta(0.0)
-    rhs = t ** -0.5 * ThetaEvaluator(1j / t).theta(0.0)
-    assert abs(lhs - rhs) < 1e-14 * abs(rhs)
+def test_theta1_prime_modular():
+    # theta1'(0|i/t) = t^(3/2) theta1'(0|it); at small t the right side
+    # underflows (theta1'(0|1000 i) is about e^-785)
+    for t in (0.7, 1.3, 2.0):
+        lhs = ThetaEvaluator(1j / t).theta1(0.0, 1)
+        rhs = t ** 1.5 * ThetaEvaluator(1j * t).theta1(0.0, 1)
+        assert abs(lhs - rhs) < 1e-14 * abs(rhs)
 
 
 def test_theta_cache_bounded():
@@ -113,7 +120,7 @@ def test_theta_cache_bounded():
     assert len(th._cache) == CACHE_MAX
 
 
-def _reference_sum(tau, u, n, a):
+def _reference_sum(tau, u, n, a=0.5):
     """ThetaEvaluator._sum with every term built from scratch on each
     window, as the sum was written before its window tables; returns the
     rows and the window half-widths tried."""
@@ -145,15 +152,13 @@ def test_window_tables_reproduce_the_direct_sum(tau):
     im = 0.01 if abs(tau) < 0.1 else 0.5
     halves = set()
     for n in (0, 3, 34, 75):
-        for a in (0.0, 0.5):
-            for shape in ((), (3, 4)):
-                u = rng.uniform(-0.5, 0.5, shape) \
-                    + 1j * rng.uniform(-im, im, shape)
-                ref, tried = _reference_sum(th.tau, u, n, a)
-                halves.update(tried)
-                assert th._sum(u, n, a).tobytes() == ref.tobytes()
-    assert set(th._tables) <= {(a, h) for a in (0.0, 0.5) for h in halves}
-    assert len(th._tables) <= 2 * len(halves)
+        for shape in ((), (3, 4)):
+            u = rng.uniform(-0.5, 0.5, shape) \
+                + 1j * rng.uniform(-im, im, shape)
+            ref, tried = _reference_sum(th.tau, u, n)
+            halves.update(tried)
+            assert th._sum(u, n).tobytes() == ref.tobytes()
+    assert set(th._tables) <= halves
     assert max(halves) >= (256 if abs(tau) < 0.1 else 8)
 
 
