@@ -1,7 +1,7 @@
 """A dict bounded at CACHE_MAX entries, for the point caches: theta jets,
-chi primitives, sheets, the psi sheet blocks of ``ClassicalSystem``, and
-the Bergman legs of ``RecursionEngine``, where a point held shallower than
-a read asks is read again to the deepest level the engine stores."""
+chi primitives, sheets, frames, the psi sheet blocks of ``ClassicalSystem``,
+and the Bergman legs of ``RecursionEngine``, where a point held shallower
+than a read asks is read again to the deepest level the engine stores."""
 
 from __future__ import annotations
 

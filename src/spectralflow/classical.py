@@ -216,15 +216,14 @@ class ClassicalSystem:
     @cached_property
     def _chi_at_x_poles(self):
         """(W, K) of chi at each pole of X, read by ``PoleTimes.regularized``
-        off chi's record there and matched as F0's potentials are."""
-        exp, out = self.expansion, []
-        for xp in self.curve.x_poles:
-            # every pole of X has a record of the form, in its own frame
-            rec = next(r for r in exp.records if r.frame is xp)
-            chi = PoleTimes(rec.center, xp, self.chi.local_series(
-                rec.center, self.curve.order + 6), rec.head)
-            out.append(chi.regularized(exp.basis, self.o, exp.obstacles))
-        return out
+        off the form's record there: chi's series is the record's less
+        2 i pi sum eps, its potentials those of the basis."""
+        exp, shift = self.expansion, 2j * np.pi * sum(self.expansion.eps)
+        # every pole of X has a record of the form, in its own frame
+        recs = (next(r for r in exp.records if r.frame is xp)
+                for xp in self.curve.x_poles)
+        return [PoleTimes(r.center, r.frame, r.series - shift, r.head)
+                .regularized(exp.basis, self.o) for r in recs]
 
     def _ba_series(self, xp, W, K, z, sign):
         """Series in xi of the regularized kernel at the pole of X ``xp``.

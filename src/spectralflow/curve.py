@@ -3,10 +3,10 @@
 A curve carries two meromorphic functions X, Y in a global chart (z on
 the sphere, u on the torus), a Frame (a local coordinate and its chart)
 at each ramification point and each pole of X, and a sheet solver.
-Everything is validated at build time, and all queries are pure.  Two
+Everything is validated at build time, and all queries are pure.  Three
 things are kept as they are first computed: each frame's deepest chart,
-and the sheet data of a base value, so every ClassicalSystem on the
-curve solves it once.
+the regular frame at a point (``forms.pole_frame``), and the sheet data
+of a base value, so every ClassicalSystem on the curve solves it once.
 """
 
 from __future__ import annotations
@@ -235,16 +235,16 @@ def _homogeneous(c, inner, top):
     return acc
 
 
-def _about(R: RationalFunction, center, order, tag=None) -> TruncSeries:
-    """R at ``center`` in t = z - center (tagged ``tag``, by default
-    s@center) or at "inf" in w = 1/z (tagged "w@inf"), known through t^order
-    at least: R.of the chart variable, known deep enough for any pole."""
+def _about(R: RationalFunction, center, order) -> TruncSeries:
+    """R at ``center`` in t = z - center (tagged s@center) or at "inf" in
+    w = 1/z (tagged "w@inf"), known through t^order at least: R.of the
+    chart variable, known deep enough for any pole."""
     n = order + R.degree_as_map() + 1
     if center == "inf":
         return R.of(TruncSeries(np.eye(1, n + 2)[0], -1, "w@inf"))
     z = np.zeros(n + 1, dtype=complex)
     z[:2] = center, 1.0
-    return R.of(TruncSeries(z, 0, f"s@{center:.6g}" if tag is None else tag))
+    return R.of(TruncSeries(z, 0, f"s@{center:.6g}"))
 
 
 def _cluster(roots, tol=1e-10):
@@ -371,6 +371,8 @@ class SpectralCurve:
         # x -> (sheets above x, sqrt(dX) per sheet), filled by
         # ClassicalSystem.sheet_data
         self.sheet_cache = BoundedCache()
+        # point -> its regular Frame, filled by forms.pole_frame
+        self.frame_cache = BoundedCache()
 
     @property
     def genus(self):
@@ -596,11 +598,11 @@ class Genus0Curve(SpectralCurve):
     def to_cell(self, z):
         return z
 
-    def x_series(self, center, order, tag=None):
-        return _about(self.X, center, order, tag)
+    def x_series(self, center, order):
+        return _about(self.X, center, order)
 
-    def y_series(self, center, order, tag=None):
-        return _about(self.Y, center, order, tag)
+    def y_series(self, center, order):
+        return _about(self.Y, center, order)
 
     # prime form E(v) = v, theta = 1, and the pole of F at 0
     def _log_prime_jet(self, c, n, o=None):
@@ -832,14 +834,14 @@ class Genus1Curve(SpectralCurve):
             raise NotRepresentable(f"the torus chart has no point {u!r}")
         return self.ell.to_cell(u)
 
-    def x_series(self, center, order, tag=None):
+    def x_series(self, center, order):
         return self.wp_series(center, order).retag(
-            tag or f"s@{center:.6g}") * self.x_scale
+            f"s@{center:.6g}") * self.x_scale
 
-    def y_series(self, center, order, tag=None):
+    def y_series(self, center, order):
         wp = self.wp_series(center, order + 4)
         out = self.R1.of(wp) + self.R2.of(wp) * wp.differentiate()
-        return out.retag(tag or f"s@{center:.6g}")
+        return out.retag(f"s@{center:.6g}")
 
     # prime form E(v) = theta1(v)/theta1'(0), theta = theta1, and the poles
     # of F on the lattice

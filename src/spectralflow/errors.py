@@ -85,7 +85,7 @@ class CoincidentPoints(SpectralFlowError):
 
 
 class DivergentRegularization(SpectralFlowError):
-    """A regularized pole integral failed to converge."""
+    """A regularized potential at a pole is not finite."""
 
 
 class ThetaZeroDivision(SpectralFlowError):

@@ -8,7 +8,8 @@ chart offset (``series_at`` at a list of centers); ``center`` may be the
 string "inf" on the sphere, where the series is taken in w = 1/z and
 omega = h(w) dw.  The canonical basis and its sums also give
 ``primitive(o, zs)``: [int_o^z for z in zs] along the straight segments,
-in closed form from the curve's log E.
+in closed form from the curve's log E, and ``potential(q, o)``: the limit
+of int_o^(q+s) less its polar part and residue times Log s as s -> 0.
 
 Every form built from the prime form is one KernelForm: a sum over
 finite poles of residues of the Bergman kernel, whose series an expansion
@@ -42,7 +43,7 @@ from .errors import (
     TruncationTooShort,
     UnsupportedCycle,
 )
-from .series import TruncSeries, constant, truncate
+from .series import TruncSeries, _horner, constant, truncate
 
 
 class Form1:
@@ -64,6 +65,12 @@ class Form1:
     def poles(self):
         """The centres of the form's poles: chart values, or "inf"."""
         return []
+
+    def potential(self, q, o):
+        """P at q: the limit of int_o^(q+s) less its polar part in s and
+        r_q Log s as s -> 0 along ``_ray(q, o)``, r_q the residue at q;
+        where the form is regular, its primitive at q."""
+        return self.primitive(o, np.array([q]))[0]
 
     def cycle_period(self, which):
         """Closed-form A/B-period coherent with in-cell paths, or None.
@@ -112,17 +119,15 @@ class SumForm(Form1):
         return sum((c * f.primitive(o, zs) for c, f in self.terms),
                    np.zeros(len(zs), dtype=complex))
 
+    def potential(self, q, o):
+        return sum(c * f.potential(q, o) for c, f in self.terms)
+
     def poles(self):
         seen = []
         for _, f in self.terms:
             seen += [p for p in f.poles()
                      if not any(_same_center(p, q) for q in seen)]
         return seen
-
-    def __mul__(self, c):
-        return SumForm([(complex(c) * c0, f) for c0, f in self.terms])
-
-    __rmul__ = __mul__
 
 
 def _label(center):
@@ -148,7 +153,8 @@ class RationalDz(Form1):
         if center == "inf":
             # omega = R(1/w) d(1/w) = -R(1/w) w^-2 dw
             return -_about(self.R, "inf", order + 4).shift(-2)
-        return _about(self.R, center, order, "")
+        # untagged, as the kernel forms' series are
+        return _about(self.R, center, order).retag("")
 
     def primitive(self, o, zs):
         """int_o^z R dz for a polynomial R (the second-kind atoms at inf)."""
@@ -157,6 +163,10 @@ class RationalDz(Form1):
         integral = np.polynomial.polynomial.polyint(self.R.num / self.R.den[0])
         vals = np.polynomial.polynomial.polyval(np.append(zs, o), integral)
         return vals[:-1] - vals[-1]
+
+    def potential(self, q, o):
+        # at inf, Q(1/w) - Q(o) less its polar part is Q(0) - Q(o)
+        return self.primitive(o, np.array([0.0 if q == "inf" else q]))[0]
 
     def poles(self):
         out = [p for p, _ in self.R.finite_poles()]
@@ -249,6 +259,8 @@ class KernelForm(Form1):
     def _sum(self, weights, z, poles):
         """sum_(k>=1) weights[p, k-1] L_k(z - p) over the poles selected, from
         one jet, summed in order: a z gets the same bits in any batch."""
+        if not weights.size:
+            return 0.0
         shape = (-1,) + (1,) * np.ndim(z)
         jet = self.curve._log_prime_jet(z - self.centers[poles].reshape(
             shape), weights.shape[1])[1:]
@@ -268,6 +280,24 @@ class KernelForm(Form1):
             vals = self._sum(self.signed[deep, 1:], np.append(zs, o), deep)
             out += vals[:-1] - vals[-1]
         return out
+
+    def potential(self, q, o):
+        """The primitive's terms at q, but at a pole p = q their limits: log E
+        rises from o - p to s1 = d/10 on the ray, less Log s1 and rho(s1) =
+        Log(E(s1)/s1), rho(0) = 0 (nearer 0, log(1 - e^(-2 i pi s1)) loses
+        digits), and L_k less its pole is rho_k, the lattice jet of
+        log(E(t)/t).  At inf on the sphere L_k -> 0, and the rise from o - p
+        to 1/w - p plus Log w tends to Log d - Log(d (o - p))."""
+        p, r, deep, cv = self.centers, self.signed[:, 0], self.signed[:, 1:], \
+            self.curve
+        d, out = _ray(q, o), -self._sum(deep, o, Ellipsis)
+        if q == "inf":
+            return out + r @ (np.log(d) - np.log(d * (o - p)))
+        at, s1 = np.abs(p - q) < 1e-9, 0.1 * d
+        rho = cv._log_prime_jet(0.0, deep.shape[1], 0.0)[1:]
+        return out + r @ cv._log_prime_rise(o - p, np.where(at, s1, q - p)) \
+            - r @ at * (np.log(s1) + np.log(cv.prime_form(s1) / s1)) \
+            + at @ deep @ rho + self._sum(deep[~at], q, ~at)
 
     def series_at(self, centers, order):
         return _kernel_series([self], centers, order)[0]
@@ -369,41 +399,31 @@ class PoleTimes:
         """(1/j) Res xi^-j omega = [xi^(j-1)] local / j, for j >= 1."""
         return self.local.coeff(j - 1) / j
 
-    def regularized(self, form, o, obstacles):
+    def regularized(self, form, o):
         """(W, K) at this pole for ``form``, the record's form written in
         the canonical basis.
 
         Near the pole, form = dV + t_0 dlog(xi) + w(xi) dxi with
         V = -sum_{j>=1} t_j/j xi^-j; w is the regular part of ``local``, W
         its zero-based primitive and K = int_o^p (form - dV - t_0 dlog xi),
-        the regularized potential, with int_o^z form from the atoms of the
-        basis.  K is matched at the point of ``_matching_step``, halving its
-        scale (up to 10 times) until the series of W has converged there.
+        the regularized potential: the limit of int_o^(p+s) form - V - t_0
+        Log xi as s -> 0 along d = ``_ray(p, o)``, in closed form P - [s^0]
+        V(xi(s)) + t_0 (Log d - Log(xi'(0) d)), P the form's ``potential``
+        at p.  A K that is not finite is refused.
         """
         frame, times, local = self.frame, self.times, self.local
-        s_dir, scale = _matching_step(self.center, o, obstacles)
         lo = max(-local.k_min, 0)
         W = TruncSeries(local.coeffs[lo:], local.k_min + lo,
                         local.var_tag).antiderivative()
-        W_half = truncate(W, max(4, len(W.coeffs) // 2))
-        for _ in range(10):
-            s_q = scale * s_dir
-            xi_q = frame.xi_of_s.evaluate(s_q)
-            w_q = W.evaluate(xi_q)
-            if abs(w_q - W_half.evaluate(xi_q)) < 1e-10 * (1 + abs(w_q)):
-                break
-            scale *= 0.5
-        else:
-            raise DivergentRegularization(
-                f"series tail at {frame.location} never converged")
-        z_q = 1.0 / s_q if frame.location == "inf" \
-            else complex(frame.location) + s_q
-        V_q = -sum(times[j] / j * xi_q ** (-j) for j in range(1, len(times)))
-        K = form.primitive(o, np.array([z_q]))[0] - V_q \
-            - times[0] * np.log(xi_q) - w_q
+        d = _ray(self.center, o)
+        # [s^0] xi^-j reads xi through s^(j+1) only
+        V0 = _horner(np.append(0.0, -times[1:] / np.arange(1, len(times))),
+                     truncate(frame.xi_of_s, len(times)).invert()).coeff(0)
+        K = form.potential(self.center, o) - V0 \
+            + times[0] * (np.log(d) - np.log(frame.xi_prime * d))
         if not np.isfinite(K):
             raise DivergentRegularization(
-                f"regularized primitive at {frame.location} not finite")
+                f"regularized potential at {frame.location} not finite")
         return W, K
 
     @property
@@ -415,17 +435,11 @@ class PoleTimes:
         return f"PoleTimes({self.center}, kind={self.kind}, t={self.times})"
 
 
-def _matching_step(center, o, obstacles):
-    """(s_dir, scale): a primitive is matched to its series at the pole
-    ``center`` at the chart offset s = scale s_dir, a fifth of the way to
-    the nearest obstacle (at most 0.2) towards the basepoint o; at inf on
-    the sphere, at w = 0.2 (0.05 + 0.031 i)."""
-    if center == "inf":
-        return 0.05 + 0.031j, 0.2
-    p = complex(center)
-    dmin = min([abs(p - c) for c in obstacles if abs(p - c) > 1e-9],
-               default=1.0)
-    return (complex(o) - p) / abs(complex(o) - p), 0.2 * min(1.0, dmin)
+def _ray(center, o):
+    """The direction d of the offset s at ``center`` towards o; at inf on
+    the sphere, the fixed 0.05 + 0.031 i of w."""
+    return 0.05 + 0.031j if center == "inf" \
+        else (o - center) / abs(o - center)
 
 
 class Expansion:
@@ -439,11 +453,9 @@ class Expansion:
     ``zeta``: the B-period of ``basis`` over 2 i pi (0 on the sphere);
     ``b_periods``: the form's B-period 2 i pi (zeta + eps B) on each handle
     (A, B), dF0/deps;
-    ``basepoint``: the clear point at which eps was read;
-    ``obstacles``: the form's finite poles and their translates, which
-    the basepoint and each matching point keep clear of."""
+    ``basepoint``: the clear point at which eps was read."""
 
-    def __init__(self, curve, records, eps, basis, basepoint, obstacles):
+    def __init__(self, curve, records, eps, basis, basepoint):
         self.curve = curve
         self.records = records
         self.eps = eps
@@ -455,7 +467,6 @@ class Expansion:
         self.b_periods = [2j * np.pi * (self.zeta + e * b)
                           for e, (_, b) in zip(eps, curve.cycles)]
         self.basepoint = basepoint
-        self.obstacles = obstacles
 
     def F0(self, basepoint=None):
         """F0 from the regularized pairing of the form with itself.
@@ -473,8 +484,7 @@ class Expansion:
             res_v += sum(t * rec.pairing(j) for j, t in enumerate(rec.times)
                          if j and t != 0)
             # t_p0 times the regularized potential mu_p
-            _, mu = rec.regularized(self.with_du, o, self.obstacles)
-            t0mu += rec.times[0] * mu
+            t0mu += rec.times[0] * rec.regularized(self.with_du, o)[1]
         eps_term = sum(e * b for e, b in zip(self.eps, self.b_periods))
         return 0.5 * (res_v + t0mu + eps_term)
 
@@ -505,19 +515,22 @@ class Expansion:
 
 def pole_frame(curve, center):
     """The Frame at ``center``: the curve's own at a pole of X, which a
-    chart value matches once reduced to the cell, else a new regular
-    frame xi = X - X(center) (order -1), refused where X - X(center)
-    vanishes to second order."""
+    chart value matches once reduced to the cell, else a regular frame
+    xi = X - X(center) (order -1), built once per point and curve and held
+    in its ``frame_cache``, refused where X - X(center) vanishes to second
+    order."""
     cell = curve.to_cell(center)
     xp = next((p for p in curve.x_poles
                if _same_center(p.location, cell)), None)
     if xp is not None:
         return xp
-    frame = Frame(curve, center, -1)
-    if abs(frame.xi_prime) < 1e-12:
-        raise PoleAtRamificationPoint(
-            f"coordinate X - X(p) degenerate at {center}")
-    return frame
+    if center not in curve.frame_cache:
+        frame = Frame(curve, center, -1)
+        if abs(frame.xi_prime) < 1e-12:
+            raise PoleAtRamificationPoint(
+                f"coordinate X - X(p) degenerate at {center}")
+        curve.frame_cache[center] = frame
+    return curve.frame_cache[center]
 
 
 def expansion(curve, form: Form1) -> Expansion:
@@ -558,10 +571,8 @@ def expansion(curve, form: Form1) -> Expansion:
             for r in records))
 
     basis = _basis(curve, records)
-    obstacles = _pole_translates(curve, form)
-    o, eps = _filling_fractions(curve, form, basis, records, j_cap,
-                                obstacles)
-    return Expansion(curve, records, eps, basis, o, obstacles)
+    o, eps = _filling_fractions(curve, form, basis, records, j_cap)
+    return Expansion(curve, records, eps, basis, o)
 
 
 def _basis(curve, records):
@@ -577,11 +588,11 @@ def _basis(curve, records):
     return SumForm(terms)
 
 
-def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
+def _filling_fractions(curve, form, basis, records, j_cap):
     """(o, eps) for the form with ``basis`` its expansion less c du: the
     basis forms have no A-periods, so the form less ``basis`` is c du, c =
     2 i pi eps (0 on the sphere), read at the first candidate o clear of
-    the ``obstacles`` and the branch points (any clear point will do; a
+    the form's finite poles and the branch points (any clear point will do; a
     fixed order keeps runs reproducible).  Read at the next candidate, c
     differs by at most 2.7e-15 of the values there over the forms of the
     tests; past _EPS_GAP of them, the principal parts miss some of the
@@ -590,8 +601,8 @@ def _filling_fractions(curve, form, basis, records, j_cap, obstacles):
     periodic over the cycles (a form of the sphere's chart on the torus):
     that form is NotRepresentable."""
     cands = _basepoints(curve)
-    special = obstacles + _translates(
-        curve, [r.location for r in curve.ramification_points])
+    special = _translates(curve, [c for c in form.poles() if not isinstance(
+        c, str)] + [r.location for r in curve.ramification_points])
     o = next((c for c in cands if all(abs(c - p) > _BASEPOINT_CLEARANCE
                                       for p in special)), cands[0])
     zs = np.array([o, cands[(cands.index(o) + 1) % len(cands)]])
@@ -632,9 +643,3 @@ def _translates(curve, pts):
         out += [p + m * a + n * b for p in pts
                 for m in (-1, 0, 1) for n in (-1, 0, 1) if m or n]
     return out
-
-
-def _pole_translates(curve, form):
-    """The form's finite poles and their translates."""
-    return _translates(curve, [complex(c) for c in form.poles()
-                               if not isinstance(c, str)])

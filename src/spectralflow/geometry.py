@@ -2,8 +2,8 @@
 
 F0 and its derivatives are read off a form's one expansion in the
 canonical basis (``forms.Expansion``).  ``canonical_period`` gives the
-closed-form A- and B-periods, and the Riemann bilinear check reads its
-periods and the primitive of its second form in closed form too.
+closed-form A- and B-periods; the Riemann bilinear check reads them and
+its second form's potentials at the poles in closed form too.
 ``line_integral`` integrates by adaptive quadrature instead: an oracle
 for the closed-form primitives, called by the tests and by the B-loop
 transport check of ``classical``.
@@ -25,8 +25,6 @@ from .forms import (
     SumForm,
     ThirdKind,
     _basepoints,
-    _matching_step,
-    _pole_translates,
     expansion,
     pole_frame,
 )
@@ -84,10 +82,10 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
     every pole must lie strictly inside the fundamental cell (poles on
     the cell boundary touch the polygon edges where the primitive's
     determination is ambiguous).  Everything is in closed form: phi2 near
-    each pole is the primitive of form2's local series, its constant read
-    off the primitive of form2's expansion at the matching point of
-    ``_matching_step``, and the periods are ``canonical_period``'s.  o is
-    that expansion's basepoint unless given.
+    each pole is the primitive of form2's local series plus the potential
+    there of form2's expansion, its limit less the polar part, and the
+    periods are ``canonical_period``'s.  o is that expansion's basepoint
+    unless given.
     """
     exp2 = expansion(curve, form2)
     for rec in exp2.records:
@@ -96,16 +94,11 @@ def riemann_bilinear_residual(curve, form1, form2, basepoint=None):
             raise ResidueFreePreconditionViolated(
                 f"form2 has residue {res} at {rec.center}")
     o = basepoint if basepoint is not None else exp2.basepoint
-    obstacles = _pole_translates(curve, form1) + exp2.obstacles
 
     lhs = 0.0 + 0.0j
     for center in (form1 + form2).poles():
-        s_dir, scale = _matching_step(center, o, obstacles)
-        s_q = scale * s_dir
-        z_q = 1.0 / s_q if center == "inf" else complex(center) + s_q
-        phi2 = form2.local_series(center, curve.order + 6).antiderivative()
-        phi2 = phi2 + (exp2.with_du.primitive(o, np.array([z_q]))[0]
-                       - phi2.evaluate(s_q))
+        phi2 = form2.local_series(center, curve.order + 6).antiderivative() \
+            + exp2.with_du.potential(center, o)
         lhs += (phi2 * form1.local_series(center, curve.order + 4)).residue()
 
     # sign matches the marking of curve.cycles with a counterclockwise

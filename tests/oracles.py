@@ -19,7 +19,7 @@ from spectralflow import quadrature
 from spectralflow.classical import ode_matrix
 from spectralflow.curve import _solve_x
 from spectralflow.errors import UnsupportedCycle
-from spectralflow.forms import _pole_translates
+from spectralflow.forms import _translates
 from spectralflow.recursion import _head
 from spectralflow.theta import ThetaEvaluator
 
@@ -45,7 +45,7 @@ def quadrature_period(curve, form, which):
         raise UnsupportedCycle(f"no {which.upper()}-cycle at genus 0")
     (a, b), = curve.cycles
     step, across = (a, b) if which == "a" else (b, a)
-    c = _best_offset(_pole_translates(curve, form), step, across)
+    c = _best_offset(_translates(curve, form.poles()), step, across)
     return quadrature.integrate_path(form.value,
                                      [c * across, c * across + step])
 

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from spectralflow.classical import (
     self_replication_residual,
     time_shift_of_third_kind,
 )
-from spectralflow.curve import Genus0Curve, Genus1Curve, RationalFunction
+from spectralflow.curve import Frame, Genus0Curve, Genus1Curve, RationalFunction
 from spectralflow import cache
 from spectralflow.errors import (
     CoincidentPoints,
@@ -836,3 +839,21 @@ def test_insertion_deformation_preserves_fillings(sys_torus):
     sysm = ClassicalSystem(cv, SumForm([(1.0, sys_torus.form),
                                         (1e-3, leg)]))
     assert abs(sysm.expansion.eps[0] - sys_torus.expansion.eps[0]) < 1e-9
+
+
+def test_classical_setup_builds_each_frame_once(monkeypatch):
+    # the tame form's basis atom and its expansion share the regular frame
+    # at 0.41 + 0.13i: the curve's 4 frames and 3 regular ones, where a
+    # frame built per call made 8, two of them at 0.41 + 0.13i
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    built, init = [], Frame.__init__
+
+    def counted(self, curve, location, *rest):
+        built.append(location)
+        init(self, curve, location, *rest)
+    monkeypatch.setattr(Frame, "__init__", counted)
+    workloads.classical_setup()
+    assert len(built) == 7
+    assert built.count(0.41 + 0.13j) == 1

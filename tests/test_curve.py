@@ -164,9 +164,9 @@ def test_torus_build_reads_x_series_once_per_half_period(monkeypatch):
     calls = {"x_series": [], "compose": 0}
     x_series, compose = Genus1Curve.x_series, TruncSeries.compose
 
-    def counted_x_series(self, center, order, tag=None):
+    def counted_x_series(self, center, order):
         calls["x_series"].append(center)
-        return x_series(self, center, order, tag)
+        return x_series(self, center, order)
 
     def counted_compose(self, inner):
         calls["compose"] += 1
