@@ -12,7 +12,7 @@ of a base value, so every ClassicalSystem on the curve solves it once.
 from __future__ import annotations
 
 import cmath
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -287,7 +287,8 @@ class Frame:
     Y(p + s(xi))) known through xi^n, Y only at a ramification point (None
     elsewhere), from the curve's one chart routine ``_frame_chart``.  The
     frame keeps the deepest chart read so far: a shallower read truncates
-    it, a deeper one continues from it."""
+    it, a deeper one continues from it (solves afresh on the torus, which
+    solves once, as deep as an engine reads)."""
 
     def __init__(self, curve, location, order, value=None):
         self.curve = curve
@@ -385,11 +386,12 @@ class SpectralCurve:
     # KernelForm places its poles and the sheets are reported),
     # x_series(center, order), y_series(center, order), sheets_above,
     # d (degree of X as a map); one chart routine for every
-    # Frame, solved from the curve's equation:
+    # Frame, from the curve's equation (by Newton on the sphere, in closed
+    # form on the torus):
     #   _frame_chart(frame, n, s)     (s(xi), Y(p + s(xi)) at a ramification
-    #                                 point, else None) through xi^n,
-    #                                 continued from the shallower chart s
-    #                                 where the routine iterates
+    #                                 point, else None) through xi^n at
+    #                                 least, continued from the shallower
+    #                                 chart s where the routine iterates
     # and, for the kernels below, its prime form E and theta function
     # (E(v) = v and theta = 1 on the sphere, theta1(v)/theta1'(0) and
     # theta1 on the torus) as Taylor jets, k = 0..n on axis 0, at an
@@ -915,30 +917,42 @@ class Genus1Curve(SpectralCurve):
                                     for a in self._halves()]
 
     def _frame_chart(self, frame, n, s=None):
-        """s'(xi) = (dwp/dxi)/wp' with wp'^2 = 4 prod_i (wp - e_i) over the
-        half-period values e_i, on the branch s'(0) xi'(0) = 1, where wp =
-        xi^-d/x_scale at the pole u = 0 and wp(p) + xi^e/x_scale elsewhere;
-        at a ramification point, where wp - e_a is xi^2/x_scale exactly,
-        Y = R1(wp) + R2(wp) wp'.  The chart is solved afresh at any depth
-        (s is not read): the formula is closed."""
-        # n terms of wp give s through xi^n at every kind of frame
-        head = np.zeros(n, dtype=complex)
-        head[0] = 1.0 / self.x_scale
-        wp = TruncSeries(head, -frame.order, frame.tag)
-        if frame.order < 0:
-            wp = wp + self.ell.wp(frame.location)
-        root = wp - self._e[0]
-        for e in self._e[1:]:
-            root = root * (wp - e)
-        root = (root * 4.0).sqrt()
-        ds = wp.differentiate() * root.invert()
-        if (ds.coeff(0) * frame.xi_prime).real < 0:
-            ds, root = -ds, -root
-        s = ds.antiderivative()
-        if frame.order != -2:
+        """ds/dxi = (dwp/dxi)/wp' = C prod_i (1 + a_i t)^(-1/2) from wp'^2 =
+        4 prod_i (wp - e_i) (DLMF 23.3.9), C on the branch s'(0) xi'(0) = 1:
+        wp = 1/(x_scale t), a_i = -x_scale e_i at the pole u = 0, elsewhere
+        wp(p) + t/x_scale, a_i = 1/(x_scale (wp(p) - e_i)) over the factors
+        that do not vanish; t = xi at a regular point, else xi^2.  At e_a,
+        Y = R1(wp) + R2(wp) wp' with wp' = (2 xi/(x_scale C)) prod_b
+        (1 + a_b t)^(1/2).  No coefficient depends on the depth: the chart
+        is solved once, through xi^(2 order - 1) at least."""
+        n, x, e = max(n, 2 * self.order - 1), self.x_scale, np.array(self._e)
+        ram, m = frame.order == -2, 1 + (frame.order != -1)
+        if frame.order == 2:
+            a, c2 = -x * e, x
+        else:
+            w0 = self.ell.wp(frame.location)
+            gone = [self.ramification_points.index(frame)] if ram else []
+            a = 1.0 / (x * (w0 - np.delete(e, gone)))
+            c2 = x * np.prod(a) * m * m / 4
+        # [t^k] (1 + a t)^alpha = C(k - 1 - alpha, k) (-a)^k for alpha = -1/2
+        # and, at e_a, 1/2, spread to xi; room for a pole of R1 or R2 there
+        top = n // m + ram * (2 + max(self.R1.degree_as_map(),
+                                      self.R2.degree_as_map()))
+        powers = np.ones((len(a), top + 1), dtype=complex)
+        powers[:, 1:] = -a[:, None]
+        rows = np.zeros((1 + ram, len(a), m * top + 1), dtype=complex)
+        rows[..., ::m] = _binomials(np.array([[-0.5], [-1.5]])[:1 + ram],
+                                    top + 1) * np.cumprod(powers, axis=1)
+        P, *Q = [reduce(lambda f, g: np.convolve(f, g)[:m * top + 1], r)
+                 for r in rows]
+        C = np.sqrt(c2)
+        C = -C if (C * frame.xi_prime).real < 0 else C
+        s = TruncSeries(C * P, 0, frame.tag).antiderivative()
+        if not ram:
             return s, None
-        return s, truncate(self.R1.of(wp) + self.R2.of(wp) * root, n,
-                           absolute=True)
+        wp = TruncSeries(np.eye(1, len(P), 2)[0] / x, 0, frame.tag) + w0
+        return s, self.R1.of(wp) + self.R2.of(wp) * TruncSeries(
+            Q[0] * (2.0 / (x * C)), 1, frame.tag)
 
     def _find_x_poles(self):
         self.x_poles = [Frame(self, 0.0, 2)]

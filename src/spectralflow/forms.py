@@ -475,7 +475,10 @@ class Expansion:
         the sign fixed by finite-difference oracles against the first
         derivative identities (dF0/dt_{p,j} = (1/j) Res xi^-j omega,
         dF0/deps = B-period, homogeneity of degree two), and each t_(p,0)
-        pairs with the form's regularized potential at p, from ``basepoint``.
+        pairs with the form's regularized potential at p, from ``basepoint``,
+        on the principal branch of Log (``PoleTimes.regularized``): F0 is
+        defined modulo pi i t_(p,0) t_(q,0), and moves by one such multiple
+        where xi'(0) d crosses the cut of Log as the basepoint moves.
         """
         o = basepoint if basepoint is not None else self.basepoint
         res_v = t0mu = 0.0 + 0.0j

@@ -54,8 +54,9 @@ engine when it is built: the row tables and P^a reach the largest m an
 admitted level reads (``m_rows``), the charts the deepest coefficient
 the tables read.  The charts s_a(zeta) and y_a(zeta) are the curve's
 own, read off its frame at each ramification point (``Frame.chart``),
-which continues the chart the curve solved to validate itself: the
-engine solves none afresh.
+which continues the chart the curve solved to validate itself (the
+sphere) or truncates it (the torus solves it that deep): the engine
+solves none afresh.
 
 Evaluation reads the basis forms off the generating property: with
 c = r_a - z, B_{a,k}(z)/dz is the coefficient of zeta^(k-1) of the
@@ -152,7 +153,7 @@ class RecursionEngine:
                 deepest = (g, n - 1) if n > 1 else (g - 1, 2)
                 self.m_rows = max(self.m_rows, *k_slots(*deepest))
         # the diagonal row tables read the charts through zeta^(2 m + 7),
-        # continued from those the curve validated
+        # from those the curve validated
         self.deep = deep = 2 * self.m_rows + 7
         charts = [r.chart(deep) for r in self.rams]
         self.s_of, self.y_of = [s for s, _ in charts], [y for _, y in charts]

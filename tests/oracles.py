@@ -11,6 +11,9 @@ difference probes: ``ode_matrix_fd`` takes the Lax ODE's x-derivative by
 Richardson-extrapolated central differences, ``ode_growth_probe`` reads a
 log-log growth exponent of the closed-form ODE matrix, and
 ``heat_equation_residual`` differences theta1 in tau.
+
+``torus_chart_by_series`` solves a torus frame's chart by series
+arithmetic, an oracle for ``Genus1Curve._frame_chart``'s closed form.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from spectralflow.curve import _solve_x
 from spectralflow.errors import UnsupportedCycle
 from spectralflow.forms import _translates
 from spectralflow.recursion import _head
+from spectralflow.series import TruncSeries, truncate
 from spectralflow.theta import ThetaEvaluator
 
 
@@ -58,6 +62,32 @@ def continue_sheets(curve, x_path, preimages):
         current = [curve.to_cell(_solve_x(curve.x_value, curve.dx_value, x, z))
                    for z in current]
     return current
+
+
+def torus_chart_by_series(curve, frame, n):
+    """(s(xi), Y(p + s(xi)) or None) through xi^n at a frame of the torus
+    by series arithmetic: s'(xi) = (dwp/dxi)/wp' with wp'^2 = 4 prod_i (wp
+    - e_i), on the branch s'(0) xi'(0) = 1, where wp = xi^-d/x_scale at
+    the pole u = 0 and wp(p) + xi^e/x_scale elsewhere; at a ramification
+    point Y = R1(wp) + R2(wp) wp'."""
+    # n terms of wp give s through xi^n at every kind of frame
+    head = np.zeros(n, dtype=complex)
+    head[0] = 1.0 / curve.x_scale
+    wp = TruncSeries(head, -frame.order, frame.tag)
+    if frame.order < 0:
+        wp = wp + curve.ell.wp(frame.location)
+    root = wp - curve._e[0]
+    for e in curve._e[1:]:
+        root = root * (wp - e)
+    root = (root * 4.0).sqrt()
+    ds = wp.differentiate() * root.invert()
+    if (ds.coeff(0) * frame.xi_prime).real < 0:
+        ds, root = -ds, -root
+    s = ds.antiderivative()
+    if frame.order != -2:
+        return s, None
+    return s, truncate(curve.R1.of(wp) + curve.R2.of(wp) * root, n,
+                       absolute=True)
 
 
 def leg_matrix(eng, basis, points):

@@ -1,6 +1,8 @@
-"""Local charts solved from the curve's equation: the ramification charts
-s(zeta), y(zeta) against a closed form and against the curve's own point
-values, an engine's charts continued from the curve's, the
+"""Local charts: the ramification charts s(zeta), y(zeta) against a closed
+form and against the curve's own point values, an engine's charts
+continued from the curve's on the sphere and read off the curve's one
+deep solve on the torus, the torus's closed-form charts against series
+arithmetic (``oracles.torus_chart_by_series``) at every kind of frame, the
 Lagrange-inversion gamma tables against zeta(s)^-m, and the pole and
 regular-point charts s(xi) against the frame's defining relation."""
 
@@ -18,7 +20,10 @@ from spectralflow.curve import (
 )
 from spectralflow.forms import pole_frame
 from spectralflow.recursion import RecursionEngine
-from spectralflow.series import TruncSeries
+from spectralflow.series import TruncSeries, truncate
+
+from deformations import deform_holomorphic
+from oracles import torus_chart_by_series
 
 TAUS = [1j, 0.25 + 1.07j]
 
@@ -106,6 +111,62 @@ def test_engine_continues_the_curves_charts(monkeypatch):
         for got, want in ((eng.s_of[a], s), (eng.y_of[a], y)):
             assert got.k_min == want.k_min
             assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("tau", [*TAUS, -0.45 + 0.6j])
+@pytest.mark.parametrize("pole", [False, True], ids=["torus", "pole-at-e"])
+def test_torus_chart_matches_the_series_route(tau, pole):
+    # the closed form against series arithmetic at the ramification
+    # points, the pole of X and a regular point, over the coefficients
+    # above 1e-12 of the largest, on R1, R2 regular at the e_a and on R2
+    # with a pole at each (Y + lam 2 i pi du/dX): measured within 6.7e-15
+    # relative
+    cv = _torus(tau)
+    if pole:
+        cv = deform_holomorphic(cv, 0.1 - 0.2j)
+    n = 2 * cv.order - 1
+    for fr in [*cv.ramification_points, *cv.x_poles,
+               pole_frame(cv, 0.31 + 0.22j)]:
+        got, want = cv._frame_chart(fr, n), torus_chart_by_series(cv, fr, n)
+        assert (got[1] is None) == (want[1] is None) == (fr.order != -2)
+        for f, ref in zip(got, want):
+            if ref is None:
+                continue
+            assert f.k_min == ref.k_min and f.trunc_order >= n
+            ref = ref.coeffs
+            err = abs(f.coeffs[:len(ref)] - ref)
+            big = abs(ref) > 1e-12 * np.max(abs(ref))
+            assert np.max(err[big] / abs(ref[big])) < 2e-14, fr.tag
+
+
+def test_torus_engine_reads_the_curves_charts(monkeypatch):
+    # each torus chart is solved once, through xi^(2 order - 1), which is
+    # as deep as an engine reads: the curve's 3 solves serve the engine
+    # too.  Its charts are bit for bit a fresh solve, and a deeper one:
+    # no coefficient of the closed form depends on the depth
+    solves = []
+    solve = Genus1Curve._frame_chart
+
+    def counted(self, frame, n, s=None):
+        solves.append(n)
+        return solve(self, frame, n, s)
+
+    monkeypatch.setattr(Genus1Curve, "_frame_chart", counted)
+    cv = Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+    eng = RecursionEngine(cv)
+    assert len(solves) == 3
+    for a, r in enumerate(eng.rams):
+        for n in (eng.deep, 2 * cv.order + 20):
+            for got, want in zip((eng.s_of[a], eng.y_of[a]),
+                                 solve(cv, r, n)):
+                want = truncate(want, eng.deep, absolute=True)
+                assert got.k_min == want.k_min
+                assert got.trunc_order == eng.deep
+                assert np.array_equal(got.coeffs, want.coeffs)
+    # a read past the solved depth solves again
+    assert eng.rams[0].chart(2 * cv.order + 5)[0].trunc_order \
+        == 2 * cv.order + 5
+    assert len(solves) == 4
 
 
 @pytest.mark.parametrize("curve", ["joukowski", 1j, 0.25 + 1.07j])

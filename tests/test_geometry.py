@@ -280,6 +280,18 @@ def test_mu_basepoint_dependence_cancels(joukowski):
         assert abs(v1 - v2) < 1e-14 * max(1.0, abs(v1))
 
 
+def test_F0_basepoint_moves_by_pi_i_t0_t0(airy):
+    # F0 is defined modulo pi i t_(p,0) t_(q,0): between these basepoints
+    # xi'(0) d crosses the cut of Log at a pole of 0.7 dS, and the quotient
+    # reads -1 + 7e-17i
+    form = SumForm([(1.0, YdX(airy)), (0.7, ThirdKind(
+        airy, 0.05 + 0.03j, 1.3 + 0.4j))])
+    ex = expansion(airy, form)
+    q = (ex.F0(basepoint=0.73 + 0.58j) - ex.F0(basepoint=-0.64 + 0.81j)) \
+        / (np.pi * 1j * 0.7 ** 2)
+    assert abs(q - round(q.real)) < 1e-12
+
+
 def _limit_cases(airy, joukowski, torus):
     """(curve, form): finite poles, poles of X and inf on both genera."""
     skew = Genus1Curve(0.25 + 1.07j, RationalFunction([0.0]),
