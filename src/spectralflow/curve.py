@@ -133,13 +133,15 @@ class RationalFunction:
         its t^0 coefficient, the numerator and the denominator are shifted
         to c, their zeros of order m at c divided out (``_at``), and both
         evaluated by Horner on t = inner - c: R(inner) = P(t)/Q(t) t^(m_P -
-        m_Q).  A constant denominator is a scalar division."""
+        m_Q); a constant Q is a scalar division, a constant R skips _at."""
         if isinstance(inner, RationalFunction):
             top = self.degree_as_map()
             return RationalFunction(_homogeneous(self.num, inner, top),
                                     _homogeneous(self.den, inner, top))
         c = inner.coeff(0)
         t = inner - c if c else inner
+        if self.degree_as_map() == 0:
+            return _horner(self.num, t) / self.den[0]
         (m, num), (k, den) = _at(self.num, c), _at(self.den, c)
         out = _horner(num, t) / (den[0] if len(den) == 1 else _horner(den, t))
         return out * t ** (m - k) if m != k else out
@@ -995,15 +997,15 @@ def _taylor(s: TruncSeries, n) -> np.ndarray:
 
 
 def _power_rows(f, top) -> np.ndarray:
-    """Rows p = 0..top: the coefficients of f^p for an array f of Taylor
-    coefficients, as far as f is known; each row is the one before times
-    one Toeplitz matrix of f."""
+    """Rows p = 0..top on axis -2: the coefficients of f^p for arrays f of
+    Taylor coefficients on the last axis, as far as f is known; each row
+    is the one before times one Toeplitz matrix of f, for every f at once."""
     M = np.ascontiguousarray(_toeplitz(f))
-    rows = np.zeros((top + 1, len(f)), dtype=complex)
-    rows[0, 0] = 1.0
+    rows = np.zeros(f.shape[:-1] + (top + 1, 1, f.shape[-1]), dtype=complex)
+    rows[..., 0, 0, 0] = 1.0
     for p in range(1, top + 1):
-        rows[p] = rows[p - 1] @ M
-    return rows
+        np.matmul(rows[..., p - 1, :, :], M, out=rows[..., p, :, :])
+    return rows[..., 0, :]
 
 
 # -- JSON schema --------------------------------------------------------------------

@@ -39,13 +39,12 @@ depends on the genus.  The engine holds only the chart s_b(zeta): by
 Lagrange inversion gamma^{b,m}_{-1-q} = m/(q+1) [zeta^m] s_b(zeta)^(q+1),
 so zeta_b(s) is never built.  A window W_i is the exact pole
 m zeta^-(m+1) at b == a plus a slice of a row table, the Taylor
-coefficients of B_{b,m}(z_a(zeta))/dzeta below zeta^width.  As
-B = d1 d2 log E, a table, diagonal or cross, is m (t+1) times the
-coefficient of zeta1^m zeta2^(t+1) of log E(r_b - r_a + s_b(zeta1) -
-s_a(zeta2)), less log(zeta1 - zeta2) on the diagonal (the Grunsky
-coefficients; Pommerenke, *Univalent Functions*, 1975), exact on the
-table's box as indices only add.  E is odd, so the tables (a, b) and
-(b, a) are transposes, read off one expansion per pair.  The memo of
+coefficients of B_{b,m}(z_a(zeta))/dzeta below zeta^width: as B = d1 d2
+log E, those of log E(r_b - r_a + s_b(zeta1) - s_a(zeta2)), less
+log(zeta1 - zeta2) on the diagonal (the Grunsky coefficients; Pommerenke,
+*Univalent Functions*, 1975).  Two batches build the tables (``_rows``),
+the diagonal ones with the engine and the pairs b > a with P^a, each
+from one kernel jet, one log recurrence and one product.  The memo of
 immutable levels fills in increasing 2g + n.
 
 One reach rule (``_check_reach``), the curve order and a bound on a
@@ -96,7 +95,7 @@ from .errors import (
     TruncationTooShort,
 )
 from .forms import DuForm, SecondKindBasis, pole_frame
-from .series import TruncSeries
+from .series import TruncSeries, inverse_at
 
 # The bound on the dense size, 16 bytes an entry, of the levels a request
 # builds, read by an engine when it is built; that size, never stored, sizes
@@ -132,7 +131,7 @@ class RecursionEngine:
         self.rams = curve.ramification_points
         self.A = len(self.rams)
         self._max_bytes = MAX_LEVEL_BYTES
-        self._memo, self._plg = {}, {}
+        self._memo = {}
         self._legs = BoundedCache()
         self._P = self._diag = None
         self._prepare_local_data()
@@ -140,9 +139,11 @@ class RecursionEngine:
     # -- local expansions -------------------------------------------------------
 
     def _prepare_local_data(self):
+        """m_rows, the largest m an admitted level reads (the top k of its
+        deepest factor; refusals grow with n), the charts through zeta^(2
+        m_rows + 7), which the diagonal row tables read, and those tables,
+        one batch; the tables off the diagonal come with P^a."""
         cv = self.curve
-        # the largest m that an admitted level reads, the top k of its
-        # deepest factor (refusals grow with n)
         self.m_rows = 0
         for g in range(cv.order // 6 + 1):
             for n in itertools.count(max(1, 3 - 2 * g)):
@@ -152,34 +153,33 @@ class RecursionEngine:
                     break
                 deepest = (g, n - 1) if n > 1 else (g - 1, 2)
                 self.m_rows = max(self.m_rows, *k_slots(*deepest))
-        # the diagonal row tables read the charts through zeta^(2 m + 7),
-        # from those the curve validated
         self.deep = deep = 2 * self.m_rows + 7
         charts = [r.chart(deep) for r in self.rams]
         self.s_of, self.y_of = [s for s, _ in charts], [y for _, y in charts]
         # 1 / (Y(zeta) - Y(-zeta))
         self.ydiff_inv = [(y - flip_parity(y)).invert() for y in self.y_of]
-        # per chart, deepened on demand: [p, i] = [zeta^i] s^p, and
-        # [m-1, q] = gamma^{a,m}_{-1-q}
-        self.powers = [np.zeros((0, 0))] * self.A
-        self.gamma = [np.zeros((0, 0))] * self.A
-        for a in range(self.A):
-            self._rows(a, a)
+        self._s = np.array([_taylor(s, deep) for s in self.s_of]
+                           ).reshape(self.A, deep + 1)
+        self.powers = self.gamma = np.zeros((self.A, 0, 0))
+        self._plg = np.zeros((self.A, self.A, self.m_rows, self.m_rows + 6),
+                             dtype=complex)
+        self._rows([(a, a) for a in range(self.A)])
 
-    def _powers(self, a, n):
-        """The table [p, i] = [zeta^i] s_a(zeta)^p for p, i <= n."""
-        if len(self.powers[a]) <= n:
-            self.powers[a] = _power_rows(_taylor(self.s_of[a], n), n)
-        return self.powers[a][:n + 1, :n + 1]
+    def _powers(self, n):
+        """The tables [a, p, i] = [zeta^i] s_a(zeta)^p for p, i <= n."""
+        if self.powers.shape[1] <= n:
+            self.powers = _power_rows(self._s[:, :n + 1], n)
+        return self.powers[:, :n + 1, :n + 1]
 
-    def _gamma(self, a, n):
-        """The table [m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
+    def _gamma(self, n):
+        """The tables [a, m - 1, q] of gamma^{a,m}_{-1-q} for m <= n and
         q < n: by Lagrange inversion m/(q+1) [zeta^m] s_a^(q+1).
-        Evaluation and the pairings read it to the charts' depth."""
-        if len(self.gamma[a]) < n:
+        Evaluation and the pairings read them to the charts' depth."""
+        if self.gamma.shape[1] < n:
             ms = np.arange(1, n + 1)
-            self.gamma[a] = self._powers(a, n)[1:, 1:].T * (ms[:, None] / ms)
-        return self.gamma[a][:n, :n]
+            self.gamma = self._powers(n)[:, 1:, 1:].swapaxes(1, 2) \
+                * (ms[:, None] / ms)
+        return self.gamma[:, :n, :n]
 
     def _top_k(self, ks):
         """The largest k of a basis, refused past the charts' depth."""
@@ -189,59 +189,62 @@ class RecursionEngine:
                 f"B_(a,{top}) lies beyond the chart depth k <= {self.deep}")
         return top
 
-    def _rows(self, b, a):
-        """rows[m-1][t]: coefficient of zeta^t, t < m_rows + 6, of
-        B_{b,m}(z_a(zeta))/dzeta for m up to the largest an admitted level
-        reads, m_rows (the polar part at b == a is left to the caller).
+    def _rows(self, pairs):
+        """Fill the row tables ``_plg[b, a]`` of the pairs (b, a), all on the
+        diagonal or all off it, in one batch: [m-1, t] the coefficient of
+        zeta^t, t < m_rows + 6, of B_{b,m}(z_a(zeta))/dzeta less its pole.
 
         rows[m-1][t] = m (t+1) L[m, t+1], L[i, j] the coefficient of
         zeta1^i zeta2^j of log E(c + V), c = r_b - r_a, V = s_b(zeta1) -
         s_a(zeta2), less log(zeta1 - zeta2) on the diagonal.  With the
-        curve's log E(c + v) = log(o + v) + rho(v) (``_regular_jet``),
-        L = log W + rho(V): W = o + V off the diagonal, and on it (o = 0)
-        W = V/(zeta1 - zeta2), W[i, j] = s_(i+j+1).  rho(V) = P_b^T H P_a,
-        P the charts' power tables and H[q, l] = C(q+l, q) rho_(q+l) (-1)^l.
-        Indices only add, so both terms are exact on the box.  E is odd, so
-        L_ab[i, j] = L_ba[j, i] for i, j >= 1: off the diagonal D = zeta1
-        d/dzeta1 L is built once per pair, on a square box, and both tables
-        are read off it."""
-        if (b, a) in self._plg:
-            return self._plg[b, a]
-        n1 = self.m_rows + 1
-        n2 = n1 + 6
-        box = n1 if b == a else n2
+        curve's log E(c + v) = log(o + v) + rho(v) (``_regular_jet``, one
+        call on the stacked c), L = log W + rho(V): on the diagonal (o = 0)
+        W = V/(zeta1 - zeta2), W[i, j] = s_(i+j+1) (``_log_derivative``), off
+        it W = o + V = w(zeta2) + c(zeta1), rank one past row 0: U[i] = c_i v
+        (v = 1/w), so one Toeplitz matrix of v serves every row of D = zeta1
+        d/dzeta1 log W, D[i] = i c_i v - (sum_(0<k<i) c_(i-k) D[k]) v.
+        rho(V) = P_b^T H P_a, P the power tables and H[q, l] =
+        C(q+l, q) rho_(q+l) (-1)^l.  Indices only add, so both terms are
+        exact on the box.  E is odd, so L_ab[i, j] = L_ba[j, i] for i, j >= 1:
+        off the diagonal D = zeta1 d/dzeta1 L is built on a square box and
+        both tables are read off it."""
+        if not pairs:
+            return
+        b, a = np.array(pairs).T
+        n1, n2, on = self.m_rows + 1, self.m_rows + 7, b[0] == a[0]
+        box = n1 if on else n2
         e = np.add.outer(np.arange(box), np.arange(n2))
-        o, rho = self.curve._regular_jet(
-            self.rams[b].location - self.rams[a].location, box + n2 - 2)
-        Pb, Pa = self._powers(b, n2 - 1)[:box, :box], self._powers(a, n2 - 1)
-        if b == a:
-            W = _taylor(self.s_of[a], n1 + n2 - 1)[e + 1]
+        loc = np.array([r.location for r in self.rams])
+        o, rho = self.curve._regular_jet(0.0 if on else loc[b] - loc[a],
+                                         box + n2 - 2)
+        P = self._powers(n2 - 1)
+        Pb, Pa = P[b, :box, :box], P[a]
+        if on:
+            D = _log_derivative(self._s[a][:, e + 1])
         else:
-            W = np.zeros((box, n2), dtype=complex)
-            W[:, 0], W[0] = Pb[1], -Pa[1]
-            W[0, 0] = o
+            c, w = Pb[:, 1], -Pa[:, 1]
+            w[:, 0] = o
+            v = inverse_at(w[:, :1], w, box - 1)[..., 0]
+            T = np.ascontiguousarray(_toeplitz(v))
+            rev = c[:, None, :0:-1].copy()
+            D = (np.arange(box) * c)[:, :, None] * v[:, None]
+            for i in range(2, box):
+                D[:, i] -= ((rev[:, :, box - i:] @ D[:, 1:i]) @ T)[:, 0]
         # C(q+l, q) from the factorials k!
         fact = np.cumprod(np.append(1.0, np.arange(1.0, box + n2 - 1)))
-        H = rho[e] * fact[e] / np.outer(fact[:box], fact[:n2]) \
-            * (-1.0) ** np.arange(n2)
-        D = _log_derivative(W) + np.arange(box)[:, None] * (Pb.T @ H @ Pa)
-        self._plg[b, a] = D[1:n1, 1:] * np.arange(1, n2)
-        if b != a:
-            self._plg[a, b] = D.T[1:n1, 1:] * np.arange(1, n1)[:, None]
-        return self._plg[b, a]
+        H = np.transpose(rho)[..., e] * fact[e] \
+            / np.outer(fact[:box], fact[:n2]) * (-1.0) ** np.arange(n2)
+        D += np.arange(box)[:, None] * (Pb.swapaxes(1, 2) @ H @ Pa)
+        self._plg[b, a] = D[:, 1:n1, 1:] * np.arange(1, n2)
+        if not on:
+            self._plg[a, b] = D.swapaxes(1, 2)[:, 1:n1, 1:] \
+                * np.arange(1, n1)[:, None]
 
-    def _window(self, basis, a, lo, hi):
-        """The coefficients on zeta^[lo, hi], lo <= 0 <= hi, of
-        B_{b,m}(z_a(zeta))/dzeta, one column per (b, m) of ``basis``: the
-        pole m zeta^-(m+1) at b == a, plus one slice of each row table."""
-        owner, ms = np.array(basis).T
-        W = np.zeros((hi - lo + 1, len(ms)), dtype=complex)
-        pole = (owner == a) & (lo <= -(ms + 1))
-        W[-(ms[pole] + 1) - lo, pole] = ms[pole]
-        for b in set(owner.tolist()):
-            cols = owner == b
-            W[-lo:, cols] = self._rows(b, a)[ms[cols] - 1, :hi + 1].T
-        return W
+    def _window(self, basis, hi):
+        """[a, e, c]: [zeta^e] B_{b,m}(z_a(zeta))/dzeta, 0 <= e <= hi, at every
+        a for each (b, m) of ``basis`` (column c), less the pole at b == a."""
+        owner, ms = np.array(basis, dtype=int).reshape(-1, 2).T
+        return self._plg[owner, :, ms - 1, :hi + 1].transpose(1, 2, 0)
 
     # -- the residue tensors -------------------------------------------------------
 
@@ -262,41 +265,47 @@ class RecursionEngine:
         one product over the regular rows zeta^[0, m_rows + 3], which make
         the sums exact.  The diagonal term pairs c_a with omega(0, 2) at
         (z_a(zeta), z_a(-zeta)), over dzeta -1/(4 zeta^2) - sum rows[i, j]
-        (-1)^j zeta^(i+j) on the diagonal table."""
+        (-1)^j zeta^(i+j) on the diagonal table.
+
+        The windows of every a are one gather and the residue slices one
+        stack; H and P's blocks are built one a at a time, which keeps each
+        temporary at one ramification point's size."""
         if self._P is not None:
             return self._P, self._diag
-        m_rows = self.m_rows
+        m_rows, A = self.m_rows, self.A
         heads = np.arange(1, m_rows + 5, 2)
         ms = np.arange(1, m_rows + 1, 2)
-        basis = [(b, int(m)) for m in ms for b in range(self.A)]
+        basis = [(b, int(m)) for m in ms for b in range(A)]
+        K, M, nb = len(heads), len(ms), len(basis)
         lo, hi = -(m_rows + 1), m_rows + 3
         e = np.arange(hi + 1)
-        unit = (e[:, None] == heads[None, :] - 1).astype(complex)
+        unit = np.broadcast_to(e[:, None] == heads - 1, (A, hi + 1, K))
         flip = (-1.0) ** (e + 1)[:, None]
         pole = -(ms + 1)            # the poles' exponents, all flipped by -1
         scale = -0.5 / heads
         w = scale[:, None] * ms     # [k, m] the pole's weight in P[k]
         i, j = np.nonzero(np.add.outer(e, e)[:m_rows, :m_rows] < m_rows)
-        self._nb = nb = len(basis)
+        self._nb, C = nb, nb + K
         self._columns = basis + [(None, int(k)) for k in heads]
-        self._P = np.zeros((self.A, len(heads)) + (nb + len(heads),) * 2,
-                           dtype=complex)
-        self._diag = np.zeros((self.A, len(heads)), dtype=complex)
-        for a in range(self.A):
-            FW = flip * np.hstack([self._window(basis, a, 0, hi), unit])
-            # R[k, e - 2 lo] = [zeta^(-k-e)] c_a
-            R = _residue_slice(self.ydiff_inv[a], heads, 2 * lo, hi)
-            G = w[..., None] * R[:, np.add.outer(pole, e) - 2 * lo]
-            H = (G.reshape(-1, hi + 1) @ FW).reshape(len(heads), len(ms), -1)
-            own, P = slice(a, nb, self.A), self._P[a]
+        self._rows([(b, a) for a in range(A) for b in range(a + 1, A)])
+        FW = flip * np.concatenate([self._window(basis, hi), unit], axis=2)
+        # R[a, k, e - 2 lo] = [zeta^(-k-e)] c_a
+        R = np.array([_residue_slice(f, heads, 2 * lo, hi)
+                      for f in self.ydiff_inv]).reshape(A, K, hi - 2 * lo + 1)
+        self._P = np.zeros((A, K, C, C), dtype=complex)
+        for a, P in enumerate(self._P):
+            G = w[..., None] * R[a][:, np.add.outer(pole, e) - 2 * lo]
+            H = (G.reshape(-1, hi + 1) @ FW[a]).reshape(K, M, C)
+            own = slice(a, nb, A)
             P[:, own] = H
             P[:, :, own] += H.transpose(0, 2, 1)
             P[:, own, own] -= w[..., None] * ms \
-                * R[:, np.add.outer(pole, pole) - 2 * lo]
-            P[0] -= scale[0] * R[0, -2 * lo] * np.outer(FW[0], FW[0])
-            rows = self._rows(a, a)[i, j] * (-1.0) ** j
-            self._diag[a] = scale * (-0.25 * R[:, -2 - 2 * lo]
-                                     - R[:, i + j - 2 * lo] @ rows)
+                * R[a][:, np.add.outer(pole, pole) - 2 * lo]
+            P[0] -= scale[0] * R[a, 0, -2 * lo] * np.outer(FW[a, 0], FW[a, 0])
+        rows = self._plg[range(A), range(A)][:, i, j, None] \
+            * (-1.0) ** j[:, None]
+        self._diag = scale * (-0.25 * R[:, :, -2 - 2 * lo]
+                              - (R[:, :, i + j - 2 * lo] @ rows)[..., 0])
         return self._P, self._diag
 
     # -- the recursion ---------------------------------------------------------------
@@ -460,9 +469,8 @@ class RecursionEngine:
                 raise PoleAtRamificationPoint(
                     "evaluation point on a ramification point: "
                     f"{np.array(todo)[on.any(0)]}")
-            s = np.stack([self._powers(a, depth)[1] for a in range(self.A)])
-            legs = self.curve.bergman_leg(c, s, np.stack(
-                [self._gamma(a, depth) for a in range(self.A)]))
+            legs = self.curve.bergman_leg(c, self._powers(depth)[:, 1],
+                                          self._gamma(depth))
             for p, leg in zip(todo, legs.transpose(2, 0, 1)):
                 cols[p] = self._legs[p] = leg.copy()
         M = np.array([cols[p][:, :top] for p in keys])
@@ -494,7 +502,7 @@ class RecursionEngine:
             if h.k_min < 0:
                 raise PoleAtRamificationPoint(
                     f"form has a pole at the ramification point {r}")
-            column = self._gamma(a, top) @ [h.coeff(q) for q in range(top)]
+            column = self._gamma(top)[a] @ [h.coeff(q) for q in range(top)]
             out[owner == a] = column[ks[owner == a] - 1]
         return out
 
@@ -561,19 +569,17 @@ def _head(form, M):
 
 
 def _log_derivative(W):
-    """D = zeta1 d/dzeta1 log W, D[i, j] the coefficient of zeta1^i
-    zeta2^j, on the box of W (W[0, 0] != 0).  With U = W/W[0], whose row 0
-    is 1, the rows of D U = zeta1 dU/dzeta1 give D[i] = i U[i] -
-    sum_(0<k<i) D[k] U[i-k], as in ``series.log_jet``; the products in
-    zeta2 of row i are one product with the Toeplitz matrices of U
-    stacked in reverse."""
-    n1, n2 = W.shape
-    U = W @ _toeplitz(TruncSeries(W[0]).invert().coeffs)
-    T = np.ascontiguousarray(_toeplitz(U)[:0:-1]).reshape(-1, n2)
+    """D[p] = zeta1 d/dzeta1 log W[p] on the box of each W[p] of a stack
+    (W[p, 0, 0] != 0): with U = W/W[0], row 0 1, D U = zeta1 dU/dzeta1
+    gives D[i] = i U[i] - sum_(0<k<i) D[k] U[i-k] (``series.log_jet``), row
+    i one product with the Toeplitz matrices of U stacked in reverse."""
+    B, n1, n2 = W.shape
+    U = W @ _toeplitz(inverse_at(W[:, 0, :1], W[:, 0], n2 - 1)[..., 0])
+    T = np.ascontiguousarray(_toeplitz(U)[:, :0:-1]).reshape(B, -1, n2)
     D = U * np.arange(n1)[:, None]
-    flat = D.reshape(-1)
+    flat = D.reshape(B, 1, -1)
     for i in range(2, n1):
-        D[i] -= flat[n2:i * n2] @ T[(n1 - i) * n2:]
+        D[:, i] -= (flat[:, :, n2:i * n2] @ T[:, (n1 - i) * n2:])[:, 0]
     return D
 
 

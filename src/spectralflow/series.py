@@ -183,17 +183,19 @@ class TruncSeries:
         return self.coeffs[0]
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; window length is preserved."""
+        """Multiplicative inverse by Newton doubling; window kept."""
         lead = self._leading()
         n = len(self.coeffs)
         if not self.coeffs[1:].any():     # a monomial inverts exactly
             return TruncSeries(np.eye(1, n)[0] / lead, -self.k_min,
                                self.var_tag)
         u = self.coeffs / lead            # unit part, u[0] == 1
-        inv = np.zeros(n, dtype=complex)
-        inv[0] = 1.0
-        for m in range(1, n):
-            inv[m] = -np.dot(u[1:m + 1][::-1], inv[:m])
+        inv, m = np.eye(1, n, dtype=complex)[0], 1
+        while m < n:                      # g <- g - g (u g - 1)
+            k = min(2 * m, n)
+            err = np.convolve(u[:k], inv[:m])[m:]
+            inv[m:k] = -np.convolve(inv[:m], err)[:k - m]
+            m = k
         return TruncSeries(inv / lead, -self.k_min, self.var_tag)
 
     def sqrt(self) -> "TruncSeries":
@@ -314,8 +316,8 @@ def _horner(p, t):
 def inverse_at(c, s, n) -> np.ndarray:
     """Coefficients of 1/(c[i, p] + s[i](t)) through t^n on axis 1, for a
     stack of charts i, c of shape (A, P) (c != 0), s[i] the Taylor
-    coefficients of chart i through t^n (s[i, 0] = 0): the recurrence of
-    ``TruncSeries.invert``, each step one product batched over charts."""
+    coefficients of chart i through t^n (s[i, 0] is not read): the
+    recurrence of the series reciprocal, each step one batched product."""
     rs = np.asarray(s)[:, None, n:0:-1]         # rs[:, 0, n - j] = [t^j] s
     inv = np.empty((len(c), n + 1, len(c[0])), dtype=complex)
     inv[:, 0] = 1.0 / np.asarray(c)

@@ -14,6 +14,9 @@ log-log growth exponent of the closed-form ODE matrix, and
 
 ``torus_chart_by_series`` solves a torus frame's chart by series
 arithmetic, an oracle for ``Genus1Curve._frame_chart``'s closed form.
+``rows_by_pair`` builds the row tables of one pair (b, a) alone, an
+oracle for ``RecursionEngine._rows``, which builds a list of pairs
+together.
 """
 
 import numpy as np
@@ -23,7 +26,7 @@ from spectralflow.classical import ode_matrix
 from spectralflow.curve import _solve_x
 from spectralflow.errors import UnsupportedCycle
 from spectralflow.forms import _translates
-from spectralflow.recursion import _head
+from spectralflow.recursion import _head, _log_derivative
 from spectralflow.series import TruncSeries, truncate
 from spectralflow.theta import ThetaEvaluator
 
@@ -90,6 +93,36 @@ def torus_chart_by_series(curve, frame, n):
                        absolute=True)
 
 
+def rows_by_pair(eng, b, a):
+    """The row tables (b, a) and, off the diagonal, (a, b) of an engine,
+    from one expansion of log E(c + V), c = r_b - r_a, V = s_b(zeta1) -
+    s_a(zeta2), for the pair alone: one kernel jet at the scalar c and
+    the 2-D products of each step (see ``RecursionEngine._rows``)."""
+    n1 = eng.m_rows + 1
+    n2 = n1 + 6
+    box = n1 if b == a else n2
+    e = np.add.outer(np.arange(box), np.arange(n2))
+    o, rho = eng.curve._regular_jet(
+        eng.rams[b].location - eng.rams[a].location, box + n2 - 2)
+    P = eng._powers(n2 - 1)
+    Pb, Pa = P[b, :box, :box], P[a]
+    if b == a:
+        W = eng._s[a][e + 1]
+    else:
+        W = np.zeros((box, n2), dtype=complex)
+        W[:, 0], W[0] = Pb[1], -Pa[1]
+        W[0, 0] = o
+    fact = np.cumprod(np.append(1.0, np.arange(1.0, box + n2 - 1)))
+    H = rho[e] * fact[e] / np.outer(fact[:box], fact[:n2]) \
+        * (-1.0) ** np.arange(n2)
+    D = _log_derivative(W[None])[0] + np.arange(box)[:, None] \
+        * (Pb.T @ H @ Pa)
+    out = {(b, a): D[1:n1, 1:] * np.arange(1, n2)}
+    if b != a:
+        out[a, b] = D.T[1:n1, 1:] * np.arange(1, n1)[:, None]
+    return out
+
+
 def leg_matrix(eng, basis, points):
     """B_{a,k}(z)/dchart for (a, k) in ``basis`` (rows) and z in
     ``points`` (columns), every point read afresh to the basis's top k."""
@@ -97,9 +130,7 @@ def leg_matrix(eng, basis, points):
     top = int(ks.max())
     c = np.array([r.location for r in eng.rams])[:, None] \
         - np.asarray(points, dtype=complex)
-    legs = eng.curve.bergman_leg(
-        c, np.stack([eng._powers(a, top)[1] for a in range(eng.A)]),
-        np.stack([eng._gamma(a, top) for a in range(eng.A)]))
+    legs = eng.curve.bergman_leg(c, eng._powers(top)[:, 1], eng._gamma(top))
     return legs[owner, ks - 1]
 
 

@@ -2,9 +2,10 @@
 form and against the curve's own point values, an engine's charts
 continued from the curve's on the sphere and read off the curve's one
 deep solve on the torus, the torus's closed-form charts against series
-arithmetic (``oracles.torus_chart_by_series``) at every kind of frame, the
-Lagrange-inversion gamma tables against zeta(s)^-m, and the pole and
-regular-point charts s(xi) against the frame's defining relation."""
+arithmetic (``oracles.torus_chart_by_series``) at every kind of frame, a
+constant R composed without the shift to c, the Lagrange-inversion gamma
+tables against zeta(s)^-m, and the pole and regular-point charts s(xi)
+against the frame's defining relation."""
 
 from math import comb
 
@@ -20,7 +21,7 @@ from spectralflow.curve import (
 )
 from spectralflow.forms import pole_frame
 from spectralflow.recursion import RecursionEngine
-from spectralflow.series import TruncSeries, truncate
+from spectralflow.series import TruncSeries, _horner, truncate
 
 from deformations import deform_holomorphic
 from oracles import torus_chart_by_series
@@ -139,6 +140,36 @@ def test_torus_chart_matches_the_series_route(tau, pole):
             assert np.max(err[big] / abs(ref[big])) < 2e-14, fr.tag
 
 
+def _of_by_shift(R, inner):
+    """``RationalFunction.of`` a series by the general route for every R:
+    numerator and denominator shifted to c by ``curve._at``."""
+    c = inner.coeff(0)
+    t = inner - c if c else inner
+    (m, num), (k, den) = curve_module._at(R.num, c), curve_module._at(R.den, c)
+    out = _horner(num, t) / (den[0] if len(den) == 1 else _horner(den, t))
+    return out * t ** (m - k) if m != k else out
+
+
+def test_constant_rational_skips_the_shift(monkeypatch):
+    # a constant R composes without _at, to the same window and bits as
+    # the general route: the tau = i charts (R1 = 0, R2 = 1/2) read the
+    # same Y series at every ramification point
+    for R in (RationalFunction([0.0]), RationalFunction([0.5]),
+              RationalFunction([2.0 - 1.0j], [0.5j])):
+        for inner in (TruncSeries([0.3, 1.0, 0.2], 0, "s"),
+                      TruncSeries([1.0, 0.5], 2, "s")):
+            got, want = R.of(inner), _of_by_shift(R, inner)
+            assert (got.k_min, got.var_tag) == (want.k_min, want.var_tag)
+            assert np.array_equal(got.coeffs, want.coeffs)
+    fast = Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+    monkeypatch.setattr(RationalFunction, "of", _of_by_shift)
+    slow = Genus1Curve(1j, RationalFunction([0.0]), RationalFunction([0.5]))
+    for r, q in zip(fast.ramification_points, slow.ramification_points):
+        got, want = r.chart(fast.order + 5)[1], q.chart(slow.order + 5)[1]
+        assert (got.k_min, got.trunc_order) == (want.k_min, want.trunc_order)
+        assert np.array_equal(got.coeffs, want.coeffs), r.location
+
+
 def test_torus_engine_reads_the_curves_charts(monkeypatch):
     # each torus chart is solved once, through xi^(2 order - 1), which is
     # as deep as an engine reads: the curve's 3 solves serve the engine
@@ -177,7 +208,7 @@ def test_lagrange_gamma_matches_zeta_powers(curve):
     eng = RecursionEngine(cv)
     for a, r in enumerate(eng.rams):
         # a fresh engine fills its tables on first read: fill them here
-        eng._gamma(a, eng.deep)
+        eng._gamma(eng.deep)
         assert eng.gamma[a].shape == (eng.deep, eng.deep)
         # X - X(a) has a double zero at a: its slots below s^2 are roundoff
         xs = cv.x_series(r.location, eng.deep + 4)

@@ -52,7 +52,7 @@ from deformations import (
     shift_y_by_rational_of_x,
 )
 from dense_reference import DenseReference, degree_sums, dense_view
-from oracles import leg_matrix, residue_at_point
+from oracles import leg_matrix, residue_at_point, rows_by_pair
 
 SUITE = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]
 # the deeper levels gated entry by entry on Airy, up to genus 5
@@ -582,7 +582,7 @@ def test_diagonal_rows_match_grunsky_coefficients(joukowski40):
     # The reference vanishes unless both indices are even, and the
     # entries there measured 0.0
     r = joukowski40.rams[0]
-    rows = joukowski40._rows(0, 0)[:21, :21]
+    rows = joukowski40._plg[0, 0, :21, :21]
     ref = _grunsky_rows(round(r.location.real),
                         complex(np.round(r.xi_prime)), 21)
     zero = np.abs(ref) < 1e-30 * np.abs(ref).max()
@@ -614,7 +614,8 @@ def test_cross_rows_match_reference(joukowski40, b, a):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     eng = joukowski40
-    rows = eng._rows(b, a)
+    eng._residue_tensors()
+    rows = eng._plg[b, a]
     m_rows, width = rows.shape
     sb, sa = ([mp.mpc(complex(eng.s_of[x].coeff(k)))
                for k in range(1, width + 1)] for x in (b, a))
@@ -629,6 +630,60 @@ def test_cross_rows_match_reference(joukowski40, b, a):
     assert np.max(np.abs(rows - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("which", ["joukowski", "torus", "g1"])
+def test_row_tables_match_the_per_pair_oracle(joukowski, torus, asym_engines,
+                                              which):
+    # the tables built together, the diagonal ones at set-up and those off
+    # it with the residue tensors, against each pair built alone by the
+    # generic recurrence (``oracles.rows_by_pair``): the diagonal ones
+    # measured bit-identical, those off it, read off the rank-one
+    # recurrence, within 7.9e-17 of the table's largest entry (tau =
+    # 0.25 + 1.07i; 2.3e-17 at tau = i, 0 on Joukowski)
+    curve = {"joukowski": joukowski, "torus": torus,
+             "g1": asym_engines["g1"][0]}[which]
+    eng = RecursionEngine(curve)
+    built = eng._plg.copy()
+    eng._residue_tensors()
+    for a in range(eng.A):
+        for b in range(a, eng.A):
+            for key, want in rows_by_pair(eng, b, a).items():
+                got = eng._plg[key]
+                if b == a:
+                    assert np.array_equal(got, want), key
+                    assert np.array_equal(built[key], want), key
+                else:
+                    assert not built[key].any(), key
+                    assert np.abs(got - want).max() \
+                        <= 4e-16 * np.abs(want).max(), key
+
+
+def test_airy_builds_no_cross_tables(airy, monkeypatch):
+    # one ramification point: the residue tensors read no kernel jet for
+    # tables off the diagonal, and the levels and F_g are the closed forms
+    # (Witten-Kontsevich on X = z^2, Y = z): omega(0, 3) = 1/2, omega(1, 1)
+    # = 1/48, omega(0, 4) = 1/4, omega(1, 2) = 1/32, 1/96, omega(2, 1) =
+    # 35/3072 on their nonzero entries, and F_2 = F_3 = 0
+    eng = RecursionEngine(airy)
+    assert eng._plg.shape[:2] == (1, 1)
+    calls = []
+    monkeypatch.setattr(Genus0Curve, "_regular_jet",
+                        lambda self, *args: calls.append(args))
+    eng._residue_tensors()
+    assert calls == []
+    want = {(0, 3): {(0, 0): 1 / 2}, (1, 1): {(1, 0): 1 / 48},
+            (0, 4): {(0, 1): 1 / 4, (0, 2): 1 / 4, (0, 3): 1 / 4,
+                     (1, 0): 1 / 4},
+            (1, 2): {(0, 2): 1 / 32, (1, 1): 1 / 96, (2, 0): 1 / 32},
+            (2, 1): {(4, 0): 35 / 3072}}
+    for (g, n), entries in want.items():
+        tensor = eng.omega(g, n).tensor
+        ref = np.zeros_like(tensor)
+        for ij, v in entries.items():
+            ref[ij] = v
+        assert np.abs(tensor - ref).max() <= 1e-16 * np.abs(ref).max()
+    assert eng.invariant(2) == 0 and eng.invariant(3) == 0
+
+
 @pytest.mark.parametrize("which", ["torus", "g1"])
 def test_torus_rows_match_kernel_values(engines, asym_engines, which):
     # sum rows[m-1, t] zeta1^(m-1) zeta2^t = F(c + s_b(zeta1) - s_a(zeta2))
@@ -637,6 +692,7 @@ def test_torus_rows_match_kernel_values(engines, asym_engines, which):
     # cancels F near its pole down to about 2.5e-11; off it the tables
     # agree to 1e-16
     eng = engines["torus"] if which == "torus" else asym_engines["g1"][1]
+    eng._residue_tensors()
     z1 = 0.05 * np.exp(1j * np.array([0.3, 2.1, 4.4]))
     z2 = 0.05 * np.exp(1j * np.array([1.2, 3.9, 5.6]))
     for b in range(eng.A):
@@ -648,7 +704,7 @@ def test_torus_rows_match_kernel_values(engines, asym_engines, which):
                 * _on_circle(eng.s_of[a].differentiate(), z2)
             if b == a:
                 want -= 1 / (z1 - z2) ** 2
-            got = np.polynomial.polynomial.polyval2d(z1, z2, eng._rows(b, a))
+            got = np.polynomial.polynomial.polyval2d(z1, z2, eng._plg[b, a])
             tol = 1e-10 if b == a else 1e-14
             assert np.all(np.abs(got - want)
                           <= tol * np.maximum(1.0, np.abs(want))), (b, a)
@@ -660,7 +716,7 @@ def test_diagonal_rows_parity_exact(engines, asym_engines, which):
     # the on-pole jet of log(E(t)/t) is even
     eng = engines["torus"] if which == "torus" else asym_engines["g1"][1]
     for a in range(eng.A):
-        H = eng._rows(a, a)
+        H = eng._plg[a, a]
         i, j = np.indices(H.shape)
         assert np.all(H[(i + j) % 2 == 1] == 0.0), a
 
@@ -879,12 +935,24 @@ def test_residue_slice_reads_products():
     assert np.max(np.abs(R @ d - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def _window(eng, basis, a, lo, hi):
+    """The coefficients on zeta^[lo, hi], lo <= 0, of B_{b,m}(z_a(zeta))/
+    dzeta for each (b, m) of ``basis``: the engine's window, the regular
+    part, plus the pole m zeta^-(m+1) at b == a."""
+    W = np.zeros((hi - lo + 1, len(basis)), dtype=complex)
+    W[-lo:] = eng._window(basis, hi)[a]
+    for c, (b, m) in enumerate(basis):
+        if b == a and lo <= -(m + 1):
+            W[-(m + 1) - lo, c] = m
+    return W
+
+
 def _column_series(eng, col, a, lo, hi):
     """The window of one column of the residue tensors as a TruncSeries:
     B_{b,m}(z_a(zeta)), or the Bergman slot zeta^(m-1) for b = None."""
     b, m = col
     if b is not None:
-        return TruncSeries(eng._window([(b, m)], a, lo, hi)[:, 0], lo)
+        return TruncSeries(_window(eng, [(b, m)], a, lo, hi)[:, 0], lo)
     data = np.zeros(hi - lo + 1, dtype=complex)
     data[m - 1 - lo] = 1.0
     return TruncSeries(data, lo)
@@ -921,7 +989,7 @@ def _dense_residue_tensor(eng, a):
     lo, hi = -(m_rows + 1), m_rows + 3
     e = np.arange(lo, hi + 1)
     unit = (e[:, None] == heads[None, :] - 1).astype(complex)
-    W = np.hstack([eng._window(eng._columns[:eng._nb], a, lo, hi), unit])
+    W = np.hstack([_window(eng, eng._columns[:eng._nb], a, lo, hi), unit])
     flip = ((-1.0 + 0j) ** ((e + 1) % 2))[:, None]
     R2 = _residue_slice(eng.ydiff_inv[a], heads, 2 * lo, 2 * hi)
     P = np.tensordot(np.tensordot(R2[:, np.add.outer(e, e) - 2 * lo], W,
@@ -939,7 +1007,7 @@ def _dense_diagonal_term(eng, a):
     lo, hi = -(m_rows + 1), m_rows + 3
     dat = np.zeros(hi - lo + 1, dtype=complex)
     dat[-2 - lo] = -0.25
-    H = eng._rows(a, a)
+    H = eng._plg[a, a]
     i, j = np.indices((len(H), len(H)))
     keep = i + j <= min(len(H) - 1, hi)
     np.add.at(dat, (i + j)[keep] - lo,
@@ -1110,10 +1178,10 @@ def test_pole_pairing_builds_no_cache(pairing_engines):
     # engine's tables as they were
     eng = pairing_engines["joukowski"]
     w = eng.omega(2, 1)
-    before = len(eng._plg)
+    before = eng._plg.copy()
     for i in range(50):
         eng.pole_pairing_vector(w.basis, 0.5 + 0.3j + 0.02 * i * (1 + 1j), 2)
-    assert len(eng._plg) == before
+    assert np.array_equal(eng._plg, before)
 
 
 def test_pole_pairing_one_local_series_per_ramification_point(
